@@ -49,13 +49,26 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 func TestParallelMultiWorker(t *testing.T) {
 	want := Serial(10)
-	for _, p := range []int{2, 4, 8} {
+	// The task tree does not depend on the schedule. Leaves checkpoint, and
+	// a leaf preempted at a Yield and stolen before it resumes is executed
+	// again by its adopter; every such extra execution is a checkpoint
+	// resume, so executions minus resumes is the tree's size at any P.
+	var tasks int64
+	for _, p := range []int{1, 2, 4, 8} {
 		res, err := phish.RunLocal(Program(), Root, RootArgs(10, 4), phish.LocalOptions{Workers: p})
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
 		if got := res.Value.([]int64); !reflect.DeepEqual(got, want) {
 			t.Errorf("P=%d: histogram mismatch\n got %v\nwant %v", p, got, want)
+		}
+		tot := res.Totals
+		got := tot.TasksExecuted - tot.CkptResumes
+		if p == 1 {
+			tasks = got
+		} else if got != tasks {
+			t.Errorf("P=%d: tasks executed − checkpoint resumes = %d − %d = %d, want %d (P=1)",
+				p, tot.TasksExecuted, tot.CkptResumes, got, tasks)
 		}
 	}
 }

@@ -860,6 +860,7 @@ func (c *Clearinghouse) Counters() *stats.Counters { return &c.counters }
 func (c *Clearinghouse) Stats() stats.Snapshot {
 	s := c.counters.Snapshot()
 	s.Worker = int(types.ClearinghouseID)
+	s.MailboxDepthMax = int64(c.conn.InboxDepthMax())
 	return s
 }
 
@@ -898,7 +899,7 @@ func (c *Clearinghouse) ClusterSnapshot() telemetry.ClusterSnapshot {
 		})
 		hists = append(hists, r.Rep.Hists)
 	}
-	chStats := c.counters.Snapshot()
+	chStats := c.Stats()
 
 	// The clearinghouse's own histograms (WAL append) join the merge.
 	if states := c.cfg.Metrics.Export(); len(states) > 0 {
@@ -909,6 +910,11 @@ func (c *Clearinghouse) ClusterSnapshot() telemetry.ClusterSnapshot {
 	// False evictions are detected clearinghouse-side (a heartbeat from a
 	// swept-dead id), so they live in its own counters, not any report.
 	cs.Totals.FalseEvictions += chStats.FalseEvictions
+	// Every worker reports to this one inbox, so it is the likeliest to be
+	// the job's deepest.
+	if chStats.MailboxDepthMax > cs.Totals.MailboxDepthMax {
+		cs.Totals.MailboxDepthMax = chStats.MailboxDepthMax
+	}
 	return cs
 }
 

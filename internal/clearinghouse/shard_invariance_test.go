@@ -108,7 +108,7 @@ func TestSnapshotShardInvariance(t *testing.T) {
 			cfg.Shards = n
 			cfg.Clock = clock.NewFake()
 			spec := wire.JobSpec{ID: 1, Name: "quick", RootFn: "root"}
-			return New(spec, nil, cfg)
+			return New(spec, phishnet.NewFabric().Attach(types.ClearinghouseID), cfg)
 		}
 		flat, sharded := build(1), build(shards)
 		applyOps(flat, ops, flat.clk.Now())
@@ -205,7 +205,7 @@ func TestJournalRecoveryAcrossShardCounts(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Shards = shards
 		cfg.Clock = clock.NewFake()
-		c := NewFromRecovery(rec, nil, cfg)
+		c := NewFromRecovery(rec, phishnet.NewFabric().Attach(types.ClearinghouseID), cfg)
 		snap, err := json.Marshal(c.ClusterSnapshot())
 		if err != nil {
 			t.Fatal(err)

@@ -42,6 +42,13 @@ type Closure struct {
 	// track even for bodies that checkpoint mid-run. Local-only.
 	execNS     int64
 	freshLocal bool
+	// adopted marks a closure won by a steal that this worker has not run
+	// yet. While it is set the closure is not grantable: a thief's request
+	// that was already queued here when the reply landed would otherwise
+	// take the task straight back, and two idle workers would bounce the
+	// last ready closure between them, one steal record per hop.
+	// Local-only: cleared by execute, dropped by migration.
+	adopted bool
 }
 
 // ready reports whether all argument slots are filled.

@@ -134,6 +134,12 @@ type Worker struct {
 	// former. Loop goroutine only.
 	drainOrdered bool
 	wakeCh       chan struct{}
+	// idleTimer is drainOne's timer, reused across idle waits (loop
+	// goroutine only; nil until the first wait).
+	idleTimer *time.Timer
+	// procs is GOMAXPROCS as the worker was built, kept so the steal path
+	// does not take the scheduler lock to ask again on every attempt.
+	procs int
 
 	hbStop chan struct{}
 
@@ -193,6 +199,7 @@ func NewWorker(job types.JobID, id types.WorkerID, prog *Program, conn phishnet.
 		stealVictim: types.NoWorker,
 		ckptPub:     make(map[types.TaskID]wire.TaskCkpt),
 		wakeCh:      make(chan struct{}, 1),
+		procs:       runtime.GOMAXPROCS(0),
 		hbStop:      make(chan struct{}),
 	}
 	if cfg.SpanTrace {
@@ -235,6 +242,7 @@ func (w *Worker) Stats() stats.Snapshot {
 	s := w.counters.Snapshot()
 	s.Worker = int(w.id)
 	s.Orphans = w.orphanDrops.Load()
+	s.MailboxDepthMax = int64(w.conn.InboxDepthMax())
 	if ns := w.execT.Load(); ns > 0 {
 		s.WallTime = time.Duration(ns)
 	} else if t0 := w.startT.Load(); t0 > 0 {
@@ -310,6 +318,8 @@ func (w *Worker) Run() error {
 	// the participant's execution time (internal/cputime).
 	runtime.LockOSThread()
 	defer runtime.UnlockOSThread()
+	runningWorkers.Add(1)
+	defer runningWorkers.Add(-1)
 	cpu0, cpuOK := cputime.Thread()
 	t0 := time.Now()
 	w.startT.Store(t0.UnixNano())
@@ -616,6 +626,7 @@ func (w *Worker) popNext() (*Closure, bool) {
 }
 
 func (w *Worker) execute(cl *Closure) {
+	cl.adopted = false
 	if !cl.preempted && cl.execNS == 0 {
 		// First local slice of this attempt: only a run that started from
 		// scratch (no checkpoint blob) measures the Fn's full cost.
@@ -781,7 +792,7 @@ func (w *Worker) thieveStep() bool {
 			return false
 		}
 	}
-	w.drainOne(time.Until(w.stealDeadline))
+	w.awaitSteal()
 	return false
 }
 
@@ -875,19 +886,68 @@ func (w *Worker) drainOne(d time.Duration) {
 		w.drainAll()
 		return
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+	// One timer serves every idle wait: a thief parks once per steal
+	// attempt, and a fresh timer each time is an allocation plus a
+	// timer-heap insert on the steal path.
+	t := w.idleTimer
+	if t == nil {
+		t = time.NewTimer(d)
+		w.idleTimer = t
+	} else {
+		t.Reset(d)
+	}
 	select {
 	case env, ok := <-w.conn.Recv():
 		if !ok {
 			w.shutdownMsg = true
-			return
+		} else {
+			w.handle(env)
+			w.drainAll()
 		}
-		w.handle(env)
-		w.drainAll()
 	case <-w.wakeCh:
 	case <-t.C:
+		return // fired and received: nothing left in the channel
 	}
+	if !t.Stop() {
+		// Fired while we were busy: take the tick out so the next Reset
+		// starts from an empty channel.
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+}
+
+// stealSpin is how long a thief polls its inbox for the steal reply before
+// it parks. On an idle core the reply to a request comes back within a few
+// microseconds of the victim's next scheduling point, while parking a
+// thread-locked worker and waking it again costs two futex round trips, one
+// of them paid by the victim — several times the 20 µs a fine-grained task
+// is worth. The window is long enough to cover a victim that is inside a
+// short task body and short enough that an idle machine burns at most this
+// much per steal attempt before it sleeps.
+const stealSpin = 80 * time.Microsecond
+
+// runningWorkers counts the workers of this process that are inside Run.
+// It is what a worker can observe of the processors it competes for: when
+// workers outnumber Ps, a spinning thief would hold the P its victim needs
+// to produce the reply, so it parks at once instead.
+var runningWorkers atomic.Int32
+
+// awaitSteal waits for the answer to the outstanding steal request: a
+// bounded poll of the inbox first, then drainOne's timed park. The poll
+// only reads channel lengths, so it takes no lock the sender needs.
+func (w *Worker) awaitSteal() {
+	if int(runningWorkers.Load()) <= w.procs {
+		recv := w.conn.Recv()
+		for spinUntil := time.Now().Add(stealSpin); time.Now().Before(spinUntil); {
+			if len(recv) > 0 || len(w.wakeCh) > 0 {
+				w.drainAll()
+				return
+			}
+		}
+	}
+	w.drainOne(time.Until(w.stealDeadline))
 }
 
 // handle dispatches one inbound message.
@@ -1356,9 +1416,14 @@ func (w *Worker) grantSteal(thief types.WorkerID) {
 	rec.task = stolen.toWire()
 	w.records[rec.id] = rec
 	if err := w.sendTo(thief, wire.StealReply{OK: true, Task: rec.task}); err != nil {
-		// Thief unreachable: revert as if the steal never happened.
+		// The grant cannot leave — the thief is unreachable, or the closure
+		// is more than the transport can carry (phishnet.ErrTooLarge: a
+		// 20 000-argument join over UDP). Revert as if the steal never
+		// happened, and tell a thief that can still hear us, so it does not
+		// wait out its timeout and hold the silence against this worker.
 		delete(w.records, rec.id)
 		w.putBackStealable(cl)
+		w.sendTo(thief, wire.StealReply{OK: false})
 		return
 	}
 	if w.spans.Load() != nil && rec.task.TC.Sampled() {
@@ -1376,8 +1441,8 @@ func (w *Worker) grantSteal(thief types.WorkerID) {
 	w.tr(trace.EvStealGrant, rec.task.ID, thief, "")
 }
 
-// takeStealable pops from the steal end, skipping (and replacing) a pinned
-// closure.
+// takeStealable pops from the steal end, skipping (and replacing) a closure
+// that is pinned or that this worker itself stole and has not run yet.
 func (w *Worker) takeStealable() (*Closure, bool) {
 	pop := w.dq.PopTail
 	unpop := w.dq.PushTail
@@ -1389,7 +1454,7 @@ func (w *Worker) takeStealable() (*Closure, bool) {
 	if !ok {
 		return nil, false
 	}
-	if cl.NoSteal {
+	if cl.NoSteal || cl.adopted {
 		unpop(cl)
 		return nil, false
 	}
@@ -1429,6 +1494,7 @@ func (w *Worker) adoptClosure(cl *Closure) {
 			Start: now, End: now})
 	}
 	w.consecFails = 0
+	cl.adopted = true
 	if cl.ready() {
 		w.dq.PushHead(cl)
 	} else {

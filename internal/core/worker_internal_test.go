@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"phish/internal/clock"
 	"phish/internal/model"
@@ -210,6 +211,70 @@ func TestGrantStealCreatesRecordAndRetiresTask(t *testing.T) {
 	}
 }
 
+// Two idle workers and one ready closure: B steals it from A, and A — idle
+// again the moment it granted — has its own request queued at B before B
+// reads the reply. B must keep the task until it has run it; handing it
+// back would start a bounce that adds one steal record per hop.
+func TestAdoptedClosureIsNotRegranted(t *testing.T) {
+	a, fab := newTestWorker(t, 5)
+	prog := NewProgram("internal")
+	prog.Register("noop", func(c model.Ctx) { c.Return(int64(0)) })
+	b := NewWorker(1, 6, prog, fab.Attach(6), DefaultConfig(), clock.System)
+	members := view(
+		wire.MemberInfo{Worker: 5, HostedBy: 5},
+		wire.MemberInfo{Worker: 6, HostedBy: 6},
+	)
+	a.applyView(members)
+	b.applyView(members)
+
+	wide := &Closure{ID: types.TaskID{Worker: 5, Seq: 1}, Fn: "noop", Args: make([]types.Value, 2000),
+		Cont: types.Continuation{Task: types.TaskID{Worker: 5, Seq: 99}}}
+	for i := range wide.Args {
+		wide.Args[i] = int64(i)
+	}
+	a.counters.TaskCreated()
+	a.dq.PushHead(wide)
+
+	request := func(thief, victim *Worker) {
+		t.Helper()
+		if err := thief.sendTo(victim.id, wire.StealRequest{Thief: thief.id}); err != nil {
+			t.Fatal(err)
+		}
+		thief.stealPending = true
+	}
+	transfers := func() int64 {
+		return a.counters.TasksStolen.Load() + b.counters.TasksStolen.Load()
+	}
+
+	request(b, a)
+	a.drainAll() // grant: the reply is on its way to B
+	request(a, b)
+	b.drainOne(time.Second) // reply (adopt), then A's request in the same drain
+	// Keep both thieves asking for a few more rounds, as idle workers do.
+	for round := 0; round < 4; round++ {
+		a.drainAll()
+		request(a, b)
+		b.drainAll()
+	}
+	if got := transfers(); got != 1 {
+		t.Fatalf("transfers = %d, want 1 (the closure bounced)", got)
+	}
+	if len(a.records) != 1 || len(b.records) != 0 {
+		t.Fatalf("steal records: a=%d b=%d, want the one record of the one steal", len(a.records), len(b.records))
+	}
+	if b.dq.Len() != 1 || a.dq.Len() != 0 {
+		t.Fatalf("deques: a=%d b=%d, want the task on its adopter", a.dq.Len(), b.dq.Len())
+	}
+
+	// Running it ends the hold: the result consumes A's record one hop away.
+	cl, _ := b.popNext()
+	b.execute(cl)
+	a.drainAll()
+	if len(a.records) != 0 {
+		t.Errorf("record not consumed by the result: %d left", len(a.records))
+	}
+}
+
 func TestGrantStealRevertsWhenThiefUnreachable(t *testing.T) {
 	w, _ := newTestWorker(t, 5)
 	cl := &Closure{ID: types.TaskID{Worker: 5, Seq: 1}, Fn: "noop"}
@@ -221,6 +286,47 @@ func TestGrantStealRevertsWhenThiefUnreachable(t *testing.T) {
 	}
 	if len(w.records) != 0 {
 		t.Error("record leaked on failed grant")
+	}
+}
+
+// Over UDP a closure wider than a datagram cannot be granted. The victim
+// keeps it, keeps no record of a steal that did not happen, and answers
+// "nothing" so the thief neither waits out its timeout nor suspects it.
+func TestGrantStealAnswersWhenClosureCannotTravel(t *testing.T) {
+	victimConn, err := phishnet.ListenUDP(1, 5, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	thiefConn, err := phishnet.ListenUDP(1, 6, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer thiefConn.Close()
+	victimConn.SetPeer(6, thiefConn.LocalAddr())
+	thiefConn.SetPeer(5, victimConn.LocalAddr())
+	w := NewWorker(1, 5, NewProgram("internal"), victimConn, DefaultConfig(), clock.System)
+	defer victimConn.Close()
+
+	wide := &Closure{ID: types.TaskID{Worker: 5, Seq: 1}, Fn: "noop", Args: make([]types.Value, 20000)}
+	for i := range wide.Args {
+		wide.Args[i] = int64(i)
+	}
+	w.counters.TaskCreated()
+	w.dq.PushHead(wide)
+	w.grantSteal(6)
+	if w.dq.Len() != 1 || len(w.records) != 0 {
+		t.Fatalf("after a grant that could not be sent: deque %d, records %d; want 1, 0", w.dq.Len(), len(w.records))
+	}
+	select {
+	case env := <-thiefConn.Recv():
+		if err := env.Materialize(); err != nil {
+			t.Fatal(err)
+		}
+		if rep, ok := env.Payload.(wire.StealReply); !ok || rep.OK {
+			t.Errorf("thief received %#v, want a failed steal reply", env.Payload)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("thief was left waiting: no steal reply")
 	}
 }
 
@@ -275,5 +381,22 @@ func TestPurgeOrphansDropsDeadConsumers(t *testing.T) {
 	}
 	if w.dq.Len() != 0 {
 		t.Error("ready orphan survived the purge")
+	}
+}
+
+func TestStatsReportInboxHighWater(t *testing.T) {
+	w, fab := newTestWorker(t, 5)
+	peer := fab.Attach(6)
+	for i := 0; i < 7; i++ {
+		if err := peer.Send(&wire.Envelope{Job: 1, From: 6, To: 5, Payload: wire.StealConfirm{}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.drainAll()
+	if err := peer.Send(&wire.Envelope{Job: 1, From: 6, To: 5, Payload: wire.StealConfirm{}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Stats().MailboxDepthMax; got != 7 {
+		t.Errorf("inbox high-water mark = %d, want 7 (the deepest it has been, not its depth now)", got)
 	}
 }

@@ -31,9 +31,17 @@ type Conn interface {
 	// destination is not currently reachable (unknown or departed); the
 	// caller may re-resolve the destination and retry.
 	Send(env *wire.Envelope) error
-	// Recv returns the channel of inbound envelopes. The channel is
-	// closed when the Conn is closed.
+	// Recv returns the channel of inbound envelopes. An envelope is
+	// receivable — by a blocking receive or a non-blocking poll — as soon
+	// as the transport has accepted it: no further goroutine has to run
+	// first. Envelopes from one sender arrive in the order they were
+	// sent, and the inbox is unbounded (a deaf receiver never blocks a
+	// sender). The channel is closed when the Conn is closed, after any
+	// backlog has been delivered or abandoned.
 	Recv() <-chan *wire.Envelope
+	// InboxDepthMax reports the most envelopes that have ever been queued
+	// for Recv at once (the inbox high-water mark).
+	InboxDepthMax() int
 	// SetPeer installs or updates the transport address for a peer.
 	// In-memory fabrics ignore it.
 	SetPeer(id types.WorkerID, addr string)
@@ -48,6 +56,11 @@ type Conn interface {
 // ErrUnknownPeer is returned by Send when the destination has no known
 // address or port.
 var ErrUnknownPeer = errors.New("phishnet: unknown peer")
+
+// ErrTooLarge is returned by Send when the encoded envelope exceeds what
+// the transport can ever carry in one piece (a UDP datagram). Retrying the
+// same envelope cannot succeed.
+var ErrTooLarge = errors.New("phishnet: envelope too large for the transport")
 
 // ErrClosed is returned by Send on a closed endpoint.
 var ErrClosed = errors.New("phishnet: endpoint closed")

@@ -19,7 +19,7 @@ import (
 // order, so the simulation can mimic the high round-trip latency the
 // paper's idle-initiated protocols are designed to tolerate.
 type Fabric struct {
-	mu         sync.Mutex
+	mu         sync.RWMutex
 	ports      map[types.WorkerID]*Port
 	latency    time.Duration
 	latencyFor func(from, to types.WorkerID) time.Duration
@@ -144,71 +144,30 @@ func (f *Fabric) Close() {
 }
 
 func (f *Fabric) deliver(env *wire.Envelope) error {
-	f.mu.Lock()
-	switch f.codec {
-	case CodecBinary:
-		f.mu.Unlock()
-		frame, err := wire.EncodeFrame(env)
-		if err != nil {
-			return err
+	// The common configuration — pointers passed through, no injected
+	// latency, no faults — only reads the fabric, so concurrent senders
+	// share the lock instead of serialising on it.
+	f.mu.RLock()
+	codec := f.codec
+	if codec == CodecNone && f.faults == nil && f.latency == 0 && f.latencyFor == nil {
+		dst, ok := f.ports[env.To]
+		f.mu.RUnlock()
+		if !ok {
+			return ErrUnknownPeer
 		}
-		env, err = wire.Decode(frame.Bytes())
-		frame.Free()
-		if err != nil {
-			return err
+		if !dst.mbox.put(env) {
+			return ErrClosed
 		}
-		f.mu.Lock()
-	case CodecGob:
-		f.mu.Unlock()
-		frame, err := wire.EncodeGob(env)
-		if err != nil {
-			return err
-		}
-		env, err = wire.DecodeGob(frame)
-		if err != nil {
-			return err
-		}
-		f.mu.Lock()
-	case CodecView:
-		f.mu.Unlock()
-		frame, err := wire.EncodeFrame(env)
-		if err != nil {
-			return err
-		}
-		n := len(frame.Bytes())
-		if a := wire.NewArena(); n <= len(a.Bytes()) {
-			// Copy into an arena so the view outlives the pooled frame; the
-			// view holds its own arena reference, mirroring the UDP read
-			// loop's ownership hand-off.
-			copy(a.Bytes(), frame.Bytes())
-			frame.Free()
-			env, err = wire.DecodeView(a.Bytes()[:n], a)
-			a.Release()
-			if err != nil {
-				return err
-			}
-		} else {
-			// Oversized frame (cold-path bulk): no arena, decode owned.
-			a.Release()
-			env, err = wire.Decode(frame.Bytes())
-			frame.Free()
-			if err != nil {
-				return err
-			}
-		}
-		f.mu.Lock()
-	case CodecV1:
-		f.mu.Unlock()
-		buf, err := wire.AppendEncodeLegacy(nil, env)
-		if err != nil {
-			return err
-		}
-		env, err = wire.Decode(buf)
-		if err != nil {
-			return err
-		}
-		f.mu.Lock()
+		return nil
 	}
+	f.mu.RUnlock()
+	env, err := transcode(codec, env)
+	if err != nil {
+		return err
+	}
+	// Fault verdicts and the latency pump's sequence numbers are ordered by
+	// the exclusive lock.
+	f.mu.Lock()
 	var verdict Verdict
 	if f.faults != nil {
 		verdict = f.faults.Judge(env.From, env.To)
@@ -255,6 +214,56 @@ func (f *Fabric) deliver(env *wire.Envelope) error {
 	return nil
 }
 
+// transcode puts env through the fabric's codec, as a real transport's
+// encode and decode would.
+func transcode(codec Codec, env *wire.Envelope) (*wire.Envelope, error) {
+	switch codec {
+	case CodecBinary:
+		frame, err := wire.EncodeFrame(env)
+		if err != nil {
+			return nil, err
+		}
+		env, err = wire.Decode(frame.Bytes())
+		frame.Free()
+		return env, err
+	case CodecGob:
+		frame, err := wire.EncodeGob(env)
+		if err != nil {
+			return nil, err
+		}
+		return wire.DecodeGob(frame)
+	case CodecView:
+		frame, err := wire.EncodeFrame(env)
+		if err != nil {
+			return nil, err
+		}
+		n := len(frame.Bytes())
+		a := wire.NewArena()
+		if n > len(a.Bytes()) {
+			// Oversized frame (cold-path bulk): no arena, decode owned.
+			a.Release()
+			env, err = wire.Decode(frame.Bytes())
+			frame.Free()
+			return env, err
+		}
+		// Copy into an arena so the view outlives the pooled frame; the
+		// view holds its own arena reference, mirroring the UDP read
+		// loop's ownership hand-off.
+		copy(a.Bytes(), frame.Bytes())
+		frame.Free()
+		env, err = wire.DecodeView(a.Bytes()[:n], a)
+		a.Release()
+		return env, err
+	case CodecV1:
+		buf, err := wire.AppendEncodeLegacy(nil, env)
+		if err != nil {
+			return nil, err
+		}
+		return wire.Decode(buf)
+	}
+	return env, nil
+}
+
 // pump delivers delayed messages in timestamp order.
 func (f *Fabric) pump() {
 	for {
@@ -296,6 +305,9 @@ func (p *Port) Send(env *wire.Envelope) error { return p.fab.deliver(env) }
 
 // Recv implements Conn.
 func (p *Port) Recv() <-chan *wire.Envelope { return p.mbox.out }
+
+// InboxDepthMax implements Conn.
+func (p *Port) InboxDepthMax() int { return p.mbox.depthHighWater() }
 
 // SetPeer implements Conn; the fabric routes by worker id, so addresses
 // are unnecessary.

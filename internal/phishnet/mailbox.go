@@ -6,93 +6,125 @@ import (
 	"phish/internal/wire"
 )
 
-// mailbox is an unbounded FIFO of envelopes with a channel interface on
-// both ends. Unbounded buffering matters: a worker deep in a long task does
+// mailboxFast is the capacity of the receive channel itself. It is sized
+// for the steady state — a worker's inbox holds a handful of steal
+// requests, replies and args between drains — so that ordinary traffic
+// never leaves the one-hop path; only a receiver that stays deaf through a
+// burst (a long task body, a 20 000-way join) pushes senders to the
+// overflow list.
+const mailboxFast = 128
+
+// mailbox is an unbounded FIFO of envelopes whose receive side is a plain
+// channel. Unbounded buffering matters: a worker deep in a long task does
 // not drain its inbox, and a bounded channel would make senders block,
 // coupling the progress of independent workers (the paper avoids exactly
 // this with split-phase sends).
+//
+// Delivery is one hop: put sends straight into the buffered receive
+// channel under one lock, so a parked receiver is readied by the sender
+// itself and a non-blocking poll sees the envelope without any other
+// goroutine having to run. When the channel is full, envelopes queue on an
+// overflow list and a spill goroutine — started on demand, gone once the
+// list is empty — feeds them to the channel in order; until it exits every
+// put appends behind it, which keeps the total order puts were made in.
 type mailbox struct {
-	in   chan *wire.Envelope
 	out  chan *wire.Envelope
 	done chan struct{}
 
-	mu     sync.RWMutex
-	closed bool
+	mu       sync.Mutex
+	overflow []*wire.Envelope
+	spilling bool // a spill goroutine is running (it alone may then send or close out)
+	closed   bool
+	depthMax int // high-water mark of queued envelopes
 }
 
 func newMailbox() *mailbox {
-	m := &mailbox{
-		in:   make(chan *wire.Envelope, 64),
-		out:  make(chan *wire.Envelope),
+	return &mailbox{
+		out:  make(chan *wire.Envelope, mailboxFast),
 		done: make(chan struct{}),
 	}
-	go m.pump()
-	return m
 }
 
-func (m *mailbox) pump() {
-	defer close(m.out)
-	var q []*wire.Envelope
-	for {
-		if len(q) == 0 {
-			env, ok := <-m.in
-			if !ok {
-				return
-			}
-			q = append(q, env)
-			continue
-		}
-		select {
-		case env, ok := <-m.in:
-			if !ok {
-				// Drain the backlog to receivers, then exit.
-				for _, e := range q {
-					select {
-					case m.out <- e:
-					case <-m.done:
-						return
-					}
-				}
-				return
-			}
-			q = append(q, env)
-		case m.out <- q[0]:
-			q[0] = nil
-			q = q[1:]
-		}
-	}
-}
-
-// put enqueues env; it blocks only transiently (while the pump moves the
-// element into its private queue). It reports false once the mailbox has
-// closed. The read lock is held across the send so close cannot shut the
-// channel out from under an in-flight put.
+// put enqueues env without blocking. It reports false once the mailbox has
+// closed.
 func (m *mailbox) put(env *wire.Envelope) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.closed {
 		return false
 	}
-	select {
-	case m.in <- env:
-		return true
-	case <-m.done:
-		return false
+	if !m.spilling {
+		select {
+		case m.out <- env:
+			m.noteDepth(len(m.out))
+			return true
+		default:
+		}
+		m.spilling = true
+		go m.spill()
+	}
+	m.overflow = append(m.overflow, env)
+	// One more envelope may be in the spill goroutine's hands; the mark is
+	// a gauge for sizing a future cap, not an exact count.
+	m.noteDepth(len(m.out) + len(m.overflow))
+	return true
+}
+
+func (m *mailbox) noteDepth(n int) {
+	if n > m.depthMax {
+		m.depthMax = n
 	}
 }
 
-// close stops the mailbox (idempotent). Receivers see the out channel
-// close after any backlog is drained or abandoned.
+// spill moves the overflow list into the receive channel, blocking on the
+// receiver, and exits when the list is empty or the mailbox closes.
+func (m *mailbox) spill() {
+	for {
+		m.mu.Lock()
+		if m.closed || len(m.overflow) == 0 {
+			m.spilling = false
+			if m.closed {
+				close(m.out)
+			}
+			m.mu.Unlock()
+			return
+		}
+		env := m.overflow[0]
+		m.overflow[0] = nil
+		m.overflow = m.overflow[1:]
+		if len(m.overflow) == 0 {
+			m.overflow = nil // release the drained backing array
+		}
+		m.mu.Unlock()
+		select {
+		case m.out <- env:
+		case <-m.done:
+		}
+	}
+}
+
+// close stops the mailbox (idempotent). Envelopes already in the receive
+// channel stay readable; the overflow backlog is abandoned. Receivers see
+// the channel close after that.
 func (m *mailbox) close() {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.closed {
-		m.mu.Unlock()
 		return
 	}
 	m.closed = true
-	m.mu.Unlock()
-	// No put can now be inside the send (they all check closed under the
-	// read lock, and we held the write lock), so closing is safe.
+	m.overflow = nil
 	close(m.done)
-	close(m.in)
+	if !m.spilling {
+		// Every send happens under mu (put) or from the spill goroutine,
+		// and there is none: nothing can be mid-send.
+		close(m.out)
+	}
+}
+
+// depthHighWater reports the most envelopes the mailbox has held at once.
+func (m *mailbox) depthHighWater() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.depthMax
 }

@@ -36,6 +36,11 @@ const (
 	// udpMaxDatagram caps one batched datagram, comfortably under the
 	// 64 KiB read buffer and typical socket limits.
 	udpMaxDatagram = 60 << 10
+	// udpMaxPayload is the largest payload one UDP datagram can carry over
+	// IPv4 (65535 less the IP and UDP headers); it also fits the 64 KiB
+	// receive arena. A single frame may exceed udpMaxDatagram — it then
+	// travels alone — but not this.
+	udpMaxPayload = 65507
 )
 
 // UDP is a Conn over real UDP datagrams with per-peer acknowledgment,
@@ -362,6 +367,14 @@ func (u *UDP) Send(env *wire.Envelope) error {
 		u.mu.Unlock()
 		return err
 	}
+	if len(frame.Bytes()) > udpMaxPayload {
+		// No datagram can carry it: the socket write would fail on every
+		// retransmit, and ten silent failures later a healthy peer would
+		// be declared gone. Refuse now, while the caller can still act.
+		frame.Free()
+		u.mu.Unlock()
+		return ErrTooLarge
+	}
 	// Acks are fire-and-forget by nature. Stat reports are sent the same
 	// way by design: they are soft state refreshed every heartbeat, and a
 	// pre-telemetry clearinghouse that cannot decode one would never ack
@@ -517,6 +530,9 @@ func (u *UDP) writeOwned(data []byte, dst *net.UDPAddr, to types.WorkerID) {
 
 // Recv implements Conn.
 func (u *UDP) Recv() <-chan *wire.Envelope { return u.mbox.out }
+
+// InboxDepthMax implements Conn.
+func (u *UDP) InboxDepthMax() int { return u.mbox.depthHighWater() }
 
 // Close implements Conn.
 func (u *UDP) Close() error {

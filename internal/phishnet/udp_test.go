@@ -1,6 +1,7 @@
 package phishnet
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -272,5 +273,50 @@ func TestRTTMeasuredAtAck(t *testing.T) {
 			t.Fatal("no RTT sample recorded after acked sends")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// An envelope no datagram can carry must be refused at Send, not tracked:
+// every retransmit would fail at the socket, and the healthy peer would be
+// declared gone ten silent failures later.
+func TestUDPRefusesEnvelopeLargerThanADatagram(t *testing.T) {
+	a, err := ListenUDP(1, 1, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := ListenUDP(1, 2, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	a.SetPeer(2, b.LocalAddr())
+	b.SetPeer(1, a.LocalAddr())
+
+	wide := make([]types.Value, 20000) // a flat 20 000-way join, ≈ 180 KB encoded
+	for i := range wide {
+		wide[i] = int64(i)
+	}
+	big := &wire.Envelope{To: 2, Payload: wire.StealReply{OK: true, Task: wire.Closure{Fn: "sum", Args: wide}}}
+	if err := a.Send(big); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("Send of a %d-argument closure: err = %v, want ErrTooLarge", len(wide), err)
+	}
+	a.mu.Lock()
+	pending := len(a.pending)
+	a.mu.Unlock()
+	if pending != 0 {
+		t.Errorf("%d frame(s) queued for retransmission after a refused send", pending)
+	}
+	// A frame past the batch cap but within one datagram still travels.
+	fits := &wire.Envelope{To: 2, Payload: wire.StealReply{OK: true, Task: wire.Closure{Fn: "sum", Args: wide[:6900]}}}
+	if err := a.Send(fits); err != nil {
+		t.Fatalf("Send of a frame that fits one datagram: %v", err)
+	}
+	env := recvOne(t, b, 2*time.Second)
+	if err := env.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	if rep, ok := env.Payload.(wire.StealReply); !ok || len(rep.Task.Args) != 6900 {
+		t.Errorf("payload = %T, want the 6900-argument steal reply", env.Payload)
 	}
 }

@@ -144,6 +144,10 @@ type Snapshot struct {
 	// Orphans counts results dropped because their consumer task no
 	// longer exists (expected after crash recovery, zero otherwise).
 	Orphans int64
+	// MailboxDepthMax is the high-water mark of the participant's inbox:
+	// the most envelopes that were ever queued for it at once. The inbox
+	// is unbounded, so this is the number a future cap would be sized by.
+	MailboxDepthMax int64
 	// ExecTime is the participant's execution time in the paper's sense:
 	// how long its (possibly simulated) workstation was busy with the
 	// job. On Linux it is the worker thread's CPU time, so participants
@@ -185,7 +189,8 @@ func (c *Counters) Snapshot() Snapshot {
 
 // JobTotals aggregates worker snapshots the way the paper's Table 2 does:
 // counts are summed, except MaxTasksInUse, which is the maximum over
-// workers ("the size of the largest working set of any participant"), and
+// workers ("the size of the largest working set of any participant"),
+// MailboxDepthMax, likewise the deepest inbox of any participant, and
 // ExecTime, which is the maximum (the job runs as long as its slowest
 // participant).
 func JobTotals(workers []Snapshot) Snapshot {
@@ -217,6 +222,9 @@ func JobTotals(workers []Snapshot) Snapshot {
 		t.Orphans += w.Orphans
 		if w.MaxTasksInUse > t.MaxTasksInUse {
 			t.MaxTasksInUse = w.MaxTasksInUse
+		}
+		if w.MailboxDepthMax > t.MailboxDepthMax {
+			t.MailboxDepthMax = w.MailboxDepthMax
 		}
 		if w.ExecTime > t.ExecTime {
 			t.ExecTime = w.ExecTime
@@ -277,6 +285,7 @@ var OrderedNames = []string{
 	"ckpt_resumes_total",
 	"speculative_redo_total",
 	"false_evictions_total",
+	"mailbox_depth_max",
 }
 
 // Ordered flattens the snapshot into the positional form of OrderedNames.
@@ -308,6 +317,7 @@ func (s Snapshot) Ordered() []int64 {
 		s.CkptResumes,
 		s.SpeculativeRedos,
 		s.FalseEvictions,
+		s.MailboxDepthMax,
 	}
 }
 
@@ -348,5 +358,6 @@ func FromOrdered(vals []int64) Snapshot {
 		CkptResumes:      at(23),
 		SpeculativeRedos: at(24),
 		FalseEvictions:   at(25),
+		MailboxDepthMax:  at(26),
 	}
 }

@@ -59,9 +59,9 @@ func TestHighWaterMarkConcurrent(t *testing.T) {
 
 func TestJobTotals(t *testing.T) {
 	a := Snapshot{TasksExecuted: 10, MaxTasksInUse: 3, TasksStolen: 1, Synchronizations: 9,
-		NonLocalSynchs: 1, MessagesSent: 5, ExecTime: 2 * time.Second}
+		NonLocalSynchs: 1, MessagesSent: 5, ExecTime: 2 * time.Second, MailboxDepthMax: 130}
 	b := Snapshot{TasksExecuted: 20, MaxTasksInUse: 7, TasksStolen: 2, Synchronizations: 19,
-		NonLocalSynchs: 2, MessagesSent: 6, ExecTime: time.Second}
+		NonLocalSynchs: 2, MessagesSent: 6, ExecTime: time.Second, MailboxDepthMax: 12}
 	tot := JobTotals([]Snapshot{a, b})
 	if tot.TasksExecuted != 30 || tot.TasksStolen != 3 || tot.Synchronizations != 28 ||
 		tot.NonLocalSynchs != 3 || tot.MessagesSent != 11 {
@@ -69,6 +69,15 @@ func TestJobTotals(t *testing.T) {
 	}
 	if tot.MaxTasksInUse != 7 {
 		t.Errorf("max in use should be the max over workers, got %d", tot.MaxTasksInUse)
+	}
+	if tot.MailboxDepthMax != 130 {
+		t.Errorf("mailbox depth should be the max over workers, got %d", tot.MailboxDepthMax)
+	}
+	if got := FromOrdered(a.Ordered()); got != a {
+		t.Errorf("Ordered/FromOrdered round trip: got %+v, want %+v", got, a)
+	}
+	if len(a.Ordered()) != len(OrderedNames) {
+		t.Errorf("Ordered has %d values for %d names", len(a.Ordered()), len(OrderedNames))
 	}
 	if tot.ExecTime != 2*time.Second {
 		t.Errorf("exec time should be the max over workers, got %v", tot.ExecTime)

@@ -111,6 +111,7 @@ func WriteClusterProm(w io.Writer, cs ClusterSnapshot) error {
 		{"phish_worker_tasks_stolen_total", typeCounter, func(r WorkerRow) int64 { return r.Stats.TasksStolen }},
 		{"phish_worker_steal_failures_total", typeCounter, func(r WorkerRow) int64 { return r.Stats.FailedSteals }},
 		{"phish_worker_tasks_redone_total", typeCounter, func(r WorkerRow) int64 { return r.Stats.TasksRedone }},
+		{"phish_worker_mailbox_depth_max", typeGauge, func(r WorkerRow) int64 { return r.Stats.MailboxDepthMax }},
 		{"phish_worker_phi_milli", typeGauge, func(r WorkerRow) int64 { return int64(r.PhiMilli) }},
 		{"phish_worker_suspect", typeGauge, func(r WorkerRow) int64 {
 			if r.Suspect != "" {
@@ -157,9 +158,9 @@ func RenderTop(cs ClusterSnapshot, prev *ClusterSnapshot, dt time.Duration) stri
 	fmt.Fprintf(&sb, "phishtop — job %d (%s)  epoch %d  %d live / %d reporting\n",
 		cs.Job, cs.Program, cs.Epoch, cs.Live, len(cs.Workers))
 	t := cs.Totals
-	fmt.Fprintf(&sb, "totals: exec %d  stolen %d  attempts %d  fails %d  redone %d  migrated %d  synchs %d\n",
+	fmt.Fprintf(&sb, "totals: exec %d  stolen %d  attempts %d  fails %d  redone %d  migrated %d  synchs %d  inbox max %d\n",
 		t.TasksExecuted, t.TasksStolen, t.StealAttempts, t.FailedSteals,
-		t.TasksRedone, t.TasksMigrated, t.Synchronizations)
+		t.TasksRedone, t.TasksMigrated, t.Synchronizations, t.MailboxDepthMax)
 	if t.Retransmits != 0 || t.PeerGoneReports != 0 || t.ReRegistrations != 0 || t.RedoBatches != 0 {
 		fmt.Fprintf(&sb, "faults: retransmits %d  peer-gone %d  re-registrations %d  redo batches %d  journal recs %d\n",
 			t.Retransmits, t.PeerGoneReports, t.ReRegistrations, t.RedoBatches, t.JournalRecords)
@@ -183,8 +184,8 @@ func RenderTop(cs ClusterSnapshot, prev *ClusterSnapshot, dt time.Duration) stri
 		}
 	}
 	sb.WriteByte('\n')
-	fmt.Fprintf(&sb, "%6s %4s %5s %9s %8s %9s %7s %6s %7s %6s %6s %-9s\n",
-		"WORKER", "LIVE", "DEQ", "EXEC", "STOLEN", "ATTEMPTS", "FAILS", "REDO", "MSGS", "AGE", "PHI", "SUSPECT")
+	fmt.Fprintf(&sb, "%6s %4s %5s %9s %8s %9s %7s %6s %7s %6s %6s %6s %-9s\n",
+		"WORKER", "LIVE", "DEQ", "EXEC", "STOLEN", "ATTEMPTS", "FAILS", "REDO", "MSGS", "INBOX", "AGE", "PHI", "SUSPECT")
 	for _, r := range cs.Workers {
 		live := "-"
 		if r.Live {
@@ -194,11 +195,11 @@ func RenderTop(cs ClusterSnapshot, prev *ClusterSnapshot, dt time.Duration) stri
 		if suspect == "" {
 			suspect = "-"
 		}
-		fmt.Fprintf(&sb, "%6d %4s %5d %9d %8d %9d %7d %6d %7d %5.1fs %6.2f %-9s\n",
+		fmt.Fprintf(&sb, "%6d %4s %5d %9d %8d %9d %7d %6d %7d %6d %5.1fs %6.2f %-9s\n",
 			r.Worker, live, r.Deque,
 			r.Stats.TasksExecuted, r.Stats.TasksStolen, r.Stats.StealAttempts,
 			r.Stats.FailedSteals, r.Stats.TasksRedone, r.Stats.MessagesSent,
-			float64(r.AgeMS)/1000, float64(r.PhiMilli)/1000, suspect)
+			r.Stats.MailboxDepthMax, float64(r.AgeMS)/1000, float64(r.PhiMilli)/1000, suspect)
 	}
 	return sb.String()
 }

@@ -187,8 +187,8 @@ func TestClusterPromParseBack(t *testing.T) {
 	m := NewMetrics()
 	m.StealRTT().Observe(int64(5000))
 	rows := []WorkerRow{
-		{Worker: 2, Live: true, Deque: 3, Stats: stats.Snapshot{TasksExecuted: 10, TasksStolen: 2, TasksRedone: 1}},
-		{Worker: 1, Live: false, Deque: 0, Stats: stats.Snapshot{TasksExecuted: 5, FailedSteals: 4}},
+		{Worker: 2, Live: true, Deque: 3, Stats: stats.Snapshot{TasksExecuted: 10, TasksStolen: 2, TasksRedone: 1, MailboxDepthMax: 4}},
+		{Worker: 1, Live: false, Deque: 0, Stats: stats.Snapshot{TasksExecuted: 5, FailedSteals: 4, MailboxDepthMax: 9}},
 	}
 	cs := BuildClusterSnapshot(7, "pfold", 3, 1, rows, [][]wire.HistState{m.Export()})
 	if cs.Workers[0].Worker != 1 {
@@ -211,6 +211,9 @@ func TestClusterPromParseBack(t *testing.T) {
 	}
 	if v, ok := SampleValue(samples, "phish_tasks_redone_total"); !ok || v != 1 {
 		t.Errorf("phish_tasks_redone_total = %v (found %v), want 1", v, ok)
+	}
+	if v, ok := SampleValue(samples, "phish_mailbox_depth_max"); !ok || v != 9 {
+		t.Errorf("phish_mailbox_depth_max = %v (found %v), want 9: the deepest inbox, not a sum", v, ok)
 	}
 	if v, ok := SampleValue(samples, "phish_live_workers"); !ok || v != 1 {
 		t.Errorf("phish_live_workers = %v (found %v), want 1", v, ok)
