@@ -149,6 +149,8 @@ func main() {
 
 	v, err := ch.WaitResult(*timeout)
 	if err != nil {
+		// What the workers printed may say why (a result too large to send).
+		fmt.Print(ch.Output())
 		log.Fatalf("clearinghouse: %v", err)
 	}
 	if out := ch.Output(); out != "" {

@@ -262,6 +262,8 @@ func main() {
 	start := time.Now()
 	v, err := ch.WaitResult(*timeout)
 	if err != nil {
+		// What the workers printed may say why (a result too large to send).
+		fmt.Print(ch.Output())
 		log.Fatalf("phish: %v", err)
 	}
 	wg.Wait()

@@ -25,13 +25,12 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1, fig4, fig5, table2, speedup-all, wirebench (alias: wire), schedbench, chbench, migrate, crit, chaos, all")
-	wireOut := flag.String("wire-out", "BENCH_wire.json", "output path for the wirebench JSON baseline")
+	exp := flag.String("exp", "all", "experiment: table1, fig4, fig5, table2, speedup-all, schedbench, chbench, migrate, crit, chaos, all")
 	schedOut := flag.String("sched-out", "BENCH_sched.json", "output path for the schedbench/chbench JSON baseline")
 	migrateOut := flag.String("migrate-out", "BENCH_migrate.json", "output path for the migration soak JSON baseline")
 	traceOut := flag.String("trace-out", "BENCH_trace.json", "output path for the crit (trace accounting) JSON baseline")
 	chaosOut := flag.String("chaos-out", "BENCH_chaos.json", "output path for the failure-detector chaos JSON baseline")
-	check := flag.Bool("check", false, "wirebench/migrate/crit/chaos: compare against the recorded baseline and exit nonzero on regression instead of rewriting it")
+	check := flag.Bool("check", false, "migrate/crit/chaos: compare against the recorded baseline and exit nonzero on regression instead of rewriting it")
 	chShards := flag.String("ch-shards", "", "chbench shard counts, e.g. 1,4,16,64")
 	chWorkers := flag.String("ch-workers", "", "chbench simulated worker populations, e.g. 1000,10000,100000")
 	chIters := flag.Int("ch-iters", 0, "chbench hot-path rounds per ingest goroutine")
@@ -139,26 +138,6 @@ func main() {
 			fmt.Println()
 		}
 	}
-	if run("wirebench") || *exp == "wire" {
-		did = true
-		rs := harness.WireBench()
-		harness.PrintWireBench(os.Stdout, rs)
-		if *check {
-			base, err := harness.ReadWireBenchJSON(*wireOut)
-			if err != nil {
-				log.Fatalf("phishbench: read %s: %v", *wireOut, err)
-			}
-			if err := harness.CheckWire(base, rs); err != nil {
-				log.Fatalf("phishbench: %v", err)
-			}
-			fmt.Printf("\nsteal sequence within alloc budget (%s)\n", *wireOut)
-		} else {
-			if err := harness.WriteWireBenchJSON(*wireOut, rs); err != nil {
-				log.Fatalf("phishbench: write %s: %v", *wireOut, err)
-			}
-			fmt.Printf("\nwrote %s\n", *wireOut)
-		}
-	}
 	if run("schedbench") {
 		did = true
 		rs, err := o.SchedBench()
@@ -231,14 +210,10 @@ func main() {
 		}
 		harness.PrintCritBench(os.Stdout, f)
 		if *check {
-			wb, err := harness.ReadWireBenchJSON(*wireOut)
-			if err != nil {
-				log.Fatalf("phishbench: read %s: %v", *wireOut, err)
-			}
-			if err := harness.CheckCrit(wb, f); err != nil {
+			if err := harness.CheckCrit(f); err != nil {
 				log.Fatalf("phishbench: %v", err)
 			}
-			fmt.Printf("\ntrace accounting coherent, steal path alloc-clean (%s)\n", *wireOut)
+			fmt.Println("\ntrace accounting coherent")
 		} else {
 			if err := harness.WriteCritBenchJSON(*traceOut, f); err != nil {
 				log.Fatalf("phishbench: write %s: %v", *traceOut, err)
@@ -270,6 +245,6 @@ func main() {
 		}
 	}
 	if !did {
-		log.Fatalf("phishbench: unknown experiment %q (table1, fig4, fig5, table2, speedup-all, wirebench, schedbench, chbench, migrate, crit, chaos, all)", *exp)
+		log.Fatalf("phishbench: unknown experiment %q (table1, fig4, fig5, table2, speedup-all, schedbench, chbench, migrate, crit, chaos, all)", *exp)
 	}
 }

@@ -331,16 +331,8 @@ func (c *Clearinghouse) foldHot(env *wire.Envelope) bool {
 		// slices anyway, cold tags arrive as structs) materializes in place
 		// and takes the switch below unchanged.
 		if hb, ok := v.AsHeartbeat(); ok && hb.Worker() == env.From {
-			c.msgsRecv.Add(1)
-			c.noteBeatFrom(env.From)
-			c.hot.Beats = append(c.hot.Beats, env.From)
-			if ns := hb.SendNS(); ns != 0 {
-				c.spans.noteHeartbeat(env.From, ns, time.Now().UnixNano())
-			}
+			c.foldBeat(env.From, hb.SendNS())
 			env.Free()
-			if c.hot.Len() >= hotBatchMax {
-				c.flushHot()
-			}
 			return true
 		}
 		if err := env.Materialize(); err != nil {
@@ -353,15 +345,8 @@ func (c *Clearinghouse) foldHot(env *wire.Envelope) bool {
 		if p.Worker != env.From {
 			return false
 		}
-		c.msgsRecv.Add(1)
-		c.noteBeatFrom(p.Worker)
-		c.hot.Beats = append(c.hot.Beats, p.Worker)
-		if p.SendNS != 0 {
-			// Offset refinement uses wall clocks on both ends (span
-			// timestamps are wall-clock), so this deliberately bypasses
-			// the injectable c.clk.
-			c.spans.noteHeartbeat(p.Worker, p.SendNS, time.Now().UnixNano())
-		}
+		c.foldBeat(p.Worker, p.SendNS)
+		return true
 	case wire.StatReport:
 		if p.Worker != env.From {
 			return false
@@ -370,13 +355,28 @@ func (c *Clearinghouse) foldHot(env *wire.Envelope) bool {
 		c.hot.Reports = append(c.hot.Reports, p)
 		c.maybeJournalCkpts(&p)
 		c.spans.fold(&p)
-	default:
-		return false
+		if c.hot.Len() >= hotBatchMax {
+			c.flushHot()
+		}
+		return true
+	}
+	return false
+}
+
+// foldBeat adds one self-reported heartbeat to the pending hot batch.
+func (c *Clearinghouse) foldBeat(from types.WorkerID, sendNS int64) {
+	c.msgsRecv.Add(1)
+	c.noteBeatFrom(from)
+	c.hot.Beats = append(c.hot.Beats, from)
+	if sendNS != 0 {
+		// Offset refinement uses wall clocks on both ends (span
+		// timestamps are wall-clock), so this deliberately bypasses
+		// the injectable c.clk.
+		c.spans.noteHeartbeat(from, sendNS, time.Now().UnixNano())
 	}
 	if c.hot.Len() >= hotBatchMax {
 		c.flushHot()
 	}
-	return true
 }
 
 func (c *Clearinghouse) flushHot() {

@@ -58,4 +58,4 @@ func BenchmarkTaskThroughput(b *testing.B) {
 
 // The per-cycle steal benchmark lives in steal_bench_test.go (package
 // core): BenchmarkStealRoundTrip drives one request/grant/adopt/confirm
-// cycle per iteration, with sub-benchmarks selecting the in-flight codec.
+// cycle per iteration, on the pointer-passing fabric and through the wire.

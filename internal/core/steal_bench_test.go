@@ -13,67 +13,95 @@ import (
 	"phish/internal/wire"
 )
 
-// benchStealCycle measures one complete steal round trip — request, grant
-// (with steal-record bookkeeping), adopt, confirm, execute, and result
-// delivery back through the victim's record — by driving two workers'
-// message handlers directly over a fabric with the given in-flight codec.
-// CodecNone isolates scheduler cost, CodecBinary adds the production wire
-// codec, and CodecGob is the pre-optimization reference.
-func benchStealCycle(b *testing.B, codec phishnet.Codec) {
+// stealRig is a victim (worker 0) and a thief (worker 1) on one fabric
+// with neither loop running: the caller drives their message handlers by
+// hand, one envelope at a time, so a steal round trip is a fixed sequence
+// of steps. It serves BenchmarkStealRoundTrip and the dispatch tests.
+type stealRig struct {
+	victim, thief *Worker
+	recvV, recvT  <-chan *wire.Envelope
+}
+
+func newStealRig(tb testing.TB, codec phishnet.Codec, cfg Config) *stealRig {
 	prog := NewProgram("stealrig")
 	prog.Register("work", func(c model.Ctx) { c.Return(c.Int(0)) })
 
 	fab := phishnet.NewFabric()
-	defer fab.Close()
+	tb.Cleanup(fab.Close)
 	fab.SetCodec(codec)
 	victimPort := fab.Attach(0)
 	thiefPort := fab.Attach(1)
-	victim := NewWorker(1, 0, prog, victimPort, DefaultConfig(), clock.System)
-	thief := NewWorker(1, 1, prog, thiefPort, DefaultConfig(), clock.System)
+	r := &stealRig{
+		victim: NewWorker(1, 0, prog, victimPort, cfg, clock.System),
+		thief:  NewWorker(1, 1, prog, thiefPort, cfg, clock.System),
+		recvV:  victimPort.Recv(),
+		recvT:  thiefPort.Recv(),
+	}
 	view := wire.MembershipView{Epoch: 1, Members: []wire.MemberInfo{
 		{Worker: 0, HostedBy: 0},
 		{Worker: 1, HostedBy: 1},
 	}}
-	victim.applyView(view)
-	thief.applyView(view)
+	r.victim.applyView(view)
+	r.thief.applyView(view)
+	return r
+}
 
-	// Argument shapes matching a data-carrying steal (cf. the wire
-	// benchmarks' stolen closure).
-	args := []types.Value{int64(42), "pfold", []int64{1, 2, 3, 4, 5, 6, 7, 8}}
-	cont := types.Continuation{Task: types.TaskID{Worker: 0, Seq: 1 << 40}}
+// Argument shapes matching a data-carrying steal (cf. the wire tests'
+// stolen closure), and a continuation nobody waits on.
+var (
+	stealRigArgs = []types.Value{int64(42), "pfold", []int64{1, 2, 3, 4, 5, 6, 7, 8}}
+	stealRigCont = types.Continuation{Task: types.TaskID{Worker: 0, Seq: 1 << 40}}
+)
 
-	recvV := victimPort.Recv()
-	recvT := thiefPort.Recv()
+// request spawns one task on the victim and sends the thief's steal
+// request for it, marked outstanding the way thieveStep marks it.
+func (r *stealRig) request(tb testing.TB, args []types.Value) {
+	r.victim.spawn("work", stealRigCont, args, false, wire.TraceCtx{})
+	if err := r.thief.sendTo(0, wire.StealRequest{Thief: 1}); err != nil {
+		tb.Fatal(err)
+	}
+	r.thief.stealPending = true
+	r.thief.stealSentAt = time.Now()
+}
 
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		victim.spawn("work", cont, args, false, wire.TraceCtx{})
-		if err := thief.sendTo(0, wire.StealRequest{Thief: 1}); err != nil {
-			b.Fatal(err)
-		}
-		victim.handle(<-recvV) // StealRequest → grant + record
-		thief.handle(<-recvT)  // StealReply → adopt + confirm
-		victim.handle(<-recvV) // StealConfirm → record confirmed
-		cl, ok := thief.popNext()
-		if !ok {
-			b.Fatal("thief adopted nothing")
-		}
-		thief.execute(cl)      // result → Arg back to the victim
-		victim.handle(<-recvV) // Arg → consume the steal record
-		if len(victim.records) != 0 {
-			b.Fatalf("record leaked: %d", len(victim.records))
-		}
+// cycle is one complete steal round trip — request, grant (with
+// steal-record bookkeeping), adopt, confirm, execute, and result delivery
+// back through the victim's record.
+func (r *stealRig) cycle(tb testing.TB) {
+	r.request(tb, stealRigArgs)
+	r.victim.handle(<-r.recvV) // StealRequest → grant + record
+	r.thief.handle(<-r.recvT)  // StealReply → adopt + confirm
+	r.victim.handle(<-r.recvV) // StealConfirm → record confirmed
+	cl, ok := r.thief.popNext()
+	if !ok {
+		tb.Fatal("thief adopted nothing")
+	}
+	r.thief.execute(cl)        // result → Arg back to the victim
+	r.victim.handle(<-r.recvV) // Arg → consume the steal record
+	if len(r.victim.records) != 0 {
+		tb.Fatalf("record leaked: %d", len(r.victim.records))
 	}
 }
 
 // BenchmarkStealRoundTrip measures one steal request/grant/adopt/confirm
-// cycle, the latency a thief pays per successful steal. Sub-benchmarks
-// select how envelopes are treated in flight.
+// cycle, the latency a thief pays per successful steal, by driving two
+// workers' message handlers directly over a fabric. The pointer arm hands
+// envelopes over untouched and isolates scheduler cost; the wire arm adds
+// what a real transport adds, a frame encoded and read back in place.
 func BenchmarkStealRoundTrip(b *testing.B) {
-	b.Run("pointer", func(b *testing.B) { benchStealCycle(b, phishnet.CodecNone) })
-	b.Run("binary", func(b *testing.B) { benchStealCycle(b, phishnet.CodecBinary) })
-	b.Run("gob", func(b *testing.B) { benchStealCycle(b, phishnet.CodecGob) })
+	for _, arm := range []struct {
+		name  string
+		codec phishnet.Codec
+	}{{"pointer", phishnet.CodecNone}, {"wire", phishnet.CodecWire}} {
+		b.Run(arm.name, func(b *testing.B) {
+			r := newStealRig(b, arm.codec, DefaultConfig())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.cycle(b)
+			}
+		})
+	}
 }
 
 // BenchmarkFabricStealRTT measures the steal round trip between two live

@@ -965,12 +965,16 @@ func (w *Worker) handle(env *wire.Envelope) {
 	} else if w.chDown {
 		w.chRecovered()
 	}
+	// A Conn delivers a hot message either as the struct its sender built
+	// (in-memory fabric) or as a view of the received frame (UDP). Both
+	// forms are a field extraction into the same method; no message has a
+	// second body.
 	if v, ok := env.Payload.(*wire.View); ok {
 		if w.handleView(env, v) {
 			return
 		}
-		// Not a fast-path message: handleView materialized the payload in
-		// place, so the struct dispatch below applies unchanged.
+		// Not a hot message: handleView materialized the payload in place,
+		// so the struct dispatch below applies unchanged.
 	}
 	switch p := env.Payload.(type) {
 	case wire.RegisterReply:
@@ -990,51 +994,13 @@ func (w *Worker) handle(env *wire.Envelope) {
 	case wire.StealRequest:
 		w.grantSteal(p.Thief)
 	case wire.StealReply:
-		// Observe the round trip only for a still-pending request: a reply
-		// straggling in after the timeout fired no longer pairs with
-		// stealSentAt.
-		if w.stealPending && !w.stealSentAt.IsZero() {
-			if m := w.cfg.Metrics; m != nil {
-				m.StealRTT().ObserveSince(w.stealSentAt)
-			}
-			if w.spans.Load() != nil && !w.stealSpanID.Zero() {
-				sp := wire.Span{Kind: wire.SpanStealReq, Flags: wire.FlagSampled, Worker: w.id,
-					Task: w.stealSpanID, Peer: env.From,
-					Start: w.stealSentAt.UnixNano(), End: time.Now().UnixNano()}
-				if p.OK {
-					sp.Link = p.Task.ID // the task this attempt won
-				}
-				w.spans.Load().add(sp)
-				w.stealSpanID = types.TaskID{}
-			}
-		}
-		w.stealPending = false
-		w.stealVictim = types.NoWorker
+		var cl *Closure
 		if p.OK {
-			w.dbgRepliesOK.Add(1)
-		} else {
-			w.dbgRepliesFail.Add(1)
+			cl = closureFromWire(p.Task)
 		}
-		if p.OK {
-			w.localFailures = 0
-		} else if w.siteOf[env.From] == w.cfg.Site {
-			w.localFailures++
-		}
-		if w.forwardTo != types.NoWorker {
-			// We already migrated away. Leave the task unconfirmed: the
-			// victim's steal record redoes it when our tombstone lands.
-			return
-		}
-		if p.OK {
-			w.adoptStolen(p.Task)
-		} else {
-			w.consecFails++
-			w.counters.FailedSteals.Add(1)
-		}
+		w.onStealReply(env.From, p.OK, cl)
 	case wire.StealConfirm:
-		if rec, ok := w.records[p.Record]; ok {
-			rec.confirmed = true
-		}
+		w.onStealConfirm(p.Record)
 	case wire.Arg:
 		w.deliver(p.Cont, p.Val, p.Crossed, p.TC)
 	case wire.Migrate:
@@ -1092,57 +1058,56 @@ func (w *Worker) handle(env *wire.Envelope) {
 // handleView dispatches the hot-path messages straight off a zero-copy
 // view — no intermediate structs, no per-message allocation beyond the
 // pooled closure a successful steal adopts. Returns true when the message
-// was fully consumed; false when the payload was materialized in place so
-// the struct dispatch in handle applies.
+// was consumed (and the envelope freed); false when the payload was
+// materialized in place so the struct dispatch in handle applies.
 func (w *Worker) handleView(env *wire.Envelope, v *wire.View) bool {
 	if av, ok := v.AsArg(); ok {
-		val, err := av.Val()
-		if err != nil {
-			env.Free() // corrupt value body; drop like a garbage frame
-			return true
+		// A corrupt value body is dropped like a garbage frame.
+		if val, err := av.Val(); err == nil {
+			w.deliver(av.Cont(), val, av.Crossed(), av.TC())
 		}
-		w.deliver(av.Cont(), val, av.Crossed(), av.TC())
-		env.Free()
-		return true
-	}
-	if sr, ok := v.AsStealRequest(); ok {
+	} else if sr, ok := v.AsStealRequest(); ok {
 		w.grantSteal(sr.Thief())
-		env.Free()
-		return true
-	}
-	if rp, ok := v.AsStealReply(); ok {
-		w.handleStealReplyView(env, rp)
-		env.Free()
-		return true
-	}
-	if sc, ok := v.AsStealConfirm(); ok {
-		if rec, ok := w.records[sc.Record()]; ok {
-			rec.confirmed = true
+	} else if rp, ok := v.AsStealReply(); ok {
+		// A corrupt closure body leaves cl nil on a granted steal, which
+		// onStealReply treats as a reply lost in flight.
+		granted := rp.OK()
+		var cl *Closure
+		if granted {
+			cl, _ = closureFromView(rp.Task())
 		}
-		env.Free()
-		return true
+		w.onStealReply(env.From, granted, cl)
+	} else if sc, ok := v.AsStealConfirm(); ok {
+		w.onStealConfirm(sc.Record())
+	} else if err := env.Materialize(); err == nil {
+		return false
 	}
-	if err := env.Materialize(); err != nil {
-		env.Free() // corrupt; drop (Materialize leaves the view intact on error)
-		return true
-	}
-	return false
+	// Consumed, or corrupt and dropped (Materialize leaves the view intact
+	// on error).
+	env.Free()
+	return true
 }
 
-// handleStealReplyView is the view twin of handle's StealReply case; the
-// stolen closure is adopted straight off the frame via closureFromView.
-func (w *Worker) handleStealReplyView(env *wire.Envelope, p wire.StealReplyView) {
-	ok := p.OK()
+// onStealReply takes the answer to the outstanding steal request: ok with
+// the stolen closure already copied out of the message, or a refusal. A
+// granted steal whose closure could not be decoded arrives as ok with a
+// nil closure and is not adopted: the victim's unconfirmed steal record
+// redoes the task when it gives up on us, exactly as if the reply had been
+// lost in flight.
+func (w *Worker) onStealReply(from types.WorkerID, ok bool, cl *Closure) {
+	// Observe the round trip only for a still-pending request: a reply
+	// straggling in after the timeout fired no longer pairs with
+	// stealSentAt.
 	if w.stealPending && !w.stealSentAt.IsZero() {
 		if m := w.cfg.Metrics; m != nil {
 			m.StealRTT().ObserveSince(w.stealSentAt)
 		}
 		if w.spans.Load() != nil && !w.stealSpanID.Zero() {
 			sp := wire.Span{Kind: wire.SpanStealReq, Flags: wire.FlagSampled, Worker: w.id,
-				Task: w.stealSpanID, Peer: env.From,
+				Task: w.stealSpanID, Peer: from,
 				Start: w.stealSentAt.UnixNano(), End: time.Now().UnixNano()}
-			if ok {
-				sp.Link = p.Task().ID()
+			if cl != nil {
+				sp.Link = cl.ID // the task this attempt won
 			}
 			w.spans.Load().add(sp)
 			w.stealSpanID = types.TaskID{}
@@ -1152,32 +1117,33 @@ func (w *Worker) handleStealReplyView(env *wire.Envelope, p wire.StealReplyView)
 	w.stealVictim = types.NoWorker
 	if ok {
 		w.dbgRepliesOK.Add(1)
+		w.localFailures = 0
 	} else {
 		w.dbgRepliesFail.Add(1)
+		if w.siteOf[from] == w.cfg.Site {
+			w.localFailures++
+		}
 	}
-	if ok {
-		w.localFailures = 0
-	} else if w.siteOf[env.From] == w.cfg.Site {
-		w.localFailures++
-	}
-	if w.forwardTo != types.NoWorker {
+	switch {
+	case w.forwardTo != types.NoWorker:
 		// We already migrated away. Leave the task unconfirmed: the
 		// victim's steal record redoes it when our tombstone lands.
-		return
-	}
-	if !ok {
+		if cl != nil {
+			cl.free()
+		}
+	case !ok:
 		w.consecFails++
 		w.counters.FailedSteals.Add(1)
-		return
+	case cl != nil:
+		w.adoptClosure(cl)
 	}
-	cl, err := closureFromView(p.Task())
-	if err != nil {
-		// Corrupt closure body: drop the reply; the victim's unconfirmed
-		// steal record redoes the task when we are (wrongly) given up on,
-		// exactly as if the reply had been lost in flight.
-		return
+}
+
+// onStealConfirm marks a steal record confirmed: the thief holds the task.
+func (w *Worker) onStealConfirm(record types.TaskID) {
+	if rec, ok := w.records[record]; ok {
+		rec.confirmed = true
 	}
-	w.adoptClosure(cl)
 }
 
 // applyView installs a fresh membership view: the host map for routing and
@@ -1334,13 +1300,23 @@ func (w *Worker) deliver(cont types.Continuation, v types.Value, crossed bool, t
 	case host == types.NoWorker:
 		w.orphanDrops.Add(1)
 	default:
+		arg := wire.Arg{Cont: cont, Val: v, Crossed: true, TC: tc}
+		err := w.sendTo(host, arg)
+		if errors.Is(err, phishnet.ErrTooLarge) {
+			// No retry can carry it, so it is neither parked nor retained:
+			// say why the task waiting on it will never run, once.
+			w.tr(trace.EvSynch, cont.Task, host, "undeliverable: "+err.Error())
+			w.print(fmt.Sprintf("worker %d: result for task %v dropped: %v\n", w.id, cont.Task, err))
+			return
+		}
 		if host == types.ClearinghouseID {
 			// The root result. Retain a copy for re-send after a
 			// clearinghouse restart; the clearinghouse deduplicates.
-			w.rootResult = &wire.Arg{Cont: cont, Val: v, Crossed: true, TC: tc}
+			root := arg
+			w.rootResult = &root
 		}
-		if err := w.sendTo(host, wire.Arg{Cont: cont, Val: v, Crossed: true, TC: tc}); err != nil {
-			w.unsent = append(w.unsent, wire.Arg{Cont: cont, Val: v, Crossed: true, TC: tc})
+		if err != nil {
+			w.unsent = append(w.unsent, arg)
 		}
 	}
 }
@@ -1469,15 +1445,9 @@ func (w *Worker) putBackStealable(cl *Closure) {
 	w.dq.PushTail(cl)
 }
 
-// adoptStolen installs a task won from a victim and confirms receipt (the
+// adoptClosure installs a task won from a victim and confirms receipt (the
 // stolen task's continuation targets the victim's steal record, which is
 // how we know where to confirm).
-func (w *Worker) adoptStolen(wc wire.Closure) {
-	w.adoptClosure(closureFromWire(wc))
-}
-
-// adoptClosure installs an already-converted stolen closure (from either
-// the struct or the zero-copy ingest path).
 func (w *Worker) adoptClosure(cl *Closure) {
 	w.dbgAdopts.Add(1)
 	w.ensureSpans(cl.TC)
@@ -1958,7 +1928,10 @@ func (w *Worker) unregister(reason wire.LeaveReason, migratedTo types.WorkerID) 
 func (w *Worker) sendTo(to types.WorkerID, payload any) error {
 	env := &wire.Envelope{Job: w.job, From: w.id, To: to, Payload: payload}
 	if err := w.conn.Send(env); err != nil {
-		if to == types.ClearinghouseID && w.registered {
+		// An envelope too large for the transport says nothing about the
+		// peer: only an unreachable clearinghouse starts the re-register
+		// loop.
+		if to == types.ClearinghouseID && w.registered && !errors.Is(err, phishnet.ErrTooLarge) {
 			w.noteCHDown()
 		}
 		return err

@@ -6,22 +6,19 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"testing"
 	"time"
 
 	"phish"
 	"phish/internal/apps/fib"
 	"phish/internal/apps/pfold"
-	"phish/internal/types"
 )
 
 // This file is the empirical-critical-path benchmark: traced runs of two
 // applications whose span DAGs yield measured T1 (work) and T∞ (critical
 // path), reported next to the paper's T1/P + T∞ greedy-scheduling bound
-// and the measured makespan. The -check gate also re-measures the wire
-// steal sequence with tracing disabled and compares its allocation count
-// against the BENCH_wire.json baseline: the tracing plane must cost the
-// untraced hot path nothing.
+// and the measured makespan. (That the tracing plane costs the untraced
+// steal path nothing is held by internal/wire's TestStealSequenceAllocs,
+// which runs with a zero TraceCtx.)
 
 // CritBenchConfig sizes the traced runs.
 type CritBenchConfig struct {
@@ -70,12 +67,8 @@ type CritRow struct {
 	Dropped uint64 `json:"dropped"`
 }
 
-// CritSummary is the headline plus the zero-overhead gate measurement.
+// CritSummary is the headline.
 type CritSummary struct {
-	// StealSeqAllocs is allocs/op of the wire steal-sequence benchmark
-	// measured in this run with tracing disabled; CheckCrit compares it
-	// to the BENCH_wire.json baseline.
-	StealSeqAllocs int64 `json:"steal_seq_allocs"`
 	// WorstBoundRatio is the max Makespan/Bound across runs.
 	WorstBoundRatio float64 `json:"worst_bound_ratio"`
 }
@@ -123,22 +116,7 @@ func critRunOne(name string, prog *phish.Program, rootFn string,
 	return row, nil
 }
 
-// critStealSeqAllocs re-measures the untraced wire steal sequence (the
-// same four-message zero-copy round trip WireBench times as
-// "steal-sequence") and returns allocs/op.
-func critStealSeqAllocs() int64 {
-	seq := stealSequence()
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		var scratch []types.Value
-		for i := 0; i < b.N; i++ {
-			runStealSequenceView(b, seq, &scratch)
-		}
-	})
-	return r.AllocsPerOp()
-}
-
-// CritBench runs the traced applications and the zero-overhead probe.
+// CritBench runs the traced applications.
 func CritBench(cfg CritBenchConfig) (*CritBenchFile, error) {
 	d := DefaultCritBenchConfig()
 	if cfg.Workers <= 0 {
@@ -173,7 +151,6 @@ func CritBench(cfg CritBenchConfig) (*CritBenchFile, error) {
 			f.Summary.WorstBoundRatio = r.BoundRatio
 		}
 	}
-	f.Summary.StealSeqAllocs = critStealSeqAllocs()
 	return &f, nil
 }
 
@@ -187,7 +164,6 @@ func PrintCritBench(w io.Writer, f *CritBenchFile) {
 			r.App, r.Workers, r.Tasks, r.Spans,
 			r.T1MS, r.TInfMS, r.MakespanMS, r.BoundMS, r.BoundRatio)
 	}
-	fmt.Fprintf(w, "steal-sequence allocs/op with tracing disabled: %d\n", f.Summary.StealSeqAllocs)
 }
 
 // ReadCritBenchJSON loads a recorded baseline. A missing file returns
@@ -216,37 +192,17 @@ func WriteCritBenchJSON(path string, f *CritBenchFile) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// ReadWireBenchJSON loads the recorded codec baseline (nil, nil when the
-// file does not exist yet).
-func ReadWireBenchJSON(path string) ([]WireBenchResult, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var rs []WireBenchResult
-	if err := json.Unmarshal(data, &rs); err != nil {
-		return nil, fmt.Errorf("harness: %s: %w", path, err)
-	}
-	return rs, nil
-}
-
-// CheckCrit gates CI on the trace accounting being self-consistent and on
-// the tracing plane costing the untraced steal path nothing:
+// CheckCrit gates CI on the trace accounting being self-consistent:
 //
 //   - ≥ 2 applications traced, each with a non-degenerate DAG
 //   - Tinf ≤ T1 ≤ P·makespan (work can't exceed P workers' wall time) and
 //     makespan ≥ Tinf (the critical path is inherently sequential), with
 //     small relative slack for rounding
 //   - zero dropped spans
-//   - steal-sequence allocs/op with tracing disabled no worse than the
-//     BENCH_wire.json baseline (wireBase nil skips that comparison)
 //
 // The makespan-vs-bound ratio is reported, not gated: on a timeshared
 // machine P workers share fewer cores and the ratio legitimately exceeds 1.
-func CheckCrit(wireBase []WireBenchResult, fresh *CritBenchFile) error {
+func CheckCrit(fresh *CritBenchFile) error {
 	if len(fresh.Runs) < 2 {
 		return fmt.Errorf("harness: crit traced %d apps, want >= 2", len(fresh.Runs))
 	}
@@ -268,12 +224,6 @@ func CheckCrit(wireBase []WireBenchResult, fresh *CritBenchFile) error {
 		}
 		if r.Dropped != 0 {
 			return fmt.Errorf("harness: crit %s: %d spans dropped", r.App, r.Dropped)
-		}
-	}
-	for _, wb := range wireBase {
-		if wb.Name == "steal-sequence" && fresh.Summary.StealSeqAllocs > wb.AllocsPerOp {
-			return fmt.Errorf("harness: steal-sequence allocs %d with tracing disabled exceed the %d baseline — the trace plane leaked into the hot path",
-				fresh.Summary.StealSeqAllocs, wb.AllocsPerOp)
 		}
 	}
 	return nil

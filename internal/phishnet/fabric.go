@@ -36,25 +36,15 @@ type Codec int
 
 const (
 	// CodecNone passes envelope pointers through untouched (default;
-	// fastest — the simulated NOW's shared-memory shortcut).
+	// fastest — the simulated NOW's shared-memory shortcut). Receivers get
+	// the struct payloads the sender built.
 	CodecNone Codec = iota
-	// CodecBinary runs every envelope through the binary wire codec
-	// (encode then decode), so in-process runs exercise exactly the bytes
-	// a real UDP deployment would — and benchmarks over the fabric measure
-	// serialization cost.
-	CodecBinary
-	// CodecGob runs every envelope through the reference gob codec — the
-	// pre-optimization baseline, kept for comparison benchmarks.
-	CodecGob
-	// CodecView encodes every envelope and hands consumers zero-copy
-	// *wire.View payloads backed by a pooled arena — exactly what a real
-	// UDP deployment delivers for hot messages — so in-process tests and
-	// benchmarks exercise the read-in-place ingest paths end to end.
-	CodecView
-	// CodecV1 pins the legacy v1 positional encoder while decoding with
-	// the current decoder — the cross-version differential mode (an old
-	// sender talking to a new receiver).
-	CodecV1
+	// CodecWire does to every envelope what the UDP transport does: encode
+	// it to a frame, copy the frame into a pooled arena, and decode it
+	// there, so receivers get zero-copy *wire.View payloads for the hot
+	// messages and in-process tests and benchmarks exercise the bytes and
+	// the read-in-place ingest paths of a real deployment.
+	CodecWire
 )
 
 // SetCodec selects in-flight envelope treatment. Call before traffic
@@ -214,54 +204,26 @@ func (f *Fabric) deliver(env *wire.Envelope) error {
 	return nil
 }
 
-// transcode puts env through the fabric's codec, as a real transport's
-// encode and decode would.
+// transcode puts env through the wire under CodecWire, as the UDP
+// transport's send and read loop would.
 func transcode(codec Codec, env *wire.Envelope) (*wire.Envelope, error) {
-	switch codec {
-	case CodecBinary:
-		frame, err := wire.EncodeFrame(env)
-		if err != nil {
-			return nil, err
-		}
-		env, err = wire.Decode(frame.Bytes())
-		frame.Free()
-		return env, err
-	case CodecGob:
-		frame, err := wire.EncodeGob(env)
-		if err != nil {
-			return nil, err
-		}
-		return wire.DecodeGob(frame)
-	case CodecView:
-		frame, err := wire.EncodeFrame(env)
-		if err != nil {
-			return nil, err
-		}
-		n := len(frame.Bytes())
-		a := wire.NewArena()
-		if n > len(a.Bytes()) {
-			// Oversized frame (cold-path bulk): no arena, decode owned.
-			a.Release()
-			env, err = wire.Decode(frame.Bytes())
-			frame.Free()
-			return env, err
-		}
-		// Copy into an arena so the view outlives the pooled frame; the
-		// view holds its own arena reference, mirroring the UDP read
-		// loop's ownership hand-off.
-		copy(a.Bytes(), frame.Bytes())
-		frame.Free()
-		env, err = wire.DecodeView(a.Bytes()[:n], a)
-		a.Release()
-		return env, err
-	case CodecV1:
-		buf, err := wire.AppendEncodeLegacy(nil, env)
-		if err != nil {
-			return nil, err
-		}
-		return wire.Decode(buf)
+	if codec != CodecWire {
+		return env, nil
 	}
-	return env, nil
+	frame, err := wire.EncodeFrame(env)
+	if err != nil {
+		return nil, err
+	}
+	defer frame.Free()
+	n := len(frame.Bytes())
+	a := wire.NewArena()
+	defer a.Release() // a view holds its own reference
+	if n > len(a.Bytes()) {
+		// Larger than a datagram (cold-path bulk): decode owned.
+		return wire.Decode(frame.Bytes())
+	}
+	copy(a.Bytes(), frame.Bytes())
+	return wire.DecodeView(a.Bytes()[:n], a)
 }
 
 // pump delivers delayed messages in timestamp order.

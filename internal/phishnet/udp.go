@@ -367,19 +367,18 @@ func (u *UDP) Send(env *wire.Envelope) error {
 		u.mu.Unlock()
 		return err
 	}
-	if len(frame.Bytes()) > udpMaxPayload {
+	if n := len(frame.Bytes()); n > udpMaxPayload {
 		// No datagram can carry it: the socket write would fail on every
 		// retransmit, and ten silent failures later a healthy peer would
 		// be declared gone. Refuse now, while the caller can still act.
 		frame.Free()
 		u.mu.Unlock()
-		return ErrTooLarge
+		return fmt.Errorf("%w: %d bytes encoded, limit %d", ErrTooLarge, n, udpMaxPayload)
 	}
 	// Acks are fire-and-forget by nature. Stat reports are sent the same
-	// way by design: they are soft state refreshed every heartbeat, and a
-	// pre-telemetry clearinghouse that cannot decode one would never ack
-	// it — tracking it would exhaust retransmits and falsely declare a
-	// healthy peer gone.
+	// way by design: they are soft state, cumulative and refreshed every
+	// heartbeat, so the next one supersedes a lost one and retransmitting
+	// a stale one buys nothing.
 	untracked := false
 	switch env.Payload.(type) {
 	case wire.Ack, wire.StatReport:
@@ -606,16 +605,10 @@ func (u *UDP) readLoop() {
 }
 
 func (u *UDP) handleInbound(env *wire.Envelope, from *net.UDPAddr) {
-	ackSeq, isAck := uint64(0), false
-	switch p := env.Payload.(type) {
-	case wire.Ack:
-		ackSeq, isAck = p.Seq, true
-	case *wire.View:
-		if av, ok := p.AsAck(); ok {
-			ackSeq, isAck = av.Seq(), true
-		}
-	}
-	if isAck {
+	// The read loop decodes with DecodeView, so an Ack is always a view.
+	v, _ := env.Payload.(*wire.View)
+	if av, isAck := v.AsAck(); isAck {
+		ackSeq := av.Seq()
 		u.mu.Lock()
 		if p := u.pending[ackSeq]; p != nil {
 			// Karn's rule: only a never-retransmitted frame yields an RTT

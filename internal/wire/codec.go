@@ -1,15 +1,15 @@
 // Binary wire codec.
 //
-// Every fixed-shape message in this package is encoded by hand into a
-// length-prefixed, versioned binary frame — no reflection, no per-message
-// encoder state, no intermediate buffers. Only opaque application payloads
-// (types.Value instances outside the small set of common concrete types)
-// fall back to gob, because their shape is by definition unknown here.
+// Every message in this package is encoded by hand into a length-prefixed
+// binary frame — no reflection, no per-message encoder state, no
+// intermediate buffers. Only opaque application values (types.Value
+// instances outside the small set of common concrete types) fall back to
+// gob, because their shape is by definition unknown here.
 //
 // Frame layout (all integers big-endian):
 //
 //	offset 0  u32  body length (bytes after this prefix)
-//	offset 4  u8   frame format version (frameVersion)
+//	offset 4  u8   body layout version (tagVersion of the tag)
 //	offset 5  u8   payload type tag (t* constants)
 //	offset 6  i64  Envelope.Job
 //	offset 14 i32  Envelope.From
@@ -17,11 +17,14 @@
 //	offset 22 u64  Envelope.Seq
 //	offset 30 ...  payload body (shape fixed by the type tag)
 //
-// The version byte exists for forward compatibility: a future frame layout
-// bumps it, and decoders reject versions they do not know instead of
-// misparsing. Several frames may be concatenated back to back — the UDP
-// transport batches envelopes to one destination into one datagram this
-// way — and each is self-delimiting via its length prefix.
+// The tag decides the body layout, and there is one layout, one encoder
+// and one decoder per tag: the hot scheduler tags (v2Tag) carry the
+// field-keyed body of view.go, every other tag the positional body encoded
+// in this file. The version byte names that layout, and a decoder rejects
+// a frame whose version is not the one its tag uses instead of misparsing
+// it. Several frames may be concatenated back to back — the UDP transport
+// batches envelopes to one destination into one datagram this way — and
+// each is self-delimiting via its length prefix.
 //
 // Decoding is hardened against truncated and corrupt input: every read is
 // bounds-checked, slice counts are validated against the bytes actually
@@ -37,13 +40,23 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"phish/internal/types"
 )
 
-// frameVersion is the wire format version stamped into every frame.
+// frameVersion marks a frame whose body is the positional layout of this
+// file; frameVersionV2 (view.go) marks the field-keyed one.
 const frameVersion = 1
+
+// tagVersion is the version byte a frame with this tag carries.
+func tagVersion(tag byte) byte {
+	if v2Tag(tag) {
+		return frameVersionV2
+	}
+	return frameVersion
+}
 
 // frameHeaderLen is the encoded size of the length prefix plus envelope
 // header (version, type tag, job, from, to, seq).
@@ -98,9 +111,6 @@ const (
 	tDrainAck
 	tSuspectSet
 	tDrainOrder
-	// tGobEnvelope carries a gob-encoded payload of a type this codec has
-	// no hand-rolled shape for (applications extending the protocol).
-	tGobEnvelope byte = 255
 )
 
 // Value kind tags inside payloads. A types.Value is one tag byte followed
@@ -123,7 +133,7 @@ const (
 
 var (
 	errShortFrame   = errors.New("wire: truncated or corrupt frame")
-	errFrameVersion = errors.New("wire: unknown frame version")
+	errFrameVersion = errors.New("wire: wrong frame version")
 )
 
 // ---- Pooled frame buffers -------------------------------------------------
@@ -234,35 +244,19 @@ func Encode(env *Envelope) ([]byte, error) {
 
 // AppendEncode appends env's frame to dst and returns the extended slice.
 // Frames are self-delimiting, so several may be appended back to back into
-// one buffer (the UDP transport batches datagrams this way). Hot scheduler
-// payloads are emitted in the v2 field-keyed layout (view.go); everything
-// else keeps the v1 positional body.
+// one buffer (the UDP transport batches datagrams this way). A payload
+// that is not one of this package's messages is an error.
 func AppendEncode(dst []byte, env *Envelope) ([]byte, error) {
-	return appendEncode(dst, env, true)
-}
-
-// AppendEncodeLegacy is AppendEncode pinned to v1 bodies for every tag —
-// the old codec, kept reachable so the fabric's differential codec modes
-// and cross-version tests can exercise a v2 decoder against v1 frames.
-func AppendEncodeLegacy(dst []byte, env *Envelope) ([]byte, error) {
-	return appendEncode(dst, env, false)
-}
-
-func appendEncode(dst []byte, env *Envelope, allowV2 bool) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // length prefix, patched below
 	tag := payloadTag(env.Payload)
-	ver := byte(frameVersion)
-	if allowV2 && v2Tag(tag) {
-		ver = frameVersionV2
-	}
-	dst = append(dst, ver, tag)
+	dst = append(dst, tagVersion(tag), tag)
 	dst = appendI64(dst, int64(env.Job))
 	dst = appendI32(dst, int32(env.From))
 	dst = appendI32(dst, int32(env.To))
 	dst = appendU64(dst, env.Seq)
 	var err error
-	if ver == frameVersionV2 {
+	if v2Tag(tag) {
 		dst, err = appendPayloadV2(dst, env.Payload)
 	} else {
 		dst, err = appendPayload(dst, env.Payload)
@@ -278,50 +272,60 @@ func appendEncode(dst []byte, env *Envelope, allowV2 bool) ([]byte, error) {
 	return dst, nil
 }
 
-// Decode parses one frame produced by Encode/AppendEncode. It never
-// panics: corrupt or truncated frames return an error.
+// Decode parses one frame produced by Encode/AppendEncode into an
+// envelope that owns its payload. It never panics: corrupt or truncated
+// frames return an error.
 func Decode(frame []byte) (env *Envelope, err error) {
-	// Belt and braces: the reader bounds-checks everything, but a decoding
-	// bug must still surface as an error, not kill the process.
-	defer func() {
-		if r := recover(); r != nil {
-			env, err = nil, fmt.Errorf("wire: decode panic: %v", r)
-		}
-	}()
+	defer decodePanic(&env, &err)
+	e, tag, body, err := parseHeader(frame)
+	if err != nil {
+		return nil, err
+	}
+	if v2Tag(tag) {
+		e.Payload, err = materializeV2(tag, body)
+	} else {
+		e.Payload, err = readBody(tag, body)
+	}
+	return decoded(e, tag, err)
+}
+
+// decodePanic is deferred by both decoders. Belt and braces: the readers
+// bounds-check everything, but a decoding bug must still surface as an
+// error, not kill the process.
+func decodePanic(env **Envelope, err *error) {
+	if r := recover(); r != nil {
+		*env, *err = nil, fmt.Errorf("wire: decode panic: %v", r)
+	}
+}
+
+// parseHeader checks a frame's length prefix and version byte and reads
+// its header into a pooled envelope; body is what follows the header.
+func parseHeader(frame []byte) (e *Envelope, tag byte, body []byte, err error) {
 	if len(frame) < frameHeaderLen {
-		return nil, fmt.Errorf("wire: short frame (%d bytes)", len(frame))
+		return nil, 0, nil, fmt.Errorf("wire: short frame (%d bytes)", len(frame))
 	}
 	n := binary.BigEndian.Uint32(frame[:4])
 	if int64(n) != int64(len(frame)-4) {
-		return nil, fmt.Errorf("wire: frame length mismatch: header %d, body %d", n, len(frame)-4)
+		return nil, 0, nil, fmt.Errorf("wire: frame length mismatch: header %d, body %d", n, len(frame)-4)
 	}
-	if frame[4] != frameVersion && frame[4] != frameVersionV2 {
-		return nil, fmt.Errorf("%w %d", errFrameVersion, frame[4])
+	tag = frame[5]
+	if frame[4] != tagVersion(tag) {
+		return nil, 0, nil, fmt.Errorf("%w %d for %s", errFrameVersion, frame[4], tagName(tag))
 	}
-	tag := frame[5]
-	e := envelopePool.Get().(*Envelope)
+	e = envelopePool.Get().(*Envelope)
 	e.Job = types.JobID(int64(binary.BigEndian.Uint64(frame[6:14])))
 	e.From = types.WorkerID(int32(binary.BigEndian.Uint32(frame[14:18])))
 	e.To = types.WorkerID(int32(binary.BigEndian.Uint32(frame[18:22])))
 	e.Seq = binary.BigEndian.Uint64(frame[22:30])
-	if frame[4] == frameVersionV2 {
-		p, err := materializeV2(tag, frame[frameHeaderLen:])
-		if err != nil {
-			e.Free()
-			return nil, fmt.Errorf("wire: decode %s: %w", tagName(tag), err)
-		}
-		e.Payload = p
-		return e, nil
-	}
-	r := reader{b: frame[frameHeaderLen:]}
-	e.Payload = readPayload(&r, tag)
-	if r.err != nil {
+	return e, tag, frame[frameHeaderLen:], nil
+}
+
+// decoded finishes a decode: the envelope on success, or the envelope
+// back in the pool and err naming the message.
+func decoded(e *Envelope, tag byte, err error) (*Envelope, error) {
+	if err != nil {
 		e.Free()
-		return nil, fmt.Errorf("wire: decode %s: %w", tagName(tag), r.err)
-	}
-	if r.off != len(r.b) {
-		e.Free()
-		return nil, fmt.Errorf("wire: decode %s: %d trailing bytes", tagName(tag), len(r.b)-r.off)
+		return nil, fmt.Errorf("wire: decode %s: %w", tagName(tag), err)
 	}
 	return e, nil
 }
@@ -397,41 +401,6 @@ func (fr *FrameReader) Next() (*Envelope, error) {
 		return nil, err
 	}
 	return Decode(frame)
-}
-
-// ---- Reference gob codec --------------------------------------------------
-
-// EncodeGob serializes env as a length-prefixed gob frame — the original
-// reflection-based codec, kept as a correctness reference and benchmark
-// baseline (BenchmarkStealRoundTrip/gob) for the binary codec above.
-func EncodeGob(env *Envelope) ([]byte, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(env); err != nil {
-		return nil, fmt.Errorf("wire: gob encode %T: %w", env.Payload, err)
-	}
-	if body.Len() > maxFrame {
-		return nil, fmt.Errorf("wire: frame too large (%d bytes)", body.Len())
-	}
-	out := make([]byte, 4+body.Len())
-	binary.BigEndian.PutUint32(out[:4], uint32(body.Len()))
-	copy(out[4:], body.Bytes())
-	return out, nil
-}
-
-// DecodeGob parses one frame produced by EncodeGob.
-func DecodeGob(frame []byte) (*Envelope, error) {
-	if len(frame) < 4 {
-		return nil, fmt.Errorf("wire: short frame (%d bytes)", len(frame))
-	}
-	n := binary.BigEndian.Uint32(frame[:4])
-	if int(n) != len(frame)-4 {
-		return nil, fmt.Errorf("wire: frame length mismatch: header %d, body %d", n, len(frame)-4)
-	}
-	var env Envelope
-	if err := gob.NewDecoder(bytes.NewReader(frame[4:])).Decode(&env); err != nil {
-		return nil, fmt.Errorf("wire: gob decode: %w", err)
-	}
-	return &env, nil
 }
 
 // ---- Append-style writers -------------------------------------------------
@@ -570,21 +539,6 @@ func appendTC(b []byte, tc TraceCtx) []byte {
 // recording worker + three task ids + peer + start + end.
 const spanWireLen = 1 + 1 + 4 + 3*12 + 4 + 8 + 8
 
-func appendSpans(b []byte, ss []Span) []byte {
-	b = appendLen(b, len(ss), ss == nil)
-	for _, s := range ss {
-		b = append(b, s.Kind, s.Flags)
-		b = appendI32(b, int32(s.Worker))
-		b = appendTaskID(b, s.Task)
-		b = appendTaskID(b, s.Parent)
-		b = appendTaskID(b, s.Link)
-		b = appendI32(b, int32(s.Peer))
-		b = appendI64(b, s.Start)
-		b = appendI64(b, s.End)
-	}
-	return b
-}
-
 // appendBlob writes a presence-flagged byte slice (nil and empty are
 // distinct, like appendLen elsewhere).
 func appendBlob(b, data []byte) []byte {
@@ -647,19 +601,26 @@ func appendI64s(b []byte, vs []int64) []byte {
 	return b
 }
 
+// appendCounts writes a per-worker count map in ascending key order, so a
+// frame is a function of its envelope and not of Go's map iteration.
 func appendCounts(b []byte, m map[types.WorkerID]int64) []byte {
 	b = appendLen(b, len(m), m == nil)
-	for k, v := range m {
+	keys := make([]types.WorkerID, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
 		b = appendI32(b, int32(k))
-		b = appendI64(b, v)
+		b = appendI64(b, m[k])
 	}
 	return b
 }
 
 // ---- Payload dispatch -----------------------------------------------------
 
-// payloadTag maps a payload to its wire tag; unknown types get the gob
-// fallback tag.
+// payloadTag maps a payload to its wire tag; a type that is not one of
+// this package's messages gets tInvalid, which nothing encodes.
 func payloadTag(p any) byte {
 	switch x := p.(type) {
 	case *View:
@@ -739,7 +700,7 @@ func payloadTag(p any) byte {
 	case nil:
 		return tNilPayload
 	default:
-		return tGobEnvelope
+		return tInvalid
 	}
 }
 
@@ -759,7 +720,6 @@ var tagNames = map[byte]string{
 	tPeerGone: "PeerGone", tStatReport: "StatReport",
 	tDrainRequest: "DrainRequest", tDrainAck: "DrainAck",
 	tSuspectSet: "SuspectSet", tDrainOrder: "DrainOrder",
-	tGobEnvelope: "gob-fallback",
 }
 
 func tagName(t byte) string {
@@ -769,21 +729,10 @@ func tagName(t byte) string {
 	return fmt.Sprintf("tag(%d)", t)
 }
 
+// appendPayload writes the positional body of a cold payload; the hot
+// tags' one encoder is appendPayloadV2.
 func appendPayload(b []byte, p any) ([]byte, error) {
 	switch x := p.(type) {
-	case StealRequest:
-		return appendI32(b, int32(x.Thief)), nil
-	case StealReply:
-		return appendClosure(appendBool(b, x.OK), x.Task)
-	case StealConfirm:
-		return appendTaskID(b, x.Record), nil
-	case Arg:
-		b = appendCont(b, x.Cont)
-		b, err := appendValue(b, x.Val)
-		if err != nil {
-			return nil, err
-		}
-		return appendTC(appendBool(b, x.Crossed), x.TC), nil
 	case Migrate:
 		b = appendI32(b, int32(x.From))
 		b = appendLen(b, len(x.Closures), x.Closures == nil)
@@ -817,8 +766,6 @@ func appendPayload(b []byte, p any) ([]byte, error) {
 		return appendI32(b, int32(x.MigratedTo)), nil
 	case Update:
 		return appendView(b, x.View), nil
-	case Heartbeat:
-		return appendI64(appendI32(b, int32(x.Worker)), x.SendNS), nil
 	case WorkerDown:
 		b = appendI32(b, int32(x.Worker))
 		b = appendTaskCkpts(b, x.Ckpts)
@@ -882,26 +829,8 @@ func appendPayload(b []byte, p any) ([]byte, error) {
 			}
 		}
 		return b, nil
-	case Ack:
-		return appendU64(b, x.Seq), nil
 	case PeerGone:
 		return appendI32(b, int32(x.Worker)), nil
-	case StatReport:
-		b = appendI32(b, x.Ver)
-		b = appendI32(b, int32(x.Worker))
-		b = appendI32(b, x.Deque)
-		b = appendI64s(b, x.Counters)
-		b = appendLen(b, len(x.Hists), x.Hists == nil)
-		for _, h := range x.Hists {
-			b = appendI32(b, h.Kind)
-			b = appendI64(b, h.Count)
-			b = appendI64(b, h.Sum)
-			b = appendI64s(b, h.Counts)
-		}
-		b = appendTaskCkpts(b, x.Ckpts)
-		b = appendU64(b, x.SpanSeq)
-		b = appendI64(b, x.ClockOffNS)
-		return appendSpans(b, x.Spans), nil
 	case DrainRequest:
 		return appendI32(b, int32(x.Worker)), nil
 	case DrainAck:
@@ -919,12 +848,7 @@ func appendPayload(b []byte, p any) ([]byte, error) {
 	case nil:
 		return b, nil
 	default:
-		// Unknown payload type: whole-payload gob fallback.
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&p); err != nil {
-			return nil, err
-		}
-		return append(b, buf.Bytes()...), nil
+		return nil, errors.New("not a wire message")
 	}
 }
 
@@ -946,6 +870,15 @@ func (r *reader) fail() {
 }
 
 func (r *reader) rem() int { return len(r.b) - r.off }
+
+// finish reports the sticky error, or errShortFrame when the body was not
+// consumed exactly: a well-formed body has no trailing bytes.
+func (r *reader) finish() error {
+	if r.err == nil && r.off != len(r.b) {
+		r.err = errShortFrame
+	}
+	return r.err
+}
 
 // take returns the next n bytes of the body without copying. Callers that
 // retain data must copy it (str, blob and friends do).
@@ -1137,6 +1070,9 @@ func (r *reader) value(depth int) types.Value {
 	}
 }
 
+// topValue reads a value that is not nested inside another.
+func (r *reader) topValue() types.Value { return r.value(0) }
+
 func (r *reader) values(depth int) []types.Value {
 	n := r.count(1)
 	if n < 0 {
@@ -1167,26 +1103,19 @@ func (r *reader) tc() TraceCtx {
 	return TraceCtx{Parent: r.taskID(), Flags: r.u8()}
 }
 
-func (r *reader) spans() []Span {
-	n := r.count(spanWireLen)
-	if n < 0 {
-		return nil
+// span reads one fixed-size Span (spanWireLen bytes).
+func (r *reader) span() Span {
+	return Span{
+		Kind:   r.u8(),
+		Flags:  r.u8(),
+		Worker: r.worker(),
+		Task:   r.taskID(),
+		Parent: r.taskID(),
+		Link:   r.taskID(),
+		Peer:   r.worker(),
+		Start:  r.i64(),
+		End:    r.i64(),
 	}
-	out := make([]Span, n)
-	for i := range out {
-		out[i] = Span{
-			Kind:   r.u8(),
-			Flags:  r.u8(),
-			Worker: r.worker(),
-			Task:   r.taskID(),
-			Parent: r.taskID(),
-			Link:   r.taskID(),
-			Peer:   r.worker(),
-			Start:  r.i64(),
-			End:    r.i64(),
-		}
-	}
-	return out
 }
 
 // blob reads a presence-flagged byte slice written by appendBlob, copying
@@ -1213,9 +1142,17 @@ func (r *reader) taskCkpts() []TaskCkpt {
 	}
 	out := make([]TaskCkpt, n)
 	for i := range out {
-		out[i] = TaskCkpt{Task: r.taskID(), Seq: r.u64(), Data: r.blob()}
+		out[i] = r.taskCkpt()
 	}
 	return out
+}
+
+func (r *reader) taskCkpt() TaskCkpt {
+	return TaskCkpt{Task: r.taskID(), Seq: r.u64(), Data: r.blob()}
+}
+
+func (r *reader) histState() HistState {
+	return HistState{Kind: r.i32(), Count: r.i64(), Sum: r.i64(), Counts: r.i64s()}
 }
 
 func (r *reader) closures() []Closure {
@@ -1296,16 +1233,19 @@ func (r *reader) counts() map[types.WorkerID]int64 {
 	return out
 }
 
+// readBody decodes the positional body of a cold tag, which must be
+// consumed exactly.
+func readBody(tag byte, body []byte) (any, error) {
+	r := reader{b: body}
+	p := readPayload(&r, tag)
+	if err := r.finish(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
 func readPayload(r *reader, tag byte) any {
 	switch tag {
-	case tStealRequest:
-		return StealRequest{Thief: r.worker()}
-	case tStealReply:
-		return StealReply{OK: r.bool(), Task: r.closure()}
-	case tStealConfirm:
-		return StealConfirm{Record: r.taskID()}
-	case tArg:
-		return Arg{Cont: r.cont(), Val: r.value(0), Crossed: r.bool(), TC: r.tc()}
 	case tMigrate:
 		return Migrate{From: r.worker(), Closures: r.closures(), Records: r.records()}
 	case tMigrateAck:
@@ -1318,8 +1258,6 @@ func readPayload(r *reader, tag byte) any {
 		return Unregister{Worker: r.worker(), Reason: LeaveReason(r.i32()), MigratedTo: r.worker()}
 	case tUpdate:
 		return Update{View: r.view()}
-	case tHeartbeat:
-		return Heartbeat{Worker: r.worker(), SendNS: r.i64()}
 	case tWorkerDown:
 		return WorkerDown{Worker: r.worker(), Ckpts: r.taskCkpts(), TC: r.tc()}
 	case tIO:
@@ -1364,26 +1302,8 @@ func readPayload(r *reader, tag byte) any {
 			jobs[i] = r.jobSpec()
 		}
 		return JobListReply{Jobs: jobs}
-	case tAck:
-		return Ack{Seq: r.u64()}
 	case tPeerGone:
 		return PeerGone{Worker: r.worker()}
-	case tStatReport:
-		p := StatReport{Ver: r.i32(), Worker: r.worker(), Deque: r.i32()}
-		p.Counters = r.i64s()
-		// A histogram state is at least kind+count+sum+len = 25 bytes.
-		n := r.count(25)
-		if n >= 0 {
-			p.Hists = make([]HistState, n)
-			for i := range p.Hists {
-				p.Hists[i] = HistState{Kind: r.i32(), Count: r.i64(), Sum: r.i64(), Counts: r.i64s()}
-			}
-		}
-		p.Ckpts = r.taskCkpts()
-		p.SpanSeq = r.u64()
-		p.ClockOffNS = r.i64()
-		p.Spans = r.spans()
-		return p
 	case tDrainRequest:
 		return DrainRequest{Worker: r.worker()}
 	case tDrainAck:
@@ -1403,16 +1323,6 @@ func readPayload(r *reader, tag byte) any {
 		return DrainOrder{Reason: r.str()}
 	case tNilPayload:
 		return nil
-	case tGobEnvelope:
-		s := r.take(r.rem())
-		var p any
-		if err := gob.NewDecoder(bytes.NewReader(s)).Decode(&p); err != nil {
-			if r.err == nil {
-				r.err = err
-			}
-			return nil
-		}
-		return p
 	default:
 		r.fail()
 		return nil

@@ -5,7 +5,7 @@
 // with an explicit field-keyed layout so receivers can read them in place
 // from the receive buffer instead of materializing structs:
 //
-//	offset 0..29  the same frame header as v1 (codec.go), version byte = 2
+//	offset 0..29  the frame header of codec.go, version byte = 2
 //	offset 30     u8 field count
 //	then per field:
 //	              u8  key = fieldID<<2 | wiretype
@@ -25,8 +25,10 @@
 // (a prefix-cut body fails the walk instead of silently decoding as
 // "fields absent").
 //
-// Cold control-plane tags (Register, Migrate, job queue RPCs, ...) keep
-// their v1 positional bodies; Decode accepts both versions.
+// These seven tags have no other body; the cold control-plane tags
+// (Register, Migrate, job queue RPCs, ...) have only the positional one of
+// codec.go. Nothing reads a cold tag in place or needs to skip a field of
+// one, and a positional body costs a third of the code per tag.
 //
 // Arena + View manage buffer lifetime on the receive path: a UDP datagram
 // is read into a pooled, reference-counted Arena, every frame in it
@@ -99,7 +101,8 @@ const (
 	fClTC      = 9
 )
 
-// v2Tag reports whether tag has a v2 field-keyed body shape.
+// v2Tag reports whether tag is one of the hot tags, whose body is the
+// field-keyed layout.
 func v2Tag(tag byte) bool {
 	switch tag {
 	case tStealRequest, tStealReply, tStealConfirm, tArg, tHeartbeat, tAck, tStatReport:
@@ -233,9 +236,9 @@ func appendClosureV2(b []byte, c *Closure) ([]byte, error) {
 	return e.done(), nil
 }
 
-// appendPayloadV2 writes the v2 body for a hot payload. Callers dispatch
-// here only for tags v2Tag accepts (plus *View splices, which preserve
-// even fields this build does not know about).
+// appendPayloadV2 writes the body of a hot payload. AppendEncode dispatches
+// here for the tags v2Tag accepts, which includes a *View of one: its body
+// is spliced as received, keeping even fields this build does not know.
 func appendPayloadV2(b []byte, p any) ([]byte, error) {
 	if v, ok := p.(*View); ok {
 		return append(b, v.body...), nil
@@ -429,10 +432,7 @@ func (w *v2walker) finish() error {
 // validateV2 walks every field of a body once so views handed to
 // consumers are known to be well-framed (nested content is still
 // re-checked lazily by accessors).
-func validateV2(tag byte, body []byte) error {
-	if !v2Tag(tag) {
-		return fmt.Errorf("wire: no v2 shape for %s", tagName(tag))
-	}
+func validateV2(body []byte) error {
 	w := newV2Walker(body)
 	for {
 		if _, _, _, ok := w.next(); !ok {
@@ -480,166 +480,83 @@ func v2bool(body []byte, id byte) bool {
 	return ok && val[0] != 0
 }
 
-func v2taskID(body []byte, id byte) types.TaskID {
-	val, ok := v2field(body, id, wtLen)
-	if !ok || len(val) != 12 {
-		return types.TaskID{}
-	}
+// The fixed-size composites travel as wtLen fields of exactly this many
+// bytes; a field of any other length is treated as unknown.
+const (
+	taskIDLen = 12
+	contLen   = 16
+	tcLen     = 13
+)
+
+func decTaskID(val []byte) types.TaskID {
 	return types.TaskID{
 		Worker: types.WorkerID(int32(binary.BigEndian.Uint32(val))),
 		Seq:    binary.BigEndian.Uint64(val[4:]),
 	}
 }
 
+func decCont(val []byte) types.Continuation {
+	return types.Continuation{Task: decTaskID(val), Slot: int32(binary.BigEndian.Uint32(val[12:]))}
+}
+
+func decTC(val []byte) TraceCtx {
+	return TraceCtx{Parent: decTaskID(val), Flags: val[12]}
+}
+
+func v2taskID(body []byte, id byte) types.TaskID {
+	val, ok := v2field(body, id, wtLen)
+	if !ok || len(val) != taskIDLen {
+		return types.TaskID{}
+	}
+	return decTaskID(val)
+}
+
 func v2cont(body []byte, id byte) types.Continuation {
 	val, ok := v2field(body, id, wtLen)
-	if !ok || len(val) != 16 {
+	if !ok || len(val) != contLen {
 		return types.Continuation{}
 	}
-	return types.Continuation{
-		Task: types.TaskID{
-			Worker: types.WorkerID(int32(binary.BigEndian.Uint32(val))),
-			Seq:    binary.BigEndian.Uint64(val[4:]),
-		},
-		Slot: int32(binary.BigEndian.Uint32(val[12:])),
-	}
+	return decCont(val)
 }
 
 func v2tc(body []byte, id byte) TraceCtx {
 	val, ok := v2field(body, id, wtLen)
-	if !ok || len(val) != 13 {
+	if !ok || len(val) != tcLen {
 		return TraceCtx{}
 	}
-	return TraceCtx{
-		Parent: types.TaskID{
-			Worker: types.WorkerID(int32(binary.BigEndian.Uint32(val))),
-			Seq:    binary.BigEndian.Uint64(val[4:]),
-		},
-		Flags: val[12],
-	}
+	return decTC(val)
 }
 
 // ---- v2 materialization ---------------------------------------------------
 
-// Counted inner decoders: a wtLen field's content is an explicit u32
-// element count plus elements, checked exactly (an extension never grows
-// an existing field — it adds a new field id).
-
-func readValuesCounted(b []byte) ([]types.Value, error) {
+// readCounted decodes the content of a wtLen slice field: an explicit u32
+// element count checked against the bytes present (minElem is the smallest
+// encoding of one element), the elements, and nothing after them — an
+// extension never grows an existing field, it adds a new field id.
+func readCounted[T any](b []byte, minElem int, elem func(*reader) T) ([]T, error) {
 	r := reader{b: b}
 	n := int(r.u32())
-	if r.err == nil && n > r.rem() { // a value is at least one tag byte
+	if r.err == nil && n > r.rem()/minElem {
 		r.fail()
 	}
 	if r.err != nil {
 		return nil, r.err
 	}
-	out := make([]types.Value, n)
+	out := make([]T, n)
 	for i := range out {
-		out[i] = r.value(0)
+		out[i] = elem(&r)
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(r.b) {
-		return nil, errShortFrame
-	}
-	return out, nil
+	return out, r.finish()
 }
 
-func readI64sCounted(b []byte) ([]int64, error) {
+// readValue decodes a wtLen field holding exactly one value.
+func readValue(b []byte) (types.Value, error) {
 	r := reader{b: b}
-	n := int(r.u32())
-	if r.err == nil && n > r.rem()/8 {
-		r.fail()
+	v := r.value(0)
+	if err := r.finish(); err != nil {
+		return nil, err
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = r.i64()
-	}
-	if r.off != len(r.b) || r.err != nil {
-		return nil, errShortFrame
-	}
-	return out, nil
-}
-
-func readHistsCounted(b []byte) ([]HistState, error) {
-	r := reader{b: b}
-	n := int(r.u32())
-	if r.err == nil && n > r.rem()/21 { // kind + count + sum + nil-flag
-		r.fail()
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	out := make([]HistState, n)
-	for i := range out {
-		out[i] = HistState{Kind: r.i32(), Count: r.i64(), Sum: r.i64(), Counts: r.i64s()}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(r.b) {
-		return nil, errShortFrame
-	}
-	return out, nil
-}
-
-func readCkptsCounted(b []byte) ([]TaskCkpt, error) {
-	r := reader{b: b}
-	n := int(r.u32())
-	if r.err == nil && n > r.rem()/21 { // taskID + seq + blob flag
-		r.fail()
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	out := make([]TaskCkpt, n)
-	for i := range out {
-		out[i] = TaskCkpt{Task: r.taskID(), Seq: r.u64(), Data: r.blob()}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(r.b) {
-		return nil, errShortFrame
-	}
-	return out, nil
-}
-
-func readSpansCounted(b []byte) ([]Span, error) {
-	r := reader{b: b}
-	n := int(r.u32())
-	if r.err == nil && n > r.rem()/spanWireLen {
-		r.fail()
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	out := make([]Span, n)
-	for i := range out {
-		out[i] = Span{
-			Kind:   r.u8(),
-			Flags:  r.u8(),
-			Worker: r.worker(),
-			Task:   r.taskID(),
-			Parent: r.taskID(),
-			Link:   r.taskID(),
-			Peer:   r.worker(),
-			Start:  r.i64(),
-			End:    r.i64(),
-		}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(r.b) {
-		return nil, errShortFrame
-	}
-	return out, nil
+	return v, nil
 }
 
 func materializeClosureV2(body []byte) (Closure, error) {
@@ -652,27 +569,18 @@ func materializeClosureV2(body []byte) (Closure, error) {
 		}
 		var err error
 		switch {
-		case id == fClID && wt == wtLen && len(val) == 12:
-			c.ID = types.TaskID{
-				Worker: types.WorkerID(int32(binary.BigEndian.Uint32(val))),
-				Seq:    binary.BigEndian.Uint64(val[4:]),
-			}
+		case id == fClID && wt == wtLen && len(val) == taskIDLen:
+			c.ID = decTaskID(val)
 		case id == fClFn && wt == wtLen:
 			c.Fn = internName(val)
 		case id == fClArgs && wt == wtLen:
-			if c.Args, err = readValuesCounted(val); err != nil {
+			if c.Args, err = readCounted(val, 1, (*reader).topValue); err != nil {
 				return c, err
 			}
 		case id == fClMissing && wt == wt4:
 			c.Missing = int32(binary.BigEndian.Uint32(val))
-		case id == fClCont && wt == wtLen && len(val) == 16:
-			c.Cont = types.Continuation{
-				Task: types.TaskID{
-					Worker: types.WorkerID(int32(binary.BigEndian.Uint32(val))),
-					Seq:    binary.BigEndian.Uint64(val[4:]),
-				},
-				Slot: int32(binary.BigEndian.Uint32(val[12:])),
-			}
+		case id == fClCont && wt == wtLen && len(val) == contLen:
+			c.Cont = decCont(val)
 		case id == fClNoSteal && wt == wt1:
 			c.NoSteal = val[0] != 0
 		case id == fClCkpt && wt == wtLen:
@@ -680,22 +588,16 @@ func materializeClosureV2(body []byte) (Closure, error) {
 			copy(c.Ckpt, val)
 		case id == fClCkptSeq && wt == wt8:
 			c.CkptSeq = binary.BigEndian.Uint64(val)
-		case id == fClTC && wt == wtLen && len(val) == 13:
-			c.TC = TraceCtx{
-				Parent: types.TaskID{
-					Worker: types.WorkerID(int32(binary.BigEndian.Uint32(val))),
-					Seq:    binary.BigEndian.Uint64(val[4:]),
-				},
-				Flags: val[12],
-			}
+		case id == fClTC && wt == wtLen && len(val) == tcLen:
+			c.TC = decTC(val)
 		}
 	}
 	return c, w.finish()
 }
 
-// materializeV2 decodes a v2 body into the owned struct the v1 decoder
-// would have produced: strings, blobs, and slices are copied out of the
-// frame, so the result survives arena reuse.
+// materializeV2 decodes a hot tag's body into its owned struct: strings,
+// blobs, and slices are copied out of the frame, so the result survives
+// arena reuse.
 func materializeV2(tag byte, body []byte) (any, error) {
 	w := newV2Walker(body)
 	var p any
@@ -737,11 +639,8 @@ func materializeV2(tag byte, body []byte) (any, error) {
 			if !ok {
 				break
 			}
-			if id == fSCRecord && wt == wtLen && len(val) == 12 {
-				m.Record = types.TaskID{
-					Worker: types.WorkerID(int32(binary.BigEndian.Uint32(val))),
-					Seq:    binary.BigEndian.Uint64(val[4:]),
-				}
+			if id == fSCRecord && wt == wtLen && len(val) == taskIDLen {
+				m.Record = decTaskID(val)
 			}
 		}
 		p = m
@@ -753,33 +652,16 @@ func materializeV2(tag byte, body []byte) (any, error) {
 				break
 			}
 			switch {
-			case id == fArgCont && wt == wtLen && len(val) == 16:
-				m.Cont = types.Continuation{
-					Task: types.TaskID{
-						Worker: types.WorkerID(int32(binary.BigEndian.Uint32(val))),
-						Seq:    binary.BigEndian.Uint64(val[4:]),
-					},
-					Slot: int32(binary.BigEndian.Uint32(val[12:])),
-				}
+			case id == fArgCont && wt == wtLen && len(val) == contLen:
+				m.Cont = decCont(val)
 			case id == fArgVal && wt == wtLen:
-				r := reader{b: val}
-				m.Val = r.value(0)
-				if r.err != nil {
-					return nil, r.err
-				}
-				if r.off != len(r.b) {
-					return nil, errShortFrame
+				if m.Val, err = readValue(val); err != nil {
+					return nil, err
 				}
 			case id == fArgCrossed && wt == wt1:
 				m.Crossed = val[0] != 0
-			case id == fArgTC && wt == wtLen && len(val) == 13:
-				m.TC = TraceCtx{
-					Parent: types.TaskID{
-						Worker: types.WorkerID(int32(binary.BigEndian.Uint32(val))),
-						Seq:    binary.BigEndian.Uint64(val[4:]),
-					},
-					Flags: val[12],
-				}
+			case id == fArgTC && wt == wtLen && len(val) == tcLen:
+				m.TC = decTC(val)
 			}
 		}
 		p = m
@@ -825,15 +707,17 @@ func materializeV2(tag byte, body []byte) (any, error) {
 			case id == fStDeque && wt == wt4:
 				m.Deque = int32(binary.BigEndian.Uint32(val))
 			case id == fStCount && wt == wtLen:
-				if m.Counters, err = readI64sCounted(val); err != nil {
+				if m.Counters, err = readCounted(val, 8, (*reader).i64); err != nil {
 					return nil, err
 				}
 			case id == fStHists && wt == wtLen:
-				if m.Hists, err = readHistsCounted(val); err != nil {
+				// At least kind + count + sum + nil-flag.
+				if m.Hists, err = readCounted(val, 21, (*reader).histState); err != nil {
 					return nil, err
 				}
 			case id == fStCkpts && wt == wtLen:
-				if m.Ckpts, err = readCkptsCounted(val); err != nil {
+				// At least taskID + seq + blob flag.
+				if m.Ckpts, err = readCounted(val, 21, (*reader).taskCkpt); err != nil {
 					return nil, err
 				}
 			case id == fStSpanSeq && wt == wt8:
@@ -841,7 +725,7 @@ func materializeV2(tag byte, body []byte) (any, error) {
 			case id == fStOffNS && wt == wt8:
 				m.ClockOffNS = int64(binary.BigEndian.Uint64(val))
 			case id == fStSpans && wt == wtLen:
-				if m.Spans, err = readSpansCounted(val); err != nil {
+				if m.Spans, err = readCounted(val, spanWireLen, (*reader).span); err != nil {
 					return nil, err
 				}
 			}
@@ -915,8 +799,8 @@ var viewPool = sync.Pool{New: func() any { return new(View) }}
 // Name returns the payload's message name (e.g. "StealRequest").
 func (v *View) Name() string { return tagName(v.tag) }
 
-// Materialize decodes the view into the owned struct Decode would have
-// produced for the same frame.
+// Materialize decodes the view into the owned struct Decode produces for
+// the same frame.
 func (v *View) Materialize() (any, error) { return materializeV2(v.tag, v.body) }
 
 // Free releases the view's arena reference and recycles the view. The
@@ -948,46 +832,29 @@ func (e *Envelope) Materialize() error {
 	return nil
 }
 
-// DecodeView parses one frame like Decode, but leaves hot v2 payloads in
+// DecodeView parses one frame like Decode, but leaves a hot payload in
 // place: the envelope's Payload is a pooled *View whose accessors read
 // frame's bytes directly. When arena is non-nil the view takes one
 // reference on it; either way the caller must keep frame's backing memory
-// alive until the envelope's final owner frees or materializes it.
-// Frames that are not v2 (old peers, cold control-plane tags) take the
-// materializing Decode path, which copies everything it retains.
+// alive until the envelope's final owner frees or materializes it. A cold
+// tag has no view form and decodes to the owned struct Decode returns.
 func DecodeView(frame []byte, arena *Arena) (env *Envelope, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			env, err = nil, fmt.Errorf("wire: decode panic: %v", r)
+	defer decodePanic(&env, &err)
+	e, tag, body, err := parseHeader(frame)
+	if err != nil {
+		return nil, err
+	}
+	if !v2Tag(tag) {
+		e.Payload, err = readBody(tag, body)
+	} else if err = validateV2(body); err == nil {
+		v := viewPool.Get().(*View)
+		v.tag, v.body, v.arena = tag, body, arena
+		if arena != nil {
+			arena.Retain()
 		}
-	}()
-	if len(frame) < frameHeaderLen {
-		return nil, fmt.Errorf("wire: short frame (%d bytes)", len(frame))
+		e.Payload = v
 	}
-	if frame[4] != frameVersionV2 {
-		return Decode(frame)
-	}
-	n := binary.BigEndian.Uint32(frame[:4])
-	if int64(n) != int64(len(frame)-4) {
-		return nil, fmt.Errorf("wire: frame length mismatch: header %d, body %d", n, len(frame)-4)
-	}
-	tag := frame[5]
-	body := frame[frameHeaderLen:]
-	if err := validateV2(tag, body); err != nil {
-		return nil, fmt.Errorf("wire: decode %s: %w", tagName(tag), err)
-	}
-	v := viewPool.Get().(*View)
-	v.tag, v.body, v.arena = tag, body, arena
-	if arena != nil {
-		arena.Retain()
-	}
-	e := envelopePool.Get().(*Envelope)
-	e.Job = types.JobID(int64(binary.BigEndian.Uint64(frame[6:14])))
-	e.From = types.WorkerID(int32(binary.BigEndian.Uint32(frame[14:18])))
-	e.To = types.WorkerID(int32(binary.BigEndian.Uint32(frame[18:22])))
-	e.Seq = binary.BigEndian.Uint64(frame[22:30])
-	e.Payload = v
-	return e, nil
+	return decoded(e, tag, err)
 }
 
 // ---- Typed accessors ------------------------------------------------------
@@ -1060,13 +927,7 @@ func (c ClosureView) AppendArgs(dst []types.Value) ([]types.Value, error) {
 	for i := 0; i < n && r.err == nil; i++ {
 		dst = append(dst, r.value(0))
 	}
-	if r.err != nil {
-		return dst, r.err
-	}
-	if r.off != len(r.b) {
-		return dst, errShortFrame
-	}
-	return dst, nil
+	return dst, r.finish()
 }
 
 // Missing is the count of unfilled argument slots.
@@ -1125,15 +986,7 @@ func (a ArgView) Val() (types.Value, error) {
 	if !ok {
 		return nil, nil
 	}
-	r := reader{b: val}
-	v := r.value(0)
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(r.b) {
-		return nil, errShortFrame
-	}
-	return v, nil
+	return readValue(val)
 }
 
 // Crossed reports whether the value crossed a worker boundary en route.

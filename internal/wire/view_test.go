@@ -147,29 +147,6 @@ func checkClosureView(t *testing.T, cv ClosureView, c Closure) {
 	}
 }
 
-// TestViewOfLegacyFrame: a v1 frame from an old sender must still decode
-// through DecodeView (falling back to materialization) with an identical
-// payload — new daemon, old peer.
-func TestViewOfLegacyFrame(t *testing.T) {
-	for _, p := range hotPayloads() {
-		env := &Envelope{Job: 1, From: 2, To: 3, Seq: 9, Payload: p}
-		legacy, err := AppendEncodeLegacy(nil, env)
-		if err != nil {
-			t.Fatalf("legacy encode %T: %v", p, err)
-		}
-		if legacy[4] != frameVersion {
-			t.Fatalf("legacy frame version = %d", legacy[4])
-		}
-		got, err := DecodeView(legacy, nil)
-		if err != nil {
-			t.Fatalf("DecodeView(v1 %T): %v", p, err)
-		}
-		if !reflect.DeepEqual(got, env) {
-			t.Errorf("%T: v1 frame through DecodeView mismatch", p)
-		}
-	}
-}
-
 // rawV2Frame assembles a v2 frame by hand — the "newer encoder" a
 // cross-version test needs.
 func rawV2Frame(tag byte, body []byte) []byte {
@@ -449,4 +426,78 @@ func FuzzDecodeView(f *testing.F) {
 		}
 		env.Free()
 	})
+}
+
+// stealSequence is the four messages of one steal round trip: request,
+// reply carrying the closure, confirm, and the result's Arg. TraceCtx is
+// zero (tracing off), as on an untraced job.
+func stealSequence() []*Envelope {
+	leaf := Closure{
+		ID:   types.TaskID{Worker: 2, Seq: 7},
+		Fn:   "pfold",
+		Args: []types.Value{int64(18), "hphpphhpph", []int64{1, 2, 3, 4, 5, 6, 7, 8}, float64(0.5)},
+		Cont: types.Continuation{Task: types.TaskID{Worker: 3, Seq: 9}},
+	}
+	return []*Envelope{
+		{Job: 1, From: 3, To: 2, Seq: 1, Payload: StealRequest{Thief: 3}},
+		{Job: 1, From: 2, To: 3, Seq: 1, Payload: StealReply{OK: true, Task: leaf}},
+		{Job: 1, From: 3, To: 2, Seq: 2, Payload: StealConfirm{Record: leaf.ID}},
+		{Job: 1, From: 3, To: 2, Seq: 3, Payload: Arg{Cont: types.Continuation{Task: leaf.ID}, Val: int64(8)}},
+	}
+}
+
+// stealSeqAllocBudget is what one steal may allocate on the wire: the
+// boxed argument values of the stolen closure and the Arg's result. Frames,
+// envelopes and views are pooled and every other field is read in place.
+const stealSeqAllocBudget = 5
+
+// TestStealSequenceAllocs is the allocation gate of the steal path: each
+// of the four frames is encoded, parsed back as a view, and every accessor
+// a worker's ingest reads is read, the closure's args landing in reused
+// scratch exactly like adoption onto a pooled closure. A message only pays
+// while it costs less than the task it moves; this is where that is held.
+func TestStealSequenceAllocs(t *testing.T) {
+	seq := stealSequence()
+	var scratch []types.Value
+	pass := func() {
+		for _, env := range seq {
+			f, err := EncodeFrame(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := DecodeView(f.Bytes(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, ok := dec.Payload.(*View)
+			if !ok {
+				t.Fatalf("%s decoded as %T, not a view", env.PayloadName(), dec.Payload)
+			}
+			if sr, ok := v.AsStealRequest(); ok {
+				_ = sr.Thief()
+			} else if rp, ok := v.AsStealReply(); ok {
+				cl := rp.Task()
+				_, _, _, _ = rp.OK(), cl.ID(), cl.Fn(), cl.Cont()
+				_, _, _, _ = cl.Missing(), cl.NoSteal(), cl.CkptSeq(), cl.TC()
+				_, _ = cl.Ckpt()
+				if scratch, err = cl.AppendArgs(scratch[:0]); err != nil {
+					t.Fatal(err)
+				}
+			} else if sc, ok := v.AsStealConfirm(); ok {
+				_ = sc.Record()
+			} else if av, ok := v.AsArg(); ok {
+				if _, err := av.Val(); err != nil {
+					t.Fatal(err)
+				}
+				_, _, _ = av.Cont(), av.Crossed(), av.TC()
+			}
+			dec.Free()
+			f.Free()
+		}
+	}
+	got := testing.AllocsPerRun(1000, pass)
+	t.Logf("steal sequence: %.1f allocs", got)
+	if got > stealSeqAllocBudget {
+		t.Errorf("steal sequence allocates %.1f times per round trip, budget %d", got, stealSeqAllocBudget)
+	}
 }

@@ -16,7 +16,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"strconv"
-	"sync"
 
 	"phish/internal/types"
 )
@@ -55,8 +54,8 @@ func (e *Envelope) String() string {
 }
 
 // PayloadName returns the payload's message name (e.g. "StealRequest")
-// without reflection or formatting; unknown application payloads report
-// as "gob-fallback".
+// without reflection or formatting; a payload that is not a wire message
+// reports as "tag(0)".
 func (e *Envelope) PayloadName() string { return tagName(payloadTag(e.Payload)) }
 
 // TraceCtx is the compact trace context that crosses worker boundaries
@@ -603,28 +602,17 @@ type PeerGone struct {
 	Worker types.WorkerID
 }
 
-// registerPayloads registers every payload type and the common Value
-// concrete types with gob exactly once.
-var registerOnce sync.Once
-
-func registerPayloads() {
+// The common Value concrete types are registered with gob for the records
+// that hold a types.Value (checkpoints, the journal's root result); no
+// message travels as gob, so no payload type is registered.
+func init() {
 	for _, v := range []any{
-		StealRequest{}, StealReply{}, StealConfirm{}, Arg{}, Migrate{}, MigrateAck{},
-		Register{}, RegisterReply{}, Unregister{}, Update{}, Heartbeat{},
-		WorkerDown{}, IO{}, Shutdown{}, SpawnRoot{}, StayRequest{}, StayReply{},
-		Pause{}, PauseAck{}, SnapshotRequest{}, SnapshotReply{}, Resume{},
-		JobRequest{}, JobReply{}, JobSubmit{}, JobSubmitReply{}, JobDone{},
-		JobList{}, JobListReply{}, Ack{}, PeerGone{}, StatReport{},
-		DrainRequest{}, DrainAck{}, SuspectSet{}, DrainOrder{},
-		// Common Value concrete types.
 		int64(0), int(0), int32(0), uint64(0), float64(0), "", true,
 		[]byte(nil), []int64(nil), []float64(nil), []types.Value(nil),
 	} {
 		gob.Register(v)
 	}
 }
-
-func init() { registerOnce.Do(registerPayloads) }
 
 // RegisterValue registers an application-defined concrete type that will
 // be carried as a task argument or result across the wire. Such values are

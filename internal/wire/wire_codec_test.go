@@ -130,6 +130,7 @@ func everyPayload() []any {
 		SuspectSet{Suspects: []SuspectInfo{}},
 		DrainOrder{Reason: "degraded: exec-rate"},
 		DrainOrder{},
+		PeerGone{Worker: 4},
 		nil,
 	}
 }
@@ -306,8 +307,7 @@ type appCustomValue struct {
 	Rows []float64
 }
 
-// appCustomPayload is an unknown message type carried via the whole-
-// payload gob fallback (tGobEnvelope).
+// appCustomPayload is a type this package has no message for.
 type appCustomPayload struct {
 	Kind int64
 	Note string
@@ -315,7 +315,6 @@ type appCustomPayload struct {
 
 func TestGobFallbackBoundary(t *testing.T) {
 	RegisterValue(appCustomValue{})
-	RegisterValue(appCustomPayload{})
 	env := &Envelope{Job: 1, From: 2, To: 3, Seq: 4,
 		Payload: Arg{Val: appCustomValue{Name: "m", Rows: []float64{1, 2}}}}
 	got := roundTrip(t, env)
@@ -325,15 +324,10 @@ func TestGobFallbackBoundary(t *testing.T) {
 	if env.PayloadName() != "Arg" {
 		t.Errorf("PayloadName = %q", env.PayloadName())
 	}
-	// Whole-payload fallback: a message type the codec has no shape for.
-	env2 := &Envelope{Job: 1, From: 2, To: 3, Seq: 5,
-		Payload: appCustomPayload{Kind: 9, Note: "opaque"}}
-	got2 := roundTrip(t, env2)
-	if !reflect.DeepEqual(env2, got2) {
-		t.Errorf("custom payload round trip mismatch: %#v vs %#v", env2, got2)
-	}
-	if env2.PayloadName() != "gob-fallback" {
-		t.Errorf("PayloadName = %q", env2.PayloadName())
+	// gob stops at values: a payload that is not a wire message is refused
+	// by the encoder, not smuggled through as an opaque blob.
+	if _, err := Encode(&Envelope{Payload: appCustomPayload{Kind: 9, Note: "opaque"}}); err == nil {
+		t.Error("encoded a payload type that has no wire shape")
 	}
 }
 
@@ -405,24 +399,6 @@ func TestFrameReaderStream(t *testing.T) {
 	}
 	if _, err := fr.Next(); err == nil {
 		t.Error("read past end succeeded")
-	}
-}
-
-// TestGobReferenceCodec keeps the old gob codec honest — it remains the
-// fallback boundary and the benchmark baseline.
-func TestGobReferenceCodec(t *testing.T) {
-	env := &Envelope{Job: 2, From: 1, To: 5, Seq: 77,
-		Payload: StealReply{OK: true, Task: Closure{ID: types.TaskID{Worker: 1, Seq: 2}, Fn: "f", Args: []types.Value{int64(1)}}}}
-	b, err := EncodeGob(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeGob(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(env, out) {
-		t.Errorf("gob round trip mismatch")
 	}
 }
 
