@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"time"
 
 	"phish/internal/types"
@@ -35,11 +34,15 @@ type Closure struct {
 	// attempt, not a fresh execution, so the counters don't recount it.
 	// Local-only: it does not travel the wire.
 	preempted bool
-	// execNS accumulates this worker's execution time across the attempt's
-	// slices (a checkpointing body yields between slices), and freshLocal
-	// records that the attempt started from scratch here — together they
-	// let completion report the Fn's full local cost to the speculation
-	// track even for bodies that checkpoint mid-run. Local-only.
+	// timed is decided on the first slice of a local attempt (see
+	// Worker.execute): a timed attempt reads the clock around every slice,
+	// an untimed one around none. execNS accumulates a timed attempt's
+	// execution time across its slices (a checkpointing body yields between
+	// slices), and freshLocal records that the attempt started from scratch
+	// here — together they let completion report the Fn's full local cost
+	// to the speculation track even for bodies that checkpoint mid-run.
+	// Local-only.
+	timed      bool
 	execNS     int64
 	freshLocal bool
 	// adopted marks a closure won by a steal that this worker has not run
@@ -54,16 +57,48 @@ type Closure struct {
 // ready reports whether all argument slots are filled.
 func (c *Closure) ready() bool { return c.Missing == 0 }
 
-// closurePool recycles Closure structs and their Args backing arrays. The
-// spawn→synch→execute cycle allocates one closure per task — by far the
-// scheduler's hottest allocation — so executed, stolen-and-shipped, and
-// purged closures go back to the pool instead of the garbage collector.
-var closurePool = sync.Pool{New: func() any { return new(Closure) }}
+// maxFreeClosures bounds a worker's closure free list and maxFreeArgs the
+// argument capacity a listed closure may keep: a deque that was once
+// 20 000 leaves deep, or a 20 000-slot join, must not pin that memory for
+// the rest of the worker's life. What does not fit goes to the collector.
+const (
+	maxFreeClosures = 1024
+	maxFreeArgs     = 64
+)
 
-// newClosure returns a zeroed closure from the pool. Its Args slice keeps
-// whatever capacity it had in its previous life.
-func newClosure() *Closure {
-	return closurePool.Get().(*Closure)
+// newClosure returns a zeroed closure, from the worker's free list when it
+// has one. The spawn→synch→execute cycle creates one closure per task — by
+// far the scheduler's hottest allocation — and every closure is created,
+// adopted and freed on the scheduler goroutine, so the list is a plain
+// slice: no lock, no per-P cache. A recycled closure's Args slice keeps
+// the capacity it had in its previous life.
+func (w *Worker) newClosure() *Closure {
+	if n := len(w.freeList); n > 0 {
+		c := w.freeList[n-1]
+		w.freeList = w.freeList[:n-1]
+		return c
+	}
+	return new(Closure)
+}
+
+// freeClosure recycles c. The caller must be the closure's only remaining
+// referent (executed, stolen-and-shipped, migrated or purged). Argument
+// slots are nilled so a listed closure does not pin application data
+// against the collector, and so that recycled capacity comes back clean:
+// the join path takes a non-nil slot for a duplicate delivery. Scheduler
+// goroutine only.
+func (w *Worker) freeClosure(c *Closure) {
+	args := c.Args[:cap(c.Args)]
+	if len(args) > maxFreeArgs {
+		args = nil
+	}
+	for i := range args {
+		args[i] = nil
+	}
+	*c = Closure{Args: args[:0]}
+	if len(w.freeList) < maxFreeClosures {
+		w.freeList = append(w.freeList, c)
+	}
 }
 
 // setArgs fills the closure's argument slots with a copy of args, reusing
@@ -73,7 +108,7 @@ func (c *Closure) setArgs(args []types.Value) {
 }
 
 // growArgs sizes the closure for n empty (nil) argument slots. The nil
-// fill matters: fillSlot uses a non-nil slot to detect duplicate
+// fill matters: the join path uses a non-nil slot to detect duplicate
 // deliveries, so recycled capacity must come back clean.
 func (c *Closure) growArgs(n int) {
 	if cap(c.Args) < n {
@@ -84,18 +119,6 @@ func (c *Closure) growArgs(n int) {
 	for i := range c.Args {
 		c.Args[i] = nil
 	}
-}
-
-// free returns the closure to the pool. The caller must be the closure's
-// only remaining referent. Argument slots are nilled so pooled closures
-// don't pin application data against the collector.
-func (c *Closure) free() {
-	args := c.Args[:cap(c.Args)]
-	for i := range args {
-		args[i] = nil
-	}
-	*c = Closure{Args: args[:0]}
-	closurePool.Put(c)
 }
 
 // setCkpt installs a newer checkpoint blob, copying it so the closure
@@ -125,18 +148,18 @@ func (c *Closure) toWire() wire.Closure {
 	return wc
 }
 
-// closureFromView adopts a zero-copy closure view into a pooled closure,
+// closureFromView adopts a zero-copy closure view into a recycled closure,
 // copying every field out of the arena-backed frame: after this the
 // closure owns its data and the view can be freed. Args decode straight
-// onto the pooled closure's recycled backing array.
-func closureFromView(v wire.ClosureView) (*Closure, error) {
-	c := newClosure()
+// onto the recycled closure's backing array.
+func (w *Worker) closureFromView(v wire.ClosureView) (*Closure, error) {
+	c := w.newClosure()
 	c.ID = v.ID()
 	c.Fn = v.Fn()
 	args, err := v.AppendArgs(c.Args[:0])
 	c.Args = args
 	if err != nil {
-		c.free()
+		w.freeClosure(c)
 		return nil, err
 	}
 	c.Missing = v.Missing()
@@ -151,20 +174,20 @@ func closureFromView(v wire.ClosureView) (*Closure, error) {
 	return c, nil
 }
 
-// closureFromWire converts an inbound wire closure into a pooled closure.
-func closureFromWire(w wire.Closure) *Closure {
-	c := newClosure()
-	c.ID = w.ID
-	c.Fn = w.Fn
-	c.setArgs(w.Args)
-	c.Missing = w.Missing
-	c.Cont = w.Cont
-	c.NoSteal = w.NoSteal
-	c.TC = w.TC
-	if w.Ckpt != nil {
-		c.setCkpt(w.Ckpt, w.CkptSeq)
+// closureFromWire converts an inbound wire closure into a recycled closure.
+func (w *Worker) closureFromWire(wc wire.Closure) *Closure {
+	c := w.newClosure()
+	c.ID = wc.ID
+	c.Fn = wc.Fn
+	c.setArgs(wc.Args)
+	c.Missing = wc.Missing
+	c.Cont = wc.Cont
+	c.NoSteal = wc.NoSteal
+	c.TC = wc.TC
+	if wc.Ckpt != nil {
+		c.setCkpt(wc.Ckpt, wc.CkptSeq)
 	} else {
-		c.CkptSeq = w.CkptSeq
+		c.CkptSeq = wc.CkptSeq
 	}
 	return c
 }

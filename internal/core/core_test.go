@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -257,3 +259,75 @@ func TestWorkingSetStaysSmall(t *testing.T) {
 		t.Errorf("suspiciously few tasks: %d", tot.TasksExecuted)
 	}
 }
+
+// A task panic is said where the job's submitter is looking — the
+// clearinghouse's output — with enough to find the task: worker, task id,
+// Fn, the panic value and the frames the body died in. The process
+// survives it, and so does the job: the Fn here panics only on its first
+// attempt, and the second worker, handed the lost root, finishes.
+func TestTaskPanicIsReportedAndSurvived(t *testing.T) {
+	var tripped atomic.Bool
+	prog := core.NewProgram("panicky")
+	prog.Register("root", func(c model.Ctx) {
+		if tripped.CompareAndSwap(false, true) {
+			explode()
+		}
+		c.Return(int64(42))
+	})
+	fab := phishnet.NewFabric()
+	defer fab.Close()
+	spec := wire.JobSpec{ID: 1, Name: "panicky", Program: "panicky", RootFn: "root"}
+	ch := clearinghouse.New(spec, fab.Attach(types.ClearinghouseID), clearinghouse.DefaultConfig())
+	go ch.Run()
+	defer ch.Stop()
+
+	w0 := core.NewWorker(1, 0, prog, fab.Attach(0), core.DefaultConfig(), clock.System)
+	done0 := make(chan struct{})
+	go func() { _ = w0.Run(); close(done0) }()
+	select {
+	case <-done0:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the worker outlived its panicking task")
+	}
+	if w0.LeaveReason() != wire.LeaveCrash {
+		t.Errorf("leave reason = %v, want a crash", w0.LeaveReason())
+	}
+	wants := []string{"worker 0", "t0.1", "(root)", "kaboom", "core_test.explode"}
+	reported := func(out string) bool {
+		for _, want := range wants {
+			if !strings.Contains(out, want) {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(5 * time.Second); !reported(ch.Output()); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the clearinghouse's output does not carry the report (want %q):\n%s", wants, ch.Output())
+		}
+	}
+	if n := strings.Count(ch.Output(), "\n"); n > 24 {
+		t.Errorf("the report runs to %d lines; it should carry the first frames, not the whole stack", n)
+	}
+
+	w1 := core.NewWorker(1, 1, prog, fab.Attach(1), core.DefaultConfig(), clock.System)
+	done1 := make(chan struct{})
+	go func() { _ = w1.Run(); close(done1) }()
+	defer func() { w1.Crash(); <-done1 }()
+	// Report the death as the heartbeat timeout would (cf. TestCrashIsRedone).
+	bystander := fab.Attach(99)
+	if err := bystander.Send(&wire.Envelope{Job: 1, From: 99, To: types.ClearinghouseID,
+		Payload: wire.Unregister{Worker: 0, Reason: wire.LeaveCrash}}); err != nil {
+		t.Fatal(err)
+	}
+	v, err := ch.WaitResult(20 * time.Second)
+	if err != nil {
+		t.Fatalf("the job did not survive the panic: %v", err)
+	}
+	if v != int64(42) {
+		t.Errorf("result = %v, want 42", v)
+	}
+}
+
+//go:noinline
+func explode() { panic("kaboom") }

@@ -98,21 +98,20 @@ func (t *TaskCtx) childTC() wire.TraceCtx {
 
 // SuccRef names a successor task created by this task body, so that the
 // body can mint continuations into the successor's slots and preset
-// constant slots. It implements model.Succ.
-type SuccRef struct {
-	id types.TaskID
-	w  *Worker
-}
+// constant slots. It implements model.Succ through a pointer — the
+// successor closure's own ID field — so handing one out allocates nothing.
+// Like the TaskCtx, it is valid only during the body that created it.
+type SuccRef types.TaskID
 
-var _ model.Succ = SuccRef{}
+var _ model.Succ = (*SuccRef)(nil)
 
 // Cont returns the continuation that fills the successor's slot i.
-func (s SuccRef) Cont(slot int) types.Continuation {
-	return types.Continuation{Task: s.id, Slot: int32(slot)}
+func (s *SuccRef) Cont(slot int) types.Continuation {
+	return types.Continuation{Task: types.TaskID(*s), Slot: int32(slot)}
 }
 
 // Task returns the successor's task id (diagnostics).
-func (s SuccRef) Task() types.TaskID { return s.id }
+func (s *SuccRef) Task() types.TaskID { return types.TaskID(*s) }
 
 // Successor creates a waiting task of fn with nslots empty argument slots
 // that inherits the calling task's continuation: when all slots are
@@ -129,7 +128,7 @@ func (t *TaskCtx) SuccessorCont(fn string, nslots int, cont types.Continuation) 
 	if nslots <= 0 {
 		panic("core: successor needs at least one slot")
 	}
-	cl := newClosure()
+	cl := t.w.newClosure()
 	cl.ID = t.w.nextTaskID()
 	cl.Fn = fn
 	cl.growArgs(nslots)
@@ -137,7 +136,7 @@ func (t *TaskCtx) SuccessorCont(fn string, nslots int, cont types.Continuation) 
 	cl.Cont = cont
 	cl.TC = t.childTC()
 	t.w.addWaiting(cl)
-	return SuccRef{id: cl.ID, w: t.w}
+	return (*SuccRef)(&cl.ID)
 }
 
 // Preset fills slot i of a successor with a constant known at spawn time.
@@ -205,7 +204,7 @@ func (t *TaskCtx) Yield(blob []byte) bool {
 		w.counters.CkptSaves.Add(1)
 		w.noteCkpt(t.c)
 	}
-	if w.stopReq.Load() || w.drainReq.Load() || w.crashReq.Load() {
+	if w.attn.Load() != 0 {
 		t.yielded = true
 		return true
 	}
@@ -213,7 +212,7 @@ func (t *TaskCtx) Yield(blob []byte) bool {
 	// would re-enter the scheduler mid-body, so it is stashed for the
 	// loop) and vacate.
 	select {
-	case env, ok := <-w.conn.Recv():
+	case env, ok := <-w.recv:
 		if !ok {
 			w.shutdownMsg = true
 		} else {

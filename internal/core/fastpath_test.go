@@ -1,0 +1,396 @@
+package core
+
+import (
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"phish/internal/clock"
+	"phish/internal/model"
+	"phish/internal/phishnet"
+	"phish/internal/telemetry"
+	"phish/internal/types"
+	"phish/internal/wire"
+)
+
+// The loop runs an undisturbed worker's tasks without a housekeeping pass
+// in between (see Worker.loop). These tests hold the two halves of that
+// bargain: whatever needs the scheduler's attention still gets it while the
+// deque never empties, and an undisturbed task pays for no clock reading
+// and no allocation of the scheduler's own.
+
+// grinder is one worker (id 0) on a fabric whose clearinghouse is played by
+// the test: it answers the registration, spawns the root, refuses to name a
+// drain victim, and otherwise only records what the worker sends it. Worker
+// 1 is a bare port from which the test sends the worker messages.
+type grinder struct {
+	w      *Worker
+	port   *phishnet.Port // the worker's own endpoint
+	peer   *phishnet.Port
+	chPort *phishnet.Port
+
+	done    chan struct{}    // closed when Run has returned
+	drainAt chan time.Time   // one stamp per DrainRequest the worker sent
+	result  chan types.Value // the root result
+}
+
+func startGrinder(t *testing.T, prog *Program, root string, args []types.Value, cfg Config, clk clock.Clock) *grinder {
+	t.Helper()
+	fab := phishnet.NewFabric()
+	t.Cleanup(fab.Close)
+	g := &grinder{
+		port:    fab.Attach(0),
+		peer:    fab.Attach(1),
+		chPort:  fab.Attach(types.ClearinghouseID),
+		done:    make(chan struct{}),
+		drainAt: make(chan time.Time, 4),
+		result:  make(chan types.Value, 1),
+	}
+	g.w = NewWorker(1, 0, prog, g.port, cfg, clk)
+	go func() {
+		spawned := false
+		for env := range g.chPort.Recv() {
+			switch p := env.Payload.(type) {
+			case wire.Register:
+				g.toWorker(g.chPort, types.ClearinghouseID, wire.RegisterReply{Assigned: 0,
+					View: wire.MembershipView{Epoch: 1, Members: []wire.MemberInfo{{Worker: 0, HostedBy: 0}}}})
+				if !spawned {
+					spawned = true
+					g.toWorker(g.chPort, types.ClearinghouseID, wire.SpawnRoot{Fn: root, Args: args})
+				}
+			case wire.DrainRequest:
+				g.drainAt <- time.Now()
+				g.toWorker(g.chPort, types.ClearinghouseID, wire.DrainAck{OK: false})
+			case wire.Arg:
+				g.result <- p.Val
+			}
+		}
+	}()
+	go func() {
+		_ = g.w.Run()
+		close(g.done)
+	}()
+	t.Cleanup(func() {
+		g.w.Crash()
+		<-g.done
+	})
+	return g
+}
+
+// toWorker sends payload to the worker; a send that fails because the
+// worker has already gone is the test's business to notice, not this one's.
+func (g *grinder) toWorker(from *phishnet.Port, id types.WorkerID, payload any) {
+	_ = from.Send(&wire.Envelope{Job: 1, From: id, To: 0, Payload: payload})
+}
+
+// waitGrinding returns once the worker is well into its chain.
+func (g *grinder) waitGrinding(t *testing.T) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); g.w.Stats().TasksExecuted < 200; {
+		if time.Now().After(deadline) {
+			t.Fatal("worker never started on its chain")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+func (g *grinder) waitDone(t *testing.T, d time.Duration) {
+	t.Helper()
+	select {
+	case <-g.done:
+	case <-time.After(d):
+		t.Fatalf("Run did not return within %v", d)
+	}
+}
+
+// chainProg is core_bench_test's chainbench: every "chain" task spawns the
+// next one and a "pass" successor for its result, so the deque holds a
+// ready task from the first to the last. body runs at the top of every
+// chain task.
+func chainProg(body func()) *Program {
+	p := NewProgram("chain")
+	p.Register("chain", func(c model.Ctx) {
+		if body != nil {
+			body()
+		}
+		n := c.Int(0)
+		if n == 0 {
+			c.Return(int64(0))
+			return
+		}
+		s := c.Successor("pass", 1)
+		c.Spawn("chain", s.Cont(0), n-1)
+	})
+	p.Register("pass", func(c model.Ctx) { c.Return(c.Int(0)) })
+	return p
+}
+
+// spin50 is a coarse task body: it holds the processor for 50 µs.
+func spin50() {
+	for t0 := time.Now(); time.Since(t0) < 50*time.Microsecond; {
+	}
+}
+
+// honoured is how long a busy worker may take to act on a request: the
+// design bound is a millisecond (timedEvery fine-grain tasks, or one coarse
+// one); this leaves room for the race detector and a busy machine.
+const honoured = 50 * time.Millisecond
+
+// longChain outlasts every test that pokes a grinding worker; none of them
+// lets it finish.
+const longChain = int64(1) << 20
+
+func TestBusyWorkerStaysLive(t *testing.T) {
+	for _, grain := range []struct {
+		name string
+		body func()
+	}{{"fine", nil}, {"coarse", spin50}} {
+		start := func(t *testing.T) *grinder {
+			g := startGrinder(t, chainProg(grain.body), "chain", []types.Value{longChain}, DefaultConfig(), clock.System)
+			g.waitGrinding(t)
+			return g
+		}
+		// A Reclaim or a Drain is honoured when the worker starts to leave:
+		// it asks the clearinghouse where to put its tasks.
+		leave := func(request func(*Worker)) func(*testing.T) {
+			return func(t *testing.T) {
+				g := start(t)
+				t0 := time.Now()
+				request(g.w)
+				select {
+				case at := <-g.drainAt:
+					if d := at.Sub(t0); d > honoured {
+						t.Errorf("the worker started to leave after %v, want within %v", d, honoured)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("the request was never honoured")
+				}
+				g.waitDone(t, 10*time.Second) // nobody to migrate to: it reports itself crashed
+			}
+		}
+		t.Run(grain.name+"/reclaim", leave((*Worker).Reclaim))
+		t.Run(grain.name+"/drain", leave((*Worker).Drain))
+		t.Run(grain.name+"/crash", func(t *testing.T) {
+			g := start(t)
+			g.w.Crash()
+			g.waitDone(t, honoured)
+		})
+		t.Run(grain.name+"/steal-request", func(t *testing.T) {
+			g := start(t)
+			t0 := time.Now()
+			g.toWorker(g.peer, 1, wire.StealRequest{Thief: 1})
+			select {
+			case env := <-g.peer.Recv():
+				if _, ok := env.Payload.(wire.StealReply); !ok {
+					t.Fatalf("thief received %s, want a steal reply", env.PayloadName())
+				}
+				if d := time.Since(t0); d > honoured {
+					t.Errorf("steal request answered after %v, want within %v", d, honoured)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("steal request never answered")
+			}
+		})
+		t.Run(grain.name+"/conn-closed", func(t *testing.T) {
+			// No Shutdown message: the inbox just closes, and a closed empty
+			// channel looks idle to the attention check. The housekeeping
+			// pass is what finds out.
+			g := start(t)
+			g.port.Close()
+			g.waitDone(t, 5*time.Second)
+		})
+		t.Run(grain.name+"/clearinghouse-down", func(t *testing.T) {
+			g := start(t)
+			g.chPort.Close()
+			// The worker's answer to a snapshot request goes to the
+			// clearinghouse, which is gone: the failed send arms the
+			// re-register loop.
+			g.toWorker(g.peer, 1, wire.SnapshotRequest{Seq: 1})
+			for deadline := time.Now().Add(5 * time.Second); g.w.Counters().ReRegistrations.Load() == 0; {
+				if time.Now().After(deadline) {
+					t.Fatal("no re-registration attempt: the outage was never attended to")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			// ... without the worker having run dry: it is still executing.
+			n := g.w.Stats().TasksExecuted
+			for deadline := time.Now().Add(5 * time.Second); g.w.Stats().TasksExecuted == n; {
+				if time.Now().After(deadline) {
+					t.Fatal("the worker stopped executing its chain")
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
+// Telemetry and tracing, when on, still see every task: the sampling of
+// the clock applies to nobody who asked for all of it.
+func TestEveryTaskObservedWhenAsked(t *testing.T) {
+	for _, grain := range []struct {
+		name  string
+		body  func()
+		chain int64
+	}{{"fine", nil, 1 << 15}, {"coarse", spin50, 200}} {
+		tasks := 2*grain.chain + 1
+		t.Run(grain.name+"/metrics", func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Metrics = telemetry.NewMetrics()
+			g := startGrinder(t, chainProg(grain.body), "chain", []types.Value{grain.chain}, cfg, clock.System)
+			g.finish(t)
+			if got := g.w.Stats().TasksExecuted; got != tasks {
+				t.Fatalf("tasks executed = %d, want %d", got, tasks)
+			}
+			if got := cfg.Metrics.TaskExec().Count(); got != tasks {
+				t.Errorf("TaskExec observed %d executions of %d", got, tasks)
+			}
+		})
+		t.Run(grain.name+"/spans", func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.SpanTrace = true
+			cfg.SpanBuf = 1 << 17
+			cfg.HeartbeatEvery = 0 // nothing ships the spans away
+			g := startGrinder(t, chainProg(grain.body), "chain", []types.Value{grain.chain}, cfg, clock.System)
+			g.finish(t)
+			execs := int64(0)
+			for _, s := range g.w.spans.Load().pending {
+				if s.Kind == wire.SpanExec {
+					execs++
+				}
+			}
+			if execs != tasks {
+				t.Errorf("%d exec spans for %d tasks", execs, tasks)
+			}
+		})
+	}
+}
+
+// finish waits for the root result and then crashes the worker, so that
+// what it recorded stays where the test can read it.
+func (g *grinder) finish(t *testing.T) {
+	t.Helper()
+	select {
+	case <-g.result:
+	case <-time.After(60 * time.Second):
+		t.Fatal("no root result")
+	}
+	g.w.Crash()
+	g.waitDone(t, 10*time.Second)
+}
+
+// An Fn at or above fineGrain is timed on every execution — its track is
+// what the speculation deadline is computed from — while a warm Fn below it
+// is sampled.
+func TestCoarseFnIsTimedEveryExecution(t *testing.T) {
+	const chain = 400
+	g := startGrinder(t, chainProg(spin50), "chain", []types.Value{int64(chain)}, DefaultConfig(), clock.System)
+	g.finish(t)
+	if got := g.w.fns["chain"].exec.n; got != chain+1 {
+		t.Errorf("the coarse Fn's track has %d samples of %d executions", got, chain+1)
+	}
+	if raceEnabled {
+		return // an empty task is not fine-grain under the race detector
+	}
+	if got := g.w.fns["pass"].exec.n; got < execWarmup || got > chain/2 {
+		t.Errorf("the fine Fn's track has %d samples of %d executions, want a warm sample", got, chain)
+	}
+}
+
+// fibProg is the doubly recursive fib of internal/apps/fib, local to this
+// package.
+func fibProg() *Program {
+	p := NewProgram("fib")
+	p.Register("fib", func(c model.Ctx) {
+		n := c.Int(0)
+		if n < 2 {
+			c.Return(n)
+			return
+		}
+		s := c.Successor("sum", 2)
+		c.Spawn("fib", s.Cont(0), n-1)
+		c.Spawn("fib", s.Cont(1), n-2)
+	})
+	p.Register("sum", func(c model.Ctx) { c.Return(c.Int(0) + c.Int(1)) })
+	return p
+}
+
+// countingClock counts the readings taken through it.
+type countingClock struct {
+	clock.Clock
+	reads atomic.Int64
+}
+
+func (c *countingClock) Now() time.Time {
+	c.reads.Add(1)
+	return c.Clock.Now()
+}
+
+func (c *countingClock) Since(t time.Time) time.Duration {
+	c.reads.Add(1)
+	return c.Clock.Since(t)
+}
+
+// fib20 runs fib(20) on one worker with telemetry and tracing off and
+// returns the scheduler's clock readings and the process's allocations
+// over the job, with the task count.
+func fib20(t *testing.T) (reads, mallocs, tasks int64) {
+	t.Helper()
+	clk := &countingClock{Clock: clock.System}
+	cfg := DefaultConfig()
+	cfg.HeartbeatEvery = 0
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	g := startGrinder(t, fibProg(), "fib", []types.Value{int64(20)}, cfg, clk)
+	select {
+	case v := <-g.result:
+		if v != int64(6765) {
+			t.Fatalf("fib(20) = %v", v)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("no root result")
+	}
+	runtime.ReadMemStats(&m1)
+	g.w.Crash()
+	g.waitDone(t, 10*time.Second)
+	return clk.reads.Load(), int64(m1.Mallocs - m0.Mallocs), g.w.Stats().TasksExecuted
+}
+
+// The two gates below are counts, not timings: they repeat from run to run,
+// and a change that puts a clock reading or an allocation back on the
+// per-task path moves them by a factor, not a percentage. What can disturb
+// a single run is the machine — a worker descheduled inside a timed task
+// reads as a slow Fn and is timed a few dozen more times — so a gate fails
+// only if three runs in a row are over.
+func bestOf3(t *testing.T, run func() (got, limit int64)) (got, limit int64) {
+	t.Helper()
+	for i := 0; i < 3; i++ {
+		if got, limit = run(); got <= limit {
+			break
+		}
+	}
+	return got, limit
+}
+
+func TestClockReadsPerTask(t *testing.T) {
+	if raceEnabled {
+		t.Skip("an empty task is not fine-grain under the race detector")
+	}
+	reads, limit := bestOf3(t, func() (int64, int64) {
+		reads, _, tasks := fib20(t)
+		return reads, tasks/32 + 64
+	})
+	if reads > limit {
+		t.Errorf("%d clock readings on the scheduler goroutine over fib(20), want at most %d (tasks/32 + 64)", reads, limit)
+	}
+}
+
+func TestAllocsPerTask(t *testing.T) {
+	mallocs, limit := bestOf3(t, func() (int64, int64) {
+		_, mallocs, tasks := fib20(t)
+		return mallocs, tasks * 70 / 100
+	})
+	if mallocs > limit {
+		t.Errorf("%d allocations over fib(20), want at most %d (0.70 per task)", mallocs, limit)
+	}
+}

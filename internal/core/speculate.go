@@ -47,15 +47,34 @@ func (e *execStats) warm() bool { return e.n >= execWarmup }
 
 func (e *execStats) p99() time.Duration { return time.Duration(e.mean + 3*e.dev) }
 
-// noteExec folds one completed (unpreempted) execution of fn into its
-// track.
-func (w *Worker) noteExec(fn string, d time.Duration) {
-	es, ok := w.fnExec[fn]
+// fnEntry is what the worker knows about one Fn: the registry lookup,
+// memoized, and the execution-time track, side by side so that running a
+// task costs one table lookup. Scheduler goroutine only.
+type fnEntry struct {
+	fn   TaskFunc
+	exec execStats
+}
+
+// fineGrain is the mean execution time below which a warm Fn is no longer
+// timed on every execution: under it two clock readings cost a noticeable
+// share of the task itself, and the speculation deadline such an Fn would
+// earn is floored at StealTimeout anyway (maybeSpeculate), so its track
+// only has to stay warm. timedEvery is the sampling period then: every
+// timedEvery-th task a worker runs is timed whatever its Fn.
+const (
+	fineGrain  = 2 * time.Microsecond
+	timedEvery = 64
+)
+
+// fnEntryOf returns fn's entry, resolving the Fn in the program's registry
+// the first time the worker meets it.
+func (w *Worker) fnEntryOf(fn string) *fnEntry {
+	e, ok := w.fns[fn]
 	if !ok {
-		es = &execStats{}
-		w.fnExec[fn] = es
+		e = &fnEntry{fn: w.prog.Funcs.MustLookup(fn)}
+		w.fns[fn] = e
 	}
-	es.observe(d)
+	return e
 }
 
 // suspectMark is one blacklist entry. Suspicion has two tiers: local
@@ -116,7 +135,7 @@ func (w *Worker) onSuspectSet(p wire.SuspectSet) {
 		w.markSuspect(s.Worker, now, true)
 		w.refreshRecordCkpts(s.Worker, s.Ckpts)
 	}
-	w.maybeSpeculate(now)
+	w.maybeSpeculate()
 }
 
 // refreshRecordCkpts updates the local copies of tasks lent to thief with
@@ -164,13 +183,14 @@ func (w *Worker) healthyOf(in []types.WorkerID, scratch *[]types.WorkerID) []typ
 
 // maybeSpeculate scans the steal records for tasks held by suspect thieves
 // past the speculation deadline and redoes them locally. Internally paced;
-// cheap (three comparisons) when there is nothing to do. Scheduler
-// goroutine only.
-func (w *Worker) maybeSpeculate(now time.Time) {
+// cheap (three comparisons, no clock reading) when there is nothing to do.
+// Scheduler goroutine only.
+func (w *Worker) maybeSpeculate() {
 	k := w.cfg.speculateAfter()
 	if k <= 0 || len(w.suspect) == 0 || len(w.records) == 0 {
 		return
 	}
+	now := w.clk.Now()
 	every := w.cfg.StealTimeout / 2
 	if every < 5*time.Millisecond {
 		every = 5 * time.Millisecond
@@ -190,11 +210,11 @@ func (w *Worker) maybeSpeculate(now time.Time) {
 		if !w.isGradedSuspect(rec.thief, now) {
 			continue
 		}
-		es := w.fnExec[rec.task.Fn]
-		if es == nil || !es.warm() {
+		e := w.fns[rec.task.Fn]
+		if e == nil || !e.exec.warm() {
 			continue // never ran this Fn locally: no deadline to hold it to
 		}
-		deadline := time.Duration(k * float64(es.p99()))
+		deadline := time.Duration(k * float64(e.exec.p99()))
 		// Floor at the steal timeout: however fast the Fn, the thief needed
 		// at least a round trip plus queueing before "still outstanding"
 		// means anything.

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,12 +30,16 @@ import (
 // crashed thief can be redone.
 //
 // All scheduler state is owned by the Run goroutine; external control
-// (Reclaim, Crash) is delivered through atomics plus a wake channel.
+// (Reclaim, Drain, Crash) is delivered through one atomic attention word
+// plus a wake channel.
 type Worker struct {
 	id   types.WorkerID
 	job  types.JobID
 	prog *Program
 	conn phishnet.Conn
+	// recv is conn.Recv(), cached: the loop polls its length before every
+	// task, and an envelope the mailbox accepted is visible to len at once.
+	recv <-chan *wire.Envelope
 	cfg  Config
 	clk  clock.Clock
 
@@ -45,12 +51,14 @@ type Worker struct {
 	records map[types.TaskID]*stealRecord
 	seq     uint64
 	rng     *rand.Rand
-	// fnCache memoizes registry lookups (lock-free: only the scheduler
-	// goroutine touches it), and ctx is the one TaskCtx reused across
-	// executions — valid because task bodies run to completion and must
-	// not retain their context.
-	fnCache map[string]TaskFunc
-	ctx     TaskCtx
+	// fns holds what the worker knows about each Fn it has run (see
+	// fnEntry; lock-free: only the scheduler goroutine touches it), ctx is
+	// the one TaskCtx reused across executions — valid because task bodies
+	// run to completion and must not retain their context — and freeList
+	// recycles closures (closure.go).
+	fns      map[string]*fnEntry
+	ctx      TaskCtx
+	freeList []*Closure
 
 	view          wire.MembershipView
 	hostOf        map[types.WorkerID]types.WorkerID
@@ -78,11 +86,10 @@ type Worker struct {
 	lastRetry time.Time
 
 	// Graded health (see speculate.go): the expiry-stamped suspect
-	// blacklist, the per-Fn execution-time tracks behind the speculation
-	// deadline, the speculation-scan pacer, and scratch for suspect-aware
-	// victim picks. Scheduler goroutine only.
+	// blacklist, the speculation-scan pacer, and scratch for suspect-aware
+	// victim picks (the per-Fn execution-time tracks behind the speculation
+	// deadline live in fns). Scheduler goroutine only.
 	suspect      map[types.WorkerID]suspectMark
-	fnExec       map[string]*execStats
 	lastSpecScan time.Time
 	victimsScr   []types.WorkerID
 	localsScr    []types.WorkerID
@@ -126,9 +133,17 @@ type Worker struct {
 	ckptPub     map[types.TaskID]wire.TaskCkpt
 	ckptLastPub time.Time
 
-	stopReq  atomic.Bool
-	crashReq atomic.Bool
-	drainReq atomic.Bool
+	// attn is the attention word: sticky stop / drain / crash request bits,
+	// set from any goroutine (Reclaim, Drain, Crash) and by the scheduler
+	// itself (a DrainOrder, a task panic), read once per task by the loop.
+	attn atomic.Uint32
+	// housekeep makes the loop's next iteration a housekeeping pass whatever
+	// else is quiet: set after every timed execution and every yield, which
+	// bounds how long an undisturbed worker goes between passes (see loop).
+	// sinceTimed counts the untimed executions since the last timed one.
+	// Scheduler goroutine only.
+	housekeep  bool
+	sinceTimed int
 	// drainOrdered distinguishes a clearinghouse degradation drain from an
 	// owner-return reclaim: the manager quarantines the machine after the
 	// former. Loop goroutine only.
@@ -151,7 +166,9 @@ type Worker struct {
 	heartbeats  atomic.Int64
 
 	// readyDepth mirrors dq.Len() for the heartbeat goroutine's stat
-	// reports; the deque itself is owned by the scheduler goroutine.
+	// reports; the deque itself is owned by the scheduler goroutine. It is
+	// a sampled gauge: refreshed on every housekeeping pass of the loop, not
+	// on every task.
 	readyDepth atomic.Int32
 
 	// spans is the distributed-tracing recorder, nil unless
@@ -182,11 +199,12 @@ func NewWorker(job types.JobID, id types.WorkerID, prog *Program, conn phishnet.
 		job:         job,
 		prog:        prog,
 		conn:        conn,
+		recv:        conn.Recv(),
 		cfg:         cfg,
 		clk:         clk,
 		waiting:     make(map[types.TaskID]*Closure),
 		records:     make(map[types.TaskID]*stealRecord),
-		fnCache:     make(map[string]TaskFunc),
+		fns:         make(map[string]*fnEntry),
 		rng:         rand.New(rand.NewSource(cfg.Seed + int64(id)*0x9e3779b9)),
 		hostOf:      make(map[types.WorkerID]types.WorkerID),
 		siteOf:      make(map[types.WorkerID]int32),
@@ -194,7 +212,6 @@ func NewWorker(job types.JobID, id types.WorkerID, prog *Program, conn phishnet.
 		msgRecvFr:   make(map[types.WorkerID]int64),
 		dead:        make(map[types.WorkerID]bool),
 		suspect:     make(map[types.WorkerID]suspectMark),
-		fnExec:      make(map[string]*execStats),
 		forwardTo:   types.NoWorker,
 		stealVictim: types.NoWorker,
 		ckptPub:     make(map[types.TaskID]wire.TaskCkpt),
@@ -275,14 +292,14 @@ func (w *Worker) Heartbeats() int64 { return w.heartbeats.Load() }
 // returned: it migrates its tasks to another participant and unregisters.
 // Safe to call from any goroutine; returns immediately.
 func (w *Worker) Reclaim() {
-	w.stopReq.Store(true)
+	w.setAttn(attnStop)
 	w.wake()
 }
 
 // Crash makes the worker die abruptly without migrating or unregistering —
 // fault injection for the recovery machinery. Safe from any goroutine.
 func (w *Worker) Crash() {
-	w.crashReq.Store(true)
+	w.setAttn(attnCrash)
 	w.wake()
 }
 
@@ -292,9 +309,29 @@ func (w *Worker) Crash() {
 // final StatReport is flushed, and the worker unregisters. Work moves in
 // milliseconds instead of being redone. Safe from any goroutine.
 func (w *Worker) Drain() {
-	w.drainReq.Store(true)
+	w.setAttn(attnDrain)
 	w.wake()
 }
+
+// Bits of the attention word.
+const (
+	attnStop  uint32 = 1 << iota // Reclaim: the owner returned
+	attnDrain                    // Drain, or the clearinghouse's DrainOrder
+	attnCrash                    // Crash, or a task body panicked
+)
+
+// setAttn raises bits in the attention word; they are never lowered.
+func (w *Worker) setAttn(bits uint32) {
+	for {
+		old := w.attn.Load()
+		if old&bits == bits || w.attn.CompareAndSwap(old, old|bits) {
+			return
+		}
+	}
+}
+
+// attnHas reports whether any of bits is raised.
+func (w *Worker) attnHas(bits uint32) bool { return w.attn.Load()&bits != 0 }
 
 // tr records a scheduling event when tracing is enabled.
 func (w *Worker) tr(kind trace.Kind, task types.TaskID, peer types.WorkerID, note string) {
@@ -341,10 +378,10 @@ func (w *Worker) Run() error {
 		go w.heartbeatLoop()
 		defer close(w.hbStop)
 	}
-	w.loop()
+	w.runLoop()
 
 	switch {
-	case w.crashReq.Load():
+	case w.attnHas(attnCrash):
 		w.leaveReason = wire.LeaveCrash // die silently
 	case w.shutdownMsg:
 		w.leaveReason = wire.LeaveJobDone
@@ -358,7 +395,7 @@ func (w *Worker) Run() error {
 func (w *Worker) register() error {
 	t0 := time.Now()
 	for attempt := 0; attempt < 50; attempt++ {
-		if w.crashReq.Load() || w.stopReq.Load() {
+		if w.attnHas(attnCrash | attnStop) {
 			return errors.New("core: worker stopped before registration")
 		}
 		reg := wire.Register{Worker: w.id, Addr: w.conn.LocalAddr(), Site: w.cfg.Site}
@@ -441,11 +478,18 @@ func (w *Worker) chRecovered() {
 	w.tr(trace.EvRecover, types.TaskID{}, types.ClearinghouseID, "clearinghouse answered")
 	w.chDown = false
 	w.chWait = 0
-	if w.rootResult != nil {
-		a := *w.rootResult
-		if err := w.sendTo(types.ClearinghouseID, a); err != nil {
-			w.unsent = append(w.unsent, a)
-		}
+	w.resendRootResult()
+}
+
+// resendRootResult sends the retained root result again, if this worker
+// produced it; the clearinghouse keeps the first copy it sees.
+func (w *Worker) resendRootResult() {
+	if w.rootResult == nil {
+		return
+	}
+	a := *w.rootResult
+	if err := w.sendTo(types.ClearinghouseID, a); err != nil {
+		w.unsent = append(w.unsent, a)
 	}
 }
 
@@ -578,21 +622,91 @@ func (w *Worker) dropCkptPub(id types.TaskID) {
 	w.ckptMu.Unlock()
 }
 
-// loop is the scheduler: drain messages, run ready work, thieve when idle.
-func (w *Worker) loop() {
-	for {
-		if w.crashReq.Load() {
+// runLoop runs the scheduler loop and contains a panicking task body. A
+// panicking task is an application bug; it is confined to this worker
+// (which then counts as crashed, so the job's other participants redo the
+// lost work) instead of killing the whole process. A deterministic panic
+// will of course recur on the worker that redoes it — that is the
+// application's bug to fix. One recover serves the worker's whole life, so
+// a task pays for no defer; a panic with no body running is a bug in the
+// scheduler itself and goes on up the stack.
+func (w *Worker) runLoop() {
+	defer func() {
+		r := recover()
+		if r == nil {
 			return
 		}
+		cl := w.ctx.c
+		if cl == nil {
+			panic(r)
+		}
+		w.ctx.c = nil
+		w.setAttn(attnCrash)
+		w.leaveReason = wire.LeaveCrash
+		// Said twice: on this process's standard output, and — before the
+		// worker goes quiet — through the clearinghouse, which is where the
+		// job's submitter is looking.
+		line := fmt.Sprintf("phish: worker %d: task %v (%s) panicked: %v\n%s",
+			w.id, cl.ID, cl.Fn, r, panicFrames(debug.Stack(), 8))
+		fmt.Print(line)
+		w.print(line)
+	}()
+	w.loop()
+}
+
+// panicFrames cuts a debug.Stack taken inside a recovering deferred call
+// down to the n frames under the call to panic: where the body blew up,
+// without the recovery machinery above it or the scheduler below.
+func panicFrames(stack []byte, n int) string {
+	s := string(stack)
+	if i := strings.Index(s, "\npanic("); i >= 0 {
+		s = s[i+1:]
+	}
+	lines := strings.SplitAfter(s, "\n")
+	if len(lines) > 2*(n+1) { // two lines per frame; the first frame is panic itself
+		lines = lines[:2*(n+1)]
+	}
+	return strings.Join(lines, "")
+}
+
+// loop is the scheduler: drain messages, run ready work, thieve when idle.
+//
+// Each iteration starts with one attention check — the attention word, the
+// inbox and stash lengths, the housekeep flag and whatever the scheduler
+// itself has armed (parked args, a clearinghouse outage, a checkpoint
+// pause, suspects with records to speculate on). On an undisturbed worker
+// all of it is clear and the iteration is pop-and-execute. Anything else
+// takes the housekeeping pass below, which is also what notices an inbox
+// closed without a Shutdown message (a closed empty channel has length 0)
+// and refreshes readyDepth. Every timed execution sets housekeep (see
+// execute), and at least one task in timedEvery is timed, so a pass is
+// never further away than timedEvery-1 fine-grain tasks — under 150 µs of
+// work — while a worker running coarse tasks makes one before every task.
+func (w *Worker) loop() {
+	for {
+		attn := w.attn.Load()
+		if attn == 0 && len(w.recv) == 0 && len(w.stash) == 0 && !w.housekeep &&
+			len(w.unsent) == 0 && !w.chDown && !w.paused &&
+			(len(w.suspect) == 0 || len(w.records) == 0) {
+			if cl, ok := w.popNext(); ok {
+				w.execute(cl)
+				continue
+			}
+		}
+		if attn&attnCrash != 0 {
+			return
+		}
+		w.housekeep = false
 		w.readyDepth.Store(int32(w.dq.Len()))
 		w.drainAll()
 		w.retryUnsent(false)
 		w.maybeReRegister()
-		w.maybeSpeculate(time.Now())
-		if w.shutdownMsg || w.crashReq.Load() {
+		w.maybeSpeculate()
+		attn = w.attn.Load() // a DrainOrder just handled, or a Crash meanwhile
+		if w.shutdownMsg || attn&attnCrash != 0 {
 			return
 		}
-		if w.stopReq.Load() || w.drainReq.Load() {
+		if attn&(attnStop|attnDrain) != 0 {
 			reason := wire.LeaveReclaimed
 			if w.drainOrdered {
 				reason = wire.LeaveDrained
@@ -625,95 +739,93 @@ func (w *Worker) popNext() (*Closure, bool) {
 	return w.dq.PopTail()
 }
 
+// execute runs one slice of cl's body: the whole task, or the stretch up to
+// its next preempting Yield.
+//
+// The clock is read only when the reading is worth a task. An attempt is
+// timed — two readings around each of its slices — when telemetry or
+// tracing wants every task, while the Fn's track is still warming up, when
+// the Fn's mean is at or above fineGrain (so every Fn the speculation rule
+// can act on keeps exactly the track it always had), or as the
+// timedEvery-th task since the last timed one. Only warm sub-fineGrain Fns
+// are ever sampled, and for those the speculation deadline is floored at
+// StealTimeout whatever the track says.
 func (w *Worker) execute(cl *Closure) {
 	cl.adopted = false
-	if !cl.preempted && cl.execNS == 0 {
+	e := w.fnEntryOf(cl.Fn)
+	m := w.cfg.Metrics // one pointer check when telemetry is off
+	traced := w.spans.Load() != nil && cl.TC.Sampled()
+	if cl.preempted {
+		// Resuming a locally preempted body: same attempt, already counted,
+		// timed or not as its first slice was.
+		cl.preempted = false
+	} else {
 		// First local slice of this attempt: only a run that started from
 		// scratch (no checkpoint blob) measures the Fn's full cost.
 		cl.freshLocal = cl.CkptSeq == 0 && len(cl.Ckpt) == 0
-	}
-	if cl.preempted {
-		// Resuming a locally preempted body: same attempt, already counted.
-		cl.preempted = false
-	} else {
+		cl.timed = m != nil || traced || !e.exec.warm() || e.exec.mean >= float64(fineGrain) ||
+			w.sinceTimed >= timedEvery-1
 		w.counters.TasksExecuted.Add(1)
 		if len(cl.Ckpt) > 0 {
 			w.counters.CkptResumes.Add(1)
 		}
 	}
-	fn, ok := w.fnCache[cl.Fn]
-	if !ok {
-		fn = w.prog.Funcs.MustLookup(cl.Fn)
-		w.fnCache[cl.Fn] = fn
+	var t0 time.Time
+	if cl.timed {
+		t0 = w.clk.Now()
 	}
-	m := w.cfg.Metrics // one pointer check when telemetry is off
-	traced := w.spans.Load() != nil && cl.TC.Sampled()
-	// Timed unconditionally: the per-Fn execution track feeds the
-	// speculation deadline and must be warm before trouble starts.
-	execT0 := time.Now()
-	completed := false
-	func() {
-		// A panicking task is an application bug; contain it to this
-		// worker (which then counts as crashed, so the job's other
-		// participants redo the lost work) instead of killing the whole
-		// process. A deterministic panic will of course recur on the
-		// worker that redoes it — that is the application's bug to fix.
-		defer func() {
-			if r := recover(); r != nil {
-				w.crashReq.Store(true)
-				w.leaveReason = wire.LeaveCrash
-				fmt.Printf("phish: worker %d: task %s panicked: %v\n", w.id, cl.Fn, r)
-			}
-		}()
-		w.ctx.w = w
-		w.ctx.c = cl
-		w.ctx.yielded = false
-		fn(&w.ctx)
-		w.ctx.c = nil
-		completed = true
-	}()
-	if m != nil {
-		m.TaskExec().ObserveSince(execT0)
+	w.ctx.w = w
+	w.ctx.c = cl
+	w.ctx.yielded = false
+	e.fn(&w.ctx) // a panic unwinds to runLoop with ctx.c still naming the task
+	w.ctx.c = nil
+	if cl.timed {
+		end := w.clk.Now() // one stamp: the histogram sample, the span's end, execNS
+		d := end.Sub(t0)
+		if m != nil {
+			m.TaskExec().Observe(int64(d))
+		}
+		if traced {
+			// Each execution slice is its own span — a preempted body
+			// contributes several, and T1 sums them, so preemption does not
+			// inflate the critical path. Link is the continuation the result
+			// feeds: a join edge of the DAG.
+			w.spans.Load().add(wire.Span{Kind: wire.SpanExec, Flags: cl.TC.Flags, Worker: w.id,
+				Task: cl.ID, Parent: cl.TC.Parent, Link: cl.Cont.Task,
+				Start: t0.UnixNano(), End: end.UnixNano()})
+		}
+		cl.execNS += int64(d)
+		w.sinceTimed = 0
+		w.housekeep = true
+	} else {
+		w.sinceTimed++
 	}
-	if traced {
-		// Each execution slice is its own span — a preempted body
-		// contributes several, and T1 sums them, so preemption does not
-		// inflate the critical path. Link is the continuation the result
-		// feeds: a join edge of the DAG.
-		w.spans.Load().add(wire.Span{Kind: wire.SpanExec, Flags: cl.TC.Flags, Worker: w.id,
-			Task: cl.ID, Parent: cl.TC.Parent, Link: cl.Cont.Task,
-			Start: execT0.UnixNano(), End: time.Now().UnixNano()})
-	}
-	cl.execNS += int64(time.Since(execT0))
-	if completed && w.ctx.yielded {
+	if w.ctx.yielded {
 		// The body vacated at a Yield: the closure stays live with its
 		// checkpoint attached, at the head so a drain packs it first (and
 		// so a message-pending preemption resumes it right after the
-		// mailbox is serviced).
+		// mailbox is serviced, which the housekeeping pass does next).
 		w.ctx.yielded = false
+		w.housekeep = true
 		w.counters.TasksPreempted.Add(1)
 		w.tr(trace.EvPreempt, cl.ID, types.NoWorker, "")
 		cl.preempted = true
 		w.dq.PushHead(cl)
 		return
 	}
-	w.ctx.yielded = false
 	w.counters.TaskRetired()
-	if completed {
-		if cl.freshLocal {
-			// A started-from-scratch attempt is the clean sample of what
-			// this Fn costs; bodies resumed from a stolen or migrated
-			// checkpoint would contribute partial runs that drag the p99
-			// estimate down. Slices are summed across yields and local
-			// preemptions, so a body that checkpoints mid-run still feeds
-			// the track its full cost.
-			w.noteExec(cl.Fn, time.Duration(cl.execNS))
-		}
-		if cl.CkptSeq > 0 {
-			w.dropCkptPub(cl.ID)
-		}
-		cl.free() // the body ran to completion; nothing references cl now
+	if cl.timed && cl.freshLocal {
+		// A started-from-scratch attempt is the clean sample of what this Fn
+		// costs; bodies resumed from a stolen or migrated checkpoint would
+		// contribute partial runs that drag the p99 estimate down. Slices
+		// are summed across yields and local preemptions, so a body that
+		// checkpoints mid-run still feeds the track its full cost.
+		e.exec.observe(time.Duration(cl.execNS))
 	}
+	if cl.CkptSeq > 0 {
+		w.dropCkptPub(cl.ID)
+	}
+	w.freeClosure(cl) // the body ran to completion; nothing references cl now
 }
 
 // thieveStep performs one increment of thieving: ensure a steal request is
@@ -865,7 +977,7 @@ func (w *Worker) drainAll() {
 	}
 	for {
 		select {
-		case env, ok := <-w.conn.Recv():
+		case env, ok := <-w.recv:
 			if !ok {
 				w.shutdownMsg = true
 				return
@@ -897,7 +1009,7 @@ func (w *Worker) drainOne(d time.Duration) {
 		t.Reset(d)
 	}
 	select {
-	case env, ok := <-w.conn.Recv():
+	case env, ok := <-w.recv:
 		if !ok {
 			w.shutdownMsg = true
 		} else {
@@ -939,9 +1051,8 @@ var runningWorkers atomic.Int32
 // only reads channel lengths, so it takes no lock the sender needs.
 func (w *Worker) awaitSteal() {
 	if int(runningWorkers.Load()) <= w.procs {
-		recv := w.conn.Recv()
 		for spinUntil := time.Now().Add(stealSpin); time.Now().Before(spinUntil); {
-			if len(recv) > 0 || len(w.wakeCh) > 0 {
+			if len(w.recv) > 0 || len(w.wakeCh) > 0 {
 				w.drainAll()
 				return
 			}
@@ -996,7 +1107,7 @@ func (w *Worker) handle(env *wire.Envelope) {
 	case wire.StealReply:
 		var cl *Closure
 		if p.OK {
-			cl = closureFromWire(p.Task)
+			cl = w.closureFromWire(p.Task)
 		}
 		w.onStealReply(env.From, p.OK, cl)
 	case wire.StealConfirm:
@@ -1017,7 +1128,7 @@ func (w *Worker) handle(env *wire.Envelope) {
 		// healthy adopter (the same path an owner-return reclaim takes).
 		w.tr(trace.EvUnregister, types.TaskID{}, env.From, "drain order: "+p.Reason)
 		w.drainOrdered = true
-		w.drainReq.Store(true)
+		w.setAttn(attnDrain)
 	case wire.DrainAck:
 		w.drainAcked = true
 		if p.OK {
@@ -1034,6 +1145,12 @@ func (w *Worker) handle(env *wire.Envelope) {
 		w.stayAsked = false
 		if p.Stay {
 			w.consecFails = 0
+			// Told to stay by a clearinghouse that still counts the job as
+			// running, although the job's result left this worker: the
+			// result never got in. A clearinghouse that crashes with the Arg
+			// still in its inbox loses it without any send of ours failing,
+			// so no outage was noticed and nothing re-sent it.
+			w.resendRootResult()
 		} else {
 			w.retired = true
 		}
@@ -1074,7 +1191,7 @@ func (w *Worker) handleView(env *wire.Envelope, v *wire.View) bool {
 		granted := rp.OK()
 		var cl *Closure
 		if granted {
-			cl, _ = closureFromView(rp.Task())
+			cl, _ = w.closureFromView(rp.Task())
 		}
 		w.onStealReply(env.From, granted, cl)
 	} else if sc, ok := v.AsStealConfirm(); ok {
@@ -1129,7 +1246,7 @@ func (w *Worker) onStealReply(from types.WorkerID, ok bool, cl *Closure) {
 		// We already migrated away. Leave the task unconfirmed: the
 		// victim's steal record redoes it when our tombstone lands.
 		if cl != nil {
-			cl.free()
+			w.freeClosure(cl)
 		}
 	case !ok:
 		w.consecFails++
@@ -1226,7 +1343,7 @@ func (w *Worker) spawn(fn string, cont types.Continuation, args []types.Value, n
 			panic(fmt.Sprintf("core: spawn %s: nil argument %d", fn, i))
 		}
 	}
-	cl := newClosure()
+	cl := w.newClosure()
 	cl.ID = w.nextTaskID()
 	cl.Fn = fn
 	cl.setArgs(args)
@@ -1272,8 +1389,8 @@ func (w *Worker) deliver(cont types.Continuation, v types.Value, crossed bool, t
 		w.deliver(rec.realCont, v, crossed, tc)
 		return
 	}
-	if _, ok := w.waiting[cont.Task]; ok {
-		w.fillSlot(cont, v, crossed, true)
+	if cl, ok := w.waiting[cont.Task]; ok {
+		w.fill(cl, cont.Slot, v, crossed, true)
 		return
 	}
 	host, ok := w.resolveHost(cont.Task.Worker)
@@ -1321,23 +1438,30 @@ func (w *Worker) deliver(cont types.Continuation, v types.Value, crossed bool, t
 	}
 }
 
-// fillSlot writes v into a waiting task's argument slot, maintains the
-// join counter, and enqueues the task when it becomes ready. countSynch
-// distinguishes real result deliveries (synchronizations, per the paper's
-// Table 2) from presets.
+// fillSlot looks up the waiting task cont names and fills its slot: the
+// entry point for a caller that holds only a continuation (Preset; deliver
+// has the closure in hand already and calls fill).
 func (w *Worker) fillSlot(cont types.Continuation, v types.Value, crossed, countSynch bool) {
 	cl, ok := w.waiting[cont.Task]
 	if !ok {
 		w.orphanDrops.Add(1)
 		return
 	}
-	if int(cont.Slot) >= len(cl.Args) || cl.Args[cont.Slot] != nil {
+	w.fill(cl, cont.Slot, v, crossed, countSynch)
+}
+
+// fill writes v into a waiting task's argument slot, maintains the join
+// counter, and enqueues the task when it becomes ready. countSynch
+// distinguishes real result deliveries (synchronizations, per the paper's
+// Table 2) from presets.
+func (w *Worker) fill(cl *Closure, slot int32, v types.Value, crossed, countSynch bool) {
+	if slot < 0 || int(slot) >= len(cl.Args) || cl.Args[slot] != nil {
 		// Slot out of range (corrupt) or duplicate delivery (redo race):
 		// drop rather than corrupt the join counter.
 		w.orphanDrops.Add(1)
 		return
 	}
-	cl.Args[cont.Slot] = v
+	cl.Args[slot] = v
 	cl.Missing--
 	if countSynch {
 		w.counters.Synchronizations.Add(1)
@@ -1412,7 +1536,7 @@ func (w *Worker) grantSteal(thief types.WorkerID) {
 			Start: t0.UnixNano(), End: time.Now().UnixNano()})
 	}
 	w.counters.TaskRetired() // the task left this worker
-	cl.free()                // rec.task holds its own copy of the args
+	w.freeClosure(cl)        // rec.task holds its own copy of the args
 	w.dbgGrants.Add(1)
 	w.tr(trace.EvStealGrant, rec.task.ID, thief, "")
 }
@@ -1484,7 +1608,7 @@ func (w *Worker) adoptMigration(from types.WorkerID, m wire.Migrate) {
 		return
 	}
 	for _, wc := range m.Closures {
-		cl := closureFromWire(wc)
+		cl := w.closureFromWire(wc)
 		w.ensureSpans(cl.TC)
 		w.counters.TaskAdopted()
 		if cl.ready() {
@@ -1523,7 +1647,7 @@ func (w *Worker) redoRecord(rec *stealRecord) {
 	}
 	rec.thief = w.id
 	rec.confirmed = true
-	cl := closureFromWire(rec.task)
+	cl := w.closureFromWire(rec.task)
 	w.counters.TaskAdopted()
 	w.counters.TasksRedone.Add(1)
 	if cl.ready() {
@@ -1604,7 +1728,7 @@ func (w *Worker) purgeOrphans() {
 		if deadCont(cl.Cont) {
 			delete(w.waiting, id)
 			w.counters.TaskRetired()
-			cl.free()
+			w.freeClosure(cl)
 		}
 	}
 	if w.dq.Len() > 0 {
@@ -1612,7 +1736,7 @@ func (w *Worker) purgeOrphans() {
 		for _, cl := range keep {
 			if deadCont(cl.Cont) {
 				w.counters.TaskRetired()
-				cl.free()
+				w.freeClosure(cl)
 				continue
 			}
 			w.dq.PushTail(cl)
@@ -1783,7 +1907,7 @@ func (w *Worker) shipStateTo(target types.WorkerID) shipResult {
 		return shipTargetGone
 	}
 	deadline := time.Now().Add(w.migrateAckWait())
-	for time.Now().Before(deadline) && !w.migrateAck && !w.crashReq.Load() && !w.shutdownMsg {
+	for time.Now().Before(deadline) && !w.migrateAck && !w.attnHas(attnCrash) && !w.shutdownMsg {
 		if w.targetDeparted(target) {
 			restore()
 			return shipTargetGone
@@ -1818,7 +1942,7 @@ func (w *Worker) shipStateTo(target types.WorkerID) shipResult {
 			// the task.
 			w.dropCkptPub(cl.ID)
 		}
-		cl.free() // the adopter acknowledged its own copy
+		w.freeClosure(cl) // the adopter acknowledged its own copy
 	}
 	return shipOK
 }
@@ -1855,7 +1979,7 @@ func (w *Worker) requestDrainVictim() (types.WorkerID, bool) {
 		return types.NoWorker, false
 	}
 	deadline := time.Now().Add(w.drainAckWait())
-	for time.Now().Before(deadline) && !w.drainAcked && !w.crashReq.Load() && !w.shutdownMsg {
+	for time.Now().Before(deadline) && !w.drainAcked && !w.attnHas(attnCrash) && !w.shutdownMsg {
 		w.drainOne(time.Until(deadline))
 	}
 	if !w.drainAcked || w.drainVictim == types.NoWorker {
@@ -1877,7 +2001,7 @@ func (w *Worker) lingerForward(adopter types.WorkerID) {
 	}
 	deadline := time.Now().Add(2*w.cfg.StealTimeout + 4*w.cfg.RetryUnsent)
 	for time.Now().Before(deadline) {
-		if w.crashReq.Load() {
+		if w.attnHas(attnCrash) {
 			return
 		}
 		w.drainOne(time.Until(deadline))

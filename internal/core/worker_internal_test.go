@@ -400,3 +400,33 @@ func TestStatsReportInboxHighWater(t *testing.T) {
 		t.Errorf("inbox high-water mark = %d, want 7 (the deepest it has been, not its depth now)", got)
 	}
 }
+
+// A clearinghouse that dies with the root result still unread in its inbox
+// loses it, and the worker that sent it saw no send fail. What gives the
+// loss away is the restarted clearinghouse telling that worker to stay —
+// the job, as far as it knows, is still running — and the worker answers by
+// sending the result again.
+func TestStayReplyResendsLostRootResult(t *testing.T) {
+	w, fab := newTestWorker(t, 5)
+	chPort := fab.Attach(types.ClearinghouseID)
+	w.registered = true
+	rootCont := types.Continuation{Task: types.TaskID{Worker: types.ClearinghouseID, Seq: 1}}
+	w.deliver(rootCont, int64(42), false, wire.TraceCtx{})
+	<-chPort.Recv() // the copy the first clearinghouse took to its grave
+
+	w.handle(&wire.Envelope{Job: 1, From: types.ClearinghouseID, To: 5, Payload: wire.StayReply{Stay: true}})
+	select {
+	case env := <-chPort.Recv():
+		if a, ok := env.Payload.(wire.Arg); !ok || a.Cont != rootCont || a.Val != int64(42) {
+			t.Errorf("clearinghouse received %#v, want the root result again", env.Payload)
+		}
+	default:
+		t.Fatal("told to stay with the job's result already sent, the worker did not send it again")
+	}
+	// A worker that never held the result has nothing to add.
+	other, _ := newTestWorker(t, 6)
+	other.handle(&wire.Envelope{Job: 1, From: types.ClearinghouseID, To: 6, Payload: wire.StayReply{Stay: true}})
+	if other.counters.MessagesSent.Load() != 0 {
+		t.Error("a worker without the root result sent something on StayReply")
+	}
+}

@@ -8,11 +8,13 @@
 // out tasks near the base of the tree — tasks that will spawn many
 // descendants, so one steal buys a lot of local work).
 //
-// The deque is an amortized O(1) growable ring buffer. It is NOT
-// synchronized: in the Phish runtime all access — including steals — is
-// performed by the owning worker's scheduler loop in response to messages,
-// exactly as in the paper's message-based design. Runtimes that share
-// memory (internal/strata) wrap it with their own lock.
+// The deque is an amortized O(1) growable ring buffer whose capacity is
+// always a power of two (minCap doubled), so indices wrap with a mask
+// instead of an integer division. It is NOT synchronized: in the Phish
+// runtime all access — including steals — is performed by the owning
+// worker's scheduler loop in response to messages, exactly as in the
+// paper's message-based design. Runtimes that share memory
+// (internal/strata) wrap it with their own lock.
 package deque
 
 // Deque is a double-ended queue of T.
@@ -23,7 +25,9 @@ type Deque[T any] struct {
 	n    int
 }
 
-// minCap is the initial capacity allocated on first push.
+// minCap is the initial capacity allocated on first push. It must be a
+// power of two: grow only ever doubles it, and every index is wrapped with
+// len(buf)-1 as a mask.
 const minCap = 16
 
 // Len returns the number of elements in the deque.
@@ -40,9 +44,12 @@ func (d *Deque[T]) grow() {
 	if newCap == 0 {
 		newCap = minCap
 	}
+	if newCap&(newCap-1) != 0 {
+		panic("deque: capacity is not a power of two")
+	}
 	buf := make([]T, newCap)
 	for i := 0; i < d.n; i++ {
-		buf[i] = d.buf[(d.head+i)%len(d.buf)]
+		buf[i] = d.buf[(d.head+i)&(len(d.buf)-1)]
 	}
 	d.buf = buf
 	d.head = 0
@@ -54,7 +61,7 @@ func (d *Deque[T]) PushHead(v T) {
 	if d.n == len(d.buf) {
 		d.grow()
 	}
-	d.head = (d.head - 1 + len(d.buf)) % len(d.buf)
+	d.head = (d.head - 1) & (len(d.buf) - 1)
 	d.buf[d.head] = v
 	d.n++
 }
@@ -66,7 +73,7 @@ func (d *Deque[T]) PushTail(v T) {
 	if d.n == len(d.buf) {
 		d.grow()
 	}
-	d.buf[(d.head+d.n)%len(d.buf)] = v
+	d.buf[(d.head+d.n)&(len(d.buf)-1)] = v
 	d.n++
 }
 
@@ -80,7 +87,7 @@ func (d *Deque[T]) PopHead() (v T, ok bool) {
 	v = d.buf[d.head]
 	var zero T
 	d.buf[d.head] = zero // release reference for GC
-	d.head = (d.head + 1) % len(d.buf)
+	d.head = (d.head + 1) & (len(d.buf) - 1)
 	d.n--
 	return v, true
 }
@@ -92,7 +99,7 @@ func (d *Deque[T]) PopTail() (v T, ok bool) {
 	if d.n == 0 {
 		return v, false
 	}
-	i := (d.head + d.n - 1) % len(d.buf)
+	i := (d.head + d.n - 1) & (len(d.buf) - 1)
 	v = d.buf[i]
 	var zero T
 	d.buf[i] = zero
@@ -113,7 +120,7 @@ func (d *Deque[T]) PeekTail() (v T, ok bool) {
 	if d.n == 0 {
 		return v, false
 	}
-	return d.buf[(d.head+d.n-1)%len(d.buf)], true
+	return d.buf[(d.head+d.n-1)&(len(d.buf)-1)], true
 }
 
 // Drain removes and returns all elements in head-to-tail order, leaving the
@@ -134,7 +141,7 @@ func (d *Deque[T]) Drain() []T {
 func (d *Deque[T]) Snapshot() []T {
 	out := make([]T, d.n)
 	for i := 0; i < d.n; i++ {
-		out[i] = d.buf[(d.head+i)%len(d.buf)]
+		out[i] = d.buf[(d.head+i)&(len(d.buf)-1)]
 	}
 	return out
 }

@@ -91,24 +91,17 @@ type Counters struct {
 // TaskCreated records a new live closure and maintains the high-water mark.
 func (c *Counters) TaskCreated() {
 	c.TasksSpawned.Add(1)
-	n := c.TasksInUse.Add(1)
-	for {
-		max := c.MaxTasksInUse.Load()
-		if n <= max || c.MaxTasksInUse.CompareAndSwap(max, n) {
-			return
-		}
-	}
+	c.TaskAdopted()
 }
 
 // TaskAdopted records a live closure that arrived from elsewhere (steal or
-// migration) rather than being spawned here.
+// migration) rather than being spawned here. The high-water mark has one
+// writer — the goroutine that owns the worker's tasks is the only caller
+// of TaskCreated and TaskAdopted — so a compare and a store maintain it;
+// any goroutine may read it.
 func (c *Counters) TaskAdopted() {
-	n := c.TasksInUse.Add(1)
-	for {
-		max := c.MaxTasksInUse.Load()
-		if n <= max || c.MaxTasksInUse.CompareAndSwap(max, n) {
-			return
-		}
+	if n := c.TasksInUse.Add(1); n > c.MaxTasksInUse.Load() {
+		c.MaxTasksInUse.Store(n)
 	}
 }
 

@@ -30,30 +30,53 @@ func TestHighWaterMark(t *testing.T) {
 	}
 }
 
+// One goroutine owns a worker's tasks and is the high-water mark's only
+// writer; reporters take snapshots from their own goroutines while it runs,
+// and never see the mark go backwards.
 func TestHighWaterMarkConcurrent(t *testing.T) {
 	var c Counters
 	var wg sync.WaitGroup
-	const g, per = 8, 1000
+	const g, per, depth = 8, 1000, 5
+	stop := make(chan struct{})
 	for i := 0; i < g; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := 0; j < per; j++ {
-				c.TaskCreated()
-				c.TaskRetired()
+			var last int64
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				m := c.Snapshot().MaxTasksInUse
+				if m < last {
+					t.Errorf("max in use went backwards: %d after %d", m, last)
+					return
+				}
+				last = m
 			}
 		}()
 	}
+	for j := 0; j < per; j++ {
+		for k := 0; k < depth; k++ {
+			c.TaskCreated()
+		}
+		for k := 0; k < depth; k++ {
+			c.TaskRetired()
+		}
+	}
+	close(stop)
 	wg.Wait()
 	s := c.Snapshot()
-	if s.TasksSpawned != g*per {
-		t.Errorf("spawned = %d, want %d", s.TasksSpawned, g*per)
+	if s.TasksSpawned != per*depth {
+		t.Errorf("spawned = %d, want %d", s.TasksSpawned, per*depth)
 	}
 	if c.TasksInUse.Load() != 0 {
 		t.Errorf("in use = %d, want 0", c.TasksInUse.Load())
 	}
-	if s.MaxTasksInUse < 1 || s.MaxTasksInUse > g {
-		t.Errorf("max in use = %d, want within [1,%d]", s.MaxTasksInUse, g)
+	if s.MaxTasksInUse != depth {
+		t.Errorf("max in use = %d, want %d", s.MaxTasksInUse, depth)
 	}
 }
 

@@ -71,7 +71,7 @@ type proc struct {
 	counters stats.Counters
 	execNS   int64
 	wallNS   int64
-	fnCache  map[string]core.TaskFunc
+	fns      map[string]core.TaskFunc
 	ctx      ctx
 }
 
@@ -116,7 +116,7 @@ func Run(prog *core.Program, rootFn string, rootArgs []types.Value, p int, cfg C
 			rt:      rt,
 			waiting: make(map[uint64]*closure),
 			rng:     rand.New(rand.NewSource(cfg.Seed + int64(i)*0x9e3779b9)),
-			fnCache: make(map[string]core.TaskFunc),
+			fns:     make(map[string]core.TaskFunc),
 		})
 	}
 	// Seed the root on processor 0.
@@ -274,10 +274,10 @@ func (p *proc) stealOnce() *closure {
 
 func (p *proc) execute(cl *closure) {
 	p.counters.TasksExecuted.Add(1)
-	fn, ok := p.fnCache[cl.fn]
+	fn, ok := p.fns[cl.fn]
 	if !ok {
 		fn = p.rt.prog.Funcs.MustLookup(cl.fn)
-		p.fnCache[cl.fn] = fn
+		p.fns[cl.fn] = fn
 	}
 	p.ctx.p = p
 	p.ctx.c = cl
