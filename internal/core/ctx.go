@@ -210,7 +210,9 @@ func (t *TaskCtx) Yield(blob []byte) bool {
 	}
 	// Pending traffic: pull one envelope off the wire (handling it here
 	// would re-enter the scheduler mid-body, so it is stashed for the
-	// loop) and vacate.
+	// loop) and vacate. A worker that reads its own socket looks there
+	// first: nobody else will have.
+	w.pollNet(0)
 	select {
 	case env, ok := <-w.recv:
 		if !ok {

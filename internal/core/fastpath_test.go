@@ -20,15 +20,15 @@ import (
 // deque never empties, and an undisturbed task pays for no clock reading
 // and no allocation of the scheduler's own.
 
-// grinder is one worker (id 0) on a fabric whose clearinghouse is played by
-// the test: it answers the registration, spawns the root, refuses to name a
-// drain victim, and otherwise only records what the worker sends it. Worker
-// 1 is a bare port from which the test sends the worker messages.
+// grinder is one worker (id 0) whose clearinghouse is played by the test:
+// it answers the registration, spawns the root, refuses to name a drain
+// victim, and otherwise only records what the worker sends it. Worker 1 is
+// a bare endpoint from which the test sends the worker messages.
 type grinder struct {
 	w      *Worker
-	port   *phishnet.Port // the worker's own endpoint
-	peer   *phishnet.Port
-	chPort *phishnet.Port
+	port   phishnet.Conn // the worker's own endpoint
+	peer   phishnet.Conn
+	chPort phishnet.Conn
 
 	done    chan struct{}    // closed when Run has returned
 	drainAt chan time.Time   // one stamp per DrainRequest the worker sent
@@ -39,18 +39,33 @@ func startGrinder(t *testing.T, prog *Program, root string, args []types.Value, 
 	t.Helper()
 	fab := phishnet.NewFabric()
 	t.Cleanup(fab.Close)
+	return startGrinderOn(t, func(id types.WorkerID) phishnet.Conn { return fab.Attach(id) }, prog, root, args, cfg, clk)
+}
+
+// startGrinderOn is startGrinder over the transport attach opens endpoints
+// on.
+func startGrinderOn(t *testing.T, attach func(types.WorkerID) phishnet.Conn, prog *Program, root string, args []types.Value, cfg Config, clk clock.Clock) *grinder {
+	t.Helper()
 	g := &grinder{
-		port:    fab.Attach(0),
-		peer:    fab.Attach(1),
-		chPort:  fab.Attach(types.ClearinghouseID),
+		port:    attach(0),
+		peer:    attach(1),
+		chPort:  attach(types.ClearinghouseID),
 		done:    make(chan struct{}),
 		drainAt: make(chan time.Time, 4),
 		result:  make(chan types.Value, 1),
 	}
+	// A fabric routes by id and ignores addresses.
+	g.port.SetPeer(types.ClearinghouseID, g.chPort.LocalAddr())
+	g.port.SetPeer(1, g.peer.LocalAddr())
+	g.peer.SetPeer(0, g.port.LocalAddr())
+	g.chPort.SetPeer(0, g.port.LocalAddr())
 	g.w = NewWorker(1, 0, prog, g.port, cfg, clk)
 	go func() {
 		spawned := false
 		for env := range g.chPort.Recv() {
+			if env.Materialize() != nil {
+				continue
+			}
 			switch p := env.Payload.(type) {
 			case wire.Register:
 				g.toWorker(g.chPort, types.ClearinghouseID, wire.RegisterReply{Assigned: 0,
@@ -80,7 +95,7 @@ func startGrinder(t *testing.T, prog *Program, root string, args []types.Value, 
 
 // toWorker sends payload to the worker; a send that fails because the
 // worker has already gone is the test's business to notice, not this one's.
-func (g *grinder) toWorker(from *phishnet.Port, id types.WorkerID, payload any) {
+func (g *grinder) toWorker(from phishnet.Conn, id types.WorkerID, payload any) {
 	_ = from.Send(&wire.Envelope{Job: 1, From: id, To: 0, Payload: payload})
 }
 
@@ -222,6 +237,52 @@ func TestBusyWorkerStaysLive(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 		})
+	}
+}
+
+// The same over UDP, where nobody but the worker reads the worker's socket:
+// a long body that only ever yields still answers a steal request, because
+// Yield looks at the socket as well as at the inbox.
+func TestYieldingWorkerOverUDPStaysLive(t *testing.T) {
+	listen := func(id types.WorkerID) phishnet.Conn {
+		u, err := phishnet.ListenUDP(1, id, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { u.Close() })
+		return u
+	}
+	p := NewProgram("long")
+	p.Register("long", func(c model.Ctx) {
+		for {
+			spin50()
+			if c.Yield(nil) {
+				return
+			}
+		}
+	})
+	g := startGrinderOn(t, listen, p, "long", nil, DefaultConfig(), clock.System)
+	for deadline := time.Now().Add(10 * time.Second); g.w.Stats().CkptSaves < 100; {
+		if time.Now().After(deadline) {
+			t.Fatal("the long task never got going")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	t0 := time.Now()
+	g.toWorker(g.peer, 1, wire.StealRequest{Thief: 1})
+	select {
+	case env := <-g.peer.Recv():
+		if env.Materialize() != nil {
+			t.Fatal("undecodable answer")
+		}
+		if _, ok := env.Payload.(wire.StealReply); !ok {
+			t.Fatalf("thief received %s, want a steal reply", env.PayloadName())
+		}
+		if d := time.Since(t0); d > honoured {
+			t.Errorf("steal request answered after %v, want within %v", d, honoured)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("steal request never answered")
 	}
 }
 

@@ -155,6 +155,9 @@ type Worker struct {
 	// procs is GOMAXPROCS as the worker was built, kept so the steal path
 	// does not take the scheduler lock to ask again on every attempt.
 	procs int
+	// net is the transport's own-thread half when the connection has one
+	// (see netPoller); nil on the in-memory fabric and outside Run.
+	net netPoller
 
 	hbStop chan struct{}
 
@@ -347,6 +350,34 @@ func (w *Worker) wake() {
 	}
 }
 
+// netPoller is what a transport with a socket lets its owner do on the
+// owner's own thread (phishnet.UDP; a fabric port has nothing to poll or
+// flush). Poll moves whatever the socket holds into the inbox, first
+// waiting on the socket for up to wait if it is empty and wait is positive;
+// false means there is nothing to poll and the inbox channel is all there
+// is. Flush sends what the transport was holding back for
+// company. With as many workers as processors no other goroutine gets a
+// processor to do either on the worker's behalf, so the worker polls
+// wherever it already looks at its inbox off the per-task path, and flushes
+// when it is about to wait.
+type netPoller interface {
+	Poll(wait time.Duration) bool
+	Flush()
+}
+
+// netWaitSlice bounds one waiting Poll of an idle worker. A datagram ends
+// the wait at once; a wake or a transport-made message (PeerGone) is
+// noticed at the end of the slice.
+const netWaitSlice = 5 * time.Millisecond
+
+// pollNet moves what the worker's socket holds into its inbox, first
+// waiting up to wait for the socket to hold something.
+func (w *Worker) pollNet(wait time.Duration) {
+	if w.net != nil && !w.net.Poll(wait) {
+		w.net = nil // closed under us; the inbox channel says the rest
+	}
+}
+
 // Run registers with the clearinghouse, participates until the job ends
 // (or the worker retires, is reclaimed, or crashes), and returns the
 // reason for leaving. It blocks for the worker's whole life.
@@ -357,6 +388,9 @@ func (w *Worker) Run() error {
 	defer runtime.UnlockOSThread()
 	runningWorkers.Add(1)
 	defer runningWorkers.Add(-1)
+	if p, ok := w.conn.(netPoller); ok && p.Poll(0) {
+		w.net = p // from here on the socket is read by this thread
+	}
 	cpu0, cpuOK := cputime.Thread()
 	t0 := time.Now()
 	w.startT.Store(t0.UnixNano())
@@ -677,8 +711,9 @@ func panicFrames(stack []byte, n int) string {
 // pause, suspects with records to speculate on). On an undisturbed worker
 // all of it is clear and the iteration is pop-and-execute. Anything else
 // takes the housekeeping pass below, which is also what notices an inbox
-// closed without a Shutdown message (a closed empty channel has length 0)
-// and refreshes readyDepth. Every timed execution sets housekeep (see
+// closed without a Shutdown message (a closed empty channel has length 0),
+// refreshes readyDepth and — for a worker that reads its own socket — moves
+// what has arrived there into the inbox. Every timed execution sets housekeep (see
 // execute), and at least one task in timedEvery is timed, so a pass is
 // never further away than timedEvery-1 fine-grain tasks — under 150 µs of
 // work — while a worker running coarse tasks makes one before every task.
@@ -698,6 +733,7 @@ func (w *Worker) loop() {
 		}
 		w.housekeep = false
 		w.readyDepth.Store(int32(w.dq.Len()))
+		w.pollNet(0)
 		w.drainAll()
 		w.retryUnsent(false)
 		w.maybeReRegister()
@@ -992,9 +1028,25 @@ func (w *Worker) drainAll() {
 }
 
 // drainOne blocks up to d for one message (then drains the rest without
-// blocking). A wake (Reclaim/Crash/retire verdict) also unblocks it.
+// blocking). A wake (Reclaim/Crash/retire verdict) also unblocks it. It is
+// the worker's idle edge: whatever the transport was holding back goes out
+// first. A worker that reads its own socket then waits on the socket
+// itself, a slice at a time: the datagram it is waiting for readies this
+// goroutine directly, with no reader goroutine and no channel in between.
 func (w *Worker) drainOne(d time.Duration) {
 	if d <= 0 || len(w.stash) > 0 {
+		w.drainAll()
+		return
+	}
+	if w.net != nil {
+		w.net.Flush()
+		for deadline := time.Now().Add(d); len(w.recv) == 0 && len(w.wakeCh) == 0 && w.net != nil; {
+			left := time.Until(deadline)
+			if left <= 0 {
+				return
+			}
+			w.pollNet(min(left, netWaitSlice))
+		}
 		w.drainAll()
 		return
 	}
@@ -1030,28 +1082,39 @@ func (w *Worker) drainOne(d time.Duration) {
 	}
 }
 
-// stealSpin is how long a thief polls its inbox for the steal reply before
-// it parks. On an idle core the reply to a request comes back within a few
+// stealSpin is how long a thief polls for the steal reply before it parks.
+// On an idle core the reply to a request comes back within a few
 // microseconds of the victim's next scheduling point, while parking a
-// thread-locked worker and waking it again costs two futex round trips, one
-// of them paid by the victim — several times the 20 µs a fine-grained task
-// is worth. The window is long enough to cover a victim that is inside a
-// short task body and short enough that an idle machine burns at most this
-// much per steal attempt before it sleeps.
+// thread-locked worker and waking it again costs two futex round trips (or,
+// on a socket, a blocked read and the kernel's wake-up of a halted
+// processor), one of them paid by the victim — several times the 20 µs a
+// fine-grained task is worth. The window is long enough to cover a victim
+// that is inside a short task body and short enough that an idle machine
+// burns at most this much per steal attempt before it sleeps.
 const stealSpin = 80 * time.Microsecond
 
 // runningWorkers counts the workers of this process that are inside Run.
-// It is what a worker can observe of the processors it competes for: when
-// workers outnumber Ps, a spinning thief would hold the P its victim needs
-// to produce the reply, so it parks at once instead.
+// It is what a worker can observe of the processors it competes for. A
+// spinning thief needs nobody else to run in order to see its reply — it
+// reads its own inbox, and over a socket its own socket — but when workers
+// outnumber Ps it would be holding the P its victim needs to produce that
+// reply, so it parks at once instead.
 var runningWorkers atomic.Int32
 
 // awaitSteal waits for the answer to the outstanding steal request: a
-// bounded poll of the inbox first, then drainOne's timed park. The poll
-// only reads channel lengths, so it takes no lock the sender needs.
+// bounded poll first, then drainOne's timed park. The thief is idle, so
+// this is where everything it sent on the way here — the last task's
+// confirm and result among it — stops waiting for company. The poll reads
+// channel lengths and the worker's own socket, so it takes no lock the
+// sender needs, and a thief still polling when the reply lands costs the
+// victim no wake-up.
 func (w *Worker) awaitSteal() {
+	if w.net != nil {
+		w.net.Flush()
+	}
 	if int(runningWorkers.Load()) <= w.procs {
 		for spinUntil := time.Now().Add(stealSpin); time.Now().Before(spinUntil); {
+			w.pollNet(0)
 			if len(w.recv) > 0 || len(w.wakeCh) > 0 {
 				w.drainAll()
 				return

@@ -122,19 +122,25 @@ func TestFabricFaultDuplicateDeliversTwice(t *testing.T) {
 // the reliability layer's full failure arc: retransmit intervals back off
 // (doubling, jittered ±25%), the frame is eventually abandoned, and the
 // peer's death is reported exactly once.
-func TestUDPBackoffGiveUp(t *testing.T) {
-	a, err := ListenUDP(1, 1, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := ListenUDP(1, 2, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	a.SetPeer(2, b.LocalAddr())
+func TestUDPBackoffGiveUp(t *testing.T) { bothReaders(t, testUDPBackoffGiveUp) }
 
+// bothReaders runs a two-endpoint test twice: with the netpoller reader on
+// both endpoints, and with both owned by the test, which then reads them
+// with Poll as a worker does. recv is the matching receive.
+func bothReaders(t *testing.T, test func(t *testing.T, a, b *UDP, recv func(*testing.T, *UDP, time.Duration) *wire.Envelope)) {
+	t.Run("netpoller", func(t *testing.T) {
+		a, b := udpPair(t)
+		test(t, a, b, func(t *testing.T, u *UDP, d time.Duration) *wire.Envelope { return recvOne(t, u, d) })
+	})
+	t.Run("owner-polled", func(t *testing.T) {
+		a, b := udpPair(t)
+		own(t, a)
+		own(t, b)
+		test(t, a, b, recvOwned)
+	})
+}
+
+func testUDPBackoffGiveUp(t *testing.T, a, b *UDP, recv func(*testing.T, *UDP, time.Duration) *wire.Envelope) {
 	const tries = 5
 	a.SetRetransmit(20*time.Millisecond, 300*time.Millisecond, tries)
 	fl := NewFaults(FaultPlan{Seed: 11})
@@ -185,12 +191,17 @@ func TestUDPBackoffGiveUp(t *testing.T) {
 	}
 
 	// Hearing from the peer again rearms the report.
-	b.SetPeer(1, a.LocalAddr())
 	fl.Rejoin(2)
 	if err := b.Send(&wire.Envelope{To: 1, Payload: wire.Heartbeat{Worker: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	recvOne(t, a, 2*time.Second)
+	recv(t, a, 2*time.Second)
+	a.mu.Lock()
+	windows := len(a.seen)
+	a.mu.Unlock()
+	if windows != 1 {
+		t.Fatalf("%d dedup windows after hearing from one peer", windows)
+	}
 	fl.Isolate(2)
 	if err := a.Send(&wire.Envelope{To: 2, Payload: wire.Heartbeat{Worker: 1}}); err != nil {
 		t.Fatal(err)
@@ -203,17 +214,22 @@ func TestUDPBackoffGiveUp(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("peer-down did not rearm after the peer spoke")
 	}
+	// Giving up on a peer lets go of its dedup window too.
+	a.mu.Lock()
+	windows = len(a.seen)
+	a.mu.Unlock()
+	if windows != 0 {
+		t.Errorf("%d dedup window(s) kept for a peer given up on", windows)
+	}
 }
 
 // TestUDPFaultDropsAreRetransmitted injects heavy probabilistic loss and
 // checks the reliability layer still delivers everything exactly once.
 func TestUDPFaultDropsAreRetransmitted(t *testing.T) {
-	a, _ := ListenUDP(1, 1, "127.0.0.1:0")
-	defer a.Close()
-	b, _ := ListenUDP(1, 2, "127.0.0.1:0")
-	defer b.Close()
-	a.SetPeer(2, b.LocalAddr())
-	b.SetPeer(1, a.LocalAddr())
+	bothReaders(t, testUDPFaultDropsAreRetransmitted)
+}
+
+func testUDPFaultDropsAreRetransmitted(t *testing.T, a, b *UDP, recv func(*testing.T, *UDP, time.Duration) *wire.Envelope) {
 	a.SetRetransmit(5*time.Millisecond, 50*time.Millisecond, 50)
 	b.SetRetransmit(5*time.Millisecond, 50*time.Millisecond, 50)
 	fl := NewFaults(FaultPlan{Seed: 99, Drop: 0.4, Duplicate: 0.2})
@@ -227,20 +243,12 @@ func TestUDPFaultDropsAreRetransmitted(t *testing.T) {
 		}
 	}
 	seen := make(map[uint64]bool)
-	deadline := time.After(20 * time.Second)
 	for len(seen) < n {
-		select {
-		case env, ok := <-b.Recv():
-			if !ok {
-				t.Fatal("closed early")
-			}
-			if seen[env.Seq] {
-				t.Fatalf("duplicate seq %d delivered above the dedup window", env.Seq)
-			}
-			seen[env.Seq] = true
-		case <-deadline:
-			t.Fatalf("only %d/%d messages survived 40%% loss", len(seen), n)
+		env := recv(t, b, 20*time.Second) // fatal if 40% loss is never made good
+		if seen[env.Seq] {
+			t.Fatalf("duplicate seq %d delivered above the dedup window", env.Seq)
 		}
+		seen[env.Seq] = true
 	}
 }
 

@@ -244,7 +244,7 @@ func TestUDPLearnsPeerFromInbound(t *testing.T) {
 }
 
 func TestDedupWindow(t *testing.T) {
-	d := newDedupWindow()
+	d := &dedupWindow{}
 	if !d.add(1) || d.add(1) {
 		t.Error("basic dedup broken")
 	}
@@ -259,7 +259,7 @@ func TestDedupWindow(t *testing.T) {
 	if d.add(recent) {
 		t.Errorf("recent seq %d not deduplicated", recent)
 	}
-	if len(d.seen) > udpDedupWindow+1 {
+	if len(d.seen) > udpDedupWindow {
 		t.Errorf("dedup memory grew to %d entries; window is %d", len(d.seen), udpDedupWindow)
 	}
 }

@@ -2,10 +2,15 @@ package phishnet
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
+	"net/netip"
+	"os"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"time"
 
 	"phish/internal/stats"
@@ -28,11 +33,20 @@ const (
 	udpRetxTries   = 10 // ~6.5 s of backed-off retries, then the peer is gone
 	udpDedupWindow = 8192
 
-	// udpFlushDelay is how long a small outgoing frame may wait for
-	// company before its batch is flushed as one datagram. It is far below
-	// the retransmit interval and the scheduler's polling periods, so
-	// batching is invisible to the protocol above.
-	udpFlushDelay = 200 * time.Microsecond
+	// udpFlushBackstop bounds how long a frame that is not urgent sits in its
+	// batch when nobody flushes it: the endpoint has no owner calling Flush
+	// (clearinghouse, cmd/ tools), the owner is inside a task body, or the
+	// sender is not the owner (the heartbeat goroutine). It is a timer, and a
+	// timer on an otherwise idle Go process fires no sooner than 1.03 ms
+	// after it was armed — the runtime sleeps in the netpoller in whole
+	// milliseconds, and the 200 µs this constant used to say measured
+	// 1.03–1.1 ms — so it is sized at what it delivers. That is still a
+	// thirtieth of the first retransmit interval: an ack that rides it
+	// arrives long before its sender would retransmit.
+	udpFlushBackstop = time.Millisecond
+	// udpTakeBurst bounds the datagrams one take reads, so an owner polling
+	// between two tasks gets back to its tasks whatever its peers send.
+	udpTakeBurst = 32
 	// udpMaxDatagram caps one batched datagram, comfortably under the
 	// 64 KiB read buffer and typical socket limits.
 	udpMaxDatagram = 60 << 10
@@ -48,28 +62,69 @@ const (
 // paper builds above raw UDP/IP.
 //
 // Outgoing frames to the same destination are coalesced: each Send appends
-// its frame to a per-peer batch that is flushed as a single datagram when
-// it fills or after udpFlushDelay, and acks are piggybacked into the same
+// its frame to a per-peer batch, and acks are piggybacked into the same
 // batches (encoded in place with wire.AppendEncode — no per-ack frame
-// allocation). Consequently Send reports ErrUnknownPeer/ErrClosed
-// synchronously but socket write errors surface only as lost datagrams,
-// which the retransmit layer already absorbs.
+// allocation). A batch leaves as one datagram
+//
+//   - at once, when the frame just appended is urgent: a StealRequest or a
+//     StealReply, the two messages somebody is idle waiting for;
+//   - when its owner calls Flush, which a worker does on its idle edge —
+//     it is about to wait for traffic, so nothing more is coming to
+//     coalesce with; a thief's StealConfirm, its result Arg and its next
+//     StealRequest therefore share a datagram, as do the victim's three
+//     acks and its StealReply;
+//   - when it fills;
+//   - after udpFlushBackstop, whatever else happens.
+//
+// Consequently Send reports ErrUnknownPeer/ErrClosed synchronously but
+// socket write errors surface only as lost datagrams, which the retransmit
+// layer already absorbs.
+//
+// Reading has one frame-walk, ingest, and two kinds of caller. An endpoint
+// nobody polls (clearinghouse, cmd/ tools) is read by readLoop, a goroutine
+// that blocks on the socket. An endpoint whose owner
+// calls Poll is read by the owner, on the owner's thread, whenever the
+// owner looks — with as many workers as processors no other goroutine
+// would get a processor to read for it. The first Poll ends readLoop for
+// good; the retransmit tick then reads what a deaf owner has left, so a
+// worker inside a long task still acknowledges before its peers
+// retransmit.
 type UDP struct {
 	local types.WorkerID
 	job   types.JobID
 	conn  *net.UDPConn
+	rc    syscall.RawConn // conn's descriptor, for reads that must not block
 	mbox  *mailbox
 
-	mu       sync.Mutex
-	peers    map[types.WorkerID]*net.UDPAddr
-	pending  map[uint64]*pendingSend
-	batches  map[types.WorkerID]*outBatch
-	rtt      map[types.WorkerID]*peerRTT
-	seen     map[string]*dedupWindow
-	ackEnv   wire.Envelope // scratch envelope for piggybacked acks
-	seq      uint64
-	flushGen uint64 // monotonic flush-timer generation (see outBatch.gen)
-	closed   bool
+	// owned says an owner polls the socket (set by its first Poll). rmu is
+	// held by whoever is reading the socket — readLoop for as long as it
+	// runs, then Poll or the retransmit tick for one take — so frames reach
+	// the mailbox in the order their datagrams arrived.
+	owned atomic.Bool
+	rmu   sync.Mutex
+	// One take's state, under rmu: datagrams read so far, and whether an
+	// empty socket is to be waited on.
+	taken     int
+	takeWaits bool
+	takeFn    func(fd uintptr) bool
+
+	mu      sync.Mutex
+	peers   map[types.WorkerID]netip.AddrPort
+	pending map[uint64]*pendingSend
+	batches map[types.WorkerID]*outBatch
+	dirty   []*outBatch // batches holding frames: what Flush has to look at
+	rtt     map[types.WorkerID]*peerRTT
+	// seen holds one dedup window per address heard from; heard says which
+	// address that was for a peer, so the window can go when the peer does.
+	seen   map[netip.AddrPort]*dedupWindow
+	heard  map[types.WorkerID]netip.AddrPort
+	ackEnv wire.Envelope // scratch envelope for piggybacked acks
+	seq    uint64
+	closed bool
+	// flushTimer is the backstop: armed by the first frame to enter an
+	// empty batch, it flushes every batch once and disarms.
+	flushTimer *time.Timer
+	flushArmed bool
 
 	// Retransmit schedule (SetRetransmit overrides; tests compress it).
 	retxBase  time.Duration
@@ -138,16 +193,13 @@ func (r *peerRTT) observe(d time.Duration) {
 	r.n++
 }
 
-// outBatch accumulates frames bound for one peer until flushed. gen
-// identifies the arming that scheduled the pending flush: a flush
-// callback only acts if its generation is still current, so a callback
-// that was already in flight when the batch was rebuilt (or re-armed)
-// can never flush the wrong bytes or steal a newer arming's flush.
+// outBatch accumulates frames bound for one peer until flushed. listed
+// says the batch is on the endpoint's dirty list.
 type outBatch struct {
-	dst   *net.UDPAddr
-	buf   []byte
-	gen   uint64
-	armed bool
+	to     types.WorkerID
+	dst    netip.AddrPort
+	buf    []byte
+	listed bool
 }
 
 // bufPool recycles batch datagram buffers.
@@ -163,19 +215,13 @@ func putBuf(b []byte) {
 	bufPool.Put(&b)
 }
 
-// dedupWindow remembers recently seen sequence numbers from one remote
-// address.
+// dedupWindow remembers the last udpDedupWindow sequence numbers seen from
+// one remote address. Both halves grow with the traffic: a peer heard from
+// a few times costs a few entries, not a full window.
 type dedupWindow struct {
 	seen map[uint64]struct{}
-	ring []uint64
+	ring []uint64 // arrival order; a circle once it is udpDedupWindow long
 	pos  int
-}
-
-func newDedupWindow() *dedupWindow {
-	return &dedupWindow{
-		seen: make(map[uint64]struct{}, udpDedupWindow),
-		ring: make([]uint64, udpDedupWindow),
-	}
 }
 
 // add records seq; it reports true if seq was new.
@@ -183,12 +229,16 @@ func (d *dedupWindow) add(seq uint64) bool {
 	if _, dup := d.seen[seq]; dup {
 		return false
 	}
-	old := d.ring[d.pos]
-	if _, ok := d.seen[old]; ok && len(d.seen) >= udpDedupWindow {
-		delete(d.seen, old)
+	if d.seen == nil {
+		d.seen = make(map[uint64]struct{})
 	}
-	d.ring[d.pos] = seq
-	d.pos = (d.pos + 1) % len(d.ring)
+	if len(d.ring) < udpDedupWindow {
+		d.ring = append(d.ring, seq)
+	} else {
+		delete(d.seen, d.ring[d.pos])
+		d.ring[d.pos] = seq
+		d.pos = (d.pos + 1) % udpDedupWindow
+	}
 	d.seen[seq] = struct{}{}
 	return true
 }
@@ -209,11 +259,12 @@ func ListenUDP(job types.JobID, local types.WorkerID, addr string) (*UDP, error)
 		job:          job,
 		conn:         conn,
 		mbox:         newMailbox(),
-		peers:        make(map[types.WorkerID]*net.UDPAddr),
+		peers:        make(map[types.WorkerID]netip.AddrPort),
 		pending:      make(map[uint64]*pendingSend),
 		batches:      make(map[types.WorkerID]*outBatch),
 		rtt:          make(map[types.WorkerID]*peerRTT),
-		seen:         make(map[string]*dedupWindow),
+		seen:         make(map[netip.AddrPort]*dedupWindow),
+		heard:        make(map[types.WorkerID]netip.AddrPort),
 		retxBase:     udpRetxBase,
 		retxCap:      udpRetxCap,
 		retxTries:    udpRetxTries,
@@ -221,6 +272,13 @@ func ListenUDP(job types.JobID, local types.WorkerID, addr string) (*UDP, error)
 		downReported: make(map[types.WorkerID]bool),
 		stopRetx:     make(chan struct{}),
 	}
+	if u.rc, err = conn.SyscallConn(); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("phishnet: listen %q: %w", addr, err)
+	}
+	u.takeFn = u.takeSome
+	u.flushTimer = time.AfterFunc(time.Hour, u.flushBackstop)
+	u.flushTimer.Stop()
 	u.wg.Add(2)
 	go u.readLoop()
 	go u.retransmitLoop()
@@ -314,13 +372,20 @@ func (u *UDP) SetPeer(id types.WorkerID, addr string) {
 	if err != nil {
 		return // an unresolvable peer simply stays unknown
 	}
+	ap := unmapped(ua.AddrPort())
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	u.peers[id] = ua
+	u.peers[id] = ap
 	delete(u.downReported, id) // a re-announced peer may be declared gone anew
 	if b := u.batches[id]; b != nil {
-		b.dst = ua
+		b.dst = ap
 	}
+}
+
+// unmapped strips the IPv4-in-IPv6 form a dual-stack socket reports, so one
+// peer is one map key however its address was learned.
+func unmapped(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
 // DropPeer implements Conn.
@@ -336,10 +401,20 @@ func (u *UDP) DropPeer(id types.WorkerID) {
 	}
 	if b := u.batches[id]; b != nil {
 		putBuf(b.buf)
-		b.buf = nil
+		b.buf = nil // a dirty-list entry for it now reads as empty
 		delete(u.batches, id)
 	}
 	delete(u.rtt, id) // a re-announced peer may be a new incarnation elsewhere
+	u.forgetWindowLocked(id)
+}
+
+// forgetWindowLocked drops the dedup window of a peer that has left or been
+// given up on. Should it speak again it starts a fresh one.
+func (u *UDP) forgetWindowLocked(id types.WorkerID) {
+	if from, ok := u.heard[id]; ok {
+		delete(u.seen, from)
+		delete(u.heard, id)
+	}
 }
 
 // LocalAddr implements Conn.
@@ -347,7 +422,7 @@ func (u *UDP) LocalAddr() string { return u.conn.LocalAddr().String() }
 
 // Send implements Conn: assign a sequence number, append the frame to the
 // destination's batch, and keep the frame for retransmission until
-// acknowledged.
+// acknowledged. An urgent frame takes its batch out with it.
 func (u *UDP) Send(env *wire.Envelope) error {
 	u.mu.Lock()
 	if u.closed {
@@ -378,65 +453,98 @@ func (u *UDP) Send(env *wire.Envelope) error {
 	// Acks are fire-and-forget by nature. Stat reports are sent the same
 	// way by design: they are soft state, cumulative and refreshed every
 	// heartbeat, so the next one supersedes a lost one and retransmitting
-	// a stale one buys nothing.
-	untracked := false
+	// a stale one buys nothing. A steal request or reply is what an idle
+	// worker is waiting for: it leaves now, and takes along whatever the
+	// batch already held.
+	tracked, urgent := true, false
 	switch env.Payload.(type) {
 	case wire.Ack, wire.StatReport:
-		untracked = true
+		tracked = false
+	case wire.StealRequest, wire.StealReply:
+		urgent = true
 	}
-	if untracked {
-		data, dst := u.enqueueLocked(env.To, frame.Bytes())
+	if tracked {
+		now := time.Now()
+		wait := u.rtoLocked(env.To)
+		u.pending[env.Seq] = &pendingSend{
+			to:     env.To,
+			frame:  frame,
+			wait:   wait,
+			next:   now.Add(u.jitteredLocked(wait)),
+			sentAt: now,
+		}
+	}
+	b, full := u.enqueueLocked(env.To, frame.Bytes())
+	if !tracked {
 		frame.Free()
-		u.mu.Unlock()
-		u.writeOwned(data, dst, env.To)
-		return nil
 	}
-	now := time.Now()
-	wait := u.rtoLocked(env.To)
-	u.pending[env.Seq] = &pendingSend{
-		to:     env.To,
-		frame:  frame,
-		wait:   wait,
-		next:   now.Add(u.jitteredLocked(wait)),
-		sentAt: now,
+	dst := b.dst
+	var batch []byte
+	if urgent {
+		batch = b.take()
 	}
-	data, dst := u.enqueueLocked(env.To, frame.Bytes())
 	u.mu.Unlock()
-	u.writeOwned(data, dst, env.To)
+	u.writeOwned(full, dst, env.To)
+	u.writeOwned(batch, dst, env.To)
 	return nil
 }
 
-// enqueueLocked appends frame bytes to the destination's batch and arms
-// its flush timer. When the batch would overflow, the full buffer is
-// swapped out and returned for the caller to write after releasing u.mu.
-func (u *UDP) enqueueLocked(to types.WorkerID, frame []byte) (data []byte, dst *net.UDPAddr) {
-	b := u.batches[to]
+// datagram is a batch's contents on their way to the socket.
+type datagram struct {
+	data []byte
+	dst  netip.AddrPort
+	to   types.WorkerID
+}
+
+// take empties the batch and returns what it held for the caller to write
+// once u.mu is released (nil if nothing).
+func (b *outBatch) take() []byte {
+	if len(b.buf) == 0 {
+		return nil
+	}
+	data := b.buf
+	b.buf = getBuf()
+	return data
+}
+
+// batchLocked returns the batch bound for peer to, first making room for
+// need more bytes: a batch that would overflow is swapped out and returned
+// as full, for the caller to write after releasing u.mu. A batch about to
+// receive its first frame goes on the dirty list and arms the backstop.
+func (u *UDP) batchLocked(to types.WorkerID, need int) (b *outBatch, full []byte) {
+	b = u.batches[to]
 	if b == nil {
-		b = &outBatch{dst: u.peers[to], buf: getBuf()}
+		b = &outBatch{to: to, dst: u.peers[to], buf: getBuf()}
 		u.batches[to] = b
 	}
-	if len(b.buf) > 0 && len(b.buf)+len(frame) > udpMaxDatagram {
-		data, dst = b.buf, b.dst
-		b.buf = getBuf()
+	if len(b.buf)+need > udpMaxDatagram {
+		full = b.take()
 	}
+	if len(b.buf) == 0 {
+		if !b.listed {
+			b.listed = true
+			u.dirty = append(u.dirty, b)
+		}
+		if !u.flushArmed {
+			u.flushArmed = true
+			u.flushTimer.Reset(udpFlushBackstop)
+		}
+	}
+	return b, full
+}
+
+// enqueueLocked appends frame bytes to the destination's batch.
+func (u *UDP) enqueueLocked(to types.WorkerID, frame []byte) (b *outBatch, full []byte) {
+	b, full = u.batchLocked(to, len(frame))
 	b.buf = append(b.buf, frame...)
-	u.armLocked(to, b)
-	return data, dst
+	return b, full
 }
 
 // queueAckLocked piggybacks an acknowledgment of seq onto the batch bound
 // for peer to, encoding it in place — no intermediate frame, no per-ack
 // allocation beyond boxing the payload.
-func (u *UDP) queueAckLocked(to types.WorkerID, seq uint64) (data []byte, dst *net.UDPAddr) {
-	b := u.batches[to]
-	if b == nil {
-		b = &outBatch{dst: u.peers[to], buf: getBuf()}
-		u.batches[to] = b
-	}
-	if len(b.buf) > udpMaxDatagram-64 {
-		data, dst = b.buf, b.dst
-		b.buf = getBuf()
-	}
+func (u *UDP) queueAckLocked(to types.WorkerID, seq uint64) (b *outBatch, full []byte) {
+	b, full = u.batchLocked(to, 64)
 	u.ackEnv.Job = u.job
 	u.ackEnv.From = u.local
 	u.ackEnv.To = to
@@ -444,58 +552,64 @@ func (u *UDP) queueAckLocked(to types.WorkerID, seq uint64) (data []byte, dst *n
 	if grown, err := wire.AppendEncode(b.buf, &u.ackEnv); err == nil {
 		b.buf = grown
 	}
-	u.armLocked(to, b)
-	return data, dst
+	return b, full
 }
 
-// armLocked schedules a flush for the batch unless one is already armed.
-// Each arming gets a fresh timer stamped with a new generation instead of
-// Reset-ing a shared timer: Reset races with a concurrently firing
-// AfterFunc — the stale callback could flush a batch already being
-// rebuilt, or consume the fire that the Reset was counting on, losing a
-// flush. A generation-checked callback acts at most once, and only for
-// the arming that created it.
-func (u *UDP) armLocked(to types.WorkerID, b *outBatch) {
-	if b.armed {
-		return
-	}
-	b.armed = true
-	u.flushGen++
-	gen := u.flushGen
-	b.gen = gen
-	time.AfterFunc(udpFlushDelay, func() { u.flushPeer(to, gen) })
-}
-
-// flushPeer writes out the accumulated batch for one peer (flush-timer
-// callback). A callback whose generation no longer matches the batch's
-// current arming is stale and must not touch the batch.
-func (u *UDP) flushPeer(to types.WorkerID, gen uint64) {
+// Flush writes out every batch that holds frames, one datagram each. The
+// endpoint's owner calls it on its idle edge — when it is about to wait for
+// traffic and so has nothing more to add — and the backstop timer calls it
+// for everyone else. It is the one flush routine; an urgent Send is the same
+// thing for a single batch.
+func (u *UDP) Flush() {
 	u.mu.Lock()
-	b := u.batches[to]
-	if b == nil || u.closed || !b.armed || b.gen != gen {
+	if u.closed {
 		u.mu.Unlock()
 		return
 	}
-	b.armed = false
-	if len(b.buf) == 0 {
-		u.mu.Unlock()
-		return
+	u.flushAndUnlock()
+}
+
+// flushAndUnlock empties the dirty list under u.mu, releases it, and writes
+// what the batches held.
+func (u *UDP) flushAndUnlock() {
+	var few [4]datagram // a worker talks to a victim, a join's owner, the clearinghouse
+	outs := few[:0]
+	for i, b := range u.dirty {
+		b.listed = false
+		if data := b.take(); data != nil {
+			outs = append(outs, datagram{data, b.dst, b.to})
+		}
+		u.dirty[i] = nil
 	}
-	data, dst := b.buf, b.dst
-	b.buf = getBuf()
+	u.dirty = u.dirty[:0]
 	u.mu.Unlock()
-	u.writeOwned(data, dst, to)
+	for _, o := range outs {
+		u.writeOwned(o.data, o.dst, o.to)
+	}
+}
+
+// flushBackstop is the flush timer's callback: it disarms and flushes in
+// one critical section, so a frame is either in this flush or re-arms the
+// timer.
+func (u *UDP) flushBackstop() {
+	u.mu.Lock()
+	u.flushArmed = false
+	if u.closed {
+		u.mu.Unlock()
+		return
+	}
+	u.flushAndUnlock()
 }
 
 // writeOwned writes one datagram buffer the caller owns and recycles it.
 // When a fault plan is installed, the datagram is judged here — below the
 // reliability layer, so a dropped datagram is retransmitted and a
 // duplicated one is absorbed by the receiver's dedup window.
-func (u *UDP) writeOwned(data []byte, dst *net.UDPAddr, to types.WorkerID) {
+func (u *UDP) writeOwned(data []byte, dst netip.AddrPort, to types.WorkerID) {
 	if data == nil {
 		return
 	}
-	if dst == nil {
+	if !dst.IsValid() {
 		putBuf(data)
 		return
 	}
@@ -511,19 +625,19 @@ func (u *UDP) writeOwned(data []byte, dst *net.UDPAddr, to types.WorkerID) {
 		if v.Delay > 0 {
 			dup := v.Duplicate
 			time.AfterFunc(v.Delay, func() {
-				_, _ = u.conn.WriteToUDP(data, dst)
+				_, _ = u.conn.WriteToUDPAddrPort(data, dst)
 				if dup {
-					_, _ = u.conn.WriteToUDP(data, dst)
+					_, _ = u.conn.WriteToUDPAddrPort(data, dst)
 				}
 				putBuf(data)
 			})
 			return
 		}
 		if v.Duplicate {
-			_, _ = u.conn.WriteToUDP(data, dst)
+			_, _ = u.conn.WriteToUDPAddrPort(data, dst)
 		}
 	}
-	_, _ = u.conn.WriteToUDP(data, dst)
+	_, _ = u.conn.WriteToUDPAddrPort(data, dst)
 	putBuf(data)
 }
 
@@ -541,29 +655,13 @@ func (u *UDP) Close() error {
 		return nil
 	}
 	u.closed = true
-	// Final flush: drain every batch while the socket is still open.
-	type flushOp struct {
-		data []byte
-		dst  *net.UDPAddr
-	}
-	var flushes []flushOp
-	for _, b := range u.batches {
-		if len(b.buf) > 0 {
-			flushes = append(flushes, flushOp{b.buf, b.dst})
-			b.buf = nil
-		}
-	}
+	u.flushTimer.Stop()
 	for seq, p := range u.pending {
 		p.frame.Free()
 		delete(u.pending, seq)
 	}
-	u.mu.Unlock()
-	for _, f := range flushes {
-		if f.dst != nil {
-			_, _ = u.conn.WriteToUDP(f.data, f.dst)
-		}
-		putBuf(f.data)
-	}
+	// Final flush: drain every batch while the socket is still open.
+	u.flushAndUnlock()
 	close(u.stopRetx)
 	err := u.conn.Close()
 	u.wg.Wait()
@@ -571,41 +669,109 @@ func (u *UDP) Close() error {
 	return err
 }
 
+// readLoop is the reader of an endpoint nobody polls: it blocks on the
+// socket and ingests each datagram as it lands. It ends when the endpoint
+// closes or an owner starts to poll (either fails the read).
 func (u *UDP) readLoop() {
 	defer u.wg.Done()
-	for {
-		// Each datagram lands in a pooled arena so hot-path frames can be
-		// handed to consumers as zero-copy views that alias the receive
-		// buffer. Every view decoded from the datagram retains the arena;
-		// our release below only drops the read loop's own reference, and
-		// the buffer recycles once the last view is freed or materialized.
+	u.rmu.Lock()
+	defer u.rmu.Unlock()
+	for !u.owned.Load() {
 		a := wire.NewArena()
-		n, from, err := u.conn.ReadFromUDP(a.Bytes())
+		n, from, err := u.conn.ReadFromUDPAddrPort(a.Bytes())
 		if err != nil {
 			a.Release()
-			return // closed
+			return
 		}
-		// A datagram carries one or more length-prefixed frames back to
-		// back (the sender batches). All frames share the one arena.
-		data := a.Bytes()[:n]
-		for len(data) >= 4 {
-			flen := 4 + int(binary.BigEndian.Uint32(data[:4]))
-			if flen > len(data) {
-				break // truncated tail; drop like a real network would
-			}
-			env, err := wire.DecodeView(data[:flen], a)
-			data = data[flen:]
-			if err != nil {
-				continue // garbage frame; framing is still intact
-			}
-			u.handleInbound(env, from)
-		}
-		a.Release()
+		u.ingest(a, n, unmapped(from))
 	}
 }
 
-func (u *UDP) handleInbound(env *wire.Envelope, from *net.UDPAddr) {
-	// The read loop decodes with DecodeView, so an Ack is always a view.
+// Poll takes whatever the socket holds, on the caller's thread, and feeds
+// it to the mailbox: the caller then finds it on Recv. With wait > 0 and an
+// empty socket it first waits, for at most wait, until a datagram lands;
+// nothing else ends the wait, so a caller with other things to watch waits
+// in slices. It reports false when there is nothing to poll — the endpoint
+// is closed, or this platform has no read that cannot block — and the
+// caller should rely on Recv alone.
+//
+// Poll belongs to the endpoint's owner, the one goroutine that also drains
+// Recv. The first call takes the socket over from readLoop for good.
+func (u *UDP) Poll(wait time.Duration) bool {
+	if !canRecvNow {
+		return false
+	}
+	if !u.owned.Load() {
+		u.owned.Store(true)
+		_ = u.conn.SetReadDeadline(time.Now()) // ends readLoop's wait
+		u.rmu.Lock()
+		_ = u.conn.SetReadDeadline(time.Time{})
+	} else {
+		u.rmu.Lock()
+	}
+	defer u.rmu.Unlock()
+	return u.take(wait)
+}
+
+// take reads the socket until it is empty (or udpTakeBurst datagrams on)
+// and ingests each datagram; if the socket is empty to begin with and wait
+// is positive it first waits up to wait for one. The reads themselves never
+// block; the wait is the netpoller's, so it holds no thread and no
+// processor. It reports false once the socket has closed. Callers hold rmu.
+func (u *UDP) take(wait time.Duration) bool {
+	if wait > 0 {
+		_ = u.conn.SetReadDeadline(time.Now().Add(wait))
+		// An expired deadline fails the next read before it looks.
+		defer u.conn.SetReadDeadline(time.Time{})
+	}
+	u.taken, u.takeWaits = 0, wait > 0
+	err := u.rc.Read(u.takeFn)
+	return err == nil || errors.Is(err, os.ErrDeadlineExceeded)
+}
+
+// takeSome is take's body, run by the RawConn with the descriptor in hand
+// (through takeFn, a method value made once: a closure per poll would be
+// an allocation per spin). Returning false asks to be called again when
+// the socket is readable.
+func (u *UDP) takeSome(fd uintptr) bool {
+	for ; u.taken < udpTakeBurst; u.taken++ {
+		a := wire.NewArena()
+		n, from, err := recvNow(fd, a.Bytes())
+		if err != nil {
+			a.Release()
+			break // empty
+		}
+		u.ingest(a, n, from)
+	}
+	return u.taken > 0 || !u.takeWaits
+}
+
+// ingest is the one receive routine: it walks the frames of a datagram that
+// landed in a's first n bytes and hands each to handleInbound. A datagram
+// carries one or more length-prefixed frames back to back (the sender
+// batches). Hot-path frames go to consumers as zero-copy views that alias
+// the arena; every view retains it, ingest drops the reader's own
+// reference, and the buffer recycles once the last view is freed or
+// materialized.
+func (u *UDP) ingest(a *wire.Arena, n int, from netip.AddrPort) {
+	data := a.Bytes()[:n]
+	for len(data) >= 4 {
+		flen := 4 + int(binary.BigEndian.Uint32(data[:4]))
+		if flen > len(data) {
+			break // truncated tail; drop like a real network would
+		}
+		env, err := wire.DecodeView(data[:flen], a)
+		data = data[flen:]
+		if err != nil {
+			continue // garbage frame; framing is still intact
+		}
+		u.handleInbound(env, from)
+	}
+	a.Release()
+}
+
+func (u *UDP) handleInbound(env *wire.Envelope, from netip.AddrPort) {
+	// ingest decodes with DecodeView, so an Ack is always a view.
 	v, _ := env.Payload.(*wire.View)
 	if av, isAck := v.AsAck(); isAck {
 		ackSeq := av.Seq()
@@ -635,16 +801,20 @@ func (u *UDP) handleInbound(env *wire.Envelope, from *net.UDPAddr) {
 		u.peers[env.From] = from
 	}
 	delete(u.downReported, env.From) // it spoke: alive again
-	key := from.String()
-	w := u.seen[key]
+	w := u.seen[from]
 	if w == nil {
-		w = newDedupWindow()
-		u.seen[key] = w
+		w = &dedupWindow{}
+		u.seen[from] = w
+		if old, ok := u.heard[env.From]; ok {
+			delete(u.seen, old) // the peer moved; its old window is nobody's
+		}
+		u.heard[env.From] = from
 	}
 	fresh := w.add(env.Seq)
-	data, dst := u.queueAckLocked(env.From, env.Seq)
+	b, full := u.queueAckLocked(env.From, env.Seq)
+	dst := b.dst
 	u.mu.Unlock()
-	u.writeOwned(data, dst, env.From)
+	u.writeOwned(full, dst, env.From)
 	if fresh {
 		u.mbox.put(env) // consumer-owned from here; never freed by us
 	} else {
@@ -652,37 +822,54 @@ func (u *UDP) handleInbound(env *wire.Envelope, from *net.UDPAddr) {
 	}
 }
 
+// tickLocked is the retransmit loop's period: a fraction of the base
+// interval, so even compressed test schedules get decent resolution
+// without a per-frame timer.
+func (u *UDP) tickLocked() time.Duration {
+	tick := u.retxBase / 4
+	if tick < time.Millisecond {
+		return time.Millisecond
+	}
+	if tick > 25*time.Millisecond {
+		return 25 * time.Millisecond
+	}
+	return tick
+}
+
+// retransmitLoop runs once a tick. It resends what has gone unacknowledged
+// for its interval, gives up on peers that never answer, and — for an
+// endpoint whose owner polls — reads what the owner has left on the socket:
+// an owner deaf inside a long task body still acknowledges within a tick
+// plus the flush backstop, well inside its peers' first retransmit.
 func (u *UDP) retransmitLoop() {
 	defer u.wg.Done()
+	u.mu.Lock()
+	tick := u.tickLocked()
+	u.mu.Unlock()
+	ticker := time.NewTicker(tick)
+	defer ticker.Stop()
 	for {
-		// Poll at a fraction of the base interval so even compressed test
-		// schedules get decent resolution without a per-frame timer.
-		u.mu.Lock()
-		tick := u.retxBase / 4
-		u.mu.Unlock()
-		if tick < time.Millisecond {
-			tick = time.Millisecond
-		} else if tick > 25*time.Millisecond {
-			tick = 25 * time.Millisecond
-		}
 		select {
 		case <-u.stopRetx:
 			return
-		case <-time.After(tick):
+		case <-ticker.C:
+		}
+		if u.owned.Load() && u.rmu.TryLock() {
+			u.take(0) // rmu busy means the owner is reading right now
+			u.rmu.Unlock()
 		}
 		now := time.Now()
-		type flushOp struct {
-			data []byte
-			dst  *net.UDPAddr
-			to   types.WorkerID
-		}
-		var flushes []flushOp
+		var flushes []datagram
 		var gone []types.WorkerID
 		var retxPeers []types.WorkerID
 		u.mu.Lock()
 		if u.closed {
 			u.mu.Unlock()
 			return
+		}
+		if t := u.tickLocked(); t != tick {
+			tick = t // SetRetransmit moved the schedule
+			ticker.Reset(tick)
 		}
 		for _, p := range u.pending {
 			if now.Before(p.next) {
@@ -700,6 +887,7 @@ func (u *UDP) retransmitLoop() {
 						delete(u.pending, s2)
 					}
 				}
+				u.forgetWindowLocked(to)
 				if !u.downReported[to] {
 					u.downReported[to] = true
 					gone = append(gone, to)
@@ -719,8 +907,8 @@ func (u *UDP) retransmitLoop() {
 				// Re-enqueue through the batcher: the bytes are copied
 				// under the lock, so an ack freeing the pooled frame
 				// concurrently can never corrupt an in-flight write.
-				if data, dst := u.enqueueLocked(p.to, p.frame.Bytes()); data != nil {
-					flushes = append(flushes, flushOp{data, dst, p.to})
+				if b, full := u.enqueueLocked(p.to, p.frame.Bytes()); full != nil {
+					flushes = append(flushes, datagram{full, b.dst, p.to})
 				}
 			}
 		}

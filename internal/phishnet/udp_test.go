@@ -2,20 +2,23 @@ package phishnet
 
 import (
 	"errors"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"phish/internal/stats"
 	"phish/internal/types"
 	"phish/internal/wire"
 )
 
-// TestUDPFlushTimerStress hammers the batcher from many goroutines so
-// flush-timer callbacks constantly overlap re-arming. Before the
-// generation-counter guard, armLocked Reset a shared timer that could be
-// mid-fire: the stale callback would flush a batch that a newer arming
-// owned, or swallow the fire the Reset counted on. Run under -race this
-// doubles as the data-race regression for that pattern.
+// TestUDPFlushTimerStress hammers the batcher from many goroutines so the
+// backstop timer's callback constantly overlaps re-arming: one timer,
+// Reset under the endpoint's lock by whichever Send finds it disarmed,
+// while its callback may be mid-flight on another thread. A lost fire
+// would strand a tail of the stream until retransmit; a flush of the wrong
+// bytes would deliver twice. Run under -race this doubles as the data-race
+// regression for that pattern.
 func TestUDPFlushTimerStress(t *testing.T) {
 	a, err := ListenUDP(1, 1, "127.0.0.1:0")
 	if err != nil {
@@ -48,7 +51,7 @@ func TestUDPFlushTimerStress(t *testing.T) {
 				if i%16 == 0 {
 					// Let flush timers fire mid-stream so arming and
 					// callbacks interleave instead of one giant batch.
-					time.Sleep(udpFlushDelay)
+					time.Sleep(udpFlushBackstop)
 				}
 			}
 		}(s)
@@ -318,5 +321,309 @@ func TestUDPRefusesEnvelopeLargerThanADatagram(t *testing.T) {
 	}
 	if rep, ok := env.Payload.(wire.StealReply); !ok || len(rep.Task.Args) != 6900 {
 		t.Errorf("payload = %T, want the 6900-argument steal reply", env.Payload)
+	}
+}
+
+// udpPair opens two endpoints on the loopback, 1 and 2, that know each
+// other.
+func udpPair(t *testing.T) (a, b *UDP) {
+	t.Helper()
+	var err error
+	if a, err = ListenUDP(1, 1, "127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	if b, err = ListenUDP(1, 2, "127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	a.SetPeer(2, b.LocalAddr())
+	b.SetPeer(1, a.LocalAddr())
+	return a, b
+}
+
+// own makes the test the endpoint's owner, as a worker's Run does: the
+// reader goroutine ends and the socket is read by whoever calls Poll.
+func own(t *testing.T, u *UDP) {
+	t.Helper()
+	if !u.Poll(0) {
+		t.Skip("this platform has no socket read that cannot block")
+	}
+}
+
+// recvOwned is recvOne for an endpoint the test owns: it reads the socket
+// itself, waiting on it a millisecond at a time.
+func recvOwned(t *testing.T, u *UDP, timeout time.Duration) *wire.Envelope {
+	t.Helper()
+	for deadline := time.Now().Add(timeout); ; {
+		select {
+		case env, ok := <-u.Recv():
+			if !ok {
+				t.Fatal("recv channel closed")
+			}
+			return env
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for a message")
+		}
+		u.Poll(time.Millisecond)
+	}
+}
+
+// countDatagrams cuts u off from peer and counts what u would have put on
+// the wire for it: with the pair isolated every datagram is judged, dropped
+// and logged.
+func countDatagrams(u *UDP, peer types.WorkerID) func() int {
+	fl := NewFaults(FaultPlan{Seed: 1})
+	fl.RecordDrops(true)
+	fl.Isolate(peer)
+	u.SetFaults(fl)
+	return func() int { return len(fl.Drops()) }
+}
+
+// A steal request and its reply are urgent: each leaves in its own Send, so
+// a round trip between two endpoints that block on Recv involves no timer.
+// The flush timer this replaces fired 1.03 ms late at best, twice a round
+// trip.
+func TestUDPStealRoundTripNeedsNoTimer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a latency bound; the race detector's slowdown is not the subject")
+	}
+	a, b := udpPair(t)
+	go func() {
+		for env := range b.Recv() {
+			env.Free()
+			_ = b.Send(&wire.Envelope{To: 1, Payload: wire.StealReply{}})
+		}
+	}()
+	const rounds = 400
+	rtts := make([]time.Duration, 0, rounds)
+	for i := 0; i < rounds; i++ {
+		t0 := time.Now()
+		if err := a.Send(&wire.Envelope{To: 2, Payload: wire.StealRequest{Thief: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		recvOne(t, a, 2*time.Second).Free()
+		rtts = append(rtts, time.Since(t0))
+	}
+	sort.Slice(rtts, func(i, j int) bool { return rtts[i] < rtts[j] })
+	if p50 := rtts[rounds/2]; p50 >= 500*time.Microsecond {
+		t.Errorf("steal round trip p50 = %v over %d rounds, want under 500µs: something on the path waits for a timer", p50, rounds)
+	}
+}
+
+// What a thief sends between two steals — the confirm, the stolen task's
+// result, the next request — leaves as one datagram, carried out by the
+// request; frames nobody flushes leave on the backstop, together, once.
+func TestUDPIdleEdgeCoalesces(t *testing.T) {
+	arg := wire.Arg{Cont: types.Continuation{Task: types.TaskID{Worker: 2, Seq: 1}}, Val: int64(7)}
+	newSender := func(t *testing.T) (*UDP, func() int) {
+		a, _ := udpPair(t)
+		a.SetRetransmit(5*time.Second, 5*time.Second, 1) // no retransmit inside this test
+		return a, countDatagrams(a, 2)
+	}
+	send := func(t *testing.T, a *UDP, payload any) {
+		t.Helper()
+		if err := a.Send(&wire.Envelope{To: 2, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("urgent", func(t *testing.T) {
+		a, sent := newSender(t)
+		send(t, a, wire.StealConfirm{Record: types.TaskID{Worker: 2, Seq: 9}})
+		send(t, a, arg)
+		if n := sent(); n != 0 {
+			t.Fatalf("%d datagram(s) left before anything urgent was sent", n)
+		}
+		send(t, a, wire.StealRequest{Thief: 1})
+		if n := sent(); n != 1 {
+			t.Fatalf("confirm, arg and request left as %d datagrams, want 1", n)
+		}
+		time.Sleep(5 * udpFlushBackstop)
+		if n := sent(); n != 1 {
+			t.Errorf("the backstop sent %d more datagram(s) over empty batches", n-1)
+		}
+	})
+	t.Run("flush", func(t *testing.T) {
+		a, sent := newSender(t)
+		send(t, a, arg)
+		send(t, a, arg)
+		a.Flush()
+		if n := sent(); n != 1 {
+			t.Fatalf("two args and a Flush left as %d datagrams, want 1", n)
+		}
+		a.Flush()
+		if n := sent(); n != 1 {
+			t.Errorf("a Flush with nothing batched sent %d datagram(s)", n-1)
+		}
+	})
+	t.Run("backstop", func(t *testing.T) {
+		a, sent := newSender(t)
+		for i := 0; i < 3; i++ {
+			send(t, a, arg)
+		}
+		if n := sent(); n != 0 {
+			t.Fatalf("%d datagram(s) left at once with nothing urgent and no Flush", n)
+		}
+		for deadline := time.Now().Add(2 * time.Second); sent() == 0; {
+			if time.Now().After(deadline) {
+				t.Fatal("the backstop never flushed three batched args")
+			}
+			time.Sleep(udpFlushBackstop / 4)
+		}
+		time.Sleep(5 * udpFlushBackstop)
+		if n := sent(); n != 1 {
+			t.Errorf("three args left on the backstop as %d datagrams, want 1", n)
+		}
+	})
+}
+
+// An owner that polls and then goes deaf (a long task body that never
+// yields) still acknowledges: the retransmit tick reads its socket, so its
+// peers neither retransmit nor give up on it, and everything is there, once
+// and in order, when it looks again.
+func TestUDPDeafOwnerStillAcks(t *testing.T) {
+	a, b := udpPair(t)
+	own(t, b)
+	var c stats.Counters
+	a.Instrument(&c, nil, nil)
+	down := make(chan types.WorkerID, 1)
+	a.SetPeerDown(func(id types.WorkerID) { down <- id })
+
+	const n = 40
+	for i := 0; i < n; i++ {
+		if err := a.Send(&wire.Envelope{To: 2, Payload: wire.Heartbeat{Worker: types.WorkerID(i)}}); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(300 * time.Millisecond / n) // b is deaf throughout
+	}
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		a.mu.Lock()
+		unacked := len(a.pending)
+		a.mu.Unlock()
+		if unacked == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d frame(s) still unacknowledged by a deaf owner", unacked)
+		}
+	}
+	if got := c.Retransmits.Load(); got != 0 {
+		t.Errorf("%d retransmit(s) to an owner that was only deaf", got)
+	}
+	select {
+	case id := <-down:
+		t.Errorf("peer %d declared gone while its owner was deaf", id)
+	default:
+	}
+	for i := 0; i < n; i++ {
+		env := recvOwned(t, b, 2*time.Second)
+		if err := env.Materialize(); err != nil {
+			t.Fatal(err)
+		}
+		if hb := env.Payload.(wire.Heartbeat); hb.Worker != types.WorkerID(i) {
+			t.Fatalf("message %d carries %d: the backstop reader reordered or repeated", i, hb.Worker)
+		}
+	}
+}
+
+// Two readers on one socket — the owner polling flat out and the retransmit
+// tick's backstop — deliver every frame once: a datagram goes to one of
+// them, whole, and the dedup window they share absorbs the duplicates the
+// fault plan injects.
+func TestUDPOwnerAndBackstopReadOneSocket(t *testing.T) {
+	a, b := udpPair(t)
+	own(t, b)
+	b.SetRetransmit(4*time.Millisecond, 50*time.Millisecond, 50) // a 1 ms tick: the backstop reads often
+	a.SetFaults(NewFaults(FaultPlan{Seed: 5, Duplicate: 0.3}))
+
+	const n = 3000
+	go func() {
+		for i := 0; i < n; i++ {
+			_ = a.Send(&wire.Envelope{To: 2, Payload: wire.Heartbeat{Worker: types.WorkerID(i)}})
+			if i%8 == 7 {
+				a.Flush()
+			}
+		}
+		a.Flush()
+	}()
+	seen := make([]bool, n)
+	for got, deadline := 0, time.Now().Add(20*time.Second); got < n; {
+		b.Poll(0)
+		select {
+		case env := <-b.Recv():
+			if err := env.Materialize(); err != nil {
+				t.Fatal(err)
+			}
+			i := int(env.Payload.(wire.Heartbeat).Worker)
+			if seen[i] {
+				t.Fatalf("message %d delivered twice", i)
+			}
+			seen[i] = true
+			got++
+		default:
+			if time.Now().After(deadline) {
+				t.Fatalf("received %d/%d", got, n)
+			}
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // late duplicates, if any got past the window
+	b.Poll(0)
+	select {
+	case env := <-b.Recv():
+		t.Fatalf("a duplicate of seq %d was delivered after the stream", env.Seq)
+	default:
+	}
+}
+
+// A dedup window lives as long as its peer: DropPeer takes it away, so an
+// endpoint that outlives a thousand peers (a clearinghouse under worker
+// churn) holds windows for the live ones only, and a window costs what the
+// peer sent, not a full ring.
+func TestUDPDedupWindowsFollowPeers(t *testing.T) {
+	ch, err := ListenUDP(1, types.ClearinghouseID, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ch.Close()
+	windows := func() (n, entries int) {
+		ch.mu.Lock()
+		defer ch.mu.Unlock()
+		for _, w := range ch.seen {
+			entries += cap(w.ring)
+		}
+		return len(ch.seen), entries
+	}
+	const peers, live = 1000, 3
+	var keep []*UDP
+	for i := 0; i < peers; i++ {
+		id := types.WorkerID(i + 1)
+		p, err := ListenUDP(1, id, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.SetPeer(types.ClearinghouseID, ch.LocalAddr())
+		if err := p.Send(&wire.Envelope{To: types.ClearinghouseID, Payload: wire.Heartbeat{Worker: id}}); err != nil {
+			t.Fatal(err)
+		}
+		p.Flush()
+		recvOne(t, ch, 2*time.Second).Free()
+		if i < live {
+			keep = append(keep, p)
+			continue
+		}
+		ch.DropPeer(id)
+		p.Close()
+	}
+	n, entries := windows()
+	if n != live {
+		t.Errorf("%d dedup windows after %d peers came and went, want the %d live ones", n, peers-live, live)
+	}
+	if entries > live*64 {
+		t.Errorf("%d live peers that sent one frame each hold %d ring entries", live, entries)
+	}
+	for _, p := range keep {
+		p.Close()
 	}
 }
