@@ -23,8 +23,8 @@ import (
 func TestCheckpointRestoreOverUDP(t *testing.T) {
 	const jobID types.JobID = 3
 	spec := wire.JobSpec{ID: jobID, Name: "pfold", Program: "pfold",
-		RootFn: pfold.Root, RootArgs: pfold.RootArgs(14, 3)}
-	want := pfold.Serial(14)
+		RootFn: pfold.Root, RootArgs: pfold.RootArgs(18, 7)}
+	want := pfold.Serial(18)
 
 	chConn, err := phishnet.ListenUDP(jobID, types.ClearinghouseID, "127.0.0.1:0")
 	if err != nil {
@@ -139,5 +139,75 @@ func TestCheckpointRestoreOverUDP(t *testing.T) {
 		}
 		t.Fatalf("restored histogram wrong: got %d foldings want %d (execA=%d execB=%d orphans=%d redone=%d)",
 			gotN, wantN, execA, execB, orphB, redoB)
+	}
+}
+
+// TestFineGrainYieldsOverUDPStayLive runs pfold on one worker over real UDP
+// sockets, where nobody but the worker reads the worker's socket and a
+// pfold leaf yields every microsecond or so. Yield looks at the socket only
+// as often as the loop's housekeeping pass would for tasks of that grain —
+// not at every call, which would make each a system call — and a thief's
+// request must still be answered well within the 50 ms that
+// core's TestYieldingWorkerOverUDPStaysLive allows a single long body.
+func TestFineGrainYieldsOverUDPStayLive(t *testing.T) {
+	const jobID types.JobID = 4
+	const bound = 50 * time.Millisecond
+	spec := wire.JobSpec{ID: jobID, Name: "pfold", Program: "pfold",
+		RootFn: pfold.Root, RootArgs: pfold.RootArgs(20, 6)}
+	listen := func(id types.WorkerID) *phishnet.UDP {
+		u, err := phishnet.ListenUDP(jobID, id, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { u.Close() })
+		return u
+	}
+	chConn := listen(types.ClearinghouseID)
+	ch := clearinghouse.New(spec, chConn, clearinghouse.DefaultConfig())
+	go ch.Run()
+	defer ch.Stop()
+
+	conn, thief := listen(0), listen(1)
+	conn.SetPeer(types.ClearinghouseID, chConn.LocalAddr())
+	conn.SetPeer(1, thief.LocalAddr())
+	thief.SetPeer(0, conn.LocalAddr())
+	w := core.NewWorker(jobID, 0, pfold.Program(), conn, core.DefaultConfig(), clock.System)
+	done := make(chan struct{})
+	go func() { defer close(done); _ = w.Run() }()
+	defer func() { w.Crash(); <-done }()
+
+	for deadline := time.Now().Add(10 * time.Second); w.Stats().CkptSaves < 1000; {
+		if time.Now().After(deadline) {
+			t.Fatal("the job never got going")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Each grant takes the oldest task in the deque, a large subtree: a few
+	// requests leave the worker plenty to do, and it must be busy for the
+	// answer to mean anything.
+	for i := 0; i < 4; i++ {
+		saves := w.Stats().CkptSaves
+		t0 := time.Now()
+		if err := thief.Send(&wire.Envelope{Job: jobID, From: 1, To: 0, Payload: wire.StealRequest{Thief: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case env := <-thief.Recv():
+			if env.Materialize() != nil {
+				t.Fatal("undecodable answer")
+			}
+			if _, ok := env.Payload.(wire.StealReply); !ok {
+				t.Fatalf("thief received %s, want a steal reply", env.PayloadName())
+			}
+			if d := time.Since(t0); d > bound {
+				t.Errorf("steal request %d answered after %v, want within %v", i, d, bound)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("steal request %d never answered", i)
+		}
+		time.Sleep(5 * time.Millisecond)
+		if w.Stats().CkptSaves == saves {
+			t.Fatalf("the worker was not running leaves around request %d: the answer shows nothing", i)
+		}
 	}
 }

@@ -180,7 +180,7 @@ func TestBinariesCheckpointRestore(t *testing.T) {
 		"-workers", "2",
 		"-checkpoint", ckpt, "-checkpoint-every", "400ms",
 		"-timeout", "120s",
-		"pfold", "16", "3")
+		"pfold", "19", "6")
 	var firstOut bytes.Buffer
 	first.Stdout, first.Stderr = &firstOut, &firstOut
 	if err := first.Start(); err != nil {
@@ -216,8 +216,10 @@ func TestBinariesCheckpointRestore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restore: %v\n%s", err, out)
 	}
-	// pfold(16) has 6,416,596 foldings (self-avoiding walks of 15 steps).
-	if !strings.Contains(string(out), "foldings = 6416596") {
+	// pfold(19) has 124,658,732 foldings (self-avoiding walks of 18 steps):
+	// the task tree of the pfold(16, 3) this test ran while a folding cost
+	// 200 ns, with leaves heavy enough to outlast the first checkpoint.
+	if !strings.Contains(string(out), "foldings = 124658732") {
 		t.Errorf("restored job produced wrong output:\n%s", out)
 	}
 	if !strings.Contains(string(out), "resuming job") {

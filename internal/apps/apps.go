@@ -114,6 +114,9 @@ var catalog = map[string]App{
 			if err != nil {
 				return nil, err
 			}
+			if err := pfold.CheckN(int(n)); err != nil {
+				return nil, err
+			}
 			threshold := 0
 			if len(args) > 1 {
 				t, err := strconv.Atoi(args[1])

@@ -10,11 +10,24 @@
 // the workload behind the paper's Figure 4 (execution time), Figure 5
 // (speedup), and Table 2 (scheduling statistics).
 //
+// The lattice is a flat byte grid, one byte per cell (1 = occupied), of
+// side 2n+1 with the first monomer at the centre: a chain of n monomers
+// reaches at most n−1 cells from it and looks one cell further, so no index
+// ever leaves the grid. A cell's four neighbours are four index deltas, and
+// the contacts a new monomer makes are the sum of its four neighbour bytes
+// less one — the chain predecessor is always among them. One recursion
+// (walker.branch) over that grid serves Serial and the parallel program's
+// leaves alike, so "time against the best serial code" compares a schedule
+// with the work it schedules and nothing else.
+//
 // The search tree is explored in parallel: a task extends a partial
 // folding by one monomer per feasible lattice cell, spawning a child per
 // extension and a merge successor that sums the children's histograms.
 // When the number of remaining monomers drops to the serial threshold the
-// task enumerates the rest of its subtree inline — the grain-size knob.
+// task enumerates the rest of its subtree inline — the grain-size knob. A
+// task builds no world of its own: it borrows a walker from a pool, lays
+// its prefix on the grid, runs, and lifts the prefix again, which hands the
+// grid back all-zero without clearing it.
 package pfold
 
 import (
@@ -29,17 +42,28 @@ import (
 // switches to serial enumeration.
 const DefaultThreshold = 6
 
-// pos packs a lattice coordinate; monomer chains are far shorter than the
-// offset, so coordinates never collide.
+// MaxMonomers is the longest polymer the package folds. A task's path
+// argument packs each lattice coordinate into ten bits (see pack), which
+// hold ±511, and an n-monomer chain reaches n−1 cells from its first
+// monomer; one past this limit the packed coordinates would wrap and two
+// different cells would read as one.
+const MaxMonomers = 512
+
+// CheckN reports whether an n-monomer polymer is one the package folds.
+func CheckN(n int) error {
+	if n < 1 || n > MaxMonomers {
+		return fmt.Errorf("pfold: %d monomers: want 1 to %d (a path coordinate is packed into ten bits, ±%d)",
+			n, MaxMonomers, MaxMonomers-1)
+	}
+	return nil
+}
+
+// pos packs a lattice coordinate as it travels in a task's path argument;
+// the first monomer sits at (0, 0).
 type pos int32
 
-func pack(x, y int32) pos          { return pos((x+512)<<10 | (y + 512)) }
-func (p pos) unpack() (x, y int32) { return int32(p)>>10 - 512, int32(p)&1023 - 512 }
-
-func neighbors(p pos) [4]pos {
-	x, y := p.unpack()
-	return [4]pos{pack(x+1, y), pack(x-1, y), pack(x, y+1), pack(x, y-1)}
-}
+func pack(x, y int) pos          { return pos((x+512)<<10 | (y + 512)) }
+func (p pos) unpack() (x, y int) { return int(p)>>10 - 512, int(p)&1023 - 512 }
 
 // HistSize returns the histogram length used for an n-monomer polymer:
 // energies range over [0, maxContacts] and a monomer on the square
@@ -48,59 +72,93 @@ func neighbors(p pos) [4]pos {
 // 2n+1 to make the invariant obvious.
 func HistSize(n int) int { return 2*n + 1 }
 
-// walker enumerates completions of a partial folding.
+// walker enumerates completions of a partial folding on its grid. Between
+// uses (see walkers) the grid is all-zero.
 type walker struct {
-	n    int
-	occ  map[pos]int32 // occupied cell -> monomer index
-	path []pos
-	hist []int64
+	n      int
+	stride int     // grid side, 2n+1
+	grid   []uint8 // stride×stride cells, 1 = occupied
+	d      [4]int  // neighbour deltas in branch order: +x, −x, +y, −y
+	hist   []int64
+	// Scratch of a task leaf: the cells its prefix occupies and the
+	// checkpoint blob it offers at every Yield (the runtime copies it).
+	cells []int
+	blob  []byte
 }
 
-// contactsAt counts the new contacts created by placing monomer idx at p:
-// occupied neighbors other than the chain predecessor.
-func (w *walker) contactsAt(p pos, idx int32) int {
-	c := 0
-	for _, q := range neighbors(p) {
-		if j, ok := w.occ[q]; ok && j != idx-1 {
-			c++
-		}
-	}
-	return c
+func newWalker(n int) *walker {
+	s := 2*n + 1
+	return &walker{n: n, stride: s, grid: make([]uint8, s*s), d: [4]int{1, -1, s, -s}}
 }
 
-// extend recursively places monomers idx..n-1, accumulating energy.
-func (w *walker) extend(idx int32, energy int) {
-	if int(idx) == w.n {
+// cell is the grid index of lattice coordinate (x, y).
+func (w *walker) cell(x, y int) int { return (y+w.n)*w.stride + x + w.n }
+
+// pos is the packed lattice coordinate of grid index q.
+func (w *walker) pos(q int) pos { return pack(q%w.stride-w.n, q/w.stride-w.n) }
+
+// contacts counts the contacts a monomer placed at free cell q makes: its
+// occupied neighbours other than the chain predecessor, which is always one
+// of the four.
+func (w *walker) contacts(q int) int {
+	g, s := w.grid, w.stride
+	return int(g[q+1]+g[q-1]+g[q+s]+g[q-s]) - 1
+}
+
+// branch puts the next monomer at free cell q and counts every completion
+// of the folding into hist; left is the number of monomers still to place,
+// this one included, and energy the contacts made so far. The grid is left
+// as it was found.
+func (w *walker) branch(q, left, energy int) {
+	energy += w.contacts(q)
+	if left == 1 {
 		w.hist[energy]++
 		return
 	}
-	last := w.path[idx-1]
-	for _, q := range neighbors(last) {
-		if _, taken := w.occ[q]; taken {
+	w.grid[q] = 1
+	w.extend(q, left-1, energy)
+	w.grid[q] = 0
+}
+
+// extend is branch for every free neighbour of the occupied cell at, with
+// the last monomer's placement folded into the loop.
+func (w *walker) extend(at, left, energy int) {
+	g, s := w.grid, w.stride
+	for _, d := range w.d {
+		q := at + d
+		if g[q] != 0 {
 			continue
 		}
-		dc := w.contactsAt(q, idx)
-		w.occ[q] = idx
-		w.path = append(w.path, q)
-		w.extend(idx+1, energy+dc)
-		w.path = w.path[:idx]
-		delete(w.occ, q)
+		e := energy + int(g[q+1]+g[q-1]+g[q+s]+g[q-s]) - 1 // contacts(q), on the locals
+		if left == 1 {
+			w.hist[e]++
+			continue
+		}
+		g[q] = 1
+		w.extend(q, left-1, e)
+		g[q] = 0
 	}
 }
 
-// Serial is the best serial implementation: enumerate all foldings of an
-// n-monomer polymer and return the energy histogram.
+// Serial is the best serial implementation we have — the grid recursion the
+// parallel program's leaves run, with no task around it: enumerate all
+// foldings of an n-monomer polymer and return the energy histogram. It
+// panics unless 1 ≤ n ≤ MaxMonomers.
 func Serial(n int) []int64 {
-	if n < 1 {
-		panic("pfold: need at least one monomer")
+	if err := CheckN(n); err != nil {
+		panic(err.Error())
 	}
-	w := &walker{
-		n:    n,
-		occ:  map[pos]int32{pack(0, 0): 0},
-		path: []pos{pack(0, 0)},
-		hist: make([]int64, HistSize(n)),
+	w := newWalker(n)
+	w.hist = make([]int64, HistSize(n))
+	if n == 1 {
+		w.hist[0] = 1
+		return w.hist
 	}
-	w.extend(1, 0)
+	origin := w.cell(0, 0)
+	w.grid[origin] = 1
+	for _, d := range w.d {
+		w.branch(origin+d, n-1, 0)
+	}
 	return w.hist
 }
 
@@ -114,91 +172,150 @@ func Foldings(hist []int64) int64 {
 	return total
 }
 
+// walkers recycles walkers between tasks (a sync.Pool: one free list per
+// processor, so a worker gets back the walker it just returned). A walker
+// goes back only through release, with its grid all-zero.
+var walkers sync.Pool
+
+// acquire borrows a walker for an n-monomer polymer and lays the partial
+// folding packed on its grid; w.cells then holds the monomers' cells in
+// chain order. It panics, naming the fault, on a path that is empty, longer
+// than n, does not start at (0, 0), takes a step that is not to a lattice
+// neighbour, or crosses itself; a path that passes stays on the grid, n−1
+// steps from its centre at most. A task that panics keeps its walker out
+// of the pool.
+func acquire(n int, packed []int64) *walker {
+	if len(packed) < 1 || len(packed) > n {
+		panic(fmt.Sprintf("pfold: path of %d monomers for a polymer of %d", len(packed), n))
+	}
+	if packed[0] != int64(pack(0, 0)) {
+		panic(fmt.Sprintf("pfold: path starts at packed position %d, off the lattice: the first monomer sits at (0, 0)", packed[0]))
+	}
+	w, _ := walkers.Get().(*walker)
+	if w == nil || w.n != n {
+		w = newWalker(n)
+	}
+	q := w.cell(0, 0)
+	w.grid[q] = 1
+	w.cells = append(w.cells[:0], q)
+	for i := 1; i < len(packed); i++ {
+		// A step along x moves the packed position by 1<<10, one along y by 1.
+		switch packed[i] - packed[i-1] {
+		case 1 << 10:
+			q += w.d[0]
+		case -1 << 10:
+			q += w.d[1]
+		case 1:
+			q += w.d[2]
+		case -1:
+			q += w.d[3]
+		default:
+			panic(fmt.Sprintf("pfold: path monomer %d (packed position %d) is not a lattice neighbour of monomer %d (%d)",
+				i, packed[i], i-1, packed[i-1]))
+		}
+		if w.grid[q] != 0 {
+			x, y := w.pos(q).unpack()
+			panic(fmt.Sprintf("pfold: path monomer %d at (%d, %d) lands on an occupied cell", i, x, y))
+		}
+		w.grid[q] = 1
+		w.cells = append(w.cells, q)
+	}
+	return w
+}
+
+// release lifts the prefix acquire laid and returns the walker to the pool.
+func (w *walker) release() {
+	for _, q := range w.cells {
+		w.grid[q] = 0
+	}
+	w.hist = nil // handed to the runtime, or abandoned at a preemption
+	walkers.Put(w)
+}
+
 // Task arguments: n, threshold, energy-so-far, path (packed positions).
 func pfoldTask(c phish.TaskCtx) {
 	n := int(c.Int(0))
 	threshold := int(c.Int(1))
 	energy := int(c.Int(2))
 	packed := c.Arg(3).([]int64)
-
-	w := &walker{n: n, occ: make(map[pos]int32, n), hist: make([]int64, HistSize(n))}
-	for i, pp := range packed {
-		p := pos(pp)
-		w.occ[p] = int32(i)
-		w.path = append(w.path, p)
+	if err := CheckN(n); err != nil {
+		panic(err.Error())
 	}
-	idx := int32(len(packed))
-
-	if int(idx) == n {
-		w.hist[energy]++
-		c.Return(w.hist)
+	if energy < 0 || energy >= n {
+		panic(fmt.Sprintf("pfold: energy %d so far for a polymer of %d", energy, n))
+	}
+	w := acquire(n, packed)
+	left := n - len(packed)
+	if left == 0 {
+		w.release()
+		hist := make([]int64, HistSize(n))
+		hist[energy]++
+		c.Return(hist)
 		return
 	}
-	if n-int(idx) <= threshold {
+	// The feasible placements of the next monomer, in branch order.
+	var free [4]int
+	nfree := 0
+	for _, d := range w.d {
+		if q := w.cells[len(packed)-1] + d; w.grid[q] == 0 {
+			free[nfree] = q
+			nfree++
+		}
+	}
+
+	if left <= threshold {
 		// Small remainder: enumerate serially inside this task, one
 		// first-level branch subtree at a time, checkpointing the partial
 		// histogram between branches so a preempted or redone leaf skips
-		// the subtrees it already summed.
-		done := resumeHist(c.Checkpoint(), w.hist)
-		last := w.path[idx-1]
-		branch := 0
-		for _, q := range neighbors(last) {
-			if _, taken := w.occ[q]; taken {
+		// the subtrees it already summed. After the last branch there is
+		// nothing left to skip: the leaf returns without another Yield.
+		hist := make([]int64, HistSize(n))
+		done := resumeHist(c.Checkpoint(), hist)
+		w.hist = hist
+		for i, q := range free[:nfree] {
+			if i < done {
 				continue
 			}
-			branch++
-			if branch <= done {
-				continue
-			}
-			dc := w.contactsAt(q, idx)
-			w.occ[q] = idx
-			w.path = append(w.path, q)
-			w.extend(idx+1, energy+dc)
-			w.path = w.path[:idx]
-			delete(w.occ, q)
-			if c.Yield(packHist(branch, w.hist)) {
+			w.branch(q, left, energy)
+			if i+1 < nfree && c.Yield(w.packHist(i+1)) {
+				w.release()
 				return
 			}
 		}
-		c.Return(w.hist)
+		w.release()
+		c.Return(hist)
 		return
 	}
 
-	// Fan out: one child per feasible placement of the next monomer.
-	last := w.path[idx-1]
-	type ext struct {
-		p  pos
-		dc int
-	}
-	var exts []ext
-	for _, q := range neighbors(last) {
-		if _, taken := w.occ[q]; !taken {
-			exts = append(exts, ext{q, w.contactsAt(q, idx)})
-		}
-	}
-	if len(exts) == 0 {
-		c.Return(w.hist) // dead end: contributes nothing
+	// Fan out: one child per feasible placement.
+	if nfree == 0 {
+		w.release()
+		c.Return(make([]int64, HistSize(n))) // dead end: contributes nothing
 		return
 	}
-	s := c.Successor("pfold.merge", len(exts))
-	for slot, e := range exts {
+	s := c.Successor("pfold.merge", nfree)
+	for slot, q := range free[:nfree] {
 		child := make([]int64, len(packed)+1)
 		copy(child, packed)
-		child[len(packed)] = int64(e.p)
+		child[len(packed)] = int64(w.pos(q))
 		c.Spawn("pfold", s.Cont(slot),
-			int64(n), int64(threshold), int64(energy+e.dc), child)
+			int64(n), int64(threshold), int64(energy+w.contacts(q)), child)
 	}
+	w.release()
 }
 
-// packHist encodes a serial leaf's checkpoint: the count of first-level
-// branches already summed, then the partial histogram.
-func packHist(done int, hist []int64) []byte {
-	blob := make([]byte, 1+8*len(hist))
-	blob[0] = byte(done)
-	for i, v := range hist {
-		binary.BigEndian.PutUint64(blob[1+8*i:], uint64(v))
+// packHist encodes a serial leaf's checkpoint into the walker's blob
+// buffer: the count of first-level branches already summed, then the
+// partial histogram.
+func (w *walker) packHist(done int) []byte {
+	if len(w.blob) != 1+8*len(w.hist) {
+		w.blob = make([]byte, 1+8*len(w.hist))
 	}
-	return blob
+	w.blob[0] = byte(done)
+	for i, v := range w.hist {
+		binary.BigEndian.PutUint64(w.blob[1+8*i:], uint64(v))
+	}
+	return w.blob
 }
 
 // resumeHist decodes a leaf checkpoint into hist, returning the completed
@@ -247,8 +364,12 @@ func Program() *phish.Program {
 const Root = "pfold"
 
 // RootArgs builds the root argument list for an n-monomer polymer with
-// the given serial threshold (DefaultThreshold when threshold <= 0).
+// the given serial threshold (DefaultThreshold when threshold <= 0). It
+// panics unless 1 ≤ n ≤ MaxMonomers.
 func RootArgs(n, threshold int) []phish.Value {
+	if err := CheckN(n); err != nil {
+		panic(err.Error())
+	}
 	if threshold <= 0 {
 		threshold = DefaultThreshold
 	}

@@ -154,7 +154,10 @@ func TestMigrationChurnSoak(t *testing.T) {
 
 	const k, n = 8, 150
 	jobA := c.Submit(migrateProg(), "fan", []types.Value{int64(k), int64(n)})
-	jobB := c.Submit(pfold.Program(), pfold.Root, pfold.RootArgs(13, 5))
+	// pfold(16, 8) is the task tree of pfold(13, 5) — eight monomers down to
+	// the leaves — with leaves as heavy on the grid kernel as those were on
+	// the map walker: the job still lasts long enough to be churned.
+	jobB := c.Submit(pfold.Program(), pfold.Root, pfold.RootArgs(16, 8))
 	jobs := []*Job{jobA, jobB}
 
 	// The gremlin churns random live workers: mostly planned drains and
@@ -200,8 +203,8 @@ func TestMigrationChurnSoak(t *testing.T) {
 	if got, want := vA.(int64), fanSum(k, n); got != want {
 		t.Errorf("chunk result = %d, want %d", got, want)
 	}
-	if got := pfold.Foldings(vB.([]int64)); got != 324932 {
-		t.Errorf("pfold foldings = %d, want 324932", got)
+	if got := pfold.Foldings(vB.([]int64)); got != 6416596 {
+		t.Errorf("pfold foldings = %d, want 6416596", got)
 	}
 
 	tot := jobA.Totals()

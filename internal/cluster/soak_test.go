@@ -48,10 +48,12 @@ func TestChurnSoak(t *testing.T) {
 			func(v types.Value) bool { return v.(int64) == fib.Serial(26) }, "fib(26)"},
 		{c.Submit(nqueens.Program(), nqueens.Root, nqueens.RootArgs(11)),
 			func(v types.Value) bool { return v.(int64) == 2680 }, "nqueens(11)"},
-		{c.Submit(pfold.Program(), pfold.Root, pfold.RootArgs(13, 5)),
+		// The task tree of pfold(13, 5), leaves heavy enough on the grid
+		// kernel for the job to outlast a few crashes.
+		{c.Submit(pfold.Program(), pfold.Root, pfold.RootArgs(16, 8)),
 			func(v types.Value) bool {
-				return pfold.Foldings(v.([]int64)) == 324932 // SAW(12)
-			}, "pfold(13)"},
+				return pfold.Foldings(v.([]int64)) == 6416596 // SAW(15)
+			}, "pfold(16)"},
 		{c.Submit(fib.Program(), fib.Root, fib.RootArgs(25)),
 			func(v types.Value) bool { return v.(int64) == fib.Serial(25) }, "fib(25)"},
 	}
@@ -139,10 +141,10 @@ func TestCrashRestartSoak(t *testing.T) {
 	jobs := []want{
 		{c.Submit(fib.Program(), fib.Root, fib.RootArgs(26)),
 			func(v types.Value) bool { return v.(int64) == fib.Serial(26) }, "fib(26)", fib.TaskCount(26)},
-		{c.Submit(pfold.Program(), pfold.Root, pfold.RootArgs(13, 5)),
+		{c.Submit(pfold.Program(), pfold.Root, pfold.RootArgs(16, 8)),
 			func(v types.Value) bool {
-				return pfold.Foldings(v.([]int64)) == 324932 // SAW(12)
-			}, "pfold(13)", 0},
+				return pfold.Foldings(v.([]int64)) == 6416596 // SAW(15)
+			}, "pfold(16)", 0},
 		{c.Submit(fib.Program(), fib.Root, fib.RootArgs(25)),
 			func(v types.Value) bool { return v.(int64) == fib.Serial(25) }, "fib(25)", fib.TaskCount(25)},
 	}

@@ -176,6 +176,64 @@ func TestDrainHandsOffCheckpointedTask(t *testing.T) {
 	}
 }
 
+// TestDrainCarriesNewestCkpt drains a worker whose publication table is
+// far behind its task: the first blob went out at once and, with CkptEvery
+// at an hour, none since. What migrates is the closure's own checkpoint —
+// the last Yield's blob and sequence number — so the adopter resumes
+// exactly where the drain cut in: one resume, no step run twice.
+func TestDrainCarriesNewestCkpt(t *testing.T) {
+	const n = 300
+	chunkSteps.Store(0)
+	r := newCkptRig(t, "chunks", n)
+	r.cfg.CkptEvery = time.Hour
+	w1 := r.addWorker(1)
+
+	deadline := time.Now().Add(5 * time.Second)
+	for w1.Stats().CkptSaves < 20 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if w1.Stats().CkptSaves < 20 {
+		t.Fatalf("task made no checkpointed progress on w1: %+v", w1.Stats())
+	}
+	if pub := w1.CkptTable(); len(pub) != 1 || pub[0].Seq != 1 {
+		t.Fatalf("w1 published %+v after %d saves, want only the first blob", pub, w1.Stats().CkptSaves)
+	}
+	w2 := r.addWorker(2)
+	for len(r.ch.LiveWorkers()) < 2 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	w1.Drain()
+	<-r.done[1]
+	saved := uint64(w1.Stats().CkptSaves) // one save per step, the last at the Yield that vacated
+	if pub := w1.CkptTable(); len(pub) != 0 {
+		t.Errorf("w1 still advertises %+v after the task left", pub)
+	}
+
+	// The adopter's first Yield publishes: one step past what migrated.
+	var pub []wire.TaskCkpt
+	for len(pub) == 0 && time.Now().Before(deadline) {
+		pub = w2.CkptTable()
+		time.Sleep(time.Millisecond)
+	}
+	if len(pub) != 1 || pub[0].Seq != saved+1 || len(pub[0].Data) != 16 ||
+		binary.BigEndian.Uint64(pub[0].Data) != saved+1 {
+		t.Errorf("w2 published %+v, want seq %d with step %d in the blob: the closure migrated without its newest checkpoint",
+			pub, saved+1, saved+1)
+	}
+	if got := r.wait(30 * time.Second); got != chunkSum(n) {
+		t.Fatalf("result = %d, want %d", got, chunkSum(n))
+	}
+	if s2 := w2.Stats(); s2.CkptResumes != 1 {
+		t.Errorf("w2 resumed from a checkpoint %d times, want 1: %+v", s2.CkptResumes, s2)
+	}
+	if steps := chunkSteps.Load(); steps != n {
+		t.Errorf("%d steps executed for %d units of work: the resume redid some", steps, n)
+	}
+	if got := w1.Stats().CkptSaves + w2.Stats().CkptSaves; got != n {
+		t.Errorf("%d checkpoints saved over %d steps", got, n)
+	}
+}
+
 // TestCrashRedoResumesFromPublishedBlob crashes a thief mid-task: the
 // victim's redo must pick up the thief's last published checkpoint (which
 // rode StatReports to the clearinghouse and came back on WorkerDown)

@@ -52,26 +52,34 @@ type Closure struct {
 	// last ready closure between them, one steal record per hop.
 	// Local-only: cleared by execute, dropped by migration.
 	adopted bool
+	// published marks a closure with an entry in this worker's checkpoint
+	// publication table (Worker.publishCkpt), to be dropped when the task
+	// completes or leaves. Local-only.
+	published bool
 }
 
 // ready reports whether all argument slots are filled.
 func (c *Closure) ready() bool { return c.Missing == 0 }
 
-// maxFreeClosures bounds a worker's closure free list and maxFreeArgs the
-// argument capacity a listed closure may keep: a deque that was once
-// 20 000 leaves deep, or a 20 000-slot join, must not pin that memory for
+// maxFreeClosures bounds a worker's closure free list, maxFreeArgs the
+// argument capacity and maxFreeCkpt the checkpoint-buffer capacity a listed
+// closure may keep: a deque that was once 20 000 leaves deep, a 20 000-slot
+// join, or a task that once saved a 64 KB blob must not pin that memory for
 // the rest of the worker's life. What does not fit goes to the collector.
 const (
 	maxFreeClosures = 1024
 	maxFreeArgs     = 64
+	maxFreeCkpt     = 1024
 )
 
 // newClosure returns a zeroed closure, from the worker's free list when it
 // has one. The spawn→synch→execute cycle creates one closure per task — by
 // far the scheduler's hottest allocation — and every closure is created,
 // adopted and freed on the scheduler goroutine, so the list is a plain
-// slice: no lock, no per-P cache. A recycled closure's Args slice keeps
-// the capacity it had in its previous life.
+// slice: no lock, no per-P cache. A recycled closure's Args slice and Ckpt
+// buffer keep the capacity they had in its previous life (both empty), so
+// a checkpointing task's first Yield copies its blob into memory the
+// previous task's last Yield used.
 func (w *Worker) newClosure() *Closure {
 	if n := len(w.freeList); n > 0 {
 		c := w.freeList[n-1]
@@ -95,7 +103,11 @@ func (w *Worker) freeClosure(c *Closure) {
 	for i := range args {
 		args[i] = nil
 	}
+	ckpt := c.Ckpt
 	*c = Closure{Args: args[:0]}
+	if cap(ckpt) != 0 && cap(ckpt) <= maxFreeCkpt {
+		c.Ckpt = ckpt[:0]
+	}
 	if len(w.freeList) < maxFreeClosures {
 		w.freeList = append(w.freeList, c)
 	}
@@ -121,8 +133,9 @@ func (c *Closure) growArgs(n int) {
 	}
 }
 
-// setCkpt installs a newer checkpoint blob, copying it so the closure
-// never aliases application memory.
+// setCkpt installs a newer checkpoint blob, copying it (into the buffer the
+// closure already has, when that is large enough) so the closure never
+// aliases application memory.
 func (c *Closure) setCkpt(blob []byte, seq uint64) {
 	c.Ckpt = append(c.Ckpt[:0], blob...)
 	c.CkptSeq = seq
@@ -142,7 +155,7 @@ func (c *Closure) toWire() wire.Closure {
 		CkptSeq: c.CkptSeq,
 		TC:      c.TC,
 	}
-	if c.Ckpt != nil {
+	if len(c.Ckpt) > 0 {
 		wc.Ckpt = append([]byte(nil), c.Ckpt...)
 	}
 	return wc

@@ -173,17 +173,24 @@ const MaxCkptBlob = 64 << 10
 // Checkpoint returns the task's last saved checkpoint blob, or nil when
 // the task starts from scratch. The returned slice is owned by the runtime
 // and valid only until the next Yield; treat it as read-only.
-func (t *TaskCtx) Checkpoint() []byte { return t.c.Ckpt }
+func (t *TaskCtx) Checkpoint() []byte {
+	if len(t.c.Ckpt) == 0 {
+		return nil // a recycled closure's empty buffer is not a blob
+	}
+	return t.c.Ckpt
+}
 
 // Yield offers the runtime a checkpoint of the task's partial progress and
 // asks whether the body must vacate the processor. The blob (copied, so
 // the caller may reuse its buffer) replaces any previous checkpoint for
-// this task, is appended to the worker's checkpoint WAL when one is
-// configured, and is published to the clearinghouse on the piggybacked
-// StatReport path (rate-limited, latest-wins). Yield returns true when the
-// worker is draining, being reclaimed, or crashing — the body must then
-// return immediately without calling Return; the closure is requeued with
-// the blob attached and re-executed later, possibly on another worker.
+// this task: from here on it travels with the closure on drain, reclaim,
+// steal and migration. It is appended to the worker's checkpoint WAL when
+// one is configured, and published to the clearinghouse on the piggybacked
+// StatReport path once per CkptEvery (latest-wins; a blob saved between two
+// publications is superseded before it is ever copied). Yield returns true
+// when the worker is draining, being reclaimed, or crashing — the body must
+// then return immediately without calling Return; the closure is requeued
+// with the blob attached and re-executed later, possibly on another worker.
 //
 // Yield is also the worker's cooperative scheduling point: a long
 // checkpointable body would otherwise leave the worker deaf to steal
@@ -192,17 +199,26 @@ func (t *TaskCtx) Checkpoint() []byte { return t.c.Ckpt }
 // mailbox and then resumes the closure from the blob it just saved. Tasks
 // that never Yield keep the old run-to-completion behavior.
 //
+// A Yield with nothing to do — no message, no request, publication not due —
+// costs the copy, two counter updates and four loads: no clock reading, no
+// allocation, no lock, no system call.
+//
 // Blobs larger than MaxCkptBlob are not saved (the previous checkpoint
 // stands), but the preemption answer is still accurate.
 func (t *TaskCtx) Yield(blob []byte) bool {
-	w := t.w
+	w, c := t.w, t.c
 	if w.cfg.NoCkpt {
 		return false
 	}
 	if len(blob) <= MaxCkptBlob {
-		t.c.setCkpt(blob, t.c.CkptSeq+1)
+		c.setCkpt(blob, c.CkptSeq+1)
 		w.counters.CkptSaves.Add(1)
-		w.noteCkpt(t.c)
+		if w.ckptLoud || c.TC.Sampled() {
+			w.noteCkpt(c)
+		}
+		if w.ckptDue.Load() {
+			w.publishCkpt(c)
+		}
 	}
 	if w.attn.Load() != 0 {
 		t.yielded = true
@@ -211,8 +227,17 @@ func (t *TaskCtx) Yield(blob []byte) bool {
 	// Pending traffic: pull one envelope off the wire (handling it here
 	// would re-enter the scheduler mid-body, so it is stashed for the
 	// loop) and vacate. A worker that reads its own socket looks there
-	// first: nobody else will have.
-	w.pollNet(0)
+	// first — nobody else will have — but a look is a system call, so it
+	// takes one no more often than the loop's housekeeping pass would
+	// between tasks of this grain: at every Yield of a timed attempt, at
+	// every timedEvery-th Yield otherwise.
+	if w.net != nil {
+		w.yieldsUnpolled++
+		if c.timed || w.yieldsUnpolled >= timedEvery {
+			w.yieldsUnpolled = 0
+			w.pollNet(0)
+		}
+	}
 	select {
 	case env, ok := <-w.recv:
 		if !ok {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -33,6 +35,13 @@ type grinder struct {
 	done    chan struct{}    // closed when Run has returned
 	drainAt chan time.Time   // one stamp per DrainRequest the worker sent
 	result  chan types.Value // the root result
+	reports chan reportAt    // the StatReports that carried checkpoints (dropped when full)
+}
+
+// reportAt is a StatReport and when the clearinghouse got it.
+type reportAt struct {
+	at  time.Time
+	rep wire.StatReport
 }
 
 func startGrinder(t *testing.T, prog *Program, root string, args []types.Value, cfg Config, clk clock.Clock) *grinder {
@@ -53,6 +62,7 @@ func startGrinderOn(t *testing.T, attach func(types.WorkerID) phishnet.Conn, pro
 		done:    make(chan struct{}),
 		drainAt: make(chan time.Time, 4),
 		result:  make(chan types.Value, 1),
+		reports: make(chan reportAt, 256),
 	}
 	// A fabric routes by id and ignores addresses.
 	g.port.SetPeer(types.ClearinghouseID, g.chPort.LocalAddr())
@@ -79,6 +89,13 @@ func startGrinderOn(t *testing.T, attach func(types.WorkerID) phishnet.Conn, pro
 				g.toWorker(g.chPort, types.ClearinghouseID, wire.DrainAck{OK: false})
 			case wire.Arg:
 				g.result <- p.Val
+			case wire.StatReport:
+				if len(p.Ckpts) > 0 {
+					select {
+					case g.reports <- reportAt{time.Now(), p}:
+					default:
+					}
+				}
 			}
 		}
 	}()
@@ -107,6 +124,28 @@ func (g *grinder) waitGrinding(t *testing.T) {
 			t.Fatal("worker never started on its chain")
 		}
 		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// answersSteal sends the worker a steal request from the peer and holds the
+// answer to the honoured bound.
+func (g *grinder) answersSteal(t *testing.T) {
+	t.Helper()
+	t0 := time.Now()
+	g.toWorker(g.peer, 1, wire.StealRequest{Thief: 1})
+	select {
+	case env := <-g.peer.Recv():
+		if env.Materialize() != nil {
+			t.Fatal("undecodable answer")
+		}
+		if _, ok := env.Payload.(wire.StealReply); !ok {
+			t.Fatalf("thief received %s, want a steal reply", env.PayloadName())
+		}
+		if d := time.Since(t0); d > honoured {
+			t.Errorf("steal request answered after %v, want within %v", d, honoured)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("steal request never answered")
 	}
 }
 
@@ -192,20 +231,7 @@ func TestBusyWorkerStaysLive(t *testing.T) {
 			g.waitDone(t, honoured)
 		})
 		t.Run(grain.name+"/steal-request", func(t *testing.T) {
-			g := start(t)
-			t0 := time.Now()
-			g.toWorker(g.peer, 1, wire.StealRequest{Thief: 1})
-			select {
-			case env := <-g.peer.Recv():
-				if _, ok := env.Payload.(wire.StealReply); !ok {
-					t.Fatalf("thief received %s, want a steal reply", env.PayloadName())
-				}
-				if d := time.Since(t0); d > honoured {
-					t.Errorf("steal request answered after %v, want within %v", d, honoured)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("steal request never answered")
-			}
+			start(t).answersSteal(t)
 		})
 		t.Run(grain.name+"/conn-closed", func(t *testing.T) {
 			// No Shutdown message: the inbox just closes, and a closed empty
@@ -242,7 +268,10 @@ func TestBusyWorkerStaysLive(t *testing.T) {
 
 // The same over UDP, where nobody but the worker reads the worker's socket:
 // a long body that only ever yields still answers a steal request, because
-// Yield looks at the socket as well as at the inbox.
+// Yield looks at the socket as well as at the inbox — at every Yield of a
+// timed attempt (a coarse or still-unknown Fn), at every timedEvery-th of an
+// untimed one (a warm fine-grain Fn, whose Yields come microseconds apart
+// and must not each cost a system call).
 func TestYieldingWorkerOverUDPStaysLive(t *testing.T) {
 	listen := func(id types.WorkerID) phishnet.Conn {
 		u, err := phishnet.ListenUDP(1, id, "127.0.0.1:0")
@@ -252,37 +281,48 @@ func TestYieldingWorkerOverUDPStaysLive(t *testing.T) {
 		t.Cleanup(func() { u.Close() })
 		return u
 	}
-	p := NewProgram("long")
-	p.Register("long", func(c model.Ctx) {
+	forever := func(c model.Ctx, work func()) {
 		for {
-			spin50()
+			work()
 			if c.Yield(nil) {
 				return
 			}
 		}
-	})
-	g := startGrinderOn(t, listen, p, "long", nil, DefaultConfig(), clock.System)
-	for deadline := time.Now().Add(10 * time.Second); g.w.Stats().CkptSaves < 100; {
-		if time.Now().After(deadline) {
-			t.Fatal("the long task never got going")
-		}
-		time.Sleep(100 * time.Microsecond)
 	}
-	t0 := time.Now()
-	g.toWorker(g.peer, 1, wire.StealRequest{Thief: 1})
-	select {
-	case env := <-g.peer.Recv():
-		if env.Materialize() != nil {
-			t.Fatal("undecodable answer")
+	timed := NewProgram("long")
+	timed.Register("long", func(c model.Ctx) { forever(c, spin50) })
+	// Thirty quick executions warm the Fn's track far below fineGrain; the
+	// thirty-first never returns. It is the 23rd since the last timed one,
+	// so its attempt is untimed and its Yields come a few hundred
+	// nanoseconds apart.
+	untimed := NewProgram("quick")
+	untimed.Register("quick", func(c model.Ctx) {
+		if n := c.Int(0); n > 0 {
+			s := c.Successor("never", 1)
+			c.Spawn("quick", s.Cont(0), n-1)
+			return
 		}
-		if _, ok := env.Payload.(wire.StealReply); !ok {
-			t.Fatalf("thief received %s, want a steal reply", env.PayloadName())
-		}
-		if d := time.Since(t0); d > honoured {
-			t.Errorf("steal request answered after %v, want within %v", d, honoured)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("steal request never answered")
+		forever(c, func() {})
+	})
+	untimed.Register("never", func(c model.Ctx) { c.Return(c.Int(0)) })
+	for _, tc := range []struct {
+		name string
+		prog *Program
+		args []types.Value
+	}{{"timed", timed, nil}, {"untimed", untimed, []types.Value{int64(30)}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.name == "untimed" && raceEnabled {
+				t.Skip("an empty task is not fine-grain under the race detector")
+			}
+			g := startGrinderOn(t, listen, tc.prog, tc.prog.Name, tc.args, DefaultConfig(), clock.System)
+			for deadline := time.Now().Add(10 * time.Second); g.w.Stats().CkptSaves < 100; {
+				if time.Now().After(deadline) {
+					t.Fatal("the long task never got going")
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			g.answersSteal(t)
+		})
 	}
 }
 
@@ -454,4 +494,184 @@ func TestAllocsPerTask(t *testing.T) {
 	if mallocs > limit {
 		t.Errorf("%d allocations over fib(20), want at most %d (0.70 per task)", mallocs, limit)
 	}
+}
+
+// yieldRig is a worker that never runs, with one closure on its context: a
+// place to call Yield from a test. The first Yield publishes (publication
+// is due from the start); the rig makes it and then stops the timer, so
+// publication is not due again.
+func yieldRig(tb testing.TB, clk clock.Clock, blob []byte) (*Worker, *Closure) {
+	tb.Helper()
+	fab := phishnet.NewFabric()
+	tb.Cleanup(fab.Close)
+	cfg := DefaultConfig()
+	w := NewWorker(1, 0, NewProgram("none"), fab.Attach(0), cfg, clk)
+	cl := w.newClosure()
+	cl.ID = w.nextTaskID()
+	w.ctx.w, w.ctx.c = w, cl
+	if w.ctx.Yield(blob) {
+		tb.Fatal("an undisturbed worker told the body to vacate")
+	}
+	if !cl.published || len(w.ckptSnapshot()) != 1 {
+		tb.Fatal("the first blob was not published at once")
+	}
+	w.ckptTimer.Stop()
+	return w, cl
+}
+
+// pfoldBlob is the size of a pfold(17) leaf's checkpoint.
+const pfoldBlob = 1 + 8*35
+
+// A Yield that neither vacates nor is due for publication is a copy and a
+// few loads: no clock reading, no allocation, no lock.
+func TestYieldQuietPathIsFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	clk := &countingClock{Clock: clock.System}
+	blob := bytes.Repeat([]byte{7}, pfoldBlob)
+	w, cl := yieldRig(t, clk, blob)
+	reads, seq := clk.reads.Load(), cl.CkptSeq
+
+	// Held by the test for the duration: a Yield that wants the publication
+	// table's lock never comes back.
+	w.ckptMu.Lock()
+	const runs = 1000
+	vacated := false
+	allocs := make(chan float64, 1)
+	go func() {
+		allocs <- testing.AllocsPerRun(runs, func() {
+			blob[1]++
+			vacated = vacated || w.ctx.Yield(blob)
+		})
+	}()
+	select {
+	case a := <-allocs:
+		if a != 0 {
+			t.Errorf("%.2f allocations per quiet Yield, want 0", a)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a quiet Yield waits for ckptMu")
+	}
+	w.ckptMu.Unlock()
+	if vacated {
+		t.Error("a quiet Yield told the body to vacate")
+	}
+	if got := clk.reads.Load() - reads; got != 0 {
+		t.Errorf("%d clock readings over %d quiet Yields, want 0", got, runs)
+	}
+	// Eager where it has to be: the closure itself carries the newest blob.
+	if got := cl.CkptSeq - seq; got != runs+1 { // AllocsPerRun warms up with one run
+		t.Errorf("CkptSeq advanced by %d over %d Yields", got, runs+1)
+	}
+	if !bytes.Equal(cl.Ckpt, blob) {
+		t.Error("the closure does not hold the last blob")
+	}
+	if got := w.counters.CkptSaves.Load(); got != runs+2 {
+		t.Errorf("CkptSaves = %d, want %d", got, runs+2)
+	}
+	// Lazy where it may be: the table still holds the first blob.
+	if pub := w.ckptSnapshot(); len(pub) != 1 || pub[0].Seq != seq {
+		t.Errorf("publication table = %+v, want the one blob published at seq %d", pub, seq)
+	}
+	// And a recycled closure keeps the buffer but not the blob.
+	w.freeClosure(cl)
+	if cl = w.newClosure(); cap(cl.Ckpt) < pfoldBlob || len(cl.Ckpt) != 0 || cl.CkptSeq != 0 || cl.published {
+		t.Errorf("recycled closure: len %d cap %d seq %d published %v, want an empty buffer of capacity %d",
+			len(cl.Ckpt), cap(cl.Ckpt), cl.CkptSeq, cl.published, pfoldBlob)
+	}
+	w.ctx.c = cl
+	if w.ctx.Checkpoint() != nil {
+		t.Error("a fresh task on a recycled closure sees a checkpoint")
+	}
+}
+
+// BenchmarkYield is the quiet path: a pfold-sized blob, an empty inbox,
+// publication not due.
+func BenchmarkYield(b *testing.B) {
+	blob := bytes.Repeat([]byte{7}, pfoldBlob)
+	w, _ := yieldRig(b, clock.System, blob)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if w.ctx.Yield(blob) {
+			b.Fatal("vacate")
+		}
+	}
+}
+
+// A blob saved at a Yield reaches the clearinghouse — itself or a later one
+// of the same task — within two publication intervals, and what a report
+// carries is the blob current when it left, not an older one: the body
+// below saves a stamped blob every 100 µs or so and never stops, heartbeats
+// are off, so the only reports are the ones Yield sends when publication is
+// due.
+func TestCkptPublicationLagBounded(t *testing.T) {
+	const every = 20 * time.Millisecond
+	p := NewProgram("stamper")
+	p.Register("stamper", func(c model.Ctx) {
+		var blob [16]byte
+		for n := uint64(1); ; n++ {
+			for t0 := time.Now(); time.Since(t0) < 100*time.Microsecond; {
+			}
+			binary.BigEndian.PutUint64(blob[:8], n)
+			binary.BigEndian.PutUint64(blob[8:], uint64(time.Now().UnixNano()))
+			if c.Yield(blob[:]) {
+				return
+			}
+		}
+	})
+	// Timings on a shared machine: the bound must hold in one of three runs.
+	var fault string
+	for attempt := 0; attempt < 3; attempt++ {
+		if fault = publicationLag(t, p, every); fault == "" {
+			return
+		}
+		t.Log(fault)
+	}
+	t.Error(fault)
+}
+
+func publicationLag(t *testing.T, p *Program, every time.Duration) (fault string) {
+	cfg := DefaultConfig()
+	cfg.HeartbeatEvery = 0
+	cfg.CkptEvery = every
+	g := startGrinder(t, p, "stamper", nil, cfg, clock.System)
+	defer func() {
+		g.w.Crash()
+		<-g.done
+	}()
+	var prev reportAt
+	var prevSeq uint64
+	for i := 0; i < 12; i++ {
+		var r reportAt
+		select {
+		case r = <-g.reports:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no checkpoint report after the first %d", i)
+		}
+		if len(r.rep.Ckpts) != 1 || len(r.rep.Ckpts[0].Data) != 16 {
+			t.Fatalf("report %d carries %+v, want the one task's blob", i, r.rep.Ckpts)
+		}
+		ck := r.rep.Ckpts[0]
+		if n := binary.BigEndian.Uint64(ck.Data[:8]); n != ck.Seq {
+			t.Fatalf("report %d: seq %d carries the blob of save %d", i, ck.Seq, n)
+		}
+		if ck.Seq <= prevSeq {
+			t.Fatalf("report %d: seq %d after seq %d", i, ck.Seq, prevSeq)
+		}
+		saved := time.Unix(0, int64(binary.BigEndian.Uint64(ck.Data[8:])))
+		if age := r.at.Sub(saved); age > every {
+			fault = "a report carried a blob saved " + age.String() + " earlier: not the latest"
+		}
+		// Every blob saved since the previous report is superseded by this
+		// one, the oldest of them saved just after the previous report left.
+		if i > 0 {
+			if gap := r.at.Sub(prev.at); gap > 2*every {
+				fault = "a blob waited " + gap.String() + " for a report, want at most " + (2 * every).String()
+			}
+		}
+		prev, prevSeq = r, ck.Seq
+	}
+	return fault
 }

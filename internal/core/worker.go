@@ -125,13 +125,24 @@ type Worker struct {
 	// consumes the stash before the connection (scheduler goroutine only).
 	stash []*wire.Envelope
 
-	// Checkpoint publication. ckptPub holds the latest blob per in-flight
-	// task, mirrored to StatReports; the mutex is needed because the
-	// heartbeat goroutine reads it while the scheduler goroutine updates
-	// it. ckptLastPub paces unsolicited reports (scheduler only).
-	ckptMu      sync.Mutex
-	ckptPub     map[types.TaskID]wire.TaskCkpt
-	ckptLastPub time.Time
+	// Checkpoint publication. A Yield saves its blob on the closure and
+	// nowhere else; ckptPub, which StatReports mirror, gets a copy only when
+	// publication is due, so it holds per in-flight task a blob at most
+	// CkptEvery older than the closure's own. The mutex is needed because
+	// the heartbeat goroutine reads the table while the scheduler goroutine
+	// updates it. ckptDue says publication is due: raised from the start
+	// (the first blob goes out at once) and then by ckptTimer one interval
+	// after each publication, so a Yield learns it from a load, not from
+	// the clock. ckptLoud is set when something wants to hear of every save
+	// (a CkptLog, a trace buffer). yieldsUnpolled counts the Yields since one
+	// last looked at the socket (see TaskCtx.Yield). Timer, counter and the
+	// lowering of the flag: scheduler goroutine only.
+	ckptMu         sync.Mutex
+	ckptPub        map[types.TaskID]wire.TaskCkpt
+	ckptTimer      *time.Timer
+	yieldsUnpolled int
+	ckptDue        atomic.Bool
+	ckptLoud       bool
 
 	// attn is the attention word: sticky stop / drain / crash request bits,
 	// set from any goroutine (Reclaim, Drain, Crash) and by the scheduler
@@ -218,6 +229,7 @@ func NewWorker(job types.JobID, id types.WorkerID, prog *Program, conn phishnet.
 		forwardTo:   types.NoWorker,
 		stealVictim: types.NoWorker,
 		ckptPub:     make(map[types.TaskID]wire.TaskCkpt),
+		ckptLoud:    cfg.CkptLog != nil || cfg.Trace != nil,
 		wakeCh:      make(chan struct{}, 1),
 		procs:       runtime.GOMAXPROCS(0),
 		hbStop:      make(chan struct{}),
@@ -225,6 +237,7 @@ func NewWorker(job types.JobID, id types.WorkerID, prog *Program, conn phishnet.
 	if cfg.SpanTrace {
 		w.spans.Store(newSpanRecorder(cfg.SpanBuf))
 	}
+	w.ckptDue.Store(true)
 	return w
 }
 
@@ -400,6 +413,9 @@ func (w *Worker) Run() error {
 			if cpu1, ok := cputime.Thread(); ok {
 				w.cpuT.Store(int64(cpu1 - cpu0))
 			}
+		}
+		if w.ckptTimer != nil {
+			w.ckptTimer.Stop()
 		}
 		_ = w.conn.Close()
 	}()
@@ -598,7 +614,7 @@ func (w *Worker) statReports() []wire.StatReport {
 }
 
 // ckptSnapshot copies the publication table for a StatReport. Blob slices
-// are immutable once in the table (noteCkpt copies on insert), so sharing
+// are immutable once in the table (publishCkpt copies on insert), so sharing
 // them across reports is safe.
 func (w *Worker) ckptSnapshot() []wire.TaskCkpt {
 	w.ckptMu.Lock()
@@ -613,33 +629,47 @@ func (w *Worker) ckptSnapshot() []wire.TaskCkpt {
 	return out
 }
 
-// noteCkpt records a task's fresh checkpoint blob: durably in the
-// checkpoint WAL when configured, in the publication table the StatReports
-// mirror, and — rate-limited — in an immediate unsolicited StatReport so
-// the clearinghouse journal stays near the live frontier even between
-// heartbeats. Called from the scheduler goroutine (inside Yield).
+// noteCkpt tells whoever asked to hear of every save: the checkpoint WAL,
+// which appends every blob, the trace buffer and the span recorder. Yield
+// calls it only when one of them may be listening. Scheduler goroutine.
 func (w *Worker) noteCkpt(c *Closure) {
-	ck := wire.TaskCkpt{Task: c.ID, Seq: c.CkptSeq, Data: append([]byte(nil), c.Ckpt...)}
 	if w.cfg.CkptLog != nil {
-		_ = w.cfg.CkptLog.Append(w.id, ck)
+		_ = w.cfg.CkptLog.Append(w.id, wire.TaskCkpt{Task: c.ID, Seq: c.CkptSeq, Data: c.Ckpt})
 	}
-	w.ckptMu.Lock()
-	w.ckptPub[c.ID] = ck
-	w.ckptMu.Unlock()
 	w.tr(trace.EvCkpt, c.ID, types.NoWorker, "")
 	if w.spans.Load() != nil && c.TC.Sampled() {
 		now := time.Now().UnixNano()
 		w.spans.Load().add(wire.Span{Kind: wire.SpanCkpt, Flags: c.TC.Flags, Worker: w.id,
 			Task: c.ID, Parent: c.TC.Parent, Start: now, End: now})
 	}
+}
+
+// publishCkpt copies c's blob into the publication table the StatReports
+// mirror, sends an unsolicited StatReport so the clearinghouse journal
+// stays near the live frontier even between heartbeats, and arms the timer
+// that makes publication due again one CkptEvery from now. A negative
+// CkptEvery keeps the table filling at the default cadence and leaves the
+// sending to the heartbeats. Yield calls it when ckptDue is raised.
+func (w *Worker) publishCkpt(c *Closure) {
+	ck := wire.TaskCkpt{Task: c.ID, Seq: c.CkptSeq, Data: append([]byte(nil), c.Ckpt...)}
+	w.ckptMu.Lock()
+	w.ckptPub[c.ID] = ck
+	w.ckptMu.Unlock()
+	c.published = true
+
 	every := w.cfg.CkptEvery
-	if every == 0 {
+	if every <= 0 {
 		every = defaultCkptEvery
 	}
-	if every < 0 || time.Since(w.ckptLastPub) < every {
+	w.ckptDue.Store(false)
+	if w.ckptTimer == nil {
+		w.ckptTimer = time.AfterFunc(every, func() { w.ckptDue.Store(true) })
+	} else {
+		w.ckptTimer.Reset(every)
+	}
+	if w.cfg.CkptEvery < 0 {
 		return
 	}
-	w.ckptLastPub = time.Now()
 	// Unsolicited and unreliable, exactly like the heartbeat piggyback.
 	for _, sr := range w.statReports() {
 		rep := &wire.Envelope{Job: w.job, From: w.id, To: types.ClearinghouseID,
@@ -648,8 +678,9 @@ func (w *Worker) noteCkpt(c *Closure) {
 	}
 }
 
-// dropCkptPub removes a completed task's entry so later StatReports stop
-// advertising a blob nobody can ever resume.
+// dropCkptPub removes a published task's entry once the task has completed
+// or left, so later StatReports stop advertising a blob nobody here can
+// ever resume.
 func (w *Worker) dropCkptPub(id types.TaskID) {
 	w.ckptMu.Lock()
 	delete(w.ckptPub, id)
@@ -858,7 +889,7 @@ func (w *Worker) execute(cl *Closure) {
 		// checkpoints mid-run still feeds the track its full cost.
 		e.exec.observe(time.Duration(cl.execNS))
 	}
-	if cl.CkptSeq > 0 {
+	if cl.published {
 		w.dropCkptPub(cl.ID)
 	}
 	w.freeClosure(cl) // the body ran to completion; nothing references cl now
@@ -1599,7 +1630,10 @@ func (w *Worker) grantSteal(thief types.WorkerID) {
 			Start: t0.UnixNano(), End: time.Now().UnixNano()})
 	}
 	w.counters.TaskRetired() // the task left this worker
-	w.freeClosure(cl)        // rec.task holds its own copy of the args
+	if cl.published {
+		w.dropCkptPub(cl.ID) // a preempted body, stolen: the thief republishes
+	}
+	w.freeClosure(cl) // rec.task holds its own copy of the args
 	w.dbgGrants.Add(1)
 	w.tr(trace.EvStealGrant, rec.task.ID, thief, "")
 }
@@ -1999,7 +2033,7 @@ func (w *Worker) shipStateTo(target types.WorkerID) shipResult {
 	for _, cl := range packed {
 		w.counters.TaskRetired()
 		w.counters.TasksMigrated.Add(1)
-		if cl.CkptSeq > 0 {
+		if cl.published {
 			// The adopter republishes the blob itself once the task yields
 			// there; stop advertising it from a worker that no longer hosts
 			// the task.
