@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +12,8 @@ import (
 	"phish/internal/core"
 	"phish/internal/idlesim"
 	"phish/internal/jobmanager"
+	"phish/internal/model"
+	"phish/internal/types"
 )
 
 // fastOpts compresses the paper's minutes-scale polling to milliseconds so
@@ -34,22 +37,77 @@ func fastOpts() Options {
 	}
 }
 
+// spreadProg's "fan" root spawns k "leaf" tasks into one "sum" successor.
+// Every leaf notes the worker running it and then spins until two distinct
+// workers have run a leaf, yielding so that its own worker keeps answering
+// steal requests; after deadline it gives up and sets timedOut. The job
+// cannot finish until a second workstation has joined and won a leaf.
+func spreadProg(deadline time.Time, timedOut *atomic.Bool) *core.Program {
+	var mu sync.Mutex
+	ran := map[types.WorkerID]bool{}
+	p := core.NewProgram("spread")
+	p.Register("fan", func(c model.Ctx) {
+		k := c.Int(0)
+		s := c.Successor("sum", int(k))
+		for i := int64(0); i < k; i++ {
+			c.Spawn("leaf", s.Cont(int(i)))
+		}
+	})
+	p.Register("leaf", func(c model.Ctx) {
+		mu.Lock()
+		ran[c.Worker()] = true
+		mu.Unlock()
+		for {
+			mu.Lock()
+			spread := len(ran) >= 2
+			mu.Unlock()
+			if spread {
+				break
+			}
+			if time.Now().After(deadline) {
+				timedOut.Store(true)
+				break
+			}
+			time.Sleep(100 * time.Microsecond)
+			if c.Yield(nil) {
+				return
+			}
+		}
+		c.Return(int64(1))
+	})
+	p.Register("sum", func(c model.Ctx) {
+		var total int64
+		for i := 0; i < c.NArgs(); i++ {
+			total += c.Int(i)
+		}
+		c.Return(total)
+	})
+	return p
+}
+
 func TestJobRunsOnIdleWorkstations(t *testing.T) {
 	c := New(fastOpts())
 	defer c.Close()
 	for i := 0; i < 4; i++ {
 		c.AddWorkstation(idlesim.Always{})
 	}
-	j := c.Submit(fib.Program(), fib.Root, fib.RootArgs(20))
+	const leaves = 8
+	var timedOut atomic.Bool
+	j := c.Submit(spreadProg(time.Now().Add(20*time.Second), &timedOut), "fan", []types.Value{int64(leaves)})
 	v, err := j.Wait(30 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := v.(int64), fib.Serial(20); got != want {
-		t.Errorf("fib(20) = %d, want %d", got, want)
+	if timedOut.Load() {
+		t.Fatal("no second workstation ran a leaf within 20s; expected the idle ones to pile on")
 	}
-	if got, want := j.Totals().TasksExecuted, fib.TaskCount(20); got != want {
-		t.Errorf("tasks executed = %d, want %d", got, want)
+	if got := v.(int64); got != leaves {
+		t.Errorf("sum = %d, want %d", got, leaves)
+	}
+	// fan, the leaves and sum, each once: a leaf preempted at a Yield and
+	// resumed where it was counts once.
+	if tot := j.Totals(); tot.TasksExecuted-tot.CkptResumes != leaves+2 {
+		t.Errorf("tasks executed = %d (%d resumed), want %d", tot.TasksExecuted, tot.CkptResumes, leaves+2)
 	}
 	if len(j.WorkerStats()) < 2 {
 		t.Errorf("only %d workstations ever joined; expected the idle ones to pile on", len(j.WorkerStats()))

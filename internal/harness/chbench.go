@@ -2,7 +2,6 @@ package harness
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -218,64 +217,14 @@ func PrintCHBench(w io.Writer, rs []CHBenchResult) {
 	}
 }
 
-// ---- BENCH_sched.json combined file --------------------------------------
-
-// SchedBenchFile is the on-disk shape of BENCH_sched.json: the scheduler
-// throughput series and the clearinghouse scaling series side by side, so
-// either benchmark can be rerun without clobbering the other's baseline.
-type SchedBenchFile struct {
-	Sched         []SchedBenchResult `json:"sched"`
-	Clearinghouse []CHBenchResult    `json:"clearinghouse"`
-}
-
-// readSchedBenchFile loads path, tolerating the legacy layout (a bare
-// array of scheduler results, from before the clearinghouse series
-// existed). A missing file is an empty file, not an error.
-func readSchedBenchFile(path string) (*SchedBenchFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return &SchedBenchFile{}, nil
-		}
-		return nil, err
-	}
-	var f SchedBenchFile
-	if err := json.Unmarshal(data, &f); err == nil {
-		return &f, nil
-	}
-	var legacy []SchedBenchResult
-	if err := json.Unmarshal(data, &legacy); err == nil {
-		return &SchedBenchFile{Sched: legacy}, nil
-	}
-	return nil, fmt.Errorf("harness: %s: unrecognized layout", path)
-}
-
-func writeSchedBenchFile(path string, f *SchedBenchFile) error {
-	data, err := json.MarshalIndent(f, "", "  ")
+// WriteCHBenchJSON records the scaling study in path (BENCH_sched.json),
+// under the "clearinghouse" key it has always had.
+func WriteCHBenchJSON(path string, rs []CHBenchResult) error {
+	data, err := json.MarshalIndent(struct {
+		Clearinghouse []CHBenchResult `json:"clearinghouse"`
+	}{rs}, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// WriteSchedBenchJSON updates the scheduler series in path, preserving
-// any clearinghouse series already there.
-func WriteSchedBenchJSON(path string, rs []SchedBenchResult) error {
-	f, err := readSchedBenchFile(path)
-	if err != nil {
-		return err
-	}
-	f.Sched = rs
-	return writeSchedBenchFile(path, f)
-}
-
-// WriteCHBenchJSON updates the clearinghouse series in path, preserving
-// any scheduler series already there.
-func WriteCHBenchJSON(path string, rs []CHBenchResult) error {
-	f, err := readSchedBenchFile(path)
-	if err != nil {
-		return err
-	}
-	f.Clearinghouse = rs
-	return writeSchedBenchFile(path, f)
 }

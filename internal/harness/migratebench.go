@@ -33,10 +33,12 @@ type MigrateBenchConfig struct {
 	Steps  int64
 	// Stations is the number of always-idle workstations.
 	Stations int
-	// Seed drives the churn gremlin (what to disrupt, and when).
+	// Seed drives the churn gremlin (what to disrupt, at what progress, and
+	// which busy worker).
 	Seed int64
-	// MaxCrashes caps outright worker crashes per churn run (crashes are
-	// where redo-from-scratch hurts most; a cap keeps runtimes bounded).
+	// MaxCrashes is how many of the churn run's disruptions are outright
+	// worker crashes (crashes are where redo-from-scratch hurts most); the
+	// rest are drains and owner reclaims.
 	MaxCrashes int
 	// Timeout bounds each run.
 	Timeout time.Duration
@@ -49,7 +51,7 @@ func DefaultMigrateBenchConfig() MigrateBenchConfig {
 		Steps:      150,
 		Stations:   4,
 		Seed:       20260808,
-		MaxCrashes: 4,
+		MaxCrashes: 2,
 		Timeout:    3 * time.Minute,
 	}
 }
@@ -92,13 +94,35 @@ type MigrateBenchFile struct {
 	Summary MigrateSummary     `json:"summary"`
 }
 
+// migrateLoad is what the soak workload and the churn gremlin share: steps
+// counts executed work units (so redone work is visible), running the chunk
+// bodies each worker is executing now, crashed the workers the gremlin has
+// crashed.
+type migrateLoad struct {
+	steps   atomic.Int64
+	mu      sync.Mutex
+	running map[types.WorkerID]int
+	crashed sync.Map // types.WorkerID → true
+}
+
+func (l *migrateLoad) run(id types.WorkerID, delta int) {
+	l.mu.Lock()
+	l.running[id] += delta
+	l.mu.Unlock()
+}
+
 // migrateBenchProg is the same fan/chunks/sum shape the cluster tests use:
 // k chunk tasks of n slow steps each, checkpointing (i, partial sum) after
-// every step, joined by one sum successor. steps counts executed work units
-// so redone work is visible.
-func migrateBenchProg(steps *atomic.Int64) *core.Program {
+// every step, joined by one sum successor. A crashed workstation computes
+// nothing more, but core.Worker.Crash only raises an attention bit, which a
+// body sees at its next Yield — and under NoCkpt Yield never vacates, so
+// the redo arm's victim would finish its chunk and often deliver the
+// result. A chunk therefore also stops once its worker is marked crashed.
+func migrateBenchProg(load *migrateLoad) *core.Program {
 	p := core.NewProgram("migratebench")
 	p.Register("chunks", func(c model.Ctx) {
+		load.run(c.Worker(), 1)
+		defer load.run(c.Worker(), -1)
 		n := c.Int(0)
 		var i, sum int64
 		if ck := c.Checkpoint(); len(ck) == 16 {
@@ -107,12 +131,15 @@ func migrateBenchProg(steps *atomic.Int64) *core.Program {
 		}
 		for ; i < n; i++ {
 			sum += i
-			steps.Add(1)
+			load.steps.Add(1)
 			time.Sleep(time.Millisecond)
 			var blob [16]byte
 			binary.BigEndian.PutUint64(blob[:8], uint64(i+1))
 			binary.BigEndian.PutUint64(blob[8:], uint64(sum))
 			if c.Yield(blob[:]) {
+				return
+			}
+			if _, dead := load.crashed.Load(c.Worker()); dead {
 				return
 			}
 		}
@@ -185,12 +212,25 @@ func MigrateBench(cfg MigrateBenchConfig) (*MigrateBenchFile, error) {
 	return &MigrateBenchFile{Runs: []MigrateRunResult{clean, ck, nock}, Summary: sum}, nil
 }
 
+// migrateEvents is the number of disruptions per churn run. They are
+// placed by progress rather than wall time: event k fires when the steps
+// counter crosses a seeded point in the k-th of migrateEvents strata
+// spanning 15–80 % of the ideal work, so both churn arms are disrupted at
+// the same progress however fast each runs (on wall-clock ticks the redo
+// arm often finished before its first crash). Each event picks a worker
+// that is running a chunk, so every disruption lands on work in progress.
+// The crashes come first: a closure a drain has moved waits in its
+// adopter's deque with a blob nobody has published yet, and a crash of the
+// adopter redoes it from the lender's older copy (with the crashes last the
+// checkpointing arm wasted 35–108 %).
+const migrateEvents = 6
+
 // migrateRunOne runs the workload once. churn turns the seeded gremlin on;
 // ckpt selects checkpointing (false = the redo-from-scratch baseline).
 // The returned latencies time DrainWorker call → worker Run-loop exit.
 func migrateRunOne(name string, cfg MigrateBenchConfig, churn, ckpt bool) (MigrateRunResult, []time.Duration, error) {
-	var steps atomic.Int64
-	prog := migrateBenchProg(&steps)
+	load := &migrateLoad{running: make(map[types.WorkerID]int)}
+	prog := migrateBenchProg(load)
 
 	w := core.DefaultConfig()
 	w.MaxStealFailures = 25
@@ -227,31 +267,50 @@ func migrateRunOne(name string, cfg MigrateBenchConfig, churn, ckpt bool) (Migra
 	stop := make(chan struct{})
 	gremlinDone := make(chan struct{})
 	if churn {
-		rng := rand.New(rand.NewSource(cfg.Seed))
 		go func() {
 			defer close(gremlinDone)
-			tick := 0
-			for {
-				select {
-				case <-stop:
-					return
-				case <-time.After(time.Duration(60+rng.Intn(80)) * time.Millisecond):
-				}
-				tick++
-				live := j.LiveWorkers()
-				if len(live) < 2 {
-					continue
-				}
-				id := live[rng.Intn(len(live))]
-				switch {
-				case tick%3 == 0 && crashes < cfg.MaxCrashes && id != j.RootHost():
+			tick := time.NewTicker(time.Millisecond)
+			defer tick.Stop()
+			rng := rand.New(rand.NewSource(cfg.Seed))
+			ideal := float64(cfg.Chunks * cfg.Steps)
+			for k := 0; k < migrateEvents; k++ {
+				at := int64(ideal * (0.15 + 0.65*(float64(k)+rng.Float64())/migrateEvents))
+				crash, drain, pick := k < cfg.MaxCrashes, rng.Intn(2) == 0, rng.Int()
+				var busy []types.WorkerID
+				for len(busy) == 0 {
+					select {
+					case <-stop:
+						return
+					case <-tick.C:
+					}
+					if load.steps.Load() < at {
+						continue
+					}
 					// Crashing the root-lineage host forces a full root
-					// respawn in both modes — inherent join-state loss, not
+					// respawn in both arms — inherent join-state loss, not
 					// what this soak measures. In the paper's setting that
 					// worker is the submitting user's own workstation.
+					skip := types.NoWorker
+					if crash {
+						skip = j.RootHost()
+					}
+					live := j.LiveWorkers()
+					load.mu.Lock()
+					for _, id := range live {
+						if id != skip && load.running[id] > 0 {
+							busy = append(busy, id)
+						}
+					}
+					load.mu.Unlock()
+				}
+				sort.Slice(busy, func(a, b int) bool { return busy[a] < busy[b] })
+				id := busy[pick%len(busy)]
+				switch {
+				case crash:
 					crashes++
 					j.Crash(id)
-				case rng.Intn(2) == 0:
+					load.crashed.Store(id, true)
+				case drain:
 					drains++
 					done := j.WorkerDone(id)
 					dt0 := time.Now()
@@ -294,9 +353,9 @@ func migrateRunOne(name string, cfg MigrateBenchConfig, churn, ckpt bool) (Migra
 	r := MigrateRunResult{
 		Name:           name,
 		ElapsedMS:      float64(elapsed.Nanoseconds()) / 1e6,
-		Steps:          steps.Load(),
+		Steps:          load.steps.Load(),
 		IdealSteps:     ideal,
-		WastedRatio:    float64(steps.Load()-ideal) / float64(ideal),
+		WastedRatio:    float64(load.steps.Load()-ideal) / float64(ideal),
 		TasksMigrated:  tot.TasksMigrated,
 		TasksPreempted: tot.TasksPreempted,
 		CkptSaves:      tot.CkptSaves,

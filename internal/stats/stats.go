@@ -153,31 +153,13 @@ type Snapshot struct {
 
 // Snapshot captures the current counter values.
 func (c *Counters) Snapshot() Snapshot {
-	return Snapshot{
-		TasksSpawned:     c.TasksSpawned.Load(),
-		TasksExecuted:    c.TasksExecuted.Load(),
-		MaxTasksInUse:    c.MaxTasksInUse.Load(),
-		TasksStolen:      c.TasksStolen.Load(),
-		RemoteSteals:     c.RemoteSteals.Load(),
-		StealAttempts:    c.StealAttempts.Load(),
-		FailedSteals:     c.FailedSteals.Load(),
-		Synchronizations: c.Synchronizations.Load(),
-		NonLocalSynchs:   c.NonLocalSynchs.Load(),
-		MessagesSent:     c.MessagesSent.Load(),
-		MessagesReceived: c.MessagesReceived.Load(),
-		TasksMigrated:    c.TasksMigrated.Load(),
-		TasksRedone:      c.TasksRedone.Load(),
-		Retransmits:      c.Retransmits.Load(),
-		PeerGoneReports:  c.PeerGoneReports.Load(),
-		ReRegistrations:  c.ReRegistrations.Load(),
-		JournalRecords:   c.JournalRecords.Load(),
-		RedoBatches:      c.RedoBatches.Load(),
-		TasksPreempted:   c.TasksPreempted.Load(),
-		CkptSaves:        c.CkptSaves.Load(),
-		CkptResumes:      c.CkptResumes.Load(),
-		SpeculativeRedos: c.SpeculativeRedos.Load(),
-		FalseEvictions:   c.FalseEvictions.Load(),
+	var s Snapshot
+	for _, d := range table {
+		if d.live != nil {
+			*d.field(&s) = d.live(c).Load()
+		}
 	}
+	return s
 }
 
 // JobTotals aggregates worker snapshots the way the paper's Table 2 does:
@@ -185,45 +167,19 @@ func (c *Counters) Snapshot() Snapshot {
 // workers ("the size of the largest working set of any participant"),
 // MailboxDepthMax, likewise the deepest inbox of any participant, and
 // ExecTime, which is the maximum (the job runs as long as its slowest
-// participant).
+// participant), as is WallTime.
 func JobTotals(workers []Snapshot) Snapshot {
 	var t Snapshot
 	t.Worker = len(workers)
-	for _, w := range workers {
-		t.TasksSpawned += w.TasksSpawned
-		t.TasksExecuted += w.TasksExecuted
-		t.TasksStolen += w.TasksStolen
-		t.RemoteSteals += w.RemoteSteals
-		t.StealAttempts += w.StealAttempts
-		t.FailedSteals += w.FailedSteals
-		t.Synchronizations += w.Synchronizations
-		t.NonLocalSynchs += w.NonLocalSynchs
-		t.MessagesSent += w.MessagesSent
-		t.MessagesReceived += w.MessagesReceived
-		t.TasksMigrated += w.TasksMigrated
-		t.TasksRedone += w.TasksRedone
-		t.Retransmits += w.Retransmits
-		t.PeerGoneReports += w.PeerGoneReports
-		t.ReRegistrations += w.ReRegistrations
-		t.JournalRecords += w.JournalRecords
-		t.RedoBatches += w.RedoBatches
-		t.TasksPreempted += w.TasksPreempted
-		t.CkptSaves += w.CkptSaves
-		t.CkptResumes += w.CkptResumes
-		t.SpeculativeRedos += w.SpeculativeRedos
-		t.FalseEvictions += w.FalseEvictions
-		t.Orphans += w.Orphans
-		if w.MaxTasksInUse > t.MaxTasksInUse {
-			t.MaxTasksInUse = w.MaxTasksInUse
-		}
-		if w.MailboxDepthMax > t.MailboxDepthMax {
-			t.MailboxDepthMax = w.MailboxDepthMax
-		}
-		if w.ExecTime > t.ExecTime {
-			t.ExecTime = w.ExecTime
-		}
-		if w.WallTime > t.WallTime {
-			t.WallTime = w.WallTime
+	for i := range workers {
+		for _, d := range table {
+			v, tot := *d.field(&workers[i]), d.field(&t)
+			switch {
+			case !d.max:
+				*tot += v
+			case v > *tot:
+				*tot = v
+			}
 		}
 	}
 	return t
@@ -246,111 +202,79 @@ func (s Snapshot) String() string {
 	return out
 }
 
-// OrderedNames lists every Snapshot counter in wire order. The order is
+// counter is one row of the counter table: a Snapshot value, its name on
+// the wire and in exposition, how a job totals it, and the Counters atomic
+// that Snapshot reads it from (nil for the values a participant fills in
+// itself: orphans, mailbox depth and the two times).
+type counter struct {
+	name  string
+	max   bool // Table 2 takes the maximum over workers, not the sum
+	field func(*Snapshot) *int64
+	live  func(*Counters) *atomic.Int64
+}
+
+// table lists every Snapshot value once, in wire order. The order is
 // append-only: telemetry reports carry counters as a positional []int64, so
 // renumbering would silently misattribute values between versions. Names
 // double as Prometheus metric names (a "_total" suffix marks a counter;
 // everything else is a gauge).
-var OrderedNames = []string{
-	"tasks_spawned_total",
-	"tasks_executed_total",
-	"max_tasks_in_use",
-	"tasks_stolen_total",
-	"remote_steals_total",
-	"steal_attempts_total",
-	"steal_failures_total",
-	"synchronizations_total",
-	"nonlocal_synchs_total",
-	"messages_sent_total",
-	"messages_received_total",
-	"tasks_migrated_total",
-	"tasks_redone_total",
-	"retransmits_total",
-	"peer_gone_total",
-	"reregistrations_total",
-	"journal_records_total",
-	"redo_batches_total",
-	"orphan_results_total",
-	"exec_time_ns",
-	"wall_time_ns",
-	"tasks_preempted_total",
-	"ckpt_saves_total",
-	"ckpt_resumes_total",
-	"speculative_redo_total",
-	"false_evictions_total",
-	"mailbox_depth_max",
+var table = [...]counter{
+	{"tasks_spawned_total", false, func(s *Snapshot) *int64 { return &s.TasksSpawned }, func(c *Counters) *atomic.Int64 { return &c.TasksSpawned }},
+	{"tasks_executed_total", false, func(s *Snapshot) *int64 { return &s.TasksExecuted }, func(c *Counters) *atomic.Int64 { return &c.TasksExecuted }},
+	{"max_tasks_in_use", true, func(s *Snapshot) *int64 { return &s.MaxTasksInUse }, func(c *Counters) *atomic.Int64 { return &c.MaxTasksInUse }},
+	{"tasks_stolen_total", false, func(s *Snapshot) *int64 { return &s.TasksStolen }, func(c *Counters) *atomic.Int64 { return &c.TasksStolen }},
+	{"remote_steals_total", false, func(s *Snapshot) *int64 { return &s.RemoteSteals }, func(c *Counters) *atomic.Int64 { return &c.RemoteSteals }},
+	{"steal_attempts_total", false, func(s *Snapshot) *int64 { return &s.StealAttempts }, func(c *Counters) *atomic.Int64 { return &c.StealAttempts }},
+	{"steal_failures_total", false, func(s *Snapshot) *int64 { return &s.FailedSteals }, func(c *Counters) *atomic.Int64 { return &c.FailedSteals }},
+	{"synchronizations_total", false, func(s *Snapshot) *int64 { return &s.Synchronizations }, func(c *Counters) *atomic.Int64 { return &c.Synchronizations }},
+	{"nonlocal_synchs_total", false, func(s *Snapshot) *int64 { return &s.NonLocalSynchs }, func(c *Counters) *atomic.Int64 { return &c.NonLocalSynchs }},
+	{"messages_sent_total", false, func(s *Snapshot) *int64 { return &s.MessagesSent }, func(c *Counters) *atomic.Int64 { return &c.MessagesSent }},
+	{"messages_received_total", false, func(s *Snapshot) *int64 { return &s.MessagesReceived }, func(c *Counters) *atomic.Int64 { return &c.MessagesReceived }},
+	{"tasks_migrated_total", false, func(s *Snapshot) *int64 { return &s.TasksMigrated }, func(c *Counters) *atomic.Int64 { return &c.TasksMigrated }},
+	{"tasks_redone_total", false, func(s *Snapshot) *int64 { return &s.TasksRedone }, func(c *Counters) *atomic.Int64 { return &c.TasksRedone }},
+	{"retransmits_total", false, func(s *Snapshot) *int64 { return &s.Retransmits }, func(c *Counters) *atomic.Int64 { return &c.Retransmits }},
+	{"peer_gone_total", false, func(s *Snapshot) *int64 { return &s.PeerGoneReports }, func(c *Counters) *atomic.Int64 { return &c.PeerGoneReports }},
+	{"reregistrations_total", false, func(s *Snapshot) *int64 { return &s.ReRegistrations }, func(c *Counters) *atomic.Int64 { return &c.ReRegistrations }},
+	{"journal_records_total", false, func(s *Snapshot) *int64 { return &s.JournalRecords }, func(c *Counters) *atomic.Int64 { return &c.JournalRecords }},
+	{"redo_batches_total", false, func(s *Snapshot) *int64 { return &s.RedoBatches }, func(c *Counters) *atomic.Int64 { return &c.RedoBatches }},
+	{"orphan_results_total", false, func(s *Snapshot) *int64 { return &s.Orphans }, nil},
+	{"exec_time_ns", true, func(s *Snapshot) *int64 { return (*int64)(&s.ExecTime) }, nil},
+	{"wall_time_ns", true, func(s *Snapshot) *int64 { return (*int64)(&s.WallTime) }, nil},
+	{"tasks_preempted_total", false, func(s *Snapshot) *int64 { return &s.TasksPreempted }, func(c *Counters) *atomic.Int64 { return &c.TasksPreempted }},
+	{"ckpt_saves_total", false, func(s *Snapshot) *int64 { return &s.CkptSaves }, func(c *Counters) *atomic.Int64 { return &c.CkptSaves }},
+	{"ckpt_resumes_total", false, func(s *Snapshot) *int64 { return &s.CkptResumes }, func(c *Counters) *atomic.Int64 { return &c.CkptResumes }},
+	{"speculative_redo_total", false, func(s *Snapshot) *int64 { return &s.SpeculativeRedos }, func(c *Counters) *atomic.Int64 { return &c.SpeculativeRedos }},
+	{"false_evictions_total", false, func(s *Snapshot) *int64 { return &s.FalseEvictions }, func(c *Counters) *atomic.Int64 { return &c.FalseEvictions }},
+	{"mailbox_depth_max", true, func(s *Snapshot) *int64 { return &s.MailboxDepthMax }, nil},
 }
+
+// OrderedNames lists the table's names in wire order.
+var OrderedNames = func() []string {
+	names := make([]string, len(table))
+	for i, d := range table {
+		names[i] = d.name
+	}
+	return names
+}()
 
 // Ordered flattens the snapshot into the positional form of OrderedNames.
 func (s Snapshot) Ordered() []int64 {
-	return []int64{
-		s.TasksSpawned,
-		s.TasksExecuted,
-		s.MaxTasksInUse,
-		s.TasksStolen,
-		s.RemoteSteals,
-		s.StealAttempts,
-		s.FailedSteals,
-		s.Synchronizations,
-		s.NonLocalSynchs,
-		s.MessagesSent,
-		s.MessagesReceived,
-		s.TasksMigrated,
-		s.TasksRedone,
-		s.Retransmits,
-		s.PeerGoneReports,
-		s.ReRegistrations,
-		s.JournalRecords,
-		s.RedoBatches,
-		s.Orphans,
-		int64(s.ExecTime),
-		int64(s.WallTime),
-		s.TasksPreempted,
-		s.CkptSaves,
-		s.CkptResumes,
-		s.SpeculativeRedos,
-		s.FalseEvictions,
-		s.MailboxDepthMax,
+	vals := make([]int64, len(table))
+	for i, d := range table {
+		vals[i] = *d.field(&s)
 	}
+	return vals
 }
 
 // FromOrdered rebuilds a Snapshot from the positional form. Short slices
 // (an older sender) leave the tail zero; extra entries (a newer sender) are
 // ignored — both directions stay decodable across versions.
 func FromOrdered(vals []int64) Snapshot {
-	at := func(i int) int64 {
+	var s Snapshot
+	for i, d := range table {
 		if i < len(vals) {
-			return vals[i]
+			*d.field(&s) = vals[i]
 		}
-		return 0
 	}
-	return Snapshot{
-		TasksSpawned:     at(0),
-		TasksExecuted:    at(1),
-		MaxTasksInUse:    at(2),
-		TasksStolen:      at(3),
-		RemoteSteals:     at(4),
-		StealAttempts:    at(5),
-		FailedSteals:     at(6),
-		Synchronizations: at(7),
-		NonLocalSynchs:   at(8),
-		MessagesSent:     at(9),
-		MessagesReceived: at(10),
-		TasksMigrated:    at(11),
-		TasksRedone:      at(12),
-		Retransmits:      at(13),
-		PeerGoneReports:  at(14),
-		ReRegistrations:  at(15),
-		JournalRecords:   at(16),
-		RedoBatches:      at(17),
-		Orphans:          at(18),
-		ExecTime:         time.Duration(at(19)),
-		WallTime:         time.Duration(at(20)),
-		TasksPreempted:   at(21),
-		CkptSaves:        at(22),
-		CkptResumes:      at(23),
-		SpeculativeRedos: at(24),
-		FalseEvictions:   at(25),
-		MailboxDepthMax:  at(26),
-	}
+	return s
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -123,6 +124,65 @@ func TestSnapshotString(t *testing.T) {
 	for _, want := range []string{"tasks executed 42", "max tasks in use 7", "non-local synchs"} {
 		if !strings.Contains(str, want) {
 			t.Errorf("String() = %q missing %q", str, want)
+		}
+	}
+}
+
+// Every Snapshot value travels: each field but Worker is named by exactly
+// one table row, under a name no other row uses, and each Counters atomic
+// but TasksInUse (a level, reported through its high-water mark) feeds
+// exactly one row. A field added to the structs but not to the table
+// fails here instead of silently never reaching a StatReport.
+func TestCounterTableCoversSnapshot(t *testing.T) {
+	var s Snapshot
+	var c Counters
+	sv, cv := reflect.ValueOf(&s).Elem(), reflect.ValueOf(&c).Elem()
+	fieldAt := func(v reflect.Value, addr uintptr) string {
+		for i := 0; i < v.NumField(); i++ {
+			if v.Field(i).Addr().Pointer() == addr {
+				return v.Type().Field(i).Name
+			}
+		}
+		return ""
+	}
+	rows := map[string]int{}
+	feeds := map[string]int{}
+	names := map[string]bool{}
+	for i, d := range table {
+		if names[d.name] {
+			t.Errorf("row %d: name %q used twice", i, d.name)
+		}
+		names[d.name] = true
+		f := fieldAt(sv, reflect.ValueOf(d.field(&s)).Pointer())
+		if f == "" {
+			t.Fatalf("row %d (%s) points outside Snapshot", i, d.name)
+		}
+		rows[f]++
+		if d.live == nil {
+			continue
+		}
+		a := d.live(&c)
+		lf := fieldAt(cv, reflect.ValueOf(a).Pointer())
+		if lf != f {
+			t.Errorf("row %d (%s): Snapshot.%s is read from Counters.%s", i, d.name, f, lf)
+		}
+		feeds[lf]++
+		a.Store(int64(i + 1))
+	}
+	for i := 0; i < sv.NumField(); i++ {
+		if f := sv.Type().Field(i).Name; f != "Worker" && rows[f] != 1 {
+			t.Errorf("Snapshot.%s is named by %d table rows, want 1", f, rows[f])
+		}
+	}
+	for i := 0; i < cv.NumField(); i++ {
+		if f := cv.Type().Field(i).Name; f != "TasksInUse" && feeds[f] != 1 {
+			t.Errorf("Counters.%s feeds %d table rows, want 1", f, feeds[f])
+		}
+	}
+	got := c.Snapshot()
+	for i, d := range table {
+		if d.live != nil && *d.field(&got) != int64(i+1) {
+			t.Errorf("Snapshot().%s = %d, want %d", d.name, *d.field(&got), i+1)
 		}
 	}
 }

@@ -18,10 +18,10 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden fi
 // kind the exposition writer handles.
 func goldenRegistry() *Registry {
 	r := NewRegistry()
-	c := r.Counter("phish_tasks_executed_total", "Tasks executed by this worker.", Label{"worker", "1"})
-	c.Add(42)
-	r.Counter("phish_tasks_executed_total", "Tasks executed by this worker.", Label{"worker", "2"}).Add(17)
-	r.Gauge("phish_deque_depth", "Ready-deque depth.").Set(7)
+	constant := func(v int64) func() int64 { return func() int64 { return v } }
+	r.CounterFunc("phish_tasks_executed_total", "Tasks executed by this worker.", constant(42), Label{"worker", "1"})
+	r.CounterFunc("phish_tasks_executed_total", "Tasks executed by this worker.", constant(17), Label{"worker", "2"})
+	r.GaugeFunc("phish_deque_depth", "Ready-deque depth.", constant(7))
 	h := r.Histogram("phish_steal_rtt_ns", "Steal round-trip latency.", []int64{1000, 2000, 5000})
 	h.Observe(500)
 	h.Observe(1500)
@@ -154,8 +154,8 @@ func TestParsePromErrors(t *testing.T) {
 func TestPromLabelEscapeRoundTrip(t *testing.T) {
 	const gnarly = `a,b="c",\d`
 	r := NewRegistry()
-	r.Counter("phish_quoted_total", "Counter with a hostile label.",
-		Label{"arg", gnarly}).Add(9)
+	r.CounterFunc("phish_quoted_total", "Counter with a hostile label.",
+		func() int64 { return 9 }, Label{"arg", gnarly})
 	var buf bytes.Buffer
 	if err := r.WriteProm(&buf); err != nil {
 		t.Fatal(err)

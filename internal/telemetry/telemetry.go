@@ -1,12 +1,17 @@
 // Package telemetry is the runtime's zero-dependency observability plane:
-// counters, gauges, and fixed-bucket latency histograms behind a registry
-// that renders Prometheus text exposition and JSON snapshots, an opt-in
-// HTTP server for the daemons, and the cluster-wide rollup types that the
-// clearinghouse aggregates from piggybacked worker stat reports.
+// fixed-bucket latency histograms and scrape-time counters and gauges
+// behind a registry that renders Prometheus text exposition and JSON
+// snapshots, an opt-in HTTP server for the daemons, and the cluster-wide
+// rollup types that the clearinghouse aggregates from piggybacked worker
+// stat reports.
 //
-// Every instrument is nil-receiver safe: a disabled plane is a nil
-// *Metrics, and hot-path call sites guard with a single pointer check, so
-// turning telemetry off costs no atomic operations at all.
+// The registry owns no counters: every count in the system lives in a
+// stats.Counters atomic or in a subsystem's own atomic, and is read at
+// scrape time through CounterFunc or GaugeFunc.
+//
+// Histograms are nil-receiver safe: a disabled plane is a nil *Metrics,
+// and hot-path call sites guard with a single pointer check, so turning
+// telemetry off costs no atomic operations at all.
 package telemetry
 
 import (
@@ -16,52 +21,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// Counter is a monotonically increasing int64. Nil-safe.
-type Counter struct{ v atomic.Int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds n (n must be non-negative for exposition to make sense).
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is an instantaneous int64 value. Nil-safe.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
-
-// Add adjusts the value by n (may be negative).
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
 
 // Histogram counts int64 samples (nanoseconds, for the latency instruments)
 // into fixed upper-bound buckets plus an implicit overflow bucket. Observe
@@ -256,7 +215,6 @@ type entry struct {
 	labels []Label
 	read   func() int64 // counter/gauge value at scrape time
 	hist   *Histogram
-	inst   any // the owned *Counter/*Gauge, for idempotent registration
 }
 
 func (e *entry) key() string {
@@ -269,7 +227,8 @@ func (e *entry) key() string {
 
 // Registry holds named instruments for one process (or one aggregation
 // point) and renders them. Registration is idempotent per (name, labels):
-// re-registering returns the existing instrument. Safe for concurrent use.
+// re-registering keeps the first registration (and Histogram returns its
+// instrument). Safe for concurrent use.
 type Registry struct {
 	mu      sync.Mutex
 	entries []*entry
@@ -290,27 +249,6 @@ func (r *Registry) register(e *entry) *entry {
 	r.entries = append(r.entries, e)
 	r.byKey[e.key()] = e
 	return e
-}
-
-// Counter registers (or returns) a counter. Counter names should end in
-// "_total" by Prometheus convention.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	c := &Counter{}
-	e := r.register(&entry{name: name, help: help, typ: typeCounter, labels: labels, read: c.Value, inst: c})
-	if got, ok := e.inst.(*Counter); ok {
-		return got
-	}
-	return c
-}
-
-// Gauge registers (or returns) a gauge.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	g := &Gauge{}
-	e := r.register(&entry{name: name, help: help, typ: typeGauge, labels: labels, read: g.Value, inst: g})
-	if got, ok := e.inst.(*Gauge); ok {
-		return got
-	}
-	return g
 }
 
 // CounterFunc registers a counter whose value is computed at scrape time —

@@ -167,18 +167,6 @@ func TestQuantileAccuracy(t *testing.T) {
 
 // Every instrument tolerates a nil receiver — a disabled telemetry plane.
 func TestNilSafety(t *testing.T) {
-	var c *Counter
-	c.Inc()
-	c.Add(5)
-	if c.Value() != 0 {
-		t.Fatal("nil counter value")
-	}
-	var g *Gauge
-	g.Set(3)
-	g.Add(-1)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge value")
-	}
 	var h *Histogram
 	h.Observe(1)
 	h.ObserveSince(time.Now())
@@ -201,19 +189,18 @@ func TestNilSafety(t *testing.T) {
 
 func TestRegistryIdempotent(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("x_total", "")
-	b := r.Counter("x_total", "")
-	if a != b {
-		t.Fatal("re-registering a counter should return the same instance")
+	r.CounterFunc("x_total", "", func() int64 { return 2 })
+	r.CounterFunc("x_total", "", func() int64 { return 3 })
+	r.GaugeFunc("g", "", func() int64 { return 1 }, Label{"worker", "1"})
+	r.GaugeFunc("g", "", func() int64 { return 1 }, Label{"worker", "2"})
+	snap := r.Snapshot()
+	if len(snap) != 3 {
+		t.Fatalf("registry holds %d series, want 3 (one x_total, g per label set): %+v", len(snap), snap)
 	}
-	a.Add(2)
-	if b.Value() != 2 {
-		t.Fatal("shared counter did not share state")
-	}
-	l1 := r.Gauge("g", "", Label{"worker", "1"})
-	l2 := r.Gauge("g", "", Label{"worker", "2"})
-	if l1 == l2 {
-		t.Fatal("distinct label sets must get distinct instruments")
+	for _, m := range snap {
+		if m.Name == "x_total" && m.Value != 2 {
+			t.Fatalf("x_total = %d: re-registering must keep the first registration", m.Value)
+		}
 	}
 	h1 := r.Histogram("h", "", []int64{1, 2})
 	h2 := r.Histogram("h", "", []int64{1, 2})

@@ -1,82 +1,118 @@
 package phish_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"phish"
 	"phish/internal/apps/fib"
+	"phish/internal/apps/pfold"
 	"phish/internal/wire"
 )
 
-// A traced multi-worker run must yield a coherent cluster timeline: every
-// executed task has an exec span, the reconstructed DAG's T1 and T∞ obey
-// T∞ ≤ T1 ≤ P·makespan (up to clock skew, which an in-process fabric does
-// not have), and at least one steal leg was recorded on a job that must
-// steal to spread work.
+// A traced multi-worker run must yield a coherent cluster timeline: no
+// span is lost, every executed task has an exec span, the reconstructed
+// DAG's T1 and T∞ obey T∞ ≤ T1 ≤ P·makespan and makespan ≥ T∞ (an
+// in-process fabric has no clock skew), and at least one steal leg was
+// recorded on a job that must steal to spread work. Two applications: fib's
+// empty bodies and pfold's checkpointing leaves.
 func TestSpanTraceEndToEnd(t *testing.T) {
 	const workers = 4
-	// fib(22) is long enough that thieves usually win tasks even on one
-	// core (the same workload TestTraceRecordsStealProtocol uses); the
-	// large span buffer keeps every span for the exact-count assertion.
-	// Whether any steal succeeds is still timing-dependent, so retry a few
-	// times for a run with real steals; the fast membership push widens
-	// the window in which thieves know their victims.
-	cfg := phish.DefaultWorkerConfig()
-	cfg.SpanBuf = 1 << 20
-	var res *phish.LocalResult
-	var err error
-	for attempt := 0; attempt < 5; attempt++ {
-		res, err = phish.RunLocal(fib.Program(), fib.Root, fib.RootArgs(22), phish.LocalOptions{
-			Workers:     workers,
-			Config:      cfg,
-			SpanTrace:   true,
-			UpdateEvery: 2 * time.Millisecond,
+	for _, tc := range []struct {
+		name  string
+		prog  *phish.Program
+		root  string
+		args  []phish.Value
+		check func(t *testing.T, res *phish.LocalResult, d *phish.TraceDAG)
+	}{
+		{"fib(22)", fib.Program(), fib.Root, fib.RootArgs(22), func(t *testing.T, res *phish.LocalResult, d *phish.TraceDAG) {
+			if got, want := res.Value.(int64), fib.Serial(22); got != want {
+				t.Fatalf("fib(22) = %d, want %d", got, want)
+			}
+			if want := fib.TaskCount(22); int64(d.Tasks) != want {
+				t.Errorf("DAG tasks = %d, want %d (one exec span per executed task)", d.Tasks, want)
+			}
+		}},
+		{"pfold(15, 6)", pfold.Program(), pfold.Root, pfold.RootArgs(15, 6), func(t *testing.T, res *phish.LocalResult, d *phish.TraceDAG) {
+			if got, want := res.Value.([]int64), pfold.Serial(15); !reflect.DeepEqual(got, want) {
+				t.Fatalf("pfold(15) = %v, want %v", got, want)
+			}
+			// A leaf preempted at a Yield and then stolen is executed again
+			// on the thief, from its checkpoint: the counters see two
+			// executions and one resume, the DAG one task.
+			if tot := res.Totals; int64(d.Tasks) != tot.TasksExecuted-tot.CkptResumes {
+				t.Errorf("DAG tasks = %d, counters say %d executed, %d of them resumed",
+					d.Tasks, tot.TasksExecuted, tot.CkptResumes)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// fib(22) is long enough that thieves usually win tasks even on
+			// one core (the same workload TestTraceRecordsStealProtocol
+			// uses); the large span buffer keeps every span for the
+			// exact-count assertions. Whether any steal succeeds is still
+			// timing-dependent, so retry a few times for a run with real
+			// steals; the fast membership push widens the window in which
+			// thieves know their victims.
+			cfg := phish.DefaultWorkerConfig()
+			cfg.SpanBuf = 1 << 20
+			var res *phish.LocalResult
+			var err error
+			for attempt := 0; attempt < 5; attempt++ {
+				res, err = phish.RunLocal(tc.prog, tc.root, tc.args, phish.LocalOptions{
+					Workers:     workers,
+					Config:      cfg,
+					SpanTrace:   true,
+					UpdateEvery: 2 * time.Millisecond,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Totals.TasksStolen > 0 {
+					break
+				}
+			}
+			if len(res.Spans) == 0 {
+				t.Fatal("traced run returned no spans")
+			}
+			if res.SpansDropped != 0 {
+				t.Errorf("%d spans dropped", res.SpansDropped)
+			}
+			d := phish.BuildDAG(res.Spans)
+			tc.check(t, res, d)
+			if d.T1 <= 0 || d.TInf <= 0 || d.Makespan <= 0 {
+				t.Fatalf("degenerate DAG: T1=%v Tinf=%v makespan=%v", d.T1, d.TInf, d.Makespan)
+			}
+			if d.TInf > d.T1 {
+				t.Errorf("Tinf %v > T1 %v", d.TInf, d.T1)
+			}
+			if d.T1 > time.Duration(workers)*d.Makespan {
+				t.Errorf("T1 %v exceeds P * makespan %v: timeline incoherent", d.T1, time.Duration(workers)*d.Makespan)
+			}
+			if d.Makespan < d.TInf {
+				t.Errorf("makespan %v below the critical path %v", d.Makespan, d.TInf)
+			}
+			if len(d.CritPath) < 2 {
+				t.Errorf("critical path too short: %v", d.CritPath)
+			}
+			kinds := map[uint8]int{}
+			for _, sp := range res.Spans {
+				kinds[sp.Kind]++
+			}
+			// The span plane must agree with the counters: a run that stole
+			// tasks has all three steal legs in its trace.
+			if res.Totals.TasksStolen > 0 {
+				if kinds[wire.SpanStealReq] == 0 || kinds[wire.SpanStealGrant] == 0 || kinds[wire.SpanStealAdopt] == 0 {
+					t.Errorf("counters say %d steals but legs missing from trace: %v", res.Totals.TasksStolen, kinds)
+				}
+			} else {
+				t.Logf("no successful steals in any attempt; steal-leg check skipped (kinds %v)", kinds)
+			}
+			if _, err := d.ChromeTrace(); err != nil {
+				t.Errorf("chrome export: %v", err)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Totals.TasksStolen > 0 {
-			break
-		}
-	}
-	if got, want := res.Value.(int64), fib.Serial(22); got != want {
-		t.Fatalf("fib(22) = %d, want %d", got, want)
-	}
-	if len(res.Spans) == 0 {
-		t.Fatal("traced run returned no spans")
-	}
-	d := phish.BuildDAG(res.Spans)
-	if want := fib.TaskCount(22); int64(d.Tasks) != want {
-		t.Errorf("DAG tasks = %d, want %d (one exec span per executed task)", d.Tasks, want)
-	}
-	if d.T1 <= 0 || d.TInf <= 0 || d.Makespan <= 0 {
-		t.Fatalf("degenerate DAG: T1=%v Tinf=%v makespan=%v", d.T1, d.TInf, d.Makespan)
-	}
-	if d.TInf > d.T1 {
-		t.Errorf("Tinf %v > T1 %v", d.TInf, d.T1)
-	}
-	if d.T1 > time.Duration(workers)*d.Makespan {
-		t.Errorf("T1 %v exceeds P * makespan %v: timeline incoherent", d.T1, time.Duration(workers)*d.Makespan)
-	}
-	if len(d.CritPath) < 2 {
-		t.Errorf("critical path too short: %v", d.CritPath)
-	}
-	kinds := map[uint8]int{}
-	for _, sp := range res.Spans {
-		kinds[sp.Kind]++
-	}
-	// The span plane must agree with the counters: a run that stole tasks
-	// has all three steal legs in its trace.
-	if res.Totals.TasksStolen > 0 {
-		if kinds[wire.SpanStealReq] == 0 || kinds[wire.SpanStealGrant] == 0 || kinds[wire.SpanStealAdopt] == 0 {
-			t.Errorf("counters say %d steals but legs missing from trace: %v", res.Totals.TasksStolen, kinds)
-		}
-	} else {
-		t.Logf("no successful steals in any attempt; steal-leg check skipped (kinds %v)", kinds)
-	}
-	if _, err := d.ChromeTrace(); err != nil {
-		t.Errorf("chrome export: %v", err)
 	}
 }
 
