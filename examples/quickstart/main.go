@@ -31,8 +31,8 @@ func main() {
 		// ...or spawns children plus a successor that joins their
 		// results. The successor inherits this task's continuation.
 		s := c.Successor("sum", 2)
-		c.Spawn("fib", s.Cont(0), n-1)
-		c.Spawn("fib", s.Cont(1), n-2)
+		c.Spawn1("fib", s.Cont(0), n-1)
+		c.Spawn1("fib", s.Cont(1), n-2)
 	})
 	prog.Register("sum", func(c phish.TaskCtx) {
 		c.Return(c.Int(0) + c.Int(1))

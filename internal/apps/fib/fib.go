@@ -51,8 +51,8 @@ func fibTask(c phish.TaskCtx) {
 		return
 	}
 	s := c.Successor("fib.sum", 2)
-	c.Spawn("fib", s.Cont(0), n-1)
-	c.Spawn("fib", s.Cont(1), n-2)
+	c.Spawn1("fib", s.Cont(0), n-1)
+	c.Spawn1("fib", s.Cont(1), n-2)
 }
 
 func sumTask(c phish.TaskCtx) {

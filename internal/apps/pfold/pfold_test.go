@@ -279,6 +279,7 @@ func (c *fakeCtx) Spawn(fn string, cont types.Continuation, args ...phish.Value)
 	}
 	c.kids = append(c.kids, append([]phish.Value(nil), args...))
 }
+func (c *fakeCtx) Spawn1(fn string, cont types.Continuation, a phish.Value) { c.Spawn(fn, cont, a) }
 func (c *fakeCtx) Yield(blob []byte) bool {
 	c.blobs = append(c.blobs, bytes.Clone(blob))
 	c.yields++

@@ -37,15 +37,16 @@ func fastOpts() Options {
 	}
 }
 
-// spreadProg's "fan" root spawns k "leaf" tasks into one "sum" successor.
-// Every leaf notes the worker running it and then spins until two distinct
-// workers have run a leaf, yielding so that its own worker keeps answering
-// steal requests; after deadline it gives up and sets timedOut. The job
-// cannot finish until a second workstation has joined and won a leaf.
-func spreadProg(deadline time.Time, timedOut *atomic.Bool) *core.Program {
+// holdProg's "fan" root spawns k "leaf" tasks into one "sum" successor.
+// Every leaf notes the worker running it and then spins until release —
+// shown every worker that has run a leaf so far — says the test has seen
+// what it waits for, yielding so that its own worker keeps answering steal
+// requests and can be preempted; after deadline it gives up and sets
+// timedOut. The job cannot finish before release does.
+func holdProg(release func(ran map[types.WorkerID]bool) bool, deadline time.Time, timedOut *atomic.Bool) *core.Program {
 	var mu sync.Mutex
 	ran := map[types.WorkerID]bool{}
-	p := core.NewProgram("spread")
+	p := core.NewProgram("hold")
 	p.Register("fan", func(c model.Ctx) {
 		k := c.Int(0)
 		s := c.Successor("sum", int(k))
@@ -59,9 +60,9 @@ func spreadProg(deadline time.Time, timedOut *atomic.Bool) *core.Program {
 		mu.Unlock()
 		for {
 			mu.Lock()
-			spread := len(ran) >= 2
+			done := release(ran)
 			mu.Unlock()
-			if spread {
+			if done {
 				break
 			}
 			if time.Now().After(deadline) {
@@ -93,7 +94,8 @@ func TestJobRunsOnIdleWorkstations(t *testing.T) {
 	}
 	const leaves = 8
 	var timedOut atomic.Bool
-	j := c.Submit(spreadProg(time.Now().Add(20*time.Second), &timedOut), "fan", []types.Value{int64(leaves)})
+	spread := func(ran map[types.WorkerID]bool) bool { return len(ran) >= 2 }
+	j := c.Submit(holdProg(spread, time.Now().Add(20*time.Second), &timedOut), "fan", []types.Value{int64(leaves)})
 	v, err := j.Wait(30 * time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -139,31 +141,29 @@ func TestOwnerReclaimMigratesWork(t *testing.T) {
 	c.AddWorkstation(idlesim.Always{})
 	c.AddWorkstation(idlesim.Always{})
 
-	const fibN = 29
-	j := c.Submit(fib.Program(), fib.Root, fib.RootArgs(fibN))
-	// Wait until workstation 1 actually has a live worker in the job,
-	// then its owner returns.
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) && !j.Done() {
-		found := false
-		for _, id := range j.LiveWorkers() {
+	// Workstation 1's owner returns once its worker has run a leaf, so that
+	// worker holds one when it is reclaimed; the leaves then hold the job
+	// open until the reclaim has landed.
+	release := func(ran map[types.WorkerID]bool) bool {
+		for id := range ran {
 			if int32(id)>>20 == 1 {
-				found = true
+				ownerBack.Store(true)
 			}
 		}
-		if found {
-			break
-		}
-		time.Sleep(time.Millisecond)
+		return reclaimable.Stats().Reclaims.Load() > 0
 	}
-	ownerBack.Store(true)
-
+	const leaves = 8
+	var timedOut atomic.Bool
+	j := c.Submit(holdProg(release, time.Now().Add(20*time.Second), &timedOut), "fan", []types.Value{int64(leaves)})
 	v, err := j.Wait(60 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := v.(int64), fib.Serial(fibN); got != want {
-		t.Errorf("fib(%d) = %d, want %d", fibN, got, want)
+	if timedOut.Load() {
+		t.Fatal("no worker of workstation 1 was reclaimed holding a leaf within 20s")
+	}
+	if got := v.(int64); got != leaves {
+		t.Errorf("sum = %d, want %d", got, leaves)
 	}
 	if n := reclaimable.Stats().Reclaims.Load(); n == 0 {
 		t.Error("owner returned but no worker was reclaimed")
@@ -172,8 +172,11 @@ func TestOwnerReclaimMigratesWork(t *testing.T) {
 	// a defensive root respawn while the real result was in flight) but
 	// may never be lost.
 	tot := j.Totals()
-	if got, want := tot.TasksExecuted, fib.TaskCount(fibN); got < want {
+	if got, want := tot.TasksExecuted, int64(leaves+2); got < want {
 		t.Errorf("tasks executed = %d < %d; work was lost", got, want)
+	}
+	if tot.TasksMigrated == 0 {
+		t.Error("the reclaimed worker held a leaf but migrated nothing")
 	}
 }
 

@@ -28,7 +28,7 @@ func BenchmarkTaskThroughput(b *testing.B) {
 			return
 		}
 		s := c.Successor("pass", 1)
-		c.Spawn("chain", s.Cont(0), n-1)
+		c.Spawn1("chain", s.Cont(0), n-1)
 	})
 	prog.Register("pass", func(c model.Ctx) { c.Return(c.Int(0)) })
 

@@ -19,17 +19,21 @@ import (
 
 // testProg is a fib-like program local to these tests (kept separate from
 // internal/apps/fib to avoid an import cycle through the public package).
-func testProg() *core.Program {
+// atLeaf, when not nil, runs at the top of every leaf.
+func testProg(atLeaf func(model.Ctx)) *core.Program {
 	p := core.NewProgram("coretest")
 	p.Register("fib", func(c model.Ctx) {
 		n := c.Int(0)
 		if n < 2 {
+			if atLeaf != nil {
+				atLeaf(c)
+			}
 			c.Return(n)
 			return
 		}
 		s := c.Successor("sum", 2)
-		c.Spawn("fib", s.Cont(0), n-1)
-		c.Spawn("fib", s.Cont(1), n-2)
+		c.Spawn1("fib", s.Cont(0), n-1)
+		c.Spawn1("fib", s.Cont(1), n-2)
 	})
 	p.Register("sum", func(c model.Ctx) { c.Return(c.Int(0) + c.Int(1)) })
 	return p
@@ -74,7 +78,7 @@ func newRig(t *testing.T, rootN int64) *rig {
 	go ch.Run()
 	cfg := core.DefaultConfig()
 	cfg.StealTimeout = 50 * time.Millisecond
-	r := &rig{t: t, fab: fab, ch: ch, prog: testProg(), cfg: cfg,
+	r := &rig{t: t, fab: fab, ch: ch, prog: testProg(nil), cfg: cfg,
 		workers: make(map[types.WorkerID]*core.Worker)}
 	t.Cleanup(func() {
 		r.mu.Lock()
@@ -176,12 +180,30 @@ func TestLateJoinerParticipates(t *testing.T) {
 
 func TestReclaimMigratesExactly(t *testing.T) {
 	r := newRig(t, 26)
-	w0 := r.addWorker(0)
+	// Worker 0 starts the job alone and is reclaimed from inside its first
+	// leaf, once workers 1 and 2 are members: deep in the tree, with its
+	// deque and join table full, and before the job can finish.
+	var w0 atomic.Pointer[core.Worker]
+	var once sync.Once
+	r.prog = testProg(func(c model.Ctx) {
+		if c.Worker() != 0 {
+			return
+		}
+		once.Do(func() {
+			for deadline := time.Now().Add(10 * time.Second); len(r.ch.LiveWorkers()) < 3 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			w0.Load().Reclaim()
+		})
+	})
+	w0.Store(r.addWorker(0))
+	for deadline := time.Now().Add(10 * time.Second); w0.Load().Stats().TasksExecuted == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("worker 0 never started the job")
+		}
+	}
 	r.addWorker(1)
 	r.addWorker(2)
-	// Give worker 0 time to accumulate state, then reclaim it.
-	time.Sleep(40 * time.Millisecond)
-	w0.Reclaim()
 	if got, want := r.wait(60*time.Second), fibVal(26); got != want {
 		t.Errorf("result = %d, want %d", got, want)
 	}
@@ -193,8 +215,8 @@ func TestReclaimMigratesExactly(t *testing.T) {
 	} else if got, want := tot.TasksExecuted, fibTasks(26); got < want {
 		t.Errorf("tasks executed = %d < %d (work lost)", got, want)
 	}
-	if w0.LeaveReason() != wire.LeaveReclaimed && w0.LeaveReason() != wire.LeaveCrash {
-		t.Errorf("leave reason = %v", w0.LeaveReason())
+	if w := w0.Load(); w.LeaveReason() != wire.LeaveReclaimed && w.LeaveReason() != wire.LeaveCrash {
+		t.Errorf("leave reason = %v", w.LeaveReason())
 	}
 }
 

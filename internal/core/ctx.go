@@ -32,44 +32,14 @@ func (t *TaskCtx) NArgs() int { return len(t.c.Args) }
 // Arg returns argument i.
 func (t *TaskCtx) Arg(i int) types.Value { return t.c.Args[i] }
 
-// Int returns argument i as an int64, accepting the int forms that survive
-// gob round trips. It panics on other types: a task disagreeing with its
-// spawner about argument types is a programming error.
-func (t *TaskCtx) Int(i int) int64 {
-	switch v := t.c.Args[i].(type) {
-	case int64:
-		return v
-	case int:
-		return int64(v)
-	case int32:
-		return int64(v)
-	case uint64:
-		return int64(v)
-	default:
-		panic(fmt.Sprintf("core: task %s arg %d is %T, not an integer", t.c.Fn, i, v))
-	}
-}
+// Int returns argument i as an int64 (model.Int).
+func (t *TaskCtx) Int(i int) int64 { return model.Int(t.c.Fn, i, t.c.Args[i]) }
 
-// Float returns argument i as a float64.
-func (t *TaskCtx) Float(i int) float64 {
-	switch v := t.c.Args[i].(type) {
-	case float64:
-		return v
-	case int64:
-		return float64(v)
-	default:
-		panic(fmt.Sprintf("core: task %s arg %d is %T, not a float", t.c.Fn, i, v))
-	}
-}
+// Float returns argument i as a float64 (model.Float).
+func (t *TaskCtx) Float(i int) float64 { return model.Float(t.c.Fn, i, t.c.Args[i]) }
 
-// String returns argument i as a string.
-func (t *TaskCtx) String(i int) string {
-	s, ok := t.c.Args[i].(string)
-	if !ok {
-		panic(fmt.Sprintf("core: task %s arg %d is %T, not a string", t.c.Fn, i, t.c.Args[i]))
-	}
-	return s
-}
+// String returns argument i as a string (model.String).
+func (t *TaskCtx) String(i int) string { return model.String(t.c.Fn, i, t.c.Args[i]) }
 
 // Worker returns the executing worker's identity.
 func (t *TaskCtx) Worker() types.WorkerID { return t.w.id }
@@ -135,7 +105,8 @@ func (t *TaskCtx) SuccessorCont(fn string, nslots int, cont types.Continuation) 
 	cl.Missing = int32(nslots)
 	cl.Cont = cont
 	cl.TC = t.childTC()
-	t.w.addWaiting(cl)
+	t.w.tasks.created()
+	t.w.join.put(cl)
 	return (*SuccRef)(&cl.ID)
 }
 
@@ -150,12 +121,22 @@ func (t *TaskCtx) Preset(s model.Succ, slot int, v types.Value) {
 	t.w.fillSlot(types.Continuation{Task: s.Task(), Slot: int32(slot)}, v, false, false)
 }
 
-// Spawn creates a ready child task of fn with the given arguments, whose
-// result will be delivered to cont. The child goes to the head of the
-// ready deque (the paper's LIFO discipline), so with the default
-// configuration it runs next unless a thief takes older work first.
+// Spawn creates a ready child task of fn with a copy of args, whose result
+// will be delivered to cont. The child goes to the head of the ready deque
+// (the paper's LIFO discipline), so with the default configuration it runs
+// next unless a thief takes older work first.
 func (t *TaskCtx) Spawn(fn string, cont types.Continuation, args ...types.Value) {
-	t.w.spawn(fn, cont, args, false, t.childTC())
+	cl := t.w.newClosure()
+	cl.setArgs(args)
+	t.w.spawn(cl, fn, cont, false, t.childTC())
+}
+
+// Spawn1 is Spawn with one argument, which goes straight into the child's
+// (recycled) argument array.
+func (t *TaskCtx) Spawn1(fn string, cont types.Continuation, a types.Value) {
+	cl := t.w.newClosure()
+	cl.Args = append(cl.Args[:0], a)
+	t.w.spawn(cl, fn, cont, false, t.childTC())
 }
 
 // Print emits output through the job's clearinghouse ("a user need only

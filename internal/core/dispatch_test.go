@@ -74,10 +74,10 @@ func TestStealCycleSameOnBothPayloadForms(t *testing.T) {
 			r.cycle(t)
 		}
 		return outcome{
-			victim: r.victim.Stats(), thief: r.thief.Stats(),
+			victim: r.victim.foldedStats(), thief: r.thief.foldedStats(),
 			records: len(r.victim.records),
 			vDeque:  r.victim.dq.Len(), tDeque: r.thief.dq.Len(),
-			vWait: len(r.victim.waiting), tWait: len(r.thief.waiting),
+			vWait: r.victim.join.len(), tWait: r.thief.join.len(),
 			rttSamples: cfg.Metrics.StealRTT().Snapshot().Count,
 		}
 	}
@@ -123,14 +123,14 @@ func TestCorruptStolenClosureIsALostReply(t *testing.T) {
 	r := newStealRig(t, phishnet.CodecNone, DefaultConfig())
 	r.request(t, []types.Value{marker})
 	r.victim.handle(<-r.recvV)
-	before := r.thief.Stats()
+	before := r.thief.foldedStats()
 	r.thief.handle(throughWire(t, <-r.recvT, corruptMarkerKind(t)))
 
-	after := r.thief.Stats()
+	after := r.thief.foldedStats()
 	before.MessagesReceived++ // the reply did arrive
-	if after != before || r.thief.dq.Len() != 0 || len(r.thief.waiting) != 0 {
+	if after != before || r.thief.dq.Len() != 0 || r.thief.join.len() != 0 {
 		t.Errorf("thief changed by a reply it could not decode:\n before %+v\n after  %+v\n deque %d, waiting %d",
-			before, after, r.thief.dq.Len(), len(r.thief.waiting))
+			before, after, r.thief.dq.Len(), r.thief.join.len())
 	}
 	if r.thief.stealPending {
 		t.Error("the request is still pending: the thief would wait out its timeout")
@@ -155,14 +155,14 @@ func TestCorruptStolenClosureIsALostReply(t *testing.T) {
 func TestCorruptArgValueIsDropped(t *testing.T) {
 	w, _ := newTestWorker(t, 5)
 	cl := &Closure{ID: types.TaskID{Worker: 5, Seq: 1}, Fn: "noop", Args: make([]types.Value, 1), Missing: 1}
-	w.waiting[cl.ID] = cl
+	w.join.put(cl)
 	env := &wire.Envelope{Job: 1, From: 6, To: 5, Payload: wire.Arg{Cont: types.Continuation{Task: cl.ID}, Val: marker}}
 
 	w.handle(throughWire(t, env, corruptMarkerKind(t)))
 	if cl.Missing != 1 || cl.Args[0] != nil || w.dq.Len() != 0 {
 		t.Errorf("corrupt Arg was delivered: missing %d, slot %v, deque %d", cl.Missing, cl.Args[0], w.dq.Len())
 	}
-	if s := w.Stats(); s.Synchronizations != 0 || s.Orphans != 0 {
+	if s := w.foldedStats(); s.Synchronizations != 0 || s.Orphans != 0 {
 		t.Errorf("corrupt Arg was counted: %d synchs, %d orphans", s.Synchronizations, s.Orphans)
 	}
 	// The same frame undamaged fills the slot.

@@ -56,12 +56,19 @@ var (
 // request spawns one task on the victim and sends the thief's steal
 // request for it, marked outstanding the way thieveStep marks it.
 func (r *stealRig) request(tb testing.TB, args []types.Value) {
-	r.victim.spawn("work", stealRigCont, args, false, wire.TraceCtx{})
+	spawnWork(r.victim, stealRigCont, args)
 	if err := r.thief.sendTo(0, wire.StealRequest{Thief: 1}); err != nil {
 		tb.Fatal(err)
 	}
 	r.thief.stealPending = true
 	r.thief.stealSentAt = time.Now()
+}
+
+// spawnWork puts a ready "work" task with a copy of args on w's deque.
+func spawnWork(w *Worker, cont types.Continuation, args []types.Value) {
+	cl := w.newClosure()
+	cl.setArgs(args)
+	w.spawn(cl, "work", cont, false, wire.TraceCtx{})
 }
 
 // cycle is one complete steal round trip — request, grant (with
@@ -139,7 +146,7 @@ func BenchmarkFabricStealRTT(b *testing.B) {
 		defer runtime.UnlockOSThread()
 		for !stop.Load() {
 			if victim.dq.Empty() {
-				victim.spawn("work", cont, args, false, wire.TraceCtx{})
+				spawnWork(victim, cont, args)
 			}
 			victim.drainAll()
 			runtime.Gosched() // keeps -cpu 1 runs live; free when the thief has its own P

@@ -43,11 +43,14 @@ type Worker struct {
 	cfg  Config
 	clk  clock.Clock
 
-	// Counters is exported via Stats(); the stats package uses atomics.
+	// counters is exported via Stats(); the stats package uses atomics.
+	// tasks holds the counts every task moves, as plain fields that
+	// foldCounters copies into counters.
 	counters stats.Counters
+	tasks    taskCounts
 
 	dq      deque.Deque[*Closure]
-	waiting map[types.TaskID]*Closure
+	join    joinTable
 	records map[types.TaskID]*stealRecord
 	seq     uint64
 	rng     *rand.Rand
@@ -216,7 +219,7 @@ func NewWorker(job types.JobID, id types.WorkerID, prog *Program, conn phishnet.
 		recv:        conn.Recv(),
 		cfg:         cfg,
 		clk:         clk,
-		waiting:     make(map[types.TaskID]*Closure),
+		join:        newJoinTable(id),
 		records:     make(map[types.TaskID]*stealRecord),
 		fns:         make(map[string]*fnEntry),
 		rng:         rand.New(rand.NewSource(cfg.Seed + int64(id)*0x9e3779b9)),
@@ -267,6 +270,46 @@ func (w *Worker) SpanDrops() uint64 {
 		return 0
 	}
 	return w.spans.Load().droppedCount()
+}
+
+// taskCounts are the counters every task moves. Only the scheduler
+// goroutine writes them, so they are plain fields — five LOCK-prefixed
+// updates per task saved — and reach the atomics other goroutines read
+// through foldCounters.
+type taskCounts struct {
+	spawned, executed, synchs int64
+	inUse, maxInUse           int64
+}
+
+// created records a closure spawned here.
+func (c *taskCounts) created() {
+	c.spawned++
+	c.adopted()
+}
+
+// adopted records a live closure that arrived from elsewhere (steal,
+// migration, redo) and maintains the working-set high-water mark.
+func (c *taskCounts) adopted() {
+	if c.inUse++; c.inUse > c.maxInUse {
+		c.maxInUse = c.inUse
+	}
+}
+
+// retired records that a live closure finished or left this worker.
+func (c *taskCounts) retired() { c.inUse-- }
+
+// foldCounters publishes the plain task counts into w.counters. It runs on
+// every housekeeping pass of the loop, before the scheduler goroutine sends
+// a StatReport or its Unregister, and when Run returns: Stats after Run is
+// exact, and one taken meanwhile (a heartbeat's report among them) lags by
+// at most one pass. Scheduler goroutine only.
+func (w *Worker) foldCounters() {
+	c, t := &w.counters, &w.tasks
+	c.TasksSpawned.Store(t.spawned)
+	c.TasksExecuted.Store(t.executed)
+	c.Synchronizations.Store(t.synchs)
+	c.TasksInUse.Store(t.inUse)
+	c.MaxTasksInUse.Store(t.maxInUse)
 }
 
 // Stats snapshots the worker's counters, including its execution time
@@ -408,6 +451,7 @@ func (w *Worker) Run() error {
 	t0 := time.Now()
 	w.startT.Store(t0.UnixNano())
 	defer func() {
+		w.foldCounters()
 		w.execT.Store(int64(time.Since(t0)))
 		if cpuOK {
 			if cpu1, ok := cputime.Thread(); ok {
@@ -671,6 +715,7 @@ func (w *Worker) publishCkpt(c *Closure) {
 		return
 	}
 	// Unsolicited and unreliable, exactly like the heartbeat piggyback.
+	w.foldCounters()
 	for _, sr := range w.statReports() {
 		rep := &wire.Envelope{Job: w.job, From: w.id, To: types.ClearinghouseID,
 			Payload: sr}
@@ -743,8 +788,9 @@ func panicFrames(stack []byte, n int) string {
 // all of it is clear and the iteration is pop-and-execute. Anything else
 // takes the housekeeping pass below, which is also what notices an inbox
 // closed without a Shutdown message (a closed empty channel has length 0),
-// refreshes readyDepth and — for a worker that reads its own socket — moves
-// what has arrived there into the inbox. Every timed execution sets housekeep (see
+// refreshes readyDepth, folds the task counters and — for a worker that
+// reads its own socket — moves what has arrived there into the inbox.
+// Every timed execution sets housekeep (see
 // execute), and at least one task in timedEvery is timed, so a pass is
 // never further away than timedEvery-1 fine-grain tasks — under 150 µs of
 // work — while a worker running coarse tasks makes one before every task.
@@ -764,6 +810,7 @@ func (w *Worker) loop() {
 		}
 		w.housekeep = false
 		w.readyDepth.Store(int32(w.dq.Len()))
+		w.foldCounters()
 		w.pollNet(0)
 		w.drainAll()
 		w.retryUnsent(false)
@@ -832,7 +879,7 @@ func (w *Worker) execute(cl *Closure) {
 		cl.freshLocal = cl.CkptSeq == 0 && len(cl.Ckpt) == 0
 		cl.timed = m != nil || traced || !e.exec.warm() || e.exec.mean >= float64(fineGrain) ||
 			w.sinceTimed >= timedEvery-1
-		w.counters.TasksExecuted.Add(1)
+		w.tasks.executed++
 		if len(cl.Ckpt) > 0 {
 			w.counters.CkptResumes.Add(1)
 		}
@@ -880,7 +927,7 @@ func (w *Worker) execute(cl *Closure) {
 		w.dq.PushHead(cl)
 		return
 	}
-	w.counters.TaskRetired()
+	w.tasks.retired()
 	if cl.timed && cl.freshLocal {
 		// A started-from-scratch attempt is the clean sample of what this Fn
 		// costs; bodies resumed from a stolen or migrated checkpoint would
@@ -982,8 +1029,7 @@ func (w *Worker) thieveStep() bool {
 func (w *Worker) shouldAskRetire() bool {
 	return w.cfg.MaxStealFailures > 0 &&
 		w.consecFails >= w.cfg.MaxStealFailures &&
-		w.counters.TasksInUse.Load() == 0 &&
-		w.dq.Empty() && len(w.waiting) == 0
+		w.tasks.inUse == 0 && w.dq.Empty() && w.join.len() == 0
 }
 
 // pickVictim chooses a steal victim among the live peers. Suspect victims
@@ -1430,28 +1476,21 @@ func (w *Worker) nextTaskID() types.TaskID {
 	return types.TaskID{Worker: w.id, Seq: w.seq}
 }
 
-// spawn creates a ready closure and enqueues it at the head of the deque.
-func (w *Worker) spawn(fn string, cont types.Continuation, args []types.Value, noSteal bool, tc wire.TraceCtx) {
-	for i, a := range args {
+// spawn makes cl — a closure from newClosure with its arguments already in
+// place — a ready task of fn and enqueues it at the head of the deque.
+func (w *Worker) spawn(cl *Closure, fn string, cont types.Continuation, noSteal bool, tc wire.TraceCtx) {
+	for i, a := range cl.Args {
 		if a == nil {
 			panic(fmt.Sprintf("core: spawn %s: nil argument %d", fn, i))
 		}
 	}
-	cl := w.newClosure()
 	cl.ID = w.nextTaskID()
 	cl.Fn = fn
-	cl.setArgs(args)
 	cl.Cont = cont
 	cl.NoSteal = noSteal
 	cl.TC = tc
-	w.counters.TaskCreated()
+	w.tasks.created()
 	w.dq.PushHead(cl)
-}
-
-// addWaiting installs a freshly created successor in the waiting table.
-func (w *Worker) addWaiting(cl *Closure) {
-	w.counters.TaskCreated()
-	w.waiting[cl.ID] = cl
 }
 
 func (w *Worker) spawnRoot(p wire.SpawnRoot) {
@@ -1464,7 +1503,9 @@ func (w *Worker) spawnRoot(p wire.SpawnRoot) {
 			tc.Flags = wire.FlagSampled
 		}
 	}
-	w.spawn(p.Fn, cont, p.Args, true, tc)
+	cl := w.newClosure()
+	cl.setArgs(p.Args)
+	w.spawn(cl, p.Fn, cont, true, tc)
 }
 
 // deliver routes a result value to a continuation: locally into a waiting
@@ -1483,7 +1524,7 @@ func (w *Worker) deliver(cont types.Continuation, v types.Value, crossed bool, t
 		w.deliver(rec.realCont, v, crossed, tc)
 		return
 	}
-	if cl, ok := w.waiting[cont.Task]; ok {
+	if cl := w.join.get(cont.Task); cl != nil {
 		w.fill(cl, cont.Slot, v, crossed, true)
 		return
 	}
@@ -1536,8 +1577,8 @@ func (w *Worker) deliver(cont types.Continuation, v types.Value, crossed bool, t
 // entry point for a caller that holds only a continuation (Preset; deliver
 // has the closure in hand already and calls fill).
 func (w *Worker) fillSlot(cont types.Continuation, v types.Value, crossed, countSynch bool) {
-	cl, ok := w.waiting[cont.Task]
-	if !ok {
+	cl := w.join.get(cont.Task)
+	if cl == nil {
 		w.orphanDrops.Add(1)
 		return
 	}
@@ -1558,13 +1599,13 @@ func (w *Worker) fill(cl *Closure, slot int32, v types.Value, crossed, countSync
 	cl.Args[slot] = v
 	cl.Missing--
 	if countSynch {
-		w.counters.Synchronizations.Add(1)
+		w.tasks.synchs++
 		if crossed {
 			w.counters.NonLocalSynchs.Add(1)
 		}
 	}
 	if cl.Missing == 0 {
-		delete(w.waiting, cl.ID)
+		w.join.del(cl)
 		w.dq.PushHead(cl)
 	}
 }
@@ -1629,7 +1670,7 @@ func (w *Worker) grantSteal(thief types.WorkerID) {
 			Task: rec.id, Parent: rec.realCont.Task, Link: rec.task.ID, Peer: thief,
 			Start: t0.UnixNano(), End: time.Now().UnixNano()})
 	}
-	w.counters.TaskRetired() // the task left this worker
+	w.tasks.retired() // the task left this worker
 	if cl.published {
 		w.dropCkptPub(cl.ID) // a preempted body, stolen: the thief republishes
 	}
@@ -1672,7 +1713,7 @@ func (w *Worker) putBackStealable(cl *Closure) {
 func (w *Worker) adoptClosure(cl *Closure) {
 	w.dbgAdopts.Add(1)
 	w.ensureSpans(cl.TC)
-	w.counters.TaskAdopted()
+	w.tasks.adopted()
 	w.counters.TasksStolen.Add(1)
 	if victim := cl.Cont.Task.Worker; w.siteOf[victim] != w.cfg.Site {
 		w.counters.RemoteSteals.Add(1)
@@ -1690,7 +1731,7 @@ func (w *Worker) adoptClosure(cl *Closure) {
 		w.dq.PushHead(cl)
 	} else {
 		// Only ready tasks are stealable; tolerate anyway.
-		w.waiting[cl.ID] = cl
+		w.join.put(cl)
 	}
 	if host, ok := w.resolveHost(cl.Cont.Task.Worker); ok && host != w.id {
 		w.sendTo(host, wire.StealConfirm{Record: cl.Cont.Task})
@@ -1707,13 +1748,13 @@ func (w *Worker) adoptMigration(from types.WorkerID, m wire.Migrate) {
 	for _, wc := range m.Closures {
 		cl := w.closureFromWire(wc)
 		w.ensureSpans(cl.TC)
-		w.counters.TaskAdopted()
+		w.tasks.adopted()
 		if cl.ready() {
 			// Behind local work: migrated tasks are old, and the paper's
 			// locality argument says fresh local work should run first.
 			w.dq.PushTail(cl)
 		} else {
-			w.waiting[cl.ID] = cl
+			w.join.put(cl)
 		}
 	}
 	if w.cfg.Trace.Enabled() {
@@ -1745,12 +1786,12 @@ func (w *Worker) redoRecord(rec *stealRecord) {
 	rec.thief = w.id
 	rec.confirmed = true
 	cl := w.closureFromWire(rec.task)
-	w.counters.TaskAdopted()
+	w.tasks.adopted()
 	w.counters.TasksRedone.Add(1)
 	if cl.ready() {
 		w.dq.PushTail(cl)
 	} else {
-		w.waiting[cl.ID] = cl
+		w.join.put(cl)
 	}
 }
 
@@ -1821,10 +1862,10 @@ func (w *Worker) purgeOrphans() {
 		}
 		return false
 	}
-	for id, cl := range w.waiting {
+	for _, cl := range w.join.all() {
 		if deadCont(cl.Cont) {
-			delete(w.waiting, id)
-			w.counters.TaskRetired()
+			w.join.del(cl)
+			w.tasks.retired()
 			w.freeClosure(cl)
 		}
 	}
@@ -1832,7 +1873,7 @@ func (w *Worker) purgeOrphans() {
 		keep := w.dq.Drain()
 		for _, cl := range keep {
 			if deadCont(cl.Cont) {
-				w.counters.TaskRetired()
+				w.tasks.retired()
 				w.freeClosure(cl)
 				continue
 			}
@@ -1856,7 +1897,7 @@ func (w *Worker) purgeOrphans() {
 // endpoint finally closes.
 func (w *Worker) migrateAndLeave(reason wire.LeaveReason) {
 	w.leaveReason = reason
-	if w.counters.TasksInUse.Load() == 0 && len(w.waiting) == 0 && w.dq.Empty() && len(w.records) == 0 {
+	if w.tasks.inUse == 0 && w.join.len() == 0 && w.dq.Empty() && len(w.records) == 0 {
 		w.unregister(reason, types.NoWorker)
 		return
 	}
@@ -1897,7 +1938,7 @@ func (w *Worker) migrateAndLeave(reason wire.LeaveReason) {
 		// the tables stay empty.
 		settled := false
 		for round := 0; round < 16; round++ {
-			if w.shutdownMsg || (w.dq.Empty() && len(w.waiting) == 0 && len(w.records) == 0) {
+			if w.shutdownMsg || (w.dq.Empty() && w.join.len() == 0 && len(w.records) == 0) {
 				settled = true
 				break
 			}
@@ -1972,10 +2013,10 @@ func (w *Worker) shipStateTo(target types.WorkerID) shipResult {
 		packed = append(packed, cl)
 		payload.Closures = append(payload.Closures, cl.toWire())
 	}
-	for id, cl := range w.waiting {
+	for _, cl := range w.join.all() {
 		packed = append(packed, cl)
 		payload.Closures = append(payload.Closures, cl.toWire())
-		delete(w.waiting, id)
+		w.join.del(cl)
 	}
 	var packedRecs []*stealRecord
 	for id, rec := range w.records {
@@ -1988,7 +2029,7 @@ func (w *Worker) shipStateTo(target types.WorkerID) shipResult {
 			if cl.ready() {
 				w.dq.PushTail(cl)
 			} else {
-				w.waiting[cl.ID] = cl
+				w.join.put(cl)
 			}
 		}
 		for _, rec := range packedRecs {
@@ -2031,7 +2072,7 @@ func (w *Worker) shipStateTo(target types.WorkerID) shipResult {
 			Start: t0.UnixNano(), End: time.Now().UnixNano()})
 	}
 	for _, cl := range packed {
-		w.counters.TaskRetired()
+		w.tasks.retired()
 		w.counters.TasksMigrated.Add(1)
 		if cl.published {
 			// The adopter republishes the blob itself once the task yields
@@ -2129,6 +2170,7 @@ func (w *Worker) unregister(reason wire.LeaveReason, migratedTo types.WorkerID) 
 	// datagram. A traced worker may hold more spans than one datagram-
 	// sized batch, so keep flushing until the recorder's backlog drains
 	// (each report seals and ships the next batch).
+	w.foldCounters()
 	for {
 		for _, sr := range w.statReports() {
 			rep := &wire.Envelope{Job: w.job, From: w.id, To: types.ClearinghouseID,
@@ -2182,8 +2224,8 @@ func (w *Worker) DebugDump() string {
 		add(fmt.Sprintf(" %v:%s", cl.ID, cl.Fn))
 	}
 	add("\n")
-	for id, cl := range w.waiting {
-		add(fmt.Sprintf("  waiting %v fn=%s missing=%d cont=%v\n", id, cl.Fn, cl.Missing, cl.Cont))
+	for _, cl := range w.join.all() {
+		add(fmt.Sprintf("  waiting %v fn=%s missing=%d cont=%v\n", cl.ID, cl.Fn, cl.Missing, cl.Cont))
 	}
 	for id, rec := range w.records {
 		add(fmt.Sprintf("  record %v thief=%d confirmed=%v realCont=%v\n", id, rec.thief, rec.confirmed, rec.realCont))
@@ -2209,7 +2251,7 @@ func (w *Worker) snapshotReply(seq uint64) wire.SnapshotReply {
 	for _, cl := range w.dq.Snapshot() {
 		rep.Closures = append(rep.Closures, cl.toWire())
 	}
-	for _, cl := range w.waiting {
+	for _, cl := range w.join.all() {
 		rep.Closures = append(rep.Closures, cl.toWire())
 	}
 	for _, rec := range w.records {

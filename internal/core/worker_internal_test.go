@@ -7,6 +7,7 @@ import (
 	"phish/internal/clock"
 	"phish/internal/model"
 	"phish/internal/phishnet"
+	"phish/internal/stats"
 	"phish/internal/types"
 	"phish/internal/wire"
 )
@@ -21,6 +22,13 @@ func newTestWorker(t testing.TB, id types.WorkerID) (*Worker, *phishnet.Fabric) 
 	prog.Register("noop", func(c model.Ctx) { c.Return(int64(0)) })
 	w := NewWorker(1, id, prog, fab.Attach(id), DefaultConfig(), clock.System)
 	return w, fab
+}
+
+// foldedStats is Stats as a worker's own goroutine would see it: with the
+// plain task counts folded in first.
+func (w *Worker) foldedStats() stats.Snapshot {
+	w.foldCounters()
+	return w.Stats()
 }
 
 func view(members ...wire.MemberInfo) wire.MembershipView {
@@ -115,7 +123,7 @@ func TestFillSlotDeduplicatesAndBoundsChecks(t *testing.T) {
 		Args:    make([]types.Value, 2),
 		Missing: 2,
 	}
-	w.waiting[cl.ID] = cl
+	w.join.put(cl)
 	cont0 := types.Continuation{Task: cl.ID, Slot: 0}
 
 	w.fillSlot(cont0, int64(1), false, true)
@@ -137,12 +145,13 @@ func TestFillSlotDeduplicatesAndBoundsChecks(t *testing.T) {
 	}
 	// The last fill readies the closure onto the deque.
 	w.fillSlot(types.Continuation{Task: cl.ID, Slot: 1}, int64(2), true, true)
-	if _, still := w.waiting[cl.ID]; still {
+	if w.join.get(cl.ID) != nil {
 		t.Error("ready closure still in the waiting table")
 	}
 	if w.dq.Len() != 1 {
 		t.Error("ready closure not enqueued")
 	}
+	w.foldCounters()
 	if w.counters.Synchronizations.Load() != 2 {
 		t.Errorf("synchs = %d, want 2", w.counters.Synchronizations.Load())
 	}
@@ -180,7 +189,7 @@ func TestGrantStealCreatesRecordAndRetiresTask(t *testing.T) {
 	))
 	cl := &Closure{ID: types.TaskID{Worker: 5, Seq: 1}, Fn: "noop",
 		Cont: types.Continuation{Task: types.TaskID{Worker: 5, Seq: 99}}}
-	w.counters.TaskCreated()
+	w.tasks.created()
 	w.dq.PushHead(cl)
 
 	w.grantSteal(6)
@@ -206,6 +215,7 @@ func TestGrantStealCreatesRecordAndRetiresTask(t *testing.T) {
 	if !rep.OK || rep.Task.Cont.Task != rec.id {
 		t.Errorf("stolen task cont = %v, want record %v", rep.Task.Cont, rec.id)
 	}
+	w.foldCounters()
 	if got := w.counters.TasksInUse.Load(); got != 0 {
 		t.Errorf("tasks in use after grant = %d, want 0", got)
 	}
@@ -232,7 +242,7 @@ func TestAdoptedClosureIsNotRegranted(t *testing.T) {
 	for i := range wide.Args {
 		wide.Args[i] = int64(i)
 	}
-	a.counters.TaskCreated()
+	a.tasks.created()
 	a.dq.PushHead(wide)
 
 	request := func(thief, victim *Worker) {
@@ -278,7 +288,7 @@ func TestAdoptedClosureIsNotRegranted(t *testing.T) {
 func TestGrantStealRevertsWhenThiefUnreachable(t *testing.T) {
 	w, _ := newTestWorker(t, 5)
 	cl := &Closure{ID: types.TaskID{Worker: 5, Seq: 1}, Fn: "noop"}
-	w.counters.TaskCreated()
+	w.tasks.created()
 	w.dq.PushHead(cl)
 	w.grantSteal(99) // no such port
 	if w.dq.Len() != 1 {
@@ -311,7 +321,7 @@ func TestGrantStealAnswersWhenClosureCannotTravel(t *testing.T) {
 	for i := range wide.Args {
 		wide.Args[i] = int64(i)
 	}
-	w.counters.TaskCreated()
+	w.tasks.created()
 	w.dq.PushHead(wide)
 	w.grantSteal(6)
 	if w.dq.Len() != 1 || len(w.records) != 0 {
@@ -364,19 +374,19 @@ func TestPurgeOrphansDropsDeadConsumers(t *testing.T) {
 
 	orphan := &Closure{ID: types.TaskID{Worker: 5, Seq: 1}, Fn: "noop", Args: make([]types.Value, 1), Missing: 1, Cont: deadCont}
 	keeper := &Closure{ID: types.TaskID{Worker: 5, Seq: 2}, Fn: "noop", Args: make([]types.Value, 1), Missing: 1, Cont: liveCont}
-	w.waiting[orphan.ID] = orphan
-	w.waiting[keeper.ID] = keeper
-	w.counters.TaskCreated()
-	w.counters.TaskCreated()
+	w.join.put(orphan)
+	w.join.put(keeper)
+	w.tasks.created()
+	w.tasks.created()
 	readyOrphan := &Closure{ID: types.TaskID{Worker: 5, Seq: 3}, Fn: "noop", Cont: deadCont}
 	w.dq.PushHead(readyOrphan)
-	w.counters.TaskCreated()
+	w.tasks.created()
 
 	w.purgeOrphans()
-	if _, ok := w.waiting[orphan.ID]; ok {
+	if w.join.get(orphan.ID) != nil {
 		t.Error("waiting orphan survived the purge")
 	}
-	if _, ok := w.waiting[keeper.ID]; !ok {
+	if w.join.get(keeper.ID) == nil {
 		t.Error("live consumer was purged")
 	}
 	if w.dq.Len() != 0 {

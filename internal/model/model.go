@@ -7,7 +7,11 @@
 // and the property that makes the Table 1 comparison meaningful.
 package model
 
-import "phish/internal/types"
+import (
+	"fmt"
+
+	"phish/internal/types"
+)
 
 // Func is the body of a task: it runs to completion without blocking,
 // reading arguments from the context and either returning a value to its
@@ -31,11 +35,11 @@ type Ctx interface {
 	NArgs() int
 	// Arg returns argument i.
 	Arg(i int) types.Value
-	// Int returns argument i as an int64 (panics on type mismatch).
+	// Int returns argument i as an int64 (see the package function Int).
 	Int(i int) int64
-	// Float returns argument i as a float64.
+	// Float returns argument i as a float64 (see Float).
 	Float(i int) float64
-	// String returns argument i as a string.
+	// String returns argument i as a string (see String).
 	String(i int) string
 	// Worker identifies the executing participant.
 	Worker() types.WorkerID
@@ -52,8 +56,14 @@ type Ctx interface {
 	// Preset fills a successor slot with a spawn-time constant (not
 	// counted as a synchronization).
 	Preset(s Succ, slot int, v types.Value)
-	// Spawn creates a ready child task whose result goes to cont.
+	// Spawn creates a ready child task whose result goes to cont. The
+	// runtime copies args before Spawn returns and never keeps the slice, so
+	// a body may reuse one argument slice across Spawns.
 	Spawn(fn string, cont types.Continuation, args ...types.Value)
+	// Spawn1 is Spawn with exactly one argument. Because Ctx is an
+	// interface, every variadic Spawn call builds its args slice on the
+	// heap; Spawn1 passes the one value on its own and builds no slice.
+	Spawn1(fn string, cont types.Continuation, a types.Value)
 	// Print emits output through the job's I/O channel.
 	Print(format string, args ...any)
 
@@ -72,4 +82,51 @@ type Ctx interface {
 	// discard the blob. Tasks that never call Yield behave exactly as
 	// before this interface existed.
 	Yield(blob []byte) bool
+}
+
+// Int is Ctx.Int on every runtime: argument i of task fn, v, as an int64.
+// It accepts the integer widths a value can arrive in after a round trip
+// through gob or the wire, and panics on anything else — a task disagreeing
+// with its spawner about argument types is a programming error.
+func Int(fn string, i int, v types.Value) int64 {
+	if n, ok := v.(int64); ok {
+		return n
+	}
+	return intOther(fn, i, v) // out of line, so that Int inlines into the runtimes' Ctx.Int
+}
+
+func intOther(fn string, i int, v types.Value) int64 {
+	switch n := v.(type) {
+	case int:
+		return int64(n)
+	case int32:
+		return int64(n)
+	case uint64:
+		return int64(n)
+	}
+	panic(badArg(fn, i, v, "an integer"))
+}
+
+// Float is Ctx.Float on every runtime: argument i of task fn as a float64,
+// accepting an int64.
+func Float(fn string, i int, v types.Value) float64 {
+	switch x := v.(type) {
+	case float64:
+		return x
+	case int64:
+		return float64(x)
+	}
+	panic(badArg(fn, i, v, "a float"))
+}
+
+// String is Ctx.String on every runtime: argument i of task fn as a string.
+func String(fn string, i int, v types.Value) string {
+	if s, ok := v.(string); ok {
+		return s
+	}
+	panic(badArg(fn, i, v, "a string"))
+}
+
+func badArg(fn string, i int, v types.Value, want string) string {
+	return fmt.Sprintf("task %s arg %d is %T, not %s", fn, i, v, want)
 }

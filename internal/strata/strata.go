@@ -58,6 +58,9 @@ type closure struct {
 	args    []types.Value
 	missing int32
 	cont    types.Continuation
+	// arg0 backs args for a task spawned with at most one argument, so such
+	// a spawn allocates the closure and nothing else.
+	arg0 [1]types.Value
 }
 
 type proc struct {
@@ -286,11 +289,12 @@ func (p *proc) execute(cl *closure) {
 	p.counters.TaskRetired()
 }
 
-// spawnLocked creates a ready closure on p (callable before the loops
-// start and from p's own executing task).
+// spawnLocked creates a ready closure on p with a copy of args (callable
+// before the loops start and from p's own executing task).
 func (p *proc) spawnLocked(fn string, cont types.Continuation, args []types.Value) {
 	p.seq++
-	cl := &closure{id: types.TaskID{Worker: p.id, Seq: p.seq}, fn: fn, args: args, cont: cont}
+	cl := &closure{id: types.TaskID{Worker: p.id, Seq: p.seq}, fn: fn, cont: cont}
+	cl.args = append(cl.arg0[:0], args...)
 	p.counters.TaskCreated()
 	p.mu.Lock()
 	p.dq.PushHead(cl)
@@ -345,37 +349,9 @@ func (t *ctx) Worker() types.WorkerID                   { return t.p.id }
 func (t *ctx) Return(v types.Value)                     { t.p.deliver(t.c.cont, v, true) }
 func (t *ctx) Send(c types.Continuation, v types.Value) { t.p.deliver(c, v, true) }
 
-func (t *ctx) Int(i int) int64 {
-	switch v := t.c.args[i].(type) {
-	case int64:
-		return v
-	case int:
-		return int64(v)
-	case int32:
-		return int64(v)
-	default:
-		panic(fmt.Sprintf("strata: task %s arg %d is %T, not an integer", t.c.fn, i, v))
-	}
-}
-
-func (t *ctx) Float(i int) float64 {
-	switch v := t.c.args[i].(type) {
-	case float64:
-		return v
-	case int64:
-		return float64(v)
-	default:
-		panic(fmt.Sprintf("strata: task %s arg %d is %T, not a float", t.c.fn, i, v))
-	}
-}
-
-func (t *ctx) String(i int) string {
-	s, ok := t.c.args[i].(string)
-	if !ok {
-		panic(fmt.Sprintf("strata: task %s arg %d is %T, not a string", t.c.fn, i, t.c.args[i]))
-	}
-	return s
-}
+func (t *ctx) Int(i int) int64     { return model.Int(t.c.fn, i, t.c.args[i]) }
+func (t *ctx) Float(i int) float64 { return model.Float(t.c.fn, i, t.c.args[i]) }
+func (t *ctx) String(i int) string { return model.String(t.c.fn, i, t.c.args[i]) }
 
 type succ struct {
 	id types.TaskID
@@ -425,6 +401,8 @@ func (t *ctx) Spawn(fn string, cont types.Continuation, args ...types.Value) {
 	}
 	t.p.spawnLocked(fn, cont, args)
 }
+
+func (t *ctx) Spawn1(fn string, cont types.Continuation, a types.Value) { t.Spawn(fn, cont, a) }
 
 func (t *ctx) Print(format string, args ...any) {
 	t.p.rt.outMu.Lock()

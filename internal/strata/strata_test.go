@@ -4,9 +4,13 @@ import (
 	"reflect"
 	"testing"
 
+	"phish"
 	"phish/internal/apps/fib"
 	"phish/internal/apps/nqueens"
 	"phish/internal/apps/pfold"
+	"phish/internal/core"
+	"phish/internal/model"
+	"phish/internal/types"
 )
 
 func TestFibOnStrata(t *testing.T) {
@@ -84,5 +88,40 @@ func TestAblationDisciplinesStillCorrect(t *testing.T) {
 		if got, want := res.Value.(int64), fib.Serial(15); got != want {
 			t.Errorf("%s: fib(15) = %d, want %d", name, got, want)
 		}
+	}
+}
+
+// A task body sees the same arguments on both runtimes: the runtime copies
+// what Spawn is handed, so a body may reuse one argument slice across
+// Spawns, and Int reads every integer width a value can arrive in (here a
+// uint64 root argument and an int32).
+func TestArgumentsAgreeWithCore(t *testing.T) {
+	prog := core.NewProgram("args")
+	prog.Register("root", func(c model.Ctx) {
+		s := c.Successor("sum", 3)
+		args := []types.Value{c.Int(0)}
+		c.Spawn("leaf", s.Cont(0), args...)
+		args[0] = int64(20)
+		c.Spawn("leaf", s.Cont(1), args...)
+		c.Spawn1("leaf", s.Cont(2), int32(300))
+	})
+	prog.Register("leaf", func(c model.Ctx) { c.Return(c.Int(0)) })
+	prog.Register("sum", func(c model.Ctx) { c.Return(c.Int(0) + c.Int(1) + c.Int(2)) })
+	root := []types.Value{uint64(1)}
+	const want = int64(321)
+
+	res, err := Run(prog, "root", root, 1, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Value != want {
+		t.Errorf("strata: %v, want %d", res.Value, want)
+	}
+	local, err := phish.RunLocal(prog, "root", root, phish.LocalOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if local.Value != want {
+		t.Errorf("core: %v, want %d", local.Value, want)
 	}
 }
