@@ -40,7 +40,6 @@ func main() {
 	phi := flag.Float64("phi", 8, "phi-accrual crash threshold (8 ~= 1-1e-8 confidence; 0 falls back to the fixed -hb timeout for everyone)")
 	phiSlack := flag.Duration("phi-slack", 0, "acceptable-pause allowance subtracted before phi scoring (0 = the -hb timeout; negative = none)")
 	drainAfter := flag.Duration("drain-after", 0, "order a planned drain for a worker graded suspect continuously this long (0 disables)")
-	shards := flag.Int("shards", 8, "lock stripes for clearinghouse state (1 = single flat shard)")
 	metricsAddr := flag.String("metrics", "", "serve the whole-job rollup at /metrics and /cluster.json on this HTTP address (off when empty)")
 	flag.Usage = func() {
 		fmt.Println("usage: clearinghouse -program <name> [flags] [program args...]\nprograms:")
@@ -75,7 +74,6 @@ func main() {
 	cfg.PhiThreshold = *phi
 	cfg.PhiSlack = *phiSlack
 	cfg.SuspectDrainAfter = *drainAfter
-	cfg.Shards = *shards
 	if *metricsAddr != "" {
 		cfg.Metrics = telemetry.NewMetrics()
 		cfg.Trace = trace.NewBuffer(4096)

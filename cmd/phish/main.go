@@ -50,7 +50,6 @@ func main() {
 	ckptEvery := flag.Duration("checkpoint-every", 30*time.Second, "checkpoint interval")
 	restore := flag.String("restore", "", "resume the job from this checkpoint file instead of starting fresh")
 	metricsAddr := flag.String("metrics", "", "serve the job's telemetry rollup at /metrics and /cluster.json on this HTTP address (off when empty)")
-	shards := flag.Int("shards", 8, "lock stripes for clearinghouse state (1 = single flat shard)")
 	phi := flag.Float64("phi", 8, "phi-accrual crash threshold (8 ~= 1-1e-8 confidence; 0 falls back to the fixed heartbeat timeout for everyone)")
 	drainAfter := flag.Duration("drain-after", 0, "order a planned drain for a worker graded suspect continuously this long (0 disables)")
 	top := flag.String("top", "", "phishtop: poll a clearinghouse telemetry URL (e.g. http://host:9090) and render a live cluster table instead of running a job")
@@ -128,7 +127,6 @@ func main() {
 		CHAddr:   chConn.LocalAddr(),
 	}
 	chCfg := clearinghouse.DefaultConfig()
-	chCfg.Shards = *shards
 	chCfg.UpdateEvery = 15 * time.Second
 	chCfg.HeartbeatTimeout = 30 * time.Second
 	chCfg.PhiThreshold = *phi

@@ -2,7 +2,7 @@
 // slowdown), Figure 4 (pfold execution time vs participants), Figure 5
 // (pfold speedup), and Table 2 (message and scheduling statistics),
 // printing each next to the published numbers. It also runs the gate
-// experiments (chbench, migrate, chaos), which record a BENCH_*.json
+// experiments (migrate, chaos), which record a BENCH_*.json
 // baseline or, with -check, compare against it; those run only when named.
 //
 // Usage:
@@ -28,13 +28,9 @@ import (
 )
 
 func main() {
-	schedOut := flag.String("sched-out", "BENCH_sched.json", "output path for the chbench JSON baseline")
 	migrateOut := flag.String("migrate-out", "BENCH_migrate.json", "output path for the migration soak JSON baseline")
 	chaosOut := flag.String("chaos-out", "BENCH_chaos.json", "output path for the failure-detector chaos JSON baseline")
 	check := flag.Bool("check", false, "migrate/chaos: compare against the recorded baseline and exit nonzero on regression instead of rewriting it")
-	chShards := flag.String("ch-shards", "", "chbench shard counts, e.g. 1,4,16,64")
-	chWorkers := flag.String("ch-workers", "", "chbench simulated worker populations, e.g. 1000,10000,100000")
-	chIters := flag.Int("ch-iters", 0, "chbench hot-path rounds per ingest goroutine")
 	o := harness.DefaultOptions()
 	flag.Int64Var(&o.FibN, "fib-n", o.FibN, "fib input")
 	flag.IntVar(&o.NQueensN, "nqueens-n", o.NQueensN, "nqueens input")
@@ -111,24 +107,6 @@ func main() {
 				harness.PrintFig5(os.Stdout, pts)
 				fmt.Println()
 			}
-		}},
-		{"chbench", false, func() {
-			cfg := harness.DefaultCHBenchConfig()
-			if s := parseInts("-ch-shards", *chShards); s != nil {
-				cfg.Shards = s
-			}
-			if w := parseInts("-ch-workers", *chWorkers); w != nil {
-				cfg.Workers = w
-			}
-			if *chIters > 0 {
-				cfg.Iters = *chIters
-			}
-			rs := harness.CHBench(cfg)
-			harness.PrintCHBench(os.Stdout, rs)
-			if err := harness.WriteCHBenchJSON(*schedOut, rs); err != nil {
-				log.Fatalf("phishbench: write %s: %v", *schedOut, err)
-			}
-			fmt.Printf("\nwrote %s\n", *schedOut)
 		}},
 		{"migrate", false, func() {
 			f, err := harness.MigrateBench(harness.DefaultMigrateBenchConfig())

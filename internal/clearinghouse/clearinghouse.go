@@ -7,15 +7,12 @@
 // job whose root lineage is lost to a crash.
 //
 // Worker-keyed state (membership, heartbeat liveness, per-worker stat
-// telemetry) lives in a sharded, lock-striped store (see shardstore) so
-// the hot path — heartbeats and piggybacked StatReports from tens of
-// thousands of workers — never contends on the job-level mutex, and a
-// drained burst of datagrams folds into each shard with one lock
-// acquisition per shard rather than one per message. Job-level state
-// (result, output, root location, checkpoint bookkeeping) stays behind
-// c.mu; membership mutations all happen on the Run goroutine, so the two
-// layers compose without writer-writer races. Lock order is always
-// c.mu → shard, never the reverse.
+// telemetry) lives in one table behind one mutex (see shardstore).
+// Job-level state (result, output, root location, checkpoint bookkeeping)
+// stays behind c.mu. Every inbound message is handled on the Run
+// goroutine, the store's only writer, so the two layers compose without
+// writer-writer races. Lock order is always c.mu → store, never the
+// reverse.
 package clearinghouse
 
 import (
@@ -58,13 +55,6 @@ type Config struct {
 	// disables phi and keeps the classic fixed HeartbeatTimeout for
 	// everyone. DefaultConfig enables it at 8.
 	PhiThreshold float64
-	// PhiSuspect is the graded-health band: a worker whose phi sits in
-	// [PhiSuspect, PhiThreshold) — silent for longer than its own history
-	// predicts, but not yet provably gone — is marked suspect and
-	// broadcast to thieves for deprioritization. Zero means
-	// PhiThreshold/2. Suspicion grading as a whole is active only while
-	// PhiThreshold > 0.
-	PhiSuspect float64
 	// PhiSlack is the acceptable-pause allowance subtracted from a
 	// worker's elapsed silence before phi scoring, absorbing GC and
 	// scheduler stalls that are much larger than network jitter. Zero
@@ -82,17 +72,6 @@ type Config struct {
 	// instead of being redone after an eventual crash declaration. Zero
 	// disables drain orders.
 	SuspectDrainAfter time.Duration
-	// Shards is the lock-stripe count for the worker-keyed state store.
-	// Purely a performance knob: any value produces identical behavior,
-	// epochs, and rollups (shard count is not persisted and recovery may
-	// use a different value than the journal's writer). Zero or one means
-	// a single stripe — the pre-sharding flat layout.
-	Shards int
-	// ReportTTL evicts stat-telemetry rows of departed or never-registered
-	// workers once their last report is older than this (swept alongside
-	// heartbeat checking, so it needs HeartbeatTimeout > 0 to run). Live
-	// members are never evicted. Zero keeps rows forever.
-	ReportTTL time.Duration
 	// Journal, when non-nil, receives every control-plane state change so
 	// a restarted clearinghouse can resume the job (see journal.go).
 	Journal *Journal
@@ -104,11 +83,6 @@ type Config struct {
 	// Metrics, when non-nil, records the journal append+fsync latency
 	// histogram and is folded into the cluster rollup.
 	Metrics *telemetry.Metrics
-	// SpanCap bounds retained trace spans per worker in the span
-	// collector (zero means the generous default); past it spans are
-	// dropped and counted. Collection itself needs no knob — workers
-	// that do not trace ship no spans.
-	SpanCap int
 }
 
 // DefaultConfig mirrors the paper's coarse communication granularity,
@@ -121,8 +95,6 @@ func DefaultConfig() Config {
 		UpdateEvery:      2 * time.Second,
 		HeartbeatTimeout: 6 * time.Second,
 		PhiThreshold:     8,
-		Shards:           1,
-		ReportTTL:        5 * time.Minute,
 		Clock:            clock.System,
 	}
 }
@@ -139,14 +111,6 @@ func (c *Config) phiSlack() time.Duration {
 	}
 }
 
-// phiSuspect resolves the suspect band's lower bound.
-func (c *Config) phiSuspect() float64 {
-	if c.PhiSuspect > 0 {
-		return c.PhiSuspect
-	}
-	return c.PhiThreshold / 2
-}
-
 // registrationGrace resolves the never-heartbeated deadline; 0 means the
 // grace sweep is disabled.
 func (c *Config) registrationGrace() time.Duration {
@@ -160,10 +124,11 @@ func (c *Config) registrationGrace() time.Duration {
 	}
 }
 
-// hotBatchMax bounds how many drained hot messages accumulate before a
-// forced fold; it caps both batch memory and the staleness window of a
-// heartbeat sitting unfolded in the batch.
-const hotBatchMax = 256
+// reportTTL evicts stat-telemetry rows of departed or never-registered
+// workers once their last report is this old. It rides the heartbeat
+// sweep, so it runs only with HeartbeatTimeout > 0. Live members are never
+// evicted.
+const reportTTL = 5 * time.Minute
 
 // Clearinghouse tracks one job. Create with New, then Run (usually in a
 // goroutine); WaitResult blocks until the job's root result arrives.
@@ -176,12 +141,9 @@ type Clearinghouse struct {
 
 	// store holds all worker-keyed state: membership rows, heartbeat
 	// liveness, membership epoch, and per-worker StatReport telemetry.
-	// Hot-path folds bypass c.mu entirely; mutations happen only on the
-	// Run goroutine (plus construction-time recovery).
+	// Mutations happen only on the Run goroutine (plus construction-time
+	// recovery).
 	store *shardstore.Store
-	// hot batches drained heartbeats/StatReports between folds; owned by
-	// the Run goroutine.
-	hot shardstore.HotBatch
 	// spans collects piggybacked trace spans and aligns worker clocks
 	// (see spans.go).
 	spans *spanSink
@@ -240,8 +202,8 @@ func New(spec wire.JobSpec, conn phishnet.Conn, cfg Config) *Clearinghouse {
 		conn:            conn,
 		cfg:             cfg,
 		clk:             clk,
-		store:           shardstore.New(cfg.Shards),
-		spans:           newSpanSink(cfg.SpanCap),
+		store:           shardstore.New(),
+		spans:           newSpanSink(),
 		rootHost:        types.NoWorker,
 		armRoot:         true,
 		journal:         cfg.Journal,
@@ -290,101 +252,15 @@ func (c *Clearinghouse) Run() {
 	}
 }
 
-// ingest processes one received envelope, then opportunistically drains
-// whatever else is already queued. Consecutive hot messages (heartbeats,
-// piggybacked StatReports) accumulate into one batch and fold with a
-// single lock acquisition per touched shard; any non-hot message flushes
-// the pending batch first, so the store always reflects arrival order by
-// the time a control message is handled. The drain is bounded: under
-// sustained traffic an unbounded drain would never return to the Run
-// select and the update/heartbeat ticks would starve — crash detection
-// must keep running no matter how busy the inbox is.
+// ingest handles one received envelope. A zero-copy view (UDP) is
+// materialized first, so every message — heartbeats and StatReports
+// included — takes the one handle path whatever transport carried it.
 func (c *Clearinghouse) ingest(env *wire.Envelope) {
-	defer c.flushHot()
-	for n := 0; ; n++ {
-		if !c.foldHot(env) {
-			c.flushHot()
-			c.handle(env)
-		}
-		if n >= hotBatchMax {
-			return
-		}
-		select {
-		case next, ok := <-c.conn.Recv():
-			if !ok {
-				return
-			}
-			env = next
-		default:
-			return
-		}
-	}
-}
-
-// foldHot absorbs env into the pending hot batch if it is a self-reported
-// heartbeat or stat report; anything else (including the vanishingly rare
-// relayed report with From ≠ Worker) takes the ordinary handle path.
-func (c *Clearinghouse) foldHot(env *wire.Envelope) bool {
-	if v, ok := env.Payload.(*wire.View); ok {
-		// Heartbeats — the dominant inbound message — fold straight off the
-		// zero-copy view. Everything else (StatReports need their bulk
-		// slices anyway, cold tags arrive as structs) materializes in place
-		// and takes the switch below unchanged.
-		if hb, ok := v.AsHeartbeat(); ok && hb.Worker() == env.From {
-			c.foldBeat(env.From, hb.SendNS())
-			env.Free()
-			return true
-		}
-		if err := env.Materialize(); err != nil {
-			env.Free() // corrupt frame: consume and drop
-			return true
-		}
-	}
-	switch p := env.Payload.(type) {
-	case wire.Heartbeat:
-		if p.Worker != env.From {
-			return false
-		}
-		c.foldBeat(p.Worker, p.SendNS)
-		return true
-	case wire.StatReport:
-		if p.Worker != env.From {
-			return false
-		}
-		c.msgsRecv.Add(1)
-		c.hot.Reports = append(c.hot.Reports, p)
-		c.maybeJournalCkpts(&p)
-		c.spans.fold(&p)
-		if c.hot.Len() >= hotBatchMax {
-			c.flushHot()
-		}
-		return true
-	}
-	return false
-}
-
-// foldBeat adds one self-reported heartbeat to the pending hot batch.
-func (c *Clearinghouse) foldBeat(from types.WorkerID, sendNS int64) {
-	c.msgsRecv.Add(1)
-	c.noteBeatFrom(from)
-	c.hot.Beats = append(c.hot.Beats, from)
-	if sendNS != 0 {
-		// Offset refinement uses wall clocks on both ends (span
-		// timestamps are wall-clock), so this deliberately bypasses
-		// the injectable c.clk.
-		c.spans.noteHeartbeat(from, sendNS, time.Now().UnixNano())
-	}
-	if c.hot.Len() >= hotBatchMax {
-		c.flushHot()
-	}
-}
-
-func (c *Clearinghouse) flushHot() {
-	if c.hot.Len() == 0 {
+	if err := env.Materialize(); err != nil {
+		env.Free() // corrupt frame: consume and drop
 		return
 	}
-	c.store.FoldHot(&c.hot, c.clk.Now())
-	c.hot.Reset()
+	c.handle(env)
 }
 
 // Stop shuts the clearinghouse down.
@@ -452,9 +328,9 @@ func (c *Clearinghouse) Messages() (sent, recv int64) {
 	return c.msgsSent.Load(), c.msgsRecv.Load()
 }
 
-// handle processes one non-hot envelope. Job-level state is guarded by
-// c.mu; store operations take shard locks underneath it (lock order
-// c.mu → shard).
+// handle processes one envelope. Job-level state is guarded by c.mu;
+// store operations take the store's lock underneath it (lock order
+// c.mu → store).
 func (c *Clearinghouse) handle(env *wire.Envelope) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -475,11 +351,13 @@ func (c *Clearinghouse) handle(env *wire.Envelope) {
 	case wire.Unregister:
 		c.onUnregister(p)
 	case wire.Heartbeat:
-		// Slow path (relayed, From ≠ Worker); the common case folds in
-		// batches via foldHot without touching c.mu.
+		// Self-reported (From == Worker) or relayed, the same fold.
 		c.noteBeatFrom(p.Worker)
 		c.store.Heartbeat(p.Worker, c.clk.Now())
 		if p.SendNS != 0 {
+			// Offset refinement uses wall clocks on both ends (span
+			// timestamps are wall-clock), so this deliberately bypasses
+			// the injectable c.clk.
 			c.spans.noteHeartbeat(p.Worker, p.SendNS, time.Now().UnixNano())
 		}
 	case wire.StatReport:
@@ -542,7 +420,7 @@ func (c *Clearinghouse) onRegister(p wire.Register) {
 	}, c.clk.Now())
 	c.conn.SetPeer(p.Worker, p.Addr)
 	// RecvNS lets a tracing worker estimate its clock offset from the
-	// registration round trip; wall clock on purpose (see foldHot).
+	// registration round trip; wall clock on purpose (see handle).
 	c.send(p.Worker, wire.RegisterReply{Assigned: p.Worker, View: c.view(),
 		RecvNS: time.Now().UnixNano()})
 	if c.done {
@@ -568,7 +446,7 @@ func (c *Clearinghouse) onRegister(p wire.Register) {
 			if bundle.Worker != p.Worker {
 				c.store.AddTombstone(bundle.Worker, wire.MemberInfo{Worker: bundle.Worker, HostedBy: p.Worker})
 			} else {
-				c.store.Bump(p.Worker)
+				c.store.Bump()
 			}
 			if bundle.Worker == c.restoreRoot {
 				c.rootHost = p.Worker
@@ -742,9 +620,9 @@ func (c *Clearinghouse) pickBundleLocked(registrant types.WorkerID) int {
 	return fallback
 }
 
-// view assembles the membership view by merging over shards. Mutations
-// only happen on the Run goroutine, so the epoch and the member rows are
-// mutually consistent whenever a view is built.
+// view assembles the membership view. Mutations only happen on the Run
+// goroutine, so the epoch and the member rows are mutually consistent
+// whenever a view is built.
 func (c *Clearinghouse) view() wire.MembershipView {
 	v := wire.MembershipView{Epoch: c.store.Epoch()}
 	for _, m := range c.store.Members() {
@@ -825,10 +703,8 @@ func (c *Clearinghouse) checkHeartbeats() {
 	}
 	c.sweepHealth(now)
 	// Telemetry TTL rides the sweep: departed or never-registered workers'
-	// stat rows age out shard by shard instead of accreting forever.
-	if c.cfg.ReportTTL > 0 {
-		c.store.EvictReports(now.Add(-c.cfg.ReportTTL))
-	}
+	// stat rows age out instead of accreting forever.
+	c.store.EvictReports(now.Add(-reportTTL))
 }
 
 // noteBeatFrom records detector feedback for an inbound heartbeat: one
@@ -867,9 +743,8 @@ func (c *Clearinghouse) Stats() stats.Snapshot {
 // ClusterSnapshot assembles the whole-job telemetry rollup from the latest
 // piggybacked worker reports: per-worker rows, Table 2-style totals (plus
 // the clearinghouse's own journal counter), and merged latency histograms
-// including the clearinghouse's WAL-append histogram. The assembly is a
-// merge over shards — it never takes the job-level mutex and never stalls
-// the hot path for more than one shard at a time.
+// including the clearinghouse's WAL-append histogram. The assembly never
+// takes the job-level mutex.
 func (c *Clearinghouse) ClusterSnapshot() telemetry.ClusterSnapshot {
 	now := c.clk.Now()
 	liveIDs := c.store.LiveIDs()
@@ -941,8 +816,8 @@ func (c *Clearinghouse) DebugMembers() string {
 	c.mu.Lock()
 	done, rootHost, armRoot := c.done, c.rootHost, c.armRoot
 	c.mu.Unlock()
-	out := fmt.Sprintf("clearinghouse: done=%v rootHost=%d epoch=%d shards=%d armRoot=%v\n",
-		done, rootHost, c.store.Epoch(), c.store.Shards(), armRoot)
+	out := fmt.Sprintf("clearinghouse: done=%v rootHost=%d epoch=%d armRoot=%v\n",
+		done, rootHost, c.store.Epoch(), armRoot)
 	for _, m := range c.store.Members() {
 		out += fmt.Sprintf("  member %d hostedBy=%d site=%d departed=%v\n",
 			m.Info.Worker, m.Info.HostedBy, m.Info.Site, m.Departed)

@@ -1,35 +1,55 @@
 package clearinghouse
 
 import (
+	"reflect"
 	"testing"
+	"time"
 
+	"phish/internal/clearinghouse/shardstore"
+	"phish/internal/clock"
 	"phish/internal/phishnet"
 	"phish/internal/types"
 	"phish/internal/wire"
 )
 
 // TestHeartbeatFoldSameOnBothPayloadForms: a heartbeat reaches the ingest
-// loop as a struct (in-memory fabric) or as a view (UDP). In both forms a
-// self-reported beat joins the hot batch, and a relayed one (Worker ≠
-// From) is left, as a struct, for handle's slow path.
+// loop as a struct (in-memory fabric) or as a view (UDP), and names its
+// sender (self-reported) or another worker (relayed). All four take the one
+// handle path: each leaves the named worker's row exactly as two direct
+// store heartbeats would — LastHeard, HBSeen and the phi gap history — and
+// counts one message received.
 func TestHeartbeatFoldSameOnBothPayloadForms(t *testing.T) {
+	const worker = types.WorkerID(4)
+	info := wire.MemberInfo{Worker: worker, HostedBy: worker}
+	t0 := clock.NewFake().Now()
+	ref := shardstore.New()
+	ref.Register(worker, info, t0)
+	ref.Heartbeat(worker, t0)
+	ref.Heartbeat(worker, t0.Add(time.Second))
+	want, _ := ref.Member(worker)
+
 	for _, form := range []string{"struct", "view"} {
 		for _, tc := range []struct {
-			name         string
-			from, worker types.WorkerID
-			folds        bool
+			name string
+			from types.WorkerID
 		}{
-			{"self-reported", 3, 3, true},
-			{"relayed", 3, 4, false},
+			{"self-reported", worker},
+			{"relayed", 3},
 		} {
 			t.Run(form+"/"+tc.name, func(t *testing.T) {
 				fab := phishnet.NewFabric()
 				defer fab.Close()
+				fake := clock.NewFake()
+				cfg := DefaultConfig()
+				cfg.Clock = fake
 				spec := wire.JobSpec{ID: 1, Name: "test", RootFn: "root"}
-				c := New(spec, fab.Attach(types.ClearinghouseID), DefaultConfig())
+				c := New(spec, fab.Attach(types.ClearinghouseID), cfg)
+				c.store.Register(worker, info, t0)
+				c.store.Heartbeat(worker, t0)
+				fake.Advance(time.Second)
 
 				env := &wire.Envelope{Job: 1, From: tc.from, To: types.ClearinghouseID,
-					Payload: wire.Heartbeat{Worker: tc.worker}}
+					Payload: wire.Heartbeat{Worker: worker}}
 				if form == "view" {
 					frame, err := wire.Encode(env)
 					if err != nil {
@@ -39,25 +59,17 @@ func TestHeartbeatFoldSameOnBothPayloadForms(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if got := c.foldHot(env); got != tc.folds {
-					t.Fatalf("foldHot = %v, want %v", got, tc.folds)
-				}
-				_, recv := c.Messages()
-				if tc.folds {
-					if len(c.hot.Beats) != 1 || c.hot.Beats[0] != tc.from || recv != 1 {
-						t.Errorf("hot batch %v, %d received; want [%d], 1", c.hot.Beats, recv, tc.from)
-					}
-					return
-				}
-				if c.hot.Len() != 0 || recv != 0 {
-					t.Errorf("relayed beat touched the hot path: batch %d, %d received", c.hot.Len(), recv)
-				}
-				if hb, ok := env.Payload.(wire.Heartbeat); !ok || hb.Worker != tc.worker {
-					t.Fatalf("slow path is handed %#v, want the Heartbeat struct", env.Payload)
-				}
-				c.handle(env)
+				c.ingest(env)
+
 				if _, recv := c.Messages(); recv != 1 {
-					t.Errorf("slow path counted %d received, want 1", recv)
+					t.Errorf("counted %d received, want 1", recv)
+				}
+				got, ok := c.store.Member(worker)
+				if !ok {
+					t.Fatal("worker row vanished")
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("row after ingest = %+v\nwant %+v", got, want)
 				}
 			})
 		}

@@ -3,7 +3,7 @@
 // workstations that go slow without going down. Three signals grade a live
 // worker into the suspect set:
 //
-//   - phi band: its phi-accrual score sits in [PhiSuspect, PhiThreshold) —
+//   - phi band: its phi-accrual score sits in [PhiThreshold/2, PhiThreshold) —
 //     silent for longer than its own arrival history predicts, but not yet
 //     provably gone (an owner typing, a latency ramp, asymmetric loss).
 //   - exec-rate collapse: its reported task-execution rate fell below a
@@ -131,7 +131,7 @@ func (c *Clearinghouse) sweepHealth(now time.Time) {
 
 	// Signal 1: the phi band.
 	phiOf := make(map[types.WorkerID]int32)
-	suspectAt := c.cfg.phiSuspect()
+	suspectAt := c.cfg.PhiThreshold / 2
 	for _, row := range c.store.Phis(now) {
 		if !row.Warm {
 			continue

@@ -258,17 +258,15 @@ func ReplayJournal(path string) (*RecoveredJob, error) {
 func NewFromRecovery(rec *RecoveredJob, conn phishnet.Conn, cfg Config) *Clearinghouse {
 	c := New(rec.Spec, conn, cfg)
 	now := c.clk.Now()
-	// The journal is shard-agnostic: records carry a flat member list and a
-	// single epoch, so cfg.Shards may differ from whatever the writing
-	// incarnation used. Recovered rows fold into the new store without
-	// epoch bumps; the journaled epoch (plus one) seeds the base.
+	// Recovered rows fold into the new store without epoch bumps; the
+	// journaled epoch (plus one) seeds the counter.
 	for _, jm := range rec.Members {
 		c.store.RestoreMember(jm.Info, jm.Departed, now)
 		if !jm.Departed && jm.Info.Addr != "" {
 			conn.SetPeer(jm.Info.Worker, jm.Info.Addr)
 		}
 	}
-	c.store.SetEpochBase(rec.Epoch + 1)
+	c.store.SetEpoch(rec.Epoch + 1)
 	// Re-seed the recovered checkpoint blobs as synthetic reports: their
 	// ordering key (all-zero counters) loses to any real report, so a
 	// surviving worker's first live StatReport replaces the recovered row,

@@ -1,40 +1,21 @@
-// Package shardstore is the clearinghouse's sharded, lock-striped state
-// store. Workers are hashed by id into N independently locked shards, each
-// owning its slice of the membership table, heartbeat liveness, and the
-// latest piggybacked StatReport telemetry. The point is macro-level scale:
-// with one flat map behind one mutex, a job's control plane serializes
-// every heartbeat and stat fold through a single lock and stops scaling at
-// a few thousand workers; with N shards, registration and heartbeat
-// traffic for disjoint workers never contend, so throughput scales close
-// to linearly in shards (until the cores run out).
+// Package shardstore is the clearinghouse's worker-keyed state: the
+// membership table, heartbeat liveness with its phi-accrual history, the
+// membership epoch, and the latest piggybacked StatReport per worker — one
+// table behind one mutex. The name is historical: the store was once split
+// into lock stripes, which one writer could never use (DESIGN §5d).
 //
-// Concurrency contract:
-//
-//   - Hot-path folds (Touch, Heartbeat, FoldReport, FoldHot) are safe from
-//     any number of goroutines and take only the owning shard's lock —
-//     FoldHot groups a whole datagram batch by shard so each shard's lock
-//     is taken once per batch, not once per message.
-//   - Membership mutations (Register, Depart, Remove, Rehost...) may run
-//     concurrently with folds and reads, but writers must be externally
-//     serialized with each other — in the clearinghouse they all happen on
-//     the Run goroutine, exactly as they did under the flat map.
-//   - Cross-shard reads (Members, LiveIDs, Rows, Epoch) are merge-over-
-//     shards: they lock one shard at a time, so they are cheap and never
-//     stall the whole store, at the cost of not being a point-in-time
-//     snapshot across shards. The epoch is monotonic regardless, which is
-//     all the membership protocol needs.
-//
-// Shard count is a runtime performance knob, never a semantic one: the
-// same operations applied to a 1-shard and a 64-shard store produce
-// identical membership, epochs, and rollups (a property test holds the
-// two byte-identical), and nothing about the shard count is persisted.
+// Concurrency contract: every method takes the one lock, so any goroutine
+// may call any of them. Writers must still be serialized with each other by
+// the caller (in the clearinghouse they all run on the Run goroutine), so a
+// read-then-write sequence such as IsLive followed by Depart sees no
+// interleaved mutation. Reads from other goroutines (rollups, debug dumps)
+// are point-in-time snapshots of the whole table.
 package shardstore
 
 import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"phish/internal/types"
@@ -165,93 +146,55 @@ type Report struct {
 	key int64
 }
 
-// shard owns one stripe of the store. Members and reports for a worker id
-// always live in the same shard, so a heartbeat+report datagram touches
-// one lock per distinct shard in the batch.
-type shard struct {
+// Store is the clearinghouse's worker-keyed state.
+type Store struct {
 	mu      sync.Mutex
 	members map[types.WorkerID]*Member
 	reports map[types.WorkerID]Report
-	// epoch counts membership mutations applied to this shard; the store's
-	// epoch is the sum over shards plus the recovery base.
+	// epoch counts membership events: one bump per semantic event, seeded
+	// past the journaled value on recovery (SetEpoch).
 	epoch uint64
-	// live caches the non-departed member count for O(shards) live totals.
+	// live caches the non-departed member count.
 	live int
-	_    [24]byte // keep neighboring shards off one cache line's locks
-}
-
-// Store is the sharded clearinghouse state.
-type Store struct {
-	shards []shard
-	// epochBase carries the journaled epoch across recovery (the recovered
-	// store starts with zeroed shard epochs but must resume past the
-	// journaled value).
-	epochBase atomic.Uint64
 	// phiSlack is the acceptable-pause allowance (ns) subtracted from every
 	// member's elapsed silence before phi scoring; see Member.phi.
-	phiSlack atomic.Int64
+	phiSlack int64
+}
+
+// New builds an empty store.
+func New() *Store {
+	return &Store{
+		members: make(map[types.WorkerID]*Member),
+		reports: make(map[types.WorkerID]Report),
+	}
 }
 
 // SetPhiSlack configures the acceptable-pause allowance applied to every
 // phi evaluation (Phi, Phis, SweepDead). Zero means no allowance.
-func (s *Store) SetPhiSlack(d time.Duration) { s.phiSlack.Store(d.Nanoseconds()) }
-
-// New builds a store with n shards (n < 1 is treated as 1). Shard count
-// does not affect semantics, only lock striping.
-func New(n int) *Store {
-	if n < 1 {
-		n = 1
-	}
-	s := &Store{shards: make([]shard, n)}
-	for i := range s.shards {
-		s.shards[i].members = make(map[types.WorkerID]*Member)
-		s.shards[i].reports = make(map[types.WorkerID]Report)
-	}
-	return s
-}
-
-// Shards returns the shard count.
-func (s *Store) Shards() int { return len(s.shards) }
-
-// shardOf hashes a worker id onto its shard. splitmix64-style finalizer:
-// worker ids are often dense small integers, and we need them spread
-// evenly across shards rather than striped by low bits.
-func (s *Store) shardOf(id types.WorkerID) *shard {
-	if len(s.shards) == 1 {
-		return &s.shards[0]
-	}
-	h := uint64(uint32(id)) + 0x9E3779B97F4A7C15
-	h ^= h >> 30
-	h *= 0xBF58476D1CE4E5B9
-	h ^= h >> 27
-	h *= 0x94D049BB133111EB
-	h ^= h >> 31
-	return &s.shards[h%uint64(len(s.shards))]
+func (s *Store) SetPhiSlack(d time.Duration) {
+	s.mu.Lock()
+	s.phiSlack = d.Nanoseconds()
+	s.mu.Unlock()
 }
 
 // ---- Epoch ----------------------------------------------------------------
 
-// Epoch returns the membership epoch: the recovery base plus every
-// mutation applied to any shard. It is monotonic; reading it concurrently
-// with a mutation may or may not see that mutation, exactly like reading
-// a flat epoch counter outside the mutating lock.
+// Epoch returns the membership epoch. It is monotonic.
 func (s *Store) Epoch() uint64 {
-	e := s.epochBase.Load()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		e += sh.epoch
-		sh.mu.Unlock()
-	}
-	return e
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.epoch
 }
 
-// SetEpochBase seeds the epoch after recovery; shard epochs must still be
-// zero (call it on a fresh store before folding recovered members without
-// bumps).
-func (s *Store) SetEpochBase(e uint64) { s.epochBase.Store(e) }
+// SetEpoch seeds the epoch after recovery, before any post-recovery
+// mutation bumps it.
+func (s *Store) SetEpoch(e uint64) {
+	s.mu.Lock()
+	s.epoch = e
+	s.mu.Unlock()
+}
 
-// ---- Membership mutations (externally serialized writers) -----------------
+// ---- Membership mutations (serialized writers) ----------------------------
 
 // Register inserts id as a live member if it is absent. It returns the
 // member's state after the call: created says a new row was added (and the
@@ -260,15 +203,14 @@ func (s *Store) SetEpochBase(e uint64) { s.epochBase.Store(e) }
 // existing live member just has its liveness refreshed (a duplicate
 // Register retry).
 func (s *Store) Register(id types.WorkerID, info wire.MemberInfo, now time.Time) (created, departed bool) {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	m, ok := sh.members[id]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m, ok := s.members[id]
 	switch {
 	case !ok:
-		sh.members[id] = &Member{Info: info, LastHeard: now, RegisteredAt: now}
-		sh.epoch++
-		sh.live++
+		s.members[id] = &Member{Info: info, LastHeard: now, RegisteredAt: now}
+		s.epoch++
+		s.live++
 		return true, false
 	case m.Departed:
 		return false, true
@@ -281,28 +223,25 @@ func (s *Store) Register(id types.WorkerID, info wire.MemberInfo, now time.Time)
 // AddTombstone inserts a departed member (a restore bundle's old id being
 // adopted under a new one) and bumps the epoch.
 func (s *Store) AddTombstone(id types.WorkerID, info wire.MemberInfo) {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	sh.members[id] = &Member{Info: info, Departed: true}
-	sh.epoch++
-	sh.mu.Unlock()
+	s.mu.Lock()
+	s.members[id] = &Member{Info: info, Departed: true}
+	s.epoch++
+	s.mu.Unlock()
 }
 
 // Contains reports whether id has a row (live or tombstoned).
 func (s *Store) Contains(id types.WorkerID) bool {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	_, ok := sh.members[id]
-	sh.mu.Unlock()
+	s.mu.Lock()
+	_, ok := s.members[id]
+	s.mu.Unlock()
 	return ok
 }
 
 // Member returns a copy of id's row.
 func (s *Store) Member(id types.WorkerID) (Member, bool) {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if m, ok := sh.members[id]; ok {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if m, ok := s.members[id]; ok {
 		return *m, true
 	}
 	return Member{}, false
@@ -310,10 +249,9 @@ func (s *Store) Member(id types.WorkerID) (Member, bool) {
 
 // IsLive reports whether id is a non-departed member.
 func (s *Store) IsLive(id types.WorkerID) bool {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	m, ok := sh.members[id]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m, ok := s.members[id]
 	return ok && !m.Departed
 }
 
@@ -321,17 +259,16 @@ func (s *Store) IsLive(id types.WorkerID) bool {
 // are served by hostedBy (NoWorker for a clean exit with no state), and
 // the epoch bumps. It reports whether the member was live.
 func (s *Store) Depart(id, hostedBy types.WorkerID) bool {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	m, ok := sh.members[id]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m, ok := s.members[id]
 	if !ok || m.Departed {
 		return false
 	}
 	m.Departed = true
 	m.Info.HostedBy = hostedBy
-	sh.epoch++
-	sh.live--
+	s.epoch++
+	s.live--
 	return true
 }
 
@@ -339,124 +276,108 @@ func (s *Store) Depart(id, hostedBy types.WorkerID) bool {
 // hosted anywhere) and bumps the epoch. It reports whether the member was
 // present and live.
 func (s *Store) Remove(id types.WorkerID) bool {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	m, ok := sh.members[id]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m, ok := s.members[id]
 	if !ok || m.Departed {
 		return false
 	}
-	delete(sh.members, id)
-	sh.epoch++
-	sh.live--
+	delete(s.members, id)
+	s.epoch++
+	s.live--
 	return true
 }
 
 // RemoveHostedBy deletes every member whose tasks were hosted by dead (the
 // crash cascade: state hosted by a dead worker died with it) and returns
-// the removed ids. Cross-shard: each shard's lock is taken once. No epoch
-// bump — the cascade is part of one crash event, and the Remove of the
-// dead worker itself already bumped (one bump per semantic event keeps the
-// epoch sequence identical to the pre-sharding flat map, and identical
-// across shard counts).
+// the removed ids. No epoch bump — the cascade is part of one crash event,
+// and the Remove of the dead worker itself already bumped.
 func (s *Store) RemoveHostedBy(dead types.WorkerID) []types.WorkerID {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var removed []types.WorkerID
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for id, m := range sh.members {
-			if id != dead && m.Info.HostedBy == dead {
-				if !m.Departed {
-					sh.live--
-				}
-				delete(sh.members, id)
-				removed = append(removed, id)
+	for id, m := range s.members {
+		if id != dead && m.Info.HostedBy == dead {
+			if !m.Departed {
+				s.live--
 			}
+			delete(s.members, id)
+			removed = append(removed, id)
 		}
-		sh.mu.Unlock()
 	}
 	return removed
 }
 
-// Bump advances the epoch by one, attributed to id's shard, without any
-// row mutation (a membership-visible event that rewired existing rows,
-// e.g. a restore bundle adopted under its original id).
-func (s *Store) Bump(id types.WorkerID) {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	sh.epoch++
-	sh.mu.Unlock()
+// Bump advances the epoch by one without any row mutation (a
+// membership-visible event that rewired existing rows, e.g. a restore
+// bundle adopted under its original id).
+func (s *Store) Bump() {
+	s.mu.Lock()
+	s.epoch++
+	s.mu.Unlock()
 }
 
 // Rehost flattens hosting chains: every member hosted by from moves to to.
-// No epoch bump — the flat-map code mutated rows in place and bumped once
-// for the departure itself; callers do the same here.
+// No epoch bump — the departure that caused it already bumped once.
 func (s *Store) Rehost(from, to types.WorkerID) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, m := range sh.members {
-			if m.Info.HostedBy == from {
-				m.Info.HostedBy = to
-			}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, m := range s.members {
+		if m.Info.HostedBy == from {
+			m.Info.HostedBy = to
 		}
-		sh.mu.Unlock()
 	}
 }
 
 // RestoreMember folds one recovered journal row into the store without an
-// epoch bump (recovery seeds the epoch via SetEpochBase). Recovered
-// members are heartbeat-known: the heartbeat machinery re-establishes who
-// actually survived the outage. Their inter-arrival history is cold — the
+// epoch bump (recovery seeds the epoch via SetEpoch). Recovered members
+// are heartbeat-known: the heartbeat machinery re-establishes who actually
+// survived the outage. Their inter-arrival history is cold — the
 // pre-outage arrival process says nothing about the post-outage one — so
 // the fixed fallback timeout governs them until fresh gaps accrue: no
 // instant suspicion, no permanent exemption.
 func (s *Store) RestoreMember(info wire.MemberInfo, departed bool, now time.Time) {
-	sh := s.shardOf(info.Worker)
-	sh.mu.Lock()
-	sh.members[info.Worker] = &Member{Info: info, LastHeard: now, Departed: departed, HBSeen: true, RegisteredAt: now, hbLast: now}
+	s.mu.Lock()
+	s.members[info.Worker] = &Member{Info: info, LastHeard: now, Departed: departed, HBSeen: true, RegisteredAt: now, hbLast: now}
 	if !departed {
-		sh.live++
+		s.live++
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 }
 
-// ---- Hot-path folds (any goroutine) ---------------------------------------
+// ---- Liveness and telemetry folds -----------------------------------------
 
 // Touch refreshes id's liveness: any traffic from a live member proves it
 // is alive.
 func (s *Store) Touch(id types.WorkerID, now time.Time) {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	if m, ok := sh.members[id]; ok && !m.Departed {
+	s.mu.Lock()
+	if m, ok := s.members[id]; ok && !m.Departed {
 		m.LastHeard = now
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 }
 
 // Heartbeat refreshes liveness, marks the member heartbeat-known, and
 // folds the arrival into its phi inter-arrival history.
 func (s *Store) Heartbeat(id types.WorkerID, now time.Time) {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	if m, ok := sh.members[id]; ok && !m.Departed {
+	s.mu.Lock()
+	if m, ok := s.members[id]; ok && !m.Departed {
 		m.beat(now)
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 }
 
 // Phi returns id's suspicion score at now. warm reports whether the
 // member has enough inter-arrival history to score; a cold member always
 // scores 0 and must be judged by the fixed fallback timeout instead.
 func (s *Store) Phi(id types.WorkerID, now time.Time) (score float64, warm bool) {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	m, ok := sh.members[id]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m, ok := s.members[id]
 	if !ok || m.Departed || !m.HBSeen {
 		return 0, false
 	}
-	return m.phi(now, s.phiSlack.Load())
+	return m.phi(now, s.phiSlack)
 }
 
 // PhiRow is one live member's suspicion score for rollups.
@@ -467,22 +388,18 @@ type PhiRow struct {
 }
 
 // Phis returns the suspicion score of every live heartbeat-known member,
-// sorted by worker id (merge-over-shards, like Members).
+// sorted by worker id.
 func (s *Store) Phis(now time.Time) []PhiRow {
+	s.mu.Lock()
 	var out []PhiRow
-	slack := s.phiSlack.Load()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for id, m := range sh.members {
-			if m.Departed || !m.HBSeen {
-				continue
-			}
-			score, warm := m.phi(now, slack)
-			out = append(out, PhiRow{Worker: id, Phi: score, Warm: warm})
+	for id, m := range s.members {
+		if m.Departed || !m.HBSeen {
+			continue
 		}
-		sh.mu.Unlock()
+		score, warm := m.phi(now, s.phiSlack)
+		out = append(out, PhiRow{Worker: id, Phi: score, Warm: warm})
 	}
+	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Worker < out[j].Worker })
 	return out
 }
@@ -504,172 +421,59 @@ func reportKey(rep *wire.StatReport) int64 {
 // FoldReport folds one StatReport: latest-wins by cumulative progress, not
 // by arrival order. It reports whether the row was updated.
 func (s *Store) FoldReport(rep wire.StatReport, now time.Time) bool {
-	sh := s.shardOf(rep.Worker)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.foldReportLocked(rep, now)
-}
-
-func (sh *shard) foldReportLocked(rep wire.StatReport, now time.Time) bool {
-	// Any traffic from a live member proves it is alive (reports ride the
-	// heartbeat cadence, so this is the same worker's shard by
-	// construction).
-	if m, ok := sh.members[rep.Worker]; ok && !m.Departed {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Any traffic from a live member proves it is alive.
+	if m, ok := s.members[rep.Worker]; ok && !m.Departed {
 		m.LastHeard = now
 	}
 	key := reportKey(&rep)
-	if old, ok := sh.reports[rep.Worker]; ok && key < old.key {
+	if old, ok := s.reports[rep.Worker]; ok && key < old.key {
 		return false // stale reordering: an older cumulative state arrived late
 	}
-	sh.reports[rep.Worker] = Report{Rep: rep, At: now, key: key}
+	s.reports[rep.Worker] = Report{Rep: rep, At: now, key: key}
 	return true
 }
 
-// HotBatch is the decoded hot content of one inbox drain: heartbeats and
-// stat reports to fold, in no particular order (they are commutative).
-// Reuse one HotBatch and Reset it between drains to keep the ingest loop
-// allocation-free.
-type HotBatch struct {
-	Beats   []types.WorkerID
-	Reports []wire.StatReport
-	// scratch: per-shard indexes, grown once and reused.
-	order []int32
-}
+// ---- Reads ----------------------------------------------------------------
 
-// Reset empties the batch, keeping capacity.
-func (b *HotBatch) Reset() {
-	b.Beats = b.Beats[:0]
-	b.Reports = b.Reports[:0]
-}
-
-// Len returns the number of folds queued.
-func (b *HotBatch) Len() int { return len(b.Beats) + len(b.Reports) }
-
-// FoldHot applies a whole batch, taking each involved shard's lock exactly
-// once — the reason a datagram carrying dozens of piggybacked heartbeats
-// costs one lock word per shard instead of one per message. Order within
-// the batch does not matter: heartbeats and reports are commutative folds
-// (max of liveness, monotonic-latest report).
-func (s *Store) FoldHot(b *HotBatch, now time.Time) {
-	n := len(s.shards)
-	if n == 1 {
-		sh := &s.shards[0]
-		sh.mu.Lock()
-		for _, id := range b.Beats {
-			if m, ok := sh.members[id]; ok && !m.Departed {
-				m.beat(now)
-			}
-		}
-		for _, rep := range b.Reports {
-			sh.foldReportLocked(rep, now)
-		}
-		sh.mu.Unlock()
-		return
-	}
-	// Tag every entry with its shard, then sweep shard by shard. The
-	// order slice holds beats first, then reports, so one pass covers
-	// both without interleaving bookkeeping.
-	total := len(b.Beats) + len(b.Reports)
-	if cap(b.order) < total {
-		b.order = make([]int32, total)
-	}
-	order := b.order[:total]
-	touched := make(map[int32]struct{}, n) // small; n shards max
-	for i, id := range b.Beats {
-		si := s.shardIndex(id)
-		order[i] = si
-		touched[si] = struct{}{}
-	}
-	for i := range b.Reports {
-		si := s.shardIndex(b.Reports[i].Worker)
-		order[len(b.Beats)+i] = si
-		touched[si] = struct{}{}
-	}
-	for si := range touched {
-		sh := &s.shards[si]
-		sh.mu.Lock()
-		for i, id := range b.Beats {
-			if order[i] != si {
-				continue
-			}
-			if m, ok := sh.members[id]; ok && !m.Departed {
-				m.beat(now)
-			}
-		}
-		for i := range b.Reports {
-			if order[len(b.Beats)+i] != si {
-				continue
-			}
-			sh.foldReportLocked(b.Reports[i], now)
-		}
-		sh.mu.Unlock()
-	}
-}
-
-func (s *Store) shardIndex(id types.WorkerID) int32 {
-	if len(s.shards) == 1 {
-		return 0
-	}
-	h := uint64(uint32(id)) + 0x9E3779B97F4A7C15
-	h ^= h >> 30
-	h *= 0xBF58476D1CE4E5B9
-	h ^= h >> 27
-	h *= 0x94D049BB133111EB
-	h ^= h >> 31
-	return int32(h % uint64(len(s.shards)))
-}
-
-// ---- Cross-shard reads ----------------------------------------------------
-
-// LiveCount returns the number of non-departed members (sum of per-shard
-// cached counts; no map iteration).
+// LiveCount returns the number of non-departed members.
 func (s *Store) LiveCount() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += sh.live
-		sh.mu.Unlock()
-	}
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.live
 }
 
 // LiveIDs returns the sorted ids of non-departed members.
 func (s *Store) LiveIDs() []types.WorkerID {
+	s.mu.Lock()
 	var ids []types.WorkerID
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for id, m := range sh.members {
-			if !m.Departed {
-				ids = append(ids, id)
-			}
+	for id, m := range s.members {
+		if !m.Departed {
+			ids = append(ids, id)
 		}
-		sh.mu.Unlock()
 	}
+	s.mu.Unlock()
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 
-// Members returns every row (live and tombstoned), sorted by worker id —
-// the merge-over-shards view assembly. Each element is a copy.
+// Members returns every row (live and tombstoned), sorted by worker id.
+// Each element is a copy.
 func (s *Store) Members() []Member {
+	s.mu.Lock()
 	var out []Member
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, m := range sh.members {
-			out = append(out, *m)
-		}
-		sh.mu.Unlock()
+	for _, m := range s.members {
+		out = append(out, *m)
 	}
+	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Info.Worker < out[j].Info.Worker })
 	return out
 }
 
-// SweepDead returns the live members the detector declares dead at now —
-// the per-shard dead-worker sweep. The caller (the Run goroutine) turns
-// each into a crash. Three regimes per member:
+// SweepDead returns the live members the detector declares dead at now.
+// The caller (the Run goroutine) turns each into a crash. Three regimes
+// per member:
 //
 //   - Heartbeat-known with a warm inter-arrival history and phiThreshold
 //     > 0: dead when the phi-accrual suspicion crosses the threshold. The
@@ -684,35 +488,31 @@ func (s *Store) Members() []Member {
 //     redistributed like any crash. A zero graceCutoff disables the grace
 //     sweep (members restored by older journals carry no RegisteredAt).
 func (s *Store) SweepDead(phiThreshold float64, now, fallbackCutoff, graceCutoff time.Time) []types.WorkerID {
+	s.mu.Lock()
 	var dead []types.WorkerID
-	slack := s.phiSlack.Load()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for id, m := range sh.members {
-			if m.Departed {
-				continue
+	for id, m := range s.members {
+		if m.Departed {
+			continue
+		}
+		if !m.HBSeen {
+			if !graceCutoff.IsZero() && !m.RegisteredAt.IsZero() && m.RegisteredAt.Before(graceCutoff) {
+				dead = append(dead, id)
 			}
-			if !m.HBSeen {
-				if !graceCutoff.IsZero() && !m.RegisteredAt.IsZero() && m.RegisteredAt.Before(graceCutoff) {
+			continue
+		}
+		if phiThreshold > 0 {
+			if score, warm := m.phi(now, s.phiSlack); warm {
+				if score > phiThreshold {
 					dead = append(dead, id)
 				}
 				continue
 			}
-			if phiThreshold > 0 {
-				if score, warm := m.phi(now, slack); warm {
-					if score > phiThreshold {
-						dead = append(dead, id)
-					}
-					continue
-				}
-			}
-			if m.LastHeard.Before(fallbackCutoff) {
-				dead = append(dead, id)
-			}
 		}
-		sh.mu.Unlock()
+		if m.LastHeard.Before(fallbackCutoff) {
+			dead = append(dead, id)
+		}
 	}
+	s.mu.Unlock()
 	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
 	return dead
 }
@@ -721,50 +521,43 @@ func (s *Store) SweepDead(phiThreshold float64, now, fallbackCutoff, graceCutoff
 // by the crash path to salvage a dead worker's last published checkpoints
 // before its rows are removed.
 func (s *Store) ReportOf(id types.WorkerID) (Report, bool) {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	r, ok := sh.reports[id]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, ok := s.reports[id]
 	return r, ok
 }
 
 // Reports returns every worker's latest report row, unsorted (the rollup
 // sorts after decorating). Each element is a copy.
 func (s *Store) Reports() []Report {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var out []Report
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, r := range sh.reports {
-			out = append(out, r)
-		}
-		sh.mu.Unlock()
+	for _, r := range s.reports {
+		out = append(out, r)
 	}
 	return out
 }
 
 // EvictReports drops telemetry rows whose worker is no longer a live
-// member and whose last report predates cutoff — per-shard TTL eviction,
-// so a 100k-worker job with churn does not accrete dead workers' rows
-// forever. It returns the number evicted. Live members are never evicted
-// (their rows only go stale if they stop reporting, which the heartbeat
-// timeout turns into a crash first).
+// member and whose last report predates cutoff — TTL eviction, so a job
+// with churn does not accrete dead workers' rows forever. It returns the
+// number evicted. Live members are never evicted (their rows only go stale
+// if they stop reporting, which the heartbeat timeout turns into a crash
+// first).
 func (s *Store) EvictReports(cutoff time.Time) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	evicted := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for id, r := range sh.reports {
-			if r.At.After(cutoff) {
-				continue
-			}
-			if m, ok := sh.members[id]; ok && !m.Departed {
-				continue
-			}
-			delete(sh.reports, id)
-			evicted++
+	for id, r := range s.reports {
+		if r.At.After(cutoff) {
+			continue
 		}
-		sh.mu.Unlock()
+		if m, ok := s.members[id]; ok && !m.Departed {
+			continue
+		}
+		delete(s.reports, id)
+		evicted++
 	}
 	return evicted
 }

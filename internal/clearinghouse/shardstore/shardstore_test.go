@@ -3,7 +3,6 @@ package shardstore
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -19,7 +18,7 @@ func info(id types.WorkerID) wire.MemberInfo {
 }
 
 func TestRegisterDepartRemove(t *testing.T) {
-	s := New(4)
+	s := New()
 	if created, departed := s.Register(1, info(1), t0); !created || departed {
 		t.Fatalf("first register: created=%v departed=%v", created, departed)
 	}
@@ -65,7 +64,7 @@ func TestRegisterDepartRemove(t *testing.T) {
 }
 
 func TestRehostAndCascade(t *testing.T) {
-	s := New(8)
+	s := New()
 	for id := types.WorkerID(0); id < 10; id++ {
 		s.Register(id, info(id), t0)
 	}
@@ -100,61 +99,6 @@ func TestRehostAndCascade(t *testing.T) {
 	}
 }
 
-// opTrace applies a deterministic membership/fold workload to a store.
-func opTrace(s *Store, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	now := t0
-	for i := 0; i < 500; i++ {
-		id := types.WorkerID(rng.Intn(64))
-		now = now.Add(time.Millisecond)
-		switch rng.Intn(10) {
-		case 0, 1, 2, 3:
-			s.Register(id, info(id), now)
-		case 4:
-			s.Depart(id, types.WorkerID(rng.Intn(64)))
-		case 5:
-			if s.Remove(id) {
-				s.RemoveHostedBy(id)
-			}
-		case 6:
-			s.Heartbeat(id, now)
-		case 7:
-			s.Touch(id, now)
-		case 8:
-			s.FoldReport(wire.StatReport{Worker: id, Deque: int32(i), Counters: []int64{int64(i)}}, now)
-		case 9:
-			s.Rehost(id, types.WorkerID(rng.Intn(64)))
-		}
-	}
-}
-
-// TestShardCountInvariance is the core contract: the same operation
-// sequence produces identical members, epochs, live counts, and report
-// rollups at every shard count.
-func TestShardCountInvariance(t *testing.T) {
-	ref := New(1)
-	opTrace(ref, 42)
-	for _, n := range []int{2, 3, 4, 16, 64, 257} {
-		s := New(n)
-		opTrace(s, 42)
-		if got, want := s.Epoch(), ref.Epoch(); got != want {
-			t.Errorf("shards=%d: epoch %d, want %d", n, got, want)
-		}
-		if got, want := s.LiveCount(), ref.LiveCount(); got != want {
-			t.Errorf("shards=%d: live %d, want %d", n, got, want)
-		}
-		if got, want := s.Members(), ref.Members(); !reflect.DeepEqual(got, want) {
-			t.Errorf("shards=%d: members diverge from flat store", n)
-		}
-		if got, want := s.LiveIDs(), ref.LiveIDs(); !reflect.DeepEqual(got, want) {
-			t.Errorf("shards=%d: live ids %v, want %v", n, got, want)
-		}
-		if got, want := sortedReports(s), sortedReports(ref); !reflect.DeepEqual(got, want) {
-			t.Errorf("shards=%d: reports diverge from flat store", n)
-		}
-	}
-}
-
 func sortedReports(s *Store) map[types.WorkerID]Report {
 	m := make(map[types.WorkerID]Report)
 	for _, r := range s.Reports() {
@@ -164,7 +108,7 @@ func sortedReports(s *Store) map[types.WorkerID]Report {
 }
 
 func TestFoldReportMonotonic(t *testing.T) {
-	s := New(4)
+	s := New()
 	s.Register(5, info(5), t0)
 	newer := wire.StatReport{Worker: 5, Deque: 9, Counters: []int64{10, 20}}
 	older := wire.StatReport{Worker: 5, Deque: 1, Counters: []int64{10, 5}}
@@ -185,43 +129,8 @@ func TestFoldReportMonotonic(t *testing.T) {
 	}
 }
 
-func TestFoldHotMatchesSingleFolds(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{1, 4, 16} {
-		batched, single := New(n), New(n)
-		for id := types.WorkerID(0); id < 40; id++ {
-			batched.Register(id, info(id), t0)
-			single.Register(id, info(id), t0)
-		}
-		var b HotBatch
-		now := t0.Add(time.Minute)
-		for i := 0; i < 200; i++ {
-			id := types.WorkerID(rng.Intn(50)) // includes unknown workers
-			if rng.Intn(2) == 0 {
-				b.Beats = append(b.Beats, id)
-				single.Heartbeat(id, now)
-			} else {
-				rep := wire.StatReport{Worker: id, Deque: int32(i), Counters: []int64{int64(rng.Intn(5))}}
-				b.Reports = append(b.Reports, rep)
-				single.FoldReport(rep, now)
-			}
-		}
-		batched.FoldHot(&b, now)
-		if !reflect.DeepEqual(batched.Members(), single.Members()) {
-			t.Errorf("shards=%d: batched members diverge from single folds", n)
-		}
-		if !reflect.DeepEqual(sortedReports(batched), sortedReports(single)) {
-			t.Errorf("shards=%d: batched reports diverge from single folds", n)
-		}
-		b.Reset()
-		if b.Len() != 0 {
-			t.Fatal("Reset left entries behind")
-		}
-	}
-}
-
 func TestSweepDeadAndHBSeenGate(t *testing.T) {
-	s := New(4)
+	s := New()
 	for id := types.WorkerID(0); id < 4; id++ {
 		s.Register(id, info(id), t0)
 	}
@@ -237,7 +146,7 @@ func TestSweepDeadAndHBSeenGate(t *testing.T) {
 }
 
 func TestSweepDeadRegistrationGrace(t *testing.T) {
-	s := New(4)
+	s := New()
 	s.Register(1, info(1), t0)
 	s.Register(2, info(2), t0.Add(8*time.Second))
 	// Neither ever heartbeated. A grace cutoff later than 1's registration
@@ -263,7 +172,7 @@ func TestSweepDeadRegistrationGrace(t *testing.T) {
 // cadence — a slow-cadence member tolerates a silence that convicts a
 // fast-cadence one.
 func TestPhiWarmupAndAdaptivity(t *testing.T) {
-	s := New(4)
+	s := New()
 	s.Register(1, info(1), t0)
 	s.Register(2, info(2), t0)
 	now := t0
@@ -306,7 +215,7 @@ func TestPhiWarmupAndAdaptivity(t *testing.T) {
 // TestPhiSlack: the store-level acceptable-pause allowance is subtracted
 // from elapsed silence before scoring.
 func TestPhiSlack(t *testing.T) {
-	s := New(2)
+	s := New()
 	s.Register(1, info(1), t0)
 	now := t0
 	s.Heartbeat(1, now)
@@ -327,7 +236,7 @@ func TestPhiSlack(t *testing.T) {
 // TestSweepDeadPhi: a warm member is judged by phi, not the fixed cutoff; a
 // cold member falls back to the fixed cutoff.
 func TestSweepDeadPhi(t *testing.T) {
-	s := New(4)
+	s := New()
 	s.Register(1, info(1), t0) // will warm up
 	s.Register(2, info(2), t0) // stays cold (one beat, no gaps)
 	now := t0
@@ -347,7 +256,7 @@ func TestSweepDeadPhi(t *testing.T) {
 		t.Fatalf("phi sweep = %v, want [1] (warm member by phi, cold member exempt)", dead)
 	}
 	// The cold member is still governed by the fixed cutoff.
-	s2 := New(4)
+	s2 := New()
 	s2.Register(2, info(2), t0)
 	s2.Heartbeat(2, t0)
 	dead = s2.SweepDead(8, t0.Add(time.Minute), t0.Add(30*time.Second), time.Time{})
@@ -371,22 +280,20 @@ func TestSweepDeadPhi(t *testing.T) {
 // history, so they are governed by the fixed fallback (no instant
 // suspicion from a stale pre-outage cadence) yet remain sweepable.
 func TestRestoreMemberColdHistory(t *testing.T) {
-	for _, shards := range []int{1, 4, 64} {
-		s := New(shards)
-		s.RestoreMember(info(1), false, t0)
-		if _, warm := s.Phi(1, t0.Add(time.Second)); warm {
-			t.Fatalf("shards=%d: restored member has warm phi; recovery must cold-start history", shards)
-		}
-		// Sweepable by the fixed fallback immediately (HBSeen is set).
-		dead := s.SweepDead(8, t0.Add(time.Minute), t0.Add(30*time.Second), time.Time{})
-		if len(dead) != 1 || dead[0] != 1 {
-			t.Fatalf("shards=%d: restored-member sweep = %v, want [1]", shards, dead)
-		}
+	s := New()
+	s.RestoreMember(info(1), false, t0)
+	if _, warm := s.Phi(1, t0.Add(time.Second)); warm {
+		t.Fatal("restored member has warm phi; recovery must cold-start history")
+	}
+	// Sweepable by the fixed fallback immediately (HBSeen is set).
+	dead := s.SweepDead(8, t0.Add(time.Minute), t0.Add(30*time.Second), time.Time{})
+	if len(dead) != 1 || dead[0] != 1 {
+		t.Fatalf("restored-member sweep = %v, want [1]", dead)
 	}
 }
 
 func TestEvictReports(t *testing.T) {
-	s := New(4)
+	s := New()
 	s.Register(1, info(1), t0)
 	s.FoldReport(wire.StatReport{Worker: 1, Counters: []int64{1}}, t0)
 	s.FoldReport(wire.StatReport{Worker: 2, Counters: []int64{1}}, t0) // never a member
@@ -409,8 +316,8 @@ func TestEvictReports(t *testing.T) {
 }
 
 func TestEpochBaseRecovery(t *testing.T) {
-	s := New(4)
-	s.SetEpochBase(100)
+	s := New()
+	s.SetEpoch(100)
 	s.RestoreMember(info(1), false, t0)
 	s.RestoreMember(info(2), true, t0)
 	if e := s.Epoch(); e != 100 {
@@ -429,11 +336,11 @@ func TestEpochBaseRecovery(t *testing.T) {
 	}
 }
 
-// TestConcurrentFolds exercises reader/fold concurrency under -race: folds
-// from many goroutines against merge reads and externally-serialized
-// mutations.
+// TestConcurrentFolds exercises the lock under -race: per-message
+// heartbeat and report folds from several goroutines against whole-table
+// reads and one serialized writer.
 func TestConcurrentFolds(t *testing.T) {
-	s := New(8)
+	s := New()
 	for id := types.WorkerID(0); id < 32; id++ {
 		s.Register(id, info(id), t0)
 	}
@@ -443,25 +350,21 @@ func TestConcurrentFolds(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			var b HotBatch
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				b.Reset()
-				for j := 0; j < 16; j++ {
-					id := types.WorkerID((g*16 + i + j) % 32)
-					b.Beats = append(b.Beats, id)
-					b.Reports = append(b.Reports, wire.StatReport{Worker: id, Counters: []int64{int64(i)}})
-				}
-				s.FoldHot(&b, t0.Add(time.Duration(i)))
+				id := types.WorkerID((g*16 + i) % 32)
+				now := t0.Add(time.Duration(i))
+				s.Heartbeat(id, now)
+				s.FoldReport(wire.StatReport{Worker: id, Counters: []int64{int64(i)}}, now)
 			}
 		}(g)
 	}
 	wg.Add(1)
-	go func() { // one externally-serialized writer, as in the clearinghouse
+	go func() { // one serialized writer, as in the clearinghouse
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
 			id := types.WorkerID(32 + i%8)
@@ -480,38 +383,32 @@ func TestConcurrentFolds(t *testing.T) {
 	wg.Wait()
 }
 
-// BenchmarkFoldHot measures the batched hot path at several shard counts:
-// each parallel worker folds a 64-entry heartbeat+report batch. On a
-// multi-core runner, throughput scales near-linearly in shards until the
-// cores run out; at GOMAXPROCS=1 the counts merely confirm that striping
-// adds no overhead.
-func BenchmarkFoldHot(b *testing.B) {
-	for _, shards := range []int{1, 4, 16, 64} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s := New(shards)
-			const pop = 4096
-			for id := types.WorkerID(0); id < pop; id++ {
-				s.Register(id, info(id), t0)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				var hb HotBatch
-				rng := rand.New(rand.NewSource(1))
-				counters := []int64{1, 2, 3}
-				for pb.Next() {
-					hb.Reset()
-					for j := 0; j < 64; j++ {
-						id := types.WorkerID(rng.Intn(pop))
-						if j%2 == 0 {
-							hb.Beats = append(hb.Beats, id)
-						} else {
-							hb.Reports = append(hb.Reports, wire.StatReport{Worker: id, Counters: counters})
-						}
-					}
-					s.FoldHot(&hb, t0)
-				}
-			})
-		})
+// BenchmarkFold measures what the clearinghouse's one ingest goroutine
+// pays per inbound heartbeat or StatReport: alternating Heartbeat and
+// FoldReport calls for random members of a 4096-worker table, one op per
+// fold.
+func BenchmarkFold(b *testing.B) {
+	s := New()
+	const pop = 4096
+	for id := types.WorkerID(0); id < pop; id++ {
+		s.Register(id, info(id), t0)
+	}
+	rng := rand.New(rand.NewSource(1))
+	ids := make([]types.WorkerID, 1024)
+	for i := range ids {
+		ids[i] = types.WorkerID(rng.Intn(pop))
+	}
+	counters := []int64{1, 2, 3}
+	now := t0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := ids[i%len(ids)]
+		if i%2 == 0 {
+			now = now.Add(time.Millisecond)
+			s.Heartbeat(id, now)
+		} else {
+			s.FoldReport(wire.StatReport{Worker: id, Counters: counters}, now)
+		}
 	}
 }

@@ -9,11 +9,11 @@ import (
 	"phish/internal/wire"
 )
 
-// defaultSpanCap bounds retained spans per worker when Config.SpanCap is
-// zero. At 62 wire bytes a span, the default caps a worker's share of the
-// collector at roughly 16 MB of span structs — generous for a benchmark
-// run, bounded for a long-lived job.
-const defaultSpanCap = 1 << 18
+// maxSpansPerWorker bounds retained spans per worker; past it spans are
+// dropped and counted. At 62 wire bytes a span, it caps a worker's share
+// of the collector at roughly 16 MB of span structs — generous for a
+// benchmark run, bounded for a long-lived job.
+const maxSpansPerWorker = 1 << 18
 
 // workerSpans is the collector's per-worker state: the latest folded batch
 // number (the idempotence cursor of the latest-batch framing), the
@@ -41,17 +41,13 @@ type workerSpans struct {
 // skewed by an asymmetric round trip.
 type spanSink struct {
 	mu      sync.Mutex
-	max     int
 	perW    map[types.WorkerID]*workerSpans
 	total   uint64
 	dropped uint64
 }
 
-func newSpanSink(max int) *spanSink {
-	if max <= 0 {
-		max = defaultSpanCap
-	}
-	return &spanSink{max: max, perW: make(map[types.WorkerID]*workerSpans)}
+func newSpanSink() *spanSink {
+	return &spanSink{perW: make(map[types.WorkerID]*workerSpans)}
 }
 
 func (s *spanSink) of(w types.WorkerID) *workerSpans {
@@ -79,7 +75,7 @@ func (s *spanSink) fold(rep *wire.StatReport) {
 	}
 	ws.lastSeq = rep.SpanSeq
 	for _, sp := range rep.Spans {
-		if len(ws.spans) >= s.max {
+		if len(ws.spans) >= maxSpansPerWorker {
 			s.dropped++
 			continue
 		}

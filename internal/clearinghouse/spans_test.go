@@ -23,7 +23,7 @@ func spanReport(id types.WorkerID, seq uint64, n int) wire.StatReport {
 // must let low sequence numbers fold once more — while spans already
 // collected from the previous incarnation stay.
 func TestSpanSinkResetWorker(t *testing.T) {
-	s := newSpanSink(0)
+	s := newSpanSink()
 	rep := spanReport(1, 5, 3)
 	s.fold(&rep)
 	if got, _ := s.stats(); got != 3 {

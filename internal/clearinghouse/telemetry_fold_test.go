@@ -61,13 +61,11 @@ func TestStatReportReorderCannotRegress(t *testing.T) {
 	}
 }
 
-// TestStatReportFoldsAcrossShards checks the same fold path with the
-// worker population spread over many shards and reports arriving for
-// workers that never registered (pre-Register reports must still fold).
-func TestStatReportFoldsAcrossShards(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Shards = 16
-	h := newHarness(t, cfg)
+// TestStatReportFoldsFromUnregisteredWorkers checks the same fold path
+// for reports arriving from workers that never registered: pre-Register
+// reports must still fold into the rollup.
+func TestStatReportFoldsFromUnregisteredWorkers(t *testing.T) {
+	h := newHarness(t, DefaultConfig())
 	w := h.attach(1)
 	expect[wire.RegisterReply](t, w, time.Second)
 	for id := types.WorkerID(1); id <= 24; id++ {

@@ -561,16 +561,6 @@ func (r *runner) Start(spec wire.JobSpec, id types.WorkerID) (jobmanager.WorkerP
 	if r.c.opts.Telemetry {
 		wcfg.Metrics = telemetry.NewMetrics()
 	}
-	var ckl *core.CkptLog
-	if dir := r.c.opts.StateDir; dir != "" {
-		// Best-effort: a worker whose checkpoint WAL cannot be opened
-		// still runs, it just cannot republish blobs after a process
-		// restart.
-		if l, err := core.OpenCkptLog(filepath.Join(dir, fmt.Sprintf("worker-%d.ckpt", id))); err == nil {
-			ckl = l
-			wcfg.CkptLog = l
-		}
-	}
 	w := core.NewWorker(spec.ID, id, j.prog, port, wcfg, clock.System)
 	proc := &workerProc{w: w, done: make(chan struct{})}
 	j.mu.Lock()
@@ -580,9 +570,6 @@ func (r *runner) Start(spec wire.JobSpec, id types.WorkerID) (jobmanager.WorkerP
 	go func() {
 		defer close(proc.done)
 		_ = w.Run()
-		if ckl != nil {
-			_ = ckl.Close()
-		}
 	}()
 	return proc, nil
 }

@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"encoding/binary"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -289,44 +288,5 @@ func TestNoCkptKeepsLegacyBehavior(t *testing.T) {
 	s := w1.Stats()
 	if s.CkptSaves != 0 || s.TasksPreempted != 0 || s.CkptResumes != 0 {
 		t.Errorf("NoCkpt worker touched the checkpoint surface: %+v", s)
-	}
-}
-
-// TestCkptLogReplayLatestWins exercises the worker-local checkpoint WAL:
-// replay returns the newest blob per task and tolerates a torn tail.
-func TestCkptLogReplayLatestWins(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "w1.ckpt")
-	l, err := core.OpenCkptLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tid := types.TaskID{Worker: 1, Seq: 7}
-	other := types.TaskID{Worker: 1, Seq: 9}
-	for seq := uint64(1); seq <= 3; seq++ {
-		if err := l.Append(1, wire.TaskCkpt{Task: tid, Seq: seq, Data: []byte{byte(seq)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Append(1, wire.TaskCkpt{Task: other, Seq: 5, Data: []byte("x")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := core.ReplayCkptLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("replayed %d tasks, want 2", len(got))
-	}
-	if ck := got[tid]; ck.Seq != 3 || len(ck.Data) != 1 || ck.Data[0] != 3 {
-		t.Errorf("task %v: got seq %d data %v, want the latest (seq 3)", tid, ck.Seq, ck.Data)
-	}
-
-	// A missing file is an empty log, not an error.
-	if m, err := core.ReplayCkptLog(filepath.Join(t.TempDir(), "absent")); err != nil || m != nil {
-		t.Errorf("missing log: got %v, %v; want nil, nil", m, err)
 	}
 }

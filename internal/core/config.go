@@ -158,10 +158,6 @@ type Config struct {
 	// (default 4 when zero).
 	LocalStealTries int
 
-	// CkptLog, when non-nil, durably appends every checkpoint blob a task
-	// yields on this worker, so a restarted worker process can republish
-	// the last known blobs (see OpenCkptLog).
-	CkptLog *CkptLog
 	// CkptEvery rate-limits unsolicited checkpoint publication to the
 	// clearinghouse between heartbeats: at most one extra StatReport per
 	// interval, sent only when a task yields a fresh blob. Zero means the

@@ -165,13 +165,13 @@ func (t *TaskCtx) Checkpoint() []byte {
 // asks whether the body must vacate the processor. The blob (copied, so
 // the caller may reuse its buffer) replaces any previous checkpoint for
 // this task: from here on it travels with the closure on drain, reclaim,
-// steal and migration. It is appended to the worker's checkpoint WAL when
-// one is configured, and published to the clearinghouse on the piggybacked
-// StatReport path once per CkptEvery (latest-wins; a blob saved between two
-// publications is superseded before it is ever copied). Yield returns true
-// when the worker is draining, being reclaimed, or crashing — the body must
-// then return immediately without calling Return; the closure is requeued
-// with the blob attached and re-executed later, possibly on another worker.
+// steal and migration. It is published to the clearinghouse on the
+// piggybacked StatReport path once per CkptEvery (latest-wins; a blob saved
+// between two publications is superseded before it is ever copied). Yield
+// returns true when the worker is draining, being reclaimed, or crashing —
+// the body must then return immediately without calling Return; the
+// closure is requeued with the blob attached and re-executed later,
+// possibly on another worker.
 //
 // Yield is also the worker's cooperative scheduling point: a long
 // checkpointable body would otherwise leave the worker deaf to steal

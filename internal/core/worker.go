@@ -137,7 +137,7 @@ type Worker struct {
 	// (the first blob goes out at once) and then by ckptTimer one interval
 	// after each publication, so a Yield learns it from a load, not from
 	// the clock. ckptLoud is set when something wants to hear of every save
-	// (a CkptLog, a trace buffer). yieldsUnpolled counts the Yields since one
+	// (a trace buffer). yieldsUnpolled counts the Yields since one
 	// last looked at the socket (see TaskCtx.Yield). Timer, counter and the
 	// lowering of the flag: scheduler goroutine only.
 	ckptMu         sync.Mutex
@@ -232,7 +232,7 @@ func NewWorker(job types.JobID, id types.WorkerID, prog *Program, conn phishnet.
 		forwardTo:   types.NoWorker,
 		stealVictim: types.NoWorker,
 		ckptPub:     make(map[types.TaskID]wire.TaskCkpt),
-		ckptLoud:    cfg.CkptLog != nil || cfg.Trace != nil,
+		ckptLoud:    cfg.Trace != nil,
 		wakeCh:      make(chan struct{}, 1),
 		procs:       runtime.GOMAXPROCS(0),
 		hbStop:      make(chan struct{}),
@@ -673,13 +673,10 @@ func (w *Worker) ckptSnapshot() []wire.TaskCkpt {
 	return out
 }
 
-// noteCkpt tells whoever asked to hear of every save: the checkpoint WAL,
-// which appends every blob, the trace buffer and the span recorder. Yield
-// calls it only when one of them may be listening. Scheduler goroutine.
+// noteCkpt tells whoever asked to hear of every save: the trace buffer and
+// the span recorder. Yield calls it only when one of them may be listening.
+// Scheduler goroutine.
 func (w *Worker) noteCkpt(c *Closure) {
-	if w.cfg.CkptLog != nil {
-		_ = w.cfg.CkptLog.Append(w.id, wire.TaskCkpt{Task: c.ID, Seq: c.CkptSeq, Data: c.Ckpt})
-	}
 	w.tr(trace.EvCkpt, c.ID, types.NoWorker, "")
 	if w.spans.Load() != nil && c.TC.Sampled() {
 		now := time.Now().UnixNano()

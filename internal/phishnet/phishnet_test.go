@@ -145,14 +145,11 @@ func TestUDPBasicExchange(t *testing.T) {
 	if env.From != 1 {
 		t.Errorf("from = %d", env.From)
 	}
-	// Hot messages arrive as zero-copy views over UDP; accessors read the
-	// fields in place, and Materialize converts for struct consumers.
+	// Hot messages arrive as zero-copy views over UDP; Materialize
+	// converts for struct consumers.
 	v, ok := env.Payload.(*wire.View)
 	if !ok {
 		t.Fatalf("payload = %T, want *wire.View", env.Payload)
-	}
-	if hb, ok := v.AsHeartbeat(); !ok || hb.Worker() != 1 {
-		t.Errorf("heartbeat view: ok=%v worker=%d", ok, hb.Worker())
 	}
 	if err := env.Materialize(); err != nil {
 		t.Fatal(err)

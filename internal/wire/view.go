@@ -995,25 +995,6 @@ func (a ArgView) Crossed() bool { return v2bool(a.b, fArgCrossed) }
 // TC is the producing task's trace context.
 func (a ArgView) TC() TraceCtx { return v2tc(a.b, fArgTC) }
 
-// HeartbeatView reads a Heartbeat in place.
-type HeartbeatView struct{ b []byte }
-
-// AsHeartbeat returns a typed accessor when the view is a Heartbeat.
-func (v *View) AsHeartbeat() (HeartbeatView, bool) {
-	if v == nil || v.tag != tHeartbeat {
-		return HeartbeatView{}, false
-	}
-	return HeartbeatView{v.body}, true
-}
-
-// Worker is the worker reporting liveness.
-func (h HeartbeatView) Worker() types.WorkerID {
-	return types.WorkerID(int32(v2u32(h.b, fHBWorker)))
-}
-
-// SendNS is the sender's clock at send time (zero when not tracing).
-func (h HeartbeatView) SendNS() int64 { return int64(v2u64(h.b, fHBSendNS)) }
-
 // AckView reads an Ack in place.
 type AckView struct{ b []byte }
 
