@@ -252,9 +252,10 @@ func (c *Clearinghouse) Run() {
 	}
 }
 
-// ingest handles one received envelope. A zero-copy view (UDP) is
-// materialized first, so every message — heartbeats and StatReports
-// included — takes the one handle path whatever transport carried it.
+// ingest handles one received envelope. A zero-copy view (UDP; the root
+// result's Arg, say) is materialized first, so every message takes the one
+// handle path whatever transport carried it. Heartbeats and StatReports
+// have no view form and arrive as structs either way.
 func (c *Clearinghouse) ingest(env *wire.Envelope) {
 	if err := env.Materialize(); err != nil {
 		env.Free() // corrupt frame: consume and drop

@@ -13,11 +13,12 @@ import (
 )
 
 // TestHeartbeatFoldSameOnBothPayloadForms: a heartbeat reaches the ingest
-// loop as a struct (in-memory fabric) or as a view (UDP), and names its
-// sender (self-reported) or another worker (relayed). All four take the one
-// handle path: each leaves the named worker's row exactly as two direct
-// store heartbeats would — LastHeard, HBSeen and the phi gap history — and
-// counts one message received.
+// loop as the struct its sender built (in-memory fabric) or decoded off the
+// wire (UDP; the "view" form, although a heartbeat decodes to a struct),
+// and names its sender (self-reported) or another worker (relayed). All
+// four take the one handle path: each leaves the named worker's row exactly
+// as two direct store heartbeats would — LastHeard, HBSeen and the phi gap
+// history — and counts one message received.
 func TestHeartbeatFoldSameOnBothPayloadForms(t *testing.T) {
 	const worker = types.WorkerID(4)
 	info := wire.MemberInfo{Worker: worker, HostedBy: worker}

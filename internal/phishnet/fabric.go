@@ -41,8 +41,8 @@ const (
 	CodecNone Codec = iota
 	// CodecWire does to every envelope what the UDP transport does: encode
 	// it to a frame, copy the frame into a pooled arena, and decode it
-	// there, so receivers get zero-copy *wire.View payloads for the hot
-	// messages and in-process tests and benchmarks exercise the bytes and
+	// there, so receivers get zero-copy *wire.View payloads for the steal-
+	// path messages and in-process tests and benchmarks exercise the bytes and
 	// the read-in-place ingest paths of a real deployment.
 	CodecWire
 )

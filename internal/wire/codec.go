@@ -9,7 +9,7 @@
 // Frame layout (all integers big-endian):
 //
 //	offset 0  u32  body length (bytes after this prefix)
-//	offset 4  u8   body layout version (tagVersion of the tag)
+//	offset 4  u8   frame version (frameVersion)
 //	offset 5  u8   payload type tag (t* constants)
 //	offset 6  i64  Envelope.Job
 //	offset 14 i32  Envelope.From
@@ -17,14 +17,12 @@
 //	offset 22 u64  Envelope.Seq
 //	offset 30 ...  payload body (shape fixed by the type tag)
 //
-// The tag decides the body layout, and there is one layout, one encoder
-// and one decoder per tag: the hot scheduler tags (v2Tag) carry the
-// field-keyed body of view.go, every other tag the positional body encoded
-// in this file. The version byte names that layout, and a decoder rejects
-// a frame whose version is not the one its tag uses instead of misparsing
-// it. Several frames may be concatenated back to back — the UDP transport
-// batches envelopes to one destination into one datagram this way — and
-// each is self-delimiting via its length prefix.
+// Every tag has one positional body layout, one encoder (appendPayload)
+// and one decoder (readPayload); the zero-copy views of view.go read the
+// same bytes in place. A decoder rejects a frame of any other version
+// instead of misparsing it. Several frames may be concatenated back to
+// back — the UDP transport batches envelopes to one destination into one
+// datagram this way — and each is self-delimiting via its length prefix.
 //
 // Decoding is hardened against truncated and corrupt input: every read is
 // bounds-checked, slice counts are validated against the bytes actually
@@ -46,17 +44,9 @@ import (
 	"phish/internal/types"
 )
 
-// frameVersion marks a frame whose body is the positional layout of this
-// file; frameVersionV2 (view.go) marks the field-keyed one.
-const frameVersion = 1
-
-// tagVersion is the version byte a frame with this tag carries.
-func tagVersion(tag byte) byte {
-	if v2Tag(tag) {
-		return frameVersionV2
-	}
-	return frameVersion
-}
+// frameVersion is the version byte of every frame. Versions 1 and 2 were
+// earlier layouts and are rejected.
+const frameVersion = 3
 
 // frameHeaderLen is the encoded size of the length prefix plus envelope
 // header (version, type tag, job, from, to, seq).
@@ -250,17 +240,12 @@ func AppendEncode(dst []byte, env *Envelope) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // length prefix, patched below
 	tag := payloadTag(env.Payload)
-	dst = append(dst, tagVersion(tag), tag)
+	dst = append(dst, frameVersion, tag)
 	dst = appendI64(dst, int64(env.Job))
 	dst = appendI32(dst, int32(env.From))
 	dst = appendI32(dst, int32(env.To))
 	dst = appendU64(dst, env.Seq)
-	var err error
-	if v2Tag(tag) {
-		dst, err = appendPayloadV2(dst, env.Payload)
-	} else {
-		dst, err = appendPayload(dst, env.Payload)
-	}
+	dst, err := appendPayload(dst, env.Payload)
 	if err != nil {
 		return nil, fmt.Errorf("wire: encode %T: %w", env.Payload, err)
 	}
@@ -281,11 +266,7 @@ func Decode(frame []byte) (env *Envelope, err error) {
 	if err != nil {
 		return nil, err
 	}
-	if v2Tag(tag) {
-		e.Payload, err = materializeV2(tag, body)
-	} else {
-		e.Payload, err = readBody(tag, body)
-	}
+	e.Payload, err = readBody(tag, body)
 	return decoded(e, tag, err)
 }
 
@@ -309,7 +290,7 @@ func parseHeader(frame []byte) (e *Envelope, tag byte, body []byte, err error) {
 		return nil, 0, nil, fmt.Errorf("wire: frame length mismatch: header %d, body %d", n, len(frame)-4)
 	}
 	tag = frame[5]
-	if frame[4] != tagVersion(tag) {
+	if frame[4] != frameVersion {
 		return nil, 0, nil, fmt.Errorf("%w %d for %s", errFrameVersion, frame[4], tagName(tag))
 	}
 	e = envelopePool.Get().(*Envelope)
@@ -343,24 +324,6 @@ func WriteFrame(w io.Writer, env *Envelope) error {
 	_, err = w.Write(f.Bytes())
 	f.Free()
 	return err
-}
-
-// ReadFrame reads one length-prefixed frame from r.
-func ReadFrame(r io.Reader) (*Envelope, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("wire: frame too large (%d bytes)", n)
-	}
-	buf := make([]byte, 4+n)
-	copy(buf, hdr[:])
-	if _, err := io.ReadFull(r, buf[4:]); err != nil {
-		return nil, err
-	}
-	return Decode(buf)
 }
 
 // FrameReader reads successive frames from a byte stream, reusing one
@@ -513,19 +476,36 @@ func appendValues(b []byte, vs []types.Value) ([]byte, error) {
 	return b, nil
 }
 
-func appendClosure(b []byte, c Closure) ([]byte, error) {
+// appendClosure writes the one closure layout (view.go reads it in place):
+// the fixed fields, then Fn, Ckpt and the byte-length-prefixed Args.
+func appendClosure(b []byte, c *Closure) ([]byte, error) {
 	b = appendTaskID(b, c.ID)
-	b = appendStr(b, c.Fn)
-	b, err := appendValues(b, c.Args)
-	if err != nil {
-		return nil, err
-	}
 	b = appendI32(b, c.Missing)
 	b = appendCont(b, c.Cont)
 	b = appendBool(b, c.NoSteal)
-	b = appendBlob(b, c.Ckpt)
 	b = appendU64(b, c.CkptSeq)
-	return appendTC(b, c.TC), nil
+	b = appendTC(b, c.TC)
+	b = appendStr(b, c.Fn)
+	b = appendBlob(b, c.Ckpt)
+	at := len(b)
+	b, err := appendValues(append(b, 0, 0, 0, 0), c.Args)
+	if err != nil {
+		return nil, err
+	}
+	return patchLen(b, at), nil
+}
+
+// patchLen fills the u32 length placeholder at b[at:] with the number of
+// bytes appended after it.
+func patchLen(b []byte, at int) []byte {
+	binary.BigEndian.PutUint32(b[at:], uint32(len(b)-at-4))
+	return b
+}
+
+func closureIsZero(c *Closure) bool {
+	return c.ID == (types.TaskID{}) && c.Fn == "" && c.Args == nil &&
+		c.Missing == 0 && c.Cont == (types.Continuation{}) && !c.NoSteal &&
+		c.Ckpt == nil && c.CkptSeq == 0 && c.TC == (TraceCtx{})
 }
 
 // appendTC writes a trace context: 13 fixed bytes, no allocation, so
@@ -556,16 +536,29 @@ func appendTaskCkpts(b []byte, cs []TaskCkpt) []byte {
 	return b
 }
 
-func appendRecord(b []byte, r Record) ([]byte, error) {
-	b = appendTaskID(b, r.ID)
-	b = appendCont(b, r.RealCont)
-	b, err := appendClosure(b, r.Task)
-	if err != nil {
-		return nil, err
+// appendTasks writes the closures and steal records a Migrate or a
+// SnapshotReply carries.
+func appendTasks(b []byte, cs []Closure, rs []Record) ([]byte, error) {
+	b = appendLen(b, len(cs), cs == nil)
+	var err error
+	for i := range cs {
+		if b, err = appendClosure(b, &cs[i]); err != nil {
+			return nil, err
+		}
 	}
-	b = appendI32(b, int32(r.Thief))
-	b = appendBool(b, r.Confirmed)
-	return appendI64(b, r.OutstandingNS), nil
+	b = appendLen(b, len(rs), rs == nil)
+	for i := range rs {
+		r := &rs[i]
+		b = appendTaskID(b, r.ID)
+		b = appendCont(b, r.RealCont)
+		if b, err = appendClosure(b, &r.Task); err != nil {
+			return nil, err
+		}
+		b = appendI32(b, int32(r.Thief))
+		b = appendBool(b, r.Confirmed)
+		b = appendI64(b, r.OutstandingNS)
+	}
+	return b, nil
 }
 
 func appendView(b []byte, v MembershipView) []byte {
@@ -729,26 +722,65 @@ func tagName(t byte) string {
 	return fmt.Sprintf("tag(%d)", t)
 }
 
-// appendPayload writes the positional body of a cold payload; the hot
-// tags' one encoder is appendPayloadV2.
+// appendPayload writes a payload's body. A *View re-encodes as the body it
+// was received with.
 func appendPayload(b []byte, p any) ([]byte, error) {
 	switch x := p.(type) {
-	case Migrate:
-		b = appendI32(b, int32(x.From))
-		b = appendLen(b, len(x.Closures), x.Closures == nil)
-		var err error
-		for _, c := range x.Closures {
-			if b, err = appendClosure(b, c); err != nil {
-				return nil, err
-			}
+	case *View:
+		return append(b, x.body...), nil
+	case StealRequest:
+		return appendI32(b, int32(x.Thief)), nil
+	case StealReply:
+		b = appendBool(b, x.OK)
+		if closureIsZero(&x.Task) {
+			return append(b, 0), nil
 		}
-		b = appendLen(b, len(x.Records), x.Records == nil)
-		for _, r := range x.Records {
-			if b, err = appendRecord(b, r); err != nil {
-				return nil, err
-			}
+		return appendClosure(append(b, 1), &x.Task)
+	case StealConfirm:
+		return appendTaskID(b, x.Record), nil
+	case Arg:
+		b = appendCont(b, x.Cont)
+		b = appendBool(b, x.Crossed)
+		b = appendTC(b, x.TC)
+		at := len(b)
+		b, err := appendValue(append(b, 0, 0, 0, 0), x.Val)
+		if err != nil {
+			return nil, err
+		}
+		return patchLen(b, at), nil
+	case Heartbeat:
+		return appendI64(appendI32(b, int32(x.Worker)), x.SendNS), nil
+	case Ack:
+		return appendU64(b, x.Seq), nil
+	case StatReport:
+		b = appendI32(b, x.Ver)
+		b = appendI32(b, int32(x.Worker))
+		b = appendI32(b, x.Deque)
+		b = appendU64(b, x.SpanSeq)
+		b = appendI64(b, x.ClockOffNS)
+		b = appendI64s(b, x.Counters)
+		b = appendLen(b, len(x.Hists), x.Hists == nil)
+		for _, h := range x.Hists {
+			b = appendI32(b, h.Kind)
+			b = appendI64(b, h.Count)
+			b = appendI64(b, h.Sum)
+			b = appendI64s(b, h.Counts)
+		}
+		b = appendTaskCkpts(b, x.Ckpts)
+		b = appendLen(b, len(x.Spans), x.Spans == nil)
+		for _, s := range x.Spans {
+			b = append(b, s.Kind, s.Flags)
+			b = appendI32(b, int32(s.Worker))
+			b = appendTaskID(b, s.Task)
+			b = appendTaskID(b, s.Parent)
+			b = appendTaskID(b, s.Link)
+			b = appendI32(b, int32(s.Peer))
+			b = appendI64(b, s.Start)
+			b = appendI64(b, s.End)
 		}
 		return b, nil
+	case Migrate:
+		return appendTasks(appendI32(b, int32(x.From)), x.Closures, x.Records)
 	case MigrateAck:
 		return appendI64(b, int64(x.Count)), nil
 	case Register:
@@ -790,22 +822,7 @@ func appendPayload(b []byte, p any) ([]byte, error) {
 	case SnapshotRequest:
 		return appendU64(b, x.Seq), nil
 	case SnapshotReply:
-		b = appendU64(b, x.Seq)
-		b = appendI32(b, int32(x.Worker))
-		b = appendLen(b, len(x.Closures), x.Closures == nil)
-		var err error
-		for _, c := range x.Closures {
-			if b, err = appendClosure(b, c); err != nil {
-				return nil, err
-			}
-		}
-		b = appendLen(b, len(x.Records), x.Records == nil)
-		for _, r := range x.Records {
-			if b, err = appendRecord(b, r); err != nil {
-				return nil, err
-			}
-		}
-		return b, nil
+		return appendTasks(appendI32(appendU64(b, x.Seq), int32(x.Worker)), x.Closures, x.Records)
 	case Resume:
 		return appendU64(b, x.Seq), nil
 	case JobRequest:
@@ -974,17 +991,21 @@ func (r *reader) count(minElem int) int {
 	}
 }
 
-func (r *reader) i64s() []int64 {
-	n := r.count(8)
+// list reads a presence-flagged slice written with appendLen whose
+// elements take at least minElem bytes each.
+func list[T any](r *reader, minElem int, elem func(*reader) T) []T {
+	n := r.count(minElem)
 	if n < 0 {
 		return nil
 	}
-	out := make([]int64, n)
+	out := make([]T, n)
 	for i := range out {
-		out[i] = r.i64()
+		out[i] = elem(r)
 	}
 	return out
 }
+
+func (r *reader) i64s() []int64 { return list(r, 8, (*reader).i64) }
 
 func (r *reader) taskID() types.TaskID {
 	return types.TaskID{Worker: r.worker(), Seq: r.u64()}
@@ -1070,9 +1091,6 @@ func (r *reader) value(depth int) types.Value {
 	}
 }
 
-// topValue reads a value that is not nested inside another.
-func (r *reader) topValue() types.Value { return r.value(0) }
-
 func (r *reader) values(depth int) []types.Value {
 	n := r.count(1)
 	if n < 0 {
@@ -1085,17 +1103,46 @@ func (r *reader) values(depth int) []types.Value {
 	return out
 }
 
+// readValue decodes a length-delimited field holding exactly one value.
+func readValue(b []byte) (types.Value, error) {
+	r := reader{b: b}
+	v := r.value(0)
+	if err := r.finish(); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// sizedValue reads a u32 byte length and the one value that fills it.
+func (r *reader) sizedValue() types.Value {
+	v, err := readValue(r.take(int(r.u32())))
+	if r.err == nil {
+		r.err = err
+	}
+	return v
+}
+
+// sizedValues reads a u32 byte length and the value list that fills it.
+func (r *reader) sizedValues() []types.Value {
+	s := reader{b: r.take(int(r.u32()))}
+	vs := s.values(0)
+	if err := s.finish(); r.err == nil {
+		r.err = err
+	}
+	return vs
+}
+
 func (r *reader) closure() Closure {
 	return Closure{
 		ID:      r.taskID(),
-		Fn:      r.internStr(),
-		Args:    r.values(0),
 		Missing: r.i32(),
 		Cont:    r.cont(),
 		NoSteal: r.bool(),
-		Ckpt:    r.blob(),
 		CkptSeq: r.u64(),
 		TC:      r.tc(),
+		Fn:      r.internStr(),
+		Ckpt:    r.blob(),
+		Args:    r.sizedValues(),
 	}
 }
 
@@ -1134,18 +1181,9 @@ func (r *reader) blob() []byte {
 	return out
 }
 
-func (r *reader) taskCkpts() []TaskCkpt {
-	// A checkpoint entry is at least taskID + seq + blob flag = 21 bytes.
-	n := r.count(21)
-	if n < 0 {
-		return nil
-	}
-	out := make([]TaskCkpt, n)
-	for i := range out {
-		out[i] = r.taskCkpt()
-	}
-	return out
-}
+// taskCkpts reads checkpoint entries of at least taskID + seq + blob flag
+// = 21 bytes each.
+func (r *reader) taskCkpts() []TaskCkpt { return list(r, 21, (*reader).taskCkpt) }
 
 func (r *reader) taskCkpt() TaskCkpt {
 	return TaskCkpt{Task: r.taskID(), Seq: r.u64(), Data: r.blob()}
@@ -1153,18 +1191,6 @@ func (r *reader) taskCkpt() TaskCkpt {
 
 func (r *reader) histState() HistState {
 	return HistState{Kind: r.i32(), Count: r.i64(), Sum: r.i64(), Counts: r.i64s()}
-}
-
-func (r *reader) closures() []Closure {
-	n := r.count(1)
-	if n < 0 {
-		return nil
-	}
-	out := make([]Closure, n)
-	for i := range out {
-		out[i] = r.closure()
-	}
-	return out
 }
 
 func (r *reader) record() Record {
@@ -1178,34 +1204,16 @@ func (r *reader) record() Record {
 	}
 }
 
-func (r *reader) records() []Record {
-	n := r.count(1)
-	if n < 0 {
-		return nil
-	}
-	out := make([]Record, n)
-	for i := range out {
-		out[i] = r.record()
-	}
-	return out
-}
+func (r *reader) closures() []Closure { return list(r, 1, (*reader).closure) }
+func (r *reader) records() []Record   { return list(r, 1, (*reader).record) }
 
 func (r *reader) view() MembershipView {
-	v := MembershipView{Epoch: r.u64()}
-	n := r.count(13) // worker + addr len + hostedBy + site minimum
-	if n < 0 {
-		return v
-	}
-	v.Members = make([]MemberInfo, n)
-	for i := range v.Members {
-		v.Members[i] = MemberInfo{
-			Worker:   r.worker(),
-			Addr:     r.str(),
-			HostedBy: r.worker(),
-			Site:     r.i32(),
-		}
-	}
-	return v
+	// worker + addr len + hostedBy + site minimum
+	return MembershipView{Epoch: r.u64(), Members: list(r, 13, (*reader).member)}
+}
+
+func (r *reader) member() MemberInfo {
+	return MemberInfo{Worker: r.worker(), Addr: r.str(), HostedBy: r.worker(), Site: r.i32()}
 }
 
 func (r *reader) jobSpec() JobSpec {
@@ -1233,8 +1241,7 @@ func (r *reader) counts() map[types.WorkerID]int64 {
 	return out
 }
 
-// readBody decodes the positional body of a cold tag, which must be
-// consumed exactly.
+// readBody decodes a payload's body, which must be consumed exactly.
 func readBody(tag byte, body []byte) (any, error) {
 	r := reader{b: body}
 	p := readPayload(&r, tag)
@@ -1246,6 +1253,28 @@ func readBody(tag byte, body []byte) (any, error) {
 
 func readPayload(r *reader, tag byte) any {
 	switch tag {
+	case tStealRequest:
+		return StealRequest{Thief: r.worker()}
+	case tStealReply:
+		m := StealReply{OK: r.bool()}
+		if r.bool() {
+			m.Task = r.closure()
+		}
+		return m
+	case tStealConfirm:
+		return StealConfirm{Record: r.taskID()}
+	case tArg:
+		return Arg{Cont: r.cont(), Crossed: r.bool(), TC: r.tc(), Val: r.sizedValue()}
+	case tHeartbeat:
+		return Heartbeat{Worker: r.worker(), SendNS: r.i64()}
+	case tAck:
+		return Ack{Seq: r.u64()}
+	case tStatReport:
+		return StatReport{Ver: r.i32(), Worker: r.worker(), Deque: r.i32(),
+			SpanSeq: r.u64(), ClockOffNS: r.i64(), Counters: r.i64s(),
+			// kind + count + sum + the Counts flag
+			Hists: list(r, 21, (*reader).histState),
+			Ckpts: r.taskCkpts(), Spans: list(r, spanWireLen, (*reader).span)}
 	case tMigrate:
 		return Migrate{From: r.worker(), Closures: r.closures(), Records: r.records()}
 	case tMigrateAck:
@@ -1293,15 +1322,7 @@ func readPayload(r *reader, tag byte) any {
 	case tJobList:
 		return JobList{}
 	case tJobListReply:
-		n := r.count(1)
-		if n < 0 {
-			return JobListReply{}
-		}
-		jobs := make([]JobSpec, n)
-		for i := range jobs {
-			jobs[i] = r.jobSpec()
-		}
-		return JobListReply{Jobs: jobs}
+		return JobListReply{Jobs: list(r, 1, (*reader).jobSpec)}
 	case tPeerGone:
 		return PeerGone{Worker: r.worker()}
 	case tDrainRequest:
@@ -1310,15 +1331,9 @@ func readPayload(r *reader, tag byte) any {
 		return DrainAck{OK: r.bool(), Victim: r.worker(), Addr: r.str()}
 	case tSuspectSet:
 		// A suspect entry is at least worker + phi + ckpt flag = 9 bytes.
-		n := r.count(9)
-		if n < 0 {
-			return SuspectSet{}
-		}
-		ss := SuspectSet{Suspects: make([]SuspectInfo, n)}
-		for i := range ss.Suspects {
-			ss.Suspects[i] = SuspectInfo{Worker: r.worker(), PhiMilli: r.i32(), Ckpts: r.taskCkpts()}
-		}
-		return ss
+		return SuspectSet{Suspects: list(r, 9, func(r *reader) SuspectInfo {
+			return SuspectInfo{Worker: r.worker(), PhiMilli: r.i32(), Ckpts: r.taskCkpts()}
+		})}
 	case tDrainOrder:
 		return DrainOrder{Reason: r.str()}
 	case tNilPayload:

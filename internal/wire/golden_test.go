@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"encoding/hex"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -14,19 +13,19 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden from the current encoder")
 
-// goldenHot names the tags whose body is the field-keyed v2 layout; every
-// other tag is v1 positional. Spelled out here, not derived from v2Tag, so
-// moving a tag between layouts has to change this test too.
-var goldenHot = map[string]bool{
-	"StealRequest": true, "StealReply": true, "StealConfirm": true, "Arg": true,
-	"Heartbeat": true, "Ack": true, "StatReport": true,
+// goldenView names the tags DecodeView leaves in place as a *View; every
+// other tag decodes to its owned struct. Spelled out here, not derived from
+// viewTag, so moving a tag in or out of the view set has to change this
+// test too.
+var goldenView = map[string]bool{
+	"StealRequest": true, "StealReply": true, "StealConfirm": true, "Arg": true, "Ack": true,
 }
 
 // TestGolden pins the bytes on the wire: one committed frame per entry of
-// everyPayload, which must decode to that entry and re-encode to the same
-// bytes. A renumbered tag, field id or value kind, a reordered positional
-// field, or a tag that changed layout fails here before it reaches a peer
-// built from another commit. Regenerate with
+// everyPayload, which must decode to that entry, re-encode to the same
+// bytes, and carry frame version 3. A renumbered tag or value kind, or a
+// reordered field, fails here before it reaches a peer built from another
+// commit. Regenerate with
 //
 //	go test ./internal/wire/ -run TestGolden -update
 //
@@ -75,23 +74,18 @@ func TestGolden(t *testing.T) {
 		if re, err := Encode(got); err != nil || !bytes.Equal(re, want) {
 			t.Errorf("%s: re-encode differs from the committed frame (err %v)\n got  %x\n want %x", name, err, re, want)
 		}
-		ver := byte(1)
-		if goldenHot[tag] {
-			ver = 2
+		if want[4] != 3 {
+			t.Errorf("%s: frame version %d, want 3", name, want[4])
 		}
-		if want[4] != ver {
-			t.Errorf("%s: frame version %d, want %d", name, want[4], ver)
+		venv, err := DecodeView(want, nil)
+		if err != nil {
+			t.Errorf("%s: DecodeView: %v", name, err)
+			continue
 		}
-		// The tag fixes the layout: the same body under the other version
-		// byte is refused by both decoders, never reinterpreted.
-		swapped := bytes.Clone(want)
-		swapped[4] ^= 1 ^ 2
-		if _, err := Decode(swapped); !errors.Is(err, errFrameVersion) {
-			t.Errorf("%s: Decode with swapped version byte: err = %v, want errFrameVersion", name, err)
+		if _, isView := venv.Payload.(*View); isView != goldenView[tag] {
+			t.Errorf("%s: DecodeView payload %T, view form expected: %v", name, venv.Payload, goldenView[tag])
 		}
-		if _, err := DecodeView(swapped, nil); !errors.Is(err, errFrameVersion) {
-			t.Errorf("%s: DecodeView with swapped version byte: err = %v, want errFrameVersion", name, err)
-		}
+		venv.Free()
 	}
 	if *updateGolden {
 		return

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -10,19 +11,17 @@ import (
 	"phish/internal/types"
 )
 
-// hotPayloads filters everyPayload down to the messages with a v2
-// field-keyed shape.
-func hotPayloads() []any {
+// viewPayloads filters everyPayload down to the messages DecodeView
+// leaves in place.
+func viewPayloads() []any {
 	var out []any
 	for _, p := range everyPayload() {
-		if v2Tag(payloadTag(p)) && !isView(p) {
+		if viewTag(payloadTag(p)) {
 			out = append(out, p)
 		}
 	}
 	return out
 }
-
-func isView(p any) bool { _, ok := p.(*View); return ok }
 
 func decodeView(t *testing.T, frame []byte) (*Envelope, *View) {
 	t.Helper()
@@ -38,11 +37,11 @@ func decodeView(t *testing.T, frame []byte) (*Envelope, *View) {
 }
 
 // TestViewDifferential is the property test of the zero-copy decoder:
-// for every hot message, the view accessors and View.Materialize must
+// for every view message, the view accessors and View.Materialize must
 // agree exactly with what the materializing Decode produces for the same
-// frame.
+// frame, and the view must re-encode to that frame.
 func TestViewDifferential(t *testing.T) {
-	for _, p := range hotPayloads() {
+	for _, p := range viewPayloads() {
 		env := &Envelope{Job: 2, From: -1, To: 5, Seq: 77, Payload: p}
 		frame, err := Encode(env)
 		if err != nil {
@@ -64,6 +63,10 @@ func TestViewDifferential(t *testing.T) {
 			t.Errorf("%T: materialized view != decoded struct\n view   %#v\n decode %#v", p, got, want.Payload)
 		}
 		checkAccessors(t, view, want.Payload)
+		// A relayed view re-encodes by splicing its body: the same bytes.
+		if re, err := Encode(venv); err != nil || !bytes.Equal(re, frame) {
+			t.Errorf("%T: re-encoded view differs from its frame (err %v)", p, err)
+		}
 		venv.Free()
 	}
 }
@@ -101,21 +104,13 @@ func checkAccessors(t *testing.T, v *View, payload any) {
 			a.Crossed() != m.Crossed || a.TC() != m.TC {
 			t.Errorf("Arg view mismatch: %#v", m)
 		}
-	case Heartbeat:
-		// No typed accessor: its one reader materializes it (checked above).
 	case Ack:
 		a, ok := v.AsAck()
 		if !ok || a.Seq() != m.Seq {
 			t.Errorf("Ack view mismatch: %#v", m)
 		}
-	case StatReport:
-		s, ok := v.AsStatReport()
-		if !ok || s.Ver() != m.Ver || s.Worker() != m.Worker || s.Deque() != m.Deque ||
-			s.SpanSeq() != m.SpanSeq || s.ClockOffNS() != m.ClockOffNS {
-			t.Errorf("StatReport view header mismatch: %#v", m)
-		}
 	default:
-		t.Fatalf("unexpected hot payload %T", payload)
+		t.Fatalf("unexpected view payload %T", payload)
 	}
 }
 
@@ -144,102 +139,44 @@ func checkClosureView(t *testing.T, cv ClosureView, c Closure) {
 	}
 }
 
-// rawV2Frame assembles a v2 frame by hand — the "newer encoder" a
-// cross-version test needs.
-func rawV2Frame(tag byte, body []byte) []byte {
-	frame := []byte{0, 0, 0, 0, frameVersionV2, tag}
-	frame = appendI64(frame, 1)
-	frame = appendI32(frame, 2)
-	frame = appendI32(frame, 3)
-	frame = appendU64(frame, 4)
-	frame = append(frame, body...)
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
-	return frame
-}
-
-// TestV2UnknownFieldSkip proves the forward-compatibility contract: a
-// frame from a hypothetical newer encoder, carrying field ids this build
-// has never heard of (one per wiretype, interleaved with known fields,
-// in the top-level body and inside the closure sub-body), decodes without
-// error and yields exactly the known fields.
-func TestV2UnknownFieldSkip(t *testing.T) {
-	// StealRequest with unknown fields around the known Thief.
-	body := []byte{4} // field count
-	body = append(body, 30<<2|wt8, 0xDE, 0xAD, 0xBE, 0xEF, 0xDE, 0xAD, 0xBE, 0xEF)
-	body = append(body, fSRqThief<<2|wt4, 0, 0, 0, 7)
-	body = append(body, 20<<2|wtLen, 0, 0, 0, 3, 1, 2, 3)
-	body = append(body, 9<<2|wt1, 1)
-	frame := rawV2Frame(tStealRequest, body)
-
-	env, err := Decode(frame)
-	if err != nil {
-		t.Fatalf("Decode with unknown fields: %v", err)
-	}
-	if got := env.Payload.(StealRequest).Thief; got != 7 {
-		t.Fatalf("Thief = %v, want 7", got)
-	}
-	venv, view := decodeView(t, frame)
-	sr, _ := view.AsStealRequest()
-	if sr.Thief() != 7 {
-		t.Fatalf("view Thief = %v, want 7", sr.Thief())
-	}
-
-	// Re-encoding the view must preserve the unknown fields verbatim — a
-	// relay running this build does not strip a newer sender's data.
-	reenc, err := Encode(venv)
-	if err != nil {
-		t.Fatalf("re-encode view: %v", err)
-	}
-	if !bytes.Equal(reenc, frame) {
-		t.Error("re-encoded view dropped or reordered unknown fields")
-	}
-	venv.Free()
-
-	// Unknown fields inside the nested closure sub-body.
-	sub := []byte{3}
-	sub = append(sub, 40<<2|wtLen, 0, 0, 0, 2, 8, 9)
-	sub = append(sub, fClFn<<2|wtLen, 0, 0, 0, 3)
-	sub = append(sub, "fib"...)
-	sub = append(sub, 41<<2|wt4, 0, 0, 0, 5)
-	body = []byte{2, fSRpOK<<2 | wt1, 1, fSRpTask<<2 | wtLen}
-	body = appendU32(body, uint32(len(sub)))
-	body = append(body, sub...)
-	frame = rawV2Frame(tStealReply, body)
-
-	env, err = Decode(frame)
-	if err != nil {
-		t.Fatalf("Decode nested unknown fields: %v", err)
-	}
-	rep := env.Payload.(StealReply)
-	if !rep.OK || rep.Task.Fn != "fib" {
-		t.Fatalf("nested skip: %#v", rep)
-	}
-	venv, view = decodeView(t, frame)
-	rv, _ := view.AsStealReply()
-	if !rv.OK() || rv.Task().Fn() != "fib" {
-		t.Fatal("view nested skip failed")
-	}
-	venv.Free()
-
-	// A known id with the wrong wiretype is an unknown field: both halves
-	// of the key are the field's identity.
-	body = []byte{1}
-	body = append(body, fSRqThief<<2|wt8, 0, 0, 0, 0, 0, 0, 0, 7)
-	frame = rawV2Frame(tStealRequest, body)
-	env, err = Decode(frame)
-	if err != nil {
-		t.Fatalf("wrong-wiretype decode: %v", err)
-	}
-	if got := env.Payload.(StealRequest).Thief; got != 0 {
-		t.Fatalf("wrong-wiretype field was read: Thief = %v", got)
+// TestOldFrameVersionsRejected: a frame from a peer built with an earlier
+// layout — version 1 (positional, old closure order) or version 2 (the
+// field-keyed steal-path bodies) — is refused by both decoders with
+// errFrameVersion, for a view tag and a cold tag alike, instead of being
+// misread as the current layout.
+func TestOldFrameVersionsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		tag  byte
+		body []byte
+	}{
+		// Version 2's StealRequest: field count, then Thief as a 4-byte field.
+		{tStealRequest, []byte{1, 1<<2 | 1, 0, 0, 0, 7}},
+		// Version 1's Migrate: From, then empty closure and record lists.
+		{tMigrate, []byte{0, 0, 0, 3, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0}},
+	} {
+		for _, ver := range []byte{1, 2} {
+			frame := []byte{0, 0, 0, 0, ver, tc.tag}
+			frame = appendI64(frame, 1)
+			frame = appendI32(frame, 2)
+			frame = appendI32(frame, 3)
+			frame = appendU64(frame, 4)
+			frame = append(frame, tc.body...)
+			binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
+			if _, err := Decode(frame); !errors.Is(err, errFrameVersion) {
+				t.Errorf("%s v%d: Decode err = %v, want errFrameVersion", tagName(tc.tag), ver, err)
+			}
+			if _, err := DecodeView(frame, nil); !errors.Is(err, errFrameVersion) {
+				t.Errorf("%s v%d: DecodeView err = %v, want errFrameVersion", tagName(tc.tag), ver, err)
+			}
+		}
 	}
 }
 
 // TestViewTruncatedFrames mirrors TestDecodeTruncatedFrames for the view
-// decoder: every strict prefix (length prefix patched) must error — the
-// leading field count makes a prefix-cut field list detectable.
+// decoder: every strict prefix (length prefix patched) must error — every
+// field is present in every body, so a prefix always lacks one.
 func TestViewTruncatedFrames(t *testing.T) {
-	for _, p := range hotPayloads() {
+	for _, p := range viewPayloads() {
 		frame, err := Encode(&Envelope{Job: 1, From: 2, To: 3, Seq: 4, Payload: p})
 		if err != nil {
 			t.Fatalf("encode %T: %v", p, err)
@@ -262,12 +199,12 @@ func TestViewTruncatedFrames(t *testing.T) {
 	}
 }
 
-// TestViewCorruptFrames flips bytes in valid v2 frames: DecodeView may
+// TestViewCorruptFrames flips bytes in valid view frames: DecodeView may
 // reject or may yield a different valid view, but neither it, the lazy
 // accessors, nor materialization may panic.
 func TestViewCorruptFrames(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, p := range hotPayloads() {
+	for _, p := range viewPayloads() {
 		frame, err := Encode(&Envelope{Job: 1, From: 2, To: 3, Seq: 4, Payload: p})
 		if err != nil {
 			t.Fatal(err)
@@ -314,10 +251,6 @@ func exerciseView(v *View) {
 	}
 	if a, ok := v.AsAck(); ok {
 		_ = a.Seq()
-	}
-	if s, ok := v.AsStatReport(); ok {
-		_, _, _ = s.Ver(), s.Worker(), s.Deque()
-		_, _ = s.SpanSeq(), s.ClockOffNS()
 	}
 	_, _ = v.Materialize()
 }
@@ -385,20 +318,22 @@ func TestArenaLifecycle(t *testing.T) {
 // TestViewPayloadName: envelopes carrying views must report the real
 // message name (trace and log call sites rely on it).
 func TestViewPayloadName(t *testing.T) {
-	frame, err := Encode(&Envelope{Payload: Heartbeat{Worker: 5}})
+	frame, err := Encode(&Envelope{Payload: StealConfirm{Record: types.TaskID{Worker: 5, Seq: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	env, _ := decodeView(t, frame)
-	if got := env.PayloadName(); got != "Heartbeat" {
-		t.Errorf("PayloadName = %q, want Heartbeat", got)
+	if got := env.PayloadName(); got != "StealConfirm" {
+		t.Errorf("PayloadName = %q, want StealConfirm", got)
 	}
 	env.Free()
 }
 
-// FuzzDecodeView extends the fuzz corpus to the zero-copy decoder: any
-// panic in DecodeView, an accessor, materialization, or re-encode fails
-// the run.
+// FuzzDecodeView runs the zero-copy decoder against Decode on the same
+// input. Any panic in DecodeView, an accessor, materialization, or
+// re-encode fails the run; so does a payload that differs from Decode's
+// when both accept the frame, a frame Decode accepts and DecodeView
+// refuses, and a view that materializes where Decode found a bad value.
 func FuzzDecodeView(f *testing.F) {
 	for _, p := range everyPayload() {
 		frame, err := Encode(&Envelope{Job: 1, From: 2, To: 3, Seq: 4, Payload: p})
@@ -410,16 +345,42 @@ func FuzzDecodeView(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 2, 1, 0})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 2, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		want, derr := Decode(data)
 		env, err := DecodeView(data, nil)
-		if err != nil || env == nil {
+		if err != nil {
+			if derr == nil {
+				t.Fatalf("DecodeView refused a frame Decode accepts: %v", err)
+			}
 			return
 		}
-		if v, ok := env.Payload.(*View); ok {
+		defer env.Free()
+		got := env.Payload
+		if v, ok := got.(*View); ok {
 			exerciseView(v)
 			_, _ = Encode(env)
+			var merr error
+			if got, merr = v.Materialize(); merr != nil {
+				if derr == nil {
+					t.Fatalf("Materialize failed on a frame Decode accepts: %v", merr)
+				}
+				return
+			}
 		}
-		env.Free()
+		if derr != nil {
+			t.Fatalf("DecodeView yielded %#v from a frame Decode rejects: %v", got, derr)
+		}
+		if !reflect.DeepEqual(got, want.Payload) && !sameEncoding(got, want.Payload) {
+			t.Fatalf("DecodeView payload %#v, Decode payload %#v", got, want.Payload)
+		}
 	})
+}
+
+// sameEncoding compares two payloads by their encoded bodies — for values
+// reflect.DeepEqual never equates, such as a NaN.
+func sameEncoding(a, b any) bool {
+	x, errX := appendPayload(nil, a)
+	y, errY := appendPayload(nil, b)
+	return errX == nil && errY == nil && bytes.Equal(x, y)
 }
 
 // stealSequence is the four messages of one steal round trip: request,

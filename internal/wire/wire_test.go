@@ -144,8 +144,9 @@ func TestFrameIO(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	fr := NewFrameReader(&buf)
 	for _, want := range envs {
-		got, err := ReadFrame(&buf)
+		got, err := fr.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +154,7 @@ func TestFrameIO(t *testing.T) {
 			t.Errorf("frame mismatch: %v vs %v", got, want)
 		}
 	}
-	if _, err := ReadFrame(&buf); err == nil {
+	if _, err := fr.Next(); err == nil {
 		t.Error("read from empty stream succeeded")
 	}
 }
