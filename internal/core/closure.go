@@ -11,6 +11,23 @@ import (
 // counter of still-missing arguments, and the continuation its result
 // feeds. A closure is *ready* when Missing == 0; ready closures live in
 // the worker's deque, waiting ones in its waiting table.
+//
+// A recycled closure is cleared only of what its next tenant reads. Every
+// closure comes from a ClosurePool and is filled by one of three creators:
+//
+//   - spawn (Spawn, Spawn1, the root) writes Args, ID, Fn, Cont, NoSteal, TC;
+//   - SuccessorCont writes ID, Fn, Args, Missing, Cont, TC;
+//   - closureFromView and closureFromWire (steal, migration, redo) write
+//     ID, Fn, Args, Missing, Cont, NoSteal, TC, CkptSeq and a Ckpt blob
+//     when there is one.
+//
+// (Strata's spawn and successor write ID, Fn, Args, Cont and, for the
+// successor, Missing; Strata reads nothing else.) Each writes Args only up
+// to their length. ClosurePool.Put therefore resets exactly the fields some
+// creator leaves alone — Missing, NoSteal, CkptSeq, Ckpt's length and the
+// local-only fields below — and nils Args up to their length, which keeps
+// every slot past the length nil. A new field that not every creator writes
+// must be reset there too.
 type Closure struct {
 	ID      types.TaskID
 	Fn      string
@@ -61,55 +78,68 @@ type Closure struct {
 // ready reports whether all argument slots are filled.
 func (c *Closure) ready() bool { return c.Missing == 0 }
 
-// maxFreeClosures bounds a worker's closure free list, maxFreeArgs the
-// argument capacity and maxFreeCkpt the checkpoint-buffer capacity a listed
-// closure may keep: a deque that was once 20 000 leaves deep, a 20 000-slot
-// join, or a task that once saved a 64 KB blob must not pin that memory for
-// the rest of the worker's life. What does not fit goes to the collector.
+// maxFreeClosures bounds a closure pool, maxFreeArgs the argument capacity
+// and maxFreeCkpt the checkpoint-buffer capacity a pooled closure may keep:
+// a deque that was once 20 000 leaves deep, a 20 000-slot join, or a task
+// that once saved a 64 KB blob must not pin that memory for the rest of the
+// scheduler's life. What does not fit goes to the collector.
 const (
 	maxFreeClosures = 1024
 	maxFreeArgs     = 64
 	maxFreeCkpt     = 1024
 )
 
-// newClosure returns a zeroed closure, from the worker's free list when it
-// has one. The spawn→synch→execute cycle creates one closure per task — by
-// far the scheduler's hottest allocation — and every closure is created,
-// adopted and freed on the scheduler goroutine, so the list is a plain
-// slice: no lock, no per-P cache. A recycled closure's Args slice and Ckpt
-// buffer keep the capacity they had in its previous life (both empty), so
-// a checkpointing task's first Yield copies its blob into memory the
-// previous task's last Yield used.
-func (w *Worker) newClosure() *Closure {
-	if n := len(w.freeList); n > 0 {
-		c := w.freeList[n-1]
-		w.freeList = w.freeList[:n-1]
+// ClosurePool is one scheduler goroutine's free list of closures: a Phish
+// worker's or a Strata processor's. The spawn→synch→execute cycle creates
+// one closure per task — by far the scheduler's hottest allocation — and
+// the goroutine that runs a task is the one that frees it, so the list is
+// a plain slice: no lock, no per-P cache. A closure may be freed into a
+// different pool from the one it came out of. Not safe for concurrent use.
+type ClosurePool struct {
+	free []*Closure
+}
+
+// Get returns a closure for one of the creators above, recycled when the
+// pool has one. A recycled closure's Args slice and Ckpt buffer keep the
+// capacity they had in its previous life (both empty), so a checkpointing
+// task's first Yield copies its blob into memory the previous task's last
+// Yield used.
+func (p *ClosurePool) Get() *Closure {
+	if n := len(p.free); n > 0 {
+		c := p.free[n-1]
+		p.free = p.free[:n-1]
 		return c
 	}
 	return new(Closure)
 }
 
-// freeClosure recycles c. The caller must be the closure's only remaining
-// referent (executed, stolen-and-shipped, migrated or purged). Argument
-// slots are nilled so a listed closure does not pin application data
-// against the collector, and so that recycled capacity comes back clean:
-// the join path takes a non-nil slot for a duplicate delivery. Scheduler
-// goroutine only.
-func (w *Worker) freeClosure(c *Closure) {
-	args := c.Args[:cap(c.Args)]
-	if len(args) > maxFreeArgs {
-		args = nil
+// Put recycles c, resetting what the next tenant reads (see Closure). The
+// caller must be the closure's only remaining referent (executed,
+// stolen-and-shipped, migrated or purged). Argument slots are nilled so a
+// pooled closure does not pin application data against the collector, and
+// so that recycled capacity comes back clean: the join path takes a
+// non-nil slot for a duplicate delivery. Slots past the length are nil
+// already.
+func (p *ClosurePool) Put(c *Closure) {
+	if cap(c.Args) > maxFreeArgs {
+		c.Args = nil
+	} else {
+		// Not `for i := range`: the compiler turns that into a runtime
+		// memclr call, which costs more than the one or two stores it saves.
+		for i := 0; i < len(c.Args); i++ {
+			c.Args[i] = nil
+		}
+		c.Args = c.Args[:0]
 	}
-	for i := range args {
-		args[i] = nil
+	if cap(c.Ckpt) > maxFreeCkpt {
+		c.Ckpt = nil
+	} else {
+		c.Ckpt = c.Ckpt[:0]
 	}
-	ckpt := c.Ckpt
-	*c = Closure{Args: args[:0]}
-	if cap(ckpt) != 0 && cap(ckpt) <= maxFreeCkpt {
-		c.Ckpt = ckpt[:0]
-	}
-	if len(w.freeList) < maxFreeClosures {
-		w.freeList = append(w.freeList, c)
+	c.Missing, c.NoSteal, c.CkptSeq = 0, false, 0
+	c.preempted, c.timed, c.execNS, c.freshLocal, c.adopted, c.published = false, false, 0, false, false, false
+	if len(p.free) < maxFreeClosures {
+		p.free = append(p.free, c)
 	}
 }
 
@@ -119,18 +149,15 @@ func (c *Closure) setArgs(args []types.Value) {
 	c.Args = append(c.Args[:0], args...)
 }
 
-// growArgs sizes the closure for n empty (nil) argument slots. The nil
-// fill matters: the join path uses a non-nil slot to detect duplicate
-// deliveries, so recycled capacity must come back clean.
+// growArgs sizes a pooled closure for n empty (nil) argument slots. Its
+// capacity is nil throughout (ClosurePool.Put), and that matters: the join
+// path uses a non-nil slot to detect duplicate deliveries.
 func (c *Closure) growArgs(n int) {
 	if cap(c.Args) < n {
 		c.Args = make([]types.Value, n)
 		return
 	}
 	c.Args = c.Args[:n]
-	for i := range c.Args {
-		c.Args[i] = nil
-	}
 }
 
 // setCkpt installs a newer checkpoint blob, copying it (into the buffer the
@@ -166,13 +193,13 @@ func (c *Closure) toWire() wire.Closure {
 // closure owns its data and the view can be freed. Args decode straight
 // onto the recycled closure's backing array.
 func (w *Worker) closureFromView(v wire.ClosureView) (*Closure, error) {
-	c := w.newClosure()
+	c := w.closures.Get()
 	c.ID = v.ID()
 	c.Fn = v.Fn()
 	args, err := v.AppendArgs(c.Args[:0])
 	c.Args = args
 	if err != nil {
-		w.freeClosure(c)
+		w.closures.Put(c)
 		return nil, err
 	}
 	c.Missing = v.Missing()
@@ -189,7 +216,7 @@ func (w *Worker) closureFromView(v wire.ClosureView) (*Closure, error) {
 
 // closureFromWire converts an inbound wire closure into a recycled closure.
 func (w *Worker) closureFromWire(wc wire.Closure) *Closure {
-	c := w.newClosure()
+	c := w.closures.Get()
 	c.ID = wc.ID
 	c.Fn = wc.Fn
 	c.setArgs(wc.Args)

@@ -98,7 +98,7 @@ func (t *TaskCtx) SuccessorCont(fn string, nslots int, cont types.Continuation) 
 	if nslots <= 0 {
 		panic("core: successor needs at least one slot")
 	}
-	cl := t.w.newClosure()
+	cl := t.w.closures.Get()
 	cl.ID = t.w.nextTaskID()
 	cl.Fn = fn
 	cl.growArgs(nslots)
@@ -106,7 +106,7 @@ func (t *TaskCtx) SuccessorCont(fn string, nslots int, cont types.Continuation) 
 	cl.Cont = cont
 	cl.TC = t.childTC()
 	t.w.tasks.created()
-	t.w.join.put(cl)
+	t.w.join.Put(cl)
 	return (*SuccRef)(&cl.ID)
 }
 
@@ -126,7 +126,7 @@ func (t *TaskCtx) Preset(s model.Succ, slot int, v types.Value) {
 // (the paper's LIFO discipline), so with the default configuration it runs
 // next unless a thief takes older work first.
 func (t *TaskCtx) Spawn(fn string, cont types.Continuation, args ...types.Value) {
-	cl := t.w.newClosure()
+	cl := t.w.closures.Get()
 	cl.setArgs(args)
 	t.w.spawn(cl, fn, cont, false, t.childTC())
 }
@@ -134,7 +134,7 @@ func (t *TaskCtx) Spawn(fn string, cont types.Continuation, args ...types.Value)
 // Spawn1 is Spawn with one argument, which goes straight into the child's
 // (recycled) argument array.
 func (t *TaskCtx) Spawn1(fn string, cont types.Continuation, a types.Value) {
-	cl := t.w.newClosure()
+	cl := t.w.closures.Get()
 	cl.Args = append(cl.Args[:0], a)
 	t.w.spawn(cl, fn, cont, false, t.childTC())
 }

@@ -155,7 +155,7 @@ func TestCorruptStolenClosureIsALostReply(t *testing.T) {
 func TestCorruptArgValueIsDropped(t *testing.T) {
 	w, _ := newTestWorker(t, 5)
 	cl := &Closure{ID: types.TaskID{Worker: 5, Seq: 1}, Fn: "noop", Args: make([]types.Value, 1), Missing: 1}
-	w.join.put(cl)
+	w.join.Put(cl)
 	env := &wire.Envelope{Job: 1, From: 6, To: 5, Payload: wire.Arg{Cont: types.Continuation{Task: cl.ID}, Val: marker}}
 
 	w.handle(throughWire(t, env, corruptMarkerKind(t)))

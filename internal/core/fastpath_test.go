@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -436,13 +437,13 @@ func TestCoarseFnIsTimedEveryExecution(t *testing.T) {
 	const chain = 400
 	g := startGrinder(t, chainProg(spin50), "chain", []types.Value{int64(chain)}, DefaultConfig(), clock.System)
 	g.finish(t)
-	if got := g.w.fns["chain"].exec.n; got != chain+1 {
+	if got := g.w.fns.entry("chain").exec.n; got != chain+1 {
 		t.Errorf("the coarse Fn's track has %d samples of %d executions", got, chain+1)
 	}
 	if raceEnabled {
 		return // an empty task is not fine-grain under the race detector
 	}
-	if got := g.w.fns["pass"].exec.n; got < execWarmup || got > chain/2 {
+	if got := g.w.fns.entry("pass").exec.n; got < execWarmup || got > chain/2 {
 		t.Errorf("the fine Fn's track has %d samples of %d executions, want a warm sample", got, chain)
 	}
 }
@@ -482,9 +483,9 @@ func (c *countingClock) Since(t time.Time) time.Duration {
 }
 
 // fib20 runs fib(20) on one worker with telemetry and tracing off and
-// returns the scheduler's clock readings and the process's allocations
-// over the job, with the task count.
-func fib20(t *testing.T) (reads, mallocs, tasks int64) {
+// returns the scheduler's clock readings, the process's allocations and the
+// Fn table's memo misses over the job, with the task count.
+func fib20(t *testing.T) (reads, mallocs, misses, tasks int64) {
 	t.Helper()
 	clk := &countingClock{Clock: clock.System}
 	cfg := DefaultConfig()
@@ -503,7 +504,7 @@ func fib20(t *testing.T) (reads, mallocs, tasks int64) {
 	runtime.ReadMemStats(&m1)
 	g.w.Crash()
 	g.waitDone(t, 10*time.Second)
-	return clk.reads.Load(), int64(m1.Mallocs - m0.Mallocs), g.w.Stats().TasksExecuted
+	return clk.reads.Load(), int64(m1.Mallocs - m0.Mallocs), g.w.fns.misses, g.w.Stats().TasksExecuted
 }
 
 // The two gates below are counts, not timings: they repeat from run to run,
@@ -527,7 +528,7 @@ func TestClockReadsPerTask(t *testing.T) {
 		t.Skip("an empty task is not fine-grain under the race detector")
 	}
 	reads, limit := bestOf3(t, func() (int64, int64) {
-		reads, _, tasks := fib20(t)
+		reads, _, _, tasks := fib20(t)
 		return reads, tasks/32 + 64
 	})
 	if reads > limit {
@@ -537,12 +538,120 @@ func TestClockReadsPerTask(t *testing.T) {
 
 func TestAllocsPerTask(t *testing.T) {
 	mallocs, limit := bestOf3(t, func() (int64, int64) {
-		_, mallocs, tasks := fib20(t)
+		_, mallocs, _, tasks := fib20(t)
 		return mallocs, tasks * 5 / 100
 	})
 	if mallocs > limit {
 		t.Errorf("%d allocations over fib(20), want at most %d (0.05 per task)", mallocs, limit)
 	}
+}
+
+// Each Fn name is resolved through the map once, however many tasks run it:
+// fib(20)'s 21 891 tasks name two Fns, by constants with one backing array
+// each, so every resolution after the first of each is a memo hit.
+func TestFnResolvedOncePerName(t *testing.T) {
+	var first int64 = -1
+	for i := 0; i < 3; i++ {
+		_, _, misses, _ := fib20(t)
+		if misses > 2 {
+			t.Errorf("run %d: %d map fallbacks over fib(20), want at most 2 (the distinct names)", i, misses)
+		}
+		if first >= 0 && misses != first {
+			t.Errorf("run %d: %d map fallbacks, run 0 had %d: the count must repeat", i, misses, first)
+		}
+		first = misses
+	}
+}
+
+// A name resolves by the identity of its bytes: a constant, a copy with its
+// own backing array and a name decoded off the wire all reach the same
+// entry, a name that shares its first bytes with a longer one does not take
+// the longer one's entry, names sharing a memo set never answer for each
+// other, and an unknown name still panics as the registry's MustLookup
+// does.
+func TestFnTableResolvesByIdentity(t *testing.T) {
+	p := NewProgram("identity")
+	for _, name := range []string{"fib", "sum", "add", "fibfib"} {
+		p.Register(name, func(model.Ctx) {})
+	}
+	tab := NewFnTable(p)
+	fib := tab.entry("fib")
+	if tab.entry("fib") != fib || tab.misses != 1 {
+		t.Fatalf("a constant name: %d misses over two resolutions, want 1", tab.misses)
+	}
+	if tab.entry(strings.Clone("fib")) != fib || tab.misses != 2 {
+		t.Errorf("a copy of the name: %d misses, want one more (a new backing array), and fib's entry", tab.misses)
+	}
+
+	frame, err := wire.Encode(&wire.Envelope{Job: 1, From: 1, To: 0,
+		Payload: wire.StealReply{OK: true, Task: wire.Closure{ID: types.TaskID{Worker: 1, Seq: 1}, Fn: "fib"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded := func() string {
+		env, err := wire.Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env.Payload.(wire.StealReply).Task.Fn
+	}
+	if tab.entry(decoded()) != fib {
+		t.Error("a name off the wire did not resolve to fib's entry")
+	}
+	before := tab.misses
+	if tab.entry(decoded()) != fib || tab.misses != before {
+		t.Errorf("the same name decoded again: %d misses, want %d (interned: the same bytes)", tab.misses, before)
+	}
+
+	// "fib" as the first three bytes of "fibfib": the same data pointer.
+	// Where the two share a set only the length tells them apart, so plant
+	// fibfib's slot in the prefix's set and resolve the prefix there.
+	long := strings.Clone("fibfib")
+	longEntry := tab.entry(long)
+	tab.memo[fnMemoIndex(long[:3])][1] = tab.memo[fnMemoIndex(long)][0]
+	if longEntry == fib || tab.entry(long[:3]) != fib {
+		t.Error("a name and its prefix, sharing bytes, resolved to one entry")
+	}
+
+	// Names in one set: copies whose bytes hash where fib's constant does.
+	inFibsSet := func(name string) string {
+		for {
+			if c := strings.Clone(name); fnMemoIndex(c) == fnMemoIndex("fib") {
+				return c
+			}
+		}
+	}
+	sum, add := inFibsSet("sum"), inFibsSet("add")
+	sumEntry, addEntry := tab.entry(sum), tab.entry(add)
+	if sumEntry == fib || addEntry == fib || sumEntry == addEntry {
+		t.Fatal("distinct names resolved to one entry")
+	}
+	tab.entry("fib")
+	tab.entry(sum) // the set now holds sum and fib
+	before = tab.misses
+	for i := 0; i < 1000; i++ {
+		if tab.entry("fib") != fib || tab.entry(sum) != sumEntry {
+			t.Fatalf("alternation %d: a name answered for the other in its set", i)
+		}
+	}
+	if got := tab.misses - before; got != 0 {
+		t.Errorf("two names in one set: %d misses over 1000 alternations, want 0 (a set holds two)", got)
+	}
+	for i := 0; i < 1000; i++ {
+		if tab.entry("fib") != fib || tab.entry(sum) != sumEntry || tab.entry(add) != addEntry {
+			t.Fatalf("round %d: a name answered for another in its set", i)
+		}
+	}
+	if got := tab.misses - before; got < 2000 {
+		t.Errorf("three names in one set: %d misses over 1000 rounds, want at least 2 a round: they did not share it", got)
+	}
+
+	defer func() {
+		if r := fmt.Sprint(recover()); !strings.Contains(r, `unknown task function "nope"`) {
+			t.Errorf("an unknown name panicked with %q, want the registry's message", r)
+		}
+	}()
+	tab.entry("nope")
 }
 
 // yieldRig is a worker that never runs, with one closure on its context: a
@@ -555,7 +664,7 @@ func yieldRig(tb testing.TB, clk clock.Clock, blob []byte) (*Worker, *Closure) {
 	tb.Cleanup(fab.Close)
 	cfg := DefaultConfig()
 	w := NewWorker(1, 0, NewProgram("none"), fab.Attach(0), cfg, clk)
-	cl := w.newClosure()
+	cl := w.closures.Get()
 	cl.ID = w.nextTaskID()
 	w.ctx.w, w.ctx.c = w, cl
 	if w.ctx.Yield(blob) {
@@ -624,14 +733,50 @@ func TestYieldQuietPathIsFree(t *testing.T) {
 		t.Errorf("publication table = %+v, want the one blob published at seq %d", pub, seq)
 	}
 	// And a recycled closure keeps the buffer but not the blob.
-	w.freeClosure(cl)
-	if cl = w.newClosure(); cap(cl.Ckpt) < pfoldBlob || len(cl.Ckpt) != 0 || cl.CkptSeq != 0 || cl.published {
+	w.closures.Put(cl)
+	if cl = w.closures.Get(); cap(cl.Ckpt) < pfoldBlob || len(cl.Ckpt) != 0 || cl.CkptSeq != 0 || cl.published {
 		t.Errorf("recycled closure: len %d cap %d seq %d published %v, want an empty buffer of capacity %d",
 			len(cl.Ckpt), cap(cl.Ckpt), cl.CkptSeq, cl.published, pfoldBlob)
 	}
 	w.ctx.c = cl
 	if w.ctx.Checkpoint() != nil {
 		t.Error("a fresh task on a recycled closure sees a checkpoint")
+	}
+
+	// Nor anything else its next creator leaves unwritten: dirty every field
+	// Put resets, and let a successor and then a spawn take the closure.
+	dirty := func(c *Closure) {
+		c.Args = append(c.Args[:0], int64(1), int64(2), int64(3))
+		c.Missing, c.NoSteal, c.CkptSeq, c.adopted = 3, true, 9, true
+	}
+	clean := func(creator string, c, recycled *Closure, missing int32) {
+		t.Helper()
+		if c != recycled {
+			t.Fatalf("%s did not reuse the recycled closure", creator)
+		}
+		if c.Missing != missing || c.NoSteal || c.CkptSeq != 0 || c.adopted {
+			t.Errorf("%s: missing %d, noSteal %v, ckptSeq %d, adopted %v; want %d, false, 0, false",
+				creator, c.Missing, c.NoSteal, c.CkptSeq, c.adopted, missing)
+		}
+		for i, a := range c.Args[:cap(c.Args)] {
+			if a != nil && (creator != "Spawn1" || i != 0) {
+				t.Errorf("%s: argument slot %d of %d holds %v, want nil", creator, i, cap(c.Args), a)
+			}
+		}
+	}
+	w.ctx.c = &Closure{ID: w.nextTaskID()}
+	dirty(cl)
+	w.closures.Put(cl)
+	succ := w.join.Get(w.ctx.SuccessorCont("sum", 2, types.Continuation{}).Task())
+	clean("SuccessorCont", succ, cl, 2)
+	w.join.Del(succ)
+	dirty(succ)
+	w.closures.Put(succ)
+	w.ctx.Spawn1("fib", types.Continuation{}, int64(5))
+	spawned, _ := w.dq.PopHead()
+	clean("Spawn1", spawned, cl, 0)
+	if len(spawned.Args) != 1 || spawned.Args[0] != int64(5) {
+		t.Errorf("Spawn1's arguments = %v, want [5]", spawned.Args)
 	}
 }
 

@@ -6,11 +6,11 @@ import "phish/internal/types"
 // slot index is the low bits of a sequence number.
 const joinSlots = 1024
 
-// joinTable holds the worker's waiting closures — successors whose join
-// counter has not reached zero — and finds the one a result names. Every
-// result a worker delivers locally looks a closure up here, and every
-// successor is put here and deleted again, so on fib-like programs this is
-// the scheduler's busiest table.
+// JoinTable holds a scheduler's waiting closures — successors whose join
+// counter has not reached zero — and finds the one a result names: a Phish
+// worker's, or a Strata processor's. Every result delivered locally looks a
+// closure up here, and every successor is put here and deleted again, so on
+// fib-like programs this is the scheduler's busiest table.
 //
 // A closure this worker minted lives in the array slot indexed by the low
 // bits of its Seq: minting is sequential and a LIFO worker holds about as
@@ -24,20 +24,22 @@ const joinSlots = 1024
 // exactly as it would in a map, and cannot land in whatever closure sits in
 // the slot now. An id is put at most once while it is present.
 //
-// Scheduler goroutine only.
-type joinTable struct {
+// Not safe for concurrent use: a worker's is its scheduler goroutine's
+// alone, a Strata processor's is guarded by the processor's lock.
+type JoinTable struct {
 	owner types.WorkerID
 	slots [joinSlots]*Closure
 	used  int // non-nil slots
 	more  map[types.TaskID]*Closure
 }
 
-func newJoinTable(owner types.WorkerID) joinTable {
-	return joinTable{owner: owner, more: make(map[types.TaskID]*Closure)}
+// NewJoinTable returns an empty table for the closures owner mints.
+func NewJoinTable(owner types.WorkerID) JoinTable {
+	return JoinTable{owner: owner, more: make(map[types.TaskID]*Closure)}
 }
 
-// put adds a waiting closure.
-func (j *joinTable) put(cl *Closure) {
+// Put adds a waiting closure.
+func (j *JoinTable) Put(cl *Closure) {
 	if cl.ID.Worker == j.owner {
 		if s := &j.slots[cl.ID.Seq%joinSlots]; *s == nil {
 			*s = cl
@@ -48,8 +50,8 @@ func (j *joinTable) put(cl *Closure) {
 	j.more[cl.ID] = cl
 }
 
-// get returns the waiting closure named id, or nil.
-func (j *joinTable) get(id types.TaskID) *Closure {
+// Get returns the waiting closure named id, or nil.
+func (j *JoinTable) Get(id types.TaskID) *Closure {
 	if cl := j.slots[id.Seq%joinSlots]; cl != nil && cl.ID == id {
 		return cl
 	}
@@ -59,8 +61,8 @@ func (j *joinTable) get(id types.TaskID) *Closure {
 	return j.more[id]
 }
 
-// del removes cl, which must be in the table.
-func (j *joinTable) del(cl *Closure) {
+// Del removes cl, which must be in the table.
+func (j *JoinTable) Del(cl *Closure) {
 	if s := &j.slots[cl.ID.Seq%joinSlots]; *s == cl {
 		*s = nil
 		j.used--
@@ -70,12 +72,12 @@ func (j *joinTable) del(cl *Closure) {
 }
 
 // len reports how many closures are waiting.
-func (j *joinTable) len() int { return j.used + len(j.more) }
+func (j *JoinTable) len() int { return j.used + len(j.more) }
 
 // all returns every waiting closure, for the cold paths that walk the whole
 // table (orphan purge, migration, snapshot, debug dump). The slice is the
 // caller's: deleting while ranging over it is safe.
-func (j *joinTable) all() []*Closure {
+func (j *JoinTable) all() []*Closure {
 	out := make([]*Closure, 0, j.len())
 	if j.used > 0 {
 		for _, cl := range j.slots {

@@ -28,11 +28,11 @@ func joinRig(t *testing.T) (*Worker, *phishnet.Fabric, []*Closure) {
 	}
 	own := []*Closure{waiting(types.TaskID{Worker: 5, Seq: 7}), waiting(types.TaskID{Worker: 5, Seq: 7 + joinSlots})}
 	for _, cl := range own {
-		w.join.put(cl)
+		w.join.Put(cl)
 		w.tasks.created()
 	}
 	w.adoptMigration(9, wire.Migrate{From: 9, Closures: []wire.Closure{waiting(types.TaskID{Worker: 9, Seq: 7}).toWire()}})
-	foreign := w.join.get(types.TaskID{Worker: 9, Seq: 7})
+	foreign := w.join.Get(types.TaskID{Worker: 9, Seq: 7})
 	if foreign == nil {
 		t.Fatal("a migrated-in waiting closure is not in the join table")
 	}
@@ -93,7 +93,7 @@ func TestJoinTableDropsDuplicateAndStaleResults(t *testing.T) {
 		t.Fatalf("duplicate delivery: missing %d, slot %v, drops %d; want 1, 1, 1", first.Missing, first.Args[0], w.orphanDrops.Load())
 	}
 	w.deliver(types.Continuation{Task: first.ID, Slot: 1}, int64(3), false, wire.TraceCtx{})
-	if w.join.get(first.ID) != nil {
+	if w.join.Get(first.ID) != nil {
 		t.Fatal("a ready closure is still in the join table")
 	}
 
@@ -101,7 +101,7 @@ func TestJoinTableDropsDuplicateAndStaleResults(t *testing.T) {
 	// closure that left must not fill it.
 	next := &Closure{ID: types.TaskID{Worker: 5, Seq: first.ID.Seq + 2*joinSlots}, Fn: "noop",
 		Args: make([]types.Value, 2), Missing: 2}
-	w.join.put(next)
+	w.join.Put(next)
 	if w.join.slots[next.ID.Seq%joinSlots] != next {
 		t.Fatal("the freed slot was not reused")
 	}

@@ -49,7 +49,7 @@ func (e *execStats) p99() time.Duration { return time.Duration(e.mean + 3*e.dev)
 
 // fnEntry is what the worker knows about one Fn: the registry lookup,
 // memoized, and the execution-time track, side by side so that running a
-// task costs one table lookup. Scheduler goroutine only.
+// task costs one FnTable resolution. Scheduler goroutine only.
 type fnEntry struct {
 	fn   TaskFunc
 	exec execStats
@@ -65,17 +65,6 @@ const (
 	fineGrain  = 2 * time.Microsecond
 	timedEvery = 64
 )
-
-// fnEntryOf returns fn's entry, resolving the Fn in the program's registry
-// the first time the worker meets it.
-func (w *Worker) fnEntryOf(fn string) *fnEntry {
-	e, ok := w.fns[fn]
-	if !ok {
-		e = &fnEntry{fn: w.prog.Funcs.MustLookup(fn)}
-		w.fns[fn] = e
-	}
-	return e
-}
 
 // suspectMark is one blacklist entry. Suspicion has two tiers: local
 // evidence (a steal timeout — one lost packet) only deprioritizes the peer
@@ -210,8 +199,8 @@ func (w *Worker) maybeSpeculate() {
 		if !w.isGradedSuspect(rec.thief, now) {
 			continue
 		}
-		e := w.fns[rec.task.Fn]
-		if e == nil || !e.exec.warm() {
+		e := w.fns.entry(rec.task.Fn)
+		if !e.exec.warm() {
 			continue // never ran this Fn locally: no deadline to hold it to
 		}
 		deadline := time.Duration(k * float64(e.exec.p99()))

@@ -66,7 +66,7 @@ func (r *stealRig) request(tb testing.TB, args []types.Value) {
 
 // spawnWork puts a ready "work" task with a copy of args on w's deque.
 func spawnWork(w *Worker, cont types.Continuation, args []types.Value) {
-	cl := w.newClosure()
+	cl := w.closures.Get()
 	cl.setArgs(args)
 	w.spawn(cl, "work", cont, false, wire.TraceCtx{})
 }

@@ -50,18 +50,18 @@ type Worker struct {
 	tasks    taskCounts
 
 	dq      deque.Deque[*Closure]
-	join    joinTable
+	join    JoinTable
 	records map[types.TaskID]*stealRecord
 	seq     uint64
 	rng     *rand.Rand
-	// fns holds what the worker knows about each Fn it has run (see
-	// fnEntry; lock-free: only the scheduler goroutine touches it), ctx is
-	// the one TaskCtx reused across executions — valid because task bodies
-	// run to completion and must not retain their context — and freeList
-	// recycles closures (closure.go).
-	fns      map[string]*fnEntry
+	// fns holds what the worker knows about each Fn it has met (see
+	// FnTable and fnEntry; lock-free: only the scheduler goroutine touches
+	// it), ctx is the one TaskCtx reused across executions — valid because
+	// task bodies run to completion and must not retain their context — and
+	// closures is the pool tasks' closures come from (closure.go).
+	fns      FnTable
 	ctx      TaskCtx
-	freeList []*Closure
+	closures ClosurePool
 
 	view          wire.MembershipView
 	hostOf        map[types.WorkerID]types.WorkerID
@@ -219,9 +219,9 @@ func NewWorker(job types.JobID, id types.WorkerID, prog *Program, conn phishnet.
 		recv:        conn.Recv(),
 		cfg:         cfg,
 		clk:         clk,
-		join:        newJoinTable(id),
+		join:        NewJoinTable(id),
 		records:     make(map[types.TaskID]*stealRecord),
-		fns:         make(map[string]*fnEntry),
+		fns:         NewFnTable(prog),
 		rng:         rand.New(rand.NewSource(cfg.Seed + int64(id)*0x9e3779b9)),
 		hostOf:      make(map[types.WorkerID]types.WorkerID),
 		siteOf:      make(map[types.WorkerID]int32),
@@ -863,7 +863,7 @@ func (w *Worker) popNext() (*Closure, bool) {
 // StealTimeout whatever the track says.
 func (w *Worker) execute(cl *Closure) {
 	cl.adopted = false
-	e := w.fnEntryOf(cl.Fn)
+	e := w.fns.entry(cl.Fn)
 	m := w.cfg.Metrics // one pointer check when telemetry is off
 	traced := w.spans.Load() != nil && cl.TC.Sampled()
 	if cl.preempted {
@@ -936,7 +936,7 @@ func (w *Worker) execute(cl *Closure) {
 	if cl.published {
 		w.dropCkptPub(cl.ID)
 	}
-	w.freeClosure(cl) // the body ran to completion; nothing references cl now
+	w.closures.Put(cl) // the body ran to completion; nothing references cl now
 }
 
 // thieveStep performs one increment of thieving: ensure a steal request is
@@ -1383,7 +1383,7 @@ func (w *Worker) onStealReply(from types.WorkerID, ok bool, cl *Closure) {
 		// We already migrated away. Leave the task unconfirmed: the
 		// victim's steal record redoes it when our tombstone lands.
 		if cl != nil {
-			w.freeClosure(cl)
+			w.closures.Put(cl)
 		}
 	case !ok:
 		w.consecFails++
@@ -1473,7 +1473,7 @@ func (w *Worker) nextTaskID() types.TaskID {
 	return types.TaskID{Worker: w.id, Seq: w.seq}
 }
 
-// spawn makes cl — a closure from newClosure with its arguments already in
+// spawn makes cl — a pooled closure with its arguments already in
 // place — a ready task of fn and enqueues it at the head of the deque.
 func (w *Worker) spawn(cl *Closure, fn string, cont types.Continuation, noSteal bool, tc wire.TraceCtx) {
 	for i, a := range cl.Args {
@@ -1500,7 +1500,7 @@ func (w *Worker) spawnRoot(p wire.SpawnRoot) {
 			tc.Flags = wire.FlagSampled
 		}
 	}
-	cl := w.newClosure()
+	cl := w.closures.Get()
 	cl.setArgs(p.Args)
 	w.spawn(cl, p.Fn, cont, true, tc)
 }
@@ -1516,12 +1516,14 @@ func (w *Worker) deliver(cont types.Continuation, v types.Value, crossed bool, t
 	w.ensureSpans(tc)
 	// Local state first: after adopting migrated tasks we may host tasks
 	// the view does not map to us yet.
-	if rec, ok := w.records[cont.Task]; ok && cont.Slot == 0 {
-		delete(w.records, cont.Task)
-		w.deliver(rec.realCont, v, crossed, tc)
-		return
+	if len(w.records) != 0 { // empty unless a grant or a migration left a record here
+		if rec, ok := w.records[cont.Task]; ok && cont.Slot == 0 {
+			delete(w.records, cont.Task)
+			w.deliver(rec.realCont, v, crossed, tc)
+			return
+		}
 	}
-	if cl := w.join.get(cont.Task); cl != nil {
+	if cl := w.join.Get(cont.Task); cl != nil {
 		w.fill(cl, cont.Slot, v, crossed, true)
 		return
 	}
@@ -1574,7 +1576,7 @@ func (w *Worker) deliver(cont types.Continuation, v types.Value, crossed bool, t
 // entry point for a caller that holds only a continuation (Preset; deliver
 // has the closure in hand already and calls fill).
 func (w *Worker) fillSlot(cont types.Continuation, v types.Value, crossed, countSynch bool) {
-	cl := w.join.get(cont.Task)
+	cl := w.join.Get(cont.Task)
 	if cl == nil {
 		w.orphanDrops.Add(1)
 		return
@@ -1602,7 +1604,7 @@ func (w *Worker) fill(cl *Closure, slot int32, v types.Value, crossed, countSync
 		}
 	}
 	if cl.Missing == 0 {
-		w.join.del(cl)
+		w.join.Del(cl)
 		w.dq.PushHead(cl)
 	}
 }
@@ -1671,7 +1673,7 @@ func (w *Worker) grantSteal(thief types.WorkerID) {
 	if cl.published {
 		w.dropCkptPub(cl.ID) // a preempted body, stolen: the thief republishes
 	}
-	w.freeClosure(cl) // rec.task holds its own copy of the args
+	w.closures.Put(cl) // rec.task holds its own copy of the args
 	w.dbgGrants.Add(1)
 	w.tr(trace.EvStealGrant, rec.task.ID, thief, "")
 }
@@ -1728,7 +1730,7 @@ func (w *Worker) adoptClosure(cl *Closure) {
 		w.dq.PushHead(cl)
 	} else {
 		// Only ready tasks are stealable; tolerate anyway.
-		w.join.put(cl)
+		w.join.Put(cl)
 	}
 	if host, ok := w.resolveHost(cl.Cont.Task.Worker); ok && host != w.id {
 		w.sendTo(host, wire.StealConfirm{Record: cl.Cont.Task})
@@ -1751,7 +1753,7 @@ func (w *Worker) adoptMigration(from types.WorkerID, m wire.Migrate) {
 			// locality argument says fresh local work should run first.
 			w.dq.PushTail(cl)
 		} else {
-			w.join.put(cl)
+			w.join.Put(cl)
 		}
 	}
 	if w.cfg.Trace.Enabled() {
@@ -1788,7 +1790,7 @@ func (w *Worker) redoRecord(rec *stealRecord) {
 	if cl.ready() {
 		w.dq.PushTail(cl)
 	} else {
-		w.join.put(cl)
+		w.join.Put(cl)
 	}
 }
 
@@ -1861,9 +1863,9 @@ func (w *Worker) purgeOrphans() {
 	}
 	for _, cl := range w.join.all() {
 		if deadCont(cl.Cont) {
-			w.join.del(cl)
+			w.join.Del(cl)
 			w.tasks.retired()
-			w.freeClosure(cl)
+			w.closures.Put(cl)
 		}
 	}
 	if w.dq.Len() > 0 {
@@ -1871,7 +1873,7 @@ func (w *Worker) purgeOrphans() {
 		for _, cl := range keep {
 			if deadCont(cl.Cont) {
 				w.tasks.retired()
-				w.freeClosure(cl)
+				w.closures.Put(cl)
 				continue
 			}
 			w.dq.PushTail(cl)
@@ -2013,7 +2015,7 @@ func (w *Worker) shipStateTo(target types.WorkerID) shipResult {
 	for _, cl := range w.join.all() {
 		packed = append(packed, cl)
 		payload.Closures = append(payload.Closures, cl.toWire())
-		w.join.del(cl)
+		w.join.Del(cl)
 	}
 	var packedRecs []*stealRecord
 	for id, rec := range w.records {
@@ -2026,7 +2028,7 @@ func (w *Worker) shipStateTo(target types.WorkerID) shipResult {
 			if cl.ready() {
 				w.dq.PushTail(cl)
 			} else {
-				w.join.put(cl)
+				w.join.Put(cl)
 			}
 		}
 		for _, rec := range packedRecs {
@@ -2077,7 +2079,7 @@ func (w *Worker) shipStateTo(target types.WorkerID) shipResult {
 			// the task.
 			w.dropCkptPub(cl.ID)
 		}
-		w.freeClosure(cl) // the adopter acknowledged its own copy
+		w.closures.Put(cl) // the adopter acknowledged its own copy
 	}
 	return shipOK
 }

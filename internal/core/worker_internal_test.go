@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -123,7 +124,7 @@ func TestFillSlotDeduplicatesAndBoundsChecks(t *testing.T) {
 		Args:    make([]types.Value, 2),
 		Missing: 2,
 	}
-	w.join.put(cl)
+	w.join.Put(cl)
 	cont0 := types.Continuation{Task: cl.ID, Slot: 0}
 
 	w.fillSlot(cont0, int64(1), false, true)
@@ -145,7 +146,7 @@ func TestFillSlotDeduplicatesAndBoundsChecks(t *testing.T) {
 	}
 	// The last fill readies the closure onto the deque.
 	w.fillSlot(types.Continuation{Task: cl.ID, Slot: 1}, int64(2), true, true)
-	if w.join.get(cl.ID) != nil {
+	if w.join.Get(cl.ID) != nil {
 		t.Error("ready closure still in the waiting table")
 	}
 	if w.dq.Len() != 1 {
@@ -374,8 +375,8 @@ func TestPurgeOrphansDropsDeadConsumers(t *testing.T) {
 
 	orphan := &Closure{ID: types.TaskID{Worker: 5, Seq: 1}, Fn: "noop", Args: make([]types.Value, 1), Missing: 1, Cont: deadCont}
 	keeper := &Closure{ID: types.TaskID{Worker: 5, Seq: 2}, Fn: "noop", Args: make([]types.Value, 1), Missing: 1, Cont: liveCont}
-	w.join.put(orphan)
-	w.join.put(keeper)
+	w.join.Put(orphan)
+	w.join.Put(keeper)
 	w.tasks.created()
 	w.tasks.created()
 	readyOrphan := &Closure{ID: types.TaskID{Worker: 5, Seq: 3}, Fn: "noop", Cont: deadCont}
@@ -383,10 +384,10 @@ func TestPurgeOrphansDropsDeadConsumers(t *testing.T) {
 	w.tasks.created()
 
 	w.purgeOrphans()
-	if w.join.get(orphan.ID) != nil {
+	if w.join.Get(orphan.ID) != nil {
 		t.Error("waiting orphan survived the purge")
 	}
-	if w.join.get(keeper.ID) == nil {
+	if w.join.Get(keeper.ID) == nil {
 		t.Error("live consumer was purged")
 	}
 	if w.dq.Len() != 0 {
@@ -439,4 +440,79 @@ func TestStayReplyResendsLostRootResult(t *testing.T) {
 	if other.counters.MessagesSent.Load() != 0 {
 		t.Error("a worker without the root result sent something on StayReply")
 	}
+}
+
+// A closure carries its Fn by name, and each worker resolves the name in its
+// own table: a stolen or migrated closure runs its own Fn even when the memo
+// set its name hashes to already holds another Fn on the worker that adopts
+// it, and its result reaches its own continuation.
+func TestMigratedClosureRunsItsOwnFn(t *testing.T) {
+	decoy := func(c model.Ctx) { c.Return("decoy") }
+	// occupy fills both slots of w's memo set for name with the decoy,
+	// through two copies of "decoy" whose bytes hash to that set.
+	occupy := func(t *testing.T, w *Worker, name string) {
+		t.Helper()
+		for filled := 0; filled < 2; {
+			if d := strings.Clone("decoy"); fnMemoIndex(d) == fnMemoIndex(name) {
+				w.fns.entry(d)
+				filled++
+			}
+		}
+		set, decoy := w.fns.memo[fnMemoIndex(name)], w.fns.byName["decoy"]
+		if set[0].e != decoy || set[1].e != decoy {
+			t.Fatal("the decoy does not hold the set")
+		}
+	}
+
+	t.Run("stolen", func(t *testing.T) {
+		r := newStealRig(t, phishnet.CodecWire, DefaultConfig())
+		r.thief.prog.Register("decoy", decoy)
+		r.request(t, []types.Value{int64(7)})
+		r.victim.handle(<-r.recvV) // grant
+		r.thief.handle(<-r.recvT)  // adopt: the Fn name comes off the wire
+		r.victim.handle(<-r.recvV) // confirm
+		var record types.TaskID
+		for id := range r.victim.records {
+			record = id
+		}
+		cl, ok := r.thief.popNext()
+		if !ok {
+			t.Fatal("the thief adopted nothing")
+		}
+		occupy(t, r.thief, cl.Fn)
+		r.thief.execute(cl)
+		env := <-r.recvV
+		if err := env.Materialize(); err != nil {
+			t.Fatal(err)
+		}
+		arg, ok := env.Payload.(wire.Arg)
+		if !ok || arg.Cont.Task != record || arg.Val != int64(7) {
+			t.Errorf("the stolen task sent %s %+v, want work's result 7 for the victim's record %v",
+				env.PayloadName(), env.Payload, record)
+		}
+	})
+
+	t.Run("migrated", func(t *testing.T) {
+		w, _ := newTestWorker(t, 5)
+		w.prog.Register("decoy", decoy)
+		w.prog.Register("seven", func(c model.Ctx) { c.Return(int64(7)) })
+		w.applyView(view(wire.MemberInfo{Worker: 5, HostedBy: 5}, wire.MemberInfo{Worker: 9, HostedBy: 5}))
+		sink := w.closures.Get()
+		sink.ID, sink.Fn, sink.Missing = w.nextTaskID(), "noop", 1
+		sink.growArgs(1)
+		w.join.Put(sink)
+		// The name arrives with its own backing array, as one decoded on the
+		// departing worker's side would.
+		w.adoptMigration(9, wire.Migrate{From: 9, Closures: []wire.Closure{{ID: types.TaskID{Worker: 9, Seq: 1},
+			Fn: strings.Clone("seven"), Cont: types.Continuation{Task: sink.ID}}}})
+		cl, ok := w.popNext()
+		if !ok {
+			t.Fatal("nothing migrated in")
+		}
+		occupy(t, w, cl.Fn)
+		w.execute(cl)
+		if sink.Missing != 0 || sink.Args[0] != int64(7) {
+			t.Errorf("the sink holds %v with %d missing, want seven's result 7", sink.Args, sink.Missing)
+		}
+	})
 }

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -52,36 +53,38 @@ func DefaultConfig() Config {
 	return Config{Seed: 1, LocalOrder: core.LIFO, StealFrom: core.StealTail, Victim: core.RandomVictim}
 }
 
-type closure struct {
-	id      types.TaskID
-	fn      string
-	args    []types.Value
-	missing int32
-	cont    types.Continuation
-	// arg0 backs args for a task spawned with at most one argument, so such
-	// a spawn allocates the closure and nothing else.
-	arg0 [1]types.Value
-}
-
+// proc is one processor. Its tasks are core's closures, recycled through
+// its own core.ClosurePool, and their Fns resolve in its own core.FnTable;
+// only the proc's goroutine touches either. A closure stolen from another
+// processor is freed into the pool of the processor that ran it. Its
+// waiting successors are in a core.JoinTable.
 type proc struct {
-	id       types.WorkerID
-	rt       *Runtime
-	mu       sync.Mutex
-	dq       deque.Deque[*closure]
-	waiting  map[uint64]*closure
-	seq      uint64
-	rng      *rand.Rand
-	counters stats.Counters
-	execNS   int64
-	wallNS   int64
-	fns      map[string]core.TaskFunc
-	ctx      ctx
+	id types.WorkerID
+	rt *Runtime
+	// mu guards dq and waiting: a thief pops dq's steal end, and any
+	// processor delivers into a waiting closure.
+	mu      sync.Mutex
+	dq      deque.Deque[*core.Closure]
+	waiting core.JoinTable
+	seq     uint64
+	rng     *rand.Rand
+	fns     core.FnTable
+	pool    core.ClosurePool
+	ctx     ctx
+	// The counts only this processor writes are plain fields, folded into
+	// counters when Run returns. counters itself takes what other
+	// processors write: a thief retires the task it took from here, and a
+	// non-local result is a synchronization counted here by its sender.
+	spawned, executed, synchs int64
+	inUse, maxInUse           int64
+	counters                  stats.Counters
+	execNS                    int64
+	wallNS                    int64
 }
 
 // Runtime is one Strata execution: a static set of P processors working
 // on one program until the root result arrives.
 type Runtime struct {
-	prog  *core.Program
 	cfg   Config
 	procs []*proc
 
@@ -112,19 +115,21 @@ func Run(prog *core.Program, rootFn string, rootArgs []types.Value, p int, cfg C
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 5 * time.Minute
 	}
-	rt := &Runtime{prog: prog, cfg: cfg, doneCh: make(chan struct{})}
+	rt := &Runtime{cfg: cfg, doneCh: make(chan struct{})}
 	for i := 0; i < p; i++ {
 		rt.procs = append(rt.procs, &proc{
 			id:      types.WorkerID(i),
 			rt:      rt,
-			waiting: make(map[uint64]*closure),
+			waiting: core.NewJoinTable(types.WorkerID(i)),
 			rng:     rand.New(rand.NewSource(cfg.Seed + int64(i)*0x9e3779b9)),
-			fns:     make(map[string]core.TaskFunc),
+			fns:     core.NewFnTable(prog),
 		})
 	}
 	// Seed the root on processor 0.
 	p0 := rt.procs[0]
-	p0.spawnLocked(rootFn, types.Continuation{Task: types.TaskID{Worker: rootWorker, Seq: 1}}, rootArgs)
+	root := p0.pool.Get()
+	root.Args = append(root.Args[:0], rootArgs...)
+	p0.spawn(root, rootFn, types.Continuation{Task: types.TaskID{Worker: rootWorker, Seq: 1}})
 
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -151,6 +156,7 @@ func Run(prog *core.Program, rootFn string, rootArgs []types.Value, p int, cfg C
 	res.Value = rt.result
 	rt.doneMu.Unlock()
 	for _, pr := range rt.procs {
+		pr.fold()
 		s := pr.counters.Snapshot()
 		s.Worker = int(pr.id)
 		s.ExecTime = time.Duration(pr.execNS)
@@ -178,6 +184,26 @@ func (rt *Runtime) finished() bool {
 		return true
 	default:
 		return false
+	}
+}
+
+// fold adds the plain counts into counters, once the processor has stopped.
+func (p *proc) fold() {
+	c := &p.counters
+	c.TasksSpawned.Store(p.spawned)
+	c.TasksExecuted.Store(p.executed)
+	c.Synchronizations.Add(p.synchs)
+	c.TasksInUse.Add(p.inUse)
+	c.MaxTasksInUse.Store(p.maxInUse)
+}
+
+// adopted records a live closure on this processor, spawned here or stolen,
+// and keeps the high-water mark. counters.TasksInUse holds minus the tasks
+// thieves took from here.
+func (p *proc) adopted() {
+	p.inUse++
+	if n := p.inUse + p.counters.TasksInUse.Load(); n > p.maxInUse {
+		p.maxInUse = n
 	}
 }
 
@@ -219,10 +245,10 @@ func (p *proc) loop() {
 	}
 }
 
-func (p *proc) popLocal() *closure {
+func (p *proc) popLocal() *core.Closure {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var cl *closure
+	var cl *core.Closure
 	var ok bool
 	if p.rt.cfg.LocalOrder == core.LIFO {
 		cl, ok = p.dq.PopHead()
@@ -235,7 +261,7 @@ func (p *proc) popLocal() *closure {
 	return cl
 }
 
-func (p *proc) stealOnce() *closure {
+func (p *proc) stealOnce() *core.Closure {
 	n := len(p.rt.procs)
 	if n < 2 {
 		return nil
@@ -257,7 +283,7 @@ func (p *proc) stealOnce() *closure {
 	}
 	p.counters.StealAttempts.Add(1)
 	victim.mu.Lock()
-	var cl *closure
+	var cl *core.Closure
 	var ok bool
 	if p.rt.cfg.StealFrom == core.StealTail {
 		cl, ok = victim.dq.PopTail()
@@ -270,32 +296,38 @@ func (p *proc) stealOnce() *closure {
 		return nil
 	}
 	victim.counters.TaskRetired()
-	p.counters.TaskAdopted()
+	p.adopted()
 	p.counters.TasksStolen.Add(1)
 	return cl
 }
 
-func (p *proc) execute(cl *closure) {
-	p.counters.TasksExecuted.Add(1)
-	fn, ok := p.fns[cl.fn]
-	if !ok {
-		fn = p.rt.prog.Funcs.MustLookup(cl.fn)
-		p.fns[cl.fn] = fn
-	}
+func (p *proc) execute(cl *core.Closure) {
+	p.executed++
+	fn := p.fns.Func(cl.Fn)
 	p.ctx.p = p
 	p.ctx.c = cl
+	p.ctx.succs = p.ctx.succs[:0]
 	fn(&p.ctx)
 	p.ctx.c = nil
-	p.counters.TaskRetired()
+	p.inUse--
+	p.pool.Put(cl)
 }
 
-// spawnLocked creates a ready closure on p with a copy of args (callable
-// before the loops start and from p's own executing task).
-func (p *proc) spawnLocked(fn string, cont types.Continuation, args []types.Value) {
+// spawn makes cl, a closure from p's pool with its arguments in place, a
+// ready task of fn on p (callable before the loops start and from p's own
+// executing task).
+func (p *proc) spawn(cl *core.Closure, fn string, cont types.Continuation) {
+	for i, a := range cl.Args {
+		if a == nil {
+			panic(fmt.Sprintf("strata: spawn %s: nil argument %d", fn, i))
+		}
+	}
 	p.seq++
-	cl := &closure{id: types.TaskID{Worker: p.id, Seq: p.seq}, fn: fn, cont: cont}
-	cl.args = append(cl.arg0[:0], args...)
-	p.counters.TaskCreated()
+	cl.ID = types.TaskID{Worker: p.id, Seq: p.seq}
+	cl.Fn = fn
+	cl.Cont = cont
+	p.spawned++
+	p.adopted()
 	p.mu.Lock()
 	p.dq.PushHead(cl)
 	p.mu.Unlock()
@@ -314,56 +346,54 @@ func (p *proc) deliver(cont types.Continuation, v types.Value, countSynch bool) 
 	}
 	owner := p.rt.procs[cont.Task.Worker]
 	owner.mu.Lock()
-	cl, ok := owner.waiting[cont.Task.Seq]
-	if !ok || int(cont.Slot) >= len(cl.args) || cl.args[cont.Slot] != nil {
+	cl := owner.waiting.Get(cont.Task)
+	if cl == nil || int(cont.Slot) >= len(cl.Args) || cl.Args[cont.Slot] != nil {
 		owner.mu.Unlock()
 		return // dropped; cannot happen in fault-free strata
 	}
-	cl.args[cont.Slot] = v
-	cl.missing--
-	readied := cl.missing == 0
-	if readied {
-		delete(owner.waiting, cont.Task.Seq)
+	cl.Args[cont.Slot] = v
+	cl.Missing--
+	if cl.Missing == 0 {
+		owner.waiting.Del(cl)
 		owner.dq.PushHead(cl)
 	}
 	owner.mu.Unlock()
-	if countSynch {
+	switch {
+	case !countSynch:
+	case owner == p:
+		p.synchs++
+	default:
 		owner.counters.Synchronizations.Add(1)
-		if owner != p {
-			owner.counters.NonLocalSynchs.Add(1)
-		}
+		owner.counters.NonLocalSynchs.Add(1)
 	}
 }
 
 // ctx implements model.Ctx on the Strata runtime.
 type ctx struct {
 	p *proc
-	c *closure
+	c *core.Closure
+	// succs holds the ids of the successors the running body created. A
+	// Succ handed to the body points in here, not into the successor's
+	// closure, which another processor may run and recycle while the body
+	// still holds the Succ. Emptied for every body; an append that moves the
+	// array leaves earlier Succs on the old one, which nothing writes again.
+	succs []types.TaskID
 }
 
 var _ model.Ctx = (*ctx)(nil)
 
-func (t *ctx) NArgs() int                               { return len(t.c.args) }
-func (t *ctx) Arg(i int) types.Value                    { return t.c.args[i] }
+func (t *ctx) NArgs() int                               { return len(t.c.Args) }
+func (t *ctx) Arg(i int) types.Value                    { return t.c.Args[i] }
 func (t *ctx) Worker() types.WorkerID                   { return t.p.id }
-func (t *ctx) Return(v types.Value)                     { t.p.deliver(t.c.cont, v, true) }
+func (t *ctx) Return(v types.Value)                     { t.p.deliver(t.c.Cont, v, true) }
 func (t *ctx) Send(c types.Continuation, v types.Value) { t.p.deliver(c, v, true) }
 
-func (t *ctx) Int(i int) int64     { return model.Int(t.c.fn, i, t.c.args[i]) }
-func (t *ctx) Float(i int) float64 { return model.Float(t.c.fn, i, t.c.args[i]) }
-func (t *ctx) String(i int) string { return model.String(t.c.fn, i, t.c.args[i]) }
-
-type succ struct {
-	id types.TaskID
-}
-
-func (s succ) Cont(slot int) types.Continuation {
-	return types.Continuation{Task: s.id, Slot: int32(slot)}
-}
-func (s succ) Task() types.TaskID { return s.id }
+func (t *ctx) Int(i int) int64     { return model.Int(t.c.Fn, i, t.c.Args[i]) }
+func (t *ctx) Float(i int) float64 { return model.Float(t.c.Fn, i, t.c.Args[i]) }
+func (t *ctx) String(i int) string { return model.String(t.c.Fn, i, t.c.Args[i]) }
 
 func (t *ctx) Successor(fn string, nslots int) model.Succ {
-	return t.SuccessorCont(fn, nslots, t.c.cont)
+	return t.SuccessorCont(fn, nslots, t.c.Cont)
 }
 
 func (t *ctx) SuccessorCont(fn string, nslots int, cont types.Continuation) model.Succ {
@@ -372,18 +402,19 @@ func (t *ctx) SuccessorCont(fn string, nslots int, cont types.Continuation) mode
 	}
 	p := t.p
 	p.seq++
-	cl := &closure{
-		id:      types.TaskID{Worker: p.id, Seq: p.seq},
-		fn:      fn,
-		args:    make([]types.Value, nslots),
-		missing: int32(nslots),
-		cont:    cont,
-	}
-	p.counters.TaskCreated()
+	cl := p.pool.Get()
+	cl.ID = types.TaskID{Worker: p.id, Seq: p.seq}
+	cl.Fn = fn
+	cl.Args = slices.Grow(cl.Args, nslots)[:nslots] // nil: a pooled closure's slots past its length are
+	cl.Missing = int32(nslots)
+	cl.Cont = cont
+	p.spawned++
+	p.adopted()
 	p.mu.Lock()
-	p.waiting[cl.id.Seq] = cl
+	p.waiting.Put(cl)
 	p.mu.Unlock()
-	return succ{id: cl.id}
+	t.succs = append(t.succs, cl.ID)
+	return (*core.SuccRef)(&t.succs[len(t.succs)-1])
 }
 
 func (t *ctx) Preset(s model.Succ, slot int, v types.Value) {
@@ -394,15 +425,16 @@ func (t *ctx) Preset(s model.Succ, slot int, v types.Value) {
 }
 
 func (t *ctx) Spawn(fn string, cont types.Continuation, args ...types.Value) {
-	for i, a := range args {
-		if a == nil {
-			panic(fmt.Sprintf("strata: spawn %s: nil argument %d", fn, i))
-		}
-	}
-	t.p.spawnLocked(fn, cont, args)
+	cl := t.p.pool.Get()
+	cl.Args = append(cl.Args[:0], args...)
+	t.p.spawn(cl, fn, cont)
 }
 
-func (t *ctx) Spawn1(fn string, cont types.Continuation, a types.Value) { t.Spawn(fn, cont, a) }
+func (t *ctx) Spawn1(fn string, cont types.Continuation, a types.Value) {
+	cl := t.p.pool.Get()
+	cl.Args = append(cl.Args[:0], a)
+	t.p.spawn(cl, fn, cont)
+}
 
 func (t *ctx) Print(format string, args ...any) {
 	t.p.rt.outMu.Lock()
