@@ -20,6 +20,7 @@ import (
 type stealRig struct {
 	victim, thief *Worker
 	recvV, recvT  <-chan *wire.Envelope
+	fab           *phishnet.Fabric
 }
 
 func newStealRig(tb testing.TB, codec phishnet.Codec, cfg Config) *stealRig {
@@ -36,6 +37,7 @@ func newStealRig(tb testing.TB, codec phishnet.Codec, cfg Config) *stealRig {
 		thief:  NewWorker(1, 1, prog, thiefPort, cfg, clock.System),
 		recvV:  victimPort.Recv(),
 		recvT:  thiefPort.Recv(),
+		fab:    fab,
 	}
 	view := wire.MembershipView{Epoch: 1, Members: []wire.MemberInfo{
 		{Worker: 0, HostedBy: 0},
@@ -109,6 +111,42 @@ func BenchmarkStealRoundTrip(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkStealBatch measures one full batched steal over the wire codec:
+// the victim picks and sizes the batch and encodes it into one reply, the
+// thief reads it in place and adopts every closure, and the victim takes
+// the one ranged confirm. The victim holds twice the largest ask of
+// flat-tree leaves, so the byte budget, not the ask, ends the batch.
+func BenchmarkStealBatch(b *testing.B) {
+	r := newStealRig(b, phishnet.CodecWire, DefaultConfig())
+	leaf := []types.Value{int64(0), int64(20000), int64(10000)}
+	refill := func() {
+		for r.victim.dq.Len() < 2*maxStealWant {
+			spawnWork(r.victim, stealRigCont, leaf)
+		}
+		for cl, ok := r.thief.popNext(); ok; cl, ok = r.thief.popNext() {
+			r.thief.closures.Put(cl)
+		}
+		clear(r.victim.records)
+	}
+	refill()
+	b.ReportAllocs()
+	b.ResetTimer()
+	moved := 0
+	for i := 0; i < b.N; i++ {
+		if err := r.thief.sendTo(0, wire.StealRequest{Thief: 1, Want: maxStealWant}); err != nil {
+			b.Fatal(err)
+		}
+		r.victim.handle(<-r.recvV) // grant: take, size, record, encode
+		r.thief.handle(<-r.recvT)  // adopt the batch, one confirm
+		r.victim.handle(<-r.recvV) // the ranged confirm
+		b.StopTimer()
+		moved += r.thief.dq.Len()
+		refill()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(moved)/float64(b.N), "closures/op")
 }
 
 // BenchmarkFabricStealRTT measures the steal round trip between two live

@@ -123,6 +123,15 @@ func (d *Deque[T]) PeekTail() (v T, ok bool) {
 	return d.buf[(d.head+d.n-1)&(len(d.buf)-1)], true
 }
 
+// At returns the element i places from the head (0 is the head, Len()-1
+// the tail) without removing it. i must be in [0, Len()).
+func (d *Deque[T]) At(i int) T {
+	if i < 0 || i >= d.n {
+		panic("deque: index out of range")
+	}
+	return d.buf[(d.head+i)&(len(d.buf)-1)]
+}
+
 // Drain removes and returns all elements in head-to-tail order, leaving the
 // deque empty. Used when a worker migrates its work before termination.
 func (d *Deque[T]) Drain() []T {

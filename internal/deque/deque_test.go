@@ -203,3 +203,24 @@ func TestPeek(t *testing.T) {
 		t.Fatal("peek mutated the deque")
 	}
 }
+
+// At indexes from the head across a wrapped ring, and agrees with Snapshot.
+func TestAt(t *testing.T) {
+	var d Deque[int]
+	for i := 0; i < 20; i++ {
+		d.PushTail(i)
+	}
+	for i := 0; i < 12; i++ {
+		d.PopHead()
+		d.PushTail(20 + i) // wraps the ring
+	}
+	snap := d.Snapshot()
+	for i := range snap {
+		if got := d.At(i); got != snap[i] {
+			t.Fatalf("At(%d) = %d, want %d", i, got, snap[i])
+		}
+	}
+	if d.Len() != 20 {
+		t.Fatal("At mutated the deque")
+	}
+}

@@ -368,6 +368,8 @@ func (fr *FrameReader) Next() (*Envelope, error) {
 
 // ---- Append-style writers -------------------------------------------------
 
+func appendU16(b []byte, v uint16) []byte { return append(b, byte(v>>8), byte(v)) }
+
 func appendU32(b []byte, v uint32) []byte {
 	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
@@ -476,9 +478,15 @@ func appendValues(b []byte, vs []types.Value) ([]byte, error) {
 	return b, nil
 }
 
-// appendClosure writes the one closure layout (view.go reads it in place):
-// the fixed fields, then Fn, Ckpt and the byte-length-prefixed Args.
-func appendClosure(b []byte, c *Closure) ([]byte, error) {
+// minClosureLen is the smallest encoded closure: the fixed fields, an empty
+// Fn, an absent Ckpt and a nil Args list.
+const minClosureLen = clFixed + 4 + 1 + 4 + 1
+
+// AppendClosure writes the one closure layout (view.go reads it in place):
+// the fixed fields, then Fn, Ckpt and the byte-length-prefixed Args. It is
+// exported because it is also what a victim sizes a steal batch by: the
+// bytes one closure adds to a StealReply.
+func AppendClosure(b []byte, c *Closure) ([]byte, error) {
 	b = appendTaskID(b, c.ID)
 	b = appendI32(b, c.Missing)
 	b = appendCont(b, c.Cont)
@@ -542,7 +550,7 @@ func appendTasks(b []byte, cs []Closure, rs []Record) ([]byte, error) {
 	b = appendLen(b, len(cs), cs == nil)
 	var err error
 	for i := range cs {
-		if b, err = appendClosure(b, &cs[i]); err != nil {
+		if b, err = AppendClosure(b, &cs[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -551,7 +559,7 @@ func appendTasks(b []byte, cs []Closure, rs []Record) ([]byte, error) {
 		r := &rs[i]
 		b = appendTaskID(b, r.ID)
 		b = appendCont(b, r.RealCont)
-		if b, err = appendClosure(b, &r.Task); err != nil {
+		if b, err = AppendClosure(b, &r.Task); err != nil {
 			return nil, err
 		}
 		b = appendI32(b, int32(r.Thief))
@@ -729,15 +737,22 @@ func appendPayload(b []byte, p any) ([]byte, error) {
 	case *View:
 		return append(b, x.body...), nil
 	case StealRequest:
-		return appendI32(b, int32(x.Thief)), nil
+		return appendU16(appendI32(b, int32(x.Thief)), x.Want), nil
 	case StealReply:
 		b = appendBool(b, x.OK)
-		if closureIsZero(&x.Task) {
-			return append(b, 0), nil
+		if closureIsZero(&x.Task) && len(x.More) == 0 {
+			return appendU16(b, 0), nil
 		}
-		return appendClosure(append(b, 1), &x.Task)
+		if len(x.More) >= math.MaxUint16 {
+			return nil, fmt.Errorf("wire: steal reply of %d closures", 1+len(x.More))
+		}
+		b, err := AppendClosure(appendU16(b, uint16(1+len(x.More))), &x.Task)
+		for i := 0; i < len(x.More) && err == nil; i++ {
+			b, err = AppendClosure(b, &x.More[i])
+		}
+		return b, err
 	case StealConfirm:
-		return appendTaskID(b, x.Record), nil
+		return appendU16(appendTaskID(b, x.Record), x.N), nil
 	case Arg:
 		b = appendCont(b, x.Cont)
 		b = appendBool(b, x.Crossed)
@@ -915,6 +930,14 @@ func (r *reader) u8() byte {
 		return 0
 	}
 	return s[0]
+}
+
+func (r *reader) u16() uint16 {
+	s := r.take(2)
+	if s == nil {
+		return 0
+	}
+	return binary.BigEndian.Uint16(s)
 }
 
 func (r *reader) u32() uint32 {
@@ -1254,15 +1277,26 @@ func readBody(tag byte, body []byte) (any, error) {
 func readPayload(r *reader, tag byte) any {
 	switch tag {
 	case tStealRequest:
-		return StealRequest{Thief: r.worker()}
+		return StealRequest{Thief: r.worker(), Want: r.u16()}
 	case tStealReply:
 		m := StealReply{OK: r.bool()}
-		if r.bool() {
+		n := int(r.u16())
+		if n > 0 {
 			m.Task = r.closure()
+		}
+		if n > 1 {
+			if n-1 > r.rem()/minClosureLen {
+				r.fail()
+				return m
+			}
+			m.More = make([]Closure, n-1)
+			for i := range m.More {
+				m.More[i] = r.closure()
+			}
 		}
 		return m
 	case tStealConfirm:
-		return StealConfirm{Record: r.taskID()}
+		return StealConfirm{Record: r.taskID(), N: r.u16()}
 	case tArg:
 		return Arg{Cont: r.cont(), Crossed: r.bool(), TC: r.tc(), Val: r.sizedValue()}
 	case tHeartbeat:

@@ -1,16 +1,19 @@
 // Zero-copy read-in-place views.
 //
 // The messages a worker reads field by field on the steal path —
-// StealRequest, StealReply (and the Closure it carries), StealConfirm, Arg
+// StealRequest, StealReply (and the closures it carries), StealConfirm, Arg
 // and Ack — can be left in the receive buffer instead of materialized into
 // structs. Their bodies are the positional layout of codec.go, the one
 // every message has; because the fixed-size fields come first, an accessor
 // reads each at a fixed offset, and the variable fields after them are
 // reached by hopping their length prefixes:
 //
-//	Closure  ID | Missing | Cont | NoSteal | CkptSeq | TC   (54 fixed bytes)
-//	         Fn (u32 length + bytes) | Ckpt (blob) | Args (u32 byte length + value list)
-//	Arg      Cont | Crossed u8 | TC | u32 byte length + value
+//	Closure       ID | Missing | Cont | NoSteal | CkptSeq | TC   (54 fixed bytes)
+//	              Fn (u32 length + bytes) | Ckpt (blob) | Args (u32 byte length + value list)
+//	StealRequest  Thief i32 | Want u16
+//	StealReply    OK u8 | n u16 | n closures, back to back
+//	StealConfirm  first Record | n u16
+//	Arg           Cont | Crossed u8 | TC | u32 byte length + value
 //
 // DecodeView validates a view body once — fixed offsets, length hops and
 // an exact-consumption check — without parsing a value; ArgView.Val and
@@ -63,14 +66,14 @@ func checkView(tag byte, body []byte) error {
 	r := reader{b: body}
 	switch tag {
 	case tStealRequest:
-		r.take(4)
+		r.take(6)
 	case tStealReply:
 		r.bool()
-		if r.bool() {
+		for n := r.u16(); n > 0 && r.err == nil; n-- {
 			r.skipClosure()
 		}
 	case tStealConfirm:
-		r.take(12)
+		r.take(14)
 	case tArg:
 		r.take(argCrossed)
 		r.bool()
@@ -254,6 +257,9 @@ func (s StealRequestView) Thief() types.WorkerID {
 	return types.WorkerID(int32(binary.BigEndian.Uint32(s.b)))
 }
 
+// Want is how many closures the thief asked for.
+func (s StealRequestView) Want() uint16 { return binary.BigEndian.Uint16(s.b[4:]) }
+
 // StealReplyView reads a StealReply in place.
 type StealReplyView struct{ b []byte }
 
@@ -270,14 +276,39 @@ func (s StealReplyView) OK() bool { return s.b[0] != 0 }
 
 // noTask is the encoding of the zero Closure: a reply without a task reads
 // as one.
-var noTask, _ = appendClosure(nil, &Closure{})
+var noTask, _ = AppendClosure(nil, &Closure{})
 
-// Task is the stolen closure (the zero closure when the steal failed).
+// N is the number of closures the reply carries.
+func (s StealReplyView) N() int { return int(binary.BigEndian.Uint16(s.b[1:])) }
+
+// Task is the first (oldest) stolen closure, the zero closure when the
+// reply carries none.
 func (s StealReplyView) Task() ClosureView {
-	if s.b[1] == 0 {
+	if s.N() == 0 {
 		return ClosureView{noTask}
 	}
-	return ClosureView{s.b[2:]}
+	return ClosureView{s.b[3:]}
+}
+
+// Tasks walks every closure the reply carries, oldest first.
+func (s StealReplyView) Tasks() ClosureIter { return ClosureIter{s.b[3:], s.N()} }
+
+// ClosureIter hops the closures of a batch in place, one length-prefixed
+// hop per closure; DecodeView validated every hop.
+type ClosureIter struct {
+	b []byte
+	n int
+}
+
+// Next returns the next closure, ok false after the last.
+func (it *ClosureIter) Next() (c ClosureView, ok bool) {
+	if it.n == 0 {
+		return ClosureView{noTask}, false
+	}
+	r := reader{b: it.b}
+	r.skipClosure()
+	c, it.b, it.n = ClosureView{it.b[:r.off]}, it.b[r.off:], it.n-1
+	return c, true
 }
 
 // ClosureView reads a wire Closure in place.
@@ -352,8 +383,11 @@ func (v *View) AsStealConfirm() (StealConfirmView, bool) {
 	return StealConfirmView{v.body}, true
 }
 
-// Record is the confirmed steal record's id.
+// Record is the first confirmed steal record's id.
 func (s StealConfirmView) Record() types.TaskID { return decTaskID(s.b) }
+
+// N is how many consecutive records the confirm names.
+func (s StealConfirmView) N() uint16 { return binary.BigEndian.Uint16(s.b[12:]) }
 
 // ArgView reads an Arg in place.
 type ArgView struct{ b []byte }

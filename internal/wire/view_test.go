@@ -77,8 +77,8 @@ func checkAccessors(t *testing.T, v *View, payload any) {
 	switch m := payload.(type) {
 	case StealRequest:
 		sr, ok := v.AsStealRequest()
-		if !ok || sr.Thief() != m.Thief {
-			t.Errorf("StealRequest view: Thief = %v, want %v", sr.Thief(), m.Thief)
+		if !ok || sr.Thief() != m.Thief || sr.Want() != m.Want {
+			t.Errorf("StealRequest view: (%v, %d), want (%v, %d)", sr.Thief(), sr.Want(), m.Thief, m.Want)
 		}
 	case StealReply:
 		rp, ok := v.AsStealReply()
@@ -86,10 +86,25 @@ func checkAccessors(t *testing.T, v *View, payload any) {
 			t.Errorf("StealReply view: OK mismatch")
 		}
 		checkClosureView(t, rp.Task(), m.Task)
+		want := append([]Closure{m.Task}, m.More...)
+		if rp.N() == 0 {
+			want = nil
+		}
+		it := rp.Tasks()
+		for i, c := range want {
+			cv, ok := it.Next()
+			if !ok {
+				t.Fatalf("StealReply view: %d closures, want %d", i, len(want))
+			}
+			checkClosureView(t, cv, c)
+		}
+		if _, ok := it.Next(); ok || rp.N() != len(want) {
+			t.Errorf("StealReply view: N %d, and more closures than the %d decoded", rp.N(), len(want))
+		}
 	case StealConfirm:
 		sc, ok := v.AsStealConfirm()
-		if !ok || sc.Record() != m.Record {
-			t.Errorf("StealConfirm view: Record mismatch")
+		if !ok || sc.Record() != m.Record || sc.N() != m.N {
+			t.Errorf("StealConfirm view: (%v, %d), want (%v, %d)", sc.Record(), sc.N(), m.Record, m.N)
 		}
 	case Arg:
 		a, ok := v.AsArg()
@@ -231,19 +246,28 @@ func TestViewCorruptFrames(t *testing.T) {
 // content must surface as errors or zero values, never panics.
 func exerciseView(v *View) {
 	if sr, ok := v.AsStealRequest(); ok {
-		_ = sr.Thief()
+		_, _ = sr.Thief(), sr.Want()
 	}
 	if rp, ok := v.AsStealReply(); ok {
-		_ = rp.OK()
-		cv := rp.Task()
-		_, _ = cv.ID(), cv.Fn()
-		_, _ = cv.AppendArgs(nil)
-		_, _ = cv.Missing(), cv.Cont()
-		_, _ = cv.Ckpt()
-		_, _, _ = cv.NoSteal(), cv.CkptSeq(), cv.TC()
+		_, _ = rp.OK(), rp.N()
+		views := []ClosureView{rp.Task()}
+		for it := rp.Tasks(); ; {
+			cv, ok := it.Next()
+			if !ok {
+				break
+			}
+			views = append(views, cv)
+		}
+		for _, cv := range views {
+			_, _ = cv.ID(), cv.Fn()
+			_, _ = cv.AppendArgs(nil)
+			_, _ = cv.Missing(), cv.Cont()
+			_, _ = cv.Ckpt()
+			_, _, _ = cv.NoSteal(), cv.CkptSeq(), cv.TC()
+		}
 	}
 	if sc, ok := v.AsStealConfirm(); ok {
-		_ = sc.Record()
+		_, _ = sc.Record(), sc.N()
 	}
 	if a, ok := v.AsArg(); ok {
 		_, _ = a.Val()
@@ -334,6 +358,9 @@ func TestViewPayloadName(t *testing.T) {
 // re-encode fails the run; so does a payload that differs from Decode's
 // when both accept the frame, a frame Decode accepts and DecodeView
 // refuses, and a view that materializes where Decode found a bad value.
+// The seeds are every message of everyPayload, a three-closure StealReply
+// and a ranged StealConfirm among them, so the closure hop of a batch is
+// fuzzed against Decode's closure list from the first run.
 func FuzzDecodeView(f *testing.F) {
 	for _, p := range everyPayload() {
 		frame, err := Encode(&Envelope{Job: 1, From: 2, To: 3, Seq: 4, Payload: p})
@@ -394,9 +421,9 @@ func stealSequence() []*Envelope {
 		Cont: types.Continuation{Task: types.TaskID{Worker: 3, Seq: 9}},
 	}
 	return []*Envelope{
-		{Job: 1, From: 3, To: 2, Seq: 1, Payload: StealRequest{Thief: 3}},
+		{Job: 1, From: 3, To: 2, Seq: 1, Payload: StealRequest{Thief: 3, Want: 1}},
 		{Job: 1, From: 2, To: 3, Seq: 1, Payload: StealReply{OK: true, Task: leaf}},
-		{Job: 1, From: 3, To: 2, Seq: 2, Payload: StealConfirm{Record: leaf.ID}},
+		{Job: 1, From: 3, To: 2, Seq: 2, Payload: StealConfirm{Record: leaf.ID, N: 1}},
 		{Job: 1, From: 3, To: 2, Seq: 3, Payload: Arg{Cont: types.Continuation{Task: leaf.ID}, Val: int64(8)}},
 	}
 }
@@ -429,17 +456,17 @@ func TestStealSequenceAllocs(t *testing.T) {
 				t.Fatalf("%s decoded as %T, not a view", env.PayloadName(), dec.Payload)
 			}
 			if sr, ok := v.AsStealRequest(); ok {
-				_ = sr.Thief()
+				_, _ = sr.Thief(), sr.Want()
 			} else if rp, ok := v.AsStealReply(); ok {
 				cl := rp.Task()
-				_, _, _, _ = rp.OK(), cl.ID(), cl.Fn(), cl.Cont()
+				_, _, _, _, _ = rp.OK(), rp.N(), cl.ID(), cl.Fn(), cl.Cont()
 				_, _, _, _ = cl.Missing(), cl.NoSteal(), cl.CkptSeq(), cl.TC()
 				_, _ = cl.Ckpt()
 				if scratch, err = cl.AppendArgs(scratch[:0]); err != nil {
 					t.Fatal(err)
 				}
 			} else if sc, ok := v.AsStealConfirm(); ok {
-				_ = sc.Record()
+				_, _ = sc.Record(), sc.N()
 			} else if av, ok := v.AsArg(); ok {
 				if _, err := av.Val(); err != nil {
 					t.Fatal(err)

@@ -193,22 +193,33 @@ type Record struct {
 
 // ---- Micro-level (intra-job) payloads ----
 
-// StealRequest asks the destination worker (the victim) for the task at
-// the tail of its ready deque.
-// Deliberately a bare worker id: keeping the payload a single small
-// scalar lets the decoder's interface boxing stay allocation-free, and
-// the steal trace context travels in the reply's Closure.TC instead (the
-// victim's grant span is keyed by the steal record, not by this frame).
+// StealRequest asks the destination worker (the victim) for the tasks at
+// the tail of its ready deque. Want is how many closures the thief would
+// take in one reply (zero reads as one); the victim may give fewer.
+// Deliberately a worker id and a count, no trace context: the steal trace
+// context travels in the reply's Closure.TC instead (the victim's grant
+// span is keyed by the steal record, not by this frame).
 type StealRequest struct {
 	Thief types.WorkerID
+	Want  uint16
 }
 
 // StealReply answers a StealRequest. OK is false when the victim's deque
-// was empty (a failed steal attempt).
+// was empty (a failed steal attempt). A granted batch is Task followed by
+// More, oldest first: the order the closures left the victim's steal end.
+// Each closure's continuation targets its own steal record, and the
+// records' ids are consecutive (see StealConfirm).
 type StealReply struct {
 	OK   bool
 	Task Closure
+	More []Closure
 }
+
+// MaxStealBatchBytes bounds the closures one StealReply carries: half a UDP
+// datagram, which leaves the rest for the frames the reply shares a
+// datagram with. A victim stops adding closures to a batch at this budget;
+// the first closure goes whatever its size.
+const MaxStealBatchBytes = 32 << 10
 
 // Arg delivers a value into argument slot Cont.Slot of task Cont.Task — a
 // synchronization. When it crosses workers it is a non-local
@@ -274,12 +285,14 @@ type Unregister struct {
 	MigratedTo types.WorkerID
 }
 
-// StealConfirm tells a victim that the thief received the stolen task, so
-// the victim's steal record is backed by a live copy. A record whose thief
-// departs before confirming is redone locally — the reply was lost in
-// flight.
+// StealConfirm tells a victim that the thief received a stolen batch, so
+// the victim's steal records are backed by live copies. It names N records
+// minted back to back: Record and the N-1 ids that follow it on the same
+// worker. A record whose thief departs before confirming is redone locally
+// — the reply was lost in flight.
 type StealConfirm struct {
 	Record types.TaskID
+	N      uint16
 }
 
 // LeaveReason says why a worker left; the macro scheduler reacts

@@ -35,13 +35,13 @@ func everyPayload() []any {
 	rec := Record{ID: types.TaskID{Worker: 3, Seq: 18}, RealCont: cl.Cont, Task: cl, Thief: 7, Confirmed: true,
 		OutstandingNS: 2_500_000_000}
 	return []any{
-		StealRequest{Thief: 7},
+		StealRequest{Thief: 7, Want: 16},
 		StealRequest{Thief: types.NoWorker},
 		StealReply{OK: true, Task: cl},
 		StealReply{OK: true, Task: traced},
-		StealReply{OK: true, Task: partial},
+		StealReply{OK: true, Task: partial, More: []Closure{traced, ckpted}},
 		StealReply{},
-		StealConfirm{Record: types.TaskID{Worker: 2, Seq: 9}},
+		StealConfirm{Record: types.TaskID{Worker: 2, Seq: 9}, N: 3},
 		Arg{Cont: cl.Cont, Val: int64(42), Crossed: true},
 		Arg{Cont: cl.Cont, Val: int64(7), TC: tc},
 		Arg{Cont: cl.Cont, Val: []types.Value{int64(1), []types.Value{"nested", nil}}},

@@ -201,6 +201,9 @@ func TestTraceRecordsStealProtocol(t *testing.T) {
 	if adopts != res.Totals.TasksStolen {
 		t.Errorf("trace shows %d adoptions, counters say %d steals", adopts, res.Totals.TasksStolen)
 	}
+	// A batched grant records one EvStealGrant per closure (per steal
+	// record), as it records one adoption per closure: every adoption still
+	// has its grant, and a grant whose reply was lost has none.
 	if grants < adopts {
 		t.Errorf("grants (%d) < adoptions (%d)", grants, adopts)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"phish"
 	"phish/internal/apps/fib"
+	"phish/internal/apps/knary"
 	"phish/internal/apps/pfold"
 	"phish/internal/wire"
 )
@@ -15,18 +16,26 @@ import (
 // span is lost, every executed task has an exec span, the reconstructed
 // DAG's T1 and T∞ obey T∞ ≤ T1 ≤ P·makespan and makespan ≥ T∞ (an
 // in-process fabric has no clock skew), and at least one steal leg was
-// recorded on a job that must steal to spread work. Two applications: fib's
-// empty bodies and pfold's checkpointing leaves.
+// recorded on a job that must steal to spread work. Three applications:
+// fib's empty bodies, pfold's checkpointing leaves, and a flat knary tree
+// of short leaves, whose thief takes leaves in batches — every closure of a
+// batch must resolve in the DAG through its own steal record.
 func TestSpanTraceEndToEnd(t *testing.T) {
-	const workers = 4
+	// batched reports that some steal reply carried more than one closure:
+	// more closures moved than requests granted.
+	batched := func(tot phish.Snapshot) bool {
+		return tot.TasksStolen > tot.StealAttempts-tot.FailedSteals
+	}
 	for _, tc := range []struct {
-		name  string
-		prog  *phish.Program
-		root  string
-		args  []phish.Value
-		check func(t *testing.T, res *phish.LocalResult, d *phish.TraceDAG)
+		name    string
+		workers int
+		batch   bool // retry until a reply carried a batch
+		prog    *phish.Program
+		root    string
+		args    []phish.Value
+		check   func(t *testing.T, res *phish.LocalResult, d *phish.TraceDAG)
 	}{
-		{"fib(22)", fib.Program(), fib.Root, fib.RootArgs(22), func(t *testing.T, res *phish.LocalResult, d *phish.TraceDAG) {
+		{"fib(22)", 4, false, fib.Program(), fib.Root, fib.RootArgs(22), func(t *testing.T, res *phish.LocalResult, d *phish.TraceDAG) {
 			if got, want := res.Value.(int64), fib.Serial(22); got != want {
 				t.Fatalf("fib(22) = %d, want %d", got, want)
 			}
@@ -34,7 +43,7 @@ func TestSpanTraceEndToEnd(t *testing.T) {
 				t.Errorf("DAG tasks = %d, want %d (one exec span per executed task)", d.Tasks, want)
 			}
 		}},
-		{"pfold(15, 6)", pfold.Program(), pfold.Root, pfold.RootArgs(15, 6), func(t *testing.T, res *phish.LocalResult, d *phish.TraceDAG) {
+		{"pfold(15, 6)", 4, false, pfold.Program(), pfold.Root, pfold.RootArgs(15, 6), func(t *testing.T, res *phish.LocalResult, d *phish.TraceDAG) {
 			if got, want := res.Value.([]int64), pfold.Serial(15); !reflect.DeepEqual(got, want) {
 				t.Fatalf("pfold(15) = %v, want %v", got, want)
 			}
@@ -44,6 +53,18 @@ func TestSpanTraceEndToEnd(t *testing.T) {
 			if tot := res.Totals; int64(d.Tasks) != tot.TasksExecuted-tot.CkptResumes {
 				t.Errorf("DAG tasks = %d, counters say %d executed, %d of them resumed",
 					d.Tasks, tot.TasksExecuted, tot.CkptResumes)
+			}
+		}},
+		{"knary(1, 2000) flat", 2, true, knary.Program(), knary.Root, knary.RootArgs(1, 2000, 2000), func(t *testing.T, res *phish.LocalResult, d *phish.TraceDAG) {
+			if got, want := res.Value.(int64), knary.Nodes(1, 2000); got != want {
+				t.Fatalf("knary(1, 2000) = %d, want %d", got, want)
+			}
+			if !batched(res.Totals) {
+				t.Errorf("no steal reply carried more than one closure: %d stolen by %d requests, %d failed",
+					res.Totals.TasksStolen, res.Totals.StealAttempts, res.Totals.FailedSteals)
+			}
+			if int64(d.Tasks) != res.Totals.TasksExecuted {
+				t.Errorf("DAG tasks = %d, counters say %d executed", d.Tasks, res.Totals.TasksExecuted)
 			}
 		}},
 	} {
@@ -61,7 +82,7 @@ func TestSpanTraceEndToEnd(t *testing.T) {
 			var err error
 			for attempt := 0; attempt < 5; attempt++ {
 				res, err = phish.RunLocal(tc.prog, tc.root, tc.args, phish.LocalOptions{
-					Workers:     workers,
+					Workers:     tc.workers,
 					Config:      cfg,
 					SpanTrace:   true,
 					UpdateEvery: 2 * time.Millisecond,
@@ -69,7 +90,7 @@ func TestSpanTraceEndToEnd(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.Totals.TasksStolen > 0 {
+				if res.Totals.TasksStolen > 0 && (!tc.batch || batched(res.Totals)) {
 					break
 				}
 			}
@@ -87,8 +108,8 @@ func TestSpanTraceEndToEnd(t *testing.T) {
 			if d.TInf > d.T1 {
 				t.Errorf("Tinf %v > T1 %v", d.TInf, d.T1)
 			}
-			if d.T1 > time.Duration(workers)*d.Makespan {
-				t.Errorf("T1 %v exceeds P * makespan %v: timeline incoherent", d.T1, time.Duration(workers)*d.Makespan)
+			if d.T1 > time.Duration(tc.workers)*d.Makespan {
+				t.Errorf("T1 %v exceeds P * makespan %v: timeline incoherent", d.T1, time.Duration(tc.workers)*d.Makespan)
 			}
 			if d.Makespan < d.TInf {
 				t.Errorf("makespan %v below the critical path %v", d.Makespan, d.TInf)
