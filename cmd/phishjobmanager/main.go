@@ -46,7 +46,7 @@ func main() {
 	simIdle := flag.Duration("sim-idle", 2*time.Minute, "sim policy: mean idle period")
 	workerBin := flag.String("worker-bin", "", "path to the phishworker binary (default: next to this binary)")
 	busyPoll := flag.Duration("busy-poll", 5*time.Minute, "idleness re-check while the owner is active (paper: 5m)")
-	idleRetry := flag.Duration("idle-retry", 30*time.Second, "job-request retry while the pool is empty (paper: 30s)")
+	idleRetry := flag.Duration("idle-retry", 30*time.Second, "longest a job request is held while the pool is empty (paper: 30s retry)")
 	workPoll := flag.Duration("work-poll", 2*time.Second, "owner-return check while a worker runs (paper: 2s)")
 	metricsAddr := flag.String("metrics", "", "serve /metrics and /healthz on this HTTP address (off when empty)")
 	flag.Parse()
@@ -74,7 +74,7 @@ func main() {
 	cfg.BusyPoll = *busyPoll
 	cfg.IdleRetry = *idleRetry
 	cfg.WorkPoll = *workPoll
-	mgr := jobmanager.New(types.WorkstationID(*ws), policy, jobSource{cli},
+	mgr := jobmanager.New(types.WorkstationID(*ws), policy, cli,
 		&execRunner{bin: bin}, cfg)
 
 	fmt.Printf("phishjobmanager: workstation %d, policy %s, jobq %s\n", *ws, *policyName, *jobqAddr)
@@ -138,12 +138,8 @@ func loadAvg(time.Time) float64 {
 	return v
 }
 
-// jobSource adapts the jobq client.
-type jobSource struct{ cli *jobq.Client }
-
-func (s jobSource) Request(ws types.WorkstationID) (wire.JobSpec, bool, error) {
-	return s.cli.Request(ws)
-}
+// The jobq client holds each job request at the PhishJobQ.
+var _ jobmanager.HoldingSource = (*jobq.Client)(nil)
 
 // execRunner starts phishworker processes.
 type execRunner struct{ bin string }

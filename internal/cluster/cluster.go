@@ -13,6 +13,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -73,8 +74,9 @@ type Cluster struct {
 
 	mu       sync.Mutex
 	pool     *jobq.Pool
-	poolPath string // non-empty when the pool is durable
-	poolDown bool   // StopJobQ was called; requests fail until restart
+	poolPath string        // non-empty when the pool is durable
+	poolDown bool          // StopJobQ was called; requests fail until restart
+	outage   chan struct{} // closed by StopJobQ: wakes held requests
 	jobs     map[types.JobID]*Job
 	stations []*Workstation
 	closed   bool
@@ -130,10 +132,11 @@ func New(opts Options) *Cluster {
 		opts.JM.Clock = opts.Clock
 	}
 	c := &Cluster{
-		opts: opts,
-		clk:  opts.Clock,
-		pool: jobq.NewPool(),
-		jobs: make(map[types.JobID]*Job),
+		opts:   opts,
+		clk:    opts.Clock,
+		pool:   jobq.NewPool(),
+		outage: make(chan struct{}),
+		jobs:   make(map[types.JobID]*Job),
 	}
 	if opts.StateDir != "" {
 		c.poolPath = filepath.Join(opts.StateDir, "jobq.wal")
@@ -157,12 +160,15 @@ func (c *Cluster) Pool() *jobq.Pool {
 }
 
 // StopJobQ simulates a PhishJobQ process crash: job requests start
-// failing (JobManagers count them as SourceErrors and keep polling on
-// their ordinary cadence) and the durable pool's log is closed, as a dead
-// process's would be.
+// failing, held ones included (JobManagers count them as SourceErrors and
+// keep polling on their ordinary cadence), and the durable pool's log is
+// closed, as a dead process's would be.
 func (c *Cluster) StopJobQ() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if !c.poolDown {
+		close(c.outage)
+	}
 	c.poolDown = true
 	_ = c.pool.CloseStore()
 }
@@ -180,6 +186,9 @@ func (c *Cluster) RestartJobQ() error {
 			return err
 		}
 		c.pool = pool
+	}
+	if c.poolDown {
+		c.outage = make(chan struct{})
 	}
 	c.poolDown = false
 	return nil
@@ -515,20 +524,59 @@ func (j *Job) WorkerDone(id types.WorkerID) <-chan struct{} {
 	return j.wdone[id]
 }
 
-// poolSource adapts the in-process pool to the manager's JobSource. It
+// poolSource adapts the in-process pool to the manager's HoldingSource. It
 // goes through the cluster on every request so it tracks pool swaps
 // (RestartJobQ) and surfaces an error while the PhishJobQ is down — the
-// managers treat that as "busy, poll later".
+// managers treat that as "busy, poll later". A request held when StopJobQ
+// is called fails the same way.
 type poolSource struct{ c *Cluster }
+
+var _ jobmanager.HoldingSource = poolSource{}
+
+var errJobQDown = errors.New("cluster: jobq is down")
 
 func (s poolSource) Request(types.WorkstationID) (wire.JobSpec, bool, error) {
 	s.c.mu.Lock()
 	pool, down := s.c.pool, s.c.poolDown
 	s.c.mu.Unlock()
 	if down {
-		return wire.JobSpec{}, false, fmt.Errorf("cluster: jobq is down")
+		return wire.JobSpec{}, false, errJobQDown
 	}
 	spec, ok := pool.Request()
+	return spec, ok, nil
+}
+
+// Await holds the request on the current pool for hold on the cluster's
+// clock.
+func (s poolSource) Await(_ types.WorkstationID, skip types.JobID, hold time.Duration, cancel <-chan struct{}) (wire.JobSpec, bool, error) {
+	s.c.mu.Lock()
+	pool, down, outage := s.c.pool, s.c.poolDown, s.c.outage
+	s.c.mu.Unlock()
+	if down {
+		return wire.JobSpec{}, false, errJobQDown
+	}
+	// The pool wakes on one cancel channel; merge the manager's and the
+	// outage's for the length of the request.
+	done := make(chan struct{})
+	defer close(done)
+	stop := make(chan struct{})
+	go func() {
+		select {
+		case <-cancel:
+		case <-outage:
+		case <-done:
+			return
+		}
+		close(stop)
+	}()
+	spec, ok := pool.Await(skip, s.c.clk.After(hold), stop)
+	if !ok {
+		select {
+		case <-outage:
+			return wire.JobSpec{}, false, errJobQDown
+		default:
+		}
+	}
 	return spec, ok, nil
 }
 

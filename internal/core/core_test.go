@@ -107,7 +107,21 @@ func (r *rig) addWorker(id types.WorkerID) *core.Worker {
 	return w
 }
 
+// totals sums the workers' counters once every worker has returned from
+// Run, waiting at most 10 s: a worker folds its last counts on its way out,
+// which can be after the root result has landed.
 func (r *rig) totals() stats.Snapshot {
+	r.t.Helper()
+	exited := make(chan struct{})
+	go func() {
+		r.wg.Wait()
+		close(exited)
+	}()
+	select {
+	case <-exited:
+	case <-time.After(10 * time.Second):
+		r.t.Log("workers still running; their counts may be short")
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var snaps []stats.Snapshot

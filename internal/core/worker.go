@@ -327,7 +327,9 @@ func (w *Worker) foldCounters() {
 }
 
 // Stats snapshots the worker's counters, including its execution time
-// (time in Run so far, frozen at exit).
+// (time in Run so far, frozen at exit). The task counts are folded in on
+// housekeeping passes, so while the worker runs they may lag; they are
+// exact once Run has returned.
 func (w *Worker) Stats() stats.Snapshot {
 	s := w.counters.Snapshot()
 	s.Worker = int(w.id)

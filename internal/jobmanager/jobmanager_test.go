@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"phish/internal/clock"
+	"phish/internal/jobq"
 	"phish/internal/types"
 	"phish/internal/wire"
 )
@@ -343,5 +344,99 @@ func TestLoadThresholdPolicy(t *testing.T) {
 	load = 0.1
 	if !p.Idle(time.Now()) {
 		t.Error("low load should be idle")
+	}
+}
+
+// A plain poll is not skipped for a job id the manager has never finished,
+// 0 included.
+func TestJobIDZeroStartsOnFirstPoll(t *testing.T) {
+	clk := clock.NewFake()
+	src := &fakeSource{armed: true, spec: wire.JobSpec{ID: 0}}
+	run := &fakeRunner{}
+	sw := &idleSwitch{}
+	sw.idle.Store(true)
+	m := New(1, sw, src, run, testConfig(clk))
+	go m.Run()
+	defer m.Stop()
+	waitFor(t, "worker start", func() bool { return run.count() == 1 })
+	if n := src.requests(); n != 1 {
+		t.Errorf("%d requests before the start, want 1", n)
+	}
+}
+
+// heldPool is a HoldingSource over a real pool, holding on the test clock.
+type heldPool struct {
+	pool *jobq.Pool
+	clk  clock.Clock
+	asks atomic.Int64
+}
+
+func (s *heldPool) Request(types.WorkstationID) (wire.JobSpec, bool, error) {
+	panic("a holding source is not polled")
+}
+
+func (s *heldPool) Await(_ types.WorkstationID, skip types.JobID, hold time.Duration, cancel <-chan struct{}) (wire.JobSpec, bool, error) {
+	s.asks.Add(1)
+	spec, ok := s.pool.Await(skip, s.clk.After(hold), cancel)
+	return spec, ok, nil
+}
+
+func startHeld(t *testing.T) (*Manager, *heldPool, *fakeRunner, *clock.Fake) {
+	t.Helper()
+	clk := clock.NewFake()
+	src := &heldPool{pool: jobq.NewPool(), clk: clk}
+	run := &fakeRunner{}
+	sw := &idleSwitch{}
+	sw.idle.Store(true)
+	m := New(1, sw, src, run, testConfig(clk))
+	go m.Run()
+	t.Cleanup(m.Stop)
+	waitFor(t, "first hold", func() bool { return clk.Waiters() == 1 })
+	return m, src, run, clk
+}
+
+// A held request starts a submitted job without the clock moving. After a
+// job-done leave the request skips that job until it is retired, and the
+// next job submitted starts at once.
+func TestHeldRequestStartsJobAtSubmit(t *testing.T) {
+	_, src, run, _ := startHeld(t)
+	first := src.pool.Submit(wire.JobSpec{Name: "first"})
+	waitFor(t, "worker 1", func() bool { return run.count() == 1 })
+	run.last().finish(wire.LeaveJobDone)
+	waitFor(t, "the hold after the job", func() bool { return src.asks.Load() == 2 })
+	time.Sleep(2 * time.Millisecond)
+	src.pool.Done(first)
+	time.Sleep(2 * time.Millisecond)
+	if run.count() != 1 {
+		t.Fatal("the finished job was started again")
+	}
+	src.pool.Submit(wire.JobSpec{Name: "second"})
+	waitFor(t, "worker 2", func() bool { return run.count() == 2 })
+}
+
+// Stop ends a held request at once.
+func TestStopDuringHold(t *testing.T) {
+	m, _, _, _ := startHeld(t)
+	t0 := time.Now()
+	m.Stop()
+	if d := time.Since(t0); d > 100*time.Millisecond {
+		t.Errorf("Stop took %v with a request held", d)
+	}
+}
+
+// An empty pool is asked once per IdleRetry, as the paper's poll asks it.
+func TestHeldEmptyPoolAskedOncePerIdleRetry(t *testing.T) {
+	m, src, run, clk := startHeld(t)
+	for i := int64(1); i <= 4; i++ {
+		clk.Advance(30*time.Second - time.Millisecond)
+		time.Sleep(2 * time.Millisecond)
+		if n := src.asks.Load(); n != i {
+			t.Fatalf("%d requests before the hold ran out, want %d", n, i)
+		}
+		clk.Advance(time.Millisecond)
+		waitFor(t, "the next hold", func() bool { return src.asks.Load() == i+1 && clk.Waiters() == 1 })
+	}
+	if st := m.Stats(); st.EmptyPolls.Load() != 4 || run.count() != 0 {
+		t.Errorf("empty polls %d, workers %d; want 4 and 0", st.EmptyPolls.Load(), run.count())
 	}
 }

@@ -8,11 +8,16 @@
 // Pool is the pure scheduling logic; Server/Client wrap it in a
 // frame-per-request RPC over TCP for the distributed binaries. The
 // simulated cluster calls Pool directly.
+//
+// The paper's workstation polls an empty pool every 30 seconds. Here a
+// request may instead be held (Await): it is answered the moment a job
+// arrives, and the paper's poll is what is left when the hold runs out.
 package jobq
 
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"phish/internal/types"
 	"phish/internal/wire"
@@ -61,11 +66,14 @@ type Pool struct {
 	next   int
 	nextID types.JobID
 	store  *store // disk backing; nil for in-memory pools (see store.go)
+	// changed is closed, and replaced, by every Submit and Done: the
+	// wake-up of every request held in Await.
+	changed chan struct{}
 }
 
 // NewPool returns an empty round-robin pool.
 func NewPool() *Pool {
-	return &Pool{nextID: 1, grants: make(map[types.JobID]int64)}
+	return &Pool{nextID: 1, grants: make(map[types.JobID]int64), changed: make(chan struct{})}
 }
 
 // NewPoolWithPolicy returns an empty pool using the given policy.
@@ -98,7 +106,14 @@ func (p *Pool) Submit(spec wire.JobSpec) types.JobID {
 	p.nextID++
 	p.jobs = append(p.jobs, spec)
 	p.appendLocked(&storeRecord{Kind: sSubmit, Spec: spec, NextID: p.nextID})
+	p.changeLocked()
 	return spec.ID
+}
+
+// changeLocked wakes every held request.
+func (p *Pool) changeLocked() {
+	close(p.changed)
+	p.changed = make(chan struct{})
 }
 
 // Done removes a finished job from the pool. Unknown ids are ignored
@@ -114,6 +129,7 @@ func (p *Pool) Done(id types.JobID) {
 				p.next--
 			}
 			p.appendLocked(&storeRecord{Kind: sDone, ID: id})
+			p.changeLocked()
 			return
 		}
 	}
@@ -122,38 +138,81 @@ func (p *Pool) Done(id types.JobID) {
 // Request hands out the next job per the pool's policy. ok is false when
 // the pool is empty (the workstation will retry, every 30 seconds in the
 // paper).
-func (p *Pool) Request() (spec wire.JobSpec, ok bool) {
+func (p *Pool) Request() (spec wire.JobSpec, ok bool) { return p.take(0) }
+
+// Await is Request held open. It hands out the next job other than skip
+// (the job the workstation's last worker finished, which its submitter
+// may not have retired yet; pool ids start at 1, so 0 skips nothing) the
+// moment there is one: at once, or when a Submit or Done changes the pool.
+// ok is false when hold fires or cancel closes first.
+func (p *Pool) Await(skip types.JobID, hold <-chan time.Time, cancel <-chan struct{}) (spec wire.JobSpec, ok bool) {
+	for {
+		p.mu.Lock()
+		spec, ok = p.takeLocked(skip)
+		changed := p.changed
+		p.mu.Unlock()
+		if ok {
+			return spec, true
+		}
+		select {
+		case <-changed:
+		case <-hold:
+			return wire.JobSpec{}, false
+		case <-cancel:
+			return wire.JobSpec{}, false
+		}
+	}
+}
+
+func (p *Pool) take(skip types.JobID) (wire.JobSpec, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.jobs) == 0 {
-		return wire.JobSpec{}, false
-	}
-	idx := 0
+	return p.takeLocked(skip)
+}
+
+// takeLocked picks the next job other than skip per the policy and counts
+// the grant.
+func (p *Pool) takeLocked(skip types.JobID) (spec wire.JobSpec, ok bool) {
+	idx := -1
 	switch p.policy {
 	case RoundRobin:
-		if p.next >= len(p.jobs) {
-			p.next = 0
+		for range p.jobs {
+			if p.next >= len(p.jobs) {
+				p.next = 0
+			}
+			i := p.next
+			p.next++
+			if p.jobs[i].ID != skip {
+				idx = i
+				break
+			}
 		}
-		idx = p.next
-		p.next++
-	case FirstComeFirstServed:
-		idx = 0
-	case PriorityFirst:
+	default:
 		for i, j := range p.jobs {
-			if j.Priority > p.jobs[idx].Priority {
+			if j.ID != skip && (idx < 0 || p.beforeLocked(j, p.jobs[idx])) {
 				idx = i
 			}
 		}
-	case LeastServed:
-		for i, j := range p.jobs {
-			if p.grants[j.ID] < p.grants[p.jobs[idx].ID] {
-				idx = i
-			}
-		}
+	}
+	if idx < 0 {
+		return wire.JobSpec{}, false
 	}
 	spec = p.jobs[idx]
 	p.grants[spec.ID]++
 	return spec, true
+}
+
+// beforeLocked reports whether a is handed out before b, which precedes
+// it in the pool, under every policy but RoundRobin.
+func (p *Pool) beforeLocked(a, b wire.JobSpec) bool {
+	switch p.policy {
+	case PriorityFirst:
+		return a.Priority > b.Priority
+	case LeastServed:
+		return p.grants[a.ID] < p.grants[b.ID]
+	default: // FirstComeFirstServed
+		return false
+	}
 }
 
 // List returns a copy of the pool contents.

@@ -1,6 +1,7 @@
 package jobq
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -28,12 +29,15 @@ type ServerStats struct {
 // Server exposes a Pool over TCP: one length-prefixed request envelope in,
 // one reply envelope out, connection kept open for further requests. The
 // traffic is deliberately sparse — in the paper a workstation talks to the
-// PhishJobQ at most once every 30 seconds.
+// PhishJobQ at most once every 30 seconds. A held JobRequest parks its
+// connection's goroutine on the pool (Pool.Await) until a job is there,
+// its Hold runs out, or Close.
 type Server struct {
-	pool  *Pool
-	ln    net.Listener
-	wg    sync.WaitGroup
-	stats ServerStats
+	pool    *Pool
+	ln      net.Listener
+	wg      sync.WaitGroup
+	stats   ServerStats
+	closing chan struct{} // closed by Close: wakes held requests
 
 	mu     sync.Mutex
 	closed bool
@@ -49,7 +53,7 @@ func NewServer(pool *Pool, addr string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("jobq: listen %q: %w", addr, err)
 	}
-	s := &Server{pool: pool, ln: ln, conns: make(map[net.Conn]struct{})}
+	s := &Server{pool: pool, ln: ln, closing: make(chan struct{}), conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -58,9 +62,12 @@ func NewServer(pool *Pool, addr string) (*Server, error) {
 // Addr returns the server's listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close stops the server and its connections.
+// Close stops the server and its connections, held requests included.
 func (s *Server) Close() error {
 	s.mu.Lock()
+	if !s.closed {
+		close(s.closing)
+	}
 	s.closed = true
 	for c := range s.conns {
 		_ = c.Close()
@@ -117,7 +124,7 @@ func (s *Server) dispatch(env *wire.Envelope) *wire.Envelope {
 	switch p := env.Payload.(type) {
 	case wire.JobRequest:
 		s.stats.Requests.Add(1)
-		spec, ok := s.pool.Request()
+		spec, ok := s.request(p)
 		if ok {
 			s.stats.Grants.Add(1)
 		}
@@ -139,9 +146,21 @@ func (s *Server) dispatch(env *wire.Envelope) *wire.Envelope {
 	return &wire.Envelope{Payload: payload}
 }
 
+// request answers a JobRequest: at once for a poll, when the pool has a
+// job other than r.Skip or the hold runs out for a held one.
+func (s *Server) request(r wire.JobRequest) (wire.JobSpec, bool) {
+	if r.Hold <= 0 {
+		return s.pool.take(r.Skip)
+	}
+	hold := time.NewTimer(r.Hold)
+	defer hold.Stop()
+	return s.pool.Await(r.Skip, hold.C, s.closing)
+}
+
 // ClientConfig tunes a Client's patience. The zero value means defaults.
 type ClientConfig struct {
 	// Timeout bounds each dial and each request round trip (default 5 s).
+	// A held request (Await) gets its hold on top.
 	Timeout time.Duration
 	// Retries is how many attempts one call makes before giving up
 	// (default 4). Each attempt redials if the connection went stale.
@@ -197,7 +216,14 @@ func (c *Client) Close() error {
 	return nil
 }
 
-func (c *Client) call(payload any) (*wire.Envelope, error) {
+// errCancelled ends a held request whose cancel closed.
+var errCancelled = errors.New("jobq: request cancelled")
+
+// call sends one request and reads its reply. The server may hold the
+// request up to hold, so the round trip's deadline is Timeout+hold; closing
+// cancel (nil: never) closes the connection and ends the call without a
+// retry.
+func (c *Client) call(payload any, hold time.Duration, cancel <-chan struct{}) (*wire.Envelope, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var lastErr error
@@ -205,7 +231,11 @@ func (c *Client) call(payload any) (*wire.Envelope, error) {
 	for attempt := 0; attempt < c.cfg.Retries; attempt++ {
 		if attempt > 0 {
 			// Jittered exponential backoff between attempts.
-			time.Sleep(time.Duration(float64(wait) * (0.75 + 0.5*rand.Float64())))
+			select {
+			case <-time.After(time.Duration(float64(wait) * (0.75 + 0.5*rand.Float64()))):
+			case <-cancel:
+				return nil, errCancelled
+			}
 			if wait < 16*c.cfg.RetryBase {
 				wait *= 2
 			}
@@ -219,27 +249,63 @@ func (c *Client) call(payload any) (*wire.Envelope, error) {
 			c.conn = conn
 			c.fr = wire.NewFrameReader(conn)
 		}
-		_ = c.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
+		_ = c.conn.SetDeadline(time.Now().Add(c.cfg.Timeout + hold))
+		unwatch := closeOnCancel(c.conn, cancel)
+		var reply *wire.Envelope
 		err := wire.WriteFrame(c.conn, &wire.Envelope{Payload: payload})
 		if err == nil {
-			var reply *wire.Envelope
 			reply, err = c.fr.Next()
-			if err == nil {
-				_ = c.conn.SetDeadline(time.Time{})
-				return reply, nil
-			}
+		}
+		if unwatch() && err == nil {
+			_ = c.conn.SetDeadline(time.Time{})
+			return reply, nil
 		}
 		// Stale connection; retry on a fresh one.
 		lastErr = err
 		_ = c.conn.Close()
 		c.conn, c.fr = nil, nil
+		select {
+		case <-cancel:
+			return nil, errCancelled
+		default:
+		}
 	}
 	return nil, fmt.Errorf("jobq: request failed after %d attempts: %w", c.cfg.Retries, lastErr)
 }
 
+// closeOnCancel closes conn if cancel closes before the returned unwatch is
+// called; unwatch reports whether conn is still open.
+func closeOnCancel(conn net.Conn, cancel <-chan struct{}) (unwatch func() bool) {
+	if cancel == nil {
+		return func() bool { return true }
+	}
+	done := make(chan struct{})
+	open := make(chan bool, 1)
+	go func() {
+		select {
+		case <-cancel:
+			_ = conn.Close()
+			open <- false
+		case <-done:
+			open <- true
+		}
+	}()
+	return func() bool {
+		close(done)
+		return <-open
+	}
+}
+
 // Request asks for a job assignment.
 func (c *Client) Request(ws types.WorkstationID) (wire.JobSpec, bool, error) {
-	reply, err := c.call(wire.JobRequest{Workstation: ws})
+	return c.Await(ws, 0, 0, nil)
+}
+
+// Await is Request held at the server: it asks for a job other than skip
+// and waits up to hold for one to be submitted (see Pool.Await). ok is
+// false when the hold ran out; closing cancel ends the wait with an error.
+func (c *Client) Await(ws types.WorkstationID, skip types.JobID, hold time.Duration, cancel <-chan struct{}) (wire.JobSpec, bool, error) {
+	reply, err := c.call(wire.JobRequest{Workstation: ws, Skip: skip, Hold: hold}, hold, cancel)
 	if err != nil {
 		return wire.JobSpec{}, false, err
 	}
@@ -252,7 +318,7 @@ func (c *Client) Request(ws types.WorkstationID) (wire.JobSpec, bool, error) {
 
 // Submit places a job in the pool and returns its id.
 func (c *Client) Submit(spec wire.JobSpec) (types.JobID, error) {
-	reply, err := c.call(wire.JobSubmit{Job: spec})
+	reply, err := c.call(wire.JobSubmit{Job: spec}, 0, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -265,13 +331,13 @@ func (c *Client) Submit(spec wire.JobSpec) (types.JobID, error) {
 
 // Done removes a finished job.
 func (c *Client) Done(id types.JobID) error {
-	_, err := c.call(wire.JobDone{ID: id})
+	_, err := c.call(wire.JobDone{ID: id}, 0, nil)
 	return err
 }
 
 // List returns the pool contents.
 func (c *Client) List() ([]wire.JobSpec, error) {
-	reply, err := c.call(wire.JobList{})
+	reply, err := c.call(wire.JobList{}, 0, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -40,6 +40,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"time"
 
 	"phish/internal/types"
 )
@@ -841,7 +842,7 @@ func appendPayload(b []byte, p any) ([]byte, error) {
 	case Resume:
 		return appendU64(b, x.Seq), nil
 	case JobRequest:
-		return appendI32(b, int32(x.Workstation)), nil
+		return appendI64(appendI64(appendI32(b, int32(x.Workstation)), int64(x.Skip)), int64(x.Hold)), nil
 	case JobReply:
 		return appendJobSpec(appendBool(b, x.OK), x.Job)
 	case JobSubmit:
@@ -1344,7 +1345,7 @@ func readPayload(r *reader, tag byte) any {
 	case tResume:
 		return Resume{Seq: r.u64()}
 	case tJobRequest:
-		return JobRequest{Workstation: types.WorkstationID(r.i32())}
+		return JobRequest{Workstation: types.WorkstationID(r.i32()), Skip: types.JobID(r.i64()), Hold: time.Duration(r.i64())}
 	case tJobReply:
 		return JobReply{OK: r.bool(), Job: r.jobSpec()}
 	case tJobSubmit:

@@ -16,6 +16,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"strconv"
+	"time"
 
 	"phish/internal/types"
 )
@@ -565,9 +566,15 @@ type JobSpec struct {
 	Priority int32
 }
 
-// JobRequest is an idle workstation's plea for work.
+// JobRequest is an idle workstation's plea for work. Hold > 0 asks the
+// PhishJobQ to hold the request that long while the pool has no job other
+// than Skip, and to answer the moment one is submitted; Hold 0 is the
+// paper's poll, answered at once. Skip is the job the workstation's last
+// worker finished (0: none).
 type JobRequest struct {
 	Workstation types.WorkstationID
+	Skip        types.JobID
+	Hold        time.Duration
 }
 
 // JobReply answers JobRequest. OK is false when the job pool is empty.

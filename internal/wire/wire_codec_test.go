@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"phish/internal/types"
 )
@@ -87,7 +88,7 @@ func everyPayload() []any {
 		SnapshotReply{Seq: 14, Worker: 3, Closures: []Closure{cl}, Records: []Record{rec}},
 		SnapshotReply{Seq: 15, Worker: 4},
 		Resume{Seq: 16},
-		JobRequest{Workstation: 11},
+		JobRequest{Workstation: 11, Skip: 6, Hold: 30 * time.Second},
 		JobReply{OK: true, Job: JobSpec{ID: 2, Name: "n", Program: "p", RootFn: "r",
 			RootArgs: []types.Value{int64(1)}, CHAddr: "x", Priority: 7}},
 		JobReply{},
