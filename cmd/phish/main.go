@@ -13,6 +13,14 @@
 //
 //	phish ray default 320 240        # trace the default scene locally
 //	phish -jobq :7070 pfold 18       # fold and let the network pile on
+//	phish -workers 0 -ch-addr :7171 -journal job.jnl pfold 21
+//	                                 # a standalone clearinghouse
+//
+// With -workers 0 the process is the job's clearinghouse alone, waiting for
+// workers to register. With -journal it logs the clearinghouse's
+// control-plane state to the named file; the same command run again after
+// a crash finds the file and resumes the job from it, and surviving workers
+// re-register on their own.
 package main
 
 import (
@@ -42,14 +50,17 @@ import (
 func main() {
 	jobqAddr := flag.String("jobq", "", "PhishJobQ address to submit the job to (empty = run purely locally)")
 	chAddr := flag.String("ch-addr", ":0", "UDP address for the clearinghouse")
-	workers := flag.Int("workers", 1, "local workers to start immediately")
+	jobFlag := flag.Int64("job", 0, "job id (0 = derive one from the clock)")
+	workers := flag.Int("workers", 1, "local workers to start immediately (0 = run the clearinghouse alone)")
 	out := flag.String("out", "", "write a ray image result to this PPM file")
 	timeout := flag.Duration("timeout", 0, "give up after this long (0 = wait forever)")
 	stats := flag.Bool("stats", false, "print per-worker scheduling statistics at the end")
+	journal := flag.String("journal", "", "journal the clearinghouse's state to this file for crash recovery (an existing file resumes its job)")
+	update := flag.Duration("update", 15*time.Second, "membership update push interval; workers are declared dead after twice this without a heartbeat")
 	ckptFile := flag.String("checkpoint", "", "periodically checkpoint the job to this file")
 	ckptEvery := flag.Duration("checkpoint-every", 30*time.Second, "checkpoint interval")
 	restore := flag.String("restore", "", "resume the job from this checkpoint file instead of starting fresh")
-	metricsAddr := flag.String("metrics", "", "serve the job's telemetry rollup at /metrics and /cluster.json on this HTTP address (off when empty)")
+	metricsAddr := flag.String("metrics", "", "serve the job's telemetry rollup at /metrics and /cluster.json, and /healthz and /debug/trace, on this HTTP address (off when empty)")
 	phi := flag.Float64("phi", 8, "phi-accrual crash threshold (8 ~= 1-1e-8 confidence; 0 falls back to the fixed heartbeat timeout for everyone)")
 	drainAfter := flag.Duration("drain-after", 0, "order a planned drain for a worker graded suspect continuously this long (0 disables)")
 	top := flag.String("top", "", "phishtop: poll a clearinghouse telemetry URL (e.g. http://host:9090) and render a live cluster table instead of running a job")
@@ -73,88 +84,122 @@ func main() {
 		return
 	}
 
+	// The job comes from the journal of an interrupted run, else from a
+	// checkpoint, else from the command line.
+	var rec *clearinghouse.RecoveredJob
 	var cp *clearinghouse.JobCheckpoint
-	if *restore != "" {
+	var spec wire.JobSpec
+	switch {
+	case *journal != "" && fileExists(*journal):
+		var err error
+		if rec, err = clearinghouse.ReplayJournal(*journal); err != nil {
+			log.Fatalf("phish: replay %s: %v", *journal, err)
+		}
+		spec = rec.Spec
+	case *restore != "":
 		f, err := os.Open(*restore)
 		if err != nil {
 			log.Fatalf("phish: %v", err)
 		}
-		var rerr error
-		cp, rerr = clearinghouse.ReadCheckpoint(f)
+		cp, err = clearinghouse.ReadCheckpoint(f)
 		f.Close()
-		if rerr != nil {
-			log.Fatalf("phish: %v", rerr)
+		if err != nil {
+			log.Fatalf("phish: %v", err)
 		}
-	} else if flag.NArg() < 1 {
+		spec = cp.Spec
+	case flag.NArg() < 1:
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	var app apps.App
-	var rootArgs []types.Value
-	var err error
-	if cp != nil {
-		app, err = apps.Lookup(cp.Spec.Program)
-		if err != nil {
-			log.Fatalf("phish: checkpointed program: %v", err)
-		}
-	} else {
-		app, err = apps.Lookup(flag.Arg(0))
+	default:
+		app, err := apps.Lookup(flag.Arg(0))
 		if err != nil {
 			log.Fatalf("phish: %v", err)
 		}
-		rootArgs, err = app.ParseArgs(flag.Args()[1:])
+		rootArgs, err := app.ParseArgs(flag.Args()[1:])
 		if err != nil {
 			log.Fatalf("phish: %v", err)
 		}
+		spec = wire.JobSpec{Name: app.Name, Program: app.Name, RootFn: app.Root, RootArgs: rootArgs}
+		spec.ID = types.JobID(*jobFlag)
+		if spec.ID == 0 {
+			spec.ID = types.JobID(time.Now().UnixNano()&0x7fffffff | 1)
+		}
 	}
+	app, err := apps.Lookup(spec.Program)
+	if err != nil {
+		log.Fatalf("phish: %v", err)
+	}
+	jobID := spec.ID
 
 	// Start the clearinghouse on this workstation.
-	jobID := types.JobID(time.Now().UnixNano()&0x7fffffff | 1)
-	if cp != nil {
-		jobID = cp.Spec.ID
-	}
 	chConn, err := phishnet.ListenUDP(jobID, types.ClearinghouseID, *chAddr)
 	if err != nil {
 		log.Fatalf("phish: %v", err)
 	}
-	spec := wire.JobSpec{
-		ID:       jobID,
-		Name:     app.Name,
-		Program:  app.Name,
-		RootFn:   app.Root,
-		RootArgs: rootArgs,
-		CHAddr:   chConn.LocalAddr(),
-	}
+	// Closing flushes what the clearinghouse sent last, the job's Shutdown
+	// among it, before the process exits.
+	defer chConn.Close()
+	spec.CHAddr = chConn.LocalAddr()
 	chCfg := clearinghouse.DefaultConfig()
-	chCfg.UpdateEvery = 15 * time.Second
-	chCfg.HeartbeatTimeout = 30 * time.Second
+	chCfg.UpdateEvery = *update
+	chCfg.HeartbeatTimeout = 2 * *update
 	chCfg.PhiThreshold = *phi
 	chCfg.SuspectDrainAfter = *drainAfter
 	if *metricsAddr != "" {
 		chCfg.Metrics = telemetry.NewMetrics()
+		chCfg.Trace = trace.NewBuffer(4096)
+	}
+	if *journal != "" {
+		jnl, err := clearinghouse.OpenJournal(*journal)
+		if err != nil {
+			log.Fatalf("phish: %v", err)
+		}
+		defer jnl.Close()
+		chCfg.Journal = jnl
 	}
 	var ch *clearinghouse.Clearinghouse
-	if cp != nil {
-		cp.Spec.CHAddr = chConn.LocalAddr()
-		spec = cp.Spec
+	// Local workers take ids clear of every id a checkpoint bundle or a
+	// journaled member may carry, so none of them is mistaken for an
+	// earlier incarnation.
+	idBase := 0
+	switch {
+	case rec != nil:
+		rec.Spec = spec
+		ch = clearinghouse.NewFromRecovery(rec, chConn, chCfg)
+		idBase = 1 << 30
+		for _, m := range rec.Members {
+			if int(m.Info.Worker) >= idBase {
+				idBase = int(m.Info.Worker) + 1
+			}
+		}
+		fmt.Printf("phish: recovered job %d (%s) from %s — %d member(s) journaled\n",
+			spec.ID, spec.Name, *journal, len(rec.Members))
+	case cp != nil:
+		cp.Spec = spec
 		ch = clearinghouse.NewFromCheckpoint(cp, chConn, chCfg)
+		idBase = 1 << 30
 		fmt.Printf("phish: resuming job %d (%s) from %s (%d state bundles)\n",
 			spec.ID, spec.Name, *restore, len(cp.States))
-	} else {
+	default:
 		ch = clearinghouse.New(spec, chConn, chCfg)
+	}
+	if *metricsAddr != "" {
+		chConn.Instrument(ch.Counters(), chCfg.Metrics, chCfg.Trace)
 	}
 	go ch.Run()
 	defer ch.Stop()
 
 	if *metricsAddr != "" {
-		srv, err := telemetry.NewServer(*metricsAddr)
+		srv, err := telemetry.Serve(*metricsAddr, nil, chCfg.Trace)
 		if err != nil {
 			log.Fatalf("phish: %v", err)
 		}
 		defer srv.Close()
+		// Process-level health rides next to the cluster rollup: build
+		// identity, goroutines, heap, GC pauses, and trace-ring loss.
 		preg := telemetry.NewRegistry()
 		telemetry.RegisterRuntime(preg)
+		telemetry.RegisterTraceRing(preg, chCfg.Trace)
 		srv.Handle("/metrics", telemetry.ClusterMetricsWithProcessHandler(ch.ClusterSnapshot, preg))
 		srv.Handle("/cluster.json", telemetry.ClusterJSONHandler(ch.ClusterSnapshot))
 		fmt.Printf("phish: telemetry on http://%s/metrics (watch live: phish -top http://%s)\n",
@@ -216,22 +261,17 @@ func main() {
 		log.Fatalf("phish: %v", err)
 	}
 	cfg := core.DefaultConfig()
-	cfg.HeartbeatEvery = 5 * time.Second
+	// Six heartbeats to a heartbeat timeout.
+	cfg.HeartbeatEvery = *update / 3
 	cfg.StealTimeout = time.Second
 	cfg.StealBackoff = 5 * time.Millisecond
-	if *metricsAddr != "" {
+	if *metricsAddr != "" && cfg.HeartbeatEvery > 2*time.Second {
 		// Faster piggybacked reports so phishtop tracks the local workers
 		// closely; each worker gets its own histogram set.
 		cfg.HeartbeatEvery = 2 * time.Second
 	}
 	var wg sync.WaitGroup
 	locals := make([]*core.Worker, 0, *workers)
-	// Restored workers take ids clear of anything a previous incarnation
-	// could have used, so checkpoint bundles never collide with them.
-	idBase := 0
-	if cp != nil {
-		idBase = 1 << 30
-	}
 	for i := 0; i < *workers; i++ {
 		conn, err := phishnet.ListenUDP(jobID, types.WorkerID(idBase+i), ":0")
 		if err != nil {
@@ -279,7 +319,7 @@ func main() {
 	}
 
 	if img, ok := v.([]byte); ok && *out != "" {
-		w, h := rayDims(rootArgs)
+		w, h := rayDims(spec.RootArgs)
 		f, err := os.Create(*out)
 		if err != nil {
 			log.Fatalf("phish: %v", err)
@@ -403,4 +443,9 @@ func rayDims(args []types.Value) (int, int) {
 		return int(w), int(h)
 	}
 	return 0, 0
+}
+
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }

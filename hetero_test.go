@@ -40,7 +40,7 @@ func TestSiteAwareStealsPreferHome(t *testing.T) {
 	// Average over a few runs: site-aware stealing should cross the cut
 	// for a smaller share of its steals than blind random stealing.
 	// (Random picks a remote victim with probability m/(n-1) every time;
-	// site-aware only after LocalStealTries consecutive local failures.)
+	// site-aware only after four consecutive local failures.)
 	measure := func(cfg phish.WorkerConfig) (remote, total int64) {
 		for i := 0; i < 3; i++ {
 			res, err := phish.RunLocal(fib.Program(), fib.Root, fib.RootArgs(24),

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"phish/internal/clearinghouse"
 )
 
 // Integration tests that build and drive the real binaries — PhishJobQ,
@@ -31,7 +33,7 @@ func buildBinaries(t *testing.T) string {
 		if buildErr != nil {
 			return
 		}
-		for _, cmd := range []string{"phish", "phishjobq", "phishjobmanager", "phishworker", "clearinghouse", "phishbench"} {
+		for _, cmd := range []string{"phish", "phishjobq", "phishjobmanager", "phishworker", "phishbench"} {
 			out, err := exec.Command("go", "build", "-o", filepath.Join(binDir, cmd), "./cmd/"+cmd).CombinedOutput()
 			if err != nil {
 				buildErr = fmt.Errorf("build %s: %v\n%s", cmd, err, out)
@@ -224,5 +226,84 @@ func TestBinariesCheckpointRestore(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "resuming job") {
 		t.Errorf("restore path not taken:\n%s", out)
+	}
+}
+
+// TestBinariesStandaloneClearinghouseRecovers runs the job's clearinghouse
+// alone (phish -workers 0) with a journal, feeds it one phishworker,
+// kills it mid-job and runs the same command again: the second process
+// resumes the job from the journal, the worker computes straight through
+// the outage, and the job ends with the exact answer.
+func TestBinariesStandaloneClearinghouseRecovers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test builds binaries; skipped with -short")
+	}
+	bin := buildBinaries(t)
+	jnl := filepath.Join(t.TempDir(), "job9.jnl")
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chAddr := pc.LocalAddr().String()
+	pc.Close()
+	args := []string{"-workers", "0", "-ch-addr", chAddr, "-job", "9", "-journal", jnl,
+		"-update", "500ms", "-timeout", "120s", "pfold", "19", "6"}
+
+	first := exec.Command(filepath.Join(bin, "phish"), args...)
+	var firstOut bytes.Buffer
+	first.Stdout, first.Stderr = &firstOut, &firstOut
+	if err := first.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		_ = first.Process.Kill()
+		_, _ = first.Process.Wait()
+	}()
+	worker := exec.Command(filepath.Join(bin, "phishworker"), "-ch", chAddr, "-job", "9",
+		"-program", "pfold", "-worker", "42", "-addr", "127.0.0.1:0", "-hb", "100ms")
+	var workerOut bytes.Buffer
+	worker.Stdout, worker.Stderr = &workerOut, &workerOut
+	if err := worker.Start(); err != nil {
+		t.Fatal(err)
+	}
+	workerDone := make(chan error, 1)
+	go func() { workerDone <- worker.Wait() }()
+	defer worker.Process.Kill() //nolint:errcheck // gone already when the test passes
+
+	// Pull the plug once the journal holds the worker's registration.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if rec, err := clearinghouse.ReplayJournal(jnl); err == nil && len(rec.Members) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			_ = first.Process.Kill()
+			_, _ = first.Process.Wait()
+			t.Fatalf("worker never registered; clearinghouse output:\n%s", firstOut.String())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	_ = first.Process.Kill()
+	_, _ = first.Process.Wait()
+
+	out, err := exec.Command(filepath.Join(bin, "phish"), args...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("restarted clearinghouse: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "recovered job 9") {
+		t.Errorf("recovery path not taken:\n%s", out)
+	}
+	if !strings.Contains(string(out), "foldings = 124658732") {
+		t.Errorf("recovered job produced wrong output:\n%s", out)
+	}
+	select {
+	case <-workerDone:
+	case <-time.After(10 * time.Second):
+		_ = worker.Process.Kill()
+		<-workerDone
+		t.Fatalf("worker outlived the job:\n%s", workerOut.String())
+	}
+	if !strings.Contains(workerOut.String(), "left (job-done)") {
+		t.Errorf("worker did not leave on the job's end:\n%s", workerOut.String())
 	}
 }

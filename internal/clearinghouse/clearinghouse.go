@@ -6,18 +6,19 @@
 // parallelism shrinks, and holds the redundant state needed to restart a
 // job whose root lineage is lost to a crash.
 //
-// Worker-keyed state (membership, heartbeat liveness, per-worker stat
-// telemetry) lives in one table behind one mutex (see shardstore).
-// Job-level state (result, output, root location, checkpoint bookkeeping)
-// stays behind c.mu. Every inbound message is handled on the Run
-// goroutine, the store's only writer, so the two layers compose without
-// writer-writer races. Lock order is always c.mu → store, never the
-// reverse.
+// All of a clearinghouse's state sits behind one mutex, c.mu: the job-level
+// state (result, output, root location, checkpoint bookkeeping) and the
+// worker-keyed tables (membership, heartbeat liveness and per-worker stat
+// telemetry in shardstore, the health grades, the span collector's
+// per-worker cursors), none of which has a lock of its own. Every inbound
+// message and every periodic sweep runs on the Run goroutine under one
+// acquisition of c.mu; the readers on other goroutines (rollups, span
+// export, debug dumps) take it too.
 package clearinghouse
 
 import (
 	"fmt"
-	"io"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -44,9 +45,10 @@ type Config struct {
 	// (explicit crash notifications still work). A worker that has never
 	// sent a single heartbeat is exempt from this timeout — a participant
 	// configured with heartbeats off must not be declared dead by a
-	// clearinghouse with them on — but see RegistrationGrace. With
-	// PhiThreshold > 0 this fixed timeout only governs members whose
-	// inter-arrival history is still cold.
+	// clearinghouse with them on — until its registration grace of 4×
+	// HeartbeatTimeout runs out: exempting it forever would leak its
+	// closures. With PhiThreshold > 0 this fixed timeout only governs
+	// members whose inter-arrival history is still cold.
 	HeartbeatTimeout time.Duration
 	// PhiThreshold enables the phi-accrual adaptive failure detector:
 	// a heartbeat-known worker with a warm inter-arrival history is
@@ -61,11 +63,6 @@ type Config struct {
 	// means HeartbeatTimeout (detection is then never more trigger-happy
 	// than the classic fixed timeout); negative means no allowance.
 	PhiSlack time.Duration
-	// RegistrationGrace bounds how long a registered worker may go
-	// without its first heartbeat before it is declared dead anyway (the
-	// old behavior exempted it forever, leaking its closures). Zero means
-	// 4× HeartbeatTimeout; negative restores the permanent exemption.
-	RegistrationGrace time.Duration
 	// SuspectDrainAfter orders a planned drain (the PR-5 migration path)
 	// for a worker that has stayed suspect continuously for this long:
 	// its deque and checkpoints move to a healthy peer in milliseconds
@@ -111,19 +108,6 @@ func (c *Config) phiSlack() time.Duration {
 	}
 }
 
-// registrationGrace resolves the never-heartbeated deadline; 0 means the
-// grace sweep is disabled.
-func (c *Config) registrationGrace() time.Duration {
-	switch {
-	case c.RegistrationGrace > 0:
-		return c.RegistrationGrace
-	case c.RegistrationGrace < 0:
-		return 0
-	default:
-		return 4 * c.HeartbeatTimeout
-	}
-}
-
 // reportTTL evicts stat-telemetry rows of departed or never-registered
 // workers once their last report is this old. It rides the heartbeat
 // sweep, so it runs only with HeartbeatTimeout > 0. Live members are never
@@ -139,54 +123,51 @@ type Clearinghouse struct {
 	cfg  Config
 	clk  clock.Clock
 
-	// store holds all worker-keyed state: membership rows, heartbeat
+	msgsSent atomic.Int64
+	msgsRecv atomic.Int64
+	synchs   atomic.Int64
+	// counters is the clearinghouse's own telemetry (journal records,
+	// transport retransmits, false evictions).
+	counters stats.Counters
+	// Crash-recovery journal (see journal.go); nil when not journaling.
+	journal *Journal
+
+	doneCh chan struct{}
+	stopCh chan struct{}
+	ranCh  chan struct{} // closed when Run exits
+
+	// mu guards every field below it.
+	mu sync.Mutex
+	// store holds the worker-keyed tables: membership rows, heartbeat
 	// liveness, membership epoch, and per-worker StatReport telemetry.
-	// Mutations happen only on the Run goroutine (plus construction-time
-	// recovery).
 	store *shardstore.Store
 	// spans collects piggybacked trace spans and aligns worker clocks
 	// (see spans.go).
 	spans *spanSink
+	// health grades live workers (phi band, exec-rate and steal-RTT EWMA
+	// tracks) into the suspect set; see health.go.
+	health healthState
+	// evicted remembers recently swept-dead workers: a heartbeat arriving
+	// from one is a detector false positive, counted once in
+	// counters.FalseEvictions. Entries expire on the sweep tick.
+	evicted map[types.WorkerID]time.Time
+	// lastCkptJournal paces per-worker checkpoint journaling: blobs arrive
+	// on every StatReport but hit the disk at most once per UpdateEvery per
+	// worker.
+	lastCkptJournal map[types.WorkerID]time.Time
 
-	mu       sync.Mutex
 	rootHost types.WorkerID
 	armRoot  bool // spawn the root at the next registration
 	done     bool
 	result   types.Value
 	output   strings.Builder
 	ioLines  int64
-	msgsSent atomic.Int64
-	msgsRecv atomic.Int64
-	synchs   atomic.Int64
 
 	// Checkpoint coordination (see checkpoint.go).
 	ckpt        *ckptState
 	ckptSeq     uint64
 	restore     []wire.SnapshotReply
 	restoreRoot types.WorkerID
-
-	// Crash-recovery journal (see journal.go); nil when not journaling.
-	journal *Journal
-	// lastCkptJournal paces per-worker checkpoint journaling (Run
-	// goroutine only): blobs arrive on every StatReport but hit the disk
-	// at most once per UpdateEvery per worker.
-	lastCkptJournal map[types.WorkerID]time.Time
-
-	// counters is the clearinghouse's own telemetry (journal records,
-	// transport retransmits, false evictions).
-	counters stats.Counters
-
-	// health grades live workers (phi band, exec-rate and steal-RTT EWMA
-	// tracks) into the suspect set; see health.go.
-	health healthState
-	// evicted remembers recently swept-dead workers (Run goroutine only):
-	// a heartbeat arriving from one is a detector false positive, counted
-	// once in counters.FalseEvictions. Entries expire on the sweep tick.
-	evicted map[types.WorkerID]time.Time
-
-	doneCh chan struct{}
-	stopCh chan struct{}
-	ranCh  chan struct{} // closed when Run exits
 }
 
 // New builds a clearinghouse for spec, speaking on conn (which must be
@@ -311,6 +292,8 @@ func (c *Clearinghouse) Output() string {
 
 // LiveWorkers returns the ids of currently participating workers.
 func (c *Clearinghouse) LiveWorkers() []types.WorkerID {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.store.LiveIDs()
 }
 
@@ -329,9 +312,7 @@ func (c *Clearinghouse) Messages() (sent, recv int64) {
 	return c.msgsSent.Load(), c.msgsRecv.Load()
 }
 
-// handle processes one envelope. Job-level state is guarded by c.mu;
-// store operations take the store's lock underneath it (lock order
-// c.mu → store).
+// handle processes one envelope under c.mu.
 func (c *Clearinghouse) handle(env *wire.Envelope) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -460,7 +441,7 @@ func (c *Clearinghouse) onRegister(p wire.Register) {
 		}
 	}
 	c.journalStateLocked()
-	c.broadcastUpdateLocked(types.NoWorker)
+	c.broadcastUpdateLocked()
 }
 
 func (c *Clearinghouse) onUnregister(p wire.Unregister) {
@@ -501,7 +482,7 @@ func (c *Clearinghouse) onUnregister(p wire.Unregister) {
 		}
 	}
 	c.journalStateLocked()
-	c.broadcastUpdateLocked(types.NoWorker)
+	c.broadcastUpdateLocked()
 }
 
 // crashLocked handles the definitive loss of a worker and its state.
@@ -522,7 +503,7 @@ func (c *Clearinghouse) crashLocked(dead types.WorkerID) {
 	c.conn.DropPeer(dead)
 	live := c.store.LiveIDs()
 	down := wire.WorkerDown{Worker: dead, Ckpts: ckpts}
-	if c.spans.seen() {
+	if c.spans.total > 0 {
 		// A traced job always traces its crash redos: the announcement's
 		// sampling flag is merged into the redone closures so the redo
 		// overhead shows up in the DAG analysis even under sampling.
@@ -531,7 +512,7 @@ func (c *Clearinghouse) crashLocked(dead types.WorkerID) {
 	for _, id := range live {
 		c.send(id, down)
 	}
-	c.broadcastUpdateLocked(types.NoWorker)
+	c.broadcastUpdateLocked()
 	if c.rootHost == dead && !c.done {
 		// The root lineage died. Respawn on any live worker, or arm the
 		// respawn for the next registrant.
@@ -621,9 +602,8 @@ func (c *Clearinghouse) pickBundleLocked(registrant types.WorkerID) int {
 	return fallback
 }
 
-// view assembles the membership view. Mutations only happen on the Run
-// goroutine, so the epoch and the member rows are mutually consistent
-// whenever a view is built.
+// view assembles the membership view. The caller holds c.mu, so the epoch
+// and the member rows are mutually consistent.
 func (c *Clearinghouse) view() wire.MembershipView {
 	v := wire.MembershipView{Epoch: c.store.Epoch()}
 	for _, m := range c.store.Members() {
@@ -636,29 +616,21 @@ func (c *Clearinghouse) view() wire.MembershipView {
 func (c *Clearinghouse) broadcastUpdate() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.broadcastUpdateLocked(types.NoWorker)
+	c.broadcastUpdateLocked()
 }
 
-// broadcastUpdateLocked pushes the view to all live members except skip
-// (a registrant that just got the same view in its RegisterReply).
-func (c *Clearinghouse) broadcastUpdateLocked(skip types.WorkerID) {
-	members := c.store.Members()
-	view := wire.MembershipView{Epoch: c.store.Epoch()}
-	for _, m := range members {
-		view.Members = append(view.Members, m.Info)
-	}
-	for _, m := range members {
-		if m.Departed || m.Info.Worker == skip {
-			continue
-		}
-		c.send(m.Info.Worker, wire.Update{View: view})
+// broadcastUpdateLocked is broadcastUpdate with c.mu held.
+func (c *Clearinghouse) broadcastUpdateLocked() {
+	view := c.view()
+	for _, id := range c.store.LiveIDs() {
+		c.send(id, wire.Update{View: view})
 	}
 }
 
 // maybeJournalCkpts journals a report's checkpoint blobs (latest set per
 // worker, unsynced — losing the tail to a crash only costs a slightly
 // older resume point). Rate-limited per worker so the journal grows with
-// membership churn, not with Yield frequency. Run goroutine only.
+// membership churn, not with Yield frequency.
 func (c *Clearinghouse) maybeJournalCkpts(rep *wire.StatReport) {
 	if c.journal == nil || len(rep.Ckpts) == 0 {
 		return
@@ -675,7 +647,11 @@ func (c *Clearinghouse) maybeJournalCkpts(rep *wire.StatReport) {
 	c.journal.append(&journalRecord{Kind: jCkpt, CkptWorker: rep.Worker, Ckpts: rep.Ckpts}, false)
 }
 
+// checkHeartbeats is the periodic liveness and health sweep, run under one
+// acquisition of c.mu.
 func (c *Clearinghouse) checkHeartbeats() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	now := c.clk.Now()
 	// Workers with a warm phi history are judged by the adaptive detector
 	// (when enabled); cold ones by the fixed timeout; workers that never
@@ -683,17 +659,12 @@ func (c *Clearinghouse) checkHeartbeats() {
 	// that never sent one usually means "not configured to heartbeat",
 	// not "dead", but not forever.
 	fallbackCutoff := now.Add(-c.cfg.HeartbeatTimeout)
-	var graceCutoff time.Time
-	if g := c.cfg.registrationGrace(); g > 0 {
-		graceCutoff = now.Add(-g)
-	}
+	graceCutoff := now.Add(-4 * c.cfg.HeartbeatTimeout)
 	for _, id := range c.store.SweepDead(c.cfg.PhiThreshold, now, fallbackCutoff, graceCutoff) {
 		// Remember the eviction: a heartbeat arriving from this id later
 		// proves the detector wrong and is counted as a false eviction.
 		c.evicted[id] = now
-		c.mu.Lock()
 		c.crashLocked(id)
-		c.mu.Unlock()
 	}
 	// Expire eviction memory: a worker silent for ages after its eviction
 	// really was dead, and the map must not grow with job churn.
@@ -710,8 +681,7 @@ func (c *Clearinghouse) checkHeartbeats() {
 
 // noteBeatFrom records detector feedback for an inbound heartbeat: one
 // arriving from a recently evicted id means the sweep declared a live
-// worker dead. Run goroutine only; the len guard keeps the hot path to
-// one map-length check.
+// worker dead. The len guard keeps the hot path to one map-length check.
 func (c *Clearinghouse) noteBeatFrom(id types.WorkerID) {
 	if len(c.evicted) == 0 {
 		return
@@ -744,44 +714,44 @@ func (c *Clearinghouse) Stats() stats.Snapshot {
 // ClusterSnapshot assembles the whole-job telemetry rollup from the latest
 // piggybacked worker reports: per-worker rows, Table 2-style totals (plus
 // the clearinghouse's own journal counter), and merged latency histograms
-// including the clearinghouse's WAL-append histogram. The assembly never
-// takes the job-level mutex.
+// including the clearinghouse's WAL-append histogram. The rows are read
+// under c.mu; the rollup is built outside it.
 func (c *Clearinghouse) ClusterSnapshot() telemetry.ClusterSnapshot {
+	c.mu.Lock()
 	now := c.clk.Now()
-	liveIDs := c.store.LiveIDs()
-	liveSet := make(map[types.WorkerID]bool, len(liveIDs))
-	for _, id := range liveIDs {
-		liveSet[id] = true
-	}
 	phiOf := make(map[types.WorkerID]int32)
 	for _, row := range c.store.Phis(now) {
 		if row.Warm {
 			phiOf[row.Worker] = int32(row.Phi * 1000)
 		}
 	}
-	suspects := c.suspectSnapshot()
 	reports := c.store.Reports()
 	rows := make([]telemetry.WorkerRow, 0, len(reports))
 	hists := make([][]wire.HistState, 0, len(reports)+1)
 	for _, r := range reports {
-		rows = append(rows, telemetry.WorkerRow{
+		row := telemetry.WorkerRow{
 			Worker:   int(r.Rep.Worker),
-			Live:     liveSet[r.Rep.Worker],
+			Live:     c.store.IsLive(r.Rep.Worker),
 			Deque:    r.Rep.Deque,
 			AgeMS:    now.Sub(r.At).Milliseconds(),
 			PhiMilli: phiOf[r.Rep.Worker],
-			Suspect:  suspects[r.Rep.Worker],
 			Stats:    stats.FromOrdered(r.Rep.Counters),
-		})
+		}
+		if e, ok := c.health.suspects[r.Rep.Worker]; ok {
+			row.Suspect = e.Reason
+		}
+		rows = append(rows, row)
 		hists = append(hists, r.Rep.Hists)
 	}
+	epoch, live := c.store.Epoch(), c.store.LiveCount()
+	c.mu.Unlock()
 	chStats := c.Stats()
 
 	// The clearinghouse's own histograms (WAL append) join the merge.
 	if states := c.cfg.Metrics.Export(); len(states) > 0 {
 		hists = append(hists, states)
 	}
-	cs := telemetry.BuildClusterSnapshot(int64(c.job), c.spec.Program, c.store.Epoch(), len(liveIDs), rows, hists)
+	cs := telemetry.BuildClusterSnapshot(int64(c.job), c.spec.Program, epoch, live, rows, hists)
 	cs.Totals.JournalRecords += chStats.JournalRecords
 	// False evictions are detected clearinghouse-side (a heartbeat from a
 	// swept-dead id), so they live in its own counters, not any report.
@@ -798,27 +768,26 @@ func (c *Clearinghouse) ClusterSnapshot() telemetry.ClusterSnapshot {
 // timestamps aligned onto the clearinghouse clock and sorted by start
 // time — the input to the DAG analysis (internal/trace.BuildDAG).
 func (c *Clearinghouse) Spans() []wire.Span {
-	return c.spans.aligned()
+	c.mu.Lock()
+	out := c.spans.aligned()
+	c.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	return out
 }
 
 // SpanStats reports how many spans the collector retained and dropped.
 func (c *Clearinghouse) SpanStats() (collected, dropped uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.spans.stats()
-}
-
-// WriteMetrics renders the cluster rollup as Prometheus text exposition —
-// what a clearinghouse's /metrics endpoint serves.
-func (c *Clearinghouse) WriteMetrics(w io.Writer) error {
-	return telemetry.WriteClusterProm(w, c.ClusterSnapshot())
 }
 
 // DebugMembers renders the membership table for post-mortem inspection.
 func (c *Clearinghouse) DebugMembers() string {
 	c.mu.Lock()
-	done, rootHost, armRoot := c.done, c.rootHost, c.armRoot
-	c.mu.Unlock()
+	defer c.mu.Unlock()
 	out := fmt.Sprintf("clearinghouse: done=%v rootHost=%d epoch=%d armRoot=%v\n",
-		done, rootHost, c.store.Epoch(), armRoot)
+		c.done, c.rootHost, c.store.Epoch(), c.armRoot)
 	for _, m := range c.store.Members() {
 		out += fmt.Sprintf("  member %d hostedBy=%d site=%d departed=%v\n",
 			m.Info.Worker, m.Info.HostedBy, m.Info.Site, m.Departed)

@@ -1,7 +1,9 @@
 package clearinghouse
 
 import (
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -229,8 +231,9 @@ func TestHeartbeatTimeoutDeclaresCrash(t *testing.T) {
 
 func TestRegistrationGraceEvictsNeverHeartbeated(t *testing.T) {
 	clk := clock.NewFake()
+	// The registration grace is 4× HeartbeatTimeout: 40 s.
 	cfg := Config{UpdateEvery: time.Hour, HeartbeatTimeout: 10 * time.Second,
-		PhiThreshold: 8, RegistrationGrace: 40 * time.Second, Clock: clk}
+		PhiThreshold: 8, Clock: clk}
 	h := newHarness(t, cfg)
 	w1 := h.attach(10) // heartbeats throughout and watches the broadcast
 	expect[wire.RegisterReply](t, w1, time.Second)
@@ -299,11 +302,114 @@ func TestIOBuffering(t *testing.T) {
 	h.send(w, 10, wire.IO{Worker: 10, Text: "hello"})
 	h.send(w, 10, wire.IO{Worker: 10, Text: "world\n"})
 	deadline := time.Now().Add(2 * time.Second)
-	for h.ch.Output() == "" && time.Now().Before(deadline) {
+	for !strings.Contains(h.ch.Output(), "world\n") && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	out := h.ch.Output()
 	if !strings.Contains(out, "hello\n") || !strings.Contains(out, "world\n") {
 		t.Errorf("output = %q", out)
+	}
+}
+
+// TestReadersShareTheJobLock drives a running clearinghouse through
+// registration, heartbeats, span-carrying StatReports, a clean leave, a
+// reported crash and a crash the heartbeat sweep declares, with the sweep
+// fired by a fake clock, while other goroutines read it through every
+// accessor that runs off the Run goroutine. Under -race it fails if any of
+// the worker-keyed tables is touched outside the job lock.
+func TestReadersShareTheJobLock(t *testing.T) {
+	clk := clock.NewFake()
+	cfg := DefaultConfig()
+	cfg.UpdateEvery = 5 * time.Second
+	cfg.HeartbeatTimeout = 10 * time.Second
+	cfg.Clock = clk
+	h := newHarness(t, cfg)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, read := range []func(){
+		func() { h.ch.ClusterSnapshot() },
+		func() { h.ch.LiveWorkers() },
+		func() { h.ch.Spans() },
+		func() { h.ch.SpanStats() },
+		func() { _ = h.ch.DebugMembers() },
+	} {
+		wg.Add(1)
+		go func(read func()) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					read()
+				}
+			}
+		}(read)
+	}
+
+	// Worker 1 stays for the whole test, heartbeating every sweep period,
+	// and hears every crash.
+	watcher := h.attach(1)
+	expect[wire.RegisterReply](t, watcher, time.Second)
+	sweep := func() {
+		t.Helper()
+		h.send(watcher, 1, wire.Heartbeat{Worker: 1, SendNS: time.Now().UnixNano()})
+		if !clk.BlockUntilWaiters(2, time.Second) {
+			t.Fatal("clearinghouse never armed its update and heartbeat timers")
+		}
+		clk.Advance(5 * time.Second) // fires the update push and the sweep
+	}
+	const rounds, perRound = 10, 3
+	swept := 0
+	for r := 0; r < rounds; r++ {
+		base := types.WorkerID(10 + perRound*r)
+		ids := []types.WorkerID{base, base + 1, base + 2}
+		var ports []*phishnet.Port
+		for _, id := range ids {
+			port := h.attach(id)
+			ports = append(ports, port)
+			expect[wire.RegisterReply](t, port, time.Second)
+			h.send(port, id, wire.Heartbeat{Worker: id, SendNS: time.Now().UnixNano()})
+			rep := spanReport(id, 1, 3)
+			rep.Counters, rep.Deque = []int64{int64(r + 1)}, 1
+			h.send(port, id, rep)
+		}
+		h.send(watcher, 1, wire.StatReport{Worker: 1, Counters: []int64{int64(r + 1)}})
+		sweep()
+		// The first leaves cleanly, the second reports its own crash, and
+		// the third falls silent until a later sweep declares it dead.
+		h.send(ports[0], ids[0], wire.Unregister{Worker: ids[0], Reason: wire.LeaveNoWork})
+		h.send(ports[1], ids[1], wire.Unregister{Worker: ids[1], Reason: wire.LeaveCrash})
+		for {
+			down := expect[wire.WorkerDown](t, watcher, 2*time.Second)
+			if down.Worker == ids[1] {
+				break
+			}
+			swept++
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); len(h.ch.LiveWorkers()) > 1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("live = %v, want [1] once the silent workers are swept", h.ch.LiveWorkers())
+		}
+		sweep()
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+
+	if swept == 0 {
+		t.Error("no crash was declared by the sweep while the readers ran")
+	}
+	if live := h.ch.LiveWorkers(); len(live) != 1 || live[0] != 1 {
+		t.Errorf("live = %v, want [1]", live)
+	}
+	spans := h.ch.Spans()
+	if collected, _ := h.ch.SpanStats(); collected != perRound*3*rounds || len(spans) != int(collected) {
+		t.Errorf("collected %d spans, Spans() returned %d, want %d", collected, len(spans), perRound*3*rounds)
+	}
+	if !sort.SliceIsSorted(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start }) {
+		t.Error("Spans() not sorted by start time")
 	}
 }

@@ -34,7 +34,6 @@ package clearinghouse
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"phish/internal/stats"
@@ -83,11 +82,8 @@ type suspectEntry struct {
 // once makes the whole drain path hostage to one packet.
 const drainResend = 100 * time.Millisecond
 
-// healthState holds the grading tables. The mutex exists for read-side
-// consumers (ClusterSnapshot runs on any goroutine); all mutation happens
-// on the Run goroutine via sweepHealth.
+// healthState holds the grading tables, under the clearinghouse's job lock.
 type healthState struct {
-	mu       sync.Mutex
 	tracks   map[types.WorkerID]*healthTrack
 	suspects map[types.WorkerID]*suspectEntry
 	// lastNonEmpty remembers whether the previous broadcast carried any
@@ -109,15 +105,13 @@ type suspicion struct {
 
 // sweepHealth runs one grading pass: fold fresh reports into the EWMA
 // tracks, merge the three signals into the suspect set, broadcast the set,
-// and order drains for persistent suspects. Called from checkHeartbeats on
-// the Run goroutine, without c.mu held.
+// and order drains for persistent suspects. Called from checkHeartbeats
+// with c.mu held.
 func (c *Clearinghouse) sweepHealth(now time.Time) {
 	if c.cfg.PhiThreshold <= 0 {
 		return // grading rides the adaptive detector; fixed-timeout mode is binary
 	}
 	h := &c.health
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.tracks == nil {
 		h.tracks = make(map[types.WorkerID]*healthTrack)
 		h.suspects = make(map[types.WorkerID]*suspectEntry)
@@ -308,7 +302,7 @@ func (c *Clearinghouse) sweepHealth(now time.Time) {
 
 // broadcastSuspectsLocked ships the current suspect set to every live
 // member (full replacement; workers decay it locally) and issues drain
-// orders for persistent suspects. Caller holds health.mu.
+// orders for persistent suspects. Caller holds c.mu.
 func (c *Clearinghouse) broadcastSuspectsLocked(now time.Time, live map[types.WorkerID]bool) {
 	h := &c.health
 	if len(h.suspects) == 0 && !h.lastNonEmpty {
@@ -333,7 +327,6 @@ func (c *Clearinghouse) broadcastSuspectsLocked(now time.Time, live map[types.Wo
 	if c.cfg.SuspectDrainAfter <= 0 {
 		return
 	}
-	rootHost := c.RootHost()
 	for id, e := range h.suspects {
 		if now.Sub(e.Since) < c.cfg.SuspectDrainAfter {
 			continue
@@ -341,7 +334,7 @@ func (c *Clearinghouse) broadcastSuspectsLocked(now time.Time, live map[types.Wo
 		if !e.orderedAt.IsZero() && now.Sub(e.orderedAt) < drainResend {
 			continue
 		}
-		if id == rootHost || len(live) <= 1 {
+		if id == c.rootHost || len(live) <= 1 {
 			// Never drain the root's host on suspicion alone, and a drain
 			// with no adopter would just crash-report the state.
 			continue
@@ -349,21 +342,6 @@ func (c *Clearinghouse) broadcastSuspectsLocked(now time.Time, live map[types.Wo
 		e.orderedAt = now
 		c.send(id, wire.DrainOrder{Reason: "degraded: " + e.Reason})
 	}
-}
-
-// suspectSnapshot returns the current suspect set for telemetry rollups.
-func (c *Clearinghouse) suspectSnapshot() map[types.WorkerID]string {
-	h := &c.health
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.suspects) == 0 {
-		return nil
-	}
-	out := make(map[types.WorkerID]string, len(h.suspects))
-	for id, e := range h.suspects {
-		out[id] = e.Reason
-	}
-	return out
 }
 
 func absF(x float64) float64 {

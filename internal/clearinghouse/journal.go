@@ -79,10 +79,9 @@ type journalRecord struct {
 // best-effort with a sticky error: a failing disk degrades durability, not
 // the running job.
 type Journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-	err  error
+	mu  sync.Mutex
+	f   *os.File
+	err error
 
 	// Telemetry, both nil until instrument is called: records appended
 	// (stats.JournalRecords) and append+fsync latency (hist).
@@ -108,11 +107,8 @@ func OpenJournal(path string) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("clearinghouse: open journal: %w", err)
 	}
-	return &Journal{f: f, path: path}, nil
+	return &Journal{f: f}, nil
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // Err returns the sticky write error, if any.
 func (j *Journal) Err() error {

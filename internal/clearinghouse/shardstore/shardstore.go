@@ -1,21 +1,18 @@
 // Package shardstore is the clearinghouse's worker-keyed state: the
 // membership table, heartbeat liveness with its phi-accrual history, the
-// membership epoch, and the latest piggybacked StatReport per worker — one
-// table behind one mutex. The name is historical: the store was once split
-// into lock stripes, which one writer could never use (DESIGN §5d).
+// membership epoch, and the latest piggybacked StatReport per worker. The
+// name is historical: the store was once split into lock stripes, which one
+// writer could never use (DESIGN §5d).
 //
-// Concurrency contract: every method takes the one lock, so any goroutine
-// may call any of them. Writers must still be serialized with each other by
-// the caller (in the clearinghouse they all run on the Run goroutine), so a
+// A Store has no lock of its own: the caller serializes every call, reads
+// included (the clearinghouse holds its job lock around each), so a
 // read-then-write sequence such as IsLive followed by Depart sees no
-// interleaved mutation. Reads from other goroutines (rollups, debug dumps)
-// are point-in-time snapshots of the whole table.
+// interleaved mutation.
 package shardstore
 
 import (
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"phish/internal/types"
@@ -148,7 +145,6 @@ type Report struct {
 
 // Store is the clearinghouse's worker-keyed state.
 type Store struct {
-	mu      sync.Mutex
 	members map[types.WorkerID]*Member
 	reports map[types.WorkerID]Report
 	// epoch counts membership events: one bump per semantic event, seeded
@@ -172,26 +168,20 @@ func New() *Store {
 // SetPhiSlack configures the acceptable-pause allowance applied to every
 // phi evaluation (Phi, Phis, SweepDead). Zero means no allowance.
 func (s *Store) SetPhiSlack(d time.Duration) {
-	s.mu.Lock()
 	s.phiSlack = d.Nanoseconds()
-	s.mu.Unlock()
 }
 
 // ---- Epoch ----------------------------------------------------------------
 
 // Epoch returns the membership epoch. It is monotonic.
 func (s *Store) Epoch() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.epoch
 }
 
 // SetEpoch seeds the epoch after recovery, before any post-recovery
 // mutation bumps it.
 func (s *Store) SetEpoch(e uint64) {
-	s.mu.Lock()
 	s.epoch = e
-	s.mu.Unlock()
 }
 
 // ---- Membership mutations (serialized writers) ----------------------------
@@ -203,8 +193,6 @@ func (s *Store) SetEpoch(e uint64) {
 // existing live member just has its liveness refreshed (a duplicate
 // Register retry).
 func (s *Store) Register(id types.WorkerID, info wire.MemberInfo, now time.Time) (created, departed bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	m, ok := s.members[id]
 	switch {
 	case !ok:
@@ -223,24 +211,18 @@ func (s *Store) Register(id types.WorkerID, info wire.MemberInfo, now time.Time)
 // AddTombstone inserts a departed member (a restore bundle's old id being
 // adopted under a new one) and bumps the epoch.
 func (s *Store) AddTombstone(id types.WorkerID, info wire.MemberInfo) {
-	s.mu.Lock()
 	s.members[id] = &Member{Info: info, Departed: true}
 	s.epoch++
-	s.mu.Unlock()
 }
 
 // Contains reports whether id has a row (live or tombstoned).
 func (s *Store) Contains(id types.WorkerID) bool {
-	s.mu.Lock()
 	_, ok := s.members[id]
-	s.mu.Unlock()
 	return ok
 }
 
 // Member returns a copy of id's row.
 func (s *Store) Member(id types.WorkerID) (Member, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if m, ok := s.members[id]; ok {
 		return *m, true
 	}
@@ -249,8 +231,6 @@ func (s *Store) Member(id types.WorkerID) (Member, bool) {
 
 // IsLive reports whether id is a non-departed member.
 func (s *Store) IsLive(id types.WorkerID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	m, ok := s.members[id]
 	return ok && !m.Departed
 }
@@ -259,8 +239,6 @@ func (s *Store) IsLive(id types.WorkerID) bool {
 // are served by hostedBy (NoWorker for a clean exit with no state), and
 // the epoch bumps. It reports whether the member was live.
 func (s *Store) Depart(id, hostedBy types.WorkerID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	m, ok := s.members[id]
 	if !ok || m.Departed {
 		return false
@@ -276,8 +254,6 @@ func (s *Store) Depart(id, hostedBy types.WorkerID) bool {
 // hosted anywhere) and bumps the epoch. It reports whether the member was
 // present and live.
 func (s *Store) Remove(id types.WorkerID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	m, ok := s.members[id]
 	if !ok || m.Departed {
 		return false
@@ -293,8 +269,6 @@ func (s *Store) Remove(id types.WorkerID) bool {
 // the removed ids. No epoch bump — the cascade is part of one crash event,
 // and the Remove of the dead worker itself already bumped.
 func (s *Store) RemoveHostedBy(dead types.WorkerID) []types.WorkerID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var removed []types.WorkerID
 	for id, m := range s.members {
 		if id != dead && m.Info.HostedBy == dead {
@@ -312,16 +286,12 @@ func (s *Store) RemoveHostedBy(dead types.WorkerID) []types.WorkerID {
 // membership-visible event that rewired existing rows, e.g. a restore
 // bundle adopted under its original id).
 func (s *Store) Bump() {
-	s.mu.Lock()
 	s.epoch++
-	s.mu.Unlock()
 }
 
 // Rehost flattens hosting chains: every member hosted by from moves to to.
 // No epoch bump — the departure that caused it already bumped once.
 func (s *Store) Rehost(from, to types.WorkerID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, m := range s.members {
 		if m.Info.HostedBy == from {
 			m.Info.HostedBy = to
@@ -337,12 +307,10 @@ func (s *Store) Rehost(from, to types.WorkerID) {
 // the fixed fallback timeout governs them until fresh gaps accrue: no
 // instant suspicion, no permanent exemption.
 func (s *Store) RestoreMember(info wire.MemberInfo, departed bool, now time.Time) {
-	s.mu.Lock()
 	s.members[info.Worker] = &Member{Info: info, LastHeard: now, Departed: departed, HBSeen: true, RegisteredAt: now, hbLast: now}
 	if !departed {
 		s.live++
 	}
-	s.mu.Unlock()
 }
 
 // ---- Liveness and telemetry folds -----------------------------------------
@@ -350,29 +318,23 @@ func (s *Store) RestoreMember(info wire.MemberInfo, departed bool, now time.Time
 // Touch refreshes id's liveness: any traffic from a live member proves it
 // is alive.
 func (s *Store) Touch(id types.WorkerID, now time.Time) {
-	s.mu.Lock()
 	if m, ok := s.members[id]; ok && !m.Departed {
 		m.LastHeard = now
 	}
-	s.mu.Unlock()
 }
 
 // Heartbeat refreshes liveness, marks the member heartbeat-known, and
 // folds the arrival into its phi inter-arrival history.
 func (s *Store) Heartbeat(id types.WorkerID, now time.Time) {
-	s.mu.Lock()
 	if m, ok := s.members[id]; ok && !m.Departed {
 		m.beat(now)
 	}
-	s.mu.Unlock()
 }
 
 // Phi returns id's suspicion score at now. warm reports whether the
 // member has enough inter-arrival history to score; a cold member always
 // scores 0 and must be judged by the fixed fallback timeout instead.
 func (s *Store) Phi(id types.WorkerID, now time.Time) (score float64, warm bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	m, ok := s.members[id]
 	if !ok || m.Departed || !m.HBSeen {
 		return 0, false
@@ -390,7 +352,6 @@ type PhiRow struct {
 // Phis returns the suspicion score of every live heartbeat-known member,
 // sorted by worker id.
 func (s *Store) Phis(now time.Time) []PhiRow {
-	s.mu.Lock()
 	var out []PhiRow
 	for id, m := range s.members {
 		if m.Departed || !m.HBSeen {
@@ -399,7 +360,6 @@ func (s *Store) Phis(now time.Time) []PhiRow {
 		score, warm := m.phi(now, s.phiSlack)
 		out = append(out, PhiRow{Worker: id, Phi: score, Warm: warm})
 	}
-	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Worker < out[j].Worker })
 	return out
 }
@@ -421,8 +381,6 @@ func reportKey(rep *wire.StatReport) int64 {
 // FoldReport folds one StatReport: latest-wins by cumulative progress, not
 // by arrival order. It reports whether the row was updated.
 func (s *Store) FoldReport(rep wire.StatReport, now time.Time) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	// Any traffic from a live member proves it is alive.
 	if m, ok := s.members[rep.Worker]; ok && !m.Departed {
 		m.LastHeard = now
@@ -439,21 +397,17 @@ func (s *Store) FoldReport(rep wire.StatReport, now time.Time) bool {
 
 // LiveCount returns the number of non-departed members.
 func (s *Store) LiveCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.live
 }
 
 // LiveIDs returns the sorted ids of non-departed members.
 func (s *Store) LiveIDs() []types.WorkerID {
-	s.mu.Lock()
 	var ids []types.WorkerID
 	for id, m := range s.members {
 		if !m.Departed {
 			ids = append(ids, id)
 		}
 	}
-	s.mu.Unlock()
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
@@ -461,12 +415,10 @@ func (s *Store) LiveIDs() []types.WorkerID {
 // Members returns every row (live and tombstoned), sorted by worker id.
 // Each element is a copy.
 func (s *Store) Members() []Member {
-	s.mu.Lock()
 	var out []Member
 	for _, m := range s.members {
 		out = append(out, *m)
 	}
-	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Info.Worker < out[j].Info.Worker })
 	return out
 }
@@ -488,7 +440,6 @@ func (s *Store) Members() []Member {
 //     redistributed like any crash. A zero graceCutoff disables the grace
 //     sweep (members restored by older journals carry no RegisteredAt).
 func (s *Store) SweepDead(phiThreshold float64, now, fallbackCutoff, graceCutoff time.Time) []types.WorkerID {
-	s.mu.Lock()
 	var dead []types.WorkerID
 	for id, m := range s.members {
 		if m.Departed {
@@ -512,7 +463,6 @@ func (s *Store) SweepDead(phiThreshold float64, now, fallbackCutoff, graceCutoff
 			dead = append(dead, id)
 		}
 	}
-	s.mu.Unlock()
 	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
 	return dead
 }
@@ -521,8 +471,6 @@ func (s *Store) SweepDead(phiThreshold float64, now, fallbackCutoff, graceCutoff
 // by the crash path to salvage a dead worker's last published checkpoints
 // before its rows are removed.
 func (s *Store) ReportOf(id types.WorkerID) (Report, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	r, ok := s.reports[id]
 	return r, ok
 }
@@ -530,8 +478,6 @@ func (s *Store) ReportOf(id types.WorkerID) (Report, bool) {
 // Reports returns every worker's latest report row, unsorted (the rollup
 // sorts after decorating). Each element is a copy.
 func (s *Store) Reports() []Report {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var out []Report
 	for _, r := range s.reports {
 		out = append(out, r)
@@ -546,8 +492,6 @@ func (s *Store) Reports() []Report {
 // if they stop reporting, which the heartbeat timeout turns into a crash
 // first).
 func (s *Store) EvictReports(cutoff time.Time) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	evicted := 0
 	for id, r := range s.reports {
 		if r.At.After(cutoff) {

@@ -3,7 +3,6 @@ package shardstore
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
@@ -334,53 +333,6 @@ func TestEpochBaseRecovery(t *testing.T) {
 	if e := s.Epoch(); e != 101 {
 		t.Fatalf("epoch after post-recovery insert = %d, want 101", e)
 	}
-}
-
-// TestConcurrentFolds exercises the lock under -race: per-message
-// heartbeat and report folds from several goroutines against whole-table
-// reads and one serialized writer.
-func TestConcurrentFolds(t *testing.T) {
-	s := New()
-	for id := types.WorkerID(0); id < 32; id++ {
-		s.Register(id, info(id), t0)
-	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				id := types.WorkerID((g*16 + i) % 32)
-				now := t0.Add(time.Duration(i))
-				s.Heartbeat(id, now)
-				s.FoldReport(wire.StatReport{Worker: id, Counters: []int64{int64(i)}}, now)
-			}
-		}(g)
-	}
-	wg.Add(1)
-	go func() { // one serialized writer, as in the clearinghouse
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			id := types.WorkerID(32 + i%8)
-			s.Register(id, info(id), t0)
-			s.Depart(id, types.NoWorker)
-		}
-	}()
-	for i := 0; i < 50; i++ {
-		s.Members()
-		s.Reports()
-		s.Epoch()
-		s.LiveCount()
-		s.SweepDead(8, t0, t0.Add(-time.Hour), time.Time{})
-	}
-	close(stop)
-	wg.Wait()
 }
 
 // BenchmarkFold measures what the clearinghouse's one ingest goroutine

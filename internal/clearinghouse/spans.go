@@ -2,8 +2,6 @@ package clearinghouse
 
 import (
 	"math"
-	"sort"
-	"sync"
 
 	"phish/internal/types"
 	"phish/internal/wire"
@@ -39,8 +37,10 @@ type workerSpans struct {
 // stamp): the delay is offset plus nonnegative network latency, so it
 // bounds the true offset from above and clamps a registration estimate
 // skewed by an asymmetric round trip.
+//
+// The sink has no lock of its own: the clearinghouse calls it under its job
+// lock.
 type spanSink struct {
-	mu      sync.Mutex
 	perW    map[types.WorkerID]*workerSpans
 	total   uint64
 	dropped uint64
@@ -66,8 +66,6 @@ func (s *spanSink) fold(rep *wire.StatReport) {
 	if rep.SpanSeq == 0 && rep.ClockOffNS == 0 && len(rep.Spans) == 0 {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	ws := s.of(rep.Worker)
 	ws.offNS = rep.ClockOffNS
 	if rep.SpanSeq <= ws.lastSeq {
@@ -91,8 +89,6 @@ func (s *spanSink) fold(rep *wire.StatReport) {
 // every batch until the new numbering happened to pass the old high-water
 // mark. Collected spans are kept — they are history, not cursor state.
 func (s *spanSink) resetWorker(w types.WorkerID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	ws, ok := s.perW[w]
 	if !ok {
 		return
@@ -108,27 +104,15 @@ func (s *spanSink) noteHeartbeat(w types.WorkerID, sendNS, nowNS int64) {
 	if sendNS == 0 {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	ws := s.of(w)
 	if d := nowNS - sendNS; d < ws.minHbDelta {
 		ws.minHbDelta = d
 	}
 }
 
-// seen reports whether any span has been collected — the signal that this
-// job is being traced, used to mark crash announcements sampled.
-func (s *spanSink) seen() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total > 0
-}
-
-// aligned returns every collected span with its timestamps shifted onto
-// the clearinghouse clock, sorted by start time: one cluster timeline.
+// aligned returns a copy of every collected span with its timestamps
+// shifted onto the clearinghouse clock, in no particular order.
 func (s *spanSink) aligned() []wire.Span {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]wire.Span, 0, s.total)
 	for _, ws := range s.perW {
 		off := ws.offNS
@@ -141,12 +125,9 @@ func (s *spanSink) aligned() []wire.Span {
 			out = append(out, sp)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	return out
 }
 
 func (s *spanSink) stats() (collected, dropped uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.total, s.dropped
 }

@@ -41,20 +41,15 @@ func TestSpanSinkResetWorker(t *testing.T) {
 	if got, _ := s.stats(); got != 5 {
 		t.Fatalf("post-restart batch 1 swallowed by stale cursor: collected = %d, want 5", got)
 	}
-	s.mu.Lock()
-	ws := s.perW[1]
-	if ws.minHbDelta != math.MaxInt64 {
+	if s.perW[1].minHbDelta != math.MaxInt64 {
 		t.Error("reset kept the previous incarnation's heartbeat-delay bound")
 	}
-	s.mu.Unlock()
 
 	// Unknown worker: reset must not allocate state.
 	s.resetWorker(99)
-	s.mu.Lock()
 	if _, ok := s.perW[99]; ok {
 		t.Error("resetWorker allocated state for an unseen worker")
 	}
-	s.mu.Unlock()
 }
 
 // TestSpanCursorResetsOnReRegister is the end-to-end restart regression:
@@ -76,7 +71,7 @@ func TestSpanCursorResetsOnReRegister(t *testing.T) {
 
 	// Second incarnation: re-register, then report batch 1.
 	deadline := time.Now().Add(2 * time.Second)
-	for h.ch.store.IsLive(3) {
+	for len(h.ch.LiveWorkers()) > 0 { // 3 is the only worker
 		if time.Now().After(deadline) {
 			t.Fatal("worker 3 still live after Unregister")
 		}
@@ -103,7 +98,7 @@ func TestSpanCursorSurvivesRegisterRetry(t *testing.T) {
 	expect[wire.RegisterReply](t, w, time.Second)
 	h.send(w, 5, spanReport(5, 2, 4)) // retransmitted duplicate batch
 	time.Sleep(50 * time.Millisecond)
-	if got, _ := h.ch.spans.stats(); got != 4 {
+	if got, _ := h.ch.SpanStats(); got != 4 {
 		t.Fatalf("live-worker Register retry reset the cursor: collected = %d, want 4", got)
 	}
 }
@@ -112,11 +107,11 @@ func waitCollected(t *testing.T, h *chHarness, want uint64) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if got, _ := h.ch.spans.stats(); got == want {
+		if got, _ := h.ch.SpanStats(); got == want {
 			return
 		}
 		if time.Now().After(deadline) {
-			got, _ := h.ch.spans.stats()
+			got, _ := h.ch.SpanStats()
 			t.Fatalf("collected spans = %d, want %d", got, want)
 		}
 		time.Sleep(2 * time.Millisecond)

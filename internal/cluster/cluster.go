@@ -633,12 +633,3 @@ func (j *Job) DebugDump() string {
 	}
 	return out
 }
-
-// CrashAll kills every worker the job ever had (post-mortem freezing).
-func (j *Job) CrashAll() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for _, w := range j.workers {
-		w.Crash()
-	}
-}

@@ -108,10 +108,6 @@ type Config struct {
 	// in-process fabric needs it to be explicit.
 	StealBackoff time.Duration
 
-	// RetryUnsent is how often the worker retries messages whose
-	// destination was temporarily unknown (e.g., mid-migration).
-	RetryUnsent time.Duration
-
 	// HeartbeatEvery is the interval between heartbeats to the
 	// clearinghouse. Zero disables heartbeats (explicit opt-out of crash
 	// detection); the default sends one every 2 s — the paper's
@@ -153,10 +149,6 @@ type Config struct {
 
 	// Site is the worker's network neighborhood, used by SiteAwareVictim.
 	Site int32
-	// LocalStealTries is how many consecutive same-site failures a
-	// site-aware thief tolerates before it tries the whole network
-	// (default 4 when zero).
-	LocalStealTries int
 
 	// CkptEvery rate-limits unsolicited checkpoint publication to the
 	// clearinghouse between heartbeats: at most one extra StatReport per
@@ -212,6 +204,14 @@ func (c *Config) speculateAfter() float64 {
 	return 4
 }
 
+// retryUnsentEvery is how often the worker retries messages whose
+// destination was temporarily unknown (e.g., mid-migration).
+const retryUnsentEvery = 20 * time.Millisecond
+
+// localStealTries is how many consecutive same-site failures a site-aware
+// thief tolerates before it tries the whole network.
+const localStealTries = 4
+
 // defaultCkptEvery is the unsolicited checkpoint publication interval used
 // when Config.CkptEvery is zero.
 const defaultCkptEvery = 50 * time.Millisecond
@@ -224,7 +224,6 @@ func DefaultConfig() Config {
 		MaxStealFailures: 0,
 		StealTimeout:     200 * time.Millisecond,
 		StealBackoff:     250 * time.Microsecond,
-		RetryUnsent:      20 * time.Millisecond,
 		HeartbeatEvery:   2 * time.Second,
 		LocalOrder:       LIFO,
 		StealFrom:        StealTail,

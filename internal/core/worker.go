@@ -1071,11 +1071,7 @@ func (w *Worker) pickVictim() (types.WorkerID, bool) {
 	case SiteAwareVictim:
 		// Steal near home first; only cross the slow network cut after
 		// repeated local failures (then reset and come home again).
-		tries := w.cfg.LocalStealTries
-		if tries <= 0 {
-			tries = 4
-		}
-		if locals := w.healthyOf(w.localVictims, &w.localsScr); len(locals) > 0 && w.localFailures < tries {
+		if locals := w.healthyOf(w.localVictims, &w.localsScr); len(locals) > 0 && w.localFailures < localStealTries {
 			return locals[w.rng.Intn(len(locals))], true
 		}
 		w.localFailures = 0
@@ -1699,7 +1695,7 @@ func (w *Worker) retryUnsent(force bool) {
 	if len(w.unsent) == 0 || w.migrating {
 		return
 	}
-	if !force && time.Since(w.lastRetry) < w.cfg.RetryUnsent {
+	if !force && time.Since(w.lastRetry) < retryUnsentEvery {
 		return
 	}
 	w.lastRetry = time.Now()
@@ -2293,7 +2289,7 @@ func (w *Worker) lingerForward(adopter types.WorkerID) {
 	for _, a := range pending {
 		w.sendTo(adopter, wire.Arg{Cont: a.Cont, Val: a.Val, Crossed: true, TC: a.TC})
 	}
-	deadline := time.Now().Add(2*w.cfg.StealTimeout + 4*w.cfg.RetryUnsent)
+	deadline := time.Now().Add(2*w.cfg.StealTimeout + 4*retryUnsentEvery)
 	for time.Now().Before(deadline) {
 		if w.attnHas(attnCrash) {
 			return

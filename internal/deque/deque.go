@@ -36,9 +36,6 @@ func (d *Deque[T]) Len() int { return d.n }
 // Empty reports whether the deque holds no elements.
 func (d *Deque[T]) Empty() bool { return d.n == 0 }
 
-// Cap returns the current capacity (for tests and instrumentation).
-func (d *Deque[T]) Cap() int { return len(d.buf) }
-
 func (d *Deque[T]) grow() {
 	newCap := 2 * len(d.buf)
 	if newCap == 0 {

@@ -1,6 +1,6 @@
 // Deterministic fault injection. A Faults instance sits under a transport
 // (the in-memory Fabric via SetFaults, the UDP transport via its
-// SetFaults, or any Conn via WrapConn) and decides, per message, whether
+// SetFaults) and decides, per message, whether
 // to drop, duplicate, or delay it, and whether the (from, to) pair is
 // currently partitioned.
 //
@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"phish/internal/types"
-	"phish/internal/wire"
 )
 
 // FaultPlan configures a Faults instance. The zero plan injects nothing.
@@ -271,45 +270,3 @@ func (f *Faults) Drops() []DropEvent {
 	copy(out, f.drops)
 	return out
 }
-
-// FaultConn interposes a Faults between a Conn and its owner: outbound
-// sends are judged and dropped, duplicated, or delayed accordingly.
-// Partitioned sends return ErrUnknownPeer — the peer is unreachable and
-// the caller's park-and-retry path should engage, exactly as when a
-// fabric port has detached. Probabilistic drops return nil (the message
-// vanished in the network; a reliable conversation will retransmit).
-type FaultConn struct {
-	Conn
-	local  types.WorkerID
-	faults *Faults
-}
-
-// WrapConn wraps inner with fault injection for traffic sent by local.
-func WrapConn(inner Conn, local types.WorkerID, faults *Faults) *FaultConn {
-	return &FaultConn{Conn: inner, local: local, faults: faults}
-}
-
-// Send implements Conn.
-func (c *FaultConn) Send(env *wire.Envelope) error {
-	v := c.faults.Judge(c.local, env.To)
-	if v.Drop {
-		if c.faults.Partitioned(c.local, env.To) {
-			return ErrUnknownPeer
-		}
-		return nil
-	}
-	send := func() error { return c.Conn.Send(env) }
-	if v.Delay > 0 {
-		time.AfterFunc(v.Delay, func() { _ = send() })
-		if v.Duplicate {
-			time.AfterFunc(v.Delay, func() { _ = send() })
-		}
-		return nil
-	}
-	if v.Duplicate {
-		_ = send()
-	}
-	return send()
-}
-
-var _ Conn = (*FaultConn)(nil)

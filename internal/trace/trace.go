@@ -120,9 +120,6 @@ func (b *Buffer) Enable(n int) {
 	b.enabled.Store(true)
 }
 
-// Disable turns tracing off (events are kept).
-func (b *Buffer) Disable() { b.enabled.Store(false) }
-
 // Enabled reports whether Add records anything.
 func (b *Buffer) Enabled() bool { return b != nil && b.enabled.Load() }
 
