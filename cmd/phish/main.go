@@ -60,7 +60,7 @@ func main() {
 	ckptFile := flag.String("checkpoint", "", "periodically checkpoint the job to this file")
 	ckptEvery := flag.Duration("checkpoint-every", 30*time.Second, "checkpoint interval")
 	restore := flag.String("restore", "", "resume the job from this checkpoint file instead of starting fresh")
-	metricsAddr := flag.String("metrics", "", "serve the job's telemetry rollup at /metrics and /cluster.json, and /healthz and /debug/trace, on this HTTP address (off when empty)")
+	metricsAddr := flag.String("metrics", "", "serve the job's telemetry rollup at /metrics and /cluster.json, its collected span timeline at /debug/trace (with -trace), and /healthz, on this HTTP address (off when empty)")
 	phi := flag.Float64("phi", 8, "phi-accrual crash threshold (8 ~= 1-1e-8 confidence; 0 falls back to the fixed heartbeat timeout for everyone)")
 	drainAfter := flag.Duration("drain-after", 0, "order a planned drain for a worker graded suspect continuously this long (0 disables)")
 	top := flag.String("top", "", "phishtop: poll a clearinghouse telemetry URL (e.g. http://host:9090) and render a live cluster table instead of running a job")
@@ -147,7 +147,6 @@ func main() {
 	chCfg.SuspectDrainAfter = *drainAfter
 	if *metricsAddr != "" {
 		chCfg.Metrics = telemetry.NewMetrics()
-		chCfg.Trace = trace.NewBuffer(4096)
 	}
 	if *journal != "" {
 		jnl, err := clearinghouse.OpenJournal(*journal)
@@ -184,24 +183,29 @@ func main() {
 		ch = clearinghouse.New(spec, chConn, chCfg)
 	}
 	if *metricsAddr != "" {
-		chConn.Instrument(ch.Counters(), chCfg.Metrics, chCfg.Trace)
+		chConn.Instrument(ch.Counters(), chCfg.Metrics, nil)
 	}
 	go ch.Run()
 	defer ch.Stop()
 
 	if *metricsAddr != "" {
-		srv, err := telemetry.Serve(*metricsAddr, nil, chCfg.Trace)
+		srv, err := telemetry.Serve(*metricsAddr, nil)
 		if err != nil {
 			log.Fatalf("phish: %v", err)
 		}
 		defer srv.Close()
 		// Process-level health rides next to the cluster rollup: build
-		// identity, goroutines, heap, GC pauses, and trace-ring loss.
+		// identity, goroutines, heap and GC pauses.
 		preg := telemetry.NewRegistry()
 		telemetry.RegisterRuntime(preg)
-		telemetry.RegisterTraceRing(preg, chCfg.Trace)
 		srv.Handle("/metrics", telemetry.ClusterMetricsWithProcessHandler(ch.ClusterSnapshot, preg))
 		srv.Handle("/cluster.json", telemetry.ClusterJSONHandler(ch.ClusterSnapshot))
+		srv.Handle("/debug/trace", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			collected, dropped := ch.SpanStats()
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			fmt.Fprintf(w, "# %d span(s) collected, %d dropped\n", collected, dropped)
+			fmt.Fprint(w, trace.BuildDAG(ch.Spans()).RenderTimeline())
+		}))
 		fmt.Printf("phish: telemetry on http://%s/metrics (watch live: phish -top http://%s)\n",
 			srv.Addr(), srv.Addr())
 	}
@@ -287,6 +291,7 @@ func main() {
 			wcfg.SpanSample = *traceSample
 		}
 		w := core.NewWorker(jobID, types.WorkerID(idBase+i), prog, conn, wcfg, clock.System)
+		conn.Instrument(w.Counters(), wcfg.Metrics, w.RecordSpan)
 		locals = append(locals, w)
 		wg.Add(1)
 		go func() {

@@ -91,7 +91,7 @@ func main() {
 		reg.CounterFunc("phish_jm_retired_total", "Workers that left because parallelism shrank.", st.Retired.Load, wsLabel)
 		reg.CounterFunc("phish_jm_empty_polls_total", "Job requests that found the pool empty.", st.EmptyPolls.Load, wsLabel)
 		reg.CounterFunc("phish_jm_source_errors_total", "Job requests that failed outright.", st.SourceErrors.Load, wsLabel)
-		msrv, err := telemetry.Serve(*metricsAddr, reg, nil)
+		msrv, err := telemetry.Serve(*metricsAddr, reg)
 		if err != nil {
 			log.Fatalf("phishjobmanager: %v", err)
 		}

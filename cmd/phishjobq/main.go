@@ -61,7 +61,7 @@ func main() {
 		reg.CounterFunc("phish_jobq_lists_total", "Pool listings served.", st.Lists.Load)
 		reg.GaugeFunc("phish_jobq_pending_jobs", "Jobs currently waiting in the pool.",
 			func() int64 { return int64(pool.Len()) })
-		msrv, err := telemetry.Serve(*metricsAddr, reg, nil)
+		msrv, err := telemetry.Serve(*metricsAddr, reg)
 		if err != nil {
 			log.Fatalf("phishjobq: %v", err)
 		}

@@ -7,9 +7,7 @@
 // in-flight task is preempted at its next Yield (keeping its checkpoint),
 // the deque is handed to a clearinghouse-chosen victim, a final StatReport
 // is flushed, and the worker unregisters — nothing is dropped on the
-// floor. -drain=false restores the legacy reclaim (migrate without
-// checkpoint preemption: the running task finishes first). A second signal
-// always escalates to the immediate reclaim path.
+// floor. A second signal changes nothing: the worker is already leaving.
 //
 // It is normally started by phishjobmanager; run it by hand to add one
 // machine to a job:
@@ -40,7 +38,6 @@ import (
 	"phish/internal/core"
 	"phish/internal/phishnet"
 	"phish/internal/telemetry"
-	"phish/internal/trace"
 	"phish/internal/types"
 	"phish/internal/wire"
 )
@@ -62,8 +59,7 @@ func main() {
 	maxFail := flag.Int("maxfail", 60, "consecutive failed steals before retiring (0 = never)")
 	hb := flag.Duration("hb", 5*time.Second, "heartbeat interval (0 disables)")
 	seed := flag.Int64("seed", 1, "victim-selection seed")
-	metricsAddr := flag.String("metrics", "", "serve /metrics, /healthz, /debug/trace on this HTTP address (off when empty)")
-	drain := flag.Bool("drain", true, "on SIGTERM/SIGINT run the graceful drain (checkpointed handoff); false = legacy reclaim")
+	metricsAddr := flag.String("metrics", "", "serve /metrics and /healthz on this HTTP address (off when empty); a traced job's spans go to phish's /debug/trace")
 	flag.Parse()
 
 	if *chAddr == "" || *program == "" {
@@ -92,19 +88,18 @@ func main() {
 
 	if *metricsAddr != "" {
 		cfg.Metrics = telemetry.NewMetrics()
-		cfg.Trace = trace.NewBuffer(4096)
 	}
 
 	w := core.NewWorker(types.JobID(*job), types.WorkerID(*workerID), prog, conn, cfg, clock.System)
+	// The transport shares the worker's fault counters, backoff histogram
+	// and span recorder.
+	conn.Instrument(w.Counters(), cfg.Metrics, w.RecordSpan)
 
 	if *metricsAddr != "" {
-		// The transport shares the worker's fault counters, backoff
-		// histogram, and trace ring.
-		conn.Instrument(w.Counters(), cfg.Metrics, cfg.Trace)
 		reg := cfg.Metrics.Reg
 		telemetry.RegisterStats(reg, w.Stats, telemetry.Label{Name: "worker", Value: strconv.Itoa(*workerID)})
 		telemetry.RegisterRuntime(reg)
-		srv, err := telemetry.Serve(*metricsAddr, reg, cfg.Trace)
+		srv, err := telemetry.Serve(*metricsAddr, reg)
 		if err != nil {
 			log.Fatalf("phishworker: %v", err)
 		}
@@ -112,16 +107,11 @@ func main() {
 		fmt.Printf("phishworker: telemetry on http://%s/metrics\n", srv.Addr())
 	}
 
-	// SIGTERM / SIGINT = the owner returned: drain (or reclaim) and leave.
-	// A second signal escalates a stuck drain to the immediate reclaim.
-	sig := make(chan os.Signal, 2)
+	// SIGTERM / SIGINT = the owner returned: drain and leave.
+	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sig
-		if *drain {
-			w.Drain()
-			<-sig
-		}
 		w.Reclaim()
 	}()
 

@@ -29,7 +29,6 @@ import (
 	"phish/internal/phishnet"
 	"phish/internal/stats"
 	"phish/internal/telemetry"
-	"phish/internal/trace"
 	"phish/internal/types"
 	"phish/internal/wire"
 )
@@ -74,9 +73,6 @@ type Config struct {
 	Journal *Journal
 	// Clock drives the periodic behavior; nil means the system clock.
 	Clock clock.Clock
-	// Trace, when non-nil and enabled, records control-plane events
-	// (journal replay on recovery).
-	Trace *trace.Buffer
 	// Metrics, when non-nil, records the journal append+fsync latency
 	// histogram and is folded into the cluster rollup.
 	Metrics *telemetry.Metrics

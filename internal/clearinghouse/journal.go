@@ -9,7 +9,6 @@ import (
 	"phish/internal/phishnet"
 	"phish/internal/stats"
 	"phish/internal/telemetry"
-	"phish/internal/trace"
 	"phish/internal/types"
 	"phish/internal/wal"
 	"phish/internal/wire"
@@ -281,14 +280,6 @@ func NewFromRecovery(rec *RecoveredJob, conn phishnet.Conn, cfg Config) *Clearin
 		c.done = true
 		c.result = rec.Result
 		close(c.doneCh)
-	}
-	if tb := cfg.Trace; tb.Enabled() {
-		tb.Add(trace.Event{
-			At:     now,
-			Worker: types.ClearinghouseID,
-			Kind:   trace.EvJournalReplay,
-			Note:   fmt.Sprintf("resumed job %d: %d member(s), epoch %d", rec.Spec.ID, len(rec.Members), c.store.Epoch()),
-		})
 	}
 	return c
 }

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"phish/internal/telemetry"
-	"phish/internal/trace"
 )
 
 // Order selects the execution order of a worker's own ready tasks.
@@ -122,11 +121,6 @@ type Config struct {
 	StealFrom  StealEnd
 	Victim     VictimPolicy
 
-	// Trace, when non-nil and enabled, records the worker's scheduling
-	// events (steals, migrations, redos — not per-task hot-path events)
-	// for post-mortem timelines.
-	Trace *trace.Buffer
-
 	// Metrics, when non-nil, records the worker's latency histograms
 	// (steal round trip, task execution, registration) and enables the
 	// deque-depth gauge in piggybacked stat reports. Nil disables the
@@ -135,8 +129,9 @@ type Config struct {
 
 	// SpanTrace enables the distributed span recorder: the worker records
 	// task-execution, steal-leg, checkpoint, drain, and redo spans for
-	// sampled DAGs and ships them to the clearinghouse collector inside
-	// its StatReports. Off (the default), no recorder is allocated and
+	// sampled DAGs, and control spans (registration, outages, preemptions,
+	// leaves, retransmits), and ships them to the clearinghouse collector
+	// inside its StatReports. Off (the default), no recorder is allocated and
 	// every recording site is one nil pointer check.
 	SpanTrace bool
 	// SpanSample is the probability that a job root spawned on this

@@ -194,8 +194,9 @@ func (t *TaskCtx) Yield(blob []byte) bool {
 	if len(blob) <= MaxCkptBlob {
 		c.setCkpt(blob, c.CkptSeq+1)
 		w.counters.CkptSaves.Add(1)
-		if w.ckptLoud || c.TC.Sampled() {
-			w.noteCkpt(c)
+		if c.TC.Sampled() {
+			w.RecordSpan(wire.Span{Kind: wire.SpanCkpt, Flags: c.TC.Flags, Worker: w.id,
+				Task: c.ID, Parent: c.TC.Parent})
 		}
 		if w.ckptDue.Load() {
 			w.publishCkpt(c)

@@ -16,7 +16,6 @@ import (
 	"phish/internal/deque"
 	"phish/internal/phishnet"
 	"phish/internal/stats"
-	"phish/internal/trace"
 	"phish/internal/types"
 	"phish/internal/wire"
 )
@@ -119,8 +118,10 @@ type Worker struct {
 	// backoff until a (possibly restarted) clearinghouse answers. The last
 	// root result is retained so it can be re-sent after a reconnect — the
 	// clearinghouse deduplicates, so a crash between receiving the result
-	// and persisting it loses nothing.
+	// and persisting it loses nothing. chDownAt is when the outage began
+	// (its SpanRecover's start).
 	chDown      bool
+	chDownAt    time.Time
 	chWait      time.Duration
 	chNextTry   time.Time
 	rootResult  *wire.Arg
@@ -149,8 +150,7 @@ type Worker struct {
 	// updates it. ckptDue says publication is due: raised from the start
 	// (the first blob goes out at once) and then by ckptTimer one interval
 	// after each publication, so a Yield learns it from a load, not from
-	// the clock. ckptLoud is set when something wants to hear of every save
-	// (a trace buffer). yieldsUnpolled counts the Yields since one
+	// the clock. yieldsUnpolled counts the Yields since one
 	// last looked at the socket (see TaskCtx.Yield). Timer, counter and the
 	// lowering of the flag: scheduler goroutine only.
 	ckptMu         sync.Mutex
@@ -158,11 +158,10 @@ type Worker struct {
 	ckptTimer      *time.Timer
 	yieldsUnpolled int
 	ckptDue        atomic.Bool
-	ckptLoud       bool
 
-	// attn is the attention word: sticky stop / drain / crash request bits,
-	// set from any goroutine (Reclaim, Drain, Crash) and by the scheduler
-	// itself (a DrainOrder, a task panic), read once per task by the loop.
+	// attn is the attention word: sticky leave / crash request bits, set
+	// from any goroutine (Reclaim, Drain, Crash) and by the scheduler itself
+	// (a DrainOrder, a task panic), read once per task by the loop.
 	attn atomic.Uint32
 	// housekeep makes the loop's next iteration a housekeeping pass whatever
 	// else is quiet: set after every timed execution and every yield, which
@@ -246,7 +245,6 @@ func NewWorker(job types.JobID, id types.WorkerID, prog *Program, conn phishnet.
 		stealVictim: types.NoWorker,
 		stealWant:   1,
 		ckptPub:     make(map[types.TaskID]wire.TaskCkpt),
-		ckptLoud:    cfg.Trace != nil,
 		wakeCh:      make(chan struct{}, 1),
 		procs:       runtime.GOMAXPROCS(0),
 		hbStop:      make(chan struct{}),
@@ -364,10 +362,14 @@ func (w *Worker) OrphanDrops() int64 { return w.orphanDrops.Load() }
 func (w *Worker) Heartbeats() int64 { return w.heartbeats.Load() }
 
 // Reclaim asks the worker to leave because the workstation's owner
-// returned: it migrates its tasks to another participant and unregisters.
-// Safe to call from any goroutine; returns immediately.
+// returned, on a planned schedule: the in-flight task is offered
+// preemption at its next Yield, the deque (with any checkpoints) is handed
+// to a victim chosen by the clearinghouse, a final StatReport is flushed,
+// and the worker unregisters. Work moves in milliseconds instead of being
+// redone. A worker not yet registered gives up registering instead. Safe
+// from any goroutine; returns immediately.
 func (w *Worker) Reclaim() {
-	w.setAttn(attnStop)
+	w.setAttn(attnLeave)
 	w.wake()
 }
 
@@ -378,20 +380,12 @@ func (w *Worker) Crash() {
 	w.wake()
 }
 
-// Drain asks the worker to leave gracefully on a planned schedule: the
-// in-flight task is offered preemption at its next Yield, the deque (with
-// any checkpoints) is handed to a victim chosen by the clearinghouse, a
-// final StatReport is flushed, and the worker unregisters. Work moves in
-// milliseconds instead of being redone. Safe from any goroutine.
-func (w *Worker) Drain() {
-	w.setAttn(attnDrain)
-	w.wake()
-}
+// Drain is Reclaim: there is one way to leave with one's work.
+func (w *Worker) Drain() { w.Reclaim() }
 
 // Bits of the attention word.
 const (
-	attnStop  uint32 = 1 << iota // Reclaim: the owner returned
-	attnDrain                    // Drain, or the clearinghouse's DrainOrder
+	attnLeave uint32 = 1 << iota // Reclaim, Drain, or the clearinghouse's DrainOrder
 	attnCrash                    // Crash, or a task body panicked
 )
 
@@ -408,11 +402,22 @@ func (w *Worker) setAttn(bits uint32) {
 // attnHas reports whether any of bits is raised.
 func (w *Worker) attnHas(bits uint32) bool { return w.attn.Load()&bits != 0 }
 
-// tr records a scheduling event when tracing is enabled.
-func (w *Worker) tr(kind trace.Kind, task types.TaskID, peer types.WorkerID, note string) {
-	if w.cfg.Trace.Enabled() {
-		w.cfg.Trace.Add(trace.Event{Worker: w.id, Kind: kind, Task: task, Peer: peer, Note: note})
+// RecordSpan records sp if the worker traces and drops it otherwise. A
+// zero End is stamped now, and a zero Start makes sp a point span at End.
+// Safe from any goroutine: the UDP transport calls it for each frame it
+// re-sends (phishnet.UDP.Instrument).
+func (w *Worker) RecordSpan(sp wire.Span) {
+	r := w.spans.Load()
+	if r == nil {
+		return
 	}
+	if sp.End == 0 {
+		sp.End = time.Now().UnixNano()
+	}
+	if sp.Start == 0 {
+		sp.Start = sp.End
+	}
+	r.add(sp)
 }
 
 func (w *Worker) wake() {
@@ -505,7 +510,7 @@ func (w *Worker) Run() error {
 func (w *Worker) register() error {
 	t0 := time.Now()
 	for attempt := 0; attempt < 50; attempt++ {
-		if w.attnHas(attnCrash | attnStop) {
+		if w.attnHas(attnCrash | attnLeave) {
 			return errors.New("core: worker stopped before registration")
 		}
 		reg := wire.Register{Worker: w.id, Addr: w.conn.LocalAddr(), Site: w.cfg.Site}
@@ -519,7 +524,8 @@ func (w *Worker) register() error {
 			w.drainOne(time.Until(deadline))
 		}
 		if w.registered {
-			w.tr(trace.EvRegister, types.TaskID{}, types.ClearinghouseID, "")
+			w.RecordSpan(wire.Span{Kind: wire.SpanRegister, Worker: w.id,
+				Peer: types.ClearinghouseID, Start: t0.UnixNano()})
 			if m := w.cfg.Metrics; m != nil {
 				m.Register().ObserveSince(t0)
 			}
@@ -551,8 +557,9 @@ func (w *Worker) noteCHDown() {
 		return
 	}
 	w.chDown = true
+	w.chDownAt = time.Now()
 	w.chWait = chReRegisterBase
-	w.chNextTry = time.Now().Add(w.jitterBackoff(w.chWait))
+	w.chNextTry = w.chDownAt.Add(w.jitterBackoff(w.chWait))
 }
 
 // maybeReRegister drives the re-register loop while the clearinghouse is
@@ -585,7 +592,8 @@ func (w *Worker) maybeReRegister() {
 // retained root result is re-sent: a restarted clearinghouse may have
 // crashed before persisting it, and it deduplicates if not.
 func (w *Worker) chRecovered() {
-	w.tr(trace.EvRecover, types.TaskID{}, types.ClearinghouseID, "clearinghouse answered")
+	w.RecordSpan(wire.Span{Kind: wire.SpanRecover, Worker: w.id,
+		Peer: types.ClearinghouseID, Start: w.chDownAt.UnixNano()})
 	w.chDown = false
 	w.chWait = 0
 	w.resendRootResult()
@@ -610,7 +618,7 @@ func (w *Worker) resendRootResult() {
 // follows and both paths are idempotent.
 func (w *Worker) onPeerGone(peer types.WorkerID) {
 	w.counters.PeerGoneReports.Add(1)
-	w.tr(trace.EvPeerGone, types.TaskID{}, peer, "retransmits exhausted")
+	w.RecordSpan(wire.Span{Kind: wire.SpanPeerGone, Worker: w.id, Peer: peer})
 	if peer == types.ClearinghouseID {
 		if w.registered {
 			w.noteCHDown()
@@ -687,18 +695,6 @@ func (w *Worker) ckptSnapshot() []wire.TaskCkpt {
 		out = append(out, ck)
 	}
 	return out
-}
-
-// noteCkpt tells whoever asked to hear of every save: the trace buffer and
-// the span recorder. Yield calls it only when one of them may be listening.
-// Scheduler goroutine.
-func (w *Worker) noteCkpt(c *Closure) {
-	w.tr(trace.EvCkpt, c.ID, types.NoWorker, "")
-	if w.spans.Load() != nil && c.TC.Sampled() {
-		now := time.Now().UnixNano()
-		w.spans.Load().add(wire.Span{Kind: wire.SpanCkpt, Flags: c.TC.Flags, Worker: w.id,
-			Task: c.ID, Parent: c.TC.Parent, Start: now, End: now})
-	}
 }
 
 // publishCkpt copies c's blob into the publication table the StatReports
@@ -833,7 +829,7 @@ func (w *Worker) loop() {
 		if w.shutdownMsg || attn&attnCrash != 0 {
 			return
 		}
-		if attn&(attnStop|attnDrain) != 0 {
+		if attn&attnLeave != 0 {
 			reason := wire.LeaveReclaimed
 			if w.drainOrdered {
 				reason = wire.LeaveDrained
@@ -935,7 +931,10 @@ func (w *Worker) execute(cl *Closure) {
 		w.ctx.yielded = false
 		w.housekeep = true
 		w.counters.TasksPreempted.Add(1)
-		w.tr(trace.EvPreempt, cl.ID, types.NoWorker, "")
+		if traced {
+			w.RecordSpan(wire.Span{Kind: wire.SpanPreempt, Flags: cl.TC.Flags, Worker: w.id,
+				Task: cl.ID, Parent: cl.TC.Parent})
+		}
 		cl.preempted = true
 		w.dq.PushHead(cl)
 		return
@@ -1028,7 +1027,6 @@ func (w *Worker) thieveStep() bool {
 			w.stealSpanID = w.nextTaskID()
 		}
 		if w.sendTo(victim, req) == nil {
-			w.tr(trace.EvStealRequest, types.TaskID{}, victim, "")
 			w.counters.StealAttempts.Add(1)
 			w.stealPending = true
 			w.stealVictim = victim
@@ -1313,9 +1311,8 @@ func (w *Worker) handle(env *wire.Envelope) {
 		// The clearinghouse judged this worker persistently degraded: leave
 		// on a planned schedule, shipping the deque and checkpoints to a
 		// healthy adopter (the same path an owner-return reclaim takes).
-		w.tr(trace.EvUnregister, types.TaskID{}, env.From, "drain order: "+p.Reason)
 		w.drainOrdered = true
-		w.setAttn(attnDrain)
+		w.setAttn(attnLeave)
 	case wire.DrainAck:
 		w.drainAcked = true
 		if p.OK {
@@ -1352,7 +1349,6 @@ func (w *Worker) handle(env *wire.Envelope) {
 	case wire.Resume:
 		w.paused = false
 	case wire.Shutdown:
-		w.tr(trace.EvShutdown, types.TaskID{}, env.From, "")
 		w.shutdownMsg = true
 	default:
 		// Macro-level traffic never reaches workers; ignore stray types.
@@ -1636,7 +1632,6 @@ func (w *Worker) deliver(cont types.Continuation, v types.Value, crossed bool, t
 		if errors.Is(err, phishnet.ErrTooLarge) {
 			// No retry can carry it, so it is neither parked nor retained:
 			// say why the task waiting on it will never run, once.
-			w.tr(trace.EvSynch, cont.Task, host, "undeliverable: "+err.Error())
 			w.print(fmt.Sprintf("worker %d: result for task %v dropped: %v\n", w.id, cont.Task, err))
 			return
 		}
@@ -1780,7 +1775,6 @@ func (w *Worker) grantSteal(thief types.WorkerID, want int) {
 			w.dropCkptPub(cl.ID) // a preempted body, stolen: the thief republishes
 		}
 		w.closures.Put(cl) // the record holds its own copy of the args
-		w.tr(trace.EvStealGrant, task.ID, thief, "")
 	}
 	w.dbgGrants.Add(int64(len(batch)))
 }
@@ -1864,7 +1858,6 @@ func (w *Worker) adoptBatch(batch []*Closure) {
 	for _, cl := range batch {
 		w.ensureSpans(cl.TC)
 		w.tasks.adopted()
-		w.tr(trace.EvStealAdopt, cl.ID, victim, "")
 		if w.spans.Load() != nil && cl.TC.Sampled() {
 			if now == 0 {
 				now = time.Now().UnixNano()
@@ -1909,9 +1902,6 @@ func (w *Worker) adoptMigration(from types.WorkerID, m wire.Migrate) {
 			w.join.Put(cl)
 		}
 	}
-	if w.cfg.Trace.Enabled() {
-		w.tr(trace.EvMigrateIn, types.TaskID{}, from, fmt.Sprintf("%d closures", len(m.Closures)))
-	}
 	for _, wr := range m.Records {
 		rec := recordFromWire(wr)
 		if w.dead[rec.thief] {
@@ -1929,7 +1919,6 @@ func (w *Worker) adoptMigration(from types.WorkerID, m wire.Migrate) {
 // never deliver; the record stays so the redone result still funnels
 // through it (and duplicates are dropped).
 func (w *Worker) redoRecord(rec *stealRecord) {
-	w.tr(trace.EvRedo, rec.task.ID, rec.thief, "")
 	if w.spans.Load() != nil && rec.task.TC.Sampled() {
 		now := time.Now().UnixNano()
 		w.spans.Load().add(wire.Span{Kind: wire.SpanRedo, Flags: rec.task.TC.Flags, Worker: w.id,
@@ -2312,24 +2301,28 @@ func (w *Worker) pickUntried(tried map[types.WorkerID]bool) (types.WorkerID, boo
 }
 
 func (w *Worker) unregister(reason wire.LeaveReason, migratedTo types.WorkerID) {
-	if w.cfg.Trace.Enabled() {
-		w.tr(trace.EvUnregister, types.TaskID{}, migratedTo, reason.String())
-	}
 	// Flush the final telemetry state first, so the job-end rollup is
 	// complete even when the whole job fits inside one heartbeat
 	// interval. Sent unreliably like the cadence reports (and kept out
 	// of MessagesSent); over UDP it coalesces into the Unregister's
 	// datagram. A traced worker may hold more spans than one datagram-
 	// sized batch, so keep flushing until the recorder's backlog drains
-	// (each report seals and ships the next batch).
+	// (each report seals and ships the next batch). The leave span goes
+	// in once the backlog is empty: a full recorder would drop it.
 	w.foldCounters()
-	for {
+	for left := false; ; {
+		r := w.spans.Load()
+		if !left && (r == nil || r.backlog() == 0) {
+			w.RecordSpan(wire.Span{Kind: wire.SpanLeave, Worker: w.id, Peer: migratedTo,
+				Link: types.TaskID{Seq: uint64(reason)}})
+			left = true
+		}
 		for _, sr := range w.statReports() {
 			rep := &wire.Envelope{Job: w.job, From: w.id, To: types.ClearinghouseID,
 				Payload: sr}
 			_ = w.conn.Send(rep)
 		}
-		if w.spans.Load() == nil || w.spans.Load().backlog() == 0 {
+		if left && (r == nil || r.backlog() == 0) {
 			break
 		}
 	}

@@ -15,7 +15,6 @@ import (
 
 	"phish/internal/stats"
 	"phish/internal/telemetry"
-	"phish/internal/trace"
 	"phish/internal/types"
 	"phish/internal/wire"
 )
@@ -140,11 +139,11 @@ type UDP struct {
 	faults *Faults // optional datagram-level fault injection
 
 	// Optional telemetry (Instrument): fault-path counters, the
-	// retransmit-backoff histogram, and transport trace events. All nil by
+	// retransmit-backoff histogram, and the owner's span sink. All nil by
 	// default — the retransmit loop then records nothing.
 	stats   *stats.Counters
 	metrics *telemetry.Metrics
-	trace   *trace.Buffer
+	spans   func(wire.Span)
 
 	stopRetx chan struct{}
 	wg       sync.WaitGroup
@@ -318,15 +317,16 @@ func (u *UDP) SetPeerDown(fn func(types.WorkerID)) {
 
 // Instrument attaches telemetry to the transport: retransmits and
 // peer-gone declarations are counted in c, each retransmit's preceding
-// backoff interval lands in m's histogram, and tb (when enabled) records
-// EvRetransmit/EvPeerGone events. Any argument may be nil. Call before
-// traffic starts.
-func (u *UDP) Instrument(c *stats.Counters, m *telemetry.Metrics, tb *trace.Buffer) {
+// backoff interval lands in m's histogram, and spans — the owner's span
+// sink, such as core.Worker.RecordSpan — gets one wire.SpanRetransmit per
+// re-sent frame, called without the transport's lock held. Any argument
+// may be nil. Call before traffic starts.
+func (u *UDP) Instrument(c *stats.Counters, m *telemetry.Metrics, spans func(wire.Span)) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	u.stats = c
 	u.metrics = m
-	u.trace = tb
+	u.spans = spans
 }
 
 // SetFaults interposes deterministic fault injection at the datagram
@@ -913,22 +913,17 @@ func (u *UDP) retransmitLoop() {
 			}
 		}
 		report := u.peerDown
-		st, tb := u.stats, u.trace
+		st, sink := u.stats, u.spans
 		u.mu.Unlock()
 		if n := len(retxPeers); n > 0 {
 			if st != nil {
 				st.Retransmits.Add(int64(n))
 			}
-			if tb.Enabled() {
+			if sink != nil {
+				at := now.UnixNano()
 				for _, id := range retxPeers {
-					tb.Add(trace.Event{Worker: u.local, Kind: trace.EvRetransmit, Peer: id})
+					sink(wire.Span{Kind: wire.SpanRetransmit, Worker: u.local, Peer: id, Start: at, End: at})
 				}
-			}
-		}
-		if len(gone) > 0 && tb.Enabled() {
-			for _, id := range gone {
-				tb.Add(trace.Event{Worker: u.local, Kind: trace.EvPeerGone, Peer: id,
-					Note: "retransmits exhausted"})
 			}
 		}
 		for _, f := range flushes {

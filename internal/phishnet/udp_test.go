@@ -627,3 +627,93 @@ func TestUDPDedupWindowsFollowPeers(t *testing.T) {
 		p.Close()
 	}
 }
+
+// TestUDPSpanSinkSeesRetransmits: with frames to one peer dropped, the
+// owner's span sink gets one SpanRetransmit per re-sent frame, naming that
+// peer, as many as the Retransmits counter counts; a healthy peer's frames
+// make none. A nil sink records nothing and the counter still counts.
+func TestUDPSpanSinkSeesRetransmits(t *testing.T) {
+	for _, withSink := range []bool{true, false} {
+		name := "nil-sink"
+		if withSink {
+			name = "sink"
+		}
+		t.Run(name, func(t *testing.T) {
+			a, _ := udpPair(t)
+			c, err := ListenUDP(1, 3, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			a.SetPeer(3, c.LocalAddr())
+			c.SetPeer(1, a.LocalAddr())
+			const tries = 3
+			a.SetRetransmit(20*time.Millisecond, 100*time.Millisecond, tries)
+
+			var counters stats.Counters
+			var mu sync.Mutex
+			var spans []wire.Span
+			var sink func(wire.Span)
+			if withSink {
+				sink = func(sp wire.Span) {
+					mu.Lock()
+					spans = append(spans, sp)
+					mu.Unlock()
+				}
+			}
+			a.Instrument(&counters, nil, sink)
+			down := make(chan types.WorkerID, 1)
+			a.SetPeerDown(func(id types.WorkerID) { down <- id })
+
+			// The healthy peer acknowledges before the faults start.
+			if err := a.Send(&wire.Envelope{To: 3, Payload: wire.Heartbeat{Worker: 1}}); err != nil {
+				t.Fatal(err)
+			}
+			recvOne(t, c, 2*time.Second)
+			for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+				a.mu.Lock()
+				unacked := len(a.pending)
+				a.mu.Unlock()
+				if unacked == 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the healthy peer never acknowledged")
+				}
+			}
+
+			fl := NewFaults(FaultPlan{Seed: 7})
+			fl.Isolate(2) // every datagram a→2 vanishes
+			a.SetFaults(fl)
+			for i := 0; i < 2; i++ {
+				if err := a.Send(&wire.Envelope{To: 2, Payload: wire.Heartbeat{Worker: 1}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a.Flush()
+			select {
+			case <-down: // the sink ran before the report, on the same tick
+			case <-time.After(10 * time.Second):
+				t.Fatal("retransmits never gave up")
+			}
+
+			mu.Lock()
+			defer mu.Unlock()
+			retx := counters.Retransmits.Load()
+			if retx < tries {
+				t.Fatalf("%d retransmits counted, want at least %d", retx, tries)
+			}
+			if !withSink {
+				return
+			}
+			if int64(len(spans)) != retx {
+				t.Errorf("sink got %d spans, counter says %d retransmits", len(spans), retx)
+			}
+			for _, sp := range spans {
+				if sp.Kind != wire.SpanRetransmit || sp.Worker != 1 || sp.Peer != 2 || sp.Start == 0 || sp.End != sp.Start {
+					t.Errorf("span %+v, want a point SpanRetransmit by w1 to w2", sp)
+				}
+			}
+		})
+	}
+}

@@ -6,14 +6,12 @@ import (
 	"net"
 	"net/http"
 	"time"
-
-	"phish/internal/trace"
 )
 
 // Server is the opt-in telemetry HTTP endpoint a daemon runs when started
-// with -metrics. It serves /metrics (Prometheus text), /metrics.json,
-// /healthz, and /debug/trace, plus any extra handlers the daemon mounts
-// (the clearinghouse adds /cluster.json for phishtop).
+// with -metrics. It serves /metrics (Prometheus text), /metrics.json and
+// /healthz, plus any extra handlers the daemon mounts (phish adds
+// /cluster.json for phishtop and /debug/trace, the job's span timeline).
 type Server struct {
 	ln  net.Listener
 	mux *http.ServeMux
@@ -63,18 +61,6 @@ func JSONHandler(r *Registry) http.Handler {
 	})
 }
 
-// TraceHandler renders a trace ring's current timeline as text, headed by
-// the ring's loss accounting so a truncated timeline never masquerades as
-// a complete one.
-func TraceHandler(b *trace.Buffer) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintf(w, "# %d event(s) recorded, %d dropped (ring overwrote them unread)\n",
-			b.Total(), b.Dropped())
-		fmt.Fprint(w, trace.Render(b.Events()))
-	})
-}
-
 // ClusterMetricsHandler serves a cluster rollup (re-assembled per scrape)
 // as Prometheus text exposition. The clearinghouse mounts this at /metrics
 // so one scrape covers the whole job.
@@ -107,9 +93,8 @@ func ClusterJSONHandler(snap func() ClusterSnapshot) http.Handler {
 }
 
 // Serve is the one-call setup used by the daemons: listen on addr and
-// mount the standard endpoints for reg and tr (either may be nil, which
-// skips its endpoints).
-func Serve(addr string, reg *Registry, tr *trace.Buffer) (*Server, error) {
+// mount the standard endpoints for reg (nil skips them).
+func Serve(addr string, reg *Registry) (*Server, error) {
 	s, err := NewServer(addr)
 	if err != nil {
 		return nil, err
@@ -118,22 +103,5 @@ func Serve(addr string, reg *Registry, tr *trace.Buffer) (*Server, error) {
 		s.Handle("/metrics", MetricsHandler(reg))
 		s.Handle("/metrics.json", JSONHandler(reg))
 	}
-	if tr != nil {
-		s.Handle("/debug/trace", TraceHandler(tr))
-		if reg != nil {
-			RegisterTraceRing(reg, tr)
-		}
-	}
 	return s, nil
-}
-
-// RegisterTraceRing exposes a trace ring's volume and loss counters on a
-// registry, so scrapes notice when the ring outruns its readers.
-func RegisterTraceRing(reg *Registry, tr *trace.Buffer) {
-	reg.CounterFunc("phish_trace_events_total",
-		"Scheduling events ever recorded into the trace ring.",
-		func() int64 { return int64(tr.Total()) })
-	reg.CounterFunc("phish_trace_events_dropped_total",
-		"Trace ring events overwritten before being read.",
-		func() int64 { return int64(tr.Dropped()) })
 }

@@ -1,3 +1,11 @@
+// Package trace is the analysis half of the distributed tracing plane: it
+// reconstructs a job's task DAG from the spans workers shipped to the
+// clearinghouse collector, computes the empirical work (T1) and critical
+// path (T∞) of the paper's T1/P + T∞ greedy-scheduling bound, and
+// attributes each worker's wall time to execution, stealing, redo, and
+// idle — the observability counterpart of the paper's Table 2. Control
+// spans (wire.SpanRegister on: registration, outages, preemptions, leaves,
+// retransmits) share the timeline but none of that accounting.
 package trace
 
 import (
@@ -10,13 +18,6 @@ import (
 	"phish/internal/types"
 	"phish/internal/wire"
 )
-
-// This file is the analysis half of the distributed tracing plane: it
-// reconstructs a job's task DAG from the spans workers shipped to the
-// clearinghouse collector, computes the empirical work (T1) and critical
-// path (T∞) of the paper's T1/P + T∞ greedy-scheduling bound, and
-// attributes each worker's wall time to execution, stealing, redo, and
-// idle — the observability counterpart of the paper's Table 2.
 
 // aliasDepthCap bounds steal-record alias chains when resolving join
 // edges. A task re-stolen k times funnels through k records; chains
@@ -188,8 +189,12 @@ func BuildDAG(spans []wire.Span) *DAG {
 	return d
 }
 
+// control reports whether sp records the control plane rather than the
+// DAG's work, steals and redos.
+func control(sp wire.Span) bool { return sp.Kind >= wire.SpanRegister }
+
 // buildLoads attributes each worker's activity window to exec, steal,
-// redo, and idle time.
+// redo, and idle time. Control spans neither open nor widen a window.
 func buildLoads(spans []wire.Span) []WorkerLoad {
 	type window struct {
 		load       WorkerLoad
@@ -197,6 +202,9 @@ func buildLoads(spans []wire.Span) []WorkerLoad {
 	}
 	byW := make(map[types.WorkerID]*window)
 	for _, sp := range spans {
+		if control(sp) {
+			continue
+		}
 		w, ok := byW[sp.Worker]
 		if !ok {
 			w = &window{load: WorkerLoad{Worker: sp.Worker}, start: sp.Start, end: sp.End}
@@ -262,7 +270,9 @@ func (d *DAG) RenderTimeline() string {
 		if !sp.Parent.Zero() {
 			fmt.Fprintf(&sb, " parent=%s", sp.Parent)
 		}
-		if !sp.Link.Zero() {
+		if sp.Kind == wire.SpanLeave {
+			fmt.Fprintf(&sb, " reason=%s", wire.LeaveReason(sp.Link.Seq))
+		} else if !sp.Link.Zero() {
 			fmt.Fprintf(&sb, " link=%s", sp.Link)
 		}
 		if sp.Peer != 0 && sp.Peer != sp.Worker {
@@ -296,7 +306,8 @@ type chromeEvent struct {
 
 // ChromeTrace renders the timeline as Chrome trace-event JSON: one
 // process for the job, one thread lane per worker, complete ("X") events
-// for durable spans and instant ("i") events for point spans.
+// for durable spans and instant ("i") events for point spans and control
+// spans.
 func (d *DAG) ChromeTrace() ([]byte, error) {
 	events := make([]chromeEvent, 0, len(d.Spans))
 	for _, sp := range d.Spans {
@@ -311,7 +322,9 @@ func (d *DAG) ChromeTrace() ([]byte, error) {
 		if !sp.Parent.Zero() {
 			args["parent"] = sp.Parent.String()
 		}
-		if !sp.Link.Zero() {
+		if sp.Kind == wire.SpanLeave {
+			args["reason"] = wire.LeaveReason(sp.Link.Seq).String()
+		} else if !sp.Link.Zero() {
 			args["link"] = sp.Link.String()
 		}
 		if sp.Peer != 0 && sp.Peer != sp.Worker {
@@ -326,9 +339,18 @@ func (d *DAG) ChromeTrace() ([]byte, error) {
 			Args:  args,
 			Phase: "X",
 		}
-		if sp.End > sp.Start {
+		switch {
+		case control(sp):
+			// A marker on the lane, whatever its length: the lanes' bars
+			// are the DAG's work, steals and redos.
+			ev.Phase = "i"
+			ev.Scope = "t"
+			if sp.End > sp.Start {
+				args["dur_us"] = float64(sp.End-sp.Start) / 1e3
+			}
+		case sp.End > sp.Start:
 			ev.Dur = float64(sp.End-sp.Start) / 1e3
-		} else {
+		default:
 			ev.Phase = "i"
 			ev.Scope = "t"
 		}

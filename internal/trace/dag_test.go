@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -94,6 +95,74 @@ func TestBuildDAGWorkerAttribution(t *testing.T) {
 	w1 := d.Workers[0]
 	if w1.Busy != 10*time.Millisecond || w1.Idle != 0 || w1.Window != 10*time.Millisecond {
 		t.Errorf("w1 attribution = %+v", w1)
+	}
+}
+
+// Control spans share the timeline but not the accounting: wrapping a
+// fixture's spans in registration, preemption, retransmit and leave spans
+// — before, inside and after the work, and on a worker with no work —
+// moves none of the DAG's numbers, and Chrome shows each as an instant.
+func TestControlSpansStayOutOfAccounting(t *testing.T) {
+	root, c1, c2, succ := tid(1, 1), tid(1, 2), tid(1, 3), tid(1, 4)
+	work := []wire.Span{
+		exec(1, root, types.TaskID{}, types.TaskID{}, 10e6, 20e6),
+		{Kind: wire.SpanStealReq, Worker: 2, Task: tid(2, 1), Peer: 1, Start: 12e6, End: 16e6},
+		exec(1, c1, root, succ, 20e6, 40e6),
+		exec(2, c2, root, succ, 16e6, 46e6),
+		exec(1, succ, root, types.TaskID{}, 46e6, 50e6),
+	}
+	control := []wire.Span{
+		{Kind: wire.SpanRegister, Worker: 1, Peer: types.ClearinghouseID, Start: 1e6, End: 3e6},
+		{Kind: wire.SpanRegister, Worker: 2, Peer: types.ClearinghouseID, Start: 2e6, End: 5e6},
+		{Kind: wire.SpanPreempt, Worker: 2, Task: c2, Parent: root, Start: 30e6, End: 30e6},
+		{Kind: wire.SpanRetransmit, Worker: 2, Peer: 1, Start: 47e6, End: 47e6},
+		{Kind: wire.SpanRetransmit, Worker: 3, Peer: 1, Start: 48e6, End: 48e6},
+		{Kind: wire.SpanLeave, Worker: 1, Peer: types.NoWorker, Start: 60e6, End: 60e6},
+		{Kind: wire.SpanLeave, Worker: 2, Peer: 1, Link: types.TaskID{Seq: uint64(wire.LeaveReclaimed)},
+			Start: 55e6, End: 55e6},
+	}
+	want := BuildDAG(work)
+	got := BuildDAG(append(append([]wire.Span(nil), work...), control...))
+	if got.T1 != want.T1 || got.TInf != want.TInf || got.Tasks != want.Tasks || got.Makespan != want.Makespan {
+		t.Errorf("with control spans T1=%v TInf=%v tasks=%d makespan=%v, want %v %v %d %v",
+			got.T1, got.TInf, got.Tasks, got.Makespan, want.T1, want.TInf, want.Tasks, want.Makespan)
+	}
+	if !reflect.DeepEqual(got.Workers, want.Workers) {
+		t.Errorf("with control spans workers = %+v, want %+v", got.Workers, want.Workers)
+	}
+
+	out, err := got.ChromeTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Cat   string         `json:"cat"`
+			Phase string         `json:"ph"`
+			Args  map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(out, &doc); err != nil {
+		t.Fatal(err)
+	}
+	instants := 0
+	for _, ev := range doc.TraceEvents {
+		switch ev.Cat {
+		case "register", "preempt", "retransmit", "leave":
+			if ev.Phase != "i" {
+				t.Errorf("%s event ph = %q, want i", ev.Cat, ev.Phase)
+			}
+			instants++
+		}
+		if ev.Cat == "leave" && ev.Args["peer"] == "w1" && ev.Args["reason"] != "reclaimed" {
+			t.Errorf("leave args = %v, want reason reclaimed", ev.Args)
+		}
+	}
+	if instants != len(control) {
+		t.Errorf("%d control events in the Chrome trace, want %d", instants, len(control))
+	}
+	if tl := got.RenderTimeline(); !strings.Contains(tl, "w2 leave reason=reclaimed peer=w1") {
+		t.Errorf("timeline does not show the leave reason:\n%s", tl)
 	}
 }
 

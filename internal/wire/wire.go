@@ -100,11 +100,32 @@ const (
 	// SpanRedo is a crash redo: re-enqueueing a recorded task after its
 	// thief died.
 	SpanRedo
+
+	// Control spans, from SpanRegister on: what the worker's control plane
+	// did, on the same timeline. The DAG analysis shows them but leaves
+	// them out of its accounting.
+
+	// SpanRegister is the worker's registration: Register sent → reply.
+	SpanRegister
+	// SpanRecover is a clearinghouse outage as the worker saw it: the
+	// clearinghouse lost → it answers again.
+	SpanRecover
+	// SpanPeerGone is the transport giving up on Peer (retransmits
+	// exhausted).
+	SpanPeerGone
+	// SpanPreempt is a body vacating the processor at a Yield.
+	SpanPreempt
+	// SpanLeave is the worker unregistering: Peer is the adopter its state
+	// went to (NoWorker if none) and Link.Seq the LeaveReason.
+	SpanLeave
+	// SpanRetransmit is one frame re-sent to Peer.
+	SpanRetransmit
 	spanKindCount
 )
 
 var spanKindNames = [spanKindCount]string{
 	"exec", "steal-req", "steal-grant", "steal-adopt", "ckpt", "drain", "redo",
+	"register", "recover", "peer-gone", "preempt", "leave", "retransmit",
 }
 
 // SpanKindName renders a span kind for timelines and exports.

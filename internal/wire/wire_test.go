@@ -158,3 +158,28 @@ func TestFrameIO(t *testing.T) {
 		t.Error("read from empty stream succeeded")
 	}
 }
+
+// Span kinds are wire format: each keeps its number and name, new kinds
+// are appended, and a leave span's reason survives the StatReport codec.
+func TestSpanKindNames(t *testing.T) {
+	want := []string{"exec", "steal-req", "steal-grant", "steal-adopt", "ckpt", "drain", "redo",
+		"register", "recover", "peer-gone", "preempt", "leave", "retransmit"}
+	for k, name := range want {
+		if got := SpanKindName(uint8(k)); got != name {
+			t.Errorf("kind %d = %q, want %q", k, got, name)
+		}
+	}
+	if SpanRegister != 7 || SpanRetransmit != 12 {
+		t.Errorf("control kinds renumbered: register %d, retransmit %d", SpanRegister, SpanRetransmit)
+	}
+	if got := SpanKindName(uint8(len(want))); got != "span(13)" {
+		t.Errorf("unknown kind renders %q", got)
+	}
+	leave := Span{Kind: SpanLeave, Worker: 3, Peer: 4, Link: types.TaskID{Seq: uint64(LeaveDrained)}, Start: 5, End: 5}
+	env := roundTrip(t, &Envelope{From: 3, To: types.ClearinghouseID,
+		Payload: StatReport{Ver: StatReportVersion, Worker: 3, SpanSeq: 1, Spans: []Span{leave}}})
+	if got := env.Payload.(StatReport).Spans; len(got) != 1 || got[0] != leave ||
+		LeaveReason(got[0].Link.Seq) != LeaveDrained {
+		t.Errorf("leave span decoded as %+v, want %+v", got, leave)
+	}
+}

@@ -39,23 +39,7 @@ import (
 	"phish/internal/wire"
 )
 
-// Trace re-exports the event tracer so callers can pass
-// LocalOptions.Trace and render timelines.
-type (
-	// TraceBuffer records scheduling events; see internal/trace.
-	TraceBuffer = trace.Buffer
-	// TraceEvent is one recorded scheduling event.
-	TraceEvent = trace.Event
-)
-
-// NewTrace returns an enabled trace buffer holding the last n events.
-func NewTrace(n int) *TraceBuffer { return trace.NewBuffer(n) }
-
-// RenderTrace formats a recorded timeline for humans.
-func RenderTrace(events []TraceEvent) string { return trace.Render(events) }
-
-// Distributed-tracing re-exports (the span plane, distinct from the
-// per-process event TraceBuffer above).
+// Distributed-tracing re-exports (the span plane).
 type (
 	// Span is one recorded scheduler activity on the cluster timeline.
 	Span = wire.Span
@@ -139,12 +123,10 @@ type LocalOptions struct {
 	// InterSiteLatency is the one-way delay across the slow cut between
 	// sites.
 	InterSiteLatency time.Duration
-	// Trace, when non-nil, records every worker's scheduling events
-	// (steals, migrations, redos) into one shared timeline buffer.
-	Trace *trace.Buffer
-	// SpanTrace enables the distributed span plane: workers record task
-	// and steal spans and ship them to the clearinghouse collector; the
-	// merged cluster timeline comes back in LocalResult.Spans.
+	// SpanTrace enables the distributed span plane: workers record task,
+	// steal and control spans and ship them to the clearinghouse
+	// collector; the merged cluster timeline comes back in
+	// LocalResult.Spans.
 	SpanTrace bool
 	// SpanSample is the per-root sampling probability (zero or >= 1
 	// samples everything); only meaningful with SpanTrace.
@@ -245,9 +227,6 @@ func RunLocal(prog *Program, rootFn string, rootArgs []Value, opt LocalOptions) 
 		port := fab.Attach(types.WorkerID(i))
 		wcfg := cfg
 		wcfg.Site = siteOf(i)
-		if opt.Trace != nil {
-			wcfg.Trace = opt.Trace
-		}
 		if opt.SpanTrace {
 			wcfg.SpanTrace = true
 			wcfg.SpanSample = opt.SpanSample

@@ -11,7 +11,6 @@ import (
 	"phish/internal/clock"
 	"phish/internal/core"
 	"phish/internal/phishnet"
-	"phish/internal/trace"
 	"phish/internal/types"
 	"phish/internal/wire"
 )
@@ -180,28 +179,34 @@ func TestResultsIdenticalAcrossDisciplines(t *testing.T) {
 }
 
 func TestTraceRecordsStealProtocol(t *testing.T) {
-	tr := phish.NewTrace(65536)
+	cfg := phish.DefaultWorkerConfig()
+	cfg.SpanBuf = 1 << 17 // fib(22) outruns the default buffer between reports
 	res, err := phish.RunLocal(fib.Program(), fib.Root, fib.RootArgs(22),
-		phish.LocalOptions{Workers: 4, Trace: tr})
+		phish.LocalOptions{Workers: 4, Config: cfg, SpanTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := tr.Events()
+	if res.SpansDropped != 0 {
+		t.Fatalf("%d spans dropped; the counts below would be short", res.SpansDropped)
+	}
 	var adopts, grants, registers int64
-	for _, e := range evs {
-		switch e.Kind {
-		case trace.EvStealAdopt:
+	var leaves []wire.Span
+	for _, sp := range res.Spans {
+		switch sp.Kind {
+		case wire.SpanStealAdopt:
 			adopts++
-		case trace.EvStealGrant:
+		case wire.SpanStealGrant:
 			grants++
-		case trace.EvRegister:
+		case wire.SpanRegister:
 			registers++
+		case wire.SpanLeave:
+			leaves = append(leaves, sp)
 		}
 	}
 	if adopts != res.Totals.TasksStolen {
 		t.Errorf("trace shows %d adoptions, counters say %d steals", adopts, res.Totals.TasksStolen)
 	}
-	// A batched grant records one EvStealGrant per closure (per steal
+	// A batched grant records one grant span per closure (per steal
 	// record), as it records one adoption per closure: every adoption still
 	// has its grant, and a grant whose reply was lost has none.
 	if grants < adopts {
@@ -210,7 +215,12 @@ func TestTraceRecordsStealProtocol(t *testing.T) {
 	if registers != 4 {
 		t.Errorf("trace shows %d registrations, want 4", registers)
 	}
-	if out := phish.RenderTrace(evs[:min(len(evs), 5)]); out == "" {
-		t.Error("render produced nothing")
+	if len(leaves) != 4 {
+		t.Errorf("trace shows %d leaves, want 4", len(leaves))
+	}
+	for _, sp := range leaves {
+		if r := wire.LeaveReason(sp.Link.Seq); r != wire.LeaveJobDone {
+			t.Errorf("w%d left %v, want %v", sp.Worker, r, wire.LeaveJobDone)
+		}
 	}
 }
