@@ -1,4 +1,5 @@
-// Command phish launches a parallel job the way the paper describes:
+// Command phish is the one binary of a Phish network. Given a program, it
+// launches a parallel job the way the paper describes:
 // "simply typing `ray my-scene` ... starts up the Clearinghouse and the
 // first worker on the local workstation, so the computation begins right
 // away. Also by default, it automatically submits the job to the
@@ -21,17 +22,26 @@
 // control-plane state to the named file; the same command run again after
 // a crash finds the file and resumes the job from it, and surviving workers
 // re-register on their own.
+//
+// The same binary is every daemon of the network, so deploying Phish means
+// copying one file to each machine. A role name as the first argument picks
+// the daemon, which parses its own flags (see roles.go):
+//
+//	phish jobq [-addr :7070] [-state jobq.wal]
+//	phish jobmanager -jobq host:7070 -ws 3
+//	phish worker -ch host:7071 -job 1 -program pfold -worker 42
+//	phish top [-interval 2s] host:9090
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
-	"strings"
+	"os/signal"
 	"sync"
+	"syscall"
 	"time"
 
 	"phish/internal/apps"
@@ -47,7 +57,28 @@ import (
 	"phish/internal/wire"
 )
 
+// roles are the daemons the binary also is, by the first argument's name.
+// None is a program name, so a role never shadows a job.
+var roles = map[string]func(args []string){
+	"jobq":       runJobQ,
+	"jobmanager": runJobManager,
+	"worker":     runWorker,
+	"top":        runTop,
+}
+
 func main() {
+	if len(os.Args) > 1 {
+		if role, ok := roles[os.Args[1]]; ok {
+			role(os.Args[2:])
+			return
+		}
+	}
+	launch(os.Args[1:])
+}
+
+// launch runs a job: its clearinghouse, its first workers, and its
+// submission to the PhishJobQ.
+func launch(args []string) {
 	jobqAddr := flag.String("jobq", "", "PhishJobQ address to submit the job to (empty = run purely locally)")
 	chAddr := flag.String("ch-addr", ":0", "UDP address for the clearinghouse")
 	jobFlag := flag.Int64("job", 0, "job id (0 = derive one from the clock)")
@@ -63,25 +94,18 @@ func main() {
 	metricsAddr := flag.String("metrics", "", "serve the job's telemetry rollup at /metrics and /cluster.json, its collected span timeline at /debug/trace (with -trace), and /healthz, on this HTTP address (off when empty)")
 	phi := flag.Float64("phi", 8, "phi-accrual crash threshold (8 ~= 1-1e-8 confidence; 0 falls back to the fixed heartbeat timeout for everyone)")
 	drainAfter := flag.Duration("drain-after", 0, "order a planned drain for a worker graded suspect continuously this long (0 disables)")
-	top := flag.String("top", "", "phishtop: poll a clearinghouse telemetry URL (e.g. http://host:9090) and render a live cluster table instead of running a job")
-	topEvery := flag.Duration("top-interval", 2*time.Second, "phishtop poll interval")
 	traceFlag := flag.Bool("trace", false, "record a distributed span trace and print the cluster timeline with T1/Tinf accounting at the end")
 	traceOut := flag.String("trace-out", "", "also write the trace as Chrome trace-event JSON to this file (implies -trace; open in chrome://tracing or ui.perfetto.dev)")
 	traceSample := flag.Float64("trace-sample", 1, "per-root span sampling probability (values outside (0,1) sample everything)")
 	flag.Usage = func() {
-		fmt.Println("usage: phish [flags] <program> [args...]\nprograms:")
+		fmt.Println("usage: phish [flags] <program> [args...]\n       phish jobq|jobmanager|worker|top [flags] (-h lists a role's flags)\nprograms:")
 		fmt.Print(apps.Usage())
 		flag.PrintDefaults()
 	}
-	flag.Parse()
+	_ = flag.CommandLine.Parse(args) // ExitOnError: a bad flag exits
 	apps.RegisterAll()
 	if *traceOut != "" {
 		*traceFlag = true
-	}
-
-	if *top != "" {
-		runTop(*top, *topEvery)
-		return
 	}
 
 	// The job comes from the journal of an interrupted run, else from a
@@ -189,16 +213,13 @@ func main() {
 	defer ch.Stop()
 
 	if *metricsAddr != "" {
-		srv, err := telemetry.Serve(*metricsAddr, nil)
-		if err != nil {
-			log.Fatalf("phish: %v", err)
-		}
+		srv := serveMetrics("phish", *metricsAddr, nil)
 		defer srv.Close()
 		// Process-level health rides next to the cluster rollup: build
 		// identity, goroutines, heap and GC pauses.
 		preg := telemetry.NewRegistry()
 		telemetry.RegisterRuntime(preg)
-		srv.Handle("/metrics", telemetry.ClusterMetricsWithProcessHandler(ch.ClusterSnapshot, preg))
+		srv.Handle("/metrics", telemetry.ClusterMetricsHandler(ch.ClusterSnapshot, preg))
 		srv.Handle("/cluster.json", telemetry.ClusterJSONHandler(ch.ClusterSnapshot))
 		srv.Handle("/debug/trace", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 			collected, dropped := ch.SpanStats()
@@ -206,8 +227,7 @@ func main() {
 			fmt.Fprintf(w, "# %d span(s) collected, %d dropped\n", collected, dropped)
 			fmt.Fprint(w, trace.BuildDAG(ch.Spans()).RenderTimeline())
 		}))
-		fmt.Printf("phish: telemetry on http://%s/metrics (watch live: phish -top http://%s)\n",
-			srv.Addr(), srv.Addr())
+		fmt.Printf("phish: watch live: phish top http://%s\n", srv.Addr())
 	}
 
 	// Periodic checkpointing.
@@ -267,31 +287,26 @@ func main() {
 	cfg := core.DefaultConfig()
 	// Six heartbeats to a heartbeat timeout.
 	cfg.HeartbeatEvery = *update / 3
-	cfg.StealTimeout = time.Second
-	cfg.StealBackoff = 5 * time.Millisecond
 	if *metricsAddr != "" && cfg.HeartbeatEvery > 2*time.Second {
-		// Faster piggybacked reports so phishtop tracks the local workers
+		// Faster piggybacked reports so phish top tracks the local workers
 		// closely; each worker gets its own histogram set.
 		cfg.HeartbeatEvery = 2 * time.Second
+	}
+	if *traceFlag {
+		cfg.SpanTrace = true
+		cfg.SpanSample = *traceSample
 	}
 	var wg sync.WaitGroup
 	locals := make([]*core.Worker, 0, *workers)
 	for i := 0; i < *workers; i++ {
-		conn, err := phishnet.ListenUDP(jobID, types.WorkerID(idBase+i), ":0")
-		if err != nil {
-			log.Fatalf("phish: %v", err)
-		}
-		conn.SetPeer(types.ClearinghouseID, chConn.LocalAddr())
 		wcfg := cfg
 		if *metricsAddr != "" {
 			wcfg.Metrics = telemetry.NewMetrics()
 		}
-		if *traceFlag {
-			wcfg.SpanTrace = true
-			wcfg.SpanSample = *traceSample
+		w, err := newUDPWorker(jobID, types.WorkerID(idBase+i), prog, ":0", chConn.LocalAddr(), wcfg)
+		if err != nil {
+			log.Fatalf("phish: %v", err)
 		}
-		w := core.NewWorker(jobID, types.WorkerID(idBase+i), prog, conn, wcfg, clock.System)
-		conn.Instrument(w.Counters(), wcfg.Metrics, w.RecordSpan)
 		locals = append(locals, w)
 		wg.Add(1)
 		go func() {
@@ -388,58 +403,6 @@ func printTrace(ch *clearinghouse.Clearinghouse, workers int, outFile string) {
 	}
 }
 
-// runTop is phishtop: poll the clearinghouse's /cluster.json and redraw a
-// live table of the whole job — workers, deque depths, steal and redo
-// counts, and latency quantiles. Ctrl-C exits.
-func runTop(url string, every time.Duration) {
-	if !strings.Contains(url, "://") {
-		url = "http://" + url
-	}
-	url = strings.TrimSuffix(url, "/") + "/cluster.json"
-	// Rates are computed between distinct report generations, not raw
-	// polls: totals only move when piggybacked reports arrive (heartbeat
-	// cadence), so adjacent polls within one heartbeat window would
-	// alias to 0/s. cur is the newest distinct snapshot, prev the one
-	// before it.
-	var prev, cur *telemetry.ClusterSnapshot
-	var prevAt, curAt time.Time
-	for {
-		cs, err := fetchCluster(url)
-		now := time.Now()
-		fmt.Print("\x1b[2J\x1b[H") // clear screen, home cursor
-		if err != nil {
-			fmt.Printf("phishtop: %v (retrying every %v)\n", err, every)
-		} else {
-			if cur == nil || cs.Totals != cur.Totals {
-				prev, prevAt = cur, curAt
-				cur, curAt = cs, now
-			}
-			var dt time.Duration
-			if prev != nil {
-				dt = curAt.Sub(prevAt)
-			}
-			fmt.Print(telemetry.RenderTop(*cs, prev, dt))
-		}
-		time.Sleep(every)
-	}
-}
-
-func fetchCluster(url string) (*telemetry.ClusterSnapshot, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: %s", url, resp.Status)
-	}
-	var cs telemetry.ClusterSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&cs); err != nil {
-		return nil, fmt.Errorf("decode %s: %v", url, err)
-	}
-	return &cs, nil
-}
-
 // rayDims extracts width/height from ray root args (scene, w, h, ...).
 func rayDims(args []types.Value) (int, int) {
 	if len(args) >= 3 {
@@ -453,4 +416,43 @@ func rayDims(args []types.Value) (int, int) {
 func fileExists(path string) bool {
 	_, err := os.Stat(path)
 	return err == nil
+}
+
+// newUDPWorker builds worker id of job on a UDP socket bound to addr, with
+// the job's clearinghouse at chAddr. Its transport shares the worker's
+// fault counters, backoff histogram and span recorder.
+func newUDPWorker(job types.JobID, id types.WorkerID, prog *core.Program, addr, chAddr string, cfg core.Config) (*core.Worker, error) {
+	conn, err := phishnet.ListenUDP(job, id, addr)
+	if err != nil {
+		return nil, err
+	}
+	conn.SetPeer(types.ClearinghouseID, chAddr)
+	// A real LAN needs more patience than the in-process fabric.
+	cfg.StealTimeout = time.Second
+	cfg.StealBackoff = 5 * time.Millisecond
+	w := core.NewWorker(job, id, prog, conn, cfg, clock.System)
+	conn.Instrument(w.Counters(), cfg.Metrics, w.RecordSpan)
+	return w, nil
+}
+
+// serveMetrics serves reg, with the Go runtime's health added to it, at
+// /metrics on addr, and /healthz; a nil reg leaves /metrics to the caller.
+// role prefixes what it prints.
+func serveMetrics(role, addr string, reg *telemetry.Registry) *telemetry.Server {
+	if reg != nil {
+		telemetry.RegisterRuntime(reg)
+	}
+	srv, err := telemetry.Serve(addr, reg)
+	if err != nil {
+		log.Fatalf("%s: %v", role, err)
+	}
+	fmt.Printf("%s: telemetry on http://%s/metrics\n", role, srv.Addr())
+	return srv
+}
+
+// awaitSignal blocks until SIGINT or SIGTERM arrives.
+func awaitSignal() {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	<-sig
 }

@@ -15,9 +15,10 @@ import (
 	"phish/internal/clearinghouse"
 )
 
-// Integration tests that build and drive the real binaries — PhishJobQ,
-// PhishJobManager, worker, launcher — over localhost sockets, the way an
-// operator would deploy them across machines. Skipped under -short.
+// Integration tests that build and drive the real binaries — phish in its
+// launcher, jobq, jobmanager and worker roles, and phishbench — over
+// localhost sockets, the way an operator would deploy them across
+// machines. Skipped under -short.
 
 var (
 	buildOnce sync.Once
@@ -33,7 +34,7 @@ func buildBinaries(t *testing.T) string {
 		if buildErr != nil {
 			return
 		}
-		for _, cmd := range []string{"phish", "phishjobq", "phishjobmanager", "phishworker", "phishbench"} {
+		for _, cmd := range []string{"phish", "phishbench"} {
 			out, err := exec.Command("go", "build", "-o", filepath.Join(binDir, cmd), "./cmd/"+cmd).CombinedOutput()
 			if err != nil {
 				buildErr = fmt.Errorf("build %s: %v\n%s", cmd, err, out)
@@ -84,7 +85,7 @@ func TestBinariesFullMacroStack(t *testing.T) {
 
 	// 1. PhishJobQ.
 	jobqAddr := freePort(t)
-	jobq := exec.Command(filepath.Join(bin, "phishjobq"), "-addr", jobqAddr)
+	jobq := exec.Command(filepath.Join(bin, "phish"), "jobq", "-addr", jobqAddr)
 	var jobqOut bytes.Buffer
 	jobq.Stdout, jobq.Stderr = &jobqOut, &jobqOut
 	if err := jobq.Start(); err != nil {
@@ -97,18 +98,17 @@ func TestBinariesFullMacroStack(t *testing.T) {
 	waitListening(t, jobqAddr)
 
 	// 2. Two always-idle workstations run PhishJobManagers that start
-	// phishworker processes for whatever lands in the pool.
+	// workers, from their own binary, for whatever lands in the pool.
 	var managers []*exec.Cmd
-	mgrOuts := make([]*bytes.Buffer, 0, 2) // one buffer per process: exec's
-	// copier goroutines must not share one
+	mgrOuts := make([]*lockedBuffer, 0, 2) // one buffer per process, read
+	// by the test while exec's copier goroutine writes it
 	for ws := 1; ws <= 2; ws++ {
-		mgr := exec.Command(filepath.Join(bin, "phishjobmanager"),
+		mgr := exec.Command(filepath.Join(bin, "phish"), "jobmanager",
 			"-jobq", jobqAddr,
 			"-ws", fmt.Sprint(ws),
 			"-policy", "always",
-			"-worker-bin", filepath.Join(bin, "phishworker"),
 			"-busy-poll", "200ms", "-idle-retry", "150ms", "-work-poll", "100ms")
-		buf := &bytes.Buffer{}
+		buf := &lockedBuffer{}
 		mgrOuts = append(mgrOuts, buf)
 		mgr.Stdout, mgr.Stderr = buf, buf
 		if err := mgr.Start(); err != nil {
@@ -137,6 +137,37 @@ func TestBinariesFullMacroStack(t *testing.T) {
 	if !strings.Contains(string(out), "solutions = 724") {
 		t.Errorf("wrong or missing result:\n%s", out)
 	}
+
+	// 4. The answer alone would pass with the submitter's local worker
+	// doing all of it, so each manager must have started a worker that
+	// joined. How many tasks a remote worker ran depends on timing.
+	deadline := time.Now().Add(10 * time.Second)
+	for i, b := range mgrOuts {
+		for !strings.Contains(b.String(), "joining job") {
+			if time.Now().After(deadline) {
+				t.Fatalf("manager %d never started a worker that joined:\n%s", i+1, b.String())
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+}
+
+// lockedBuffer is a bytes.Buffer a process writes while the test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 func TestBinariesBenchSmoke(t *testing.T) {
@@ -230,7 +261,7 @@ func TestBinariesCheckpointRestore(t *testing.T) {
 }
 
 // TestBinariesStandaloneClearinghouseRecovers runs the job's clearinghouse
-// alone (phish -workers 0) with a journal, feeds it one phishworker,
+// alone (phish -workers 0) with a journal, feeds it one phish worker,
 // kills it mid-job and runs the same command again: the second process
 // resumes the job from the journal, the worker computes straight through
 // the outage, and the job ends with the exact answer.
@@ -259,7 +290,7 @@ func TestBinariesStandaloneClearinghouseRecovers(t *testing.T) {
 		_ = first.Process.Kill()
 		_, _ = first.Process.Wait()
 	}()
-	worker := exec.Command(filepath.Join(bin, "phishworker"), "-ch", chAddr, "-job", "9",
+	worker := exec.Command(filepath.Join(bin, "phish"), "worker", "-ch", chAddr, "-job", "9",
 		"-program", "pfold", "-worker", "42", "-addr", "127.0.0.1:0", "-hb", "100ms")
 	var workerOut bytes.Buffer
 	worker.Stdout, worker.Stderr = &workerOut, &workerOut

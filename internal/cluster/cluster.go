@@ -174,7 +174,7 @@ func (c *Cluster) StopJobQ() {
 }
 
 // RestartJobQ brings the PhishJobQ back up. With a StateDir the pool is
-// rebuilt from its on-disk log — exactly what a restarted phishjobq
+// rebuilt from its on-disk log — exactly what a restarted phish jobq
 // process does — so submitted jobs and their ids survive the outage;
 // without one, the in-memory pool simply resumes.
 func (c *Cluster) RestartJobQ() error {
@@ -453,7 +453,7 @@ func (j *Job) ServeMetrics(addr string) (*telemetry.Server, error) {
 		return nil, err
 	}
 	snap := func() telemetry.ClusterSnapshot { return j.ClusterSnapshot() }
-	s.Handle("/metrics", telemetry.ClusterMetricsHandler(snap))
+	s.Handle("/metrics", telemetry.ClusterMetricsHandler(snap, nil))
 	s.Handle("/cluster.json", telemetry.ClusterJSONHandler(snap))
 	return s, nil
 }

@@ -567,8 +567,7 @@ func TestFnResolvedOncePerName(t *testing.T) {
 // own backing array and a name decoded off the wire all reach the same
 // entry, a name that shares its first bytes with a longer one does not take
 // the longer one's entry, names sharing a memo set never answer for each
-// other, and an unknown name still panics as the registry's MustLookup
-// does.
+// other, and an unknown name still panics as the program's lookup says.
 func TestFnTableResolvesByIdentity(t *testing.T) {
 	p := NewProgram("identity")
 	for _, name := range []string{"fib", "sum", "add", "fibfib"} {
@@ -648,7 +647,7 @@ func TestFnTableResolvesByIdentity(t *testing.T) {
 
 	defer func() {
 		if r := fmt.Sprint(recover()); !strings.Contains(r, `unknown task function "nope"`) {
-			t.Errorf("an unknown name panicked with %q, want the registry's message", r)
+			t.Errorf("an unknown name panicked with %q, want the program's message", r)
 		}
 	}()
 	tab.entry("nope")

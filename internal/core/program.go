@@ -6,7 +6,6 @@ import (
 	"unsafe"
 
 	"phish/internal/model"
-	"phish/internal/registry"
 )
 
 // TaskFunc is the body of a task. It runs to completion without blocking:
@@ -19,21 +18,47 @@ type TaskFunc = model.Func
 
 // Program is a named parallel application: its set of task functions. All
 // worker processes of a job run the same program, so a task can be shipped
-// between workers as a function name plus arguments.
+// between workers as a function name plus arguments. It is safe for
+// concurrent use; registration happens at startup and each FnTable looks a
+// name up once, so lookups take a read lock only.
 type Program struct {
 	// Name identifies the program in JobSpecs.
 	Name string
-	// Funcs maps task-function names to implementations.
-	Funcs *registry.Registry[TaskFunc]
+
+	mu  sync.RWMutex
+	fns map[string]TaskFunc
 }
 
 // NewProgram returns an empty program.
 func NewProgram(name string) *Program {
-	return &Program{Name: name, Funcs: registry.New[TaskFunc]()}
+	return &Program{Name: name, fns: make(map[string]TaskFunc)}
 }
 
-// Register binds a task function name within the program.
-func (p *Program) Register(name string, fn TaskFunc) { p.Funcs.Register(name, fn) }
+// Register binds a task function name within the program. An empty or
+// duplicate name panics: it would make task routing ambiguous between
+// workers, and it is always detectable at startup.
+func (p *Program) Register(name string, fn TaskFunc) {
+	if name == "" {
+		panic("core: empty task function name")
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if _, dup := p.fns[name]; dup {
+		panic(fmt.Sprintf("core: duplicate task function %q", name))
+	}
+	p.fns[name] = fn
+}
+
+// Lookup returns the task function bound to name.
+func (p *Program) Lookup(name string) (TaskFunc, error) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	fn, ok := p.fns[name]
+	if !ok {
+		return nil, fmt.Errorf("core: unknown task function %q", name)
+	}
+	return fn, nil
+}
 
 // fnMemoBits sizes an FnTable's memo: 8 sets of two slots, more than the
 // handful of Fns a program keeps on its hot path.
@@ -87,12 +112,12 @@ func NewFnTable(prog *Program) FnTable {
 	return t
 }
 
-// Func returns the task function bound to name. An unknown name panics, as
-// registry.MustLookup does: the job's processors run different programs.
+// Func returns the task function bound to name. An unknown name panics:
+// the job's processors run different programs, which is unrecoverable.
 func (t *FnTable) Func(name string) TaskFunc { return t.entry(name).fn }
 
-// entry returns name's entry, resolving it in the program's registry the
-// first time the table meets the name.
+// entry returns name's entry, resolving it in the program the first time
+// the table meets the name.
 func (t *FnTable) entry(name string) *fnEntry {
 	set := &t.memo[fnMemoIndex(name)]
 	p := unsafe.StringData(name)
@@ -105,13 +130,17 @@ func (t *FnTable) entry(name string) *fnEntry {
 	return t.resolve(name, set)
 }
 
-// resolve is entry's miss path: the map, the registry on first sight, and
+// resolve is entry's miss path: the map, the program on first sight, and
 // the name put first in its set, the set's first name moved second.
 func (t *FnTable) resolve(name string, set *[2]fnMemo) *fnEntry {
 	t.misses++
 	e, ok := t.byName[name]
 	if !ok {
-		e = &fnEntry{fn: t.prog.Funcs.MustLookup(name)}
+		fn, err := t.prog.Lookup(name)
+		if err != nil {
+			panic(err)
+		}
+		e = &fnEntry{fn: fn}
 		t.byName[name] = e
 	}
 	set[1] = set[0]

@@ -47,7 +47,7 @@ func (e *execStats) warm() bool { return e.n >= execWarmup }
 
 func (e *execStats) p99() time.Duration { return time.Duration(e.mean + 3*e.dev) }
 
-// fnEntry is what the worker knows about one Fn: the registry lookup,
+// fnEntry is what the worker knows about one Fn: the program lookup,
 // memoized, and the execution-time track, side by side so that running a
 // task costs one FnTable resolution. Scheduler goroutine only.
 type fnEntry struct {
@@ -128,8 +128,8 @@ func (w *Worker) onSuspectSet(p wire.SuspectSet) {
 }
 
 // refreshRecordCkpts updates the local copies of tasks lent to thief with
-// any newer published checkpoint blobs (same freshening the WorkerDown
-// path does, but ahead of any crash).
+// any newer published checkpoint blobs: ahead of any crash when thief is
+// a suspect, and before the redo when thief is down.
 func (w *Worker) refreshRecordCkpts(thief types.WorkerID, ckpts []wire.TaskCkpt) {
 	if len(ckpts) == 0 {
 		return

@@ -1953,21 +1953,7 @@ func (w *Worker) onWorkerDown(dead types.WorkerID, ckpts []wire.TaskCkpt, tc wir
 	w.dead[dead] = true
 	w.removeVictim(dead)
 	w.conn.DropPeer(dead)
-	if len(ckpts) > 0 {
-		byTask := make(map[types.TaskID]wire.TaskCkpt, len(ckpts))
-		for _, ck := range ckpts {
-			byTask[ck.Task] = ck
-		}
-		for _, rec := range w.records {
-			if rec.thief != dead {
-				continue
-			}
-			if ck, ok := byTask[rec.task.ID]; ok && ck.Seq > rec.task.CkptSeq {
-				rec.task.Ckpt = append([]byte(nil), ck.Data...)
-				rec.task.CkptSeq = ck.Seq
-			}
-		}
-	}
+	w.refreshRecordCkpts(dead, ckpts)
 	// Redo: re-enqueue the copy of every task we lent that thief. The
 	// record stays; the redone task's result still funnels through it.
 	redone := 0

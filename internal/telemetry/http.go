@@ -9,9 +9,9 @@ import (
 )
 
 // Server is the opt-in telemetry HTTP endpoint a daemon runs when started
-// with -metrics. It serves /metrics (Prometheus text), /metrics.json and
-// /healthz, plus any extra handlers the daemon mounts (phish adds
-// /cluster.json for phishtop and /debug/trace, the job's span timeline).
+// with -metrics. It serves /metrics (Prometheus text) and /healthz, plus
+// any extra handlers the daemon mounts (phish adds /cluster.json for
+// phish top and /debug/trace, the job's span timeline).
 type Server struct {
 	ln  net.Listener
 	mux *http.ServeMux
@@ -53,32 +53,18 @@ func MetricsHandler(r *Registry) http.Handler {
 	})
 }
 
-// JSONHandler serves a registry as a JSON snapshot.
-func JSONHandler(r *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		r.WriteJSON(w) //nolint:errcheck
-	})
-}
-
 // ClusterMetricsHandler serves a cluster rollup (re-assembled per scrape)
-// as Prometheus text exposition. The clearinghouse mounts this at /metrics
-// so one scrape covers the whole job.
-func ClusterMetricsHandler(snap func() ClusterSnapshot) http.Handler {
+// as Prometheus text exposition, followed by reg's when reg is not nil: a
+// process-local registry (build info, Go runtime health) whose metric
+// families are disjoint from the rollup's. The clearinghouse mounts this
+// at /metrics so one scrape covers the whole job.
+func ClusterMetricsHandler(snap func() ClusterSnapshot, reg *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		WriteClusterProm(w, snap()) //nolint:errcheck // client gone mid-write
-	})
-}
-
-// ClusterMetricsWithProcessHandler serves the cluster rollup followed by
-// a process-local registry (build info, Go runtime health) in one text
-// exposition. The two must expose disjoint metric families.
-func ClusterMetricsWithProcessHandler(snap func() ClusterSnapshot, reg *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		WriteClusterProm(w, snap()) //nolint:errcheck // client gone mid-write
-		reg.WriteProm(w)            //nolint:errcheck
+		if reg != nil {
+			reg.WriteProm(w) //nolint:errcheck
+		}
 	})
 }
 
@@ -101,7 +87,6 @@ func Serve(addr string, reg *Registry) (*Server, error) {
 	}
 	if reg != nil {
 		s.Handle("/metrics", MetricsHandler(reg))
-		s.Handle("/metrics.json", JSONHandler(reg))
 	}
 	return s, nil
 }

@@ -7,7 +7,6 @@ package telemetry
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -83,43 +82,6 @@ func writeHistProm(w *bufio.Writer, name string, labels []Label, s HistSnapshot)
 }
 
 func formatBound(b int64) string { return strconv.FormatInt(b, 10) }
-
-// MetricSnapshot is one instrument's state in a JSON snapshot.
-type MetricSnapshot struct {
-	Name   string        `json:"name"`
-	Type   string        `json:"type"`
-	Labels []Label       `json:"labels,omitempty"`
-	Value  int64         `json:"value,omitempty"`
-	Hist   *HistSnapshot `json:"hist,omitempty"`
-}
-
-// Snapshot captures every registered instrument.
-func (r *Registry) Snapshot() []MetricSnapshot {
-	r.mu.Lock()
-	entries := append([]*entry(nil), r.entries...)
-	r.mu.Unlock()
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
-
-	out := make([]MetricSnapshot, 0, len(entries))
-	for _, e := range entries {
-		m := MetricSnapshot{Name: e.name, Type: e.typ, Labels: e.labels}
-		if e.typ == typeHist {
-			s := e.hist.Snapshot()
-			m.Hist = &s
-		} else {
-			m.Value = e.read()
-		}
-		out = append(out, m)
-	}
-	return out
-}
-
-// WriteJSON renders the registry as a JSON array of MetricSnapshots.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
-}
 
 // Sample is one parsed exposition line.
 type Sample struct {

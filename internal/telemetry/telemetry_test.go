@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"testing"
@@ -193,14 +194,19 @@ func TestRegistryIdempotent(t *testing.T) {
 	r.CounterFunc("x_total", "", func() int64 { return 3 })
 	r.GaugeFunc("g", "", func() int64 { return 1 }, Label{"worker", "1"})
 	r.GaugeFunc("g", "", func() int64 { return 1 }, Label{"worker", "2"})
-	snap := r.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("registry holds %d series, want 3 (one x_total, g per label set): %+v", len(snap), snap)
+	var buf bytes.Buffer
+	if err := r.WriteProm(&buf); err != nil {
+		t.Fatal(err)
 	}
-	for _, m := range snap {
-		if m.Name == "x_total" && m.Value != 2 {
-			t.Fatalf("x_total = %d: re-registering must keep the first registration", m.Value)
-		}
+	samples, err := ParseProm(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(samples) != 3 {
+		t.Fatalf("registry holds %d series, want 3 (one x_total, g per label set): %+v", len(samples), samples)
+	}
+	if v, _ := SampleValue(samples, "x_total"); v != 2 {
+		t.Fatalf("x_total = %v: re-registering must keep the first registration", v)
 	}
 	h1 := r.Histogram("h", "", []int64{1, 2})
 	h2 := r.Histogram("h", "", []int64{1, 2})

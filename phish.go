@@ -110,6 +110,10 @@ type LocalOptions struct {
 	// Workers is the number of participants (default 1).
 	Workers int
 	// Config tunes every worker; zero value means DefaultWorkerConfig.
+	// Config.SpanTrace enables the distributed span plane: workers record
+	// task, steal and control spans and ship them to the clearinghouse
+	// collector; the merged cluster timeline comes back in
+	// LocalResult.Spans.
 	Config WorkerConfig
 	// Latency injects a fixed one-way message latency on the in-process
 	// fabric, mimicking a slow LAN.
@@ -123,14 +127,6 @@ type LocalOptions struct {
 	// InterSiteLatency is the one-way delay across the slow cut between
 	// sites.
 	InterSiteLatency time.Duration
-	// SpanTrace enables the distributed span plane: workers record task,
-	// steal and control spans and ship them to the clearinghouse
-	// collector; the merged cluster timeline comes back in
-	// LocalResult.Spans.
-	SpanTrace bool
-	// SpanSample is the per-root sampling probability (zero or >= 1
-	// samples everything); only meaningful with SpanTrace.
-	SpanSample float64
 	// UpdateEvery overrides the clearinghouse membership push interval.
 	UpdateEvery time.Duration
 	// Timeout bounds the whole run (default 5 minutes).
@@ -150,7 +146,7 @@ type LocalResult struct {
 	// Elapsed is the wall-clock time from first spawn to root result.
 	Elapsed time.Duration
 	// Spans is the cluster-aligned span timeline (empty unless
-	// LocalOptions.SpanTrace); feed it to BuildDAG.
+	// LocalOptions.Config.SpanTrace); feed it to BuildDAG.
 	Spans []Span
 	// SpansDropped counts spans lost to worker ring or collector caps; a
 	// nonzero value means the timeline has holes.
@@ -163,7 +159,7 @@ type LocalResult struct {
 // examples, the tests, and every benchmark that regenerates a table or
 // figure of the paper.
 func RunLocal(prog *Program, rootFn string, rootArgs []Value, opt LocalOptions) (*LocalResult, error) {
-	if _, err := prog.Funcs.Lookup(rootFn); err != nil {
+	if _, err := prog.Lookup(rootFn); err != nil {
 		return nil, fmt.Errorf("phish: %w", err)
 	}
 	nw := opt.Workers
@@ -227,10 +223,6 @@ func RunLocal(prog *Program, rootFn string, rootArgs []Value, opt LocalOptions) 
 		port := fab.Attach(types.WorkerID(i))
 		wcfg := cfg
 		wcfg.Site = siteOf(i)
-		if opt.SpanTrace {
-			wcfg.SpanTrace = true
-			wcfg.SpanSample = opt.SpanSample
-		}
 		workers[i] = core.NewWorker(spec.ID, types.WorkerID(i), prog, port, wcfg, clock.System)
 		wg.Add(1)
 		go func(w *core.Worker) {
@@ -256,7 +248,7 @@ func RunLocal(prog *Program, rootFn string, rootArgs []Value, opt LocalOptions) 
 		res.Workers = append(res.Workers, w.Stats())
 	}
 	res.Totals = stats.JobTotals(res.Workers)
-	if opt.SpanTrace {
+	if cfg.SpanTrace {
 		// The final span batches ride each worker's unregister drain;
 		// wait for the collector count to turn nonzero and go quiet (the
 		// bound covers runs whose sampling produced no spans at all).

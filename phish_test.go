@@ -180,9 +180,10 @@ func TestResultsIdenticalAcrossDisciplines(t *testing.T) {
 
 func TestTraceRecordsStealProtocol(t *testing.T) {
 	cfg := phish.DefaultWorkerConfig()
+	cfg.SpanTrace = true
 	cfg.SpanBuf = 1 << 17 // fib(22) outruns the default buffer between reports
 	res, err := phish.RunLocal(fib.Program(), fib.Root, fib.RootArgs(22),
-		phish.LocalOptions{Workers: 4, Config: cfg, SpanTrace: true})
+		phish.LocalOptions{Workers: 4, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

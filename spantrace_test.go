@@ -77,6 +77,7 @@ func TestSpanTraceEndToEnd(t *testing.T) {
 			// steals; the fast membership push widens the window in which
 			// thieves know their victims.
 			cfg := phish.DefaultWorkerConfig()
+			cfg.SpanTrace = true
 			cfg.SpanBuf = 1 << 20
 			var res *phish.LocalResult
 			var err error
@@ -84,7 +85,6 @@ func TestSpanTraceEndToEnd(t *testing.T) {
 				res, err = phish.RunLocal(tc.prog, tc.root, tc.args, phish.LocalOptions{
 					Workers:     tc.workers,
 					Config:      cfg,
-					SpanTrace:   true,
 					UpdateEvery: 2 * time.Millisecond,
 				})
 				if err != nil {
@@ -152,10 +152,12 @@ func TestSpanTraceDisabled(t *testing.T) {
 // is not sampled, and an unsampled root must produce no exec spans (the
 // steal plumbing may still record its own attempt spans).
 func TestSpanSampling(t *testing.T) {
+	cfg := phish.DefaultWorkerConfig()
+	cfg.SpanTrace = true
+	cfg.SpanSample = 1e-12
 	res, err := phish.RunLocal(fib.Program(), fib.Root, fib.RootArgs(10), phish.LocalOptions{
-		Workers:    1,
-		SpanTrace:  true,
-		SpanSample: 1e-12,
+		Workers: 1,
+		Config:  cfg,
 	})
 	if err != nil {
 		t.Fatal(err)
