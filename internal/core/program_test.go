@@ -46,6 +46,18 @@ func TestProgramEmptyNamePanics(t *testing.T) {
 	p.Register("", func(model.Ctx) {})
 }
 
+func TestFnTableUnknownNamePanics(t *testing.T) {
+	p := core.NewProgram("unknown")
+	p.Register("k", func(model.Ctx) {})
+	tab := core.NewFnTable(p)
+	defer func() {
+		if recover() == nil {
+			t.Error("resolving an unknown name did not panic")
+		}
+	}()
+	tab.Func("nope")
+}
+
 func TestProgramConcurrentLookups(t *testing.T) {
 	p := core.NewProgram("concurrent")
 	p.Register("k", func(model.Ctx) {})

@@ -1143,6 +1143,13 @@ func (w *Worker) drainOne(d time.Duration) {
 		w.drainAll()
 		return
 	}
+	// A message queued before the wait is taken without arming the timer.
+	// Otherwise a thread descheduled past d finds the timer fired too, and
+	// the select below may pick the tick over a Shutdown already waiting.
+	if len(w.recv) > 0 {
+		w.drainAll()
+		return
+	}
 	// One timer serves every idle wait: a thief parks once per steal
 	// attempt, and a fresh timer each time is an allocation plus a
 	// timer-heap insert on the steal path.
