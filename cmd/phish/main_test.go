@@ -23,7 +23,12 @@ func TestExitCodesRoundTrip(t *testing.T) {
 			t.Errorf("leaveReason(%d) = %v, want %v", code, got, wire.LeaveCrash)
 		}
 	}
-	if got := leaveReason(exitCode(wire.LeaveDrained)); got != wire.LeaveCrash {
+	// A worker drained for degradation is told apart from a crashed one, so
+	// its manager sits out the drained cooldown.
+	if got := leaveReason(exitCode(wire.LeaveDrained)); got != wire.LeaveDrained {
+		t.Errorf("a drained worker's exit reads back as %v, want %v", got, wire.LeaveDrained)
+	}
+	if got := leaveReason(exitCode(wire.LeaveReason(99))); got != wire.LeaveCrash {
 		t.Errorf("an unlisted reason reads back as %v, want %v", got, wire.LeaveCrash)
 	}
 }

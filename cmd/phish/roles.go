@@ -32,6 +32,7 @@ var exitCodes = map[wire.LeaveReason]int{
 	wire.LeaveReclaimed: 3,
 	wire.LeaveNoWork:    4,
 	wire.LeaveCrash:     5,
+	wire.LeaveDrained:   6,
 }
 
 func exitCode(r wire.LeaveReason) int {

@@ -33,6 +33,7 @@ package pfold
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"phish"
@@ -80,10 +81,12 @@ type walker struct {
 	grid   []uint8 // stride×stride cells, 1 = occupied
 	d      [4]int  // neighbour deltas in branch order: +x, −x, +y, −y
 	hist   []int64
-	// Scratch of a task leaf: the cells its prefix occupies and the
-	// checkpoint blob it offers at every Yield (the runtime copies it).
+	// Scratch of a task: the cells its path occupies, the checkpoint blob a
+	// leaf offers at every Yield and the argument list a fan-out spawns its
+	// children with (the runtime copies both).
 	cells []int
 	blob  []byte
+	args  []phish.Value
 }
 
 func newWalker(n int) *walker {
@@ -178,15 +181,20 @@ func Foldings(hist []int64) int64 {
 var walkers sync.Pool
 
 // acquire borrows a walker for an n-monomer polymer and lays the partial
-// folding packed on its grid; w.cells then holds the monomers' cells in
-// chain order. It panics, naming the fault, on a path that is empty, longer
-// than n, does not start at (0, 0), takes a step that is not to a lattice
-// neighbour, or crosses itself; a path that passes stays on the grid, n−1
-// steps from its centre at most. A task that panics keeps its walker out
-// of the pool.
-func acquire(n int, packed []int64) *walker {
-	if len(packed) < 1 || len(packed) > n {
-		panic(fmt.Sprintf("pfold: path of %d monomers for a polymer of %d", len(packed), n))
+// folding on its grid: the packed path, then the moves (see pfoldTask) from
+// its last monomer. w.cells then holds the monomers' cells in chain order.
+// It panics, naming the fault, on a folding that is empty, longer than n,
+// does not start at (0, 0), takes a step that is not to a lattice
+// neighbour, or crosses itself, and on a moves code that is not one; a
+// folding that passes stays on the grid, n−1 steps from its centre at most.
+// A task that panics keeps its walker out of the pool.
+func acquire(n int, packed []int64, moves int64) *walker {
+	nmoves := (bits.Len64(uint64(moves)) - 1) / 2
+	if moves < 1 || bits.Len64(uint64(moves))%2 == 0 {
+		panic(fmt.Sprintf("pfold: moves code %#b: want a 1 bit and two bits a move after it", moves))
+	}
+	if len(packed) < 1 || len(packed)+nmoves > n {
+		panic(fmt.Sprintf("pfold: path of %d monomers for a polymer of %d", len(packed)+nmoves, n))
 	}
 	if packed[0] != int64(pack(0, 0)) {
 		panic(fmt.Sprintf("pfold: path starts at packed position %d, off the lattice: the first monomer sits at (0, 0)", packed[0]))
@@ -213,14 +221,23 @@ func acquire(n int, packed []int64) *walker {
 			panic(fmt.Sprintf("pfold: path monomer %d (packed position %d) is not a lattice neighbour of monomer %d (%d)",
 				i, packed[i], i-1, packed[i-1]))
 		}
-		if w.grid[q] != 0 {
-			x, y := w.pos(q).unpack()
-			panic(fmt.Sprintf("pfold: path monomer %d at (%d, %d) lands on an occupied cell", i, x, y))
-		}
-		w.grid[q] = 1
-		w.cells = append(w.cells, q)
+		w.lay(q)
+	}
+	for i := nmoves - 1; i >= 0; i-- {
+		q += w.d[moves>>(2*i)&3]
+		w.lay(q)
 	}
 	return w
+}
+
+// lay puts the next monomer of a partial folding at cell q.
+func (w *walker) lay(q int) {
+	if w.grid[q] != 0 {
+		x, y := w.pos(q).unpack()
+		panic(fmt.Sprintf("pfold: monomer %d at (%d, %d) lands on an occupied cell", len(w.cells), x, y))
+	}
+	w.grid[q] = 1
+	w.cells = append(w.cells, q)
 }
 
 // release lifts the prefix acquire laid and returns the walker to the pool.
@@ -232,20 +249,31 @@ func (w *walker) release() {
 	walkers.Put(w)
 }
 
-// Task arguments: n, threshold, energy-so-far, path (packed positions).
+// Task arguments: n, threshold, energy-so-far, path (packed positions) and,
+// for every task but the root, moves: the steps (0–3 in branch order: +x,
+// −x, +y, −y) that extend the path to the task's partial folding, two bits
+// each under a leading 1 bit. A fan-out passes its children its own path
+// and its moves with the child's step appended, so siblings share one path,
+// boxed once, and one argument list, the walker's. Once three steps have
+// piled up the fan-out lays them into a path of its own instead: a code of
+// up to three steps is under 256, an integer Go boxes without allocating.
 func pfoldTask(c phish.TaskCtx) {
 	n := int(c.Int(0))
 	threshold := int(c.Int(1))
 	energy := int(c.Int(2))
 	packed := c.Arg(3).([]int64)
+	moves := int64(1) // no step: the root's path is its whole folding
+	if c.NArgs() > 4 {
+		moves = c.Int(4)
+	}
 	if err := CheckN(n); err != nil {
 		panic(err.Error())
 	}
 	if energy < 0 || energy >= n {
 		panic(fmt.Sprintf("pfold: energy %d so far for a polymer of %d", energy, n))
 	}
-	w := acquire(n, packed)
-	left := n - len(packed)
+	w := acquire(n, packed, moves)
+	left := n - len(w.cells)
 	if left == 0 {
 		w.release()
 		hist := make([]int64, HistSize(n))
@@ -253,12 +281,13 @@ func pfoldTask(c phish.TaskCtx) {
 		c.Return(hist)
 		return
 	}
-	// The feasible placements of the next monomer, in branch order.
-	var free [4]int
+	// The feasible placements of the next monomer, in branch order, and
+	// the direction of each.
+	var free, dirs [4]int
 	nfree := 0
-	for _, d := range w.d {
-		if q := w.cells[len(packed)-1] + d; w.grid[q] == 0 {
-			free[nfree] = q
+	for i, d := range w.d {
+		if q := w.cells[len(w.cells)-1] + d; w.grid[q] == 0 {
+			free[nfree], dirs[nfree] = q, i
 			nfree++
 		}
 	}
@@ -293,14 +322,22 @@ func pfoldTask(c phish.TaskCtx) {
 		c.Return(make([]int64, HistSize(n))) // dead end: contributes nothing
 		return
 	}
-	s := c.Successor("pfold.merge", nfree)
-	for slot, q := range free[:nfree] {
-		child := make([]int64, len(packed)+1)
-		copy(child, packed)
-		child[len(packed)] = int64(w.pos(q))
-		c.Spawn("pfold", s.Cont(slot),
-			int64(n), int64(threshold), int64(energy+w.contacts(q)), child)
+	path := c.Arg(3)
+	if moves >= 1<<6 { // three moves: a fourth would take the code past 255
+		own := make([]int64, len(w.cells))
+		for i, q := range w.cells {
+			own[i] = int64(w.pos(q))
+		}
+		path, moves = own, 1
 	}
+	s := c.Successor("pfold.merge", nfree)
+	args := append(w.args[:0], c.Arg(0), c.Arg(1), nil, path, nil)
+	for slot, q := range free[:nfree] {
+		args[2], args[4] = int64(energy+w.contacts(q)), moves<<2|int64(dirs[slot])
+		c.Spawn("pfold", s.Cont(slot), args...)
+	}
+	clear(args)
+	w.args = args
 	w.release()
 }
 

@@ -3,6 +3,7 @@ package pfold
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -235,6 +236,23 @@ func TestLimitsAreExplicit(t *testing.T) {
 			t.Errorf("%s: panicked with %q, want %q", bad.name, msg, bad.want)
 		}
 	}
+	for _, bad := range []struct {
+		name  string
+		n     int
+		moves int64
+		want  string
+	}{
+		{"moves of zero", 5, 0, "moves code"},
+		{"moves with no leading bit", 5, 0b10, "moves code"},
+		{"negative moves", 5, -1, "moves code"},
+		{"moves longer than n", 3, 0b1_00_00, "path of 4 monomers for a polymer of 3"},
+		{"a move back onto the path", 5, 0b1_01, "occupied cell"},
+	} {
+		c := &fakeCtx{args: phish.Args(int64(bad.n), int64(2), int64(0), straight(2), bad.moves)}
+		if msg := panicOf(c.run); !strings.Contains(msg, bad.want) {
+			t.Errorf("%s: panicked with %q, want %q", bad.name, msg, bad.want)
+		}
+	}
 	c = &fakeCtx{args: phish.Args(int64(5), int64(2), int64(5), straight(2))}
 	if msg := panicOf(c.run); !strings.Contains(msg, "energy") {
 		t.Errorf("energy out of range: panicked with %q", msg)
@@ -286,6 +304,55 @@ func (c *fakeCtx) Yield(blob []byte) bool {
 	return c.yields == c.vacateAt
 }
 
+// monomers is the length of the partial folding a task's arguments lay: its
+// path and its moves.
+func monomers(args []phish.Value) int {
+	m := len(args[3].([]int64))
+	if len(args) > 4 {
+		m += (bits.Len64(uint64(args[4].(int64))) - 1) / 2
+	}
+	return m
+}
+
+// Siblings share their path: a fan-out hands every child the same path
+// slice, boxed once, and a moves code Go boxes without allocating, and each
+// child's partial folding is its parent's and one step more.
+func TestSiblingsShareTheirPath(t *testing.T) {
+	fanouts, laid := 0, 0
+	var walk func(args []phish.Value)
+	walk = func(args []phish.Value) {
+		c := &fakeCtx{args: args}
+		c.run()
+		if c.merge == "" {
+			return
+		}
+		fanouts++
+		path := c.kids[0][3].([]int64)
+		if len(path) > monomers(args) {
+			t.Fatalf("a child's path has %d monomers, its parent's folding %d", len(path), monomers(args))
+		}
+		if len(path) == monomers(args) {
+			laid++ // the parent laid its moves into a path of its own
+		}
+		for _, kid := range c.kids {
+			if p := kid[3].([]int64); &p[0] != &path[0] || len(p) != len(path) {
+				t.Fatal("siblings were handed different paths")
+			}
+			if moves := kid[4].(int64); moves >= 256 {
+				t.Fatalf("a child's moves code is %d: boxing it allocates", moves)
+			}
+			if monomers(kid) != monomers(args)+1 {
+				t.Fatalf("a child's folding has %d monomers, its parent's %d", monomers(kid), monomers(args))
+			}
+			walk(kid)
+		}
+	}
+	walk(RootArgs(12, 4))
+	if fanouts == 0 || laid == 0 || laid == fanouts {
+		t.Errorf("%d fan-outs, %d of them laid a path: want some, not all", fanouts, laid)
+	}
+}
+
 // eachLeaf walks the task tree of pfold(n, threshold) depth first and calls
 // visit with the arguments of every task that enumerates serially.
 func eachLeaf(n, threshold int, visit func(args []phish.Value)) {
@@ -294,7 +361,7 @@ func eachLeaf(n, threshold int, visit func(args []phish.Value)) {
 		c := &fakeCtx{args: args}
 		c.run()
 		if c.merge == "" {
-			if left := n - len(args[3].([]int64)); left > 0 {
+			if left := n - monomers(args); left > 0 {
 				visit(args)
 			}
 			return
@@ -480,10 +547,12 @@ func TestTaskTreeShape(t *testing.T) {
 }
 
 // A task builds no world of its own: what pfold allocates is what a task
-// hands to another — a leaf's histogram, a fan-out's child paths, a merge's
-// sum — and the boxes and argument lists those travel in. A count, so it
-// repeats: 3.68 allocations and 316 bytes per task here; 13.95 and 1.7 KB
-// when every task made a map, a path, a histogram and a blob per branch.
+// hands to another — a leaf's histogram, a merge's sum, the path a fan-out
+// at every fourth level of the tree lays for its children — and the boxes
+// those travel in. A count, so it repeats: 1.52 allocations and 197 bytes per task here;
+// 3.68 and 316 when every child got a path, a box and an argument list of
+// its own; 13.95 and 1.7 KB when every task made a map, a path, a histogram
+// and a blob per branch.
 func TestTaskBuildsNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -496,11 +565,11 @@ func TestTaskBuildsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	tasks := float64(res.Totals.TasksExecuted)
-	if mallocs := float64(m1.Mallocs-m0.Mallocs) / tasks; mallocs > 4 {
-		t.Errorf("%.2f allocations per task over pfold(14, 4), want at most 4", mallocs)
+	if mallocs := float64(m1.Mallocs-m0.Mallocs) / tasks; mallocs > 1.7 {
+		t.Errorf("%.2f allocations per task over pfold(14, 4), want at most 1.7", mallocs)
 	}
-	if bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / tasks; bytes > 400 {
-		t.Errorf("%.0f bytes allocated per task over pfold(14, 4), want at most 400", bytes)
+	if bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / tasks; bytes > 240 {
+		t.Errorf("%.0f bytes allocated per task over pfold(14, 4), want at most 240", bytes)
 	}
 }
 

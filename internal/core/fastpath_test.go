@@ -184,15 +184,20 @@ func chainProg(body func()) *Program {
 	return p
 }
 
-// spin50 is a coarse task body: it holds the processor for 50 µs.
-func spin50() {
-	for t0 := time.Now(); time.Since(t0) < 50*time.Microsecond; {
+// spin50 and spin20 are task bodies that hold the processor for 50 µs and
+// for 20 µs.
+func spin50() { spin(50 * time.Microsecond) }
+func spin20() { spin(20 * time.Microsecond) }
+
+func spin(d time.Duration) {
+	for t0 := time.Now(); time.Since(t0) < d; {
 	}
 }
 
 // honoured is how long a busy worker may take to act on a request: the
-// design bound is a millisecond (timedEvery fine-grain tasks, or one coarse
-// one); this leaves room for the race detector and a busy machine.
+// design bound is 128 µs of work (the budget between two timed executions,
+// or one coarse task); this leaves room for the race detector and a busy
+// machine.
 const honoured = 50 * time.Millisecond
 
 // longChain outlasts every test that pokes a grinding worker; none of them
@@ -430,21 +435,57 @@ func (g *grinder) finish(t *testing.T) {
 	g.waitDone(t, 10*time.Second)
 }
 
-// An Fn at or above fineGrain is timed on every execution — its track is
-// what the speculation deadline is computed from — while a warm Fn below it
-// is sampled.
-func TestCoarseFnIsTimedEveryExecution(t *testing.T) {
-	const chain = 400
-	g := startGrinder(t, chainProg(spin50), "chain", []types.Value{int64(chain)}, DefaultConfig(), clock.System)
-	g.finish(t)
-	if got := g.w.fns.entry("chain").exec.n; got != chain+1 {
-		t.Errorf("the coarse Fn's track has %d samples of %d executions", got, chain+1)
-	}
-	if raceEnabled {
-		return // an empty task is not fine-grain under the race detector
-	}
-	if got := g.w.fns.entry("pass").exec.n; got < execWarmup || got > chain/2 {
-		t.Errorf("the fine Fn's track has %d samples of %d executions, want a warm sample", got, chain)
+// steppingClock reads step later every time it is read, so every timed
+// execution measures exactly step, whatever its body does.
+type steppingClock struct {
+	clock.Clock
+	step  time.Duration
+	t0    time.Time
+	reads atomic.Int64
+}
+
+func (c *steppingClock) Now() time.Time {
+	return c.t0.Add(time.Duration(c.reads.Add(1)) * c.step)
+}
+
+// A worker times an execution once per budget of work, timedEvery ×
+// fineGrain: an Fn at or above the budget every time — its track is what
+// the speculation deadline is computed from — a 20 µs Fn about 1 in 6, an
+// Fn under fineGrain 1 in timedEvery. Each Fn's first executions are timed
+// while its track warms up. The clock decides what an execution costs, so
+// the counts are exact, under the race detector too.
+func TestTimedOncePerBudget(t *testing.T) {
+	const chain = 1200
+	const tasks = 2*chain + 1
+	for _, tc := range []struct {
+		step   time.Duration
+		period int // executions per timed one, once warm
+	}{{130 * time.Microsecond, 1}, {20 * time.Microsecond, 6}, {time.Microsecond, timedEvery}} {
+		t.Run(tc.step.String(), func(t *testing.T) {
+			clk := &steppingClock{Clock: clock.System, step: tc.step, t0: time.Now()}
+			cfg := DefaultConfig()
+			cfg.HeartbeatEvery = 0
+			g := startGrinder(t, chainProg(nil), "chain", []types.Value{int64(chain)}, cfg, clk)
+			g.finish(t)
+			// Two readings per timed execution, and nothing else reads the
+			// clock: no suspects, so no speculation scan.
+			timed := clk.reads.Load() / 2
+			t.Logf("%d of %d executions timed", timed, tasks)
+			// Each of the two Fns is timed execWarmup times to warm, once more
+			// as its new cost meets a budget the warm-up emptied, then once per
+			// period.
+			lo, hi := int64(tasks/tc.period), int64(tasks/tc.period+2*(execWarmup+1)+1)
+			if timed < lo || timed > hi {
+				t.Errorf("%d of %d executions timed, want %d to %d (1 in %d)", timed, tasks, lo, hi, tc.period)
+			}
+			if tc.period == 1 {
+				for fn, want := range map[string]int64{"chain": chain + 1, "pass": chain} {
+					if got := g.w.fns.entry(fn).exec.n; got != want {
+						t.Errorf("the %s Fn's track has %d samples of %d executions", fn, got, want)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -533,6 +574,30 @@ func TestClockReadsPerTask(t *testing.T) {
 	})
 	if reads > limit {
 		t.Errorf("%d clock readings on the scheduler goroutine over fib(20), want at most %d (tasks/32 + 64)", reads, limit)
+	}
+}
+
+// A 20 µs Fn reads the clock once per budget of work, not around every
+// execution: fewer than a third of a reading per task over a chain of them
+// and the fine-grain successors that carry its result back (two readings a
+// task when every Fn at or above fineGrain was timed).
+func TestClockReadsPerMidGrainTask(t *testing.T) {
+	if raceEnabled {
+		t.Skip("an empty task is not fine-grain under the race detector")
+	}
+	const chain = 1000
+	reads, limit := bestOf3(t, func() (int64, int64) {
+		clk := &countingClock{Clock: clock.System}
+		cfg := DefaultConfig()
+		cfg.HeartbeatEvery = 0
+		g := startGrinder(t, chainProg(spin20), "chain", []types.Value{int64(chain)}, cfg, clk)
+		g.finish(t)
+		tasks := g.w.Stats().TasksExecuted
+		t.Logf("%d clock readings over %d tasks", clk.reads.Load(), tasks)
+		return clk.reads.Load(), tasks/3 + 64
+	})
+	if reads > limit {
+		t.Errorf("%d clock readings on the scheduler goroutine over a chain of 20 µs tasks, want at most %d (tasks/3 + 64)", reads, limit)
 	}
 }
 

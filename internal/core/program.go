@@ -140,7 +140,7 @@ func (t *FnTable) resolve(name string, set *[2]fnMemo) *fnEntry {
 		if err != nil {
 			panic(err)
 		}
-		e = &fnEntry{fn: fn}
+		e = &fnEntry{fn: fn, cost: timedEvery}
 		t.byName[name] = e
 	}
 	set[1] = set[0]

@@ -11,6 +11,7 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"phish/internal/types"
@@ -48,19 +49,36 @@ func (e *execStats) warm() bool { return e.n >= execWarmup }
 func (e *execStats) p99() time.Duration { return time.Duration(e.mean + 3*e.dev) }
 
 // fnEntry is what the worker knows about one Fn: the program lookup,
-// memoized, and the execution-time track, side by side so that running a
-// task costs one FnTable resolution. Scheduler goroutine only.
+// memoized, the execution-time track, and what an untimed execution of the
+// Fn draws from the worker's budget, side by side so that running a task
+// costs one FnTable resolution. Scheduler goroutine only.
 type fnEntry struct {
 	fn   TaskFunc
 	exec execStats
+	// cost is the Fn's mean in fineGrains, rounded up, from 1 to
+	// timedEvery; an Fn whose track is not warm costs timedEvery, the
+	// whole budget, so it is timed every time.
+	cost int
 }
 
-// fineGrain is the mean execution time below which a warm Fn is no longer
-// timed on every execution: under it two clock readings cost a noticeable
-// share of the task itself, and the speculation deadline such an Fn would
-// earn is floored at StealTimeout anyway (maybeSpeculate), so its track
-// only has to stay warm. timedEvery is the sampling period then: every
-// timedEvery-th task a worker runs is timed whatever its Fn.
+// observe adds a clean execution to the Fn's track and re-prices the Fn.
+func (e *fnEntry) observe(d time.Duration) {
+	e.exec.observe(d)
+	e.cost = timedEvery
+	if e.exec.warm() {
+		e.cost = min(timedEvery, max(1, int(math.Ceil(e.exec.mean/float64(fineGrain)))))
+	}
+}
+
+// A worker times one execution and then runs untimed ones until their Fns'
+// means add up to a budget of timedEvery × fineGrain (128 µs) of work. Every
+// timed execution reads the clock twice and forces a housekeeping pass, so
+// the budget bounds both costs per unit of work: an Fn under fineGrain is
+// timed 1 in timedEvery, an Fn of 20 µs 1 in 6, an Fn at or above the
+// budget every time. An Fn sampled this way is under the budget, so the
+// speculation deadline it would earn, K × its p99, stays far below the
+// StealTimeout that maybeSpeculate floors the deadline at: sampling changes
+// no speculation decision.
 const (
 	fineGrain  = 2 * time.Microsecond
 	timedEvery = 64

@@ -166,10 +166,11 @@ type Worker struct {
 	// housekeep makes the loop's next iteration a housekeeping pass whatever
 	// else is quiet: set after every timed execution and every yield, which
 	// bounds how long an undisturbed worker goes between passes (see loop).
-	// sinceTimed counts the untimed executions since the last timed one.
-	// Scheduler goroutine only.
-	housekeep  bool
-	sinceTimed int
+	// budget is what is left, in fineGrains, of the work the worker may run
+	// untimed before it times an execution again (see execute). Scheduler
+	// goroutine only.
+	housekeep bool
+	budget    int
 	// drainOrdered distinguishes a clearinghouse degradation drain from an
 	// owner-return reclaim: the manager quarantines the machine after the
 	// former. Loop goroutine only.
@@ -799,10 +800,10 @@ func panicFrames(stack []byte, n int) string {
 // closed without a Shutdown message (a closed empty channel has length 0),
 // refreshes readyDepth, folds the task counters and — for a worker that
 // reads its own socket — moves what has arrived there into the inbox.
-// Every timed execution sets housekeep (see
-// execute), and at least one task in timedEvery is timed, so a pass is
-// never further away than timedEvery-1 fine-grain tasks — under 150 µs of
-// work — while a worker running coarse tasks makes one before every task.
+// Every timed execution sets housekeep, and the untimed executions between
+// two timed ones add up to less than timedEvery × fineGrain of work by their
+// Fns' means (see execute), so a pass is never further away than 128 µs of
+// work, while a worker running coarse tasks makes one before every task.
 func (w *Worker) loop() {
 	for {
 		attn := w.attn.Load()
@@ -865,14 +866,14 @@ func (w *Worker) popNext() (*Closure, bool) {
 // execute runs one slice of cl's body: the whole task, or the stretch up to
 // its next preempting Yield.
 //
-// The clock is read only when the reading is worth a task. An attempt is
-// timed — two readings around each of its slices — when telemetry or
-// tracing wants every task, while the Fn's track is still warming up, when
-// the Fn's mean is at or above fineGrain (so every Fn the speculation rule
-// can act on keeps exactly the track it always had), or as the
-// timedEvery-th task since the last timed one. Only warm sub-fineGrain Fns
-// are ever sampled, and for those the speculation deadline is floored at
-// StealTimeout whatever the track says.
+// The clock is read once per budget of work, not once per task. An attempt
+// is timed — two readings around each of its slices — when telemetry or
+// tracing wants every task, or when what is left of the budget does not
+// cover the Fn's cost: always while its track is warming up or when its
+// mean is at or above the budget, else once the untimed executions since
+// the last timed one have spent timedEvery × fineGrain of work. A timed
+// execution refills the budget less its own cost; an untimed one spends its
+// cost, one subtraction on the per-task path.
 func (w *Worker) execute(cl *Closure) {
 	cl.adopted = false
 	e := w.fns.entry(cl.Fn)
@@ -886,8 +887,7 @@ func (w *Worker) execute(cl *Closure) {
 		// First local slice of this attempt: only a run that started from
 		// scratch (no checkpoint blob) measures the Fn's full cost.
 		cl.freshLocal = cl.CkptSeq == 0 && len(cl.Ckpt) == 0
-		cl.timed = m != nil || traced || !e.exec.warm() || e.exec.mean >= float64(fineGrain) ||
-			w.sinceTimed >= timedEvery-1
+		cl.timed = m != nil || traced || w.budget < e.cost
 		w.tasks.executed++
 		if len(cl.Ckpt) > 0 {
 			w.counters.CkptResumes.Add(1)
@@ -918,10 +918,10 @@ func (w *Worker) execute(cl *Closure) {
 				Start: t0.UnixNano(), End: end.UnixNano()})
 		}
 		cl.execNS += int64(d)
-		w.sinceTimed = 0
+		w.budget = timedEvery - e.cost
 		w.housekeep = true
 	} else {
-		w.sinceTimed++
+		w.budget -= e.cost
 	}
 	if w.ctx.yielded {
 		// The body vacated at a Yield: the closure stays live with its
@@ -946,7 +946,7 @@ func (w *Worker) execute(cl *Closure) {
 		// contribute partial runs that drag the p99 estimate down. Slices
 		// are summed across yields and local preemptions, so a body that
 		// checkpoints mid-run still feeds the track its full cost.
-		e.exec.observe(time.Duration(cl.execNS))
+		e.observe(time.Duration(cl.execNS))
 	}
 	if cl.published {
 		w.dropCkptPub(cl.ID)
@@ -959,7 +959,7 @@ func (w *Worker) execute(cl *Closure) {
 // retired (parallelism shrank).
 func (w *Worker) thieveStep() bool {
 	now := time.Now()
-	if w.stealPending && now.After(w.stealDeadline) {
+	if w.stealPending && !now.Before(w.stealDeadline) {
 		// The victim never answered; count a failure and move on. The
 		// silence is also local evidence of degradation: blacklist the
 		// victim for one decay interval so the next picks go elsewhere.
@@ -1238,7 +1238,12 @@ func (w *Worker) awaitSteal() {
 		w.net.Flush()
 	}
 	if int(runningWorkers.Load()) <= w.procs {
-		for spinUntil := time.Now().Add(stealSpin); time.Now().Before(spinUntil); {
+		// A count bounds the spin as well as the clock: a clock reading
+		// takes more than a nanosecond, so stealSpin's count of nanoseconds
+		// never ends a spin before the clock does — except where the clock
+		// stands still while the worker runs, as in a testing/synctest
+		// bubble, which it would otherwise never leave.
+		for i, spinUntil := 0, time.Now().Add(stealSpin); i < int(stealSpin) && time.Now().Before(spinUntil); i++ {
 			w.pollNet(0)
 			if len(w.recv) > 0 || len(w.wakeCh) > 0 {
 				w.drainAll()
