@@ -172,9 +172,9 @@ func launch(args []string) {
 	if *metricsAddr != "" {
 		chCfg.Metrics = telemetry.NewMetrics()
 	}
+	var jnl *clearinghouse.Journal
 	if *journal != "" {
-		jnl, err := clearinghouse.OpenJournal(*journal)
-		if err != nil {
+		if jnl, err = clearinghouse.OpenJournal(*journal); err != nil {
 			log.Fatalf("phish: %v", err)
 		}
 		defer jnl.Close()
@@ -326,6 +326,11 @@ func launch(args []string) {
 	}
 	wg.Wait()
 	fmt.Printf("phish: done in %v\n", time.Since(start).Round(time.Millisecond))
+	if jnl != nil {
+		if err := jnl.Err(); err != nil {
+			fmt.Printf("phish: journal %s stopped recording: %v (a restart would resume from its last good record)\n", *journal, err)
+		}
+	}
 	if o := ch.Output(); o != "" {
 		fmt.Print(o)
 	}

@@ -159,7 +159,6 @@ func runJobQ(args []string) {
 		reg.CounterFunc("phish_jobq_grants_total", "Job requests answered with a job.", st.Grants.Load)
 		reg.CounterFunc("phish_jobq_submits_total", "Jobs submitted.", st.Submits.Load)
 		reg.CounterFunc("phish_jobq_dones_total", "Jobs retired as done.", st.Dones.Load)
-		reg.CounterFunc("phish_jobq_lists_total", "Pool listings served.", st.Lists.Load)
 		reg.GaugeFunc("phish_jobq_pending_jobs", "Jobs currently waiting in the pool.",
 			func() int64 { return int64(pool.Len()) })
 		defer serveMetrics("phish jobq", *metricsAddr, reg).Close()

@@ -581,8 +581,10 @@ func TestTaskBuildsNothing(t *testing.T) {
 // this is the backstop. On the 2-vCPU box it was written on, the thread CPU
 // time of identical work moves by a factor of 1.6 within a minute, pairs run
 // back to back read 1.2 to 1.6, most of them 1.35 to 1.5, and the best of
-// twelve 1.16 to 1.31 — so the bound is on the best pair and is 1.5, which
-// a task that builds its own lattice again (2 and more) cannot meet.
+// twelve 1.16 to 1.31. So the test runs up to twelve pairs and passes at the
+// first that reads 1.5 or less: the verdict of "the best of twelve is at
+// most 1.5", without timing the rest. A task that builds its own lattice
+// again (2 and more) cannot meet it.
 func TestOneWorkerWithinSerial(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("a timing gate")
@@ -592,9 +594,9 @@ func TestOneWorkerWithinSerial(t *testing.T) {
 	if _, ok := cputime.Thread(); !ok {
 		t.Skip("no per-thread CPU clock on this platform")
 	}
-	const bound = 1.5
-	best := 1e9
-	for round := 0; round < 12 && best > bound; round++ {
+	const bound, rounds = 1.5, 12
+	best := 1e9 // the lowest ratio so far; after a pass, the passing pair's
+	for round := 1; round <= rounds && best > bound; round++ {
 		c0, _ := cputime.Thread()
 		Serial(17)
 		c1, _ := cputime.Thread()
@@ -604,11 +606,11 @@ func TestOneWorkerWithinSerial(t *testing.T) {
 		}
 		serial, p1 := c1-c0, res.Workers[0].ExecTime
 		ratio := float64(p1) / float64(serial)
-		t.Logf("Serial(17) %v, pfold(17, 6) on one worker %v: T(P=1)/T(Serial) = %.2f", serial, p1, ratio)
+		t.Logf("pair %d: Serial(17) %v, pfold(17, 6) on one worker %v: T(P=1)/T(Serial) = %.2f", round, serial, p1, ratio)
 		best = min(best, ratio)
 	}
 	if best > bound {
-		t.Errorf("pfold(17, 6) on one worker takes %.2f × Serial(17) at best, want at most %.1f", best, bound)
+		t.Errorf("pfold(17, 6) on one worker takes %.2f × Serial(17) in the best of %d pairs, want at most %.1f", best, rounds, bound)
 	}
 }
 

@@ -231,8 +231,8 @@ func (c *Clearinghouse) Run() {
 
 // ingest handles one received envelope. A zero-copy view (UDP; the root
 // result's Arg, say) is materialized first, so every message takes the one
-// handle path whatever transport carried it. Heartbeats and StatReports
-// have no view form and arrive as structs either way.
+// handle path whatever transport carried it. StatReports have no view
+// form and arrive as structs either way.
 func (c *Clearinghouse) ingest(env *wire.Envelope) {
 	if err := env.Materialize(); err != nil {
 		env.Free() // corrupt frame: consume and drop
@@ -320,24 +320,14 @@ func (c *Clearinghouse) handle(env *wire.Envelope) {
 		return
 	}
 	c.msgsRecv.Add(1)
-	// Any traffic from a live member proves it is alive; heartbeats are
-	// just the guaranteed minimum cadence.
+	// Any traffic from a live member proves it is alive; stamped reports
+	// (heartbeats) are just the guaranteed minimum cadence.
 	c.store.Touch(env.From, c.clk.Now())
 	switch p := env.Payload.(type) {
 	case wire.Register:
 		c.onRegister(p)
 	case wire.Unregister:
 		c.onUnregister(p)
-	case wire.Heartbeat:
-		// Self-reported (From == Worker) or relayed, the same fold.
-		c.noteBeatFrom(p.Worker)
-		c.store.Heartbeat(p.Worker, c.clk.Now())
-		if p.SendNS != 0 {
-			// Offset refinement uses wall clocks on both ends (span
-			// timestamps are wall-clock), so this deliberately bypasses
-			// the injectable c.clk.
-			c.spans.noteHeartbeat(p.Worker, p.SendNS, time.Now().UnixNano())
-		}
 	case wire.StatReport:
 		// Latest-wins per worker by cumulative progress: reports carry
 		// cumulative values, so duplicates and reordering (within one
@@ -345,6 +335,15 @@ func (c *Clearinghouse) handle(env *wire.Envelope) {
 		c.store.FoldReport(p, c.clk.Now())
 		c.maybeJournalCkpts(&p)
 		c.spans.fold(&p)
+		if p.SendNS != 0 {
+			// A stamped report is the worker's heartbeat, self-reported
+			// (From == Worker) or relayed, the same fold. Offset refinement
+			// uses wall clocks on both ends (span timestamps are
+			// wall-clock), so it deliberately bypasses the injectable c.clk.
+			c.noteBeatFrom(p.Worker)
+			c.store.Heartbeat(p.Worker, c.clk.Now())
+			c.spans.noteHeartbeat(p.Worker, p.SendNS, time.Now().UnixNano())
+		}
 	case wire.Arg:
 		c.onArg(p)
 	case wire.IO:

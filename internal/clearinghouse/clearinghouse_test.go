@@ -212,14 +212,14 @@ func TestHeartbeatTimeoutDeclaresCrash(t *testing.T) {
 
 	// w1 heartbeats once — only workers that have ever heartbeated are
 	// subject to the timeout — then goes silent; w2 keeps heartbeating.
-	h.send(w1, 10, wire.Heartbeat{Worker: 10})
+	h.send(w1, 10, beat(10))
 	time.Sleep(2 * time.Millisecond)
 	for i := 0; i < 6; i++ {
 		if !clk.BlockUntilWaiters(1, time.Second) {
 			t.Fatal("clearinghouse never armed its heartbeat check")
 		}
 		clk.Advance(5 * time.Second)
-		h.send(w2, 11, wire.Heartbeat{Worker: 11})
+		h.send(w2, 11, beat(11))
 		time.Sleep(2 * time.Millisecond)
 	}
 	expect[wire.WorkerDown](t, w2, 2*time.Second)
@@ -246,7 +246,7 @@ func TestRegistrationGraceEvictsNeverHeartbeated(t *testing.T) {
 			t.Fatal("clearinghouse never armed its heartbeat check")
 		}
 		clk.Advance(5 * time.Second)
-		h.send(w1, 10, wire.Heartbeat{Worker: 10})
+		h.send(w1, 10, beat(10))
 		time.Sleep(2 * time.Millisecond)
 	}
 	// Three full heartbeat timeouts pass. A worker that has never
@@ -354,7 +354,7 @@ func TestReadersShareTheJobLock(t *testing.T) {
 	expect[wire.RegisterReply](t, watcher, time.Second)
 	sweep := func() {
 		t.Helper()
-		h.send(watcher, 1, wire.Heartbeat{Worker: 1, SendNS: time.Now().UnixNano()})
+		h.send(watcher, 1, beat(1))
 		if !clk.BlockUntilWaiters(2, time.Second) {
 			t.Fatal("clearinghouse never armed its update and heartbeat timers")
 		}
@@ -370,9 +370,9 @@ func TestReadersShareTheJobLock(t *testing.T) {
 			port := h.attach(id)
 			ports = append(ports, port)
 			expect[wire.RegisterReply](t, port, time.Second)
-			h.send(port, id, wire.Heartbeat{Worker: id, SendNS: time.Now().UnixNano()})
 			rep := spanReport(id, 1, 3)
 			rep.Counters, rep.Deque = []int64{int64(r + 1)}, 1
+			rep.SendNS = time.Now().UnixNano() // a traced worker's beat
 			h.send(port, id, rep)
 		}
 		h.send(watcher, 1, wire.StatReport{Worker: 1, Counters: []int64{int64(r + 1)}})

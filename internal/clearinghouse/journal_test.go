@@ -232,7 +232,7 @@ func TestJournalRecoveryAdaptiveDetector(t *testing.T) {
 			t.Fatal("clearinghouse never armed its heartbeat check")
 		}
 		clk.Advance(time.Second)
-		send(w1b, 10, wire.Heartbeat{Worker: 10})
+		send(w1b, 10, beat(10))
 		time.Sleep(2 * time.Millisecond)
 	}
 	if live := ch2.LiveWorkers(); len(live) != 1 || live[0] != 10 {

@@ -50,15 +50,6 @@ func newSpanSink() *spanSink {
 	return &spanSink{perW: make(map[types.WorkerID]*workerSpans)}
 }
 
-func (s *spanSink) of(w types.WorkerID) *workerSpans {
-	ws, ok := s.perW[w]
-	if !ok {
-		ws = &workerSpans{minHbDelta: math.MaxInt64}
-		s.perW[w] = ws
-	}
-	return ws
-}
-
 // fold absorbs one report's span batch and clock-offset estimate. Reports
 // from workers without tracing enabled (no batch ever sealed, zero
 // offset) are ignored without allocating per-worker state.
@@ -66,7 +57,11 @@ func (s *spanSink) fold(rep *wire.StatReport) {
 	if rep.SpanSeq == 0 && rep.ClockOffNS == 0 && len(rep.Spans) == 0 {
 		return
 	}
-	ws := s.of(rep.Worker)
+	ws, ok := s.perW[rep.Worker]
+	if !ok {
+		ws = &workerSpans{minHbDelta: math.MaxInt64}
+		s.perW[rep.Worker] = ws
+	}
 	ws.offNS = rep.ClockOffNS
 	if rep.SpanSeq <= ws.lastSeq {
 		return // the same sealed batch riding a later report, or a stale one
@@ -98,13 +93,15 @@ func (s *spanSink) resetWorker(w types.WorkerID) {
 	ws.minHbDelta = math.MaxInt64
 }
 
-// noteHeartbeat refines a worker's offset bound from a stamped heartbeat.
-// nowNS is the clearinghouse's wall clock at processing time.
+// noteHeartbeat refines a worker's offset bound from a stamped report.
+// nowNS is the clearinghouse's wall clock at processing time. Only a worker
+// the sink already holds (one that has shipped a batch or an offset) is
+// refined, so an untraced job creates no sink state.
 func (s *spanSink) noteHeartbeat(w types.WorkerID, sendNS, nowNS int64) {
-	if sendNS == 0 {
+	ws, ok := s.perW[w]
+	if !ok {
 		return
 	}
-	ws := s.of(w)
 	if d := nowNS - sendNS; d < ws.minHbDelta {
 		ws.minHbDelta = d
 	}

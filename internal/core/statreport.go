@@ -2,13 +2,12 @@ package core
 
 import "phish/internal/wire"
 
-// statReportBudget caps one StatReport's encoded size so the report, the
-// heartbeat it piggybacks on, and the per-frame framing all share one
-// ~60KiB datagram. A full span batch (512 × ~62B ≈ 31KiB) plus a
-// checkpoint blob near the 64KiB MaxCkptBlob cap used to land in a single
-// report that blew the datagram budget and was silently truncated on the
-// wire; the planner below splits such snapshots across successive reports
-// instead.
+// statReportBudget caps one StatReport's encoded size so the report and
+// the per-frame framing share one ~60KiB datagram. A full span batch
+// (512 × ~62B ≈ 31KiB) plus a checkpoint blob near the 64KiB MaxCkptBlob
+// cap used to land in a single report that blew the datagram budget and was
+// silently truncated on the wire; the planner below splits such snapshots
+// across successive reports instead.
 const statReportBudget = 56 << 10
 
 // Encoded-size estimates, slightly generous on purpose: only the sum

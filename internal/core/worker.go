@@ -193,7 +193,6 @@ type Worker struct {
 	cpuT   atomic.Int64 // thread CPU nanoseconds, set at exit (0 if unknown)
 
 	orphanDrops atomic.Int64
-	heartbeats  atomic.Int64
 
 	// readyDepth mirrors dq.Len() for the heartbeat goroutine's stat
 	// reports; the deque itself is owned by the scheduler goroutine. It is
@@ -357,11 +356,6 @@ func (w *Worker) Counters() *stats.Counters { return &w.counters }
 // (expected after crash recovery; always zero in fault-free runs).
 func (w *Worker) OrphanDrops() int64 { return w.orphanDrops.Load() }
 
-// Heartbeats reports heartbeat messages sent (tracked apart from
-// MessagesSent so Table 2 comparisons are not polluted by a mechanism the
-// paper's measurements predate).
-func (w *Worker) Heartbeats() int64 { return w.heartbeats.Load() }
-
 // Reclaim asks the worker to leave because the workstation's owner
 // returned, on a planned schedule: the in-flight task is offered
 // preemption at its next Yield, the deque (with any checkpoints) is handed
@@ -520,11 +514,7 @@ func (w *Worker) register() error {
 			reg.SendNS = w.regSentNS
 		}
 		w.sendTo(types.ClearinghouseID, reg)
-		deadline := time.Now().Add(200 * time.Millisecond)
-		for time.Now().Before(deadline) && !w.registered {
-			w.drainOne(time.Until(deadline))
-		}
-		if w.registered {
+		if w.waitUntil(time.Now().Add(200*time.Millisecond), func() bool { return w.registered }) {
 			w.RecordSpan(wire.Span{Kind: wire.SpanRegister, Worker: w.id,
 				Peer: types.ClearinghouseID, Start: t0.UnixNano()})
 			if m := w.cfg.Metrics; m != nil {
@@ -635,29 +625,22 @@ func (w *Worker) heartbeatLoop() {
 		case <-w.hbStop:
 			return
 		case <-w.clk.After(w.cfg.HeartbeatEvery):
-			hb := wire.Heartbeat{Worker: w.id}
-			if w.spans.Load() != nil {
-				// Stamp the heartbeat so the collector can bound (and
-				// refine) this worker's clock-offset estimate from the
-				// one-way delay.
-				hb.SendNS = time.Now().UnixNano()
-			}
-			env := &wire.Envelope{Job: w.job, From: w.id, To: types.ClearinghouseID,
-				Payload: hb}
-			if err := w.conn.Send(env); err == nil {
-				w.heartbeats.Add(1)
-			}
-			// Piggyback the telemetry report on the same cadence: over UDP
-			// the batching window coalesces it into the heartbeat's
-			// datagram. Sent unreliably (and kept out of MessagesSent, like
-			// heartbeats) — a pre-telemetry clearinghouse just drops it. A
-			// snapshot too big for one datagram ships as several reports.
-			for _, sr := range w.statReports() {
-				rep := &wire.Envelope{Job: w.job, From: w.id, To: types.ClearinghouseID,
-					Payload: sr}
-				_ = w.conn.Send(rep)
-			}
+			w.sendReports(time.Now().UnixNano())
 		}
+	}
+}
+
+// sendReports sends the telemetry record to the clearinghouse, kept out of
+// MessagesSent (Table 2 predates it); a snapshot too big for one datagram
+// ships as several reports. A nonzero sendNS stamps the first report,
+// which makes it the tick's heartbeat (wire.StatReport.SendNS).
+func (w *Worker) sendReports(sendNS int64) {
+	for i, sr := range w.statReports() {
+		if i == 0 {
+			sr.SendNS = sendNS
+		}
+		_ = w.conn.Send(&wire.Envelope{Job: w.job, From: w.id, To: types.ClearinghouseID,
+			Payload: sr})
 	}
 }
 
@@ -724,13 +707,9 @@ func (w *Worker) publishCkpt(c *Closure) {
 	if w.cfg.CkptEvery < 0 {
 		return
 	}
-	// Unsolicited and unreliable, exactly like the heartbeat piggyback.
+	// Unsolicited, so unstamped: it is no beat.
 	w.foldCounters()
-	for _, sr := range w.statReports() {
-		rep := &wire.Envelope{Job: w.job, From: w.id, To: types.ClearinghouseID,
-			Payload: sr}
-		_ = w.conn.Send(rep)
-	}
+	w.sendReports(0)
 }
 
 // dropCkptPub removes a published task's entry once the task has completed
@@ -2183,14 +2162,9 @@ func (w *Worker) shipStateTo(target types.WorkerID) shipResult {
 		restore()
 		return shipTargetGone
 	}
-	deadline := time.Now().Add(w.migrateAckWait())
-	for time.Now().Before(deadline) && !w.migrateAck && !w.attnHas(attnCrash) && !w.shutdownMsg {
-		if w.targetDeparted(target) {
-			restore()
-			return shipTargetGone
-		}
-		w.drainOne(time.Until(deadline))
-	}
+	w.waitUntil(time.Now().Add(w.migrateAckWait()), func() bool {
+		return w.migrateAck || w.attnHas(attnCrash) || w.shutdownMsg || w.targetDeparted(target)
+	})
 	if w.shutdownMsg && !w.migrateAck {
 		// The job completed while we were packing; the state no longer
 		// matters. Report success so the caller unwinds normally.
@@ -2255,10 +2229,9 @@ func (w *Worker) requestDrainVictim() (types.WorkerID, bool) {
 	if w.sendTo(types.ClearinghouseID, wire.DrainRequest{Worker: w.id}) != nil {
 		return types.NoWorker, false
 	}
-	deadline := time.Now().Add(w.drainAckWait())
-	for time.Now().Before(deadline) && !w.drainAcked && !w.attnHas(attnCrash) && !w.shutdownMsg {
-		w.drainOne(time.Until(deadline))
-	}
+	w.waitUntil(time.Now().Add(w.drainAckWait()), func() bool {
+		return w.drainAcked || w.attnHas(attnCrash) || w.shutdownMsg
+	})
 	if !w.drainAcked || w.drainVictim == types.NoWorker {
 		return types.NoWorker, false
 	}
@@ -2276,13 +2249,24 @@ func (w *Worker) lingerForward(adopter types.WorkerID) {
 	for _, a := range pending {
 		w.sendTo(adopter, wire.Arg{Cont: a.Cont, Val: a.Val, Crossed: true, TC: a.TC})
 	}
-	deadline := time.Now().Add(2*w.cfg.StealTimeout + 4*retryUnsentEvery)
-	for time.Now().Before(deadline) {
-		if w.attnHas(attnCrash) {
-			return
+	w.waitUntil(time.Now().Add(2*w.cfg.StealTimeout+4*retryUnsentEvery),
+		func() bool { return w.attnHas(attnCrash) })
+}
+
+// waitUntil handles messages until done reports true or deadline passes,
+// and reports whether done did. Every round blocks in drainOne for what is
+// left of the wait, so the loop advances with messages and the clock, never
+// by spinning; it is the one protocol wait of the worker (registration, the
+// migrate ack, the drain ack and the forwarding linger).
+func (w *Worker) waitUntil(deadline time.Time, done func() bool) bool {
+	for !done() {
+		left := time.Until(deadline)
+		if left <= 0 {
+			return false
 		}
-		w.drainOne(time.Until(deadline))
+		w.drainOne(left)
 	}
+	return true
 }
 
 func (w *Worker) pickUntried(tried map[types.WorkerID]bool) (types.WorkerID, bool) {
@@ -2301,12 +2285,12 @@ func (w *Worker) pickUntried(tried map[types.WorkerID]bool) (types.WorkerID, boo
 func (w *Worker) unregister(reason wire.LeaveReason, migratedTo types.WorkerID) {
 	// Flush the final telemetry state first, so the job-end rollup is
 	// complete even when the whole job fits inside one heartbeat
-	// interval. Sent unreliably like the cadence reports (and kept out
-	// of MessagesSent); over UDP it coalesces into the Unregister's
-	// datagram. A traced worker may hold more spans than one datagram-
-	// sized batch, so keep flushing until the recorder's backlog drains
-	// (each report seals and ships the next batch). The leave span goes
-	// in once the backlog is empty: a full recorder would drop it.
+	// interval. Unstamped, so sent unreliably; over UDP it coalesces into
+	// the Unregister's datagram. A traced worker may hold more spans than
+	// one datagram-sized batch, so keep flushing until the recorder's
+	// backlog drains (each report seals and ships the next batch). The
+	// leave span goes in once the backlog is empty: a full recorder would
+	// drop it.
 	w.foldCounters()
 	for left := false; ; {
 		r := w.spans.Load()
@@ -2315,11 +2299,7 @@ func (w *Worker) unregister(reason wire.LeaveReason, migratedTo types.WorkerID) 
 				Link: types.TaskID{Seq: uint64(reason)}})
 			left = true
 		}
-		for _, sr := range w.statReports() {
-			rep := &wire.Envelope{Job: w.job, From: w.id, To: types.ClearinghouseID,
-				Payload: sr}
-			_ = w.conn.Send(rep)
-		}
+		w.sendReports(0)
 		if left && (r == nil || r.backlog() == 0) {
 			break
 		}

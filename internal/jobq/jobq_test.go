@@ -103,9 +103,8 @@ func TestServerClient(t *testing.T) {
 	if err != nil || !ok || spec.ID != id || spec.Name != "ray" {
 		t.Fatalf("request: spec=%+v ok=%v err=%v", spec, ok, err)
 	}
-	jobs, err := cli.List()
-	if err != nil || len(jobs) != 1 {
-		t.Fatalf("list: %v %v", jobs, err)
+	if jobs := pool.List(); len(jobs) != 1 {
+		t.Fatalf("pool after one submit: %v", jobs)
 	}
 	if err := cli.Done(id); err != nil {
 		t.Fatal(err)
@@ -143,61 +142,6 @@ func TestClientReconnects(t *testing.T) {
 	defer cli2.Close()
 	if _, ok, err := cli2.Request(1); err != nil || !ok {
 		t.Fatalf("request after restart: ok=%v err=%v", ok, err)
-	}
-}
-
-func TestPolicyFCFS(t *testing.T) {
-	p := NewPoolWithPolicy(FirstComeFirstServed)
-	a := p.Submit(wire.JobSpec{Name: "a"})
-	b := p.Submit(wire.JobSpec{Name: "b"})
-	for i := 0; i < 4; i++ {
-		spec, _ := p.Request()
-		if spec.ID != a {
-			t.Fatalf("FCFS handed out %d before job a finished", spec.ID)
-		}
-	}
-	p.Done(a)
-	spec, _ := p.Request()
-	if spec.ID != b {
-		t.Fatalf("after a is done, FCFS should hand out b, got %d", spec.ID)
-	}
-}
-
-func TestPolicyPriority(t *testing.T) {
-	p := NewPoolWithPolicy(PriorityFirst)
-	p.Submit(wire.JobSpec{Name: "low", Priority: 1})
-	hi := p.Submit(wire.JobSpec{Name: "high", Priority: 9})
-	p.Submit(wire.JobSpec{Name: "mid", Priority: 5})
-	for i := 0; i < 3; i++ {
-		spec, _ := p.Request()
-		if spec.ID != hi {
-			t.Fatalf("priority pool handed out %q", spec.Name)
-		}
-	}
-}
-
-func TestPolicyLeastServed(t *testing.T) {
-	p := NewPoolWithPolicy(LeastServed)
-	a := p.Submit(wire.JobSpec{Name: "a"})
-	b := p.Submit(wire.JobSpec{Name: "b"})
-	counts := map[types.JobID]int{}
-	for i := 0; i < 10; i++ {
-		spec, _ := p.Request()
-		counts[spec.ID]++
-	}
-	if counts[a] != 5 || counts[b] != 5 {
-		t.Fatalf("least-served is unfair: %v", counts)
-	}
-	if p.Grants(a) != 5 {
-		t.Fatalf("grants(a) = %d", p.Grants(a))
-	}
-}
-
-func TestPolicyStrings(t *testing.T) {
-	for _, pol := range []Policy{RoundRobin, FirstComeFirstServed, PriorityFirst, LeastServed} {
-		if pol.String() == "" || pol.String()[0] == 'P' {
-			t.Errorf("policy %d has no name", pol)
-		}
 	}
 }
 
@@ -266,9 +210,6 @@ func TestSubmitAnswersEveryHeldRequest(t *testing.T) {
 			t.Fatalf("held request got %d, want %d", spec.ID, id)
 		}
 	}
-	if n := p.Grants(id); n != 3 {
-		t.Errorf("grants = %d, want 3", n)
-	}
 }
 
 // A hold that runs out, or a cancel, answers empty; a pool whose only job
@@ -293,9 +234,9 @@ func TestAwaitHoldAndCancel(t *testing.T) {
 	}
 }
 
-// No policy hands out the skipped job, and round-robin keeps rotating over
-// the others.
-func TestSkipUnderEveryPolicy(t *testing.T) {
+// Round-robin never hands out the skipped job and keeps rotating over the
+// others; a request that skips nothing gets the skipped job its turn again.
+func TestRoundRobinSkips(t *testing.T) {
 	p := NewPool()
 	a := p.Submit(wire.JobSpec{Name: "a"})
 	b := p.Submit(wire.JobSpec{Name: "b"})
@@ -308,18 +249,13 @@ func TestSkipUnderEveryPolicy(t *testing.T) {
 	if want := []types.JobID{a, c, a, c}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("round robin skipping b: %v, want %v", got, want)
 	}
-	for _, pol := range []Policy{FirstComeFirstServed, PriorityFirst, LeastServed} {
-		p := NewPoolWithPolicy(pol)
-		a := p.Submit(wire.JobSpec{Name: "a", Priority: 9})
-		b := p.Submit(wire.JobSpec{Name: "b", Priority: 1})
-		for i := 0; i < 3; i++ {
-			if spec, ok := p.take(a); !ok || spec.ID != b {
-				t.Fatalf("%v skipping %d: got %d %v", pol, a, spec.ID, ok)
-			}
-		}
-		if spec, _ := p.take(0); spec.ID != a {
-			t.Fatalf("%v without a skip: got %d, want %d", pol, spec.ID, a)
-		}
+	got = got[:0]
+	for i := 0; i < 3; i++ {
+		spec, _ := p.take(0)
+		got = append(got, spec.ID)
+	}
+	if want := []types.JobID{a, b, c}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("round robin without a skip: %v, want %v", got, want)
 	}
 }
 

@@ -15,7 +15,6 @@
 package jobq
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -23,47 +22,11 @@ import (
 	"phish/internal/wire"
 )
 
-// Policy selects how the pool assigns jobs to requesting workstations.
-// The paper's implementation is round-robin; the others are the "more
-// sophisticated job assignment algorithms" its future work calls for.
-type Policy int
-
-const (
-	// RoundRobin cycles through the pool (the paper's policy).
-	RoundRobin Policy = iota
-	// FirstComeFirstServed keeps assigning the oldest job until it
-	// finishes — every idle workstation piles onto one job at a time.
-	FirstComeFirstServed
-	// PriorityFirst assigns the highest-priority job (ties: oldest);
-	// all idle workstations serve the most important job.
-	PriorityFirst
-	// LeastServed assigns the job that has received the fewest
-	// workstation grants so far — a fair-share policy.
-	LeastServed
-)
-
-func (p Policy) String() string {
-	switch p {
-	case RoundRobin:
-		return "round-robin"
-	case FirstComeFirstServed:
-		return "fcfs"
-	case PriorityFirst:
-		return "priority"
-	case LeastServed:
-		return "least-served"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
-
 // Pool is the job pool. Safe for concurrent use.
 type Pool struct {
 	mu     sync.Mutex
 	jobs   []wire.JobSpec
-	grants map[types.JobID]int64
-	policy Policy
-	next   int
+	next   int // the round-robin cursor: index of the job handed out next
 	nextID types.JobID
 	store  *store // disk backing; nil for in-memory pools (see store.go)
 	// changed is closed, and replaced, by every Submit and Done: the
@@ -71,41 +34,25 @@ type Pool struct {
 	changed chan struct{}
 }
 
-// NewPool returns an empty round-robin pool.
+// NewPool returns an empty pool.
 func NewPool() *Pool {
-	return &Pool{nextID: 1, grants: make(map[types.JobID]int64), changed: make(chan struct{})}
-}
-
-// NewPoolWithPolicy returns an empty pool using the given policy.
-func NewPoolWithPolicy(p Policy) *Pool {
-	pool := NewPool()
-	pool.policy = p
-	return pool
-}
-
-// Policy returns the pool's assignment policy.
-func (p *Pool) Policy() Policy {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.policy
-}
-
-// Grants reports how many times job id has been assigned.
-func (p *Pool) Grants(id types.JobID) int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.grants[id]
+	return &Pool{nextID: 1, changed: make(chan struct{})}
 }
 
 // Submit adds a job and returns its assigned id (any id already present in
-// the spec is replaced).
+// the spec is replaced). Ids start at 1: a durable pool whose disk backing
+// has failed (StoreErr) refuses the job and returns 0, since a restart
+// would lose it.
 func (p *Pool) Submit(spec wire.JobSpec) types.JobID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	spec.ID = p.nextID
 	p.nextID++
 	p.jobs = append(p.jobs, spec)
-	p.appendLocked(&storeRecord{Kind: sSubmit, Spec: spec, NextID: p.nextID})
+	if err := p.appendLocked(&storeRecord{Kind: sSubmit, Spec: spec, NextID: p.nextID}); err != nil {
+		p.jobs = p.jobs[:len(p.jobs)-1]
+		return 0
+	}
 	p.changeLocked()
 	return spec.ID
 }
@@ -124,18 +71,19 @@ func (p *Pool) Done(id types.JobID) {
 	for i, j := range p.jobs {
 		if j.ID == id {
 			p.jobs = append(p.jobs[:i], p.jobs[i+1:]...)
-			delete(p.grants, id)
 			if p.next > i {
 				p.next--
 			}
-			p.appendLocked(&storeRecord{Kind: sDone, ID: id})
+			// A Done is not refused: the job is over either way. A failed
+			// write stays in StoreErr and refuses every later Submit.
+			_ = p.appendLocked(&storeRecord{Kind: sDone, ID: id})
 			p.changeLocked()
 			return
 		}
 	}
 }
 
-// Request hands out the next job per the pool's policy. ok is false when
+// Request hands out the next job in round-robin order. ok is false when
 // the pool is empty (the workstation will retry, every 30 seconds in the
 // paper).
 func (p *Pool) Request() (spec wire.JobSpec, ok bool) { return p.take(0) }
@@ -170,49 +118,20 @@ func (p *Pool) take(skip types.JobID) (wire.JobSpec, bool) {
 	return p.takeLocked(skip)
 }
 
-// takeLocked picks the next job other than skip per the policy and counts
-// the grant.
+// takeLocked picks the next job other than skip, round-robin: the cursor
+// moves past every job it looks at, so the next request starts after it.
 func (p *Pool) takeLocked(skip types.JobID) (spec wire.JobSpec, ok bool) {
-	idx := -1
-	switch p.policy {
-	case RoundRobin:
-		for range p.jobs {
-			if p.next >= len(p.jobs) {
-				p.next = 0
-			}
-			i := p.next
-			p.next++
-			if p.jobs[i].ID != skip {
-				idx = i
-				break
-			}
+	for range p.jobs {
+		if p.next >= len(p.jobs) {
+			p.next = 0
 		}
-	default:
-		for i, j := range p.jobs {
-			if j.ID != skip && (idx < 0 || p.beforeLocked(j, p.jobs[idx])) {
-				idx = i
-			}
+		i := p.next
+		p.next++
+		if p.jobs[i].ID != skip {
+			return p.jobs[i], true
 		}
 	}
-	if idx < 0 {
-		return wire.JobSpec{}, false
-	}
-	spec = p.jobs[idx]
-	p.grants[spec.ID]++
-	return spec, true
-}
-
-// beforeLocked reports whether a is handed out before b, which precedes
-// it in the pool, under every policy but RoundRobin.
-func (p *Pool) beforeLocked(a, b wire.JobSpec) bool {
-	switch p.policy {
-	case PriorityFirst:
-		return a.Priority > b.Priority
-	case LeastServed:
-		return p.grants[a.ID] < p.grants[b.ID]
-	default: // FirstComeFirstServed
-		return false
-	}
+	return wire.JobSpec{}, false
 }
 
 // List returns a copy of the pool contents.

@@ -20,10 +20,9 @@ type ServerStats struct {
 	// with a job (the rest found the pool empty).
 	Requests atomic.Int64
 	Grants   atomic.Int64
-	// Submits, Dones, and Lists count the remaining request kinds.
+	// Submits and Dones count the remaining request kinds.
 	Submits atomic.Int64
 	Dones   atomic.Int64
-	Lists   atomic.Int64
 }
 
 // Server exposes a Pool over TCP: one length-prefixed request envelope in,
@@ -131,15 +130,12 @@ func (s *Server) dispatch(env *wire.Envelope) *wire.Envelope {
 		payload = wire.JobReply{OK: ok, Job: spec}
 	case wire.JobSubmit:
 		s.stats.Submits.Add(1)
-		id := s.pool.Submit(p.Job)
-		payload = wire.JobSubmitReply{ID: id}
+		// ID 0 is a refusal: the pool could not persist the job.
+		payload = wire.JobSubmitReply{ID: s.pool.Submit(p.Job)}
 	case wire.JobDone:
 		s.stats.Dones.Add(1)
 		s.pool.Done(p.ID)
-		payload = wire.JobListReply{Jobs: nil} // bare ack
-	case wire.JobList:
-		s.stats.Lists.Add(1)
-		payload = wire.JobListReply{Jobs: s.pool.List()}
+		// payload stays nil: a bare ack
 	default:
 		payload = wire.JobReply{OK: false}
 	}
@@ -316,6 +312,9 @@ func (c *Client) Await(ws types.WorkstationID, skip types.JobID, hold time.Durat
 	return r.Job, r.OK, nil
 }
 
+// errSubmitRefused is a submit the server answered with id 0.
+var errSubmitRefused = errors.New("jobq: submit refused: the job pool cannot persist the job")
+
 // Submit places a job in the pool and returns its id.
 func (c *Client) Submit(spec wire.JobSpec) (types.JobID, error) {
 	reply, err := c.call(wire.JobSubmit{Job: spec}, 0, nil)
@@ -326,6 +325,9 @@ func (c *Client) Submit(spec wire.JobSpec) (types.JobID, error) {
 	if !ok {
 		return 0, fmt.Errorf("jobq: unexpected reply %T", reply.Payload)
 	}
+	if r.ID == 0 {
+		return 0, errSubmitRefused
+	}
 	return r.ID, nil
 }
 
@@ -333,17 +335,4 @@ func (c *Client) Submit(spec wire.JobSpec) (types.JobID, error) {
 func (c *Client) Done(id types.JobID) error {
 	_, err := c.call(wire.JobDone{ID: id}, 0, nil)
 	return err
-}
-
-// List returns the pool contents.
-func (c *Client) List() ([]wire.JobSpec, error) {
-	reply, err := c.call(wire.JobList{}, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	r, ok := reply.Payload.(wire.JobListReply)
-	if !ok {
-		return nil, fmt.Errorf("jobq: unexpected reply %T", reply.Payload)
-	}
-	return r.Jobs, nil
 }

@@ -18,10 +18,8 @@ import (
 // intact). Replaying snapshot-then-deltas rebuilds the pool a restarted
 // PhishJobQ serves — submitted jobs and their ids survive the restart, so
 // JobManagers polling through the outage resume exactly where they were.
-//
-// Grant counts (fairness bookkeeping for the LeastServed policy) are
-// deliberately not persisted: they influence only which job an idle
-// workstation is handed next, and restarting the rotation is harmless.
+// The round-robin cursor is not persisted: it influences only which job an
+// idle workstation is handed next, and restarting the rotation is harmless.
 
 // store record kinds.
 const (
@@ -35,7 +33,6 @@ type storeRecord struct {
 	Kind   int
 	Jobs   []wire.JobSpec // sSnapshot
 	NextID types.JobID    // sSnapshot, sSubmit (value after the submit)
-	Policy int            // sSnapshot
 	Spec   wire.JobSpec   // sSubmit, with its assigned ID
 	ID     types.JobID    // sDone
 }
@@ -45,8 +42,8 @@ type storeRecord struct {
 const compactEvery = 256
 
 // store is the pool's disk backing. All methods are called with the
-// owning Pool's mutex held; errors are sticky and degrade the pool to
-// in-memory operation rather than failing requests.
+// owning Pool's mutex held; errors are sticky: the pool refuses every
+// later Submit (see Pool.Submit) and keeps serving the jobs it holds.
 type store struct {
 	f    *os.File
 	path string
@@ -64,7 +61,6 @@ func NewDurablePool(path string) (*Pool, error) {
 			case sSnapshot:
 				p.jobs = r.Jobs
 				p.nextID = r.NextID
-				p.policy = Policy(r.Policy)
 				p.next = 0
 			case sSubmit:
 				p.jobs = append(p.jobs, r.Spec)
@@ -121,19 +117,25 @@ func (p *Pool) StoreErr() error {
 }
 
 // appendLocked writes one delta record and compacts when the log has
-// grown enough. Callers hold p.mu.
-func (p *Pool) appendLocked(rec *storeRecord) {
+// grown enough. It returns the sticky error when the record is not on disk;
+// a failed compaction leaves a log that holds the record, and is sticky for
+// the next one. A pool without a store, or one CloseStore closed, appends
+// nothing and fails nothing. Callers hold p.mu.
+func (p *Pool) appendLocked(rec *storeRecord) error {
 	st := p.store
-	if st == nil || st.f == nil || st.err != nil {
-		return
+	if st == nil {
+		return nil
+	}
+	if st.err != nil || st.f == nil {
+		return st.err
 	}
 	if err := wal.Append(st.f, rec); err != nil {
 		st.err = err
-		return
+		return err
 	}
 	if err := st.f.Sync(); err != nil {
 		st.err = err
-		return
+		return err
 	}
 	st.recs++
 	if st.recs >= compactEvery {
@@ -141,6 +143,7 @@ func (p *Pool) appendLocked(rec *storeRecord) {
 			st.err = err
 		}
 	}
+	return nil
 }
 
 // compactLocked rewrites the log as a single snapshot via temp+rename and
@@ -159,7 +162,6 @@ func (p *Pool) compactLocked() error {
 		Kind:   sSnapshot,
 		Jobs:   append([]wire.JobSpec(nil), p.jobs...),
 		NextID: p.nextID,
-		Policy: int(p.policy),
 	}
 	if err := wal.Append(tmp, snap); err == nil {
 		err = tmp.Sync()

@@ -2,6 +2,7 @@ package jobq
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -40,6 +41,51 @@ func TestDurablePoolSurvivesRestart(t *testing.T) {
 	}
 	if err := p2.StoreErr(); err != nil {
 		t.Errorf("sticky store error: %v", err)
+	}
+}
+
+// A pool whose log can no longer be written refuses submits instead of
+// acknowledging jobs a restart would lose: over TCP the client gets an
+// error, the pool stays as it was, and StoreErr says why.
+func TestSubmitRefusedOnceStoreFails(t *testing.T) {
+	dir := t.TempDir()
+	pool, err := NewDurablePool(filepath.Join(dir, "jobq.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.CloseStore()
+	srv, err := NewServer(pool, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli := NewClient(srv.Addr())
+	defer cli.Close()
+	if _, err := cli.Submit(wire.JobSpec{Name: "kept"}); err != nil {
+		t.Fatal(err)
+	}
+
+	closed, err := os.Create(filepath.Join(dir, "closed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	pool.mu.Lock()
+	live := pool.store.f
+	pool.store.f = closed
+	pool.mu.Unlock()
+	defer live.Close()
+
+	for i := 0; i < 2; i++ {
+		if id, err := cli.Submit(wire.JobSpec{Name: "lost"}); !errors.Is(err, errSubmitRefused) {
+			t.Errorf("submit %d to a pool that cannot persist it: id %d, err %v", i, id, err)
+		}
+	}
+	if pool.StoreErr() == nil {
+		t.Error("no sticky store error")
+	}
+	if jobs := pool.List(); len(jobs) != 1 || jobs[0].Name != "kept" {
+		t.Errorf("pool after refused submits = %+v", jobs)
 	}
 }
 
@@ -118,7 +164,7 @@ func TestClientRetriesThroughServerRestart(t *testing.T) {
 	// its backoff loop should land on the new incarnation.
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.List()
+		_, _, err := c.Request(1)
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)

@@ -94,7 +94,7 @@ func TestFabricFaultPartitionSurfacesAsSendError(t *testing.T) {
 		t.Errorf("partitioned send: err = %v, want ErrUnknownPeer", err)
 	}
 	fl.Heal(1, 2)
-	if err := a.Send(&wire.Envelope{From: 1, To: 2, Payload: wire.Heartbeat{Worker: 1}}); err != nil {
+	if err := a.Send(&wire.Envelope{From: 1, To: 2, Payload: wire.StayRequest{Worker: 1}}); err != nil {
 		t.Fatalf("healed send: %v", err)
 	}
 	recvOne(t, b, time.Second)
@@ -106,7 +106,7 @@ func TestFabricFaultDuplicateDeliversTwice(t *testing.T) {
 	f.SetFaults(NewFaults(FaultPlan{Seed: 3, Duplicate: 1.0}))
 	a := f.Attach(1)
 	b := f.Attach(2)
-	if err := a.Send(&wire.Envelope{From: 1, To: 2, Payload: wire.Heartbeat{Worker: 1}}); err != nil {
+	if err := a.Send(&wire.Envelope{From: 1, To: 2, Payload: wire.StayRequest{Worker: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	recvOne(t, b, time.Second)
@@ -151,7 +151,7 @@ func testUDPBackoffGiveUp(t *testing.T, a, b *UDP, recv func(*testing.T, *UDP, t
 	downCh := make(chan types.WorkerID, 4)
 	a.SetPeerDown(func(id types.WorkerID) { downCh <- id })
 
-	if err := a.Send(&wire.Envelope{To: 2, Payload: wire.Heartbeat{Worker: 1}}); err != nil {
+	if err := a.Send(&wire.Envelope{To: 2, Payload: wire.StayRequest{Worker: 1}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -192,7 +192,7 @@ func testUDPBackoffGiveUp(t *testing.T, a, b *UDP, recv func(*testing.T, *UDP, t
 
 	// Hearing from the peer again rearms the report.
 	fl.Rejoin(2)
-	if err := b.Send(&wire.Envelope{To: 1, Payload: wire.Heartbeat{Worker: 2}}); err != nil {
+	if err := b.Send(&wire.Envelope{To: 1, Payload: wire.StayRequest{Worker: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	recv(t, a, 2*time.Second)
@@ -203,7 +203,7 @@ func testUDPBackoffGiveUp(t *testing.T, a, b *UDP, recv func(*testing.T, *UDP, t
 		t.Fatalf("%d dedup windows after hearing from one peer", windows)
 	}
 	fl.Isolate(2)
-	if err := a.Send(&wire.Envelope{To: 2, Payload: wire.Heartbeat{Worker: 1}}); err != nil {
+	if err := a.Send(&wire.Envelope{To: 2, Payload: wire.StayRequest{Worker: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -238,7 +238,7 @@ func testUDPFaultDropsAreRetransmitted(t *testing.T, a, b *UDP, recv func(*testi
 
 	const n = 50
 	for i := 0; i < n; i++ {
-		if err := a.Send(&wire.Envelope{To: 2, Payload: wire.Heartbeat{Worker: types.WorkerID(i)}}); err != nil {
+		if err := a.Send(&wire.Envelope{To: 2, Payload: wire.StayRequest{Worker: types.WorkerID(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}

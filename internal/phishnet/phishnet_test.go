@@ -28,7 +28,7 @@ func TestFabricDelivery(t *testing.T) {
 	defer f.Close()
 	a := f.Attach(1)
 	b := f.Attach(2)
-	if err := a.Send(&wire.Envelope{From: 1, To: 2, Payload: wire.Heartbeat{Worker: 1}}); err != nil {
+	if err := a.Send(&wire.Envelope{From: 1, To: 2, Payload: wire.StayRequest{Worker: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	env := recvOne(t, b, time.Second)
@@ -138,7 +138,7 @@ func TestUDPBasicExchange(t *testing.T) {
 	a.SetPeer(2, b.LocalAddr())
 	b.SetPeer(1, a.LocalAddr())
 
-	if err := a.Send(&wire.Envelope{To: 2, Payload: wire.Heartbeat{Worker: 1}}); err != nil {
+	if err := a.Send(&wire.Envelope{To: 2, Payload: wire.StayRequest{Worker: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	env := recvOne(t, b, 2*time.Second)
@@ -146,7 +146,7 @@ func TestUDPBasicExchange(t *testing.T) {
 		t.Errorf("from = %d", env.From)
 	}
 	// A heartbeat is not read in place: it arrives as the owned struct.
-	if hb, ok := env.Payload.(wire.Heartbeat); !ok || hb.Worker != 1 {
+	if sr, ok := env.Payload.(wire.StayRequest); !ok || sr.Worker != 1 {
 		t.Errorf("heartbeat payload = %#v", env.Payload)
 	}
 
@@ -179,10 +179,10 @@ func TestUDPManyMessagesNoDuplicates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// wire.Ack payloads are transport-level and filtered; use Heartbeats.
+	// wire.Ack payloads are transport-level and filtered; use StayRequests.
 	seen := make(map[uint64]bool)
 	for i := 0; i < n; i++ {
-		if err := a.Send(&wire.Envelope{To: 2, Payload: wire.Heartbeat{Worker: types.WorkerID(i)}}); err != nil {
+		if err := a.Send(&wire.Envelope{To: 2, Payload: wire.StayRequest{Worker: types.WorkerID(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}

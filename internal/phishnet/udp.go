@@ -453,13 +453,18 @@ func (u *UDP) Send(env *wire.Envelope) error {
 	// Acks are fire-and-forget by nature. Stat reports are sent the same
 	// way by design: they are soft state, cumulative and refreshed every
 	// heartbeat, so the next one supersedes a lost one and retransmitting
-	// a stale one buys nothing. A steal request or reply is what an idle
+	// a stale one buys nothing. The stamped one of each tick is the
+	// worker's heartbeat, though, and is tracked like any message: when
+	// the clearinghouse stops answering, its retransmits run out and the
+	// worker hears PeerGone. A steal request or reply is what an idle
 	// worker is waiting for: it leaves now, and takes along whatever the
 	// batch already held.
 	tracked, urgent := true, false
-	switch env.Payload.(type) {
-	case wire.Ack, wire.StatReport:
+	switch p := env.Payload.(type) {
+	case wire.Ack:
 		tracked = false
+	case wire.StatReport:
+		tracked = p.SendNS != 0
 	case wire.StealRequest, wire.StealReply:
 		urgent = true
 	}

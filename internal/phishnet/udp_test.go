@@ -41,7 +41,7 @@ func TestUDPFlushTimerStress(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			for i := 0; i < perSender; i++ {
-				env := &wire.Envelope{To: 2, Payload: wire.Heartbeat{
+				env := &wire.Envelope{To: 2, Payload: wire.StayRequest{
 					Worker: types.WorkerID(s*perSender + i),
 				}}
 				if err := a.Send(env); err != nil {
@@ -69,14 +69,14 @@ func TestUDPFlushTimerStress(t *testing.T) {
 			if err := env.Materialize(); err != nil {
 				t.Fatal(err)
 			}
-			hb, ok := env.Payload.(wire.Heartbeat)
+			sr, ok := env.Payload.(wire.StayRequest)
 			if !ok {
 				t.Fatalf("payload = %T", env.Payload)
 			}
-			if seen[hb.Worker] {
-				t.Fatalf("worker %d delivered twice", hb.Worker)
+			if seen[sr.Worker] {
+				t.Fatalf("worker %d delivered twice", sr.Worker)
 			}
-			seen[hb.Worker] = true
+			seen[sr.Worker] = true
 			env.Free()
 		case <-deadline:
 			t.Fatalf("received %d/%d messages", len(seen), senders*perSender)
@@ -250,7 +250,7 @@ func TestRTTMeasuredAtAck(t *testing.T) {
 	b.SetPeer(1, a.LocalAddr())
 
 	for i := 0; i < 6; i++ {
-		if err := a.Send(&wire.Envelope{To: 2, Payload: wire.Heartbeat{Worker: 1}}); err != nil {
+		if err := a.Send(&wire.Envelope{To: 2, Payload: wire.StayRequest{Worker: 1}}); err != nil {
 			t.Fatal(err)
 		}
 		select {
@@ -276,6 +276,39 @@ func TestRTTMeasuredAtAck(t *testing.T) {
 			t.Fatal("no RTT sample recorded after acked sends")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// A stamped StatReport is a worker's heartbeat, tracked like any message so
+// that a dead clearinghouse is found when its retransmits run out; an
+// unstamped one is soft state the next report supersedes, never
+// retransmitted.
+func TestUDPTracksOnlyStampedReports(t *testing.T) {
+	a, err := ListenUDP(1, 1, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	gone, err := ListenUDP(1, types.ClearinghouseID, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.SetPeer(types.ClearinghouseID, gone.LocalAddr())
+	gone.Close() // nothing acks
+	for i, tc := range []struct {
+		sendNS  int64
+		tracked int // frames awaiting an ack after this report
+	}{{0, 0}, {time.Now().UnixNano(), 1}, {0, 1}} {
+		env := &wire.Envelope{To: types.ClearinghouseID, Payload: wire.StatReport{Worker: 1, SendNS: tc.sendNS}}
+		if err := a.Send(env); err != nil {
+			t.Fatal(err)
+		}
+		a.mu.Lock()
+		tracked := len(a.pending)
+		a.mu.Unlock()
+		if tracked != tc.tracked {
+			t.Errorf("after report %d (SendNS %d): %d tracked, want %d", i, tc.sendNS, tracked, tc.tracked)
+		}
 	}
 }
 
@@ -493,7 +526,7 @@ func TestUDPDeafOwnerStillAcks(t *testing.T) {
 
 	const n = 40
 	for i := 0; i < n; i++ {
-		if err := a.Send(&wire.Envelope{To: 2, Payload: wire.Heartbeat{Worker: types.WorkerID(i)}}); err != nil {
+		if err := a.Send(&wire.Envelope{To: 2, Payload: wire.StayRequest{Worker: types.WorkerID(i)}}); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(300 * time.Millisecond / n) // b is deaf throughout
@@ -522,8 +555,8 @@ func TestUDPDeafOwnerStillAcks(t *testing.T) {
 		if err := env.Materialize(); err != nil {
 			t.Fatal(err)
 		}
-		if hb := env.Payload.(wire.Heartbeat); hb.Worker != types.WorkerID(i) {
-			t.Fatalf("message %d carries %d: the backstop reader reordered or repeated", i, hb.Worker)
+		if sr := env.Payload.(wire.StayRequest); sr.Worker != types.WorkerID(i) {
+			t.Fatalf("message %d carries %d: the backstop reader reordered or repeated", i, sr.Worker)
 		}
 	}
 }
@@ -541,7 +574,7 @@ func TestUDPOwnerAndBackstopReadOneSocket(t *testing.T) {
 	const n = 3000
 	go func() {
 		for i := 0; i < n; i++ {
-			_ = a.Send(&wire.Envelope{To: 2, Payload: wire.Heartbeat{Worker: types.WorkerID(i)}})
+			_ = a.Send(&wire.Envelope{To: 2, Payload: wire.StayRequest{Worker: types.WorkerID(i)}})
 			if i%8 == 7 {
 				a.Flush()
 			}
@@ -556,7 +589,7 @@ func TestUDPOwnerAndBackstopReadOneSocket(t *testing.T) {
 			if err := env.Materialize(); err != nil {
 				t.Fatal(err)
 			}
-			i := int(env.Payload.(wire.Heartbeat).Worker)
+			i := int(env.Payload.(wire.StayRequest).Worker)
 			if seen[i] {
 				t.Fatalf("message %d delivered twice", i)
 			}
@@ -604,7 +637,7 @@ func TestUDPDedupWindowsFollowPeers(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.SetPeer(types.ClearinghouseID, ch.LocalAddr())
-		if err := p.Send(&wire.Envelope{To: types.ClearinghouseID, Payload: wire.Heartbeat{Worker: id}}); err != nil {
+		if err := p.Send(&wire.Envelope{To: types.ClearinghouseID, Payload: wire.StayRequest{Worker: id}}); err != nil {
 			t.Fatal(err)
 		}
 		p.Flush()
@@ -666,7 +699,7 @@ func TestUDPSpanSinkSeesRetransmits(t *testing.T) {
 			a.SetPeerDown(func(id types.WorkerID) { down <- id })
 
 			// The healthy peer acknowledges before the faults start.
-			if err := a.Send(&wire.Envelope{To: 3, Payload: wire.Heartbeat{Worker: 1}}); err != nil {
+			if err := a.Send(&wire.Envelope{To: 3, Payload: wire.StayRequest{Worker: 1}}); err != nil {
 				t.Fatal(err)
 			}
 			recvOne(t, c, 2*time.Second)
@@ -686,7 +719,7 @@ func TestUDPSpanSinkSeesRetransmits(t *testing.T) {
 			fl.Isolate(2) // every datagram a→2 vanishes
 			a.SetFaults(fl)
 			for i := 0; i < 2; i++ {
-				if err := a.Send(&wire.Envelope{To: 2, Payload: wire.Heartbeat{Worker: 1}}); err != nil {
+				if err := a.Send(&wire.Envelope{To: 2, Payload: wire.StayRequest{Worker: 1}}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -1,8 +1,8 @@
 // Prometheus text exposition (version 0.0.4), hand-rolled: the repo takes
 // no dependencies, and the subset we emit — counters, gauges, and
 // cumulative histograms with le buckets — is small enough to write and
-// parse by hand. ParseProm exists so tests (and the chaos CI job) can
-// scrape what we expose and assert on it without a Prometheus binary.
+// parse by hand. ParseProm exists so tests can scrape what we expose and
+// assert on it without a Prometheus binary.
 package telemetry
 
 import (

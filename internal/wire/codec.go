@@ -45,9 +45,9 @@ import (
 	"phish/internal/types"
 )
 
-// frameVersion is the version byte of every frame. Versions 1 and 2 were
+// frameVersion is the version byte of every frame. Versions 1 to 3 were
 // earlier layouts and are rejected.
-const frameVersion = 3
+const frameVersion = 4
 
 // frameHeaderLen is the encoded size of the length prefix plus envelope
 // header (version, type tag, job, from, to, seq).
@@ -62,7 +62,8 @@ const maxFrame = 16 << 20
 const maxValueDepth = 64
 
 // Payload type tags. The zero tag is invalid so an all-zero frame never
-// parses; tags are part of the wire format and must not be renumbered.
+// parses; tags are part of the wire format and must not be renumbered, so
+// a retired message keeps its number as a blank placeholder.
 const (
 	tInvalid byte = iota
 	tStealRequest
@@ -75,7 +76,7 @@ const (
 	tRegisterReply
 	tUnregister
 	tUpdate
-	tHeartbeat
+	_ // 11: Heartbeat, retired at version 4 (a stamped StatReport is the beat)
 	tWorkerDown
 	tIO
 	tShutdown
@@ -92,8 +93,8 @@ const (
 	tJobSubmit
 	tJobSubmitReply
 	tJobDone
-	tJobList
-	tJobListReply
+	_ // 28: JobList, retired at version 4
+	_ // 29: JobListReply, retired at version 4
 	tAck
 	tNilPayload
 	tPeerGone
@@ -591,8 +592,7 @@ func appendJobSpec(b []byte, j JobSpec) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	b = appendStr(b, j.CHAddr)
-	return appendI32(b, j.Priority), nil
+	return appendStr(b, j.CHAddr), nil
 }
 
 func appendI64s(b []byte, vs []int64) []byte {
@@ -647,8 +647,6 @@ func payloadTag(p any) byte {
 		return tUnregister
 	case Update:
 		return tUpdate
-	case Heartbeat:
-		return tHeartbeat
 	case WorkerDown:
 		return tWorkerDown
 	case IO:
@@ -681,10 +679,6 @@ func payloadTag(p any) byte {
 		return tJobSubmitReply
 	case JobDone:
 		return tJobDone
-	case JobList:
-		return tJobList
-	case JobListReply:
-		return tJobListReply
 	case Ack:
 		return tAck
 	case PeerGone:
@@ -711,14 +705,14 @@ var tagNames = map[byte]string{
 	tStealConfirm: "StealConfirm", tArg: "Arg", tMigrate: "Migrate",
 	tMigrateAck: "MigrateAck", tRegister: "Register",
 	tRegisterReply: "RegisterReply", tUnregister: "Unregister",
-	tUpdate: "Update", tHeartbeat: "Heartbeat", tWorkerDown: "WorkerDown",
+	tUpdate: "Update", tWorkerDown: "WorkerDown",
 	tIO: "IO", tShutdown: "Shutdown", tSpawnRoot: "SpawnRoot",
 	tStayRequest: "StayRequest", tStayReply: "StayReply", tPause: "Pause",
 	tPauseAck: "PauseAck", tSnapshotRequest: "SnapshotRequest",
 	tSnapshotReply: "SnapshotReply", tResume: "Resume",
 	tJobRequest: "JobRequest", tJobReply: "JobReply", tJobSubmit: "JobSubmit",
-	tJobSubmitReply: "JobSubmitReply", tJobDone: "JobDone", tJobList: "JobList",
-	tJobListReply: "JobListReply", tAck: "Ack", tNilPayload: "nil",
+	tJobSubmitReply: "JobSubmitReply", tJobDone: "JobDone",
+	tAck: "Ack", tNilPayload: "nil",
 	tPeerGone: "PeerGone", tStatReport: "StatReport",
 	tDrainRequest: "DrainRequest", tDrainAck: "DrainAck",
 	tSuspectSet: "SuspectSet", tDrainOrder: "DrainOrder",
@@ -764,14 +758,13 @@ func appendPayload(b []byte, p any) ([]byte, error) {
 			return nil, err
 		}
 		return patchLen(b, at), nil
-	case Heartbeat:
-		return appendI64(appendI32(b, int32(x.Worker)), x.SendNS), nil
 	case Ack:
 		return appendU64(b, x.Seq), nil
 	case StatReport:
 		b = appendI32(b, x.Ver)
 		b = appendI32(b, int32(x.Worker))
 		b = appendI32(b, x.Deque)
+		b = appendI64(b, x.SendNS)
 		b = appendU64(b, x.SpanSeq)
 		b = appendI64(b, x.ClockOffNS)
 		b = appendI64s(b, x.Counters)
@@ -851,17 +844,6 @@ func appendPayload(b []byte, p any) ([]byte, error) {
 		return appendI64(b, int64(x.ID)), nil
 	case JobDone:
 		return appendI64(b, int64(x.ID)), nil
-	case JobList:
-		return b, nil
-	case JobListReply:
-		b = appendLen(b, len(x.Jobs), x.Jobs == nil)
-		var err error
-		for _, j := range x.Jobs {
-			if b, err = appendJobSpec(b, j); err != nil {
-				return nil, err
-			}
-		}
-		return b, nil
 	case PeerGone:
 		return appendI32(b, int32(x.Worker)), nil
 	case DrainRequest:
@@ -1248,7 +1230,6 @@ func (r *reader) jobSpec() JobSpec {
 		RootFn:   r.str(),
 		RootArgs: r.values(0),
 		CHAddr:   r.str(),
-		Priority: r.i32(),
 	}
 }
 
@@ -1300,13 +1281,11 @@ func readPayload(r *reader, tag byte) any {
 		return StealConfirm{Record: r.taskID(), N: r.u16()}
 	case tArg:
 		return Arg{Cont: r.cont(), Crossed: r.bool(), TC: r.tc(), Val: r.sizedValue()}
-	case tHeartbeat:
-		return Heartbeat{Worker: r.worker(), SendNS: r.i64()}
 	case tAck:
 		return Ack{Seq: r.u64()}
 	case tStatReport:
 		return StatReport{Ver: r.i32(), Worker: r.worker(), Deque: r.i32(),
-			SpanSeq: r.u64(), ClockOffNS: r.i64(), Counters: r.i64s(),
+			SendNS: r.i64(), SpanSeq: r.u64(), ClockOffNS: r.i64(), Counters: r.i64s(),
 			// kind + count + sum + the Counts flag
 			Hists: list(r, 21, (*reader).histState),
 			Ckpts: r.taskCkpts(), Spans: list(r, spanWireLen, (*reader).span)}
@@ -1354,10 +1333,6 @@ func readPayload(r *reader, tag byte) any {
 		return JobSubmitReply{ID: types.JobID(r.i64())}
 	case tJobDone:
 		return JobDone{ID: types.JobID(r.i64())}
-	case tJobList:
-		return JobList{}
-	case tJobListReply:
-		return JobListReply{Jobs: list(r, 1, (*reader).jobSpec)}
 	case tPeerGone:
 		return PeerGone{Worker: r.worker()}
 	case tDrainRequest:

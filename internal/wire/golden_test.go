@@ -23,7 +23,7 @@ var goldenView = map[string]bool{
 
 // TestGolden pins the bytes on the wire: one committed frame per entry of
 // everyPayload, which must decode to that entry, re-encode to the same
-// bytes, and carry frame version 3. A renumbered tag or value kind, or a
+// bytes, and carry frame version 4. A renumbered tag or value kind, or a
 // reordered field, fails here before it reaches a peer built from another
 // commit. Regenerate with
 //
@@ -74,8 +74,8 @@ func TestGolden(t *testing.T) {
 		if re, err := Encode(got); err != nil || !bytes.Equal(re, want) {
 			t.Errorf("%s: re-encode differs from the committed frame (err %v)\n got  %x\n want %x", name, err, re, want)
 		}
-		if want[4] != 3 {
-			t.Errorf("%s: frame version %d, want 3", name, want[4])
+		if want[4] != frameVersion {
+			t.Errorf("%s: frame version %d, want %d", name, want[4], frameVersion)
 		}
 		venv, err := DecodeView(want, nil)
 		if err != nil {
@@ -90,8 +90,8 @@ func TestGolden(t *testing.T) {
 	if *updateGolden {
 		return
 	}
-	if len(tags) != 37 {
-		t.Errorf("corpus covers %d tags, want 37 (36 message types and the nil payload)", len(tags))
+	if len(tags) != 34 {
+		t.Errorf("corpus covers %d tags, want 34 (33 message types and the nil payload)", len(tags))
 	}
 	files, err := os.ReadDir(dir)
 	if err != nil {

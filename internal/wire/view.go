@@ -18,7 +18,7 @@
 // DecodeView validates a view body once — fixed offsets, length hops and
 // an exact-consumption check — without parsing a value; ArgView.Val and
 // ClosureView.AppendArgs check values as they decode them. Every other
-// message, Heartbeat and StatReport included, decodes to its owned struct.
+// message, StatReport included, decodes to its owned struct.
 //
 // Arena + View manage buffer lifetime on the receive path: a UDP datagram
 // is read into a pooled, reference-counted Arena, every view frame in it

@@ -378,16 +378,6 @@ type Update struct {
 	View MembershipView
 }
 
-// Heartbeat tells the clearinghouse a worker is alive; missing heartbeats
-// trigger the fault-tolerance redo path.
-type Heartbeat struct {
-	Worker types.WorkerID
-	// SendNS is the worker's clock at send time (zero when not tracing).
-	// The clearinghouse uses successive heartbeats to refine the
-	// registration-time clock-offset estimate.
-	SendNS int64
-}
-
 // StatReportVersion is the current StatReport layout version. Receivers
 // keep decoding older (or newer) reports: counters are positional and
 // append-only (see stats.OrderedNames), and unknown histogram kinds are
@@ -405,19 +395,22 @@ type HistState struct {
 	Counts []int64
 }
 
-// StatReport piggybacks one worker's telemetry on the periodic
-// worker→clearinghouse update: cumulative counters in stats.OrderedNames
-// order, the current ready-deque depth, and cumulative histogram states.
-// Values are cumulative rather than deltas so the report is idempotent —
-// duplication, loss, and worker restarts all resolve to "latest report
-// wins" at the clearinghouse. It is sent unreliably (like Ack): a
-// pre-telemetry clearinghouse drops the unknown frame without acking it,
-// and no retransmit state may accumulate for a message that will never be
-// acked.
+// StatReport is one worker's periodic update to the clearinghouse, and its
+// heartbeat: cumulative counters in stats.OrderedNames order, the current
+// ready-deque depth, and cumulative histogram states. Values are cumulative
+// rather than deltas so the report is idempotent — duplication, loss, and
+// worker restarts all resolve to "latest report wins" at the clearinghouse.
+// An unstamped report (SendNS zero) is sent unreliably, like Ack: the next
+// one supersedes it.
 type StatReport struct {
-	Ver      int32
-	Worker   types.WorkerID
-	Deque    int32 // ready-deque depth at report time
+	Ver    int32
+	Worker types.WorkerID
+	Deque  int32 // ready-deque depth at report time
+	// SendNS is the worker's wall clock when it sent the first report of a
+	// heartbeat tick, and zero on every other report. Only a stamped report
+	// is a beat: it feeds the failure detector's inter-arrival history and
+	// bounds a traced worker's clock offset by its one-way delay.
+	SendNS   int64
 	Counters []int64
 	Hists    []HistState
 	// Ckpts carries the worker's in-flight task checkpoints (latest-wins
@@ -584,7 +577,6 @@ type JobSpec struct {
 	RootFn   string // task function of the root task
 	RootArgs []types.Value
 	CHAddr   string // clearinghouse address
-	Priority int32
 }
 
 // JobRequest is an idle workstation's plea for work. Hold > 0 asks the
@@ -617,14 +609,6 @@ type JobSubmitReply struct {
 // JobDone removes a finished job from the pool.
 type JobDone struct {
 	ID types.JobID
-}
-
-// JobList asks for the pool contents (diagnostics).
-type JobList struct{}
-
-// JobListReply carries the pool contents.
-type JobListReply struct {
-	Jobs []JobSpec
 }
 
 // Ack acknowledges receipt of sequence Seq from the peer; used only by

@@ -47,7 +47,7 @@ func TestRoundTripEveryPayloadType(t *testing.T) {
 		RegisterReply{Assigned: 5, View: MembershipView{Epoch: 3, Members: []MemberInfo{{Worker: 5, Addr: "a", HostedBy: 5}}}},
 		Unregister{Worker: 5, Reason: LeaveReclaimed, MigratedTo: 6},
 		Update{View: MembershipView{Epoch: 9}},
-		Heartbeat{Worker: 5},
+		StatReport{Worker: 5, SendNS: 42},
 		WorkerDown{Worker: 4},
 		IO{Worker: 5, Text: "hello\n"},
 		Shutdown{Reason: "done"},
@@ -59,8 +59,6 @@ func TestRoundTripEveryPayloadType(t *testing.T) {
 		JobSubmit{Job: JobSpec{Name: "n"}},
 		JobSubmitReply{ID: 8},
 		JobDone{ID: 8},
-		JobList{},
-		JobListReply{Jobs: []JobSpec{{ID: 1}}},
 		Ack{Seq: 99},
 	}
 	for _, p := range payloads {
@@ -135,7 +133,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 func TestFrameIO(t *testing.T) {
 	var buf bytes.Buffer
 	envs := []*Envelope{
-		{Job: 1, Payload: Heartbeat{Worker: 2}},
+		{Job: 1, Payload: StayRequest{Worker: 2}},
 		{Job: 1, Payload: IO{Worker: 2, Text: "a"}},
 		{Job: 1, Payload: Shutdown{Reason: "x"}},
 	}
