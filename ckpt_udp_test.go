@@ -1,8 +1,8 @@
 package phish_test
 
 import (
-	"bytes"
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -78,13 +78,12 @@ func TestCheckpointRestoreOverUDP(t *testing.T) {
 	ch.Stop()
 	chConn.Close()
 
-	// Serialize/deserialize like the file on disk.
-	var buf bytes.Buffer
-	if err := clearinghouse.WriteCheckpoint(&buf, cp); err != nil {
+	// Through the file on disk, as -checkpoint writes it and -restore reads it.
+	path := filepath.Join(t.TempDir(), "job.ckpt")
+	if err := clearinghouse.WriteJournal(path, cp); err != nil {
 		t.Fatal(err)
 	}
-	cp, err = clearinghouse.ReadCheckpoint(&buf)
-	if err != nil {
+	if cp, err = clearinghouse.ReplayJournal(path); err != nil {
 		t.Fatal(err)
 	}
 
@@ -93,7 +92,7 @@ func TestCheckpointRestoreOverUDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch2 := clearinghouse.NewFromCheckpoint(cp, chConn2, chCfg)
+	ch2 := clearinghouse.NewFromRecovery(cp, chConn2, chCfg)
 	go ch2.Run()
 	defer ch2.Stop()
 	workers2 := make([]*core.Worker, 2)

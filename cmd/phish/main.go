@@ -109,28 +109,21 @@ func launch(args []string) {
 	}
 
 	// The job comes from the journal of an interrupted run, else from a
-	// checkpoint, else from the command line.
+	// checkpoint, which is a journal too, else from the command line. The
+	// checkpoint is only read: the resumed run journals to -journal alone.
+	resumeFrom := *restore
+	if *journal != "" && fileExists(*journal) {
+		resumeFrom = *journal
+	}
 	var rec *clearinghouse.RecoveredJob
-	var cp *clearinghouse.JobCheckpoint
 	var spec wire.JobSpec
 	switch {
-	case *journal != "" && fileExists(*journal):
+	case resumeFrom != "":
 		var err error
-		if rec, err = clearinghouse.ReplayJournal(*journal); err != nil {
-			log.Fatalf("phish: replay %s: %v", *journal, err)
+		if rec, err = clearinghouse.ReplayJournal(resumeFrom); err != nil {
+			log.Fatalf("phish: replay %s: %v", resumeFrom, err)
 		}
 		spec = rec.Spec
-	case *restore != "":
-		f, err := os.Open(*restore)
-		if err != nil {
-			log.Fatalf("phish: %v", err)
-		}
-		cp, err = clearinghouse.ReadCheckpoint(f)
-		f.Close()
-		if err != nil {
-			log.Fatalf("phish: %v", err)
-		}
-		spec = cp.Spec
 	case flag.NArg() < 1:
 		flag.Usage()
 		os.Exit(2)
@@ -185,8 +178,7 @@ func launch(args []string) {
 	// journaled member may carry, so none of them is mistaken for an
 	// earlier incarnation.
 	idBase := 0
-	switch {
-	case rec != nil:
+	if rec != nil {
 		rec.Spec = spec
 		ch = clearinghouse.NewFromRecovery(rec, chConn, chCfg)
 		idBase = 1 << 30
@@ -195,15 +187,9 @@ func launch(args []string) {
 				idBase = int(m.Info.Worker) + 1
 			}
 		}
-		fmt.Printf("phish: recovered job %d (%s) from %s — %d member(s) journaled\n",
-			spec.ID, spec.Name, *journal, len(rec.Members))
-	case cp != nil:
-		cp.Spec = spec
-		ch = clearinghouse.NewFromCheckpoint(cp, chConn, chCfg)
-		idBase = 1 << 30
-		fmt.Printf("phish: resuming job %d (%s) from %s (%d state bundles)\n",
-			spec.ID, spec.Name, *restore, len(cp.States))
-	default:
+		fmt.Printf("phish: recovered job %d (%s) from %s — %d member(s) journaled, %d state bundle(s)\n",
+			spec.ID, spec.Name, resumeFrom, len(rec.Members), len(rec.Restore))
+	} else {
 		ch = clearinghouse.New(spec, chConn, chCfg)
 	}
 	if *metricsAddr != "" {
@@ -243,23 +229,11 @@ func launch(args []string) {
 					log.Printf("phish: checkpoint skipped: %v", err)
 					continue
 				}
-				tmp := *ckptFile + ".tmp"
-				f, err := os.Create(tmp)
-				if err != nil {
+				if err := clearinghouse.WriteJournal(*ckptFile, snap); err != nil {
 					log.Printf("phish: checkpoint: %v", err)
 					continue
 				}
-				werr := clearinghouse.WriteCheckpoint(f, snap)
-				cerr := f.Close()
-				if werr != nil || cerr != nil {
-					log.Printf("phish: checkpoint write failed: %v %v", werr, cerr)
-					continue
-				}
-				if err := os.Rename(tmp, *ckptFile); err != nil {
-					log.Printf("phish: checkpoint rename: %v", err)
-					continue
-				}
-				fmt.Printf("phish: checkpointed %d participants to %s\n", len(snap.States), *ckptFile)
+				fmt.Printf("phish: checkpointed %d participants to %s\n", len(snap.Restore), *ckptFile)
 			}
 		}()
 	}

@@ -255,7 +255,7 @@ func TestBinariesCheckpointRestore(t *testing.T) {
 	if !strings.Contains(string(out), "foldings = 124658732") {
 		t.Errorf("restored job produced wrong output:\n%s", out)
 	}
-	if !strings.Contains(string(out), "resuming job") {
+	if !strings.Contains(string(out), "recovered job") {
 		t.Errorf("restore path not taken:\n%s", out)
 	}
 }

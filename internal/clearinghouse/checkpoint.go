@@ -1,13 +1,10 @@
 package clearinghouse
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
-	"phish/internal/phishnet"
 	"phish/internal/types"
 	"phish/internal/wire"
 )
@@ -24,17 +21,13 @@ import (
 //     same representation migration uses — and the clearinghouse bundles
 //     them with the job spec.
 //
-// Restoring hands each registering worker one departed worker's bundle
-// (as an ordinary migration from a tombstoned id), so the routing
-// invariant that argument-receiving state only moves with its minting
-// worker is preserved, and the job continues where it left off.
-
-// JobCheckpoint is a serializable snapshot of a running job.
-type JobCheckpoint struct {
-	Spec     wire.JobSpec
-	RootHost types.WorkerID
-	States   []wire.SnapshotReply
-}
+// The bundle is a RecoveredJob with no members, the state a journal
+// replays to (journal.go): WriteJournal stores it as a journal of two
+// records, ReplayJournal reads it back, and NewFromRecovery resumes it.
+// That hands each registering worker one departed worker's bundle (as an
+// ordinary migration from a tombstoned id), so the routing invariant that
+// argument-receiving state only moves with its minting worker is
+// preserved, and the job continues where it left off.
 
 // ckptState tracks an in-progress checkpoint inside the clearinghouse.
 type ckptState struct {
@@ -49,10 +42,10 @@ type ckptState struct {
 var ErrCheckpointAborted = errors.New("clearinghouse: membership changed during checkpoint")
 
 // Checkpoint quiesces the job, snapshots every participant, resumes them,
-// and returns the bundle. It fails if the job is already done, if a
-// worker joins or leaves mid-checkpoint, or if the quiesce does not
-// converge within the timeout.
-func (c *Clearinghouse) Checkpoint(timeout time.Duration) (*JobCheckpoint, error) {
+// and returns the job as NewFromRecovery resumes it. It fails if the job
+// is already done, if a worker joins or leaves mid-checkpoint, or if the
+// quiesce does not converge within the timeout.
+func (c *Clearinghouse) Checkpoint(timeout time.Duration) (*RecoveredJob, error) {
 	c.mu.Lock()
 	if c.done {
 		c.mu.Unlock()
@@ -141,14 +134,16 @@ func (c *Clearinghouse) Checkpoint(timeout time.Duration) (*JobCheckpoint, error
 	if st.aborted {
 		return nil, ErrCheckpointAborted
 	}
-	cp := &JobCheckpoint{Spec: c.spec, RootHost: c.rootHost}
+	// No member is carried over: every participant of the resumed job is a
+	// new registrant, and the root starts wherever its holder's bundle goes.
+	cp := &RecoveredJob{Spec: c.spec, RootHost: types.NoWorker, RestoreRoot: c.rootHost}
 	for _, snap := range st.snaps {
 		// Mark every record confirmed: the quiesce proved no replies are
 		// in flight, so each stolen copy is in some bundle.
 		for i := range snap.Records {
 			snap.Records[i].Confirmed = true
 		}
-		cp.States = append(cp.States, snap)
+		cp.Restore = append(cp.Restore, snap)
 	}
 	return cp, nil
 }
@@ -211,31 +206,4 @@ func sameMatrix(workers map[types.WorkerID]bool, a, b map[types.WorkerID]wire.Pa
 		}
 	}
 	return true
-}
-
-// WriteCheckpoint serializes a checkpoint (gob).
-func WriteCheckpoint(w io.Writer, cp *JobCheckpoint) error {
-	return gob.NewEncoder(w).Encode(cp)
-}
-
-// ReadCheckpoint deserializes a checkpoint written by WriteCheckpoint.
-func ReadCheckpoint(r io.Reader) (*JobCheckpoint, error) {
-	var cp JobCheckpoint
-	if err := gob.NewDecoder(r).Decode(&cp); err != nil {
-		return nil, fmt.Errorf("clearinghouse: read checkpoint: %w", err)
-	}
-	return &cp, nil
-}
-
-// NewFromCheckpoint builds a clearinghouse that resumes a checkpointed
-// job: instead of spawning the root, it hands each registering worker one
-// departed participant's state bundle (as an ordinary migration from a
-// tombstoned id). Workers beyond the bundle count join empty and steal.
-func NewFromCheckpoint(cp *JobCheckpoint, conn phishnet.Conn, cfg Config) *Clearinghouse {
-	c := New(cp.Spec, conn, cfg)
-	c.armRoot = false
-	c.restore = append([]wire.SnapshotReply(nil), cp.States...)
-	c.restoreRoot = cp.RootHost
-	c.rootHost = types.NoWorker
-	return c
 }

@@ -1,7 +1,7 @@
 package clearinghouse
 
 import (
-	"bytes"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -104,24 +104,24 @@ func TestCheckpointAndRestore(t *testing.T) {
 	chA.Stop()
 	fabA.Close()
 
-	// Serialize and reload, as a file would.
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, cp); err != nil {
+	// Write the checkpoint file and read it back as the journal it is.
+	path := filepath.Join(t.TempDir(), "job.ckpt")
+	if err := WriteJournal(path, cp); err != nil {
 		t.Fatal(err)
 	}
-	cp2, err := ReadCheckpoint(&buf)
+	cp2, err := ReplayJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cp2.States) != 3 {
-		t.Fatalf("checkpoint has %d states, want 3", len(cp2.States))
+	if len(cp2.Restore) != 3 {
+		t.Fatalf("checkpoint has %d states, want 3", len(cp2.Restore))
 	}
 
 	// Phase B: restore on a fresh fabric with fresh workers.
 	fabB := phishnet.NewFabric()
 	cfgB := DefaultConfig()
 	cfgB.UpdateEvery = 20 * time.Millisecond
-	chB := NewFromCheckpoint(cp2, fabB.Attach(types.ClearinghouseID), cfgB)
+	chB := NewFromRecovery(cp2, fabB.Attach(types.ClearinghouseID), cfgB)
 	go chB.Run()
 	defer chB.Stop()
 	defer fabB.Close()
@@ -178,11 +178,15 @@ func TestCheckpointRefusesWhenDone(t *testing.T) {
 	}
 }
 
+// A checkpoint file is a journal of the job's spec and one state record:
+// ReplayJournal gives back the checkpoint, a job that resumes from its
+// bundles and starts no root of its own.
 func TestCheckpointRoundTripSerialization(t *testing.T) {
-	cp := &JobCheckpoint{
-		Spec:     wire.JobSpec{ID: 9, Name: "x", RootFn: "fib", RootArgs: []types.Value{int64(3)}},
-		RootHost: 4,
-		States: []wire.SnapshotReply{{
+	cp := &RecoveredJob{
+		Spec:        wire.JobSpec{ID: 9, Name: "x", RootFn: "fib", RootArgs: []types.Value{int64(3)}},
+		RootHost:    types.NoWorker,
+		RestoreRoot: 4,
+		Restore: []wire.SnapshotReply{{
 			Worker: 4,
 			Closures: []wire.Closure{{
 				ID: types.TaskID{Worker: 4, Seq: 2}, Fn: "sum",
@@ -194,18 +198,19 @@ func TestCheckpointRoundTripSerialization(t *testing.T) {
 			}},
 		}},
 	}
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, cp); err != nil {
+	path := filepath.Join(t.TempDir(), "job.ckpt")
+	if err := WriteJournal(path, cp); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCheckpoint(&buf)
+	got, err := ReplayJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.RootHost != 4 || len(got.States) != 1 || len(got.States[0].Closures) != 1 {
+	if got.Spec.ID != 9 || got.ArmRoot || got.RootHost != types.NoWorker || got.RestoreRoot != 4 ||
+		len(got.Members) != 0 || len(got.Restore) != 1 || len(got.Restore[0].Closures) != 1 {
 		t.Errorf("round trip mangled the checkpoint: %+v", got)
 	}
-	if got.States[0].Closures[0].Args[0].(int64) != 1 {
-		t.Error("argument value lost")
+	if got.Restore[0].Closures[0].Args[0].(int64) != 1 || !got.Restore[0].Records[0].Confirmed {
+		t.Error("bundle contents lost")
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"phish/internal/clearinghouse/shardstore"
@@ -119,11 +118,8 @@ type Clearinghouse struct {
 	cfg  Config
 	clk  clock.Clock
 
-	msgsSent atomic.Int64
-	msgsRecv atomic.Int64
-	synchs   atomic.Int64
-	// counters is the clearinghouse's own telemetry (journal records,
-	// transport retransmits, false evictions).
+	// counters is the clearinghouse's own telemetry (messages, journal
+	// records, transport retransmits, false evictions).
 	counters stats.Counters
 	// Crash-recovery journal (see journal.go); nil when not journaling.
 	journal *Journal
@@ -157,7 +153,6 @@ type Clearinghouse struct {
 	done     bool
 	result   types.Value
 	output   strings.Builder
-	ioLines  int64
 
 	// Checkpoint coordination (see checkpoint.go).
 	ckpt        *ckptState
@@ -303,11 +298,6 @@ func (c *Clearinghouse) RootHost() types.WorkerID {
 	return c.rootHost
 }
 
-// Messages returns (sent, received) message counts for Table 2 totals.
-func (c *Clearinghouse) Messages() (sent, recv int64) {
-	return c.msgsSent.Load(), c.msgsRecv.Load()
-}
-
 // handle processes one envelope under c.mu.
 func (c *Clearinghouse) handle(env *wire.Envelope) {
 	c.mu.Lock()
@@ -319,7 +309,7 @@ func (c *Clearinghouse) handle(env *wire.Envelope) {
 		c.crashLocked(p.Worker)
 		return
 	}
-	c.msgsRecv.Add(1)
+	c.counters.MessagesReceived.Add(1)
 	// Any traffic from a live member proves it is alive; stamped reports
 	// (heartbeats) are just the guaranteed minimum cadence.
 	c.store.Touch(env.From, c.clk.Now())
@@ -347,7 +337,6 @@ func (c *Clearinghouse) handle(env *wire.Envelope) {
 	case wire.Arg:
 		c.onArg(p)
 	case wire.IO:
-		c.ioLines++
 		c.output.WriteString(p.Text)
 		if !strings.HasSuffix(p.Text, "\n") {
 			c.output.WriteByte('\n')
@@ -526,7 +515,7 @@ func (c *Clearinghouse) onArg(p wire.Arg) {
 	if p.Cont.Task.Worker != types.ClearinghouseID {
 		return // misrouted
 	}
-	c.synchs.Add(1)
+	c.counters.Synchronizations.Add(1)
 	if c.done {
 		return // duplicate root result after a redo; first one won
 	}
@@ -690,7 +679,7 @@ func (c *Clearinghouse) noteBeatFrom(id types.WorkerID) {
 func (c *Clearinghouse) send(to types.WorkerID, payload any) {
 	env := &wire.Envelope{Job: c.job, From: types.ClearinghouseID, To: to, Payload: payload}
 	if err := c.conn.Send(env); err == nil {
-		c.msgsSent.Add(1)
+		c.counters.MessagesSent.Add(1)
 	}
 }
 
@@ -698,7 +687,7 @@ func (c *Clearinghouse) send(to types.WorkerID, payload any) {
 // can be instrumented with them (retransmits, peer-gone reports).
 func (c *Clearinghouse) Counters() *stats.Counters { return &c.counters }
 
-// Stats snapshots the clearinghouse's own counters (journal records).
+// Stats snapshots the clearinghouse's own counters.
 func (c *Clearinghouse) Stats() stats.Snapshot {
 	s := c.counters.Snapshot()
 	s.Worker = int(types.ClearinghouseID)

@@ -83,7 +83,7 @@ func TestHeartbeatFoldSameOnBothPayloadForms(t *testing.T) {
 				}
 				c.ingest(env)
 
-				if _, recv := c.Messages(); recv != 1 {
+				if recv := c.Stats().MessagesReceived; recv != 1 {
 					t.Errorf("counted %d received, want 1", recv)
 				}
 				got, ok := c.store.Member(worker)

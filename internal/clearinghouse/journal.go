@@ -15,13 +15,12 @@ import (
 )
 
 // The journal is the clearinghouse's crash-survivable memory: an
-// append-only log (internal/wal framing, gob bodies — the same
-// serialization as checkpoint.go) holding the job spec, a full
-// control-plane snapshot after every membership change, the application
-// output, and the root result. The control-plane state is tiny — member
-// table, root location, epoch, any undistributed restore bundles — so
-// snapshotting it whole on each (rare) change is cheaper and far less
-// error-prone than replaying semantic events.
+// append-only log (internal/wal framing, gob bodies) holding the job spec,
+// a full control-plane snapshot after every membership change, the
+// application output, and the root result. The control-plane state is
+// tiny — member table, root location, epoch, any undistributed restore
+// bundles — so snapshotting it whole on each (rare) change is cheaper and
+// far less error-prone than replaying semantic events.
 //
 // Recovery (ReplayJournal + NewFromRecovery) rebuilds the clearinghouse
 // from the last intact records; a torn tail from the crash is discarded by
@@ -30,6 +29,10 @@ import (
 // survivors re-register (their transport noticed the outage) and keep
 // heartbeating, while a worker that died during the outage times out and
 // is declared crashed, triggering the ordinary redo path.
+//
+// A checkpoint file (checkpoint.go) is the same format: WriteJournal
+// writes a job's spec and one state record, so ReplayJournal and
+// NewFromRecovery are the one way any job resumes.
 
 // Journal record kinds.
 const (
@@ -170,7 +173,6 @@ type RecoveredJob struct {
 	Done        bool
 	Result      types.Value
 	Output      string
-	IOLines     int64
 	// Ckpts holds the latest journaled checkpoint set per worker,
 	// restricted to workers live in the recovered membership: a jCkpt can
 	// postdate its worker's Unregister (a final StatReport flushed racing
@@ -207,7 +209,6 @@ func ReplayJournal(path string) (*RecoveredJob, error) {
 			rec.Result = r.Result
 		case jIO:
 			rec.Output += r.Text
-			rec.IOLines++
 		case jCkpt:
 			if rec.Ckpts == nil {
 				rec.Ckpts = make(map[types.WorkerID][]wire.TaskCkpt)
@@ -242,14 +243,15 @@ func ReplayJournal(path string) (*RecoveredJob, error) {
 	return rec, nil
 }
 
-// NewFromRecovery builds a clearinghouse that resumes the journaled job.
-// The epoch is bumped past the journaled value so surviving workers (whose
-// views carry the old epoch) accept the recovered views as fresh.
-// Recovered live members are treated as heartbeat-known: whether each
-// survived the outage is re-established by the heartbeat timeout, so a
-// worker that died while the clearinghouse was down is declared crashed
-// and its work redone. cfg.Journal should be a freshly opened journal on
-// the same path so the recovered incarnation keeps appending.
+// NewFromRecovery builds a clearinghouse that resumes the journaled or
+// checkpointed job. The epoch is bumped past the journaled value so
+// surviving workers (whose views carry the old epoch) accept the recovered
+// views as fresh. Recovered live members are treated as heartbeat-known:
+// whether each survived the outage is re-established by the heartbeat
+// timeout, so a worker that died while the clearinghouse was down is
+// declared crashed and its work redone. For a journal, cfg.Journal should
+// be a freshly opened journal on the same path so the recovered
+// incarnation keeps appending; a checkpoint file is only read.
 func NewFromRecovery(rec *RecoveredJob, conn phishnet.Conn, cfg Config) *Clearinghouse {
 	c := New(rec.Spec, conn, cfg)
 	now := c.clk.Now()
@@ -275,7 +277,6 @@ func NewFromRecovery(rec *RecoveredJob, conn phishnet.Conn, cfg Config) *Clearin
 	c.restore = append([]wire.SnapshotReply(nil), rec.Restore...)
 	c.restoreRoot = rec.RestoreRoot
 	c.output.WriteString(rec.Output)
-	c.ioLines = rec.IOLines
 	if rec.Done {
 		c.done = true
 		c.result = rec.Result
@@ -291,16 +292,24 @@ func (c *Clearinghouse) journalStateLocked() {
 	if c.journal == nil {
 		return
 	}
-	rec := &journalRecord{
-		Kind:        jState,
-		RootHost:    c.rootHost,
-		ArmRoot:     c.armRoot,
-		Epoch:       c.store.Epoch(),
-		Restore:     c.restore,
-		RestoreRoot: c.restoreRoot,
-	}
+	st := RecoveredJob{RootHost: c.rootHost, ArmRoot: c.armRoot, Epoch: c.store.Epoch(),
+		Restore: c.restore, RestoreRoot: c.restoreRoot}
 	for _, m := range c.store.Members() {
-		rec.Members = append(rec.Members, journalMember{Info: m.Info, Departed: m.Departed})
+		st.Members = append(st.Members, journalMember{Info: m.Info, Departed: m.Departed})
 	}
-	c.journal.append(rec, true)
+	c.journal.append(st.stateRecord(), true)
+}
+
+// stateRecord is rec's control-plane state as one jState record.
+func (rec *RecoveredJob) stateRecord() *journalRecord {
+	return &journalRecord{Kind: jState, Members: rec.Members, RootHost: rec.RootHost, ArmRoot: rec.ArmRoot,
+		Epoch: rec.Epoch, Restore: rec.Restore, RestoreRoot: rec.RestoreRoot}
+}
+
+// WriteJournal replaces the file at path with a journal holding rec's spec
+// and control-plane state, which ReplayJournal reads back. It is how a
+// checkpoint is stored; the file is renamed into place once it is on
+// stable storage (wal.WriteFile).
+func WriteJournal(path string, rec *RecoveredJob) error {
+	return wal.WriteFile(path, &journalRecord{Kind: jSpec, Spec: rec.Spec}, rec.stateRecord())
 }

@@ -103,7 +103,6 @@ type Job struct {
 	mu      sync.Mutex
 	workers map[types.WorkerID]*core.Worker // every participant ever
 	wdone   map[types.WorkerID]chan struct{}
-	started time.Time
 }
 
 // Workstation is one simulated machine: a job manager plus its owner's
@@ -253,7 +252,6 @@ func (c *Cluster) Submit(prog *core.Program, rootFn string, rootArgs []types.Val
 		jnlPath: jnlPath,
 		workers: make(map[types.WorkerID]*core.Worker),
 		wdone:   make(map[types.WorkerID]chan struct{}),
-		started: time.Now(),
 	}
 	c.jobs[id] = j
 	// Retire the job from the pool the moment its result is in. The wait

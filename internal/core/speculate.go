@@ -134,7 +134,7 @@ func (w *Worker) onSuspectSet(p wire.SuspectSet) {
 	if w.cfg.suspectTTL() <= 0 {
 		return
 	}
-	now := time.Now()
+	now := w.clk.Now()
 	for _, s := range p.Suspects {
 		if s.Worker == w.id {
 			continue // the fleet may doubt us; we know we are here
@@ -174,7 +174,7 @@ func (w *Worker) healthyOf(in []types.WorkerID, scratch *[]types.WorkerID) []typ
 	if len(w.suspect) == 0 || len(in) == 0 {
 		return in
 	}
-	now := time.Now()
+	now := w.clk.Now()
 	out := (*scratch)[:0]
 	for _, v := range in {
 		if !w.isSuspect(v, now) {

@@ -946,7 +946,7 @@ func (w *Worker) thieveStep() bool {
 		w.consecFails++
 		w.counters.FailedSteals.Add(1)
 		if w.stealVictim != types.NoWorker {
-			w.markSuspect(w.stealVictim, now, false)
+			w.markSuspect(w.stealVictim, w.clk.Now(), false)
 			w.stealVictim = types.NoWorker
 		}
 		if w.spans.Load() != nil && !w.stealSpanID.Zero() {
@@ -1172,6 +1172,10 @@ func (w *Worker) drainOne(d time.Duration) {
 // burns at most this much per steal attempt before it sleeps.
 const stealSpin = 80 * time.Microsecond
 
+// stealStill is how many polls in a row that read the same time end a
+// steal spin (see awaitSteal).
+const stealStill = 64
+
 // stealYieldRTTs is the K of the batched steal (DESIGN 5i rule 7). A thief
 // measures what its last batch yielded — adoption to its next idle edge,
 // so the descendants of a stolen subtree count — against that request's
@@ -1217,16 +1221,28 @@ func (w *Worker) awaitSteal() {
 		w.net.Flush()
 	}
 	if int(runningWorkers.Load()) <= w.procs {
-		// A count bounds the spin as well as the clock: a clock reading
-		// takes more than a nanosecond, so stealSpin's count of nanoseconds
-		// never ends a spin before the clock does — except where the clock
-		// stands still while the worker runs, as in a testing/synctest
-		// bubble, which it would otherwise never leave.
-		for i, spinUntil := 0, time.Now().Add(stealSpin); i < int(stealSpin) && time.Now().Before(spinUntil); i++ {
+		// The clock bounds the spin. Where it stands still while the worker
+		// runs, as in a testing/synctest bubble, which the spin would
+		// otherwise never leave, stealStill polls in a row that read the
+		// same time end it instead. This assumes a clock that moves within
+		// a poll in real time (DESIGN §5i); a coarser one only shortens the
+		// spin.
+		spinUntil := time.Now().Add(stealSpin)
+		var last time.Time
+		for still := 0; still < stealStill; {
 			w.pollNet(0)
 			if len(w.recv) > 0 || len(w.wakeCh) > 0 {
 				w.drainAll()
 				return
+			}
+			now := time.Now()
+			if !now.Before(spinUntil) {
+				break
+			}
+			if now.Equal(last) {
+				still++
+			} else {
+				last, still = now, 0
 			}
 		}
 	}

@@ -530,3 +530,75 @@ func TestMigratedClosureRunsItsOwnFn(t *testing.T) {
 		}
 	})
 }
+
+// A SuspectSet naming one of two victims steers every steal to the other
+// until the mark expires on the worker's clock, and redoes at once a task
+// lent to the suspect long past its speculation deadline; a task lent to
+// the healthy peer stays lent.
+func TestSuspectSetSteersStealsUntilItExpires(t *testing.T) {
+	fab := phishnet.NewFabric()
+	t.Cleanup(fab.Close)
+	fake := clock.NewFake()
+	prog := NewProgram("internal")
+	prog.Register("noop", func(c model.Ctx) { c.Return(int64(0)) })
+	cfg := DefaultConfig()
+	cfg.SuspectTTL = 10 * time.Second
+	w := NewWorker(1, 5, prog, fab.Attach(5), cfg, fake)
+	w.applyView(view(
+		wire.MemberInfo{Worker: 5, HostedBy: 5},
+		wire.MemberInfo{Worker: 6, HostedBy: 6},
+		wire.MemberInfo{Worker: 7, HostedBy: 7},
+	))
+	// The Fn has a local p99 to hold the thieves to.
+	e := w.fns.entry("noop")
+	for i := 0; i < execWarmup; i++ {
+		e.exec.observe(time.Millisecond)
+	}
+	lend := func(seq uint64, thief types.WorkerID) *stealRecord {
+		rec := &stealRecord{
+			id:       types.TaskID{Worker: 5, Seq: seq},
+			realCont: types.Continuation{Task: types.TaskID{Worker: 5, Seq: 1}},
+			thief:    thief,
+			task: wire.Closure{ID: types.TaskID{Worker: 5, Seq: seq + 100}, Fn: "noop",
+				Cont: types.Continuation{Task: types.TaskID{Worker: 5, Seq: seq}}},
+			confirmed: true,
+			grantedAt: fake.Now().Add(-time.Minute),
+		}
+		w.records[rec.id] = rec
+		return rec
+	}
+	toSuspect, toHealthy := lend(10, 6), lend(11, 7)
+
+	w.handle(&wire.Envelope{Job: 1, From: types.ClearinghouseID, To: 5,
+		Payload: wire.SuspectSet{Suspects: []wire.SuspectInfo{{Worker: 6}}}})
+	if toSuspect.thief != 5 || w.dq.Len() != 1 || w.counters.SpeculativeRedos.Load() != 1 {
+		t.Errorf("task lent to the suspect not redone: thief %d, deque %d, speculative redos %d",
+			toSuspect.thief, w.dq.Len(), w.counters.SpeculativeRedos.Load())
+	}
+	if toHealthy.thief != 7 {
+		t.Errorf("task lent to the healthy peer was redone")
+	}
+
+	picks := func() map[types.WorkerID]int {
+		got := map[types.WorkerID]int{}
+		for i := 0; i < 200; i++ {
+			v, ok := w.pickVictim()
+			if !ok {
+				t.Fatal("no victim")
+			}
+			got[v]++
+		}
+		return got
+	}
+	if got := picks(); got[6] != 0 || got[7] != 200 {
+		t.Fatalf("picks with 6 suspect = %v, want 7 alone", got)
+	}
+	fake.Advance(cfg.SuspectTTL)
+	if got := picks(); got[6] != 0 {
+		t.Fatalf("picks at the mark's expiry = %v, want 7 alone", got)
+	}
+	fake.Advance(time.Millisecond)
+	if got := picks(); got[6] == 0 || got[7] == 0 {
+		t.Fatalf("picks after the mark expired = %v, want both victims", got)
+	}
+}

@@ -3,7 +3,6 @@ package jobq
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"phish/internal/types"
 	"phish/internal/wal"
@@ -146,37 +145,19 @@ func (p *Pool) appendLocked(rec *storeRecord) error {
 	return nil
 }
 
-// compactLocked rewrites the log as a single snapshot via temp+rename and
+// compactLocked rewrites the log as a single snapshot (wal.WriteFile) and
 // reopens it for appending. Callers hold p.mu.
 func (p *Pool) compactLocked() error {
 	st := p.store
 	if st == nil {
 		return nil
 	}
-	dir := filepath.Dir(st.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(st.path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("jobq: compact: %w", err)
-	}
 	snap := &storeRecord{
 		Kind:   sSnapshot,
 		Jobs:   append([]wire.JobSpec(nil), p.jobs...),
 		NextID: p.nextID,
 	}
-	if err := wal.Append(tmp, snap); err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("jobq: compact: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("jobq: compact: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), st.path); err != nil {
-		os.Remove(tmp.Name())
+	if err := wal.WriteFile(st.path, snap); err != nil {
 		return fmt.Errorf("jobq: compact: %w", err)
 	}
 	if st.f != nil {

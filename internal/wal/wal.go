@@ -11,6 +11,8 @@
 //
 // Replay tolerates a torn final record (a crash mid-append) by stopping at
 // the first short or undecodable tail — everything before it is intact.
+// WriteFile replaces a whole log at once, for a file that is rewritten
+// rather than appended to (the PhishJobQ's compaction, a job checkpoint).
 package wal
 
 import (
@@ -20,6 +22,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 )
 
 // maxRecord bounds a single record so a corrupt length prefix cannot make
@@ -39,6 +43,36 @@ func Append(w io.Writer, rec any) error {
 	}
 	if _, err := w.Write(body.Bytes()); err != nil {
 		return fmt.Errorf("wal: write body: %w", err)
+	}
+	return nil
+}
+
+// WriteFile replaces the file at path with a log of recs. The records go to
+// a temporary file in the same directory, which is synced to stable storage
+// and closed before it is renamed over path, so a crash or a power cut at
+// any point leaves either the old file or the whole new one.
+func WriteFile(path string, recs ...any) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	for _, rec := range recs {
+		if err == nil {
+			err = Append(tmp, rec)
+		}
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return fmt.Errorf("wal: write %s: %w", path, err)
 	}
 	return nil
 }

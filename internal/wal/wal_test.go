@@ -2,6 +2,8 @@ package wal
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -97,5 +99,40 @@ func TestReplayEmpty(t *testing.T) {
 	}
 	if calls != 0 {
 		t.Fatalf("fn called %d times on empty log", calls)
+	}
+}
+
+// WriteFile replaces a whole log: the file holds exactly the records of the
+// last call, and no temporary file is left beside it.
+func TestWriteFileReplacesTheLog(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "job.ckpt")
+	if err := WriteFile(path, &rec{Kind: 1, Name: "old"}, &rec{Kind: 2, Name: "older"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFile(path, &rec{Kind: 1, Name: "new"}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var names []string
+	if err := Replay(f, func(r *rec) error {
+		names = append(names, r.Name)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 1 || names[0] != "new" {
+		t.Fatalf("replayed %v, want [new]", names)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Fatalf("%d files in the directory, want the log alone", len(ents))
+	}
+	// A log in a missing directory is an error, not a silent loss.
+	if err := WriteFile(filepath.Join(dir, "missing", "job.ckpt"), &rec{}); err == nil {
+		t.Fatal("writing into a missing directory succeeded")
 	}
 }
