@@ -292,8 +292,8 @@ func TestBinariesStandaloneClearinghouseRecovers(t *testing.T) {
 	}()
 	worker := exec.Command(filepath.Join(bin, "phish"), "worker", "-ch", chAddr, "-job", "9",
 		"-program", "pfold", "-worker", "42", "-addr", "127.0.0.1:0", "-hb", "100ms")
-	var workerOut bytes.Buffer
-	worker.Stdout, worker.Stderr = &workerOut, &workerOut
+	workerOut := &lockedBuffer{} // read while the worker runs
+	worker.Stdout, worker.Stderr = workerOut, workerOut
 	if err := worker.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestBinariesStandaloneClearinghouseRecovers(t *testing.T) {
 		if time.Now().After(deadline) {
 			_ = first.Process.Kill()
 			_, _ = first.Process.Wait()
-			t.Fatalf("worker never registered; clearinghouse output:\n%s", firstOut.String())
+			t.Fatalf("first run: worker never registered; clearinghouse output:\n%s", firstOut.String())
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -319,7 +319,7 @@ func TestBinariesStandaloneClearinghouseRecovers(t *testing.T) {
 
 	out, err := exec.Command(filepath.Join(bin, "phish"), args...).CombinedOutput()
 	if err != nil {
-		t.Fatalf("restarted clearinghouse: %v\n%s", err, out)
+		t.Fatalf("restarted clearinghouse: %v\n%s\nworker output:\n%s", err, out, workerOut.String())
 	}
 	if !strings.Contains(string(out), "recovered job 9") {
 		t.Errorf("recovery path not taken:\n%s", out)
@@ -332,7 +332,7 @@ func TestBinariesStandaloneClearinghouseRecovers(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		_ = worker.Process.Kill()
 		<-workerDone
-		t.Fatalf("worker outlived the job:\n%s", workerOut.String())
+		t.Fatalf("worker outlived the restarted clearinghouse's job:\n%s", workerOut.String())
 	}
 	if !strings.Contains(workerOut.String(), "left (job-done)") {
 		t.Errorf("worker did not leave on the job's end:\n%s", workerOut.String())

@@ -10,16 +10,14 @@ import (
 )
 
 // Checkpointing — the paper's "support for checkpointing" future-work
-// item. A checkpoint is taken in two phases coordinated by the
-// clearinghouse:
-//
-//  1. Quiesce: every worker is paused (it keeps processing messages but
-//     executes and steals nothing) and reports its per-peer message
-//     counts. When the global send/receive matrix balances twice in a
-//     row, no task state is in flight anywhere.
-//  2. Snapshot: every worker dumps its closures and steal records — the
-//     same representation migration uses — and the clearinghouse bundles
-//     them with the job spec.
+// item. A checkpoint is one quiesce, coordinated by the clearinghouse, in
+// rounds: each round pauses every worker (it keeps processing messages but
+// executes and steals nothing), and every worker answers with its per-peer
+// message counts and a dump of its closures and steal records — the same
+// representation migration uses. A paused worker's task state changes
+// only by a counted message, so when the global send/receive matrix
+// balances and equals the previous round's, no task state is in flight
+// anywhere and the round's dumps are the checkpoint.
 //
 // The bundle is a RecoveredJob with no members, the state a journal
 // replays to (journal.go): WriteJournal stores it as a journal of two
@@ -33,7 +31,6 @@ import (
 type ckptState struct {
 	seq     uint64
 	workers map[types.WorkerID]bool
-	acks    map[types.WorkerID]wire.PauseAck
 	snaps   map[types.WorkerID]wire.SnapshotReply
 	aborted bool
 }
@@ -63,13 +60,7 @@ func (c *Clearinghouse) Checkpoint(timeout time.Duration) (*RecoveredJob, error)
 		c.mu.Unlock()
 		return nil, errors.New("clearinghouse: no live workers to checkpoint")
 	}
-	c.ckptSeq++
-	st := &ckptState{
-		seq:     c.ckptSeq,
-		workers: workers,
-		acks:    make(map[types.WorkerID]wire.PauseAck),
-		snaps:   make(map[types.WorkerID]wire.SnapshotReply),
-	}
+	st := &ckptState{workers: workers}
 	c.ckpt = st
 	c.mu.Unlock()
 
@@ -83,9 +74,7 @@ func (c *Clearinghouse) Checkpoint(timeout time.Duration) (*RecoveredJob, error)
 	}()
 
 	deadline := time.Now().Add(timeout)
-
-	// Phase 1: pause and wait for the message matrix to balance twice.
-	var prev map[types.WorkerID]wire.PauseAck
+	var prev map[types.WorkerID]wire.SnapshotReply
 	for {
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("clearinghouse: quiesce did not converge within %v", timeout)
@@ -97,64 +86,56 @@ func (c *Clearinghouse) Checkpoint(timeout time.Duration) (*RecoveredJob, error)
 		}
 		c.ckptSeq++
 		st.seq = c.ckptSeq
-		st.acks = make(map[types.WorkerID]wire.PauseAck)
+		st.snaps = make(map[types.WorkerID]wire.SnapshotReply)
 		for id := range workers {
 			c.send(id, wire.Pause{Seq: st.seq})
 		}
 		c.mu.Unlock()
 
-		if !c.waitCkpt(deadline, func() bool { return len(st.acks) == len(workers) }) {
+		if !c.waitRound(st, deadline) {
 			continue
 		}
 		c.mu.Lock()
-		cur := st.acks
-		balanced := matrixBalanced(workers, cur)
-		same := prev != nil && sameMatrix(workers, prev, cur)
+		cur := st.snaps
+		var cp *RecoveredJob
+		if !st.aborted && matrixBalanced(workers, cur) && prev != nil && sameMatrix(workers, prev, cur) {
+			cp = c.bundle(cur)
+		}
 		prev = cur
 		c.mu.Unlock()
-		if balanced && same {
-			break
+		if cp != nil {
+			return cp, nil
 		}
 	}
+}
 
-	// Phase 2: collect snapshots.
-	c.mu.Lock()
-	c.ckptSeq++
-	st.seq = c.ckptSeq
-	for id := range workers {
-		c.send(id, wire.SnapshotRequest{Seq: st.seq})
-	}
-	c.mu.Unlock()
-	if !c.waitCkpt(deadline, func() bool { return len(st.snaps) == len(workers) }) {
-		return nil, fmt.Errorf("clearinghouse: snapshot collection timed out")
-	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if st.aborted {
-		return nil, ErrCheckpointAborted
-	}
-	// No member is carried over: every participant of the resumed job is a
-	// new registrant, and the root starts wherever its holder's bundle goes.
+// bundle turns the replies of the round that proved quiescence into the
+// job NewFromRecovery resumes (c.mu held). No member is carried over: every
+// participant of the resumed job is a new registrant, and the root starts
+// wherever its holder's bundle goes.
+func (c *Clearinghouse) bundle(snaps map[types.WorkerID]wire.SnapshotReply) *RecoveredJob {
 	cp := &RecoveredJob{Spec: c.spec, RootHost: types.NoWorker, RestoreRoot: c.rootHost}
-	for _, snap := range st.snaps {
+	for _, snap := range snaps {
 		// Mark every record confirmed: the quiesce proved no replies are
-		// in flight, so each stolen copy is in some bundle.
+		// in flight, so each stolen copy is in some bundle. The counts
+		// proved it and are not part of the state.
 		for i := range snap.Records {
 			snap.Records[i].Confirmed = true
 		}
+		snap.SentTo, snap.RecvFr = nil, nil
 		cp.Restore = append(cp.Restore, snap)
 	}
-	return cp, nil
+	return cp
 }
 
-// waitCkpt polls (under the clearinghouse lock) until cond holds, the
-// deadline passes, or the checkpoint aborts; it reports whether cond held.
-func (c *Clearinghouse) waitCkpt(deadline time.Time, cond func() bool) bool {
+// waitRound polls until every participant has answered the current
+// round, the deadline passes, or the checkpoint aborts; it reports whether
+// every participant answered.
+func (c *Clearinghouse) waitRound(st *ckptState, deadline time.Time) bool {
 	for time.Now().Before(deadline) {
 		c.mu.Lock()
-		ok := cond()
-		aborted := c.ckpt == nil || c.ckpt.aborted || c.done
+		ok := len(st.snaps) == len(st.workers)
+		aborted := st.aborted || c.done
 		c.mu.Unlock()
 		if ok {
 			return true
@@ -169,9 +150,9 @@ func (c *Clearinghouse) waitCkpt(deadline time.Time, cond func() bool) bool {
 
 // matrixBalanced reports whether every pair's send count equals the
 // peer's receive count (no messages in flight between live workers).
-func matrixBalanced(workers map[types.WorkerID]bool, acks map[types.WorkerID]wire.PauseAck) bool {
+func matrixBalanced(workers map[types.WorkerID]bool, reps map[types.WorkerID]wire.SnapshotReply) bool {
 	for i := range workers {
-		ai, ok := acks[i]
+		ai, ok := reps[i]
 		if !ok {
 			return false
 		}
@@ -179,7 +160,7 @@ func matrixBalanced(workers map[types.WorkerID]bool, acks map[types.WorkerID]wir
 			if i == j {
 				continue
 			}
-			aj, ok := acks[j]
+			aj, ok := reps[j]
 			if !ok {
 				return false
 			}
@@ -191,8 +172,8 @@ func matrixBalanced(workers map[types.WorkerID]bool, acks map[types.WorkerID]wir
 	return true
 }
 
-// sameMatrix reports whether two rounds of acks carry identical counts.
-func sameMatrix(workers map[types.WorkerID]bool, a, b map[types.WorkerID]wire.PauseAck) bool {
+// sameMatrix reports whether two rounds of replies carry identical counts.
+func sameMatrix(workers map[types.WorkerID]bool, a, b map[types.WorkerID]wire.SnapshotReply) bool {
 	for i := range workers {
 		ai, oka := a[i]
 		bi, okb := b[i]

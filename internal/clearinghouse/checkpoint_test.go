@@ -1,6 +1,7 @@
 package clearinghouse
 
 import (
+	"fmt"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -212,5 +213,91 @@ func TestCheckpointRoundTripSerialization(t *testing.T) {
 	}
 	if got.Restore[0].Closures[0].Args[0].(int64) != 1 || !got.Restore[0].Records[0].Confirmed {
 		t.Error("bundle contents lost")
+	}
+}
+
+// TestCheckpointQuiesceRule drives Checkpoint against two scripted workers
+// that answer each Pause with a crafted SnapshotReply, one script entry per
+// round. The rule is: a round whose count matrix balances and equals the
+// previous round's is the checkpoint, and its state is what is returned.
+//
+//   - Rounds 1 and 2: worker 1 has sent a steal request that worker 2 has
+//     not received. Equal, but unbalanced: no checkpoint.
+//   - Round 3: worker 2 has received it. Balanced, but not the same as
+//     round 2: no checkpoint.
+//   - Round 4: a grant moved from worker 2 to worker 1. Balanced, and not
+//     the same as round 3: no checkpoint.
+//   - Round 5: the same counts as round 4. Round 5's state is returned,
+//     every record confirmed and the counts cleared.
+func TestCheckpointQuiesceRule(t *testing.T) {
+	type counts = map[types.WorkerID]int64
+	script := map[types.WorkerID][]wire.SnapshotReply{
+		1: {
+			{SentTo: counts{2: 1}, RecvFr: counts{2: 0}},
+			{SentTo: counts{2: 1}, RecvFr: counts{2: 0}},
+			{SentTo: counts{2: 1}, RecvFr: counts{2: 0}},
+			{SentTo: counts{2: 1}, RecvFr: counts{2: 1}},
+			{SentTo: counts{2: 1}, RecvFr: counts{2: 1}},
+		},
+		2: {
+			{SentTo: counts{1: 0}, RecvFr: counts{1: 0}},
+			{SentTo: counts{1: 0}, RecvFr: counts{1: 0}},
+			{SentTo: counts{1: 0}, RecvFr: counts{1: 1}},
+			{SentTo: counts{1: 1}, RecvFr: counts{1: 1}},
+			{SentTo: counts{1: 1}, RecvFr: counts{1: 1}},
+		},
+	}
+	rounds := len(script[1])
+	h := newHarness(t, DefaultConfig())
+	var wg sync.WaitGroup
+	pauses := map[types.WorkerID]*int{1: new(int), 2: new(int)}
+	for id, replies := range script {
+		port := h.attach(id)
+		expect[wire.RegisterReply](t, port, time.Second)
+		n := pauses[id]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for env := range port.Recv() {
+				switch p := env.Payload.(type) {
+				case wire.Pause:
+					rep := replies[min(*n, rounds-1)]
+					*n++
+					rep.Seq, rep.Worker = p.Seq, id
+					// The state names the round it was read in.
+					rep.Closures = []wire.Closure{{ID: types.TaskID{Worker: id, Seq: 1},
+						Fn: fmt.Sprintf("round%d", *n)}}
+					rep.Records = []wire.Record{{ID: types.TaskID{Worker: id, Seq: 2}, Thief: 3 - id}}
+					_ = port.Send(&wire.Envelope{Job: 1, From: id, To: types.ClearinghouseID, Payload: rep})
+				case wire.Resume:
+					return
+				}
+			}
+		}()
+	}
+	cp, err := h.ch.Checkpoint(5 * time.Second)
+	if err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	wg.Wait() // both workers resumed
+	for id, n := range pauses {
+		if *n != rounds {
+			t.Errorf("worker %d was paused %d times, want %d", id, *n, rounds)
+		}
+	}
+	if len(cp.Restore) != 2 {
+		t.Fatalf("checkpoint has %d bundles, want 2", len(cp.Restore))
+	}
+	want := fmt.Sprintf("round%d", rounds)
+	for _, b := range cp.Restore {
+		if len(b.Closures) != 1 || b.Closures[0].Fn != want {
+			t.Errorf("worker %d's bundle holds %+v, want the state read in %s", b.Worker, b.Closures, want)
+		}
+		if len(b.Records) != 1 || !b.Records[0].Confirmed {
+			t.Errorf("worker %d's bundle records %+v, want one, confirmed", b.Worker, b.Records)
+		}
+		if b.SentTo != nil || b.RecvFr != nil {
+			t.Errorf("worker %d's bundle keeps its counts %v / %v", b.Worker, b.SentTo, b.RecvFr)
+		}
 	}
 }

@@ -352,10 +352,6 @@ func (c *Clearinghouse) handle(env *wire.Envelope) {
 		c.onStayRequest(p)
 	case wire.DrainRequest:
 		c.onDrainRequest(p)
-	case wire.PauseAck:
-		if c.ckpt != nil && p.Seq == c.ckpt.seq && c.ckpt.workers[p.Worker] {
-			c.ckpt.acks[p.Worker] = p
-		}
 	case wire.SnapshotReply:
 		if c.ckpt != nil && p.Seq == c.ckpt.seq && c.ckpt.workers[p.Worker] {
 			c.ckpt.snaps[p.Worker] = p

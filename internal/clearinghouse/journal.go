@@ -292,6 +292,13 @@ func (c *Clearinghouse) journalStateLocked() {
 	if c.journal == nil {
 		return
 	}
+	// What the new state was sent with (a SpawnRoot, a restore bundle)
+	// leaves before the record that vouches for it: a clearinghouse killed
+	// between the two would resume believing a worker holds a root that
+	// never left this process.
+	if f, ok := c.conn.(interface{ Flush() }); ok {
+		f.Flush()
+	}
 	st := RecoveredJob{RootHost: c.rootHost, ArmRoot: c.armRoot, Epoch: c.store.Epoch(),
 		Restore: c.restore, RestoreRoot: c.restoreRoot}
 	for _, m := range c.store.Members() {

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -282,5 +283,75 @@ func TestReplayJournalToleratesTornTail(t *testing.T) {
 	}
 	if rec.Spec.ID != 1 {
 		t.Errorf("recovered spec = %+v", rec.Spec)
+	}
+}
+
+// heldConn is a batching transport without a backstop: what the
+// clearinghouse sends is held until it calls Flush.
+type heldConn struct {
+	*phishnet.Port
+	mu   sync.Mutex
+	held []*wire.Envelope
+}
+
+func (h *heldConn) Send(env *wire.Envelope) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.held = append(h.held, env)
+	return nil
+}
+
+func (h *heldConn) Flush() {
+	h.mu.Lock()
+	held := h.held
+	h.held = nil
+	h.mu.Unlock()
+	for _, env := range held {
+		_ = h.Port.Send(env)
+	}
+}
+
+// A state record that names a root host is written only after the
+// SpawnRoot it vouches for has left the process: a clearinghouse killed
+// right after the record would otherwise resume believing a worker holds a
+// root that never reached it, and wait for a result nobody computes.
+func TestJournalNamesRootHostAfterSpawnRootLeft(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "job-1.jnl")
+	jnl, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+	cfg := DefaultConfig()
+	cfg.Journal = jnl
+	fab := phishnet.NewFabric()
+	defer fab.Close()
+	spec := wire.JobSpec{ID: 1, Name: "test", RootFn: "root", RootArgs: []types.Value{int64(1)}}
+	ch := New(spec, &heldConn{Port: fab.Attach(types.ClearinghouseID)}, cfg)
+	go ch.Run()
+	defer ch.Stop()
+
+	w := fab.Attach(10)
+	if err := w.Send(&wire.Envelope{Job: 1, From: 10, To: types.ClearinghouseID, Payload: wire.Register{Worker: 10}}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if rec, err := ReplayJournal(path); err == nil && rec.RootHost == 10 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the journal never named the root host")
+		}
+	}
+	// Killed now, the clearinghouse has already sent what the record says.
+	for {
+		select {
+		case env := <-w.Recv():
+			if _, ok := env.Payload.(wire.SpawnRoot); ok {
+				return
+			}
+		default:
+			t.Fatal("the journal names worker 10 the root host, but its SpawnRoot has not left")
+		}
 	}
 }

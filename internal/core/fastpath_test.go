@@ -259,10 +259,11 @@ func TestBusyWorkerStaysLive(t *testing.T) {
 		t.Run(grain.name+"/clearinghouse-down", func(t *testing.T) {
 			g := start(t)
 			g.chPort.Close()
-			// The worker's answer to a snapshot request goes to the
-			// clearinghouse, which is gone: the failed send arms the
-			// re-register loop.
-			g.toWorker(g.peer, 1, wire.SnapshotRequest{Seq: 1})
+			// The worker's answer to a pause goes to the clearinghouse,
+			// which is gone: the failed send arms the re-register loop. The
+			// resume lets the worker go on with its chain.
+			g.toWorker(g.peer, 1, wire.Pause{Seq: 1})
+			g.toWorker(g.peer, 1, wire.Resume{Seq: 1})
 			for deadline := time.Now().Add(5 * time.Second); g.w.Counters().ReRegistrations.Load() == 0; {
 				if time.Now().After(deadline) {
 					t.Fatal("no re-registration attempt: the outage was never attended to")

@@ -1347,11 +1347,6 @@ func (w *Worker) handle(env *wire.Envelope) {
 		}
 	case wire.Pause:
 		w.paused = true
-		w.sendTo(types.ClearinghouseID, wire.PauseAck{
-			Seq: p.Seq, Worker: w.id,
-			SentTo: copyCounts(w.msgSentTo), RecvFr: copyCounts(w.msgRecvFr),
-		})
-	case wire.SnapshotRequest:
 		w.sendTo(types.ClearinghouseID, w.snapshotReply(p.Seq))
 	case wire.Resume:
 		w.paused = false
@@ -2384,9 +2379,11 @@ func copyCounts(m map[types.WorkerID]int64) map[types.WorkerID]int64 {
 }
 
 // snapshotReply dumps the worker's full scheduler state without disturbing
-// it — the checkpoint counterpart of a migration payload.
+// it — the checkpoint counterpart of a migration payload — together with
+// the per-peer message counts that say whether that state is consistent.
 func (w *Worker) snapshotReply(seq uint64) wire.SnapshotReply {
-	rep := wire.SnapshotReply{Seq: seq, Worker: w.id}
+	rep := wire.SnapshotReply{Seq: seq, Worker: w.id,
+		SentTo: copyCounts(w.msgSentTo), RecvFr: copyCounts(w.msgRecvFr)}
 	for _, cl := range w.dq.Snapshot() {
 		rep.Closures = append(rep.Closures, cl.toWire())
 	}

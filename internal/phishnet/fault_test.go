@@ -148,27 +148,19 @@ func testUDPBackoffGiveUp(t *testing.T, a, b *UDP, recv func(*testing.T, *UDP, t
 	fl.Isolate(2) // every datagram a→2 vanishes
 	a.SetFaults(fl)
 
-	downCh := make(chan types.WorkerID, 4)
-	a.SetPeerDown(func(id types.WorkerID) { downCh <- id })
-
 	if err := a.Send(&wire.Envelope{To: 2, Payload: wire.StayRequest{Worker: 1}}); err != nil {
 		t.Fatal(err)
 	}
 
-	select {
-	case id := <-downCh:
-		if id != 2 {
-			t.Fatalf("peer-down for %d, want 2", id)
-		}
-	case <-time.After(10 * time.Second):
+	if id, ok := awaitPeerGone(t, a, 10*time.Second); !ok {
 		t.Fatal("retransmits never gave up")
+	} else if id != 2 {
+		t.Fatalf("peer-down for %d, want 2", id)
 	}
 	// Exactly once: no second report, even though the retransmit loop keeps
 	// running.
-	select {
-	case id := <-downCh:
+	if id, ok := awaitPeerGone(t, a, 200*time.Millisecond); ok {
 		t.Fatalf("duplicate peer-down report for %d", id)
-	case <-time.After(200 * time.Millisecond):
 	}
 
 	// The drop log is the datagram trace: one original send plus `tries`
@@ -206,13 +198,10 @@ func testUDPBackoffGiveUp(t *testing.T, a, b *UDP, recv func(*testing.T, *UDP, t
 	if err := a.Send(&wire.Envelope{To: 2, Payload: wire.StayRequest{Worker: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case id := <-downCh:
-		if id != 2 {
-			t.Fatalf("second peer-down for %d, want 2", id)
-		}
-	case <-time.After(10 * time.Second):
+	if id, ok := awaitPeerGone(t, a, 10*time.Second); !ok {
 		t.Fatal("peer-down did not rearm after the peer spoke")
+	} else if id != 2 {
+		t.Fatalf("second peer-down for %d, want 2", id)
 	}
 	// Giving up on a peer lets go of its dedup window too.
 	a.mu.Lock()

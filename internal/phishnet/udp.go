@@ -133,7 +133,6 @@ type UDP struct {
 
 	// Peer-death reporting: once a frame exhausts its retries the peer is
 	// declared gone, exactly once, until it is heard from again.
-	peerDown     func(types.WorkerID)
 	downReported map[types.WorkerID]bool
 
 	faults *Faults // optional datagram-level fault injection
@@ -276,6 +275,11 @@ func ListenUDP(job types.JobID, local types.WorkerID, addr string) (*UDP, error)
 		return nil, fmt.Errorf("phishnet: listen %q: %w", addr, err)
 	}
 	u.takeFn = u.takeSome
+	// A random first sequence number: an endpoint reopened on its
+	// predecessor's address (a clearinghouse resumed on a pinned address)
+	// would otherwise reuse numbers its peers' dedup windows still hold,
+	// and its first frames would be dropped as duplicates.
+	u.seq = rand.Uint64()
 	u.flushTimer = time.AfterFunc(time.Hour, u.flushBackstop)
 	u.flushTimer.Stop()
 	u.wg.Add(2)
@@ -301,18 +305,6 @@ func (u *UDP) SetRetransmit(base, cap time.Duration, tries int) {
 	if tries > 0 {
 		u.retxTries = tries
 	}
-}
-
-// SetPeerDown overrides what happens when retransmits to a peer are
-// exhausted. By default the transport posts a wire.PeerGone envelope to
-// its own mailbox, so the owner learns about the death in its normal
-// receive loop; a non-nil fn replaces that with a direct callback. Either
-// way the notification fires exactly once per peer until the peer is
-// heard from (or re-registered via SetPeer) again.
-func (u *UDP) SetPeerDown(fn func(types.WorkerID)) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	u.peerDown = fn
 }
 
 // Instrument attaches telemetry to the transport: retransmits and
@@ -917,7 +909,6 @@ func (u *UDP) retransmitLoop() {
 				}
 			}
 		}
-		report := u.peerDown
 		st, sink := u.stats, u.spans
 		u.mu.Unlock()
 		if n := len(retxPeers); n > 0 {
@@ -935,11 +926,7 @@ func (u *UDP) retransmitLoop() {
 			u.writeOwned(f.data, f.dst, f.to)
 		}
 		for _, id := range gone {
-			if report != nil {
-				report(id)
-				continue
-			}
-			// Default: surface the death in the owner's receive loop.
+			// Surface the death in the owner's receive loop.
 			u.mbox.put(&wire.Envelope{
 				Job: u.job, From: u.local, To: u.local,
 				Payload: wire.PeerGone{Worker: id},

@@ -384,6 +384,32 @@ func own(t *testing.T, u *UDP) {
 	}
 }
 
+// awaitPeerGone waits up to timeout for the wire.PeerGone envelope u posts
+// to its own inbox when it gives up on a peer — the message an owner's
+// receive loop learns of the death by — and returns the peer it names; ok
+// is false if none came. Any other message on the way fails the test.
+func awaitPeerGone(t *testing.T, u *UDP, timeout time.Duration) (id types.WorkerID, ok bool) {
+	t.Helper()
+	var env *wire.Envelope
+	select {
+	case env = <-u.Recv(): // one already there wins over a zero timeout
+	default:
+		select {
+		case env = <-u.Recv():
+		case <-time.After(timeout):
+			return types.NoWorker, false
+		}
+	}
+	if env == nil {
+		t.Fatal("recv channel closed")
+	}
+	p, gone := env.Payload.(wire.PeerGone)
+	if !gone {
+		t.Fatalf("got %s while waiting for PeerGone", env.PayloadName())
+	}
+	return p.Worker, true
+}
+
 // recvOwned is recvOne for an endpoint the test owns: it reads the socket
 // itself, waiting on it a millisecond at a time.
 func recvOwned(t *testing.T, u *UDP, timeout time.Duration) *wire.Envelope {
@@ -521,8 +547,6 @@ func TestUDPDeafOwnerStillAcks(t *testing.T) {
 	own(t, b)
 	var c stats.Counters
 	a.Instrument(&c, nil, nil)
-	down := make(chan types.WorkerID, 1)
-	a.SetPeerDown(func(id types.WorkerID) { down <- id })
 
 	const n = 40
 	for i := 0; i < n; i++ {
@@ -545,10 +569,8 @@ func TestUDPDeafOwnerStillAcks(t *testing.T) {
 	if got := c.Retransmits.Load(); got != 0 {
 		t.Errorf("%d retransmit(s) to an owner that was only deaf", got)
 	}
-	select {
-	case id := <-down:
+	if id, ok := awaitPeerGone(t, a, 0); ok {
 		t.Errorf("peer %d declared gone while its owner was deaf", id)
-	default:
 	}
 	for i := 0; i < n; i++ {
 		env := recvOwned(t, b, 2*time.Second)
@@ -695,8 +717,6 @@ func TestUDPSpanSinkSeesRetransmits(t *testing.T) {
 				}
 			}
 			a.Instrument(&counters, nil, sink)
-			down := make(chan types.WorkerID, 1)
-			a.SetPeerDown(func(id types.WorkerID) { down <- id })
 
 			// The healthy peer acknowledges before the faults start.
 			if err := a.Send(&wire.Envelope{To: 3, Payload: wire.StayRequest{Worker: 1}}); err != nil {
@@ -724,9 +744,8 @@ func TestUDPSpanSinkSeesRetransmits(t *testing.T) {
 				}
 			}
 			a.Flush()
-			select {
-			case <-down: // the sink ran before the report, on the same tick
-			case <-time.After(10 * time.Second):
+			// The sink ran before the report, on the same tick.
+			if _, ok := awaitPeerGone(t, a, 10*time.Second); !ok {
 				t.Fatal("retransmits never gave up")
 			}
 
@@ -749,4 +768,35 @@ func TestUDPSpanSinkSeesRetransmits(t *testing.T) {
 			}
 		})
 	}
+}
+
+// A peer that restarts on its predecessor's address — a clearinghouse
+// resumed from its journal on a pinned -ch-addr — must not have its first
+// frames swallowed by the dedup window its predecessor left behind: every
+// incarnation numbers its frames from a random start.
+func TestUDPRestartedPeerIsNotDeduplicated(t *testing.T) {
+	a, b := udpPair(t)
+	addr := a.LocalAddr()
+	const n = 5
+	send := func(u *UDP, first int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := u.Send(&wire.Envelope{To: 2, Payload: wire.StayRequest{Worker: types.WorkerID(first + i)}}); err != nil {
+				t.Fatal(err)
+			}
+			got := recvOne(t, b, 2*time.Second).Payload.(wire.StayRequest).Worker
+			if got != types.WorkerID(first+i) {
+				t.Fatalf("b got message %d, want %d", got, first+i)
+			}
+		}
+	}
+	send(a, 0)
+	a.Close()
+	a2, err := ListenUDP(1, 1, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a2.Close() })
+	a2.SetPeer(2, b.LocalAddr())
+	send(a2, n)
 }

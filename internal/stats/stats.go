@@ -88,23 +88,6 @@ type Counters struct {
 	FalseEvictions atomic.Int64
 }
 
-// TaskCreated records a new live closure and maintains the high-water mark.
-func (c *Counters) TaskCreated() {
-	c.TasksSpawned.Add(1)
-	c.TaskAdopted()
-}
-
-// TaskAdopted records a live closure that arrived from elsewhere (steal or
-// migration) rather than being spawned here. The high-water mark has one
-// writer — the goroutine that owns the worker's tasks is the only caller
-// of TaskCreated and TaskAdopted — so a compare and a store maintain it;
-// any goroutine may read it.
-func (c *Counters) TaskAdopted() {
-	if n := c.TasksInUse.Add(1); n > c.MaxTasksInUse.Load() {
-		c.MaxTasksInUse.Store(n)
-	}
-}
-
 // TaskRetired records that a live closure finished or left this worker.
 func (c *Counters) TaskRetired() { c.TasksInUse.Add(-1) }
 

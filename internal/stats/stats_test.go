@@ -3,83 +3,9 @@ package stats
 import (
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
-
-func TestHighWaterMark(t *testing.T) {
-	var c Counters
-	for i := 0; i < 5; i++ {
-		c.TaskCreated()
-	}
-	for i := 0; i < 3; i++ {
-		c.TaskRetired()
-	}
-	for i := 0; i < 2; i++ {
-		c.TaskAdopted()
-	}
-	s := c.Snapshot()
-	if s.TasksSpawned != 5 {
-		t.Errorf("spawned = %d, want 5", s.TasksSpawned)
-	}
-	if got := c.TasksInUse.Load(); got != 4 {
-		t.Errorf("in use = %d, want 4", got)
-	}
-	if s.MaxTasksInUse != 5 {
-		t.Errorf("max in use = %d, want 5", s.MaxTasksInUse)
-	}
-}
-
-// One goroutine owns a worker's tasks and is the high-water mark's only
-// writer; reporters take snapshots from their own goroutines while it runs,
-// and never see the mark go backwards.
-func TestHighWaterMarkConcurrent(t *testing.T) {
-	var c Counters
-	var wg sync.WaitGroup
-	const g, per, depth = 8, 1000, 5
-	stop := make(chan struct{})
-	for i := 0; i < g; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var last int64
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				m := c.Snapshot().MaxTasksInUse
-				if m < last {
-					t.Errorf("max in use went backwards: %d after %d", m, last)
-					return
-				}
-				last = m
-			}
-		}()
-	}
-	for j := 0; j < per; j++ {
-		for k := 0; k < depth; k++ {
-			c.TaskCreated()
-		}
-		for k := 0; k < depth; k++ {
-			c.TaskRetired()
-		}
-	}
-	close(stop)
-	wg.Wait()
-	s := c.Snapshot()
-	if s.TasksSpawned != per*depth {
-		t.Errorf("spawned = %d, want %d", s.TasksSpawned, per*depth)
-	}
-	if c.TasksInUse.Load() != 0 {
-		t.Errorf("in use = %d, want 0", c.TasksInUse.Load())
-	}
-	if s.MaxTasksInUse != depth {
-		t.Errorf("max in use = %d, want %d", s.MaxTasksInUse, depth)
-	}
-}
 
 func TestJobTotals(t *testing.T) {
 	a := Snapshot{TasksExecuted: 10, MaxTasksInUse: 3, TasksStolen: 1, Synchronizations: 9,

@@ -187,14 +187,6 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 	return s.Bounds[len(s.Bounds)-1]
 }
 
-// Mean returns the average sample, or 0 when empty.
-func (s HistSnapshot) Mean() int64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / s.Count
-}
-
 // metric types for exposition.
 const (
 	typeCounter = "counter"

@@ -45,9 +45,9 @@ import (
 	"phish/internal/types"
 )
 
-// frameVersion is the version byte of every frame. Versions 1 to 3 were
+// frameVersion is the version byte of every frame. Versions 1 to 4 were
 // earlier layouts and are rejected.
-const frameVersion = 4
+const frameVersion = 5
 
 // frameHeaderLen is the encoded size of the length prefix plus envelope
 // header (version, type tag, job, from, to, seq).
@@ -84,8 +84,8 @@ const (
 	tStayRequest
 	tStayReply
 	tPause
-	tPauseAck
-	tSnapshotRequest
+	_ // 19: PauseAck, retired at version 5 (SnapshotReply carries the counts)
+	_ // 20: SnapshotRequest, retired at version 5 (Pause asks for the snapshot)
 	tSnapshotReply
 	tResume
 	tJobRequest
@@ -661,10 +661,6 @@ func payloadTag(p any) byte {
 		return tStayReply
 	case Pause:
 		return tPause
-	case PauseAck:
-		return tPauseAck
-	case SnapshotRequest:
-		return tSnapshotRequest
 	case SnapshotReply:
 		return tSnapshotReply
 	case Resume:
@@ -708,7 +704,6 @@ var tagNames = map[byte]string{
 	tUpdate: "Update", tWorkerDown: "WorkerDown",
 	tIO: "IO", tShutdown: "Shutdown", tSpawnRoot: "SpawnRoot",
 	tStayRequest: "StayRequest", tStayReply: "StayReply", tPause: "Pause",
-	tPauseAck: "PauseAck", tSnapshotRequest: "SnapshotRequest",
 	tSnapshotReply: "SnapshotReply", tResume: "Resume",
 	tJobRequest: "JobRequest", tJobReply: "JobReply", tJobSubmit: "JobSubmit",
 	tJobSubmitReply: "JobSubmitReply", tJobDone: "JobDone",
@@ -823,15 +818,10 @@ func appendPayload(b []byte, p any) ([]byte, error) {
 		return appendBool(b, x.Stay), nil
 	case Pause:
 		return appendU64(b, x.Seq), nil
-	case PauseAck:
-		b = appendU64(b, x.Seq)
-		b = appendI32(b, int32(x.Worker))
-		b = appendCounts(b, x.SentTo)
-		return appendCounts(b, x.RecvFr), nil
-	case SnapshotRequest:
-		return appendU64(b, x.Seq), nil
 	case SnapshotReply:
-		return appendTasks(appendI32(appendU64(b, x.Seq), int32(x.Worker)), x.Closures, x.Records)
+		b = appendI32(appendU64(b, x.Seq), int32(x.Worker))
+		b = appendCounts(appendCounts(b, x.SentTo), x.RecvFr)
+		return appendTasks(b, x.Closures, x.Records)
 	case Resume:
 		return appendU64(b, x.Seq), nil
 	case JobRequest:
@@ -1315,12 +1305,9 @@ func readPayload(r *reader, tag byte) any {
 		return StayReply{Stay: r.bool()}
 	case tPause:
 		return Pause{Seq: r.u64()}
-	case tPauseAck:
-		return PauseAck{Seq: r.u64(), Worker: r.worker(), SentTo: r.counts(), RecvFr: r.counts()}
-	case tSnapshotRequest:
-		return SnapshotRequest{Seq: r.u64()}
 	case tSnapshotReply:
-		return SnapshotReply{Seq: r.u64(), Worker: r.worker(), Closures: r.closures(), Records: r.records()}
+		return SnapshotReply{Seq: r.u64(), Worker: r.worker(), SentTo: r.counts(), RecvFr: r.counts(),
+			Closures: r.closures(), Records: r.records()}
 	case tResume:
 		return Resume{Seq: r.u64()}
 	case tJobRequest:

@@ -156,8 +156,10 @@ func checkClosureView(t *testing.T, cv ClosureView, c Closure) {
 
 // TestOldFrameVersionsRejected: a frame from a peer built with an earlier
 // layout — version 1 (positional, old closure order), version 2 (the
-// field-keyed steal-path bodies) or version 3 (the Heartbeat message, and a
-// StatReport and JobSpec without and with one field more) — is refused by
+// field-keyed steal-path bodies), version 3 (the Heartbeat message, and a
+// StatReport and JobSpec without and with one field more) or version 4 (the
+// PauseAck and SnapshotRequest messages, and a SnapshotReply without the
+// message counts) — is refused by
 // both decoders with errFrameVersion, for a view tag and a cold tag alike,
 // instead of being misread as the current layout.
 func TestOldFrameVersionsRejected(t *testing.T) {
@@ -170,7 +172,7 @@ func TestOldFrameVersionsRejected(t *testing.T) {
 		// Version 1's Migrate: From, then empty closure and record lists.
 		{tMigrate, []byte{0, 0, 0, 3, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0}},
 	} {
-		for _, ver := range []byte{1, 2, 3} {
+		for _, ver := range []byte{1, 2, 3, 4} {
 			frame := rawFrame(ver, tc.tag, tc.body)
 			if _, err := Decode(frame); !errors.Is(err, errFrameVersion) {
 				t.Errorf("%s v%d: Decode err = %v, want errFrameVersion", tagName(tc.tag), ver, err)
@@ -477,7 +479,7 @@ func TestStealSequenceAllocs(t *testing.T) {
 	}
 	got := testing.AllocsPerRun(1000, pass)
 	t.Logf("steal sequence: %.1f allocs", got)
-	if got > stealSeqAllocBudget {
+	if !raceEnabled && got > stealSeqAllocBudget {
 		t.Errorf("steal sequence allocates %.1f times per round trip, budget %d", got, stealSeqAllocBudget)
 	}
 }

@@ -518,34 +518,24 @@ type SpawnRoot struct {
 }
 
 // Pause asks a worker to stop executing and stealing (it keeps processing
-// messages) as the first phase of a checkpoint. Workers answer every Pause
-// with a PauseAck carrying their per-peer message counts; the checkpoint
-// coordinator compares the global send/receive matrix to know when no
-// messages are in flight.
+// messages): the one round of a checkpoint. A worker answers every Pause
+// with a SnapshotReply carrying its state and its per-peer message counts;
+// the coordinator repeats the round until the global send/receive matrix
+// balances and matches the previous round's, and keeps that round's state.
 type Pause struct {
 	Seq uint64
 }
 
-// PauseAck reports a paused worker's per-peer message counts (worker-to-
-// worker traffic only; clearinghouse traffic does not carry task state).
-type PauseAck struct {
-	Seq    uint64
-	Worker types.WorkerID
-	SentTo map[types.WorkerID]int64
-	RecvFr map[types.WorkerID]int64
-}
-
-// SnapshotRequest asks a paused worker for a full, non-destructive dump of
-// its scheduler state.
-type SnapshotRequest struct {
-	Seq uint64
-}
-
-// SnapshotReply carries the dump: the same representation a migration
-// uses, but the worker keeps its state and stays paused.
+// SnapshotReply answers Pause: a paused worker's per-peer message counts
+// (worker-to-worker traffic only; clearinghouse traffic does not carry task
+// state) and a non-destructive dump of its scheduler state in the
+// representation a migration uses. The worker keeps its state and stays
+// paused.
 type SnapshotReply struct {
 	Seq      uint64
 	Worker   types.WorkerID
+	SentTo   map[types.WorkerID]int64
+	RecvFr   map[types.WorkerID]int64
 	Closures []Closure
 	Records  []Record
 }

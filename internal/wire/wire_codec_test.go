@@ -78,12 +78,10 @@ func everyPayload() []any {
 		StayReply{Stay: true},
 		StayReply{},
 		Pause{Seq: 12},
-		PauseAck{Seq: 12, Worker: 3,
-			SentTo: map[types.WorkerID]int64{1: 5, 2: 9},
-			RecvFr: map[types.WorkerID]int64{}},
-		PauseAck{Seq: 13, Worker: 4},
-		SnapshotRequest{Seq: 14},
-		SnapshotReply{Seq: 14, Worker: 3, Closures: []Closure{cl}, Records: []Record{rec}},
+		SnapshotReply{Seq: 12, Worker: 3,
+			SentTo:   map[types.WorkerID]int64{1: 5, 2: 9},
+			RecvFr:   map[types.WorkerID]int64{},
+			Closures: []Closure{cl}, Records: []Record{rec}},
 		SnapshotReply{Seq: 15, Worker: 4},
 		Resume{Seq: 16},
 		JobRequest{Workstation: 11, Skip: 6, Hold: 30 * time.Second},
@@ -278,7 +276,7 @@ func TestQuickClosurePayloads(t *testing.T) {
 		for i, c := range counts {
 			sent[types.WorkerID(i)] = c
 		}
-		for _, p := range []any{Update{View: view}, PauseAck{Seq: epoch, SentTo: sent}} {
+		for _, p := range []any{Update{View: view}, SnapshotReply{Seq: epoch, SentTo: sent}} {
 			env := &Envelope{Payload: p}
 			b, err := Encode(env)
 			if err != nil {
@@ -413,17 +411,25 @@ func rawFrame(ver, tag byte, body []byte) []byte {
 	return frame
 }
 
-// retiredFrames are the messages version 4 retired, as a peer could still
-// send them: Heartbeat, JobList and JobListReply at version 3, where they
-// were valid, and their tags, now blank, at the current version.
+// retiredFrames are the messages versions 4 and 5 retired, as a peer could
+// still send them: Heartbeat, JobList and JobListReply at version 3, PauseAck
+// and SnapshotRequest at version 4, where they were valid, and their tags,
+// now blank, at the current version.
 func retiredFrames() [][]byte {
 	heartbeat := appendI64(appendI32(nil, 5), 42)
+	counts := appendCounts(nil, map[types.WorkerID]int64{1: 5})
+	pauseAck := append(appendI32(appendU64(nil, 12), 3), append(counts, counts...)...)
+	snapshotRequest := appendU64(nil, 14)
 	return [][]byte{
 		rawFrame(3, 11, heartbeat),
 		rawFrame(frameVersion, 11, heartbeat),
 		rawFrame(3, 28, nil),
 		rawFrame(frameVersion, 28, nil),
 		rawFrame(frameVersion, 29, appendI32(nil, 0)),
+		rawFrame(4, 19, pauseAck),
+		rawFrame(frameVersion, 19, pauseAck),
+		rawFrame(4, 20, snapshotRequest),
+		rawFrame(frameVersion, 20, snapshotRequest),
 	}
 }
 
