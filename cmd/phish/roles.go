@@ -58,10 +58,12 @@ func leaveReason(code int) wire.LeaveReason {
 // it; run it by hand to add one machine to a job.
 //
 // SIGTERM or SIGINT starts the planned drain (DESIGN §5e): the task in
-// flight is preempted at its next Yield, the deque is handed to a victim
-// the clearinghouse picks, and the worker unregisters; a second signal
-// changes nothing. Through a clearinghouse outage the worker keeps
-// computing and re-registers with backoff when the clearinghouse is back.
+// flight is preempted at its next Yield, the deque is handed to a healthy
+// peer the worker picks from its own view, and the worker unregisters; a
+// second signal changes nothing. On Linux the worker also gets SIGTERM
+// when the jobmanager that started it dies (see workerAttr). Through a
+// clearinghouse outage the worker keeps computing and re-registers with
+// backoff when the clearinghouse is back.
 func runWorker(args []string) {
 	fs := flag.NewFlagSet("phish worker", flag.ExitOnError)
 	chAddr := fs.String("ch", "", "clearinghouse UDP address (required)")
@@ -293,6 +295,7 @@ func (r *execRunner) Start(spec wire.JobSpec, id types.WorkerID) (jobmanager.Wor
 	)
 	cmd.Stdout = os.Stdout
 	cmd.Stderr = os.Stderr
+	cmd.SysProcAttr = workerAttr()
 	if err := cmd.Start(); err != nil {
 		return nil, err
 	}

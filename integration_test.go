@@ -26,6 +26,16 @@ var (
 	buildErr  error
 )
 
+// TestMain removes the binaries buildBinaries compiled once the tests are
+// done with them.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binDir != "" {
+		os.RemoveAll(binDir)
+	}
+	os.Exit(code)
+}
+
 // buildBinaries compiles the cmd/ tree once per test process.
 func buildBinaries(t *testing.T) string {
 	t.Helper()
@@ -150,6 +160,58 @@ func TestBinariesFullMacroStack(t *testing.T) {
 			time.Sleep(20 * time.Millisecond)
 		}
 	}
+
+	// 5. A manager's death takes its workers with it: each gets the SIGTERM
+	// of an owner's return and leaves, in a fraction of a second. Without
+	// the signal, a worker that joined after the job ended outlives its
+	// manager by about 10 s, trying to register with a clearinghouse that
+	// is gone.
+	if _, err := os.Stat("/proc/self/cmdline"); err != nil {
+		return // no /proc to look for survivors in
+	}
+	for _, m := range managers {
+		_ = m.Process.Kill()
+		_, _ = m.Process.Wait()
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		left := workerProcs(t, bin)
+		if len(left) == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("worker processes %v outlived their managers by 5s", left)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// workerProcs lists the pids of live `phish worker` processes run from the
+// binary in bin, read from /proc/*/cmdline.
+func workerProcs(t *testing.T, bin string) []string {
+	t.Helper()
+	self := filepath.Join(bin, "phish")
+	if real, err := filepath.EvalSymlinks(self); err == nil {
+		self = real
+	}
+	paths, err := filepath.Glob("/proc/[0-9]*/cmdline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pids []string
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			continue // exited meanwhile
+		}
+		argv := strings.Split(string(b), "\x00")
+		if len(argv) < 2 || argv[1] != "worker" {
+			continue
+		}
+		if exe, err := filepath.EvalSymlinks(argv[0]); err == nil && exe == self {
+			pids = append(pids, filepath.Base(filepath.Dir(p)))
+		}
+	}
+	return pids
 }
 
 // lockedBuffer is a bytes.Buffer a process writes while the test reads it.

@@ -350,8 +350,6 @@ func (c *Clearinghouse) handle(env *wire.Envelope) {
 		}
 	case wire.StayRequest:
 		c.onStayRequest(p)
-	case wire.DrainRequest:
-		c.onDrainRequest(p)
 	case wire.SnapshotReply:
 		if c.ckpt != nil && p.Seq == c.ckpt.seq && c.ckpt.workers[p.Worker] {
 			c.ckpt.snaps[p.Worker] = p
@@ -525,35 +523,6 @@ func (c *Clearinghouse) onArg(p wire.Arg) {
 	for _, id := range c.store.LiveIDs() {
 		c.send(id, wire.Shutdown{Reason: "job complete"})
 	}
-}
-
-// onDrainRequest picks the migration target for a draining worker: the
-// live participant (other than the requester) with the shallowest reported
-// deque, so handed-off work lands where it runs soonest. A worker that has
-// never reported counts as empty. With no other live participant the ack
-// says so and the drainer falls back to the crash-recovery redo path.
-func (c *Clearinghouse) onDrainRequest(p wire.DrainRequest) {
-	depth := make(map[types.WorkerID]int32)
-	for _, r := range c.store.Reports() {
-		depth[r.Rep.Worker] = r.Rep.Deque
-	}
-	victim := types.NoWorker
-	var best int32
-	for _, id := range c.store.LiveIDs() {
-		if id == p.Worker {
-			continue
-		}
-		if d := depth[id]; victim == types.NoWorker || d < best {
-			victim, best = id, d
-		}
-	}
-	ack := wire.DrainAck{OK: victim != types.NoWorker, Victim: victim}
-	if m, ok := c.store.Member(victim); ok {
-		// The drainer's view may predate the victim's arrival; ship the
-		// address so the handoff can route anyway.
-		ack.Addr = m.Info.Addr
-	}
-	c.send(p.Worker, ack)
 }
 
 func (c *Clearinghouse) onStayRequest(p wire.StayRequest) {

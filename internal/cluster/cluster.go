@@ -484,9 +484,10 @@ func (j *Job) Crash(id types.WorkerID) bool {
 }
 
 // ReclaimWorker simulates the workstation owner's return for one live
-// worker (fault/churn injection): the worker migrates its tasks to another
-// participant and unregisters. Returns false if the worker was never part
-// of the job.
+// worker (fault/churn injection), a planned drain: its in-flight task is
+// offered preemption at its next Yield, its deque (with checkpoints) goes
+// to a healthy peer of its own view, and it unregisters. Returns false if
+// the worker was never part of the job.
 func (j *Job) ReclaimWorker(id types.WorkerID) bool {
 	j.mu.Lock()
 	w, ok := j.workers[id]
@@ -495,21 +496,6 @@ func (j *Job) ReclaimWorker(id types.WorkerID) bool {
 		return false
 	}
 	w.Reclaim()
-	return true
-}
-
-// DrainWorker starts a planned drain of one worker: its in-flight task is
-// offered preemption at its next Yield, the deque (with checkpoints) is
-// handed to a clearinghouse-chosen victim, and the worker unregisters.
-// Returns false if the worker was never part of the job.
-func (j *Job) DrainWorker(id types.WorkerID) bool {
-	j.mu.Lock()
-	w, ok := j.workers[id]
-	j.mu.Unlock()
-	if !ok {
-		return false
-	}
-	w.Drain()
 	return true
 }
 

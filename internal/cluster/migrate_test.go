@@ -60,10 +60,10 @@ func migrateProg() *core.Program {
 func fanSum(k, n int64) int64 { return k * (n * (n - 1) / 2) }
 
 // TestDrainRacesClearinghouseCrash races a planned drain against a
-// clearinghouse outage, in both orders. When the clearinghouse is already
-// dead the drainer cannot be assigned a victim and must fall back to a
-// direct handoff or to checkpoint-recovery redo; when the crash lands
-// mid-drain either side may win. Both ways, every task must complete
+// clearinghouse outage, in both orders. The drainer picks its adopter from
+// its own view, so the handoff goes ahead with the clearinghouse dead, and
+// its Unregister is what crosses the outage; failing that, the work comes
+// back through checkpoint-recovery redo. Both ways, every task must complete
 // exactly once — the summed result is exact, neither lost nor doubled.
 func TestDrainRacesClearinghouseCrash(t *testing.T) {
 	const k, n = 4, 200
@@ -100,9 +100,9 @@ func TestDrainRacesClearinghouseCrash(t *testing.T) {
 			target := live[len(live)-1]
 			if tc.crashFirst {
 				j.CrashClearinghouse()
-				j.DrainWorker(target)
+				j.ReclaimWorker(target)
 			} else {
-				j.DrainWorker(target)
+				j.ReclaimWorker(target)
 				j.CrashClearinghouse()
 			}
 			time.Sleep(100 * time.Millisecond)
@@ -160,9 +160,9 @@ func TestMigrationChurnSoak(t *testing.T) {
 	jobB := c.Submit(pfold.Program(), pfold.Root, pfold.RootArgs(16, 8))
 	jobs := []*Job{jobA, jobB}
 
-	// The gremlin churns random live workers: mostly planned drains and
-	// owner reclaims (migration paths), sometimes an outright crash (redo
-	// path, which should pick up published checkpoints).
+	// The gremlin churns random live workers: mostly owner reclaims (the
+	// migration path), sometimes an outright crash (redo path, which should
+	// pick up published checkpoints).
 	stopGremlin := make(chan struct{})
 	gremlinDone := make(chan struct{})
 	go func() {
@@ -179,12 +179,9 @@ func TestMigrationChurnSoak(t *testing.T) {
 				continue
 			}
 			id := live[rng.Intn(len(live))]
-			switch rng.Intn(4) {
-			case 0, 1:
-				j.DrainWorker(id)
-			case 2:
+			if rng.Intn(4) < 3 {
 				j.ReclaimWorker(id)
-			default:
+			} else {
 				j.Crash(id)
 			}
 		}

@@ -143,7 +143,7 @@ func TestDrainHandsOffCheckpointedTask(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t0 := time.Now()
-	w1.Drain()
+	w1.Reclaim()
 	<-r.done[1]
 	handoff := time.Since(t0)
 
@@ -201,7 +201,7 @@ func TestDrainCarriesNewestCkpt(t *testing.T) {
 	for len(r.ch.LiveWorkers()) < 2 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	w1.Drain()
+	w1.Reclaim()
 	<-r.done[1]
 	saved := uint64(w1.Stats().CkptSaves) // one save per step, the last at the Yield that vacated
 	if pub := w1.CkptTable(); len(pub) != 0 {

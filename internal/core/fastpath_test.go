@@ -27,9 +27,9 @@ import (
 // and no allocation of the scheduler's own.
 
 // grinder is one worker (id 0) whose clearinghouse is played by the test:
-// it answers the registration, spawns the root, refuses to name a drain
-// victim, and otherwise only records what the worker sends it. Worker 1 is
-// a bare endpoint from which the test sends the worker messages.
+// it answers the registration, spawns the root, and otherwise only records
+// what the worker sends it. Worker 1 is a bare endpoint from which the test
+// sends the worker messages.
 type grinder struct {
 	w      *Worker
 	port   phishnet.Conn // the worker's own endpoint
@@ -37,7 +37,7 @@ type grinder struct {
 	chPort phishnet.Conn
 
 	done    chan struct{}    // closed when Run has returned
-	drainAt chan time.Time   // one stamp per DrainRequest the worker sent
+	leftAt  chan time.Time   // one stamp per Unregister the worker sent
 	result  chan types.Value // the root result
 	reports chan reportAt    // the StatReports that carried checkpoints (dropped when full)
 }
@@ -64,7 +64,7 @@ func startGrinderOn(t *testing.T, attach func(types.WorkerID) phishnet.Conn, pro
 		peer:    attach(1),
 		chPort:  attach(types.ClearinghouseID),
 		done:    make(chan struct{}),
-		drainAt: make(chan time.Time, 4),
+		leftAt:  make(chan time.Time, 4),
 		result:  make(chan types.Value, 1),
 		reports: make(chan reportAt, 256),
 	}
@@ -88,9 +88,8 @@ func startGrinderOn(t *testing.T, attach func(types.WorkerID) phishnet.Conn, pro
 					spawned = true
 					g.toWorker(g.chPort, types.ClearinghouseID, wire.SpawnRoot{Fn: root, Args: args})
 				}
-			case wire.DrainRequest:
-				g.drainAt <- time.Now()
-				g.toWorker(g.chPort, types.ClearinghouseID, wire.DrainAck{OK: false})
+			case wire.Unregister:
+				g.leftAt <- time.Now()
 			case wire.Arg:
 				g.result <- p.Val
 			case wire.StatReport:
@@ -214,26 +213,23 @@ func TestBusyWorkerStaysLive(t *testing.T) {
 			g.waitGrinding(t)
 			return g
 		}
-		// A Reclaim or a Drain is honoured when the worker starts to leave:
-		// it asks the clearinghouse where to put its tasks.
-		leave := func(request func(*Worker)) func(*testing.T) {
-			return func(t *testing.T) {
-				g := start(t)
-				t0 := time.Now()
-				request(g.w)
-				select {
-				case at := <-g.drainAt:
-					if d := at.Sub(t0); d > honoured {
-						t.Errorf("the worker started to leave after %v, want within %v", d, honoured)
-					}
-				case <-time.After(5 * time.Second):
-					t.Fatal("the request was never honoured")
+		// A Reclaim is honoured when the worker leaves: with nobody in its
+		// view to migrate to, it unregisters at once, reporting itself
+		// crashed.
+		t.Run(grain.name+"/reclaim", func(t *testing.T) {
+			g := start(t)
+			t0 := time.Now()
+			g.w.Reclaim()
+			select {
+			case at := <-g.leftAt:
+				if d := at.Sub(t0); d > honoured {
+					t.Errorf("the worker left after %v, want within %v", d, honoured)
 				}
-				g.waitDone(t, 10*time.Second) // nobody to migrate to: it reports itself crashed
+			case <-time.After(5 * time.Second):
+				t.Fatal("the request was never honoured")
 			}
-		}
-		t.Run(grain.name+"/reclaim", leave((*Worker).Reclaim))
-		t.Run(grain.name+"/drain", leave((*Worker).Drain))
+			g.waitDone(t, 10*time.Second)
+		})
 		t.Run(grain.name+"/crash", func(t *testing.T) {
 			g := start(t)
 			g.w.Crash()
@@ -279,6 +275,59 @@ func TestBusyWorkerStaysLive(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 		})
+	}
+}
+
+// TestLeaverPicksHealthyAdopter: a leaving worker picks its adopter from
+// its own view, and never a peer the fleet suspects while another is left.
+// With peers 1 and 2 in view and 2 suspect, the Migrate goes to 1 in every
+// seed; with 2 the only peer, it goes to 2.
+func TestLeaverPicksHealthyAdopter(t *testing.T) {
+	adopter := func(t *testing.T, seed int64, peers ...types.WorkerID) types.WorkerID {
+		fab := phishnet.NewFabric()
+		t.Cleanup(fab.Close)
+		two := fab.Attach(2)
+		cfg := DefaultConfig()
+		cfg.Seed = seed
+		g := startGrinderOn(t, func(id types.WorkerID) phishnet.Conn { return fab.Attach(id) },
+			chainProg(nil), "chain", []types.Value{longChain}, cfg, clock.System)
+		g.waitGrinding(t)
+		view := wire.MembershipView{Epoch: 2, Members: []wire.MemberInfo{{Worker: 0, HostedBy: 0}}}
+		for _, p := range peers {
+			view.Members = append(view.Members, wire.MemberInfo{Worker: p, HostedBy: p})
+		}
+		g.toWorker(g.chPort, types.ClearinghouseID, wire.Update{View: view})
+		g.toWorker(g.chPort, types.ClearinghouseID, wire.SuspectSet{Suspects: []wire.SuspectInfo{{Worker: 2}}})
+		g.answersSteal(t) // answered after the view and the suspect set, which came first
+		g.w.Reclaim()
+		to := make(chan types.WorkerID, 2)
+		for id, c := range map[types.WorkerID]phishnet.Conn{1: g.peer, 2: two} {
+			go func() {
+				for env := range c.Recv() {
+					if env.Materialize() == nil {
+						if _, ok := env.Payload.(wire.Migrate); ok {
+							to <- id
+							return
+						}
+					}
+				}
+			}()
+		}
+		select {
+		case id := <-to:
+			return id
+		case <-time.After(10 * time.Second):
+			t.Fatal("the leaving worker shipped its state to nobody")
+			return types.NoWorker
+		}
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		if got := adopter(t, seed, 1, 2); got != 1 {
+			t.Errorf("seed %d: Migrate went to %d with 2 suspect, want 1", seed, got)
+		}
+	}
+	if got := adopter(t, 1, 2); got != 2 {
+		t.Errorf("Migrate went to %d with suspect 2 the only peer, want 2", got)
 	}
 }
 

@@ -132,11 +132,6 @@ type Worker struct {
 	forwardTo   types.WorkerID
 	leaveReason wire.LeaveReason
 
-	// Drain coordination: the clearinghouse's answer to our DrainRequest
-	// (scheduler goroutine only).
-	drainAcked  bool
-	drainVictim types.WorkerID
-
 	// stash holds envelopes a Yield pulled off the wire mid-task: the body
 	// is preempted so the scheduler loop can handle them, and drainAll
 	// consumes the stash before the connection (scheduler goroutine only).
@@ -359,10 +354,10 @@ func (w *Worker) OrphanDrops() int64 { return w.orphanDrops.Load() }
 // Reclaim asks the worker to leave because the workstation's owner
 // returned, on a planned schedule: the in-flight task is offered
 // preemption at its next Yield, the deque (with any checkpoints) is handed
-// to a victim chosen by the clearinghouse, a final StatReport is flushed,
-// and the worker unregisters. Work moves in milliseconds instead of being
-// redone. A worker not yet registered gives up registering instead. Safe
-// from any goroutine; returns immediately.
+// to a healthy peer picked from the worker's own view (see pickUntried), a
+// final StatReport is flushed, and the worker unregisters. Work moves in
+// milliseconds instead of being redone. A worker not yet registered gives
+// up registering instead. Safe from any goroutine; returns immediately.
 func (w *Worker) Reclaim() {
 	w.setAttn(attnLeave)
 	w.wake()
@@ -375,12 +370,9 @@ func (w *Worker) Crash() {
 	w.wake()
 }
 
-// Drain is Reclaim: there is one way to leave with one's work.
-func (w *Worker) Drain() { w.Reclaim() }
-
 // Bits of the attention word.
 const (
-	attnLeave uint32 = 1 << iota // Reclaim, Drain, or the clearinghouse's DrainOrder
+	attnLeave uint32 = 1 << iota // Reclaim, or the clearinghouse's DrainOrder
 	attnCrash                    // Crash, or a task body panicked
 )
 
@@ -1092,7 +1084,8 @@ func (w *Worker) drainAll() {
 			}
 			w.handle(env)
 		case <-w.wakeCh:
-			return
+			// A wake cuts a blocking wait short, not the drain: a Reclaim
+			// must find the view the queued Updates carry.
 		default:
 			return
 		}
@@ -1320,18 +1313,6 @@ func (w *Worker) handle(env *wire.Envelope) {
 		// healthy adopter (the same path an owner-return reclaim takes).
 		w.drainOrdered = true
 		w.setAttn(attnLeave)
-	case wire.DrainAck:
-		w.drainAcked = true
-		if p.OK {
-			w.drainVictim = p.Victim
-			// The chosen victim may postdate our last membership view;
-			// install its address so the handoff routes (no-op for
-			// in-memory fabrics or an empty address).
-			w.conn.SetPeer(p.Victim, p.Addr)
-			w.hostOf[p.Victim] = p.Victim
-		} else {
-			w.drainVictim = types.NoWorker
-		}
 	case wire.StayReply:
 		w.stayAsked = false
 		if p.Stay {
@@ -2031,21 +2012,9 @@ func (w *Worker) migrateAndLeave(reason wire.LeaveReason) {
 		return
 	}
 	w.migrating = true
-	// Ask the clearinghouse to pick the least-loaded adopter first (the
-	// drain protocol). If the clearinghouse is down or slow, fall back to
-	// the random local choice — the handoff still works, it just loses the
-	// load-aware placement.
-	preferred, havePref := w.requestDrainVictim()
 	tried := make(map[types.WorkerID]bool)
 	for attempt := 0; attempt < 8; attempt++ {
-		var target types.WorkerID
-		var ok bool
-		if havePref && !tried[preferred] && !w.dead[preferred] {
-			target, ok = preferred, true
-			havePref = false
-		} else {
-			target, ok = w.pickUntried(tried)
-		}
+		target, ok := w.pickUntried(tried)
 		if !ok {
 			break
 		}
@@ -2209,46 +2178,6 @@ func (w *Worker) shipStateTo(target types.WorkerID) shipResult {
 	return shipOK
 }
 
-// drainAckWait bounds how long a departing worker waits for the
-// clearinghouse's victim choice before falling back to picking its own:
-// proportional to the steal timeout, clamped to keep drains snappy even
-// under benchmark-scale timeouts.
-func (w *Worker) drainAckWait() time.Duration {
-	d := 2 * w.cfg.StealTimeout
-	if d < 50*time.Millisecond {
-		d = 50 * time.Millisecond
-	}
-	if d > time.Second {
-		d = time.Second
-	}
-	return d
-}
-
-// requestDrainVictim asks the clearinghouse to choose the migration target
-// (it sees every participant's deque depth, so it picks the least loaded).
-// Returns false — and the caller falls back to a random local choice —
-// when the clearinghouse is unreachable, answers with no victim, or does
-// not answer inside drainAckWait. This bounded wait is what keeps a drain
-// racing a clearinghouse crash safe: the handoff still completes, just
-// without the load-aware placement.
-func (w *Worker) requestDrainVictim() (types.WorkerID, bool) {
-	if w.chDown {
-		return types.NoWorker, false
-	}
-	w.drainAcked = false
-	w.drainVictim = types.NoWorker
-	if w.sendTo(types.ClearinghouseID, wire.DrainRequest{Worker: w.id}) != nil {
-		return types.NoWorker, false
-	}
-	w.waitUntil(time.Now().Add(w.drainAckWait()), func() bool {
-		return w.drainAcked || w.attnHas(attnCrash) || w.shutdownMsg
-	})
-	if !w.drainAcked || w.drainVictim == types.NoWorker {
-		return types.NoWorker, false
-	}
-	return w.drainVictim, true
-}
-
 // lingerForward flushes parked results to the adopter and keeps relaying
 // late arrivals for a grace period, so results sent to this worker before
 // its departure propagated are not lost.
@@ -2268,7 +2197,7 @@ func (w *Worker) lingerForward(adopter types.WorkerID) {
 // and reports whether done did. Every round blocks in drainOne for what is
 // left of the wait, so the loop advances with messages and the clock, never
 // by spinning; it is the one protocol wait of the worker (registration, the
-// migrate ack, the drain ack and the forwarding linger).
+// migrate ack and the forwarding linger).
 func (w *Worker) waitUntil(deadline time.Time, done func() bool) bool {
 	for !done() {
 		left := time.Until(deadline)
@@ -2280,6 +2209,10 @@ func (w *Worker) waitUntil(deadline time.Time, done func() bool) bool {
 	return true
 }
 
+// pickUntried picks a leaving worker's adopter at random from the live
+// peers of its own view not yet tried. It draws from the healthy ones (see
+// healthyOf) and takes a suspect only when no other peer is left, so a drain
+// ordered off a gray machine still avoids the peers the fleet suspects.
 func (w *Worker) pickUntried(tried map[types.WorkerID]bool) (types.WorkerID, bool) {
 	cands := make([]types.WorkerID, 0, len(w.victims))
 	for _, v := range w.victims {
@@ -2290,6 +2223,7 @@ func (w *Worker) pickUntried(tried map[types.WorkerID]bool) (types.WorkerID, boo
 	if len(cands) == 0 {
 		return 0, false
 	}
+	cands = w.healthyOf(cands, &w.victimsScr)
 	return cands[w.rng.Intn(len(cands))], true
 }
 

@@ -83,7 +83,8 @@ type MigrateSummary struct {
 	// ReductionX is WastedNoCkpt/WastedCkpt (capped at 1000 when the
 	// checkpointed run wasted essentially nothing).
 	ReductionX float64 `json:"reduction_x"`
-	// Drain handoff latency: DrainWorker call to worker Run-loop exit.
+	// Drain handoff latency: ReclaimWorker call to worker Run-loop exit,
+	// timed on the drain events (reclaims go untimed).
 	DrainP50MS float64 `json:"drain_p50_ms"`
 	DrainMaxMS float64 `json:"drain_max_ms"`
 }
@@ -227,7 +228,8 @@ const migrateEvents = 6
 
 // migrateRunOne runs the workload once. churn turns the seeded gremlin on;
 // ckpt selects checkpointing (false = the redo-from-scratch baseline).
-// The returned latencies time DrainWorker call → worker Run-loop exit.
+// The returned latencies time a drain event's ReclaimWorker call → worker
+// Run-loop exit.
 func migrateRunOne(name string, cfg MigrateBenchConfig, churn, ckpt bool) (MigrateRunResult, []time.Duration, error) {
 	load := &migrateLoad{running: make(map[types.WorkerID]int)}
 	prog := migrateBenchProg(load)
@@ -314,7 +316,7 @@ func migrateRunOne(name string, cfg MigrateBenchConfig, churn, ckpt bool) (Migra
 					drains++
 					done := j.WorkerDone(id)
 					dt0 := time.Now()
-					j.DrainWorker(id)
+					j.ReclaimWorker(id)
 					if done != nil {
 						waiters.Add(1)
 						go func() {

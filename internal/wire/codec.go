@@ -45,9 +45,9 @@ import (
 	"phish/internal/types"
 )
 
-// frameVersion is the version byte of every frame. Versions 1 to 4 were
+// frameVersion is the version byte of every frame. Versions 1 to 5 were
 // earlier layouts and are rejected.
-const frameVersion = 5
+const frameVersion = 6
 
 // frameHeaderLen is the encoded size of the length prefix plus envelope
 // header (version, type tag, job, from, to, seq).
@@ -99,8 +99,8 @@ const (
 	tNilPayload
 	tPeerGone
 	tStatReport
-	tDrainRequest
-	tDrainAck
+	_ // 34: DrainRequest, retired at version 6 (a drainer picks its own adopter)
+	_ // 35: DrainAck, retired at version 6
 	tSuspectSet
 	tDrainOrder
 )
@@ -681,10 +681,6 @@ func payloadTag(p any) byte {
 		return tPeerGone
 	case StatReport:
 		return tStatReport
-	case DrainRequest:
-		return tDrainRequest
-	case DrainAck:
-		return tDrainAck
 	case SuspectSet:
 		return tSuspectSet
 	case DrainOrder:
@@ -709,7 +705,6 @@ var tagNames = map[byte]string{
 	tJobSubmitReply: "JobSubmitReply", tJobDone: "JobDone",
 	tAck: "Ack", tNilPayload: "nil",
 	tPeerGone: "PeerGone", tStatReport: "StatReport",
-	tDrainRequest: "DrainRequest", tDrainAck: "DrainAck",
 	tSuspectSet: "SuspectSet", tDrainOrder: "DrainOrder",
 }
 
@@ -836,10 +831,6 @@ func appendPayload(b []byte, p any) ([]byte, error) {
 		return appendI64(b, int64(x.ID)), nil
 	case PeerGone:
 		return appendI32(b, int32(x.Worker)), nil
-	case DrainRequest:
-		return appendI32(b, int32(x.Worker)), nil
-	case DrainAck:
-		return appendStr(appendI32(appendBool(b, x.OK), int32(x.Victim)), x.Addr), nil
 	case SuspectSet:
 		b = appendLen(b, len(x.Suspects), x.Suspects == nil)
 		for _, s := range x.Suspects {
@@ -1322,10 +1313,6 @@ func readPayload(r *reader, tag byte) any {
 		return JobDone{ID: types.JobID(r.i64())}
 	case tPeerGone:
 		return PeerGone{Worker: r.worker()}
-	case tDrainRequest:
-		return DrainRequest{Worker: r.worker()}
-	case tDrainAck:
-		return DrainAck{OK: r.bool(), Victim: r.worker(), Addr: r.str()}
 	case tSuspectSet:
 		// A suspect entry is at least worker + phi + ckpt flag = 9 bytes.
 		return SuspectSet{Suspects: list(r, 9, func(r *reader) SuspectInfo {

@@ -157,9 +157,10 @@ func checkClosureView(t *testing.T, cv ClosureView, c Closure) {
 // TestOldFrameVersionsRejected: a frame from a peer built with an earlier
 // layout — version 1 (positional, old closure order), version 2 (the
 // field-keyed steal-path bodies), version 3 (the Heartbeat message, and a
-// StatReport and JobSpec without and with one field more) or version 4 (the
+// StatReport and JobSpec without and with one field more), version 4 (the
 // PauseAck and SnapshotRequest messages, and a SnapshotReply without the
-// message counts) — is refused by
+// message counts) or version 5 (the DrainRequest and DrainAck messages) —
+// is refused by
 // both decoders with errFrameVersion, for a view tag and a cold tag alike,
 // instead of being misread as the current layout.
 func TestOldFrameVersionsRejected(t *testing.T) {
@@ -172,7 +173,7 @@ func TestOldFrameVersionsRejected(t *testing.T) {
 		// Version 1's Migrate: From, then empty closure and record lists.
 		{tMigrate, []byte{0, 0, 0, 3, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0}},
 	} {
-		for _, ver := range []byte{1, 2, 3, 4} {
+		for _, ver := range []byte{1, 2, 3, 4, 5} {
 			frame := rawFrame(ver, tc.tag, tc.body)
 			if _, err := Decode(frame); !errors.Is(err, errFrameVersion) {
 				t.Errorf("%s v%d: Decode err = %v, want errFrameVersion", tagName(tc.tag), ver, err)

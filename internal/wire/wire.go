@@ -467,32 +467,13 @@ type SuspectSet struct {
 }
 
 // DrainOrder is a clearinghouse-initiated planned drain: the receiving
-// worker should hand off its state via the PR-5 migration path and leave,
-// because the clearinghouse grades it persistently degraded. The worker
-// obeys at its own pace — an order to a worker that just recovered is
-// merely a wasted migration, never a correctness problem.
+// worker should leave the way an owner-return reclaim does, shipping its
+// deque and checkpoints to a healthy peer it picks from its own membership
+// view, because the clearinghouse grades it persistently degraded. The
+// worker obeys at its own pace — an order to a worker that just recovered
+// is merely a wasted migration, never a correctness problem.
 type DrainOrder struct {
 	Reason string
-}
-
-// DrainRequest asks the clearinghouse to coordinate a planned drain: pick
-// an adoption victim for the requester's deque. The requester keeps
-// working until the DrainAck arrives (or a bounded wait expires, in which
-// case it falls back to picking a victim from its own membership view).
-type DrainRequest struct {
-	Worker types.WorkerID
-}
-
-// DrainAck answers a DrainRequest with the clearinghouse's choice of
-// adopter — the live worker with the shallowest reported deque. OK is
-// false when the requester is the only live worker. Addr carries the
-// victim's transport address so a drainer whose membership view predates
-// the victim's arrival can still route the handoff (empty for in-memory
-// fabrics).
-type DrainAck struct {
-	OK     bool
-	Victim types.WorkerID
-	Addr   string
 }
 
 // IO carries buffered application output to the clearinghouse ("a user

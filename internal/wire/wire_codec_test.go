@@ -112,9 +112,6 @@ func everyPayload() []any {
 		}},
 		StatReport{Worker: 9, Spans: []Span{}},
 		StatReport{},
-		DrainRequest{Worker: 9},
-		DrainAck{OK: true, Victim: 4, Addr: "127.0.0.1:9999"},
-		DrainAck{Victim: types.NoWorker},
 		SuspectSet{Suspects: []SuspectInfo{
 			{Worker: 4, PhiMilli: 8750, Ckpts: []TaskCkpt{
 				{Task: types.TaskID{Worker: 4, Seq: 2}, Seq: 3, Data: []byte{1, 2}}}},
@@ -411,15 +408,17 @@ func rawFrame(ver, tag byte, body []byte) []byte {
 	return frame
 }
 
-// retiredFrames are the messages versions 4 and 5 retired, as a peer could
+// retiredFrames are the messages versions 4 to 6 retired, as a peer could
 // still send them: Heartbeat, JobList and JobListReply at version 3, PauseAck
-// and SnapshotRequest at version 4, where they were valid, and their tags,
-// now blank, at the current version.
+// and SnapshotRequest at version 4, DrainRequest and DrainAck at version 5,
+// where they were valid, and their tags, now blank, at the current version.
 func retiredFrames() [][]byte {
 	heartbeat := appendI64(appendI32(nil, 5), 42)
 	counts := appendCounts(nil, map[types.WorkerID]int64{1: 5})
 	pauseAck := append(appendI32(appendU64(nil, 12), 3), append(counts, counts...)...)
 	snapshotRequest := appendU64(nil, 14)
+	drainRequest := appendI32(nil, 9)
+	drainAck := appendStr(appendI32(appendBool(nil, true), 4), "127.0.0.1:9999")
 	return [][]byte{
 		rawFrame(3, 11, heartbeat),
 		rawFrame(frameVersion, 11, heartbeat),
@@ -430,6 +429,10 @@ func retiredFrames() [][]byte {
 		rawFrame(frameVersion, 19, pauseAck),
 		rawFrame(4, 20, snapshotRequest),
 		rawFrame(frameVersion, 20, snapshotRequest),
+		rawFrame(5, 34, drainRequest),
+		rawFrame(frameVersion, 34, drainRequest),
+		rawFrame(5, 35, drainAck),
+		rawFrame(frameVersion, 35, drainAck),
 	}
 }
 
