@@ -27,7 +27,10 @@
 // task enumerates the rest of its subtree inline — the grain-size knob. A
 // task builds no world of its own: it borrows a walker from a pool, lays
 // its prefix on the grid, runs, and lifts the prefix again, which hands the
-// grid back all-zero without clearing it.
+// grid back all-zero without clearing it. Nor does it build a histogram: a
+// task owns the values in its argument slots (phish.TaskCtx.Arg), so a merge
+// sums into its first histogram, returns that one, and puts the others in
+// a pool the leaves take theirs from.
 package pfold
 
 import (
@@ -245,8 +248,28 @@ func (w *walker) release() {
 	for _, q := range w.cells {
 		w.grid[q] = 0
 	}
-	w.hist = nil // handed to the runtime, or abandoned at a preemption
+	w.hist = nil // returned, or back in hists
 	walkers.Put(w)
+}
+
+// hists recycles histograms, boxed: each holds a []int64 as a phish.Value,
+// so a task that returns one, or a merge that puts one back, boxes nothing.
+// A merge puts back every histogram but the one it sums into; leaves and
+// dead ends take theirs from here, and a leaf vacated at a Yield puts its
+// own back.
+var hists sync.Pool
+
+// newHist returns an all-zero histogram for an n-monomer polymer, boxed
+// and unboxed.
+func newHist(n int) (phish.Value, []int64) {
+	if box := hists.Get(); box != nil {
+		if h := box.([]int64); len(h) == HistSize(n) {
+			clear(h)
+			return box, h
+		}
+	}
+	h := make([]int64, HistSize(n))
+	return h, h
 }
 
 // Task arguments: n, threshold, energy-so-far, path (packed positions) and,
@@ -276,9 +299,9 @@ func pfoldTask(c phish.TaskCtx) {
 	left := n - len(w.cells)
 	if left == 0 {
 		w.release()
-		hist := make([]int64, HistSize(n))
+		box, hist := newHist(n)
 		hist[energy]++
-		c.Return(hist)
+		c.Return(box)
 		return
 	}
 	// The feasible placements of the next monomer, in branch order, and
@@ -298,7 +321,7 @@ func pfoldTask(c phish.TaskCtx) {
 		// histogram between branches so a preempted or redone leaf skips
 		// the subtrees it already summed. After the last branch there is
 		// nothing left to skip: the leaf returns without another Yield.
-		hist := make([]int64, HistSize(n))
+		box, hist := newHist(n)
 		done := resumeHist(c.Checkpoint(), hist)
 		w.hist = hist
 		for i, q := range free[:nfree] {
@@ -308,18 +331,20 @@ func pfoldTask(c phish.TaskCtx) {
 			w.branch(q, left, energy)
 			if i+1 < nfree && c.Yield(w.packHist(i+1)) {
 				w.release()
+				hists.Put(box) // the blob holds what it counted
 				return
 			}
 		}
 		w.release()
-		c.Return(hist)
+		c.Return(box)
 		return
 	}
 
 	// Fan out: one child per feasible placement.
 	if nfree == 0 {
 		w.release()
-		c.Return(make([]int64, HistSize(n))) // dead end: contributes nothing
+		box, _ := newHist(n)
+		c.Return(box) // dead end: contributes nothing
 		return
 	}
 	path := c.Arg(3)
@@ -368,18 +393,24 @@ func resumeHist(ck []byte, hist []int64) int {
 	return int(ck[0])
 }
 
+// mergeTask sums its children's histograms into the first, which it owns
+// (phish.TaskCtx.Arg), returns that same boxed value and puts the others
+// back in hists.
 func mergeTask(c phish.TaskCtx) {
-	sum := append([]int64(nil), c.Arg(0).([]int64)...)
+	box := c.Arg(0)
+	sum := box.([]int64)
 	for i := 1; i < c.NArgs(); i++ {
-		h := c.Arg(i).([]int64)
+		arg := c.Arg(i)
+		h := arg.([]int64)
 		if len(h) != len(sum) {
 			panic(fmt.Sprintf("pfold: histogram length mismatch %d vs %d", len(h), len(sum)))
 		}
 		for j, v := range h {
 			sum[j] += v
 		}
+		hists.Put(arg)
 	}
-	c.Return(sum)
+	c.Return(box)
 }
 
 var (

@@ -546,30 +546,42 @@ func TestTaskTreeShape(t *testing.T) {
 	}
 }
 
-// A task builds no world of its own: what pfold allocates is what a task
-// hands to another — a leaf's histogram, a merge's sum, the path a fan-out
-// at every fourth level of the tree lays for its children — and the boxes
-// those travel in. A count, so it repeats: 1.52 allocations and 197 bytes per task here;
-// 3.68 and 316 when every child got a path, a box and an argument list of
-// its own; 13.95 and 1.7 KB when every task made a map, a path, a histogram
-// and a blob per branch.
+// A task builds no world of its own, nor a histogram: a leaf takes one a
+// merge put back, and a merge returns the one it summed into. What pfold
+// still allocates is the path a fan-out at every fourth level of the tree
+// lays for its children, its box, and the histograms the pool has not yet
+// filled with. On two workers results cross the fabric and steals copy the
+// stolen tasks' paths, and those are counted too. A count, so it repeats:
+// 0.06 allocations and 4–5 bytes per task on one worker here; 1.52 and 197
+// when every leaf and merge made a histogram of its own; 3.68 and 316 when
+// every child got a path, a box and an argument list of its own; 13.95 and
+// 1.7 KB when every task made a map, a path, a histogram and a blob per
+// branch.
 func TestTaskBuildsNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	res, err := phish.RunLocal(Program(), Root, RootArgs(14, 4), phish.LocalOptions{Workers: 1})
-	runtime.ReadMemStats(&m1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tasks := float64(res.Totals.TasksExecuted)
-	if mallocs := float64(m1.Mallocs-m0.Mallocs) / tasks; mallocs > 1.7 {
-		t.Errorf("%.2f allocations per task over pfold(14, 4), want at most 1.7", mallocs)
-	}
-	if bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / tasks; bytes > 240 {
-		t.Errorf("%.0f bytes allocated per task over pfold(14, 4), want at most 240", bytes)
+	for _, workers := range []int{1, 2} {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		res, err := phish.RunLocal(Program(), Root, RootArgs(14, 4), phish.LocalOptions{Workers: workers})
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Value, Serial(14)) {
+			t.Fatalf("P=%d: wrong histogram", workers)
+		}
+		tasks := float64(res.Totals.TasksExecuted)
+		mallocs := float64(m1.Mallocs-m0.Mallocs) / tasks
+		bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / tasks
+		t.Logf("P=%d: %.0f tasks, %.3f allocations and %.1f bytes per task", workers, tasks, mallocs, bytes)
+		if mallocs > 0.2 {
+			t.Errorf("P=%d: %.2f allocations per task over pfold(14, 4), want at most 0.2", workers, mallocs)
+		}
+		if bytes > 24 {
+			t.Errorf("P=%d: %.0f bytes allocated per task over pfold(14, 4), want at most 24", workers, bytes)
+		}
 	}
 }
 

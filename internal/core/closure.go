@@ -144,7 +144,8 @@ func (p *ClosurePool) Put(c *Closure) {
 }
 
 // setArgs fills the closure's argument slots with a copy of args, reusing
-// the existing backing array when it is large enough.
+// the existing backing array when it is large enough. The values are not
+// copied: a spawn hands its child what the body gave it.
 func (c *Closure) setArgs(args []types.Value) {
 	c.Args = append(c.Args[:0], args...)
 }
@@ -168,10 +169,26 @@ func (c *Closure) setCkpt(blob []byte, seq uint64) {
 	c.CkptSeq = seq
 }
 
-// toWire converts for transmission (steal, migration, redo copies).
+// owned returns v as a value a task may change in place: a copy of it
+// (wire.CopyValue) when it is mutable, v itself when it is not. A value the
+// codec cannot copy, an unregistered opaque type, could not cross a socket
+// either; in process it stays shared.
+func owned(v types.Value) types.Value {
+	if cp, err := wire.CopyValue(v); err == nil {
+		return cp
+	}
+	return v
+}
+
+// toWire converts for transmission (steal, migration, redo copies, a
+// checkpoint's snapshot). The wire closure owns its argument values: a
+// snapshot is written out after the job resumes, and must not read what the
+// live closure's task has since changed in place.
 func (c *Closure) toWire() wire.Closure {
 	args := make([]types.Value, len(c.Args))
-	copy(args, c.Args)
+	for i, v := range c.Args {
+		args[i] = owned(v)
+	}
 	wc := wire.Closure{
 		ID:      c.ID,
 		Fn:      c.Fn,
@@ -214,12 +231,19 @@ func (w *Worker) closureFromView(v wire.ClosureView) (*Closure, error) {
 	return c, nil
 }
 
-// closureFromWire converts an inbound wire closure into a recycled closure.
+// closureFromWire converts an inbound wire closure into a recycled closure
+// that owns its argument values, as closureFromView's does. On the
+// in-memory fabric the wire closure is the one a victim keeps in its steal
+// record, or a Migrate's; a task that changed a shared argument in place
+// would change what a redo from that record reads.
 func (w *Worker) closureFromWire(wc wire.Closure) *Closure {
 	c := w.closures.Get()
 	c.ID = wc.ID
 	c.Fn = wc.Fn
-	c.setArgs(wc.Args)
+	c.Args = c.Args[:0]
+	for _, v := range wc.Args {
+		c.Args = append(c.Args, owned(v))
+	}
 	c.Missing = wc.Missing
 	c.Cont = wc.Cont
 	c.NoSteal = wc.NoSteal

@@ -29,7 +29,9 @@ type TaskCtx struct {
 // NArgs returns the number of argument slots.
 func (t *TaskCtx) NArgs() int { return len(t.c.Args) }
 
-// Arg returns argument i.
+// Arg returns argument i, which belongs to the task (model.Ctx.Arg):
+// closureFromWire and toWire copy the mutable values a steal record, a
+// Migrate or a checkpoint snapshot would otherwise share with it.
 func (t *TaskCtx) Arg(i int) types.Value { return t.c.Args[i] }
 
 // Int returns argument i as an int64 (model.Int).

@@ -33,7 +33,15 @@ type Succ interface {
 type Ctx interface {
 	// NArgs returns the number of argument slots.
 	NArgs() int
-	// Arg returns argument i.
+	// Arg returns argument i. The value belongs to this task: its body may
+	// change a slice argument in place, and no other task, redo or
+	// checkpoint reads the change, because a runtime copies a mutable value
+	// wherever it adopts or snapshots a closure that another copy of the
+	// task may still run from. A value the body passes to Return, Send,
+	// Preset or Spawn is its receiver's from then on, and the body does not
+	// touch it again. A value the body hands to several tasks, as pfold's
+	// fan-out hands its path to every child, is shared by them, and stays
+	// read-only by that body's choice.
 	Arg(i int) types.Value
 	// Int returns argument i as an int64 (see the package function Int).
 	Int(i int) int64

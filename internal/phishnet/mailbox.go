@@ -6,12 +6,16 @@ import (
 	"phish/internal/wire"
 )
 
-// mailboxFast is the capacity of the receive channel itself. It is sized
-// for the steady state — a worker's inbox holds a handful of steal
-// requests, replies and args between drains — so that ordinary traffic
-// never leaves the one-hop path; only a receiver that stays deaf through a
-// burst (a long task body, a 20 000-way join) pushes senders to the
-// overflow list.
+// mailboxFast is the capacity of the receive channel itself, sized for a
+// worker's inbox holding a handful of steal requests, replies and args
+// between drains. More than a deaf receiver (a long task body, a 20 000-way
+// join) overflows it: over UDP one datagram from a thief to its victim — the
+// stolen leaves' Args with its confirm and its next request — is 12.8 KB at
+// p50 and 42.5 KB at p90 on flat-steal-udp, about 115 of them a job, each
+// hundreds of frames, so the thief's traffic overflows the inbox routinely.
+// What overflows waits for the spill goroutine, and that goroutine gets no
+// processor while both workers run (ROADMAP item 4 has the steal legs). A
+// 4 096-slot channel did not move makespan beyond noise, so the size stays.
 const mailboxFast = 128
 
 // mailbox is an unbounded FIFO of envelopes whose receive side is a plain

@@ -32,16 +32,21 @@ const (
 	udpRetxTries   = 10 // ~6.5 s of backed-off retries, then the peer is gone
 	udpDedupWindow = 8192
 
-	// udpFlushBackstop bounds how long a frame that is not urgent sits in its
-	// batch when nobody flushes it: the endpoint has no owner calling Flush
+	// udpFlushBackstop is when a frame that is not urgent leaves its batch
+	// if nobody flushes it: the endpoint has no owner calling Flush
 	// (clearinghouse, cmd/ tools), the owner is inside a task body, or the
 	// sender is not the owner (the heartbeat goroutine). It is a timer, and a
 	// timer on an otherwise idle Go process fires no sooner than 1.03 ms
 	// after it was armed — the runtime sleeps in the netpoller in whole
 	// milliseconds, and the 200 µs this constant used to say measured
-	// 1.03–1.1 ms — so it is sized at what it delivers. That is still a
-	// thirtieth of the first retransmit interval: an ack that rides it
-	// arrives long before its sender would retransmit.
+	// 1.03–1.1 ms — so it is sized at what it delivers there. Next to a busy
+	// worker it fires much later: the timer sits on the P of the worker that
+	// armed it, which is locked to its thread and runs tasks without entering
+	// the scheduler. On flat-steal-udp's worker endpoints it fired 76 times a
+	// job, late by 6.4 ms at p50, 7.3 ms at p90 and 13.4 ms at most — about a
+	// quarter of the 50 ms first retransmit, so an ack that rides it still
+	// arrives before its sender retransmits, with less room than 1 ms
+	// suggests (DESIGN.md §5k rule 2).
 	udpFlushBackstop = time.Millisecond
 	// udpTakeBurst bounds the datagrams one take reads, so an owner polling
 	// between two tasks gets back to its tasks whatever its peers send.
@@ -73,7 +78,8 @@ const (
 //     StealRequest therefore share a datagram, as do the victim's three
 //     acks and its StealReply;
 //   - when it fills;
-//   - after udpFlushBackstop, whatever else happens.
+//   - when the udpFlushBackstop timer runs, which next to a busy worker can
+//     be over 10 ms late.
 //
 // Consequently Send reports ErrUnknownPeer/ErrClosed synchronously but
 // socket write errors surface only as lost datagrams, which the retransmit

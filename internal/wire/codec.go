@@ -480,6 +480,40 @@ func appendValues(b []byte, vs []types.Value) ([]byte, error) {
 	return b, nil
 }
 
+// CopyValue returns v as the receiver of a frame holding it gets it: equal
+// to v, nil and empty kept apart, and sharing no memory with it. The slice
+// kinds are copied, a []types.Value element by element; an opaque value
+// goes through the codec, so it fails as an unregistered type fails to
+// encode. A scalar or string cannot be changed in place and comes back as
+// it is, in the same interface, which allocates nothing.
+func CopyValue(v types.Value) (types.Value, error) {
+	switch x := v.(type) {
+	case nil, int64, int, int32, uint64, float64, string, bool:
+		return v, nil
+	case []byte:
+		return slices.Clone(x), nil
+	case []int64:
+		return slices.Clone(x), nil
+	case []float64:
+		return slices.Clone(x), nil
+	case []types.Value:
+		out := slices.Clone(x)
+		for i, e := range out {
+			var err error
+			if out[i], err = CopyValue(e); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
+	default:
+		b, err := appendValue(nil, v)
+		if err != nil {
+			return nil, err
+		}
+		return readValue(b)
+	}
+}
+
 // minClosureLen is the smallest encoded closure: the fixed fields, an empty
 // Fn, an absent Ckpt and a nil Args list.
 const minClosureLen = clFixed + 4 + 1 + 4 + 1

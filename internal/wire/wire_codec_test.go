@@ -322,6 +322,64 @@ func TestGobFallbackBoundary(t *testing.T) {
 	}
 }
 
+// CopyValue gives what a frame's receiver would get: an equal value, nil and
+// empty kept apart, that shares no memory with the original. A scalar comes
+// back without an allocation; an unregistered opaque type fails as it fails
+// to encode.
+func TestCopyValueSharesNothing(t *testing.T) {
+	RegisterValue(appCustomValue{})
+	vals := []types.Value{nil, int64(-3), int(7), int32(-4), uint64(1 << 60), 3.25, "s", true,
+		[]byte{9, 8}, []byte{}, []byte(nil), []int64{1, 2}, []int64{}, []int64(nil),
+		[]float64{0.5}, []float64(nil),
+		[]types.Value{int64(1), []int64{2, 3}, []types.Value{[]byte{4}}}, []types.Value{}, []types.Value(nil),
+		appCustomValue{Name: "m", Rows: []float64{1, 2}}}
+	for _, v := range vals {
+		cp, err := CopyValue(v)
+		if err != nil {
+			t.Fatalf("CopyValue(%#v): %v", v, err)
+		}
+		if !reflect.DeepEqual(cp, v) {
+			t.Errorf("CopyValue(%#v) = %#v", v, cp)
+		}
+		// Change every number the original holds; the copy must not move.
+		var bump func(types.Value)
+		bump = func(v types.Value) {
+			switch x := v.(type) {
+			case []byte:
+				for i := range x {
+					x[i]++
+				}
+			case []int64:
+				for i := range x {
+					x[i]++
+				}
+			case []float64:
+				for i := range x {
+					x[i]++
+				}
+			case []types.Value:
+				for _, e := range x {
+					bump(e)
+				}
+			case appCustomValue:
+				bump(x.Rows)
+			}
+		}
+		want, _ := CopyValue(cp)
+		bump(v)
+		if !reflect.DeepEqual(cp, want) {
+			t.Errorf("changing %#v in place changed its copy to %#v", v, cp)
+		}
+	}
+	scalar := types.Value(int64(42))
+	if n := testing.AllocsPerRun(100, func() { _, _ = CopyValue(scalar) }); n != 0 {
+		t.Errorf("copying a scalar allocates %.0f times", n)
+	}
+	if _, err := CopyValue(appCustomPayload{Kind: 1}); err == nil {
+		t.Error("copied an opaque value of an unregistered type")
+	}
+}
+
 func TestEnvelopeStringCheap(t *testing.T) {
 	env := &Envelope{Job: 2, From: 1, To: 5, Seq: 77, Payload: StealRequest{Thief: 7}}
 	if got, want := env.String(), "[job 2 1->5 #77 StealRequest]"; got != want {
